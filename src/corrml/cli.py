@@ -7,8 +7,9 @@ metric tables, ``compare-forward`` runs the four-family comparison harness,
 Every command writes a resolved-config sidecar sufficient to reproduce the
 run. Exit codes: 0 success, 1 validation error, 2 training failure.
 
-Only stdlib is imported at module level: ``CORRML_THREADS`` must be applied
-to the BLAS thread-count environment variables before numpy first loads.
+Only stdlib is imported at module level: ``CORRML_THREADS`` (one thread
+when unset) must be applied to the BLAS thread-count environment variables
+before numpy first loads.
 """
 
 import argparse
@@ -37,9 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _configure_threads() -> None:
-    """Apply the CORRML_THREADS cap to the common BLAS thread knobs."""
+    """Apply the CORRML_THREADS cap to the common BLAS thread knobs.
+
+    Unset, it defaults each knob the user has not set to one thread: at the
+    matrix sizes corrml trains on, extra BLAS threads cost more than they save.
+    """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
+        for var in _BLAS_ENV_VARS:
+            os.environ.setdefault(var, "1")
         return
     try:
         n = int(raw)
@@ -144,7 +151,14 @@ def write_csv(path: str, rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Standard JSON only: a NaN or infinity is refused, not written as a bare token."""
+    from .errors import ValidationError
+
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    write_text(path, text + "\n")
 
 
 def write_sidecar(out_dir: str, command: str, flags: dict, config: dict) -> None:

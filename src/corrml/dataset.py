@@ -59,6 +59,7 @@ DEFAULT_ENVIRONMENTS = (
 )
 
 MPY_PER_MM = 0.0254  # 1 mil = 0.0254 mm, exact by unit definition
+ABSOLUTE_ZERO_C = -273.15
 
 CSV_META_COLUMNS = ("id", "env", "temp_c", "duration_days", "rate", "rate_unit", "grade")
 
@@ -106,8 +107,14 @@ class CorrosionSample:
             raise ValidationError(f"sample {self.id}: environment id {self.environment} outside 0-8")
         if not math.isfinite(self.rate) or self.rate < 0:
             raise ValidationError(f"sample {self.id}: rate {self.rate!r} must be finite and >= 0")
-        if self.duration is not None and self.duration <= 0:
-            raise ValidationError(f"sample {self.id}: duration must be > 0 when present")
+        if self.duration is not None and not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValidationError(
+                f"sample {self.id}: duration {self.duration!r} must be finite and > 0 when present")
+        if self.temperature is not None and not (math.isfinite(self.temperature)
+                                                 and self.temperature >= ABSOLUTE_ZERO_C):
+            raise ValidationError(
+                f"sample {self.id}: temperature {self.temperature!r} must be finite and "
+                f">= {ABSOLUTE_ZERO_C} C when present")
 
 
 @dataclass

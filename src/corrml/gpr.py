@@ -5,20 +5,28 @@ Training minimizes the negative log marginal likelihood
 
     NLML = 1/2 (y - c)^T (K + s_n^2 I)^(-1) (y - c) + sum_i ln L_ii + n/2 ln 2pi
 
-with Adam in log-hyperparameter space. Gradients use the trace identity
-dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T) dK/dtheta) and d/dc = -1^T alpha.
+with Adam in log-hyperparameter space (Rasmussen & Williams, GPML, Alg. 2.1).
+Gradients use the trace identity dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T)
+dK/dtheta) and d/dc = -1^T alpha (GPML eq. 5.9), with Kinv from LAPACK dpotri
+on the Cholesky factor. For a lengthscale the trace is a sum over
+W = (Kinv - alpha alpha^T) o P weighted by squared coordinate differences,
+taken as sum_ij W_ij (x_id - x_jd)^2 = 2 (x_d^2 . W1 - x_d . W x_d).
 Factorizations go through the jitter ladder; if a step drives the kernel
-matrix past the ladder, training stops and keeps the last factorizable state.
+matrix past the ladder, training stops with a logged warning and keeps the
+last factorizable state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import ddot, dgemm, dgemv
+from scipy.linalg.lapack import dpotri
 
 from .errors import TrainingError, ValidationError
 from .kernels import (
@@ -37,6 +45,8 @@ from .kernels import (
 )
 from .optim import adam_init, adam_step
 from .preprocess import DEFAULT_LOG_EPSILON
+
+log = logging.getLogger(__name__)
 
 DEFAULT_GPR_LR = 0.05
 DEFAULT_GPR_EPOCHS = 200
@@ -60,7 +70,23 @@ def gpr_param_names(spec: KernelSpec) -> list[str]:
 
 
 class _NlmlWorkspace:
-    """Caches per-dimension squared differences for repeated NLML evaluations."""
+    """NLML value and gradient over fixed training data, with reusable buffers.
+
+    Only the d_v columns that vary over the training rows enter the kernel: a
+    constant column adds exactly 0 to every r^2 and to its own lengthscale
+    gradient, which is reported as an exact 0.0. The (d_v, n, n) stack of
+    squared coordinate differences is built once, one column at a time, and
+    r^2 is its tensordot with the inverse squared lengthscales, so r^2 is
+    exactly symmetric with exact zeros on the diagonal. Every evaluation writes
+    r^2, kernel values, gradient prefactors, K, its Cholesky factor, K^-1 and
+    the gradient weights into n x n buffers owned here, so after the first one
+    an evaluation allocates no n x n arrays. The terms and factor an evaluation
+    returns are overwritten by the next one.
+
+    Every large BLAS product and LAPACK call goes through scipy's library, none
+    through numpy's: when both libraries run multi-threaded, their two thread
+    pools compete for the cores and an epoch was about 5x slower on two cores.
+    """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=float)
@@ -75,30 +101,54 @@ class _NlmlWorkspace:
             raise ValidationError("non-finite training values")
         self.X = X
         self.y = y
-        self.n = X.shape[0]
-        # (d, n, n) stack of unscaled squared coordinate differences
-        diff = X[:, None, :] - X[None, :, :]
-        self.sqd = np.ascontiguousarray(np.moveaxis(diff * diff, 2, 0))
+        self.n = n = X.shape[0]
+        self.varying = np.flatnonzero(np.any(X != X[0], axis=0))
+        Xv = X[:, self.varying]
+        self.sqd = np.empty((self.varying.size, n, n))
+        for j, col in enumerate(Xv.T):
+            np.subtract(col[:, None], col[None, :], out=self.sqd[j])
+            self.sqd[j] *= self.sqd[j]
+        # differences are shift-invariant; centring keeps the gradient identity's
+        # two terms small relative to their difference
+        self._xc = np.asfortranarray(Xv - Xv.mean(axis=0))
+        self._xc2 = self._xc * self._xc
+        self._wx = np.empty_like(self._xc)
+        self._K = np.empty((n, n))
+        self._L = np.empty((n, n), order="F")
+        self._inv = np.empty((n, n), order="F")
+        self._A = np.empty((n, n))
+        self._scratch = np.empty((n, n))
+        self._leaf_bufs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def _leaf_terms(self, spec: KernelSpec):
         terms = []
-        for leaf in leaves(spec):
+        for i, leaf in enumerate(leaves(spec)):
             if leaf.lengthscales.size != self.X.shape[1]:
                 raise ValidationError(
                     f"ARD lengthscale count {leaf.lengthscales.size} != input "
                     f"dimension {self.X.shape[1]}")
+            if i == len(self._leaf_bufs):
+                self._leaf_bufs.append(tuple(np.empty((self.n, self.n)) for _ in range(3)))
+            r2, k, p = self._leaf_bufs[i]
             inv_ls2 = 1.0 / (leaf.lengthscales * leaf.lengthscales)
-            r2 = np.tensordot(inv_ls2, self.sqd, axes=1)
-            terms.append((leaf, inv_ls2, r2, leaf.value_from_r2(r2)))
+            if self.varying.size:
+                # np.tensordot(inv_ls2, sqd, axes=1), written into the r2 buffer
+                dgemv(1.0, self.sqd.reshape(self.varying.size, -1).T, inv_ls2[self.varying],
+                      beta=0.0, y=r2.reshape(-1), overwrite_y=1)
+            else:
+                r2.fill(0.0)
+            k, p = leaf.value_and_prefactor(r2, k, p, self._scratch)
+            terms.append((leaf, inv_ls2, r2, k, p))
         return terms
 
     def _factorize(self, spec, noise_variance, c):
         terms = self._leaf_terms(spec)
-        K = terms[0][3].copy()
-        for _, _, _, k in terms[1:]:
-            K += k
-        K[np.diag_indices(self.n)] += noise_variance
-        L, jitter = cholesky_jitter(K)
+        K = self._K
+        np.copyto(K, terms[0][3])
+        for term in terms[1:]:
+            K += term[3]
+        K.flat[::self.n + 1] += noise_variance
+        L, jitter = cholesky_jitter(K, out=self._L)
         resid = self.y - c
         alpha = cho_solve((L, True), resid, check_finite=False)
         value = (0.5 * float(resid @ alpha)
@@ -112,15 +162,32 @@ class _NlmlWorkspace:
     def value_and_grad(self, spec: KernelSpec, noise_variance: float, c: float
                        ) -> tuple[float, np.ndarray]:
         terms, L, alpha, value, _ = self._factorize(spec, noise_variance, c)
-        k_inv = cho_solve((L, True), np.eye(self.n), check_finite=False)
-        A = k_inv - np.outer(alpha, alpha)
+        # K^-1 from the factor (LAPACK dpotri), held in the lower triangle of
+        # `inv`; its upper triangle is the factor's exact zeros, so inv + inv^T
+        # mirrors it with a doubled diagonal
+        inv, A = self._inv, self._A
+        np.copyto(inv, L)
+        _, info = dpotri(inv, lower=1, overwrite_c=1)
+        if info != 0:
+            raise TrainingError(f"kernel matrix inverse failed (LAPACK info {info})")
+        np.add(inv, inv.T, out=A)
+        A.flat[::self.n + 1] *= 0.5
+        W = self._scratch                       # free once the leaf terms are built
+        np.multiply(alpha[:, None], alpha[None, :], out=W)
+        A -= W                                  # A = K^-1 - alpha alpha^T
         grad = []
-        for leaf, inv_ls2, r2, k in terms:
-            weighted = A * leaf.grad_prefactor(r2, k)
-            # all lengthscale partials at once: 1/2 sum_ij A_ij P_ij sqd[d]_ij / ls_d^2
-            per_dim = np.tensordot(self.sqd, weighted, axes=([1, 2], [0, 1]))
-            grad.extend(0.5 * per_dim * inv_ls2)
-            grad.append(0.5 * float(np.sum(A * k)))
+        for _, inv_ls2, _, k, p in terms:
+            ls_grad = np.zeros(inv_ls2.size)
+            if self.varying.size:
+                np.multiply(A, p, out=W)
+                # sum_ij W_ij (x_id - x_jd)^2 = 2 (x_d^2 . W1 - x_d . W x_d), W symmetric;
+                # W^T is W in the Fortran order BLAS takes without a copy
+                dgemm(1.0, W.T, self._xc, beta=0.0, c=self._wx, overwrite_c=1)
+                per_dim = (self._xc2.T @ W.sum(axis=1)
+                           - np.einsum("ij,ij->j", self._xc, self._wx))
+                ls_grad[self.varying] = per_dim * inv_ls2[self.varying]
+            grad.extend(ls_grad)
+            grad.append(0.5 * ddot(A.reshape(-1), k.reshape(-1)))
         grad.append(0.5 * float(np.trace(A)) * noise_variance)
         grad.append(-float(np.sum(alpha)))
         return value, np.asarray(grad)
@@ -162,8 +229,8 @@ class GprModel:
 def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history) -> GprModel:
     _, L, alpha, value, jitter = workspace._factorize(spec, noise_variance, c)
     return GprModel(x_train=workspace.X, y_train=workspace.y, spec=spec, mean=c,
-                    noise_variance=noise_variance, chol=L, alpha=alpha, jitter=jitter,
-                    history=history + [value])
+                    noise_variance=noise_variance, chol=L.copy(order="F"), alpha=alpha,
+                    jitter=jitter, history=history + [value])
 
 
 def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
@@ -214,11 +281,13 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
     state = adam_init(theta.shape, lr)
     history: list[float] = []
     last_valid = None
-    for _ in range(epochs):
+    for epoch in range(epochs):
         try:
             kern, noise_var, c = unpack(theta)
             value, grad = workspace.value_and_grad(kern, noise_var, c)
-        except TrainingError:
+        except TrainingError as exc:
+            log.warning("GP training stopped at epoch %d of %d: %s", epoch + 1, epochs, exc)
+            theta = None  # fails again if retried; fall back to the last valid state
             break
         history.append(value)
         last_valid = theta
@@ -230,8 +299,10 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
         try:
             kern, noise_var, c = unpack(candidate)
             return _finalize(workspace, kern, noise_var, c, history)
-        except TrainingError:
-            continue
+        except TrainingError as exc:
+            if candidate is theta and last_valid is not None:
+                log.warning("GP state after the last Adam step could not be factorized "
+                            "(%s); keeping the state of epoch %d", exc, len(history))
     raise TrainingError("kernel matrix could not be factorized at any visited state")
 
 

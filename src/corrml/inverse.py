@@ -12,7 +12,6 @@ whose features it carries, and the served predictions are averaged unweighted
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np

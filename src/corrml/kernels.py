@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import TrainingError, ValidationError
 
@@ -45,12 +46,16 @@ class RbfKernel:
         self.lengthscales = np.asarray(self.lengthscales, dtype=float)
         _check_leaf(self.lengthscales, self.variance)
 
-    def value_from_r2(self, r2: np.ndarray) -> np.ndarray:
-        return self.variance * np.exp(-0.5 * r2)
-
-    def grad_prefactor(self, r2: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # dK/dln(l_d) = P * s_d with s_d the per-dimension scaled squared distance
-        return k
+    def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
+                            p: np.ndarray | None = None, scratch: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel values K and lengthscale-gradient prefactor P from r^2, with
+        dK/dln(l_d) = P * s_d for s_d the per-dimension scaled squared distance.
+        For RBF, P is K itself, so `p` and `scratch` go unused."""
+        k = np.multiply(r2, -0.5, out=np.empty_like(r2) if k is None else k)
+        np.exp(k, out=k)
+        k *= self.variance
+        return k, k
 
 
 @dataclass
@@ -69,24 +74,44 @@ class MaternKernel:
         if self.nu not in MATERN_NUS:
             raise ValidationError(f"nu must be one of {MATERN_NUS}, got {self.nu}")
 
-    def value_from_r2(self, r2: np.ndarray) -> np.ndarray:
-        r = np.sqrt(r2)
+    def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
+                            p: np.ndarray | None = None, scratch: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel values K and lengthscale-gradient prefactor P from r^2, with
+        dK/dln(l_d) = P * s_d. Both share one sqrt and one exp; results go to
+        `k` and `p`, r to `scratch` (each allocated when not given)."""
+        k = np.empty_like(r2) if k is None else k
+        p = np.empty_like(r2) if p is None else p
+        r = np.sqrt(r2, out=np.empty_like(r2) if scratch is None else scratch)
+        v = self.variance
         if self.nu == 0.5:
-            return self.variance * np.exp(-r)
-        if self.nu == 1.5:
-            return self.variance * (1.0 + SQRT3 * r) * np.exp(-SQRT3 * r)
-        return self.variance * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
-
-    def grad_prefactor(self, r2: np.ndarray, k: np.ndarray) -> np.ndarray:
-        r = np.sqrt(r2)
-        if self.nu == 0.5:
+            np.negative(r, out=k)
+            np.exp(k, out=k)
+            k *= v
             # s_d / r -> 0 as r -> 0, so a zero-filled inverse is the correct limit
-            inv_r = np.zeros_like(r)
-            np.divide(1.0, r, out=inv_r, where=r > 0)
-            return self.variance * np.exp(-r) * inv_r
+            p.fill(0.0)
+            np.divide(1.0, r, out=p, where=r > 0)
+            p *= k
+            return k, p
+        c = SQRT3 if self.nu == 1.5 else SQRT5
+        np.multiply(r, -c, out=p)
+        np.exp(p, out=p)                      # e = exp(-c r)
         if self.nu == 1.5:
-            return 3.0 * self.variance * np.exp(-SQRT3 * r)
-        return (5.0 / 3.0) * self.variance * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+            np.multiply(r, c, out=k)
+            k += 1.0
+            k *= v
+            k *= p                            # v (1 + sqrt3 r) e
+            p *= 3.0 * v                      # 3 v e
+            return k, p
+        r *= c
+        r += 1.0                              # 1 + sqrt5 r
+        np.multiply(r2, 5.0 / 3.0, out=k)
+        k += r
+        k *= v
+        k *= p                                # v (1 + sqrt5 r + 5 r^2 / 3) e
+        r *= (5.0 / 3.0) * v
+        p *= r                                # 5/3 v (1 + sqrt5 r) e
+        return k, p
 
 
 @dataclass
@@ -184,7 +209,7 @@ def eval_kernel(x: np.ndarray, xp: np.ndarray, spec: KernelSpec) -> float:
             raise ValidationError(
                 f"ARD lengthscale count {leaf.lengthscales.size} != input dimension {x.size}")
         r2 = float(np.sum(((x - xp) / leaf.lengthscales) ** 2))
-        total += float(leaf.value_from_r2(np.array(r2)))
+        total += float(leaf.value_and_prefactor(np.array(r2))[0])
     return total
 
 
@@ -192,8 +217,7 @@ def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(X_i, Xp_j). Exactly symmetric when X is Xp."""
     K = None
     for leaf in leaves(spec):
-        r2 = scaled_sq_dist(X, Xp, leaf.lengthscales)
-        k = leaf.value_from_r2(r2)
+        k, _ = leaf.value_and_prefactor(scaled_sq_dist(X, Xp, leaf.lengthscales))
         K = k if K is None else K + k
     return K
 
@@ -219,38 +243,39 @@ def gram_grad(X: np.ndarray, spec: KernelSpec, param: str) -> np.ndarray:
     if not 0 <= leaf_idx < len(all_leaves):
         raise ValidationError(f"unknown hyperparameter id {param!r}")
     leaf = all_leaves[leaf_idx]
-    r2 = scaled_sq_dist(X, X, leaf.lengthscales)
-    k = leaf.value_from_r2(r2)
+    k, p = leaf.value_and_prefactor(scaled_sq_dist(X, X, leaf.lengthscales))
     if kind == "variance":
         return k  # K is linear in the variance, so dK/dln(v) = K
     if not 0 <= dim < leaf.lengthscales.size:
         raise ValidationError(f"lengthscale dimension {dim} out of range in {param!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     diff = (X[:, dim, None] - X[None, :, dim]) / leaf.lengthscales[dim]
-    return leaf.grad_prefactor(r2, k) * (diff * diff)
+    return p * (diff * diff)
 
 
-def cholesky_jitter(K: np.ndarray, ladder: tuple[float, ...] = DEFAULT_JITTER_LADDER
-                    ) -> tuple[np.ndarray, float]:
+def cholesky_jitter(K: np.ndarray, ladder: tuple[float, ...] = DEFAULT_JITTER_LADDER,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + j*I for the smallest workable jitter j.
 
     Ladder entries are multiples of the mean diagonal so stabilization is
     invariant to the output-variance magnitude. Returns (L, applied jitter).
+    L is Fortran-ordered with an exactly zero upper triangle; it is written
+    into `out` (a Fortran-ordered float array of K's shape, not K itself)
+    when given, so repeated factorizations can reuse one buffer.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValidationError("matrix must be square")
+    L = np.empty(K.shape, order="F") if out is None else out
     scale = float(np.mean(np.diag(K)))
     for mult in ladder:
         jitter = mult * scale
-        try:
-            if jitter == 0.0:
-                L = np.linalg.cholesky(K)
-            else:
-                L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+        np.copyto(L, K)
+        if jitter != 0.0:
+            L.flat[::K.shape[0] + 1] += jitter
+        _, info = dpotrf(L, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise TrainingError(
         f"Cholesky factorization failed at maximum jitter {ladder[-1] * scale:g}")
 

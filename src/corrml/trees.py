@@ -42,10 +42,6 @@ DEFAULT_GBM_ROUNDS = 100
 DEFAULT_GBM_LR = 0.1
 DEFAULT_GBM_DEPTH = 3
 
-# grid-search axes for forward-model tuning; the grid is small on purpose
-FOREST_GRID = {"n_estimators": (100, 200, 400), "max_depth": (4, 8, 16, None),
-               "max_features": ("all", "sqrt", "third")}
-
 LEAF = -1
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from corrml import cli
 from corrml.dataset import ELEMENT_ORDER, generate_inverse_synthetic, generate_synthetic
+from corrml.errors import ValidationError
 
 QUICK_CONFIG = {
     "model_params": {
@@ -80,6 +81,51 @@ def test_ingest_bad_row_names_row(tmp_path, capsys):
     rc = cli.main(["ingest", "--input", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [
+    ("duration_days", "1e400"),
+    ("duration_days", "nan"),
+    ("temp_c", "-1e308"),
+    ("temp_c", "-273.16"),
+    ("temp_c", "inf"),
+    ("temp_c", "nan"),
+])
+def test_ingest_rejects_non_physical_condition_with_row(tmp_path, capsys, column, value):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "env", "temp_c", "duration_days", "rate", "rate_unit", "grade",
+                    "Al", "Mg"])
+        w.writerow(["ok", "brackish-water", "25.0", "30.0", "1.0", "mpy", "", "95.0", "5.0"])
+        row = {"temp_c": "25.0", "duration_days": "30.0", column: value}
+        w.writerow(["bad", "brackish-water", row["temp_c"], row["duration_days"], "1.0", "mpy",
+                    "", "95.0", "5.0"])
+    out = tmp_path / "o"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "row 3" in err and "row 2" not in err
+    assert not (out / "dataset.json").exists()
+
+
+def test_ingest_accepts_absolute_zero(tmp_path):
+    path = tmp_path / "cold.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "env", "temp_c", "duration_days", "rate", "rate_unit", "grade",
+                    "Al", "Mg"])
+        w.writerow(["c1", "brackish-water", "-273.15", "1e-3", "1.0", "mpy", "", "95.0", "5.0"])
+    out = tmp_path / "o"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+    with open(out / "dataset.json") as fh:
+        assert json.load(fh)["samples"][0]["temperature"] == -273.15
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="model.json"):
+            cli.write_json(str(tmp_path / "model.json"), {"mean": bad})
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_ingest_weight_units(tmp_path):
@@ -296,4 +342,12 @@ def test_thread_cap_env_var(monkeypatch):
     assert cli.main(["report", "--metrics", "x.csv"]) == 1
 
     monkeypatch.delenv(cli.THREADS_ENV_VAR)
-    cli._configure_threads()  # absent variable is a no-op
+    cli._configure_threads()  # unset: BLAS variables the user set are left alone
+    assert all(os.environ[var] == "2" for var in cli._BLAS_ENV_VARS)
+
+    for var in cli._BLAS_ENV_VARS:
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    cli._configure_threads()  # unset: every unset BLAS variable defaults to one thread
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert os.environ["OMP_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == "1"

@@ -63,6 +63,18 @@ def test_sample_validation():
         CorrosionSample(id="a", composition=comp, environment=0, rate=1.0, duration=0.0)
 
 
+def test_sample_rejects_non_physical_conditions():
+    comp = ElementComposition(entries={"Al": 100.0}, basis="atomic")
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValidationError, match="duration"):
+            CorrosionSample(id="a", composition=comp, environment=0, rate=1.0, duration=bad)
+    for bad in (math.inf, -math.inf, math.nan, -1e308, -273.16):
+        with pytest.raises(ValidationError, match="temperature"):
+            CorrosionSample(id="a", composition=comp, environment=0, rate=1.0, temperature=bad)
+    CorrosionSample(id="a", composition=comp, environment=0, rate=1.0, temperature=-273.15,
+                    duration=1e-9)
+
+
 def test_grade_map_validation():
     GradeMap({"A": 1.0, "B": 5.0, "C": 20.0, "D": 50.0})
     with pytest.raises(ValidationError):
