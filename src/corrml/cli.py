@@ -24,8 +24,6 @@ log = logging.getLogger(__name__)
 THREADS_ENV_VAR = "CORRML_THREADS"
 _BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-FORWARD_FAMILIES = ("rf", "dnn", "gpr", "loggpr")
-
 
 class UsageError(Exception):
     """Bad command line (unknown flag, missing argument, bad choice)."""
@@ -122,13 +120,6 @@ def load_config(path: str | None) -> dict:
             raise ValidationError(f"{path}: config root must be a JSON object")
         _merge_config(cfg, user)
     return cfg
-
-
-def _family_params(cfg: dict, family: str) -> dict:
-    params = dict(cfg["model_params"][family])
-    if "hidden_sizes" in params:
-        params["hidden_sizes"] = tuple(params["hidden_sizes"])
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +337,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-_MODEL_SERIALIZERS = {
-    "rf": ("trees", "forest_to_dict", "forest_from_dict"),
-    "dnn": ("neural", "dnn_to_dict", "dnn_from_dict"),
-    "gpr": ("gpr", "gpr_to_dict", "gpr_from_dict"),
-    "loggpr": ("gpr", "log_gpr_to_dict", "log_gpr_from_dict"),
-}
-
-
-def _model_serializer(family: str, direction: str):
-    import importlib
-
-    mod_name, to_name, from_name = _MODEL_SERIALIZERS[family]
-    mod = importlib.import_module(f".{mod_name}", package=__package__)
-    return getattr(mod, to_name) if direction == "to" else getattr(mod, from_name)
-
-
 def cmd_train_forward(args) -> int:
-    import numpy as np
-
     from .dataset import Dataset
-    from .errors import ValidationError
-    from .evaluation import (ComparisonCell, MODEL_FAMILY_FITTERS, comparison_metrics_rows,
-                             comparison_pairs_rows, compute_metrics)
-    from .preprocess import (apply_scaler, build_features, cap_target, fit_scaler,
-                             run_metadata, split_train_test)
+    from .evaluation import (ComparisonCell, _fit_predict_cell, comparison_metrics_rows,
+                             comparison_pairs_rows, compute_metrics, forward_family)
+    from .preprocess import build_features, cap_target, run_metadata, split_train_test
 
     cfg = load_config(args.config)
     if args.model:
@@ -380,27 +351,17 @@ def cmd_train_forward(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     family = cfg["model"]
-    if family not in FORWARD_FAMILIES:
-        raise ValidationError(f"unknown forward model {family!r}; choose from {FORWARD_FAMILIES}")
+    to_dict = forward_family(family).to_dict  # an unknown name fails before any work
 
     dataset = _load_dataset(args.dataset)
     capped = Dataset(samples=cap_target(dataset.samples, cfg["cap_threshold"], cfg["cap_mode"]),
                      environment_names=dataset.environment_names)
     fm, y = build_features(capped, cfg["features"])
     split = split_train_test(y.size, seed=cfg["seed"], test_fraction=cfg["test_fraction"])
-    X_train, X_test = fm.values[split.train], fm.values[split.test]
     y_train, y_test = y[split.train], y[split.test]
-
-    scaler = None
-    if family != "rf":  # trees split on raw thresholds; the rest want z-scores
-        scaler = fit_scaler(X_train)
-        X_train = apply_scaler(scaler, X_train)
-        X_test = apply_scaler(scaler, X_test)
-
-    params = _family_params(cfg, family)
-    fit_fn, predict_fn = MODEL_FAMILY_FITTERS[family]
-    model = fit_fn(X_train, y_train, seed=cfg["seed"], **params)
-    pred = np.asarray(predict_fn(model, X_test), dtype=float)
+    model, scaler, pred = _fit_predict_cell(family, fm.values[split.train], y_train,
+                                            fm.values[split.test], cfg["seed"],
+                                            cfg["model_params"][family])
     metrics = compute_metrics(y_test, pred)
 
     cell = ComparisonCell(model=family, feature_set=cfg["features"], metrics=metrics,
@@ -414,7 +375,7 @@ def cmd_train_forward(args) -> int:
         "environment_names": list(capped.environment_names),
         "preprocess": run_metadata(cfg["features"], fm, scaler, cfg["cap_mode"],
                                    cfg["cap_threshold"], cfg["seed"]),
-        "model": _model_serializer(family, "to")(model),
+        "model": to_dict(model),
     }
     write_json(os.path.join(out, "model.json"), payload)
     write_csv(os.path.join(out, "metrics.csv"), comparison_metrics_rows([cell]))
@@ -471,8 +432,7 @@ def cmd_compare_forward(args) -> int:
         cfg["seed"] = args.seed
 
     dataset = _load_dataset(args.dataset)
-    configs = {family: _family_params(cfg, family) for family in FORWARD_FAMILIES}
-    cells = compare_forward_models(dataset, seed=cfg["seed"], configs=configs,
+    cells = compare_forward_models(dataset, seed=cfg["seed"], configs=cfg["model_params"],
                                    cap=cfg["cap_threshold"], cap_mode=cfg["cap_mode"],
                                    test_fraction=cfg["test_fraction"])
     out = _ensure_out(args.out)
@@ -482,12 +442,27 @@ def cmd_compare_forward(args) -> int:
     return 0
 
 
+def _model_field(payload: dict, key: str, expected, path: str):
+    """`payload[key]` if present and an instance of `expected`; otherwise a
+    ValidationError naming the model file at `path` and the key."""
+    from .errors import ValidationError
+
+    if key not in payload:
+        raise ValidationError(f"{path}: model file has no {key!r} key")
+    if not isinstance(payload[key], expected):
+        raise ValidationError(f"{path}: model file key {key!r} has the wrong type "
+                              f"({type(payload[key]).__name__})")
+    return payload[key]
+
+
 def cmd_predict(args) -> int:
     from .dataset import parse_csv
     from .errors import ValidationError
 
     with open(args.model, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{args.model}: model file root must be a JSON object")
     out = _ensure_out(args.out)
 
     if args.direction == "forward":
@@ -495,23 +470,29 @@ def cmd_predict(args) -> int:
             raise ValidationError(
                 f"{args.model}: expected a forward model file, got kind "
                 f"{payload.get('kind')!r}")
-        from .evaluation import MODEL_FAMILY_FITTERS
+        from .evaluation import forward_family
         from .preprocess import ScalerState, apply_scaler, build_features
 
-        queries = parse_csv(args.input, units=args.units,
-                            environments=tuple(payload["environment_names"]),
+        try:
+            family = forward_family(_model_field(payload, "family", str, args.model))
+        except ValidationError as exc:
+            raise ValidationError(f"{args.model}: key 'family': {exc}") from None
+        preprocess = _model_field(payload, "preprocess", dict, args.model)
+        scaler_state = _model_field(preprocess, "scaler", (dict, type(None)), args.model)
+        feature_set = _model_field(payload, "feature_set", str, args.model)
+        environments = _model_field(payload, "environment_names", list, args.model)
+        model_state = _model_field(payload, "model", dict, args.model)
+
+        queries = parse_csv(args.input, units=args.units, environments=tuple(environments),
                             require_rate=False)
-        fm, _ = build_features(queries, payload["feature_set"])
+        fm, _ = build_features(queries, feature_set)
         if len(fm.sample_ids) < len(queries.samples):
             log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                        len(queries.samples) - len(fm.sample_ids), payload["feature_set"])
+                        len(queries.samples) - len(fm.sample_ids), feature_set)
         X = fm.values
-        scaler_state = payload["preprocess"]["scaler"]
         if scaler_state is not None:
             X = apply_scaler(ScalerState.from_dict(scaler_state), X)
-        model = _model_serializer(payload["family"], "from")(payload["model"])
-        _, predict_fn = MODEL_FAMILY_FITTERS[payload["family"]]
-        pred = predict_fn(model, X)
+        pred = family.predict(family.from_dict(model_state), X)
         rows = [["sample_id", "predicted_mpy"]]
         rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, pred)]
         write_csv(os.path.join(out, "predictions.csv"), rows)
@@ -523,9 +504,10 @@ def cmd_predict(args) -> int:
         from .inverse import (inverse_from_dict, inverse_prediction_rows, predict_inverse,
                               queries_from_dataset)
 
-        queries = parse_csv(args.input, units=args.units,
-                            environments=tuple(payload["environment_names"]))
-        ensemble = inverse_from_dict(payload["ensemble"])
+        environments = _model_field(payload, "environment_names", list, args.model)
+        ensemble_state = _model_field(payload, "ensemble", dict, args.model)
+        queries = parse_csv(args.input, units=args.units, environments=tuple(environments))
+        ensemble = inverse_from_dict(ensemble_state)
         preds = predict_inverse(ensemble, queries_from_dataset(queries))
         write_csv(os.path.join(out, "predictions.csv"), inverse_prediction_rows(preds))
 
@@ -611,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-forward", help="fit one forward rate model")
     p.add_argument("--dataset", required=True, help="dataset file from ingest")
-    p.add_argument("--model", choices=FORWARD_FAMILIES, help="model family")
+    p.add_argument("--model", help="model family; an unknown name lists the choices")
     p.add_argument("--features", help="feature selector, e.g. comp or comp+env")
     p.add_argument("--config", help="run-config JSON")
     p.add_argument("--seed", type=int, help="split/init seed")

@@ -1,33 +1,65 @@
-"""Regression metrics, k-fold grid search, and the four-family forward-model
-comparison harness (rate prediction from composition / composition+environment).
+"""Regression metrics, the forward-family table, and the four-family
+forward-model comparison harness (rate prediction from composition /
+composition+environment).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import ValidationError
-from .gpr import fit_gpr, fit_log_gpr, predict_gpr, predict_log_gpr
-from .neural import TrainConfig, predict_dnn, train_dnn
-from .preprocess import (
-    apply_scaler,
-    build_features,
-    cap_target,
-    fit_scaler,
-    kfold_plan,
-    split_train_test,
-)
-from .trees import fit_forest, fit_gbm, predict_forest, predict_gbm
+from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
+                  log_gpr_to_dict, predict_gpr, predict_log_gpr)
+from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
+from .preprocess import apply_scaler, build_features, cap_target, fit_scaler, split_train_test
+from .trees import fit_forest, forest_from_dict, forest_to_dict, predict_forest
 
-FORWARD_MODELS = ("rf", "dnn", "gpr", "loggpr")
 DEFAULT_COMPARE_FEATURE_SETS = ("comp", "comp+env")
 CAP_MPY = 100.0
+
+
+class Family(NamedTuple):
+    """One forward model family: `fit(X, y, seed, params)` trains it (only rf
+    and dnn draw on the seed; GP training is deterministic),
+    `predict(model, X)` gives rates, `to_dict`/`from_dict` round-trip it
+    through a model file, and `scaled` says whether it trains on
+    standardized features (trees split on raw thresholds; the rest want
+    z-scores)."""
+    fit: Callable
+    predict: Callable
+    to_dict: Callable
+    from_dict: Callable
+    scaled: bool
+
+
+FAMILIES: dict[str, Family] = {
+    "rf": Family(fit=lambda X, y, seed, p: fit_forest(X, y, seed=seed, **p),
+                 predict=predict_forest, to_dict=forest_to_dict,
+                 from_dict=forest_from_dict, scaled=False),
+    "dnn": Family(fit=lambda X, y, seed, p: train_dnn(X, y, TrainConfig(seed=seed, **p)),
+                  predict=predict_dnn, to_dict=dnn_to_dict, from_dict=dnn_from_dict,
+                  scaled=True),
+    "gpr": Family(fit=lambda X, y, seed, p: fit_gpr(X, y, **p),
+                  predict=lambda model, X: predict_gpr(model, X)[0],
+                  to_dict=gpr_to_dict, from_dict=gpr_from_dict, scaled=True),
+    "loggpr": Family(fit=lambda X, y, seed, p: fit_log_gpr(X, y, **p),
+                     predict=predict_log_gpr, to_dict=log_gpr_to_dict,
+                     from_dict=log_gpr_from_dict, scaled=True),
+}
+
+
+def forward_family(name: str) -> Family:
+    """The table entry for `name`; an unknown name is a ValidationError."""
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise ValidationError(f"unknown forward model {name!r}; choose from {tuple(FAMILIES)}")
+    return family
 
 
 @dataclass
@@ -65,57 +97,6 @@ def compute_metrics(y: np.ndarray, y_hat: np.ndarray) -> Metrics:
 
 
 @dataclass
-class CvEntry:
-    params: dict
-    fold_metrics: list[Metrics]
-    mean_r2: float
-    mean_rmse: float
-
-
-@dataclass
-class CvResult:
-    entries: list[CvEntry]
-    best_params: dict
-    best_model: object
-    k: int
-
-
-def _canonical_params(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, default=str)
-
-
-def grid_search(fit_fn, predict_fn, grid: dict, X: np.ndarray, y: np.ndarray,
-                k: int = 5, seed: int = 0) -> CvResult:
-    """Exhaustive k-fold search over the parameter lattice.
-
-    Best point maximizes mean validation R^2, ties broken by lower mean RMSE,
-    then by canonical parameter string, so the outcome never depends on
-    enumeration order. The winner is refit on the full data.
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ValidationError("empty parameter grid")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    plan = kfold_plan(y.size, k=k, seed=seed)
-    keys = sorted(grid)
-    entries = []
-    for combo in itertools.product(*(grid[k_] for k_ in keys)):
-        params = dict(zip(keys, combo))
-        fold_metrics = []
-        for fold in range(plan.k):
-            train_idx, val_idx = plan.fold_indices(fold)
-            model = fit_fn(X[train_idx], y[train_idx], **params)
-            fold_metrics.append(compute_metrics(y[val_idx], predict_fn(model, X[val_idx])))
-        entries.append(CvEntry(params=params, fold_metrics=fold_metrics,
-                               mean_r2=float(np.mean([m.r2 for m in fold_metrics])),
-                               mean_rmse=float(np.mean([m.rmse for m in fold_metrics]))))
-    best = min(entries, key=lambda e: (-e.mean_r2, e.mean_rmse, _canonical_params(e.params)))
-    best_model = fit_fn(X, y, **best.params)
-    return CvResult(entries=entries, best_params=dict(best.params),
-                    best_model=best_model, k=plan.k)
-
-
-@dataclass
 class ComparisonCell:
     model: str
     feature_set: str
@@ -125,29 +106,23 @@ class ComparisonCell:
     y_pred: np.ndarray
 
 
-def _fit_predict_cell(model: str, X_train, y_train, X_test, seed: int, cfg: dict):
-    if model == "rf":
-        forest = fit_forest(X_train, y_train, seed=seed, **cfg)
-        return predict_forest(forest, X_test)
-    # the remaining families expect standardized features
-    scaler = fit_scaler(X_train)
-    Xs_train = apply_scaler(scaler, X_train)
-    Xs_test = apply_scaler(scaler, X_test)
-    if model == "dnn":
-        dnn = train_dnn(Xs_train, y_train, TrainConfig(seed=seed, **cfg))
-        return predict_dnn(dnn, Xs_test)
-    if model == "gpr":
-        gp = fit_gpr(Xs_train, y_train, **cfg)
-        return predict_gpr(gp, Xs_test)[0]
-    if model == "loggpr":
-        gp = fit_log_gpr(Xs_train, y_train, **cfg)
-        return predict_log_gpr(gp, Xs_test)
-    raise ValidationError(f"unknown forward model {model!r}; choose from {FORWARD_MODELS}")
+def _fit_predict_cell(family: str, X_train, y_train, X_test, seed: int, params: dict):
+    """Fit one family on a training split and predict its test rows: the one
+    fit path of `compare-forward` and `train-forward`. Returns (model,
+    scaler, predictions); `scaler` is None for a family fit on raw features."""
+    entry = forward_family(family)
+    scaler = None
+    if entry.scaled:
+        scaler = fit_scaler(X_train)
+        X_train = apply_scaler(scaler, X_train)
+        X_test = apply_scaler(scaler, X_test)
+    model = entry.fit(X_train, y_train, seed, params)
+    return model, scaler, np.asarray(entry.predict(model, X_test), dtype=float)
 
 
 def compare_forward_models(dataset: Dataset, seed: int = 0,
                            feature_sets: tuple[str, ...] = DEFAULT_COMPARE_FEATURE_SETS,
-                           models: tuple[str, ...] = FORWARD_MODELS,
+                           models: tuple[str, ...] = tuple(FAMILIES),
                            configs: dict | None = None,
                            cap: float = CAP_MPY, cap_mode: str = "drop",
                            test_fraction: float = 0.2) -> list[ComparisonCell]:
@@ -167,12 +142,12 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
         y_train, y_test = y[split.train], y[split.test]
         test_ids = [fm.sample_ids[i] for i in split.test]
         for model in models:
+            # keep only the predictions, so each model is freed before the next fit
             pred = _fit_predict_cell(model, X_train, y_train, X_test, seed,
-                                     dict(configs.get(model, {})))
+                                     dict(configs.get(model, {})))[2]
             cells.append(ComparisonCell(model=model, feature_set=feature_set,
                                         metrics=compute_metrics(y_test, pred),
-                                        sample_ids=test_ids, y_true=y_test,
-                                        y_pred=np.asarray(pred, dtype=float)))
+                                        sample_ids=test_ids, y_true=y_test, y_pred=pred))
     return cells
 
 
@@ -203,11 +178,3 @@ def comparison_to_json(cells: list[ComparisonCell]) -> str:
                 "predicted": [float(v) for v in c.y_pred]} for c in cells]
     return json.dumps(payload, sort_keys=True)
 
-
-MODEL_FAMILY_FITTERS = {
-    "rf": (fit_forest, predict_forest),
-    "gbm": (fit_gbm, predict_gbm),
-    "dnn": (lambda X, y, **p: train_dnn(X, y, TrainConfig(**p)), predict_dnn),
-    "gpr": (fit_gpr, lambda m, X: predict_gpr(m, X)[0]),
-    "loggpr": (fit_log_gpr, predict_log_gpr),
-}

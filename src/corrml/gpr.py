@@ -234,17 +234,14 @@ def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history) -> Gp
 
 
 def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
-            epochs: int = DEFAULT_GPR_EPOCHS, lr: float = DEFAULT_GPR_LR,
-            seed: int | None = None) -> GprModel:
+            epochs: int = DEFAULT_GPR_EPOCHS, lr: float = DEFAULT_GPR_LR) -> GprModel:
     """Train hyperparameters by Adam on the NLML.
 
     The kernel argument fixes structure only (RBF/Matern/sum, ARD dimension);
     starting values follow a fixed rule in scaled feature space: unit
     lengthscales, total signal variance var(y) split across leaves, noise
-    variance 0.1 var(y), mean = mean(y). Training is deterministic, so `seed`
-    is accepted for interface symmetry with the other model families but unused.
+    variance 0.1 var(y), mean = mean(y). Training is deterministic.
     """
-    del seed
     workspace = _NlmlWorkspace(X, y)
     if workspace.n < 2:
         raise ValidationError("need at least two samples to fit")
@@ -337,8 +334,8 @@ class LogGprModel:
 
 def fit_log_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
                 epochs: int = DEFAULT_GPR_EPOCHS, lr: float = DEFAULT_GPR_LR,
-                epsilon: float = DEFAULT_LOG_EPSILON, back_transform: str = "median",
-                seed: int | None = None) -> LogGprModel:
+                epsilon: float = DEFAULT_LOG_EPSILON,
+                back_transform: str = "median") -> LogGprModel:
     """GPR on ln(y + epsilon); predictions are mapped back to rate space."""
     if back_transform not in ("median", "mean"):
         raise ValidationError(f"back_transform must be 'median' or 'mean', got {back_transform!r}")
@@ -349,7 +346,7 @@ def fit_log_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
         raise ValidationError("targets must satisfy y + epsilon > 0 for the log transform")
     dim = np.atleast_2d(X).shape[1]
     spec = default_log_kernel(dim) if spec is None else spec
-    inner = fit_gpr(X, np.log(y + epsilon), spec=spec, epochs=epochs, lr=lr, seed=seed)
+    inner = fit_gpr(X, np.log(y + epsilon), spec=spec, epochs=epochs, lr=lr)
     return LogGprModel(inner=inner, epsilon=epsilon, back_transform=back_transform)
 
 

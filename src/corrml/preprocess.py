@@ -1,5 +1,5 @@
 """Dataset -> model-ready matrices: feature assembly, one-hot environments,
-standard scaling, target capping, train/test splits and k-fold plans.
+standard scaling, target capping and train/test splits.
 
 All transformations are pure and deterministic in their (data, seed) inputs so
 that a run can be reproduced bit-for-bit from its recorded metadata.
@@ -172,32 +172,6 @@ def split_train_test(n: int, seed: int, test_fraction: float = 0.2) -> SplitIndi
     return SplitIndices(train=sorted(perm[n_test:].tolist()),
                         test=sorted(perm[:n_test].tolist()),
                         seed=seed)
-
-
-@dataclass
-class FoldPlan:
-    k: int
-    assignments: np.ndarray  # per-row fold id
-
-    def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        """(train, validation) row indices for one fold."""
-        val = np.flatnonzero(self.assignments == fold)
-        train = np.flatnonzero(self.assignments != fold)
-        return train, val
-
-
-def kfold_plan(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
-    """Randomized fold assignment; fold sizes differ by at most one."""
-    if not 2 <= k <= n:
-        raise ValidationError(f"k={k} must lie in [2, n={n}]")
-    perm = np.random.default_rng(seed).permutation(n)
-    assignments = np.empty(n, dtype=int)
-    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    start = 0
-    for fold, size in enumerate(sizes):
-        assignments[perm[start:start + size]] = fold
-        start += size
-    return FoldPlan(k=k, assignments=assignments)
 
 
 def log_transform(y: np.ndarray, epsilon: float = DEFAULT_LOG_EPSILON) -> np.ndarray:

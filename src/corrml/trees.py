@@ -474,11 +474,10 @@ def _fit_gbms(X: np.ndarray, Y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
 
 def fit_gbm(X: np.ndarray, y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
             learning_rate: float = DEFAULT_GBM_LR, max_depth: int | None = DEFAULT_GBM_DEPTH,
-            min_samples_leaf: int = 1, seed: int = 0) -> GradientBoostedTrees:
+            min_samples_leaf: int = 1) -> GradientBoostedTrees:
     """Least-squares boosting: each stage fits the current residuals,
     F_m = F_{m-1} + lr * tree_m. Stage trees see all features, so the fit is
-    deterministic and `seed` is accepted only for interface symmetry."""
-    del seed
+    deterministic."""
     y = np.asarray(y, dtype=float).ravel()
     return _fit_gbms(X, y[:, None], n_rounds=n_rounds, learning_rate=learning_rate,
                      max_depth=max_depth, min_samples_leaf=min_samples_leaf)[0]

@@ -10,6 +10,7 @@ import pytest
 from corrml import cli
 from corrml.dataset import ELEMENT_ORDER, generate_inverse_synthetic, generate_synthetic
 from corrml.errors import ValidationError
+from corrml.evaluation import FAMILIES
 
 QUICK_CONFIG = {
     "model_params": {
@@ -286,6 +287,77 @@ def test_compare_and_report_charts(workspace, tmp_path):
         assert (rep / name).read_bytes() == (rep2 / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def compared(workspace, tmp_path_factory):
+    """compare-forward rows on the workspace data, keyed by (model, feature set)."""
+    out = tmp_path_factory.mktemp("cmp")
+    assert cli.main(["compare-forward", "--dataset", workspace["dataset"], "--seed", "4",
+                     "--config", workspace["config"], "--out", str(out)]) == 0
+    metrics = {tuple(r[:2]): r for r in _read_rows(out / "compare_metrics.csv")[1:]}
+    pairs: dict = {}
+    for r in _read_rows(out / "compare_pairs.csv")[1:]:
+        pairs.setdefault(tuple(r[:2]), []).append(r)
+    return metrics, pairs
+
+
+@pytest.mark.parametrize("features", ["comp", "comp+env"])
+@pytest.mark.parametrize("family", ["rf", "dnn", "gpr", "loggpr"])
+def test_train_compare_and_predict_share_one_path(workspace, compared, tmp_path,
+                                                   family, features):
+    out = tmp_path / "tf"
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", family,
+                     "--features", features, "--seed", "4", "--config", workspace["config"],
+                     "--out", str(out)]) == 0
+    metrics, pairs = compared
+    assert _read_rows(out / "metrics.csv")[1:] == [metrics[(family, features)]]
+    trained_pairs = _read_rows(out / "pairs.csv")[1:]
+    assert trained_pairs == pairs[(family, features)]
+
+    pred_out = tmp_path / "p"
+    assert cli.main(["predict", "--model", str(out / "model.json"), "--direction",
+                     "forward", "--input", workspace["csv"], "--out", str(pred_out)]) == 0
+    predicted = dict(_read_rows(pred_out / "predictions.csv")[1:])
+    assert [predicted[r[2]] for r in trained_pairs] == [r[4] for r in trained_pairs]
+
+
+def test_family_table_matches_default_config():
+    assert set(FAMILIES) == set(cli.default_config()["model_params"])
+
+
+@pytest.fixture(scope="module")
+def forward_payload(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("rfmodel")
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                     "--config", workspace["config"], "--out", str(out)]) == 0
+    with open(out / "model.json") as fh:
+        return json.load(fh)
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize("direction,edit,key", [
+    ("forward", lambda p: {**p, "family": "gbm"}, "'family'"),
+    ("forward", lambda p: {**p, "family": "svm"}, "'family'"),
+    ("forward", lambda p: _without(p, "family"), "'family'"),
+    ("forward", lambda p: _without(p, "preprocess"), "'preprocess'"),
+    ("forward", lambda p: [1], "root"),
+    ("inverse", lambda p: {"kind": "inverse-model", "environment_names": []}, "'ensemble'"),
+    ("inverse", lambda p: {"kind": "inverse-model", "ensemble": {}}, "'environment_names'"),
+], ids=["family-gbm", "family-svm", "no-family", "no-preprocess", "root-array", "no-ensemble",
+        "no-environment-names"])
+def test_predict_rejects_bad_model_file(workspace, forward_payload, tmp_path, capsys,
+                                        direction, edit, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(forward_payload)))
+    rc = cli.main(["predict", "--model", str(path), "--direction", direction,
+                   "--input", workspace["csv"], "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
 def test_report_requires_an_input(tmp_path, capsys):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
     assert "needs" in capsys.readouterr().err
@@ -297,6 +369,8 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["predict", "--model", "x", "--direction", "sideways",
                      "--input", "y"]) == 1
     capsys.readouterr()
+    assert cli.main(["train-forward", "--dataset", "x", "--model", "svm"]) == 1
+    assert "unknown forward model 'svm'" in capsys.readouterr().err
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Metrics identities, grid search, forward-model comparison harness."""
+"""Metrics identities, forward-model comparison harness."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from corrml.evaluation import (
     comparison_pairs_rows,
     comparison_to_json,
     compute_metrics,
-    grid_search,
 )
-from corrml.trees import fit_tree, predict_tree
 
 
 def test_perfect_predictions():
@@ -74,53 +72,6 @@ def test_metrics_validation():
         compute_metrics(np.zeros(3), np.zeros(4))
     with pytest.raises(ValidationError):
         compute_metrics(np.zeros(0), np.zeros(0))
-
-
-def _tree_family():
-    return (lambda X, y, **p: fit_tree(X, y, **p)), predict_tree
-
-
-def test_grid_search_single_point():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(30, 2))
-    y = rng.normal(size=30)
-    fit, predict = _tree_family()
-    res = grid_search(fit, predict, {"max_depth": [2]}, X, y, k=3, seed=0)
-    assert res.best_params == {"max_depth": 2}
-    assert len(res.entries) == 1
-    assert all(len(e.fold_metrics) == 3 for e in res.entries)
-    assert res.best_model is not None
-
-
-def test_grid_search_recovers_generating_depth():
-    # data is a depth-1 step function + noise; deep trees overfit the folds
-    fit, predict = _tree_family()
-    wins = 0
-    for seed in range(10):
-        rng = np.random.default_rng(400 + seed)
-        X = rng.normal(size=(120, 3))
-        y = np.where(X[:, 0] > 0, 2.0, 0.0) + rng.normal(size=120) * 0.5
-        res = grid_search(fit, predict, {"max_depth": [1, 12]}, X, y, k=5, seed=seed)
-        wins += res.best_params == {"max_depth": 1}
-    assert wins >= 8
-
-
-def test_grid_search_order_invariant():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(40, 2))
-    y = rng.normal(size=40)
-    fit, predict = _tree_family()
-    a = grid_search(fit, predict, {"max_depth": [1, 2, 3]}, X, y, seed=1)
-    b = grid_search(fit, predict, {"max_depth": [3, 2, 1]}, X, y, seed=1)
-    assert a.best_params == b.best_params
-
-
-def test_grid_search_empty_grid():
-    fit, predict = _tree_family()
-    with pytest.raises(ValidationError):
-        grid_search(fit, predict, {}, np.zeros((4, 1)), np.zeros(4))
-    with pytest.raises(ValidationError):
-        grid_search(fit, predict, {"max_depth": []}, np.zeros((4, 1)), np.zeros(4))
 
 
 def _linear_dataset(n: int = 220, seed: int = 0) -> Dataset:

@@ -20,7 +20,6 @@ from corrml.preprocess import (
     fit_scaler,
     inv_log_transform,
     invert_scaler,
-    kfold_plan,
     log_transform,
     run_metadata,
     split_train_test,
@@ -165,22 +164,6 @@ def test_split_extreme_fractions_clamped():
     assert len(tiny.test) == 1
     big = split_train_test(5, seed=0, test_fraction=0.999)
     assert len(big.train) == 1
-
-
-def test_kfold_plan_balance():
-    plan = kfold_plan(10, k=5, seed=0)
-    sizes = [len(plan.fold_indices(f)[1]) for f in range(5)]
-    assert sizes == [2, 2, 2, 2, 2]
-    plan11 = kfold_plan(11, k=5, seed=0)
-    sizes11 = sorted(len(plan11.fold_indices(f)[1]) for f in range(5))
-    assert sizes11 == [2, 2, 2, 2, 3]
-    seen = np.concatenate([plan11.fold_indices(f)[1] for f in range(5)])
-    assert sorted(seen.tolist()) == list(range(11))
-    for f in range(5):
-        train, val = plan11.fold_indices(f)
-        assert set(train.tolist()) & set(val.tolist()) == set()
-        assert len(train) + len(val) == 11
-    assert kfold_plan(11, 5, seed=0).assignments.tolist() == plan11.assignments.tolist()
 
 
 # ---------------------------------------------------------------------------
