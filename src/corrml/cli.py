@@ -142,11 +142,14 @@ def write_csv(path: str, rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Standard JSON only: a NaN or infinity is refused, not written as a bare token."""
+    """Compact, key-sorted standard JSON on one line: a NaN or infinity is
+    refused, not written as a bare token. Any `indent` (and `json.dump` to a
+    file) makes CPython fall back to its pure-Python encoder, about 4x slower
+    on an inverse ensemble; `python -m json.tool` pretty-prints the result."""
     from .errors import ValidationError
 
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     write_text(path, text + "\n")
@@ -455,6 +458,21 @@ def _model_field(payload: dict, key: str, expected, path: str):
     return payload[key]
 
 
+def _model_state(from_dict, state, key: str, path: str):
+    """`from_dict(state)` for the state under `key`; a key missing anywhere
+    inside it, or a malformed value, is a ValidationError naming the model
+    file at `path`, `key` and the missing key."""
+    from .errors import ValidationError
+
+    try:
+        return from_dict(state)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: model file key {key!r} is incomplete: "
+                              f"no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: model file key {key!r} is malformed: {exc}") from None
+
+
 def cmd_predict(args) -> int:
     from .dataset import parse_csv
     from .errors import ValidationError
@@ -491,8 +509,10 @@ def cmd_predict(args) -> int:
                         len(queries.samples) - len(fm.sample_ids), feature_set)
         X = fm.values
         if scaler_state is not None:
-            X = apply_scaler(ScalerState.from_dict(scaler_state), X)
-        pred = family.predict(family.from_dict(model_state), X)
+            X = apply_scaler(_model_state(ScalerState.from_dict, scaler_state,
+                                          "preprocess.scaler", args.model), X)
+        model = _model_state(family.from_dict, model_state, "model", args.model)
+        pred = family.predict(model, X)
         rows = [["sample_id", "predicted_mpy"]]
         rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, pred)]
         write_csv(os.path.join(out, "predictions.csv"), rows)
@@ -507,7 +527,7 @@ def cmd_predict(args) -> int:
         environments = _model_field(payload, "environment_names", list, args.model)
         ensemble_state = _model_field(payload, "ensemble", dict, args.model)
         queries = parse_csv(args.input, units=args.units, environments=tuple(environments))
-        ensemble = inverse_from_dict(ensemble_state)
+        ensemble = _model_state(inverse_from_dict, ensemble_state, "ensemble", args.model)
         preds = predict_inverse(ensemble, queries_from_dataset(queries))
         write_csv(os.path.join(out, "predictions.csv"), inverse_prediction_rows(preds))
 

@@ -1,12 +1,9 @@
-"""Regression metrics, the forward-family table, and the four-family
-forward-model comparison harness (rate prediction from composition /
-composition+environment).
+"""The forward-family table and the four-family forward-model comparison
+harness (rate prediction from composition / composition+environment).
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -16,6 +13,7 @@ from .dataset import Dataset
 from .errors import ValidationError
 from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
                   log_gpr_to_dict, predict_gpr, predict_log_gpr)
+from .metrics import Metrics, compute_metrics
 from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
 from .preprocess import apply_scaler, build_features, cap_target, fit_scaler, split_train_test
 from .trees import fit_forest, forest_from_dict, forest_to_dict, predict_forest
@@ -60,40 +58,6 @@ def forward_family(name: str) -> Family:
     if family is None:
         raise ValidationError(f"unknown forward model {name!r}; choose from {tuple(FAMILIES)}")
     return family
-
-
-@dataclass
-class Metrics:
-    r2: float
-    mae: float
-    mse: float
-    rmse: float
-    constant_target: bool = False  # SS_tot was zero; r2 is conventional, not defined
-
-    def to_dict(self) -> dict:
-        return {"r2": self.r2, "mae": self.mae, "mse": self.mse, "rmse": self.rmse,
-                "constant_target": self.constant_target}
-
-
-def compute_metrics(y: np.ndarray, y_hat: np.ndarray) -> Metrics:
-    """R^2, MAE, MSE, RMSE. R^2 is measured against the mean of `y` itself,
-    whichever subset that is. Constant targets set the flag instead of NaN."""
-    y = np.asarray(y, dtype=float).ravel()
-    y_hat = np.asarray(y_hat, dtype=float).ravel()
-    if y.size != y_hat.size:
-        raise ValidationError(f"length mismatch: {y.size} vs {y_hat.size}")
-    if y.size == 0:
-        raise ValidationError("empty vectors")
-    err = y - y_hat
-    mae = float(np.mean(np.abs(err)))
-    mse = float(np.mean(err * err))
-    rmse = math.sqrt(mse)
-    ss_res = float(np.sum(err * err))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return Metrics(r2=1.0 if ss_res == 0.0 else 0.0, mae=mae, mse=mse, rmse=rmse,
-                       constant_target=True)
-    return Metrics(r2=1.0 - ss_res / ss_tot, mae=mae, mse=mse, rmse=rmse)
 
 
 @dataclass
@@ -168,13 +132,3 @@ def comparison_pairs_rows(cells: list[ComparisonCell]) -> list[list[str]]:
         for sid, t, p in zip(c.sample_ids, c.y_true, c.y_pred):
             rows.append([c.model, c.feature_set, sid, repr(float(t)), repr(float(p))])
     return rows
-
-
-def comparison_to_json(cells: list[ComparisonCell]) -> str:
-    """Canonical JSON of the full report (stable key order, repr-exact floats)."""
-    payload = [{"model": c.model, "feature_set": c.feature_set,
-                "metrics": c.metrics.to_dict(), "sample_ids": list(c.sample_ids),
-                "true": [float(v) for v in c.y_true],
-                "predicted": [float(v) for v in c.y_pred]} for c in cells]
-    return json.dumps(payload, sort_keys=True)
-

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import CorrosionSample, Dataset, wt_to_at
 from .errors import ValidationError
-from .evaluation import Metrics, compute_metrics
+from .metrics import Metrics, compute_metrics
 from .preprocess import split_train_test
 from .trees import (
     MultiOutputModel,

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -356,6 +358,100 @@ def test_predict_rejects_bad_model_file(workspace, forward_payload, tmp_path, ca
     assert rc == 1
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+@pytest.fixture(scope="module")
+def inverse_run(tmp_path_factory):
+    """An inverse CSV and the ensemble payload trained on it (quick config)."""
+    root = tmp_path_factory.mktemp("invmodel")
+    data = _dump_csv(generate_inverse_synthetic(60, seed=5), root / "inv.csv")
+    cfg = root / "quick.json"
+    cfg.write_text(json.dumps(QUICK_CONFIG))
+    assert cli.main(["ingest", "--input", data, "--out", str(root / "ds")]) == 0
+    assert cli.main(["train-inverse", "--dataset", str(root / "ds" / "dataset.json"),
+                     "--config", str(cfg), "--out", str(root / "inv")]) == 0
+    with open(root / "inv" / "ensemble.json") as fh:
+        return {"csv": data, "payload": json.load(fh)}
+
+
+def _edit_first_tree(payload, edit):
+    """A copy of an inverse payload whose first forest tree is `edit(tree)`."""
+    payload = json.loads(json.dumps(payload))
+    sub = next(s for s in payload["ensemble"]["submodels"].values() if s is not None)
+    trees = sub["forest"]["models"][0]["trees"]
+    trees[0] = edit(trees[0])
+    return payload
+
+
+def _with_model(payload, edit):
+    return {**payload, "model": edit(payload["model"])}
+
+
+@pytest.mark.parametrize("direction,edit,keys", [
+    ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": {
+        "stds": [], "constant": []}}},
+     ("'preprocess.scaler'", "'means'")),
+    ("forward", lambda p: _with_model(p, lambda m: _without(m, "trees")),
+     ("'model'", "'trees'")),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        {**m["trees"][0], "threshold": "high"}] + m["trees"][1:]}),
+     ("'model'", "malformed")),
+    ("inverse", lambda p: _edit_first_tree(p, lambda t: _without(t, "threshold")),
+     ("'ensemble'", "'threshold'")),
+], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold"])
+def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inverse_run,
+                                                tmp_path, capsys, direction, edit, keys):
+    payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
+                        else (inverse_run["payload"], inverse_run["csv"]))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(payload)))
+    rc = cli.main(["predict", "--model", str(path), "--direction", direction,
+                   "--input", queries, "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert all(key in err for key in keys), err
+
+
+def test_reruns_write_byte_identical_json(tmp_path):
+    data = _dump_csv(generate_inverse_synthetic(60, seed=8), tmp_path / "data.csv")
+    cfg = tmp_path / "quick.json"
+    cfg.write_text(json.dumps(QUICK_CONFIG))
+
+    def run_chain(root):
+        dataset = str(root / "ds" / "dataset.json")
+        assert cli.main(["ingest", "--input", data, "--out", str(root / "ds")]) == 0
+        assert cli.main(["train-forward", "--dataset", dataset, "--model", "gpr",
+                         "--config", str(cfg), "--out", str(root / "fwd")]) == 0
+        assert cli.main(["train-inverse", "--dataset", dataset, "--config", str(cfg),
+                         "--out", str(root / "inv")]) == 0
+        return ["ds/dataset.json", "fwd/model.json", "inv/ensemble.json"]
+
+    names = run_chain(tmp_path / "a")
+    run_chain(tmp_path / "b")
+    for name in names:
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes(), f"{name} differs"
+        assert first.endswith(b"\n") and first.count(b"\n") == 1, name
+
+    payload = {"b": [0.1, 1e-300, 2.0 ** 60, -3], "a": {"\u00b5": None, "t": True},
+               "nested": [{"z": 1.5}, []]}
+    path = tmp_path / "payload.json"
+    cli.write_json(str(path), payload)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == payload
+
+
+def test_inverse_import_path_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    probe = ("import sys, corrml.cli, corrml.inverse; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_report_requires_an_input(tmp_path, capsys):
