@@ -469,7 +469,7 @@ def _model_state(from_dict, state, key: str, path: str):
     except KeyError as exc:
         raise ValidationError(f"{path}: model file key {key!r} is incomplete: "
                               f"no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: model file key {key!r} is malformed: {exc}") from None
 
 

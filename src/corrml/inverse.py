@@ -22,7 +22,7 @@ from .metrics import Metrics, compute_metrics
 from .preprocess import split_train_test
 from .trees import (
     MultiOutputModel,
-    fit_multi_output,
+    fit_multi_outputs,
     multi_output_from_dict,
     multi_output_to_dict,
     predict_multi_output,
@@ -124,40 +124,42 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None,
     Per submodel: an internal train/validation split sets the forest/GBM pair
     weights from validation R^2, then both regressors are refit on the full
     subset. Extension subsets smaller than `min_rows` are flagged absent; an
-    undersized base subset is an error since nothing could be served.
+    undersized base subset is an error since nothing could be served. Every
+    subset is checked before anything is fit. The validation fits and
+    refits of all GBMs grow each boosting round's trees together, and a
+    subset's two multi-output forests grow in shared batches.
     """
     configs = configs or {}
     rf_params = dict(configs.get("rf", {}))
     gbm_params = dict(configs.get("gbm", {}))
     sub_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))
-    submodels: dict[str, InverseSubmodel | None] = {}
+    submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
+    subsets = []
     for i, feature_set in enumerate(SUBMODEL_SETS):
         ids, X, Y = inverse_features(dataset, feature_set)
         if len(ids) < min_rows:
             if feature_set == "base":
                 raise ValidationError(
                     f"base subset has {len(ids)} rows; need at least {min_rows}")
-            submodels[feature_set] = None
             continue
         if np.ptp(Y) == 0.0:
             raise ValidationError(f"{feature_set}: all target values identical")
         split = split_train_test(len(ids), seed=seed, test_fraction=val_fraction)
         Xt, Yt = X[split.train], Y[split.train]
-        Xv, Yv = X[split.test], Y[split.test]
         forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
-        forest_val = fit_multi_output(Xt, Yt, kind="forest", seed=forest_seed,
-                                      target_names=list(INVERSE_TARGETS), **rf_params)
-        gbm_val = fit_multi_output(Xt, Yt, kind="gbm", seed=gbm_seed,
-                                   target_names=list(INVERSE_TARGETS), **gbm_params)
+        subsets.append((feature_set, ids, X[split.test], Y[split.test],
+                        [(Xt, Yt, forest_seed), (X, Y, forest_seed)],
+                        [(Xt, Yt, gbm_seed), (X, Y, gbm_seed)]))
+    names = list(INVERSE_TARGETS)
+    gbms = fit_multi_outputs("gbm", [fit for *_, gbm_fits in subsets for fit in gbm_fits],
+                             names, **gbm_params)
+    for k, (feature_set, ids, Xv, Yv, forest_fits, _) in enumerate(subsets):
+        forest_val, forest = fit_multi_outputs("forest", forest_fits, names, **rf_params)
+        gbm_val, gbm = gbms[2 * k:2 * k + 2]
         r2_f = _mean_r2(Yv, predict_multi_output(forest_val, Xv))
         r2_g = _mean_r2(Yv, predict_multi_output(gbm_val, Xv))
-        weights = pair_weights(r2_f, r2_g)
-        forest = fit_multi_output(X, Y, kind="forest", seed=forest_seed,
-                                  target_names=list(INVERSE_TARGETS), **rf_params)
-        gbm = fit_multi_output(X, Y, kind="gbm", seed=gbm_seed,
-                               target_names=list(INVERSE_TARGETS), **gbm_params)
         submodels[feature_set] = InverseSubmodel(
-            feature_set=feature_set, forest=forest, gbm=gbm, weights=weights,
+            feature_set=feature_set, forest=forest, gbm=gbm, weights=pair_weights(r2_f, r2_g),
             n_rows=len(ids), validation_r2=(r2_f, r2_g), sample_ids=ids)
     return InverseEnsemble(submodels=submodels, target_names=INVERSE_TARGETS, seed=seed)
 

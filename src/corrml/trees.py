@@ -5,16 +5,20 @@ residuals, and a per-target multi-output wrapper.
 Trees are stored as flat parallel arrays (feature, threshold, children, value),
 nodes numbered in preorder, so serialization is trivial. Prediction stacks a
 model's trees into one node table and descends all of them together, one
-indexing pass per level.
+indexing pass per level. A loaded tree is checked to be well formed first, so
+the descent always ends inside the node table.
 
 Fitting grows a batch of trees together, breadth first over presorted
-attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996): the
-trees of a forest, in batches of bounded memory, or one boosting round's
-stage trees of every target of a multi-output model. Each tree's columns are
-stably sorted once, ties kept in row order, and a split stably partitions
-every sorted list between its children. Every candidate node of a depth
-level is scored in one set of array operations, each midpoint threshold by
-prefix sums:
+attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
+batch may span fits: the forests of every target of several training sets,
+in batches of bounded memory, or one boosting round's stage trees of every
+target of several boosting fits, which therefore share their rounds. Trees
+that train on one matrix form a block sharing its kept columns, as XGBoost's
+column blocks are shared across trees (Chen & Guestrin 2016). Each tree's
+columns are stably sorted once, ties kept in row order, and a split stably
+partitions every sorted list between its children. Every candidate node of a
+depth level is scored in one set of array operations, each midpoint threshold
+by prefix sums:
 
     gain = S_L^2/n_L + S_R^2/n_R - S_parent^2/m
 
@@ -22,10 +26,11 @@ which equals the node's SSE reduction (the sum-of-squares terms cancel).
 Equal-gain ties resolve to the lowest feature index, then lowest threshold.
 A node's prefix sums and mean run over its own rows in the order a per-node
 stable sort gives, so the trees are bit-identical to depth-first,
-node-at-a-time growth. With max_features below the column count, a tree's
-splittable nodes draw their candidate subsets from its RNG stream in level
-order: depth by depth, left to right. Per-tree RNG streams are spawned from
-the forest seed up front, so the batch a tree is grown in never changes it.
+node-at-a-time growth, whatever else shares their batch. With max_features
+below the column count, a tree's splittable nodes draw their candidate
+subsets from its RNG stream in level order: depth by depth, left to right.
+Per-tree RNG streams are spawned from the forest seed up front, so the batch
+a tree is grown in never changes it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray      # mean target of the rows reaching the node
-    gain: np.ndarray       # SSE reduction of the node's split (0 at leaves)
     n_features: int
     max_depth: int | None = None
     min_samples_leaf: int = 1
@@ -115,117 +119,148 @@ def _segment_means(v: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.nda
     rows, which reduces each row as it would the 1-D segment."""
     out = np.empty(size.size)
     by_size = np.argsort(size, kind="stable")
-    cuts = np.flatnonzero(np.diff(size[by_size])) + 1
-    for group in np.split(by_size, cuts):
-        m = int(size[group[0]])
+    sizes = size[by_size]
+    edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), size.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        group = by_size[lo:hi]
+        m = int(sizes[lo])
         out[group] = np.add.reduce(v[start[group, None] + np.arange(m)], axis=1) / m
     return out
 
 
 def _best_splits(x: np.ndarray, y: np.ndarray, order: np.ndarray, start: np.ndarray,
                  size: np.ndarray, cand: np.ndarray | None, min_leaf: int):
-    """Best split of each node: (kept column or LEAF, threshold, gain).
+    """Best split of each node: (kept column or LEAF, threshold).
 
     Node i holds positions start[i]:start[i]+size[i] of every row of `order`.
-    Nodes are padded to the next power of two of their size, by repeating
-    their last row, and scored a chunk of _CELL_BUDGET cells at a time. A
-    node's prefix sums run over its own sorted rows from its first, as a
-    per-node cumsum would; the argmax is feature-major, so equal gains fall
+    The level's y values and ties are first gathered into each column's
+    sorted order. Nodes are then scored largest first, a chunk of up to
+    _CELL_BUDGET cells at a time (one node if it alone is larger): a chunk
+    is laid out (position, node, column), its nodes padded to its largest
+    size by repeating their last row. A node's prefix sums run over its own
+    sorted rows from its first, as a per-node cumsum would; equal gains fall
     to the lowest column, then the lowest threshold.
     """
     n_cols = x.shape[0]
     feat = np.full(size.size, LEAF)
     thr = np.zeros(size.size)
-    gain = np.zeros(size.size)
     if n_cols == 0 or size.size == 0:
-        return feat, thr, gain
-    width = np.left_shift(1, np.frexp(size - 1)[1])
-    cols = np.arange(n_cols)[:, None, None]
-    for w in np.unique(width):
-        group = np.flatnonzero(width == w)
-        step = max(1, _CELL_BUDGET // (n_cols * int(w)))
-        n_left = np.arange(1, w, dtype=float)
-        counts = np.arange(1, w)
-        for lo in range(0, group.size, step):
-            nodes = group[lo:lo + step]
-            m = size[nodes]
-            first = start[nodes]
-            pos = np.minimum(first[:, None] + np.arange(w), (first + m - 1)[:, None])
-            slots = order[:n_cols, pos]                          # (cols, nodes, w)
-            xs = x[cols, slots]
-            csum = np.cumsum(y[slots], axis=2)
-            del slots
-            idx = np.arange(nodes.size)
-            total = csum[:, idx, m - 1][:, :, None]
-            s_left = csum[:, :, :-1]
-            mm = m[:, None].astype(float)
-            # gain = s_left^2/n_left + (total - s_left)^2/(m - n_left) - total^2/m,
-            # evaluated in place in that order
-            gains = s_left * s_left
-            gains /= n_left
-            right = total - s_left
-            del csum, s_left
-            right *= right
-            with np.errstate(divide="ignore", invalid="ignore"):
-                right /= mm - n_left
-                gains += right
-                del right
-                gains -= (total * total) / mm
-            # also masks the padding: a left side of size >= m is never valid
-            valid = xs[:, :, 1:] != xs[:, :, :-1]
-            valid &= (counts >= min_leaf) & (m[:, None] - counts >= min_leaf)
-            if cand is not None:
-                valid &= cand[nodes].T[:, :, None]
-            gains = np.where(valid, gains, -np.inf)
-            at = gains.argmax(axis=2)                            # (cols, nodes)
-            top = np.take_along_axis(gains, at[:, :, None], axis=2)[:, :, 0]
-            f = top.argmax(axis=0)
-            g = top[f, idx]
-            p = at[f, idx]
-            ok = g > 0.0
-            feat[nodes[ok]] = f[ok]
-            thr[nodes[ok]] = (0.5 * (xs[f, idx, p] + xs[f, idx, p + 1]))[ok]
-            gain[nodes[ok]] = g[ok]
-    return feat, thr, gain
+        return feat, thr
+    xs = np.take(x, order[:n_cols] + (np.arange(n_cols) * x.shape[1])[:, None])
+    ys = np.ascontiguousarray(np.take(y, order[:n_cols]).T)     # (level rows, cols)
+    # positions no split may follow: the next value is equal, or the node ends
+    ties = np.ones(xs.shape, dtype=bool)
+    np.equal(xs[:, 1:], xs[:, :-1], out=ties[:, :-1])
+    ties[:, start + size - 1] = True
+    ties = np.ascontiguousarray(ties.T)
+    by_size = np.argsort(-size, kind="stable")
+    lo = 0
+    while lo < size.size:
+        w = int(size[by_size[lo]])
+        nodes = by_size[lo:lo + max(1, _CELL_BUDGET // (n_cols * w))]
+        lo += nodes.size
+        n_left = np.arange(1, w, dtype=float)[:, None, None]
+        counts = np.arange(1, w)[:, None]
+        m = size[nodes]
+        first = start[nodes]
+        pos = np.minimum(np.arange(w)[:, None] + first, first + m - 1)   # (w, nodes)
+        csum = np.take(ys, pos, axis=0)                      # (w, nodes, cols)
+        if w <= 32:
+            # on short runs, adding position by position beats cumsum's
+            # loop per (node, column); the sums are the same
+            for i in range(1, w):
+                np.add(csum[i - 1], csum[i], out=csum[i])
+        else:
+            np.cumsum(csum, axis=0, out=csum)
+        idx = np.arange(nodes.size)
+        total = csum[m - 1, idx]                             # (nodes, cols)
+        s_left = csum[:-1]
+        # gain = s_left^2/n_left + (total - s_left)^2/(m - n_left) - total^2/m,
+        # evaluated in place in that order
+        gains = s_left * s_left
+        gains /= n_left
+        right = total - s_left
+        del csum, s_left
+        right *= right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            right /= (m - counts)[:, :, None]
+            gains += right
+            del right
+            gains -= (total * total) / m[:, None]
+        # the padding repeats a node's last position, so it is masked too
+        invalid = np.take(ties, pos[:-1], axis=0)
+        if min_leaf > 1:
+            invalid |= ((counts < min_leaf) | (m - counts < min_leaf))[:, :, None]
+        if cand is not None:
+            invalid |= ~cand[nodes]
+        np.putmask(gains, invalid, -np.inf)
+        # a column's best gain, NaN if any (as argmax would pick it)
+        top = gains.max(axis=0)                              # (nodes, cols)
+        f = top.argmax(axis=1)
+        ok = top[idx, f] > 0.0
+        p = gains[:, idx, f].argmax(axis=0)
+        f, p = f[ok], first[ok] + p[ok]
+        feat[nodes[ok]] = f
+        thr[nodes[ok]] = 0.5 * (xs[f, p] + xs[f, p + 1])
+    return feat, thr
 
 
 class _Grower:
     """The training matrices of a batch of trees, presorted once.
 
-    Tree t trains on rows `rows[t]` of X: a bootstrap resample, or every row,
-    and sees only the columns `cols` that vary over X. Each tree owns a
-    block of n slots, one per training row; row f of `order` lists every
-    tree's slots sorted by kept column f, stably, so equal values keep row
-    order, and the last row lists them in row order.
+    The batch is a list of blocks (X, rows, cols). Tree t of a block trains
+    on rows `rows[t]` of its X, a bootstrap resample or every row, and sees
+    only the columns `cols` that vary over X. Each tree owns a range of
+    slots, one per training row, the blocks' trees laid end to end. Row f of
+    `order` lists every tree's slots sorted by its f-th kept column, stably,
+    so equal values keep row order, and the last row lists them in row order.
+    A block with fewer kept columns than the widest is padded with constant
+    rows of `x`, which never split.
     """
 
-    def __init__(self, X: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        n_trees, n = rows.shape
-        self.n = n
-        self.n_features = X.shape[1]
-        self.cols = cols
-        slots = n_trees * n
-        self.x = np.empty((self.cols.size, slots))
-        self.order = np.empty((self.cols.size + 1, slots), dtype=np.intp)
-        first = (np.arange(n_trees) * n)[:, None]
-        for f, col in enumerate(self.cols):
-            values = X[rows, col]                                # (trees, n)
-            self.x[f] = values.ravel()
-            self.order[f] = (np.argsort(values, axis=1, kind="stable") + first).ravel()
+    def __init__(self, blocks):
+        width = max(cols.size for _, _, cols in blocks)
+        slots = sum(rows.size for _, rows, _ in blocks)
+        self.x = np.zeros((width, slots))
+        self.order = np.empty((width + 1, slots), dtype=np.intp)
         self.order[-1] = np.arange(slots)
+        n_rows, colmap, n_features = [], [], []
+        offset = 0
+        for X, rows, cols in blocks:
+            n_trees, n = rows.shape
+            span = slice(offset, offset + rows.size)
+            first = (offset + np.arange(n_trees) * n)[:, None]
+            for f, col in enumerate(cols):
+                values = X[rows, col]                            # (trees, n)
+                self.x[f, span] = values.ravel()
+                self.order[f, span] = (np.argsort(values, axis=1, kind="stable")
+                                       + first).ravel()
+            self.order[cols.size:-1, span] = self.order[-1, span]
+            n_rows += [n] * n_trees
+            # tree t's f-th kept column is colmap[t, f]; LEAF marks padding
+            colmap += [np.pad(cols, (0, width - cols.size), constant_values=LEAF)] * n_trees
+            n_features += [X.shape[1]] * n_trees
+            offset += rows.size
+        self.n_rows = np.asarray(n_rows)
+        self.colmap = np.array(colmap, dtype=np.intp)
+        self.n_features = np.asarray(n_features)
 
-    def grow(self, y: np.ndarray, max_depth: int | None, min_leaf: int, mf: int,
-             rngs) -> list[DecisionTree]:
-        """One tree per row of y (tree t's targets, in its row order), grown
-        together one depth level at a time. With mf below the feature count,
-        each splittable node draws its candidate subset from rngs[t], nodes
-        taken level by level and left to right within a level."""
-        n_trees = y.shape[0]
-        y = y.reshape(-1)
-        x, cols, order = self.x, self.cols, self.order
-        start = np.arange(n_trees) * self.n
-        size = np.full(n_trees, self.n)
+    def grow(self, y: np.ndarray, max_depth: int | None, min_leaf: int,
+             max_features=None, rngs=None) -> tuple[list[DecisionTree], np.ndarray]:
+        """One tree per tree of the blocks, grown together one depth level at
+        a time; y holds each tree's targets in its slots. Returns the trees
+        and, per slot, the value of the leaf its row reaches. A tree whose
+        resolved max_features is below its feature count draws each
+        splittable node's candidate subset from rngs[t], nodes taken level by
+        level and left to right within a level."""
+        x, order = self.x, self.order
+        n_trees = self.n_rows.size
+        mf = np.array([_resolve_max_features(max_features, d) for d in self.n_features])
+        subset = mf < self.n_features
+        size = self.n_rows
+        start = np.cumsum(size) - size
         tree = np.arange(n_trees)
+        fitted = np.empty(y.size)
         go_left = np.empty(y.size, dtype=bool)
         levels = []
         depth = 0
@@ -239,59 +274,64 @@ class _Grower:
                 splittable[:] = False
             nodes = np.flatnonzero(splittable)
             cand = None
-            if mf < self.n_features:
-                cand = np.empty((nodes.size, cols.size), dtype=bool)
+            if subset.any():
+                cand = np.ones((nodes.size, x.shape[0]), dtype=bool)
                 for i, node in enumerate(nodes):
-                    drawn = rngs[tree[node]].choice(self.n_features, size=mf, replace=False)
-                    cand[i] = np.isin(cols, drawn)
+                    t = tree[node]
+                    if subset[t]:
+                        drawn = rngs[t].choice(self.n_features[t], size=mf[t], replace=False)
+                        cand[i] = np.isin(self.colmap[t], drawn)
             feat = np.full(size.size, LEAF)
             thr = np.zeros(size.size)
-            gain = np.zeros(size.size)
-            feat[nodes], thr[nodes], gain[nodes] = _best_splits(
+            feat[nodes], thr[nodes] = _best_splits(
                 x, y, order, start[nodes], size[nodes], cand, min_leaf)
             split = np.flatnonzero(feat != LEAF)
             # per node of the level: tree, value, split; and the split nodes
-            levels.append((tree, value, feat, thr, gain, split))
+            levels.append((tree, value, feat, thr, split))
+            seg = np.repeat(np.arange(size.size), size)
+            at_leaf = feat[seg] == LEAF
+            fitted[order[-1][at_leaf]] = value[seg[at_leaf]]
             if split.size == 0:
                 break
-            # stable partition: every sorted list keeps its order inside each child
-            seg = np.repeat(np.arange(size.size), size)
-            go = x[feat[seg], order[-1]] <= thr[seg]   # read only for split nodes' rows
-            go_left[order[-1]] = go
-            keep = np.flatnonzero(feat[seg] != LEAF)
-            n_left = np.add.reduceat(go, start, dtype=np.intp)[split]
-            child_size = np.column_stack((n_left, size[split] - n_left)).ravel()
-            child_start = np.cumsum(child_size) - child_size
-            to_left = np.zeros(size.size, dtype=np.intp)
-            to_right = np.zeros(size.size, dtype=np.intp)
-            to_left[split] = child_start[0::2]
-            to_right[split] = child_start[1::2]
+            # stable partition of the split nodes' rows (the kept positions):
+            # every sorted list keeps its order inside each child
+            keep = np.flatnonzero(~at_leaf)
             seg = seg[keep]
-            first = start[seg]
-            left_base = to_left[seg]
-            right_base = to_right[seg] + keep - first
-            new = np.empty((order.shape[0], child_start[-1] + child_size[-1]), dtype=np.intp)
-            for r, slots in enumerate(order):
+            rows = order[-1][keep]
+            go = x[feat[seg], rows] <= thr[seg]
+            go_left[rows] = go
+            parent_size = size[split]
+            kept_start = np.cumsum(parent_size) - parent_size
+            n_left = np.add.reduceat(go, kept_start, dtype=np.intp)
+            child_size = np.column_stack((n_left, parent_size - n_left)).ravel()
+            child_start = np.cumsum(child_size) - child_size
+            # `before` below counts a list's left-goers from its first kept
+            # position. A node's left child starts at its kept start, its right
+            # child n_left later, and `earlier` left-goers precede the node.
+            earlier = np.cumsum(n_left) - n_left
+            left_base = np.repeat(kept_start - earlier, parent_size)
+            right_base = np.repeat(n_left + earlier, parent_size) + np.arange(keep.size)
+            new = np.empty((order.shape[0], keep.size), dtype=np.intp)
+            for r, row in enumerate(order):
+                slots = row[keep]
                 fl = go_left[slots]
                 before = np.cumsum(fl)
                 before -= fl
-                before = before[keep] - before[first]
-                fl = fl[keep]
-                new[r, np.where(fl, left_base + before, right_base - before)] = slots[keep]
+                new[r, np.where(fl, left_base + before, right_base - before)] = slots
             order, start, size = new, child_start, child_size
             tree = np.repeat(tree[split], 2)
             depth += 1
-        return self._assemble(levels, n_trees, max_depth, min_leaf)
+        return self._assemble(levels, max_depth, min_leaf), fitted
 
-    def _assemble(self, levels, n_trees: int, max_depth, min_leaf: int) -> list[DecisionTree]:
+    def _assemble(self, levels, max_depth, min_leaf: int) -> list[DecisionTree]:
         """Number each tree's nodes in preorder (node, left subtree, right
-        subtree), as a depth-first stack that pops the left child first does."""
-        tree, value, feat, thr, gain = (np.concatenate([lv[i] for lv in levels])
-                                        for i in range(5))
+        subtree), as a depth-first stack that pops the left child first does,
+        and name each split by the tree's own column index."""
+        tree, value, feat, thr = (np.concatenate([lv[i] for lv in levels]) for i in range(4))
         first = np.cumsum([0] + [lv[0].size for lv in levels])
         # (split node ids, their left children's ids); right child = left + 1
-        links = [(first[i] + lv[5], first[i + 1] + 2 * np.arange(lv[5].size))
-                 for i, lv in enumerate(levels) if lv[5].size]
+        links = [(first[i] + lv[4], first[i + 1] + 2 * np.arange(lv[4].size))
+                 for i, lv in enumerate(levels) if lv[4].size]
         left = np.full(tree.size, LEAF)
         right = np.full(tree.size, LEAF)
         count = np.ones(tree.size, dtype=np.intp)
@@ -305,12 +345,13 @@ class _Grower:
             right[parent] = pre[child + 1]
         feature = np.full(tree.size, LEAF)
         is_split = feat != LEAF
-        feature[is_split] = self.cols[feat[is_split]]
+        feature[is_split] = self.colmap[tree[is_split], feat[is_split]]
         perm = np.lexsort((pre, tree))
-        cuts = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
-        parts = [np.split(a[perm], cuts) for a in (feature, thr, left, right, value, gain)]
-        return [DecisionTree(*arrays, n_features=self.n_features, max_depth=max_depth,
-                             min_samples_leaf=min_leaf) for arrays in zip(*parts)]
+        columns = [a[perm] for a in (feature, thr, left, right, value)]
+        ends = np.cumsum(np.bincount(tree, minlength=self.n_rows.size)).tolist()
+        return [DecisionTree(*(c[lo:hi] for c in columns), n_features=int(d),
+                             max_depth=max_depth, min_samples_leaf=min_leaf)
+                for lo, hi, d in zip([0] + ends[:-1], ends, self.n_features)]
 
 
 def _kept_columns(X: np.ndarray) -> np.ndarray:
@@ -332,8 +373,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     mf = _resolve_max_features(max_features, d)
     if mf < d and rng is None:
         rng = np.random.default_rng(0)
-    grower = _Grower(X, np.arange(n)[None], _kept_columns(X))
-    return grower.grow(Y.T, max_depth, min_samples_leaf, mf, [rng])[0]
+    grower = _Grower([(X, np.arange(n)[None], _kept_columns(X))])
+    return grower.grow(Y[:, 0], max_depth, min_samples_leaf, max_features, [rng])[0][0]
 
 
 def _stacked_values(trees: list[DecisionTree], X: np.ndarray) -> np.ndarray:
@@ -381,37 +422,64 @@ class RandomForest:
     unique_inbag_counts: list[int] = field(default_factory=list)
 
 
+def _fit_forests(problems, n_estimators: int = DEFAULT_N_ESTIMATORS,
+                 max_depth: int | None = None, max_features=None,
+                 min_samples_leaf: int = 1, bootstrap: bool = True) -> list[list[RandomForest]]:
+    """Per problem (X, Y, seeds), one forest per column j of Y, seeded by
+    seeds[j]. Each tree owns a pre-spawned RNG stream for its bootstrap
+    resample and per-split feature subsets, so fits are deterministic in
+    seed. The trees of every forest are grown together, in as few equal
+    batches as _SLOT_BUDGET allows; a batch's trees of one X form one block."""
+    if n_estimators < 1:
+        raise ValidationError("n_estimators must be >= 1")
+    fits, owner, rows, rngs, unique_counts = [], [], [], [], []
+    for k, (X, Y, seeds) in enumerate(problems):
+        X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
+        n, d = X.shape
+        fits.append((X, np.ascontiguousarray(Y.T), _kept_columns(X),
+                     _resolve_max_features(max_features, d), seeds))
+        for j, seed in enumerate(seeds):
+            for stream in np.random.SeedSequence(int(seed)).spawn(n_estimators):
+                rng = np.random.default_rng(stream)
+                rows.append(rng.integers(0, n, size=n) if bootstrap else np.arange(n))
+                unique_counts.append(int(np.unique(rows[-1]).size) if bootstrap else n)
+                rngs.append(rng)
+                owner.append((k, j))
+    owner = np.asarray(owner)
+    width = max(cols.size for _, _, cols, _, _ in fits)
+    slots = sum(r.size for r in rows) * (width + 1)
+    trees = []
+    for part in np.array_split(np.arange(len(rows)), min(len(rows), -(-slots // _SLOT_BUDGET))):
+        blocks, ys = [], []
+        for k in np.unique(owner[part, 0]):
+            X, targets, cols, _, _ = fits[k]
+            mine = part[owner[part, 0] == k]
+            block_rows = np.asarray([rows[t] for t in mine])
+            blocks.append((X, block_rows, cols))
+            ys.append(targets[owner[mine, 1][:, None], block_rows].ravel())
+        trees += _Grower(blocks).grow(np.concatenate(ys), max_depth, min_samples_leaf,
+                                      max_features, [rngs[t] for t in part])[0]
+    forests, at = [], 0
+    for X, _, _, mf, seeds in fits:
+        forests.append([])
+        for seed in seeds:
+            forests[-1].append(RandomForest(
+                trees=trees[at:at + n_estimators], n_estimators=n_estimators, max_features=mf,
+                bootstrap=bootstrap, seed=int(seed), n_features=X.shape[1],
+                unique_inbag_counts=unique_counts[at:at + n_estimators]))
+            at += n_estimators
+    return forests
+
+
 def fit_forest(X: np.ndarray, y: np.ndarray, n_estimators: int = DEFAULT_N_ESTIMATORS,
                max_depth: int | None = None, max_features=None,
                min_samples_leaf: int = 1, bootstrap: bool = True,
                seed: int = 0) -> RandomForest:
-    """Bagged trees; each tree owns a pre-spawned RNG stream for its bootstrap
-    resample and per-split feature subsets, so fits are deterministic in seed.
-    The trees are grown together, in as few equal batches as _SLOT_BUDGET
-    allows."""
+    """Bagged trees, each with its own RNG stream spawned from `seed` for its
+    bootstrap resample and per-split feature subsets."""
     y = np.asarray(y, dtype=float).ravel()
-    if n_estimators < 1:
-        raise ValidationError("n_estimators must be >= 1")
-    X, _ = _check_training(X, y[:, None], max_depth, min_samples_leaf)
-    n, d = X.shape
-    mf = _resolve_max_features(max_features, d)
-    rows, rngs, unique_counts = [], [], []
-    for stream in np.random.SeedSequence(seed).spawn(n_estimators):
-        rng = np.random.default_rng(stream)
-        rows.append(rng.integers(0, n, size=n) if bootstrap else np.arange(n))
-        unique_counts.append(int(np.unique(rows[-1]).size) if bootstrap else n)
-        rngs.append(rng)
-    rows = np.asarray(rows)
-    cols = _kept_columns(X)
-    batches = min(n_estimators, -(-n_estimators * n * (cols.size + 1) // _SLOT_BUDGET))
-    trees = []
-    for part in np.array_split(np.arange(n_estimators), batches):
-        grower = _Grower(X, rows[part], cols)
-        trees += grower.grow(y[rows[part]], max_depth, min_samples_leaf, mf,
-                             [rngs[t] for t in part])
-    return RandomForest(trees=trees, n_estimators=n_estimators, max_features=mf,
-                        bootstrap=bootstrap, seed=seed, n_features=d,
-                        unique_inbag_counts=unique_counts)
+    return _fit_forests([(X, y[:, None], [seed])], n_estimators, max_depth, max_features,
+                        min_samples_leaf, bootstrap)[0][0]
 
 
 def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
@@ -423,17 +491,6 @@ def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
     return total / len(forest.trees)
 
 
-def feature_importance(forest: RandomForest) -> np.ndarray:
-    """Mean SSE decrease per feature over trees, normalized to sum to 1."""
-    totals = np.zeros(forest.n_features)
-    for tree in forest.trees:
-        split = tree.feature != LEAF
-        np.add.at(totals, tree.feature[split], tree.gain[split])
-    totals /= len(forest.trees)
-    s = totals.sum()
-    return totals / s if s > 0 else totals
-
-
 @dataclass
 class GradientBoostedTrees:
     init_value: float      # F0 = mean(y)
@@ -442,34 +499,44 @@ class GradientBoostedTrees:
     sse_history: list[float] = field(default_factory=list)  # training SSE per round
 
 
-def _fit_gbms(X: np.ndarray, Y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
+def _fit_gbms(problems, n_rounds: int = DEFAULT_GBM_ROUNDS,
               learning_rate: float = DEFAULT_GBM_LR, max_depth: int | None = DEFAULT_GBM_DEPTH,
-              min_samples_leaf: int = 1) -> list[GradientBoostedTrees]:
-    """One boosted model per column of Y; each round grows every target's
-    stage tree together over the one presort of X."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.size == 0:
-        raise ValidationError("empty training data")
+              min_samples_leaf: int = 1) -> list[list[GradientBoostedTrees]]:
+    """Per problem (X, Y), one boosted model per column of Y. Each round
+    grows the stage trees of every target of every problem together, over
+    one presort of each X; the grower's per-row leaf values then advance
+    the training predictions, as a descent of the new trees would."""
     if learning_rate <= 0:
         raise ValidationError("learning_rate must be > 0")
     if n_rounds < 0:
         raise ValidationError("n_rounds must be >= 0")
-    X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
-    n, d = X.shape
-    targets = np.ascontiguousarray(Y.T)
-    f0 = [float(y.mean()) for y in targets]
-    pred = np.array([np.full(n, f) for f in f0])
-    grower = _Grower(X, np.tile(np.arange(n), (len(f0), 1)), _kept_columns(X))
+    blocks, targets = [], []
+    for X, Y in problems:
+        Y = np.asarray(Y, dtype=float)
+        if Y.size == 0:
+            raise ValidationError("empty training data")
+        X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
+        targets.append(np.ascontiguousarray(Y.T))
+        blocks.append((X, np.tile(np.arange(X.shape[0]), (Y.shape[1], 1)), _kept_columns(X)))
+    f0 = [float(y.mean()) for T in targets for y in T]
+    pred = [np.array([np.full(T.shape[1], float(y.mean())) for y in T]) for T in targets]
+    grower = _Grower(blocks)
+    cuts = np.cumsum([T.size for T in targets])[:-1]
     stages = [[] for _ in f0]
     history = [[] for _ in f0]
     for _ in range(n_rounds):
-        trees = grower.grow(targets - pred, max_depth, min_samples_leaf, d, None)
-        pred += learning_rate * _stacked_values(trees, X)
+        residuals = np.concatenate([(T - P).ravel() for T, P in zip(targets, pred)])
+        trees, fitted = grower.grow(residuals, max_depth, min_samples_leaf)
+        for P, fit in zip(pred, np.split(fitted, cuts)):
+            P += learning_rate * fit.reshape(P.shape)
+        sse = [float(np.sum((y - p) ** 2)) for T, P in zip(targets, pred) for y, p in zip(T, P)]
         for j, tree in enumerate(trees):
             stages[j].append(tree)
-            history[j].append(float(np.sum((targets[j] - pred[j]) ** 2)))
-    return [GradientBoostedTrees(init_value=f, stages=s, learning_rate=learning_rate,
-                                 sse_history=h) for f, s, h in zip(f0, stages, history)]
+            history[j].append(sse[j])
+    models = [GradientBoostedTrees(init_value=f, stages=s, learning_rate=learning_rate,
+                                   sse_history=h) for f, s, h in zip(f0, stages, history)]
+    at = np.cumsum([0] + [T.shape[0] for T in targets])
+    return [models[a:b] for a, b in zip(at[:-1], at[1:])]
 
 
 def fit_gbm(X: np.ndarray, y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
@@ -479,8 +546,8 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
     F_m = F_{m-1} + lr * tree_m. Stage trees see all features, so the fit is
     deterministic."""
     y = np.asarray(y, dtype=float).ravel()
-    return _fit_gbms(X, y[:, None], n_rounds=n_rounds, learning_rate=learning_rate,
-                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)[0]
+    return _fit_gbms([(X, y[:, None])], n_rounds, learning_rate, max_depth,
+                     min_samples_leaf)[0][0]
 
 
 def predict_gbm(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
@@ -498,25 +565,36 @@ class MultiOutputModel:
     target_names: list[str]
 
 
+def fit_multi_outputs(kind: str, problems, target_names: list[str] | None = None,
+                      **params) -> list[MultiOutputModel]:
+    """Per problem (X, Y, seed), one independent regressor per target column
+    of Y. The forests of every problem grow in shared batches, and the GBMs
+    of every problem grow each round's stage trees together."""
+    problems = [(X, np.atleast_2d(np.asarray(Y, dtype=float)), seed) for X, Y, seed in problems]
+    names = []
+    for _, Y, _ in problems:
+        t = Y.shape[1]
+        names.append(list(target_names) if target_names is not None
+                     else [f"target{i}" for i in range(t)])
+        if len(names[-1]) != t:
+            raise ValidationError(f"{len(names[-1])} names for {t} targets")
+    if kind == "gbm":
+        models = _fit_gbms([(X, Y) for X, Y, _ in problems], **params)
+    elif kind == "forest":
+        models = _fit_forests([(X, Y, np.random.SeedSequence(seed).generate_state(Y.shape[1]))
+                               for X, Y, seed in problems], **params)
+    else:
+        raise ValidationError(f"unknown base regressor {kind!r}")
+    return [MultiOutputModel(kind=kind, models=m, target_names=n)
+            for m, n in zip(models, names)]
+
+
 def fit_multi_output(X: np.ndarray, Y: np.ndarray, kind: str = "gbm",
                      target_names: list[str] | None = None, seed: int = 0,
                      **params) -> MultiOutputModel:
-    """One independent regressor per target column; the GBMs of all targets
-    grow each round's stage trees together."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    t = Y.shape[1]
-    if target_names is None:
-        target_names = [f"target{i}" for i in range(t)]
-    if len(target_names) != t:
-        raise ValidationError(f"{len(target_names)} names for {t} targets")
-    if kind == "gbm":
-        models = _fit_gbms(X, Y, **params)
-    elif kind == "forest":
-        seeds = np.random.SeedSequence(seed).generate_state(t)
-        models = [fit_forest(X, Y[:, i], seed=int(seeds[i]), **params) for i in range(t)]
-    else:
-        raise ValidationError(f"unknown base regressor {kind!r}")
-    return MultiOutputModel(kind=kind, models=models, target_names=list(target_names))
+    """One independent regressor per target column; the trees of all
+    targets grow together."""
+    return fit_multi_outputs(kind, [(X, Y, seed)], target_names, **params)[0]
 
 
 def predict_multi_output(model: MultiOutputModel, X: np.ndarray) -> np.ndarray:
@@ -528,22 +606,62 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     return {"kind": "tree", "feature": tree.feature.tolist(),
             "threshold": tree.threshold.tolist(), "left": tree.left.tolist(),
             "right": tree.right.tolist(), "value": tree.value.tolist(),
-            "gain": tree.gain.tolist(), "n_features": tree.n_features,
+            "n_features": tree.n_features,
             "max_depth": tree.max_depth, "min_samples_leaf": tree.min_samples_leaf}
 
 
+# What a loaded tree's node arrays must hold, per key: the grower's
+# invariants, which keep every descent inside the node table. Children
+# numbered after their parent rule out cycles.
+_NODE_RULES = {
+    "feature": "a split node's feature must lie in [0, n_features)",
+    "left": "a leaf's left child must be -1, a split node's must follow the node "
+            "and precede its right child",
+    "right": "a leaf's right child must be -1, a split node's must be a node index",
+    "threshold": "thresholds must be finite",
+    "value": "node values must be finite",
+}
+
+
+def _check_nodes(tree: DecisionTree) -> None:
+    """Raise ValidationError, naming the key and the first bad node, unless
+    the node arrays describe a well-formed tree."""
+    n = tree.feature.size
+    if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_RULES):
+        raise ValidationError(f"tree node lists {', '.join(map(repr, _NODE_RULES))} "
+                              "must be nonempty and of one length")
+    node = np.arange(n)
+    feature, left, right = tree.feature, tree.left, tree.right
+    leaf = feature == LEAF
+    faults = {
+        "feature": ~leaf & ((feature < 0) | (feature >= tree.n_features)),
+        "left": np.where(leaf, left != LEAF, (left <= node) | (left >= right)),
+        "right": np.where(leaf, right != LEAF, right >= n),
+        "threshold": ~np.isfinite(tree.threshold),
+        "value": ~np.isfinite(tree.value),
+    }
+    for key, bad in faults.items():
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"tree {key!r} of node {i} is {getattr(tree, key)[i].item()!r}: "
+                                  f"{_NODE_RULES[key]}")
+
+
 def tree_from_dict(d: dict) -> DecisionTree:
+    """The tree a dict holds, checked to be well formed. A per-node "gain"
+    list, written by older versions, is ignored."""
     if d.get("kind") != "tree":
         raise ValidationError(f"expected kind 'tree', got {d.get('kind')!r}")
-    return DecisionTree(feature=np.asarray(d["feature"], dtype=int),
+    tree = DecisionTree(feature=np.asarray(d["feature"], dtype=int),
                         threshold=np.asarray(d["threshold"], dtype=float),
                         left=np.asarray(d["left"], dtype=int),
                         right=np.asarray(d["right"], dtype=int),
                         value=np.asarray(d["value"], dtype=float),
-                        gain=np.asarray(d["gain"], dtype=float),
                         n_features=int(d["n_features"]),
                         max_depth=d["max_depth"],
                         min_samples_leaf=int(d["min_samples_leaf"]))
+    _check_nodes(tree)
+    return tree
 
 
 def forest_to_dict(forest: RandomForest) -> dict:

@@ -13,7 +13,7 @@ from corrml.trees import LEAF, DecisionTree, _resolve_max_features
 
 
 def _best_split(Xn, yn, min_leaf):
-    """Best (local feature, threshold, gain) over all midpoints, or None."""
+    """Best (local feature, threshold) over all midpoints, or None."""
     m = yn.size
     if m < 2:
         return None
@@ -39,7 +39,7 @@ def _best_split(Xn, yn, min_leaf):
     if not best > 0.0:
         return None
     thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
-    return int(f), float(thr), float(best)
+    return int(f), float(thr)
 
 
 def fit_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None, rng=None):
@@ -49,7 +49,7 @@ def fit_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None, rng=No
     mf = _resolve_max_features(max_features, d)
     if mf < d and rng is None:
         rng = np.random.default_rng(0)
-    feature, threshold, left, right, value, gain = [], [], [], [], [], []
+    feature, threshold, left, right, value = [], [], [], [], []
     # stack entries: (row indices, depth, parent node id, is_left_child)
     stack = [(np.arange(n), 0, -1, False)]
     while stack:
@@ -63,7 +63,6 @@ def fit_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None, rng=No
         left.append(LEAF)
         right.append(LEAF)
         value.append(float(yn.mean()))
-        gain.append(0.0)
         if (max_depth is not None and depth >= max_depth) or idx.size < 2 * min_samples_leaf:
             continue
         if np.ptp(yn) == 0.0:
@@ -72,18 +71,16 @@ def fit_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None, rng=No
         found = _best_split(X[np.ix_(idx, feats)], yn, min_samples_leaf)
         if found is None:
             continue
-        f_local, thr, g = found
+        f_local, thr = found
         f = int(feats[f_local])
         go_left = X[idx, f] <= thr
         feature[nid] = f
         threshold[nid] = thr
-        gain[nid] = g
         stack.append((idx[~go_left], depth + 1, nid, False))
         stack.append((idx[go_left], depth + 1, nid, True))
     return DecisionTree(feature=np.asarray(feature), threshold=np.asarray(threshold),
                         left=np.asarray(left), right=np.asarray(right),
-                        value=np.asarray(value), gain=np.asarray(gain),
-                        n_features=d, max_depth=max_depth,
+                        value=np.asarray(value), n_features=d, max_depth=max_depth,
                         min_samples_leaf=min_samples_leaf)
 
 

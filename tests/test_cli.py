@@ -398,7 +398,11 @@ def _with_model(payload, edit):
      ("'model'", "malformed")),
     ("inverse", lambda p: _edit_first_tree(p, lambda t: _without(t, "threshold")),
      ("'ensemble'", "'threshold'")),
-], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold"])
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        {**m["trees"][0], "left": [10 ** 30] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
+     ("'model'", "malformed")),
+], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold",
+        "tree-index-beyond-int64"])
 def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inverse_run,
                                                 tmp_path, capsys, direction, edit, keys):
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
@@ -411,6 +415,44 @@ def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inve
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
     assert all(key in err for key in keys), err
+
+
+def _first_tree_set(tree, key, value):
+    assert tree["feature"][0] != -1, "the edits below need a root that splits"
+    return {**tree, key: [value] + tree[key][1:]}
+
+
+@pytest.mark.parametrize("direction,edit,keys", [
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        _first_tree_set(m["trees"][0], "left", 0)] + m["trees"][1:]}),
+     ("'model'", "'left'")),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        _first_tree_set(m["trees"][0], "right", 10 ** 6)] + m["trees"][1:]}),
+     ("'model'", "'right'")),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        _first_tree_set(m["trees"][0], "feature", 99)] + m["trees"][1:]}),
+     ("'model'", "'feature'")),
+    ("inverse", lambda p: _edit_first_tree(p, lambda t: _first_tree_set(t, "left", 0)),
+     ("'ensemble'", "'left'")),
+], ids=["root-left-to-root", "child-out-of-range", "feature-99", "ensemble-root-left-to-root"])
+def test_predict_rejects_malformed_tree_within_timeout(workspace, forward_payload, inverse_run,
+                                                       tmp_path, direction, edit, keys):
+    # a child pointing back at the root once made the descent loop forever,
+    # so the command runs in its own process, under a timeout
+    payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
+                        else (inverse_run["payload"], inverse_run["csv"]))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(payload)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    result = subprocess.run(
+        [sys.executable, "-m", "corrml.cli", "predict", "--model", str(path), "--direction",
+         direction, "--input", queries, "--out", str(tmp_path / "p")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(f"error: {path}: ") and "Traceback" not in result.stderr
+    assert all(key in result.stderr for key in keys), result.stderr
 
 
 def test_reruns_write_byte_identical_json(tmp_path):

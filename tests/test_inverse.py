@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from corrml import trees
 from corrml.dataset import CorrosionSample, Dataset, generate_inverse_synthetic
 from corrml.errors import ValidationError
 from corrml.inverse import (
     INVERSE_TARGETS,
+    MIN_SUBSET_ROWS,
     SUBMODEL_SETS,
+    InverseSubmodel,
+    _mean_r2,
     clamp_at_pct,
     evaluate_inverse,
     fit_inverse,
@@ -23,7 +27,8 @@ from corrml.inverse import (
     queries_from_dataset,
     submodel_predict,
 )
-from corrml.trees import predict_multi_output
+from corrml.preprocess import split_train_test
+from corrml.trees import fit_multi_output, multi_output_to_dict, predict_multi_output
 
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
 
@@ -33,6 +38,72 @@ def _strip_extensions(dataset: Dataset) -> Dataset:
                                environment=s.environment, rate=s.rate)
                for s in dataset.samples]
     return Dataset(samples=samples, environment_names=dataset.environment_names)
+
+
+def _without_temperatures(dataset: Dataset) -> Dataset:
+    samples = [CorrosionSample(id=s.id, composition=s.composition,
+                               environment=s.environment, rate=s.rate, duration=s.duration)
+               for s in dataset.samples]
+    return Dataset(samples=samples, environment_names=dataset.environment_names)
+
+
+def _fit_inverse_subset_by_subset(dataset, seed, configs):
+    """fit_inverse as independent fit_multi_output calls, one subset and one
+    fit at a time: the oracle for its batched fits."""
+    sub_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))
+    names = list(INVERSE_TARGETS)
+    submodels = {}
+    for i, feature_set in enumerate(SUBMODEL_SETS):
+        ids, X, Y = inverse_features(dataset, feature_set)
+        if len(ids) < MIN_SUBSET_ROWS:
+            submodels[feature_set] = None
+            continue
+        split = split_train_test(len(ids), seed=seed, test_fraction=0.2)
+        Xt, Yt, Xv, Yv = X[split.train], Y[split.train], X[split.test], Y[split.test]
+        forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
+        fit = {"forest": (forest_seed, configs["rf"]), "gbm": (gbm_seed, configs["gbm"])}
+
+        def model(kind, X, Y):
+            seed_, params = fit[kind]
+            return fit_multi_output(X, Y, kind=kind, seed=seed_, target_names=names, **params)
+
+        r2_f = _mean_r2(Yv, predict_multi_output(model("forest", Xt, Yt), Xv))
+        r2_g = _mean_r2(Yv, predict_multi_output(model("gbm", Xt, Yt), Xv))
+        submodels[feature_set] = InverseSubmodel(
+            feature_set=feature_set, forest=model("forest", X, Y), gbm=model("gbm", X, Y),
+            weights=pair_weights(r2_f, r2_g), n_rows=len(ids), validation_r2=(r2_f, r2_g),
+            sample_ids=ids)
+    return submodels
+
+
+@pytest.mark.parametrize("strip,present", [
+    (lambda d: d, list(SUBMODEL_SETS)),
+    (_without_temperatures, ["base", "base+dur"]),
+    (_strip_extensions, ["base"]),
+], ids=["all-subsets", "no-temperature", "base-only"])
+@pytest.mark.parametrize("configs", [
+    QUICK,
+    {"rf": {"n_estimators": 10, "max_depth": 4, "max_features": "sqrt"},
+     "gbm": {"n_rounds": 8, "max_depth": 2, "min_samples_leaf": 3}},
+], ids=["quick", "feature-subsets"])
+def test_batched_fit_equals_subset_by_subset_fits(monkeypatch, strip, present, configs):
+    # small forest batches, so that batches end inside fits and span two
+    monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
+    data = strip(generate_inverse_synthetic(70, seed=14))
+    ens = fit_inverse(data, seed=3, configs=configs)
+    want = _fit_inverse_subset_by_subset(data, 3, configs)
+    assert list(ens.submodels) == list(want) == list(SUBMODEL_SETS)
+    assert ens.available_sets() == present
+    for name in SUBMODEL_SETS:
+        got, exp = ens.submodels[name], want[name]
+        assert (got is None) == (exp is None), name
+        if got is None:
+            continue
+        assert got.weights == exp.weights and got.validation_r2 == exp.validation_r2, name
+        assert (got.n_rows, got.sample_ids) == (exp.n_rows, exp.sample_ids), name
+        for kind in ("forest", "gbm"):
+            assert (multi_output_to_dict(getattr(got, kind))
+                    == multi_output_to_dict(getattr(exp, kind))), (name, kind)
 
 
 def test_pair_weight_rule():

@@ -1,12 +1,16 @@
 """The level-wise grower and the stacked descent against the node-at-a-time
 reference (tests/cart_reference.py): trees must serialize identically and
-ensemble predictions must equal the per-tree sums bit for bit."""
+ensemble predictions must equal the per-tree sums bit for bit, however the
+trees are batched."""
 
 import numpy as np
 import pytest
 
 import cart_reference as ref
+from corrml import trees
 from corrml.trees import (
+    _Grower,
+    _kept_columns,
     fit_forest,
     fit_gbm,
     fit_multi_output,
@@ -118,3 +122,77 @@ def test_multi_output_gbm_targets_grown_together_match_reference():
         _assert_same_trees(gbm.stages, stages)
         expected.append(_gbm_sum(f0, 0.1, stages, X))
     assert np.array_equal(predict_multi_output(model, X), np.column_stack(expected))
+
+
+
+def test_multi_output_forest_targets_grown_together_match_reference(monkeypatch):
+    # small batches, so that batches end inside a target's forest and span two
+    monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
+    X, y = _inverse_like(60, 5, seed=41)
+    Y = np.column_stack([y, np.cos(X[:, 2]), X[:, 4] - X[:, 0]])
+    model = fit_multi_output(X, Y, kind="forest", seed=8, n_estimators=7, max_depth=5)
+    seeds = np.random.SeedSequence(8).generate_state(3)
+    for j, forest in enumerate(model.models):
+        assert forest.seed == seeds[j]
+        _assert_same_trees(forest.trees, ref.fit_forest_trees(
+            X, np.ascontiguousarray(Y[:, j]), 7, seed=int(seeds[j]), max_depth=5))
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        for key in ("feature", "threshold", "left", "right", "value"):
+            x, y = getattr(a, key), getattr(b, key)
+            assert x.dtype.kind == y.dtype.kind and np.array_equal(x, y), f"tree {i} {key}"
+        assert (a.n_features, a.max_depth, a.min_samples_leaf) == \
+            (b.n_features, b.max_depth, b.min_samples_leaf), f"tree {i}"
+
+
+def _two_blocks(seed):
+    """Two bootstrap blocks that differ in row count and in kept columns
+    (4 of 5 against 7 of 7), with their trees' targets in slot order."""
+    rng = np.random.default_rng(seed)
+    X1 = np.round(rng.uniform(0.0, 4.0, size=(90, 5)), 1)
+    X1[:, 2] = 3.0
+    y1 = X1[:, 0] - X1[:, 3] + rng.normal(scale=0.2, size=90)
+    X2, y2 = _inverse_like(130, 7, seed=seed + 1)
+    rows1 = rng.integers(0, 90, size=(3, 90))
+    rows2 = rng.integers(0, 130, size=(4, 130))
+    return [(X1, y1, rows1), (X2, y2, rows2)]
+
+
+@pytest.mark.parametrize("params", [{}, {"max_depth": 3, "min_samples_leaf": 2}])
+def test_two_block_grower_matches_each_block_alone_and_reference(params):
+    data = _two_blocks(61)
+    blocks = [(X, rows, _kept_columns(X)) for X, _, rows in data]
+    assert [cols.size for _, _, cols in blocks] == [4, 7]
+    depth, leaf = params.get("max_depth"), params.get("min_samples_leaf", 1)
+    trees, fitted = _Grower(blocks).grow(
+        np.concatenate([y[rows].ravel() for _, y, rows in data]), depth, leaf)
+    alone, want, want_fitted = [], [], []
+    for block, (X, y, rows) in zip(blocks, data):
+        alone += _Grower([block]).grow(y[rows].ravel(), depth, leaf)[0]
+        for r in rows:
+            want.append(ref.fit_tree(X[r], y[r], **params))
+            want_fitted.append(ref.predict_tree(want[-1], X[r]))
+    _assert_same_arrays(trees, alone)
+    _assert_same_arrays(trees, want)
+    assert [t.n_features for t in trees] == [5] * 3 + [7] * 4
+    # each slot's fitted value is the leaf value its row descends to
+    assert np.array_equal(fitted, np.concatenate(want_fitted))
+
+
+def test_two_block_grower_draws_feature_subsets_as_each_block_alone():
+    data = _two_blocks(62)
+    blocks = [(X, rows, _kept_columns(X)) for X, _, rows in data]
+    y = [y[rows].ravel() for _, y, rows in data]
+    streams = np.random.SeedSequence(9).spawn(7)
+
+    def rngs(lo, hi):
+        return [np.random.default_rng(s) for s in streams[lo:hi]]
+
+    trees, _ = _Grower(blocks).grow(np.concatenate(y), None, 1, "sqrt", rngs(0, 7))
+    alone = (_Grower(blocks[:1]).grow(y[0], None, 1, "sqrt", rngs(0, 3))[0]
+             + _Grower(blocks[1:]).grow(y[1], None, 1, "sqrt", rngs(3, 7))[0])
+    _assert_same_arrays(trees, alone)
+    every_column = _Grower(blocks).grow(np.concatenate(y), None, 1)[0]
+    assert [tree_to_dict(t) for t in trees] != [tree_to_dict(t) for t in every_column]

@@ -9,7 +9,6 @@ from corrml.errors import ValidationError
 from corrml.trees import (
     LEAF,
     DecisionTree,
-    feature_importance,
     fit_forest,
     fit_gbm,
     fit_multi_output,
@@ -32,7 +31,7 @@ from corrml.trees import (
 def _leaf_tree(value: float) -> DecisionTree:
     return DecisionTree(feature=np.array([LEAF]), threshold=np.zeros(1),
                         left=np.array([LEAF]), right=np.array([LEAF]),
-                        value=np.array([value]), gain=np.zeros(1), n_features=2)
+                        value=np.array([value]), n_features=2)
 
 
 def test_two_point_split():
@@ -167,27 +166,6 @@ def test_forest_prediction_within_tree_envelope():
     assert np.all(pred <= per_tree.max(axis=0) + 1e-12)
 
 
-def test_feature_importance_attribution():
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(200, 4))
-    y = X[:, 0].copy()  # target depends only on feature 0
-    forest = fit_forest(X, y, n_estimators=20, max_depth=4, seed=0)
-    imp = feature_importance(forest)
-    assert imp.shape == (4,)
-    assert imp[0] > 0.8
-    assert imp.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(imp >= 0)
-
-
-def test_feature_importance_unused_feature_zero():
-    X = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    forest = fit_forest(X, y, n_estimators=5, bootstrap=False, seed=0)
-    imp = feature_importance(forest)
-    assert imp[1] == 0.0
-    assert imp[0] == pytest.approx(1.0, abs=1e-9)
-
-
 def test_gbm_hand_computed_first_round():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
@@ -277,6 +255,52 @@ def test_serialization_roundtrips():
 
     with pytest.raises(ValidationError):
         tree_from_dict({"kind": "forest"})
+
+
+def _split_tree_dict():
+    """A depth-2 tree's dict: root splits, its left child splits, three leaves."""
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = fit_tree(X, np.array([0.0, 1.0, 5.0, 5.0]))
+    d = tree_to_dict(tree)
+    assert d["feature"] == [0, 0, LEAF, LEAF, LEAF] and d["left"][:2] == [1, 2]
+    return d
+
+
+def _set(d, key, node, value):
+    return {**d, key: d[key][:node] + [value] + d[key][node + 1:]}
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: _set(d, "left", 0, 0), "'left'"),              # a cycle back to the root
+    (lambda d: _set(d, "left", 1, 1), "'left'"),
+    (lambda d: _set(d, "left", 0, 4), "'left'"),              # left after right
+    (lambda d: _set(d, "right", 0, 10 ** 6), "'right'"),
+    (lambda d: _set(d, "right", 2, 3), "'right'"),            # a leaf with a child
+    (lambda d: _set(d, "left", 4, 0), "'left'"),
+    (lambda d: _set(d, "feature", 0, 99), "'feature'"),
+    (lambda d: _set(d, "feature", 1, -2), "'feature'"),
+    (lambda d: {**d, "n_features": 0}, "'feature'"),
+    (lambda d: _set(d, "threshold", 0, float("inf")), "'threshold'"),
+    (lambda d: _set(d, "value", 3, float("nan")), "'value'"),
+    (lambda d: {**d, "value": d["value"][:-1]}, "one length"),
+    (lambda d: {**d, "feature": [d["feature"]]}, "one length"),
+    (lambda d: {k: [] if isinstance(v, list) else v for k, v in d.items()}, "nonempty"),
+], ids=["root-left-cycle", "left-self", "left-after-right", "right-out-of-range",
+        "leaf-right-child", "leaf-left-child", "feature-too-large", "feature-negative",
+        "no-features", "threshold-inf", "value-nan", "short-value", "nested-feature",
+        "no-nodes"])
+def test_tree_from_dict_rejects_malformed_nodes(edit, key):
+    d = _split_tree_dict()
+    assert predict_tree(tree_from_dict(d), np.array([[2.5]]))[0] == 5.0
+    with pytest.raises(ValidationError, match=key):
+        tree_from_dict(edit(d))
+
+
+def test_tree_from_dict_ignores_stored_gain():
+    d = _split_tree_dict()
+    assert "gain" not in d
+    legacy = tree_from_dict({**d, "gain": [4.5, 0.5, 0.0, 0.0, 0.0]})
+    assert tree_to_dict(legacy) == d
 
 
 def test_validation_errors():
