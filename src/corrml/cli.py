@@ -509,8 +509,14 @@ def cmd_predict(args) -> int:
                         len(queries.samples) - len(fm.sample_ids), feature_set)
         X = fm.values
         if scaler_state is not None:
-            X = apply_scaler(_model_state(ScalerState.from_dict, scaler_state,
-                                          "preprocess.scaler", args.model), X)
+            scaler = _model_state(ScalerState.from_dict, scaler_state, "preprocess.scaler",
+                                  args.model)
+            if scaler.means.size != X.shape[1]:
+                raise ValidationError(
+                    f"{args.model}: model file key 'preprocess.scaler' has "
+                    f"{scaler.means.size} columns, feature set {feature_set!r} has "
+                    f"{X.shape[1]}")
+            X = apply_scaler(scaler, X)
         model = _model_state(family.from_dict, model_state, "model", args.model)
         pred = family.predict(model, X)
         rows = [["sample_id", "predicted_mpy"]]

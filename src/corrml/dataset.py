@@ -13,8 +13,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -439,6 +437,8 @@ def generate_synthetic(
     exp(noise * N(0,1)), i.e. log-normal multiplicative noise with median 1.
     Temperature/duration are present for round(n*fraction) samples each.
     """
+    import numpy as np  # deferred: ingest, which never generates data, loads no numpy
+
     if n <= 0:
         raise ValidationError("n must be > 0")
     rng = np.random.default_rng(seed)
@@ -505,6 +505,8 @@ def generate_inverse_synthetic(n: int, seed: int, noise: float = 0.0) -> Dataset
     inverse submodel subsets are populated. noise adds N(0, noise) at% to the
     targets (clipped at 0) for robustness experiments; 0 keeps them exact.
     """
+    import numpy as np
+
     if n <= 0:
         raise ValidationError("n must be > 0")
     rng = np.random.default_rng(seed)

@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import ddot, dgemm, dgemv
-from scipy.linalg.lapack import dpotri
 
+from ._linalg import ddot, dgemm, dgemv, dpotri, dpotrs, dtrtrs
 from .errors import TrainingError, ValidationError
 from .kernels import (
     KernelSpec,
@@ -64,6 +62,16 @@ def default_log_kernel(dim: int) -> KernelSpec:
     return SumKernel(RbfKernel(np.ones(dim), 1.0), MaternKernel(np.ones(dim), 1.0, nu=2.5))
 
 
+def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """x with (L L^T) x = b for the Cholesky factor L given as (c, lower),
+    the factor read from the lower triangle of c when `lower` is true."""
+    c, lower = c_and_lower
+    x, info = dpotrs(c, b, lower=int(lower))
+    if info != 0:
+        raise TrainingError(f"Cholesky solve failed (LAPACK dpotrs info {info})")
+    return x
+
+
 def gpr_param_names(spec: KernelSpec) -> list[str]:
     """Packed trainable-parameter order: kernel params, ln noise variance, mean."""
     return param_names(spec) + ["log_noise_variance", "mean"]
@@ -83,9 +91,10 @@ class _NlmlWorkspace:
     an evaluation allocates no n x n arrays. The terms and factor an evaluation
     returns are overwritten by the next one.
 
-    Every large BLAS product and LAPACK call goes through scipy's library, none
-    through numpy's: when both libraries run multi-threaded, their two thread
-    pools compete for the cores and an epoch was about 5x slower on two cores.
+    Every large BLAS product and LAPACK call goes through scipy's library, bound
+    in `corrml._linalg`, none through numpy's: when both libraries run
+    multi-threaded, their two thread pools compete for the cores and an epoch
+    was about 5x slower on two cores.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
@@ -150,7 +159,7 @@ class _NlmlWorkspace:
         K.flat[::self.n + 1] += noise_variance
         L, jitter = cholesky_jitter(K, out=self._L)
         resid = self.y - c
-        alpha = cho_solve((L, True), resid, check_finite=False)
+        alpha = cho_solve((L, True), resid)
         value = (0.5 * float(resid @ alpha)
                  + float(np.sum(np.log(np.diag(L))))
                  + 0.5 * self.n * LOG2PI)
@@ -317,7 +326,9 @@ def predict_gpr(model: GprModel, X_star: np.ndarray, include_noise: bool = True
             f"{model.x_train.shape[1]}")
     k_star = gram(model.x_train, X_star, model.spec)
     mean = model.mean + k_star.T @ model.alpha
-    w = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
+    w, info = dtrtrs(model.chol, k_star, lower=1)
+    if info != 0:
+        raise TrainingError(f"triangular solve failed (LAPACK dtrtrs info {info})")
     var = model.prior_variance - np.sum(w * w, axis=0)
     var = np.maximum(var, 1e-12 * model.prior_variance)
     if include_noise:
@@ -400,10 +411,13 @@ def gpr_from_dict(d: dict) -> GprModel:
     y = np.asarray(d["y_train"], dtype=float)
     if _data_checksum(X, y) != d["checksum"]:
         raise ValidationError("training-data checksum mismatch")
+    noise_variance, mean = float(d["noise_variance"]), float(d["mean"])
+    if not (math.isfinite(noise_variance) and noise_variance > 0):
+        raise ValidationError(f"'noise_variance' must be finite and > 0, got {noise_variance}")
+    if not math.isfinite(mean):
+        raise ValidationError(f"'mean' must be finite, got {mean}")
     spec = kernel_from_dict(d["kernel"])
-    workspace = _NlmlWorkspace(X, y)
-    model = _finalize(workspace, spec, float(d["noise_variance"]), float(d["mean"]), [])
-    return model
+    return _finalize(_NlmlWorkspace(X, y), spec, noise_variance, mean, [])
 
 
 def log_gpr_to_dict(model: LogGprModel) -> dict:
@@ -414,5 +428,11 @@ def log_gpr_to_dict(model: LogGprModel) -> dict:
 def log_gpr_from_dict(d: dict) -> LogGprModel:
     if d.get("kind") != "log-gpr":
         raise ValidationError(f"expected kind 'log-gpr', got {d.get('kind')!r}")
-    return LogGprModel(inner=gpr_from_dict(d["inner"]), epsilon=float(d["epsilon"]),
-                       back_transform=str(d["back_transform"]))
+    epsilon, back_transform = float(d["epsilon"]), str(d["back_transform"])
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"'epsilon' must be finite and >= 0, got {epsilon}")
+    if back_transform not in ("median", "mean"):
+        raise ValidationError(f"'back_transform' must be 'median' or 'mean', got "
+                              f"{back_transform!r}")
+    return LogGprModel(inner=gpr_from_dict(d["inner"]), epsilon=epsilon,
+                       back_transform=back_transform)

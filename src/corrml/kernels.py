@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
+from ._linalg import dpotrf
 from .errors import TrainingError, ValidationError
 
 SQRT3 = math.sqrt(3.0)

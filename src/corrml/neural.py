@@ -8,12 +8,15 @@ deterministic given the seed; initialization is He-style scaled uniform
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrainingError, ValidationError
+
+log = logging.getLogger(__name__)
 
 HIDDEN_SIZES = (64, 32, 16, 8)
 DEFAULT_DNN_LR = 0.001
@@ -169,9 +172,11 @@ class DnnModel:
 def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -> DnnModel:
     """Full-batch Adam on the mean Huber loss.
 
-    Training aborts (keeping the last finite state and its history) if the
-    loss goes non-finite; with plateau_stop it also stops once the relative
-    improvement over the trailing 20 epochs drops below 1e-5.
+    If an Adam step drives the loss non-finite, training stops with a logged
+    warning and keeps the network before that step, whose loss ends the
+    history (a non-finite loss before any step is a TrainingError); with
+    plateau_stop it also stops once the relative improvement over the
+    trailing 20 epochs drops below 1e-5.
     """
     from .optim import adam_init, adam_step
 
@@ -189,14 +194,19 @@ def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -
     states_w = [adam_init(w.shape, config.lr) for w in net.weights]
     states_b = [adam_init(b.shape, config.lr) for b in net.biases]
     history: list[float] = []
+    kept = None             # the network whose loss is history[-1]
+    diverged = None         # why the network after the last step was rejected
     for _ in range(config.epochs):
         try:
             loss, grads_w, grads_b = backward(net, X, y, config.huber_delta)
-        except TrainingError:
+        except TrainingError as exc:
+            diverged = str(exc)
             break
         if not math.isfinite(loss):
+            diverged = f"loss {loss}"
             break
         history.append(loss)
+        kept = net
         new_w, new_b = [], []
         for i in range(len(net.weights)):
             states_w[i], w = adam_step(states_w[i], net.weights[i], grads_w[i])
@@ -209,10 +219,21 @@ def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -
             old = history[-PLATEAU_WINDOW - 1]
             if (old - history[-1]) < PLATEAU_REL_TOL * max(abs(old), 1e-12):
                 break
-    final = huber_loss(y, forward(net, X), config.huber_delta)
-    if math.isfinite(final):
-        history.append(final)
-    return DnnModel(network=net, history=history, config=config)
+    if diverged is None:
+        final = huber_loss(y, forward(net, X), config.huber_delta)
+        if math.isfinite(final):
+            history.append(final)
+            kept = net
+        else:
+            diverged = f"loss {final}"
+    if diverged is not None:
+        if kept is None:
+            raise TrainingError(f"DNN loss is not finite at initialization: {diverged}")
+        # the rejected network came from the Adam step of epoch len(history)
+        log.warning("DNN training stopped: the Adam step of epoch %d of %d gave %s; "
+                    "keeping the network before it (loss %g)",
+                    len(history), config.epochs, diverged, history[-1])
+    return DnnModel(network=kept, history=history, config=config)
 
 
 def predict_dnn(model: DnnModel, X: np.ndarray) -> np.ndarray:

@@ -107,9 +107,17 @@ class ScalerState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerState":
-        return cls(means=np.asarray(d["means"], dtype=float),
-                   stds=np.asarray(d["stds"], dtype=float),
-                   constant=np.asarray(d["constant"], dtype=bool))
+        state = cls(means=np.asarray(d["means"], dtype=float),
+                    stds=np.asarray(d["stds"], dtype=float),
+                    constant=np.asarray(d["constant"], dtype=bool))
+        if not (state.means.ndim == state.stds.ndim == state.constant.ndim == 1
+                and state.means.size == state.stds.size == state.constant.size):
+            raise ValidationError("'means', 'stds' and 'constant' must be lists of one length")
+        if not np.all(np.isfinite(state.means)):
+            raise ValidationError("'means' must be finite")
+        if not np.all(np.isfinite(state.stds) & (state.stds > 0)):
+            raise ValidationError("'stds' must be finite and > 0")
+        return state
 
 
 def fit_scaler(values: np.ndarray) -> ScalerState:

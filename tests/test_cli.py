@@ -417,6 +417,56 @@ def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inve
     assert all(key in err for key in keys), err
 
 
+@pytest.fixture(scope="module")
+def loggpr_payload(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("loggprmodel")
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "loggpr",
+                     "--config", workspace["config"], "--out", str(out)]) == 0
+    with open(out / "model.json") as fh:
+        return json.load(fh)
+
+
+def _with_inner(payload, key, value):
+    model = payload["model"]
+    return {**payload, "model": {**model, "inner": {**model["inner"], key: value}}}
+
+
+def _with_scaler(payload, edit):
+    preprocess = payload["preprocess"]
+    return {**payload, "preprocess": {**preprocess, "scaler": edit(preprocess["scaler"])}}
+
+
+@pytest.mark.parametrize("edit,keys", [
+    (lambda p: _with_inner(p, "noise_variance", float("nan")), ("'model'", "noise_variance")),
+    (lambda p: _with_inner(p, "noise_variance", -5.0), ("'model'", "noise_variance")),
+    (lambda p: _with_inner(p, "mean", float("nan")), ("'model'", "'mean'")),
+    (lambda p: {**p, "model": {**p["model"], "epsilon": -1.0}}, ("'model'", "epsilon")),
+    (lambda p: {**p, "model": {**p["model"], "back_transform": "mode"}},
+     ("'model'", "back_transform")),
+    (lambda p: _with_scaler(p, lambda s: {**s, "stds": [0.0] + s["stds"][1:]}),
+     ("'preprocess.scaler'", "stds")),
+    (lambda p: _with_scaler(p, lambda s: {**s, "stds": [-1.0] + s["stds"][1:]}),
+     ("'preprocess.scaler'", "stds")),
+    (lambda p: _with_scaler(p, lambda s: {**s, "means": s["means"][1:]}),
+     ("'preprocess.scaler'", "one length")),
+    (lambda p: _with_scaler(p, lambda s: {k: v[1:] for k, v in s.items()}),
+     ("'preprocess.scaler'", "columns")),
+], ids=["noise-variance-nan", "noise-variance-negative", "mean-nan", "epsilon-negative",
+        "back-transform-unknown", "scaler-std-zero", "scaler-std-negative",
+        "scaler-means-short", "scaler-narrower"])
+def test_predict_rejects_bad_gp_or_scaler_state(workspace, loggpr_payload, tmp_path, capsys,
+                                                edit, keys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(loggpr_payload)))
+    rc = cli.main(["predict", "--model", str(path), "--direction", "forward",
+                   "--input", workspace["csv"], "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert all(key in err for key in keys), err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 def _first_tree_set(tree, key, value):
     assert tree["feature"][0] != -1, "the edits below need a root that splits"
     return {**tree, key: [value] + tree[key][1:]}
@@ -485,13 +535,21 @@ def test_reruns_write_byte_identical_json(tmp_path):
     assert json.loads(text) == payload
 
 
-def test_inverse_import_path_loads_no_scipy():
+@pytest.mark.parametrize("probe,unwanted", [
+    ("import corrml.cli, corrml.inverse", ("scipy",)),
+    # the GP layer binds scipy's compiled BLAS/LAPACK without the scipy.linalg package
+    ("import corrml.evaluation", ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")),
+    ("from corrml import cli; "
+     "assert cli.main(['ingest', '--input', {csv!r}, '--out', {out!r}]) == 0", ("numpy",)),
+], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "ingest-no-numpy"])
+def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwanted):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    probe = ("import sys, corrml.cli, corrml.inverse; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    code = (f"import sys; {probe.format(csv=workspace['csv'], out=str(tmp_path))}; "
+            f"print(sorted(m for m in sys.modules "
+            f"if any(m == u or m.startswith(u + '.') for u in {unwanted!r})))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
 

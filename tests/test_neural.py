@@ -201,6 +201,26 @@ def test_divergent_training_aborts_with_history():
     assert all(np.isfinite(v) for v in model.history)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_diverged_training_keeps_last_finite_network_and_warns(caplog):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 5))
+    y = rng.normal(size=40) * 100
+    with caplog.at_level("WARNING", logger="corrml.neural"):
+        model = train_dnn(X, y, TrainConfig(lr=1e200, epochs=50, seed=0))
+    initial = huber_loss(y, forward(init_network(5, seed=0), X))
+    assert model.history == [initial]
+    pred = predict_dnn(model, X)
+    assert np.all(np.isfinite(pred))
+    assert huber_loss(y, pred) == model.history[-1]
+    [record] = [r for r in caplog.records if r.name == "corrml.neural"]
+    assert record.levelname == "WARNING"
+    assert "epoch 1 of 50" in record.getMessage() and "non-finite" in record.getMessage()
+    # finite inputs whose very first forward pass overflows leave no state to keep
+    with pytest.raises(TrainingError, match="at initialization"):
+        train_dnn(np.full((4, 5), 1e308), y[:4], TrainConfig(epochs=3, seed=0))
+
+
 def test_bias_free_relu_network_positively_homogeneous():
     net = init_network(3, (4, 2), seed=8)  # init biases are zero
     rng = np.random.default_rng(8)
