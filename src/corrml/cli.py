@@ -94,17 +94,23 @@ def default_config() -> dict:
 
 
 def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
+    """Merge `src` over `dst`. A value must have its default's type, except
+    that an int passes for a float; keys whose default is null are checked
+    where they are used."""
     from .errors import ValidationError
 
     for key, value in src.items():
         if key not in dst:
             raise ValidationError(f"unknown config key {trail + key!r}")
+        default = dst[key]
+        if default is not None and type(value) not in (
+                (int, float) if type(default) is float else (type(default),)):
+            raise ValidationError(f"config key {trail + key!r} must have the type of its "
+                                  f"default {default!r}, got {value!r}")
         # grade_map values are user-defined letters, everything else is a
         # fixed schema checked against the defaults
-        if isinstance(dst[key], dict) and key != "grade_map":
-            if not isinstance(value, dict):
-                raise ValidationError(f"config key {trail + key!r} must be an object")
-            _merge_config(dst[key], value, trail + key + ".")
+        if isinstance(default, dict) and key != "grade_map":
+            _merge_config(default, value, trail + key + ".")
         else:
             dst[key] = value
 
@@ -312,12 +318,12 @@ def cmd_ingest(args) -> int:
             mapping = json.load(fh)
         if not isinstance(mapping, dict):
             raise ValidationError(f"{args.grade_map}: grade map must be a JSON object")
-        cfg["grade_map"] = {k: float(v) for k, v in mapping.items()}
+        cfg["grade_map"] = GradeMap(mapping).mapping
 
     dataset = parse_csv(
         args.input,
         units=cfg["units"],
-        grade_map=GradeMap({k: float(v) for k, v in cfg["grade_map"].items()}),
+        grade_map=GradeMap(cfg["grade_map"]),
         strict_composition=cfg["strict_composition"],
         composition_floor=cfg["composition_floor"],
     )

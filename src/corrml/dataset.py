@@ -122,6 +122,11 @@ class GradeMap:
     mapping: dict[str, float]
 
     def __post_init__(self):
+        for grade, rate in self.mapping.items():
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValidationError(f"grade map rate of {grade!r} must be a number, "
+                                      f"got {rate!r}")
+        self.mapping = {grade: float(rate) for grade, rate in self.mapping.items()}
         expected = ("A", "B", "C", "D")
         if tuple(sorted(self.mapping)) != expected:
             raise ValidationError("grade map must define exactly the grades A, B, C, D")
@@ -219,7 +224,7 @@ def parse_csv(
     if units not in ("wt", "at"):
         raise ValidationError(f"units must be 'wt' or 'at', got {units!r}")
     if grade_map is None:
-        grade_map = GradeMap(dict(DEFAULT_GRADE_MAP))
+        grade_map = GradeMap(DEFAULT_GRADE_MAP)
     environments = tuple(sorted(environments))
     if len(environments) != 9:
         raise ValidationError(f"expected 9 environment categories, got {len(environments)}")
@@ -427,15 +432,14 @@ def generate_synthetic(
     n: int,
     seed: int,
     noise: float = 0.2,
-    temp_fraction: float = 164 / 331,
-    dur_fraction: float = 187 / 331,
 ) -> Dataset:
     """Schema-compatible synthetic dataset, deterministic in seed.
 
     Compositions are Al-balanced with 2-5 alloying elements; environments are
     uniform over the 9 categories; rate is synthetic_clean_rate times
     exp(noise * N(0,1)), i.e. log-normal multiplicative noise with median 1.
-    Temperature/duration are present for round(n*fraction) samples each.
+    Temperature and duration are present for the paper's share of samples,
+    164 and 187 of 331.
     """
     import numpy as np  # deferred: ingest, which never generates data, loads no numpy
 
@@ -449,10 +453,8 @@ def generate_synthetic(
     fractions = rng.random(size=(n, 5))
     noise_z = rng.standard_normal(n)
 
-    n_temp = round(n * temp_fraction)
-    n_dur = round(n * dur_fraction)
-    temp_rows = set(rng.permutation(n)[:n_temp].tolist())
-    dur_rows = set(rng.permutation(n)[:n_dur].tolist())
+    temp_rows = set(rng.permutation(n)[:round(n * (164 / 331))].tolist())
+    dur_rows = set(rng.permutation(n)[:round(n * (187 / 331))].tolist())
     temps = rng.uniform(5.0, 95.0, size=n)
     durs = rng.uniform(1.0, 365.0, size=n)
 
@@ -497,13 +499,12 @@ def inverse_synthetic_targets(rate: float, environment: int,
     }
 
 
-def generate_inverse_synthetic(n: int, seed: int, noise: float = 0.0) -> Dataset:
+def generate_inverse_synthetic(n: int, seed: int) -> Dataset:
     """Synthetic dataset whose six trace-element targets (Zn, Ti, Ni, Cu, Fe, Mn)
     are deterministic functions of the base inverse features; Cr is the balance.
 
     Duration is present for ~85% of rows and temperature for ~60%, so all three
-    inverse submodel subsets are populated. noise adds N(0, noise) at% to the
-    targets (clipped at 0) for robustness experiments; 0 keeps them exact.
+    inverse submodel subsets are populated.
     """
     import numpy as np
 
@@ -520,15 +521,11 @@ def generate_inverse_synthetic(n: int, seed: int, noise: float = 0.0) -> Dataset
     temp_rows = set(rng.permutation(n)[:round(0.60 * n)].tolist())
     temps = rng.uniform(5.0, 95.0, size=n)
     durs = rng.uniform(1.0, 365.0, size=n)
-    noise_z = rng.standard_normal((n, 6))
 
     samples = []
     for i in range(n):
         targets = inverse_synthetic_targets(float(rates[i]), int(envs[i]),
                                             float(als[i]), float(sis[i]), float(mgs[i]))
-        if noise:
-            for j, sym in enumerate(sorted(targets)):
-                targets[sym] = max(0.0, targets[sym] + noise * noise_z[i, j])
         entries = {"Al": float(als[i]), "Si": float(sis[i]), "Mg": float(mgs[i]), **targets}
         entries["Cr"] = 100.0 - sum(entries.values())
         samples.append(CorrosionSample(

@@ -38,7 +38,6 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
     leaves,
-    param_names,
     set_log_params,
 )
 from .optim import adam_init, adam_step
@@ -70,11 +69,6 @@ def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray
     if info != 0:
         raise TrainingError(f"Cholesky solve failed (LAPACK dpotrs info {info})")
     return x
-
-
-def gpr_param_names(spec: KernelSpec) -> list[str]:
-    """Packed trainable-parameter order: kernel params, ln noise variance, mean."""
-    return param_names(spec) + ["log_noise_variance", "mean"]
 
 
 class _NlmlWorkspace:
@@ -212,7 +206,9 @@ def nlml(X: np.ndarray, y: np.ndarray, spec: KernelSpec, noise_variance: float,
 
 def nlml_grad(X: np.ndarray, y: np.ndarray, spec: KernelSpec, noise_variance: float,
               mean: float) -> tuple[float, np.ndarray]:
-    """(NLML, gradient) with gradient ordered per gpr_param_names(spec)."""
+    """(NLML, gradient). The gradient is packed as the trainable parameters
+    are: for each leaf kernel in pre-order, d/dln(l_d) for every lengthscale
+    and then d/dln(variance); then d/dln(noise variance); last, d/d(mean)."""
     if noise_variance < 0:
         raise ValidationError("noise variance must be >= 0")
     return _NlmlWorkspace(X, y).value_and_grad(spec, noise_variance, mean)
@@ -312,12 +308,11 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
     raise TrainingError("kernel matrix could not be factorized at any visited state")
 
 
-def predict_gpr(model: GprModel, X_star: np.ndarray, include_noise: bool = True
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at new inputs.
+def predict_gpr(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of an observation at new inputs.
 
-    mean = c + K_*^T alpha; variance = k(x,x) - ||L^-1 K_*||^2, plus the noise
-    variance by default (predicting observations rather than the latent rate).
+    mean = c + K_*^T alpha; variance = k(x,x) - ||L^-1 K_*||^2 plus the noise
+    variance (the latent rate's variance is this less model.noise_variance).
     """
     X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
     if X_star.shape[1] != model.x_train.shape[1]:
@@ -331,9 +326,7 @@ def predict_gpr(model: GprModel, X_star: np.ndarray, include_noise: bool = True
         raise TrainingError(f"triangular solve failed (LAPACK dtrtrs info {info})")
     var = model.prior_variance - np.sum(w * w, axis=0)
     var = np.maximum(var, 1e-12 * model.prior_variance)
-    if include_noise:
-        var = var + model.noise_variance
-    return mean, var
+    return mean, var + model.noise_variance
 
 
 @dataclass
@@ -379,7 +372,7 @@ def back_transform_log_predictions(mu: np.ndarray, var: np.ndarray, epsilon: flo
 
 def predict_log_gpr(model: LogGprModel, X_star: np.ndarray) -> np.ndarray:
     """Back-transformed rate predictions, clamped to be non-negative."""
-    mu, var = predict_gpr(model.inner, X_star, include_noise=True)
+    mu, var = predict_gpr(model.inner, X_star)
     return back_transform_log_predictions(mu, var, model.epsilon, model.back_transform)
 
 

@@ -12,6 +12,7 @@ whose features it carries, and the served predictions are averaged unweighted
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,10 @@ from .trees import (
 
 INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
 INVERSE_BASE_ELEMENTS = ("Al", "Si", "Mg")
-SUBMODEL_SETS = ("base", "base+dur", "base+dur+temp")
+# each submodel's optional fields, read in this order after the base features
+SUBMODEL_FIELDS = {"base": (), "base+dur": ("duration",),
+                   "base+dur+temp": ("duration", "temperature")}
+SUBMODEL_SETS = tuple(SUBMODEL_FIELDS)
 MIN_SUBSET_ROWS = 10
 
 
@@ -44,40 +48,27 @@ def _at_composition(sample: CorrosionSample):
     return wt_to_at(c) if c.basis == "weight" else c
 
 
-def _subset(dataset: Dataset, feature_set: str) -> list[CorrosionSample]:
-    if feature_set == "base":
-        return list(dataset.samples)
-    if feature_set == "base+dur":
-        return [s for s in dataset.samples if s.duration is not None]
-    if feature_set == "base+dur+temp":
-        return [s for s in dataset.samples
-                if s.duration is not None and s.temperature is not None]
-    raise ValidationError(f"unknown inverse feature set {feature_set!r}")
-
-
 def inverse_features(dataset: Dataset, feature_set: str
                      ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(sample ids, X, Y) for one submodel subset.
+    """(sample ids, X, Y) for one submodel subset: the samples that carry
+    every optional field the submodel reads.
 
     X columns: rate, environment id, at% Al, Si, Mg [, duration [, temperature]];
     Y columns: at% of the six target elements.
     """
-    rows = _subset(dataset, feature_set)
+    if feature_set not in SUBMODEL_FIELDS:
+        raise ValidationError(f"unknown inverse feature set {feature_set!r}")
+    fields = SUBMODEL_FIELDS[feature_set]
+    rows = [s for s in dataset.samples if all(getattr(s, f) is not None for f in fields)]
     ids, X, Y = [], [], []
     for s in rows:
         at = _at_composition(s)
-        x = [s.rate, float(s.environment)] + [at.get(e) for e in INVERSE_BASE_ELEMENTS]
-        if feature_set != "base":
-            x.append(s.duration)
-        if feature_set == "base+dur+temp":
-            x.append(s.temperature)
         ids.append(s.id)
-        X.append(x)
+        X.append([s.rate, float(s.environment)] + [at.get(e) for e in INVERSE_BASE_ELEMENTS]
+                 + [getattr(s, f) for f in fields])
         Y.append([at.get(e) for e in INVERSE_TARGETS])
-    if not rows:
-        d = {"base": 5, "base+dur": 6, "base+dur+temp": 7}[feature_set]
-        return ids, np.zeros((0, d)), np.zeros((0, len(INVERSE_TARGETS)))
-    return ids, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    X = np.asarray(X, dtype=float).reshape(-1, 2 + len(INVERSE_BASE_ELEMENTS) + len(fields))
+    return ids, X, np.asarray(Y, dtype=float).reshape(-1, len(INVERSE_TARGETS))
 
 
 def pair_weights(forest_r2: float, gbm_r2: float) -> tuple[float, float]:
@@ -171,30 +162,7 @@ class InversePrediction:
     contributing: list[str]           # submodel feature sets that served the query
 
 
-REQUIRED_QUERY_KEYS = ("rate", "environment", "Al", "Si", "Mg")
-
-
-def _query_vector(query: dict, feature_set: str) -> list[float]:
-    x = [float(query["rate"]), float(query["environment"])]
-    x += [float(query[e]) for e in INVERSE_BASE_ELEMENTS]
-    if feature_set != "base":
-        x.append(float(query["duration"]))
-    if feature_set == "base+dur+temp":
-        x.append(float(query["temperature"]))
-    return x
-
-
-def _applicable_sets(ensemble: InverseEnsemble, query: dict) -> list[str]:
-    has_dur = query.get("duration") is not None
-    has_temp = query.get("temperature") is not None
-    out = []
-    for feature_set in ensemble.available_sets():
-        if feature_set == "base+dur" and not has_dur:
-            continue
-        if feature_set == "base+dur+temp" and not (has_dur and has_temp):
-            continue
-        out.append(feature_set)
-    return out
+REQUIRED_QUERY_KEYS = ("rate", "environment") + INVERSE_BASE_ELEMENTS   # in feature order
 
 
 def submodel_predict(sub: InverseSubmodel, X: np.ndarray) -> np.ndarray:
@@ -209,29 +177,37 @@ def predict_inverse(ensemble: InverseEnsemble, queries: list[dict]
     """Union-model predictions for a batch of query dicts.
 
     Required keys: rate, environment, Al, Si, Mg (at%); optional: duration,
-    temperature, id. Queries are grouped by their applicable submodel
-    signature so tree traversal stays vectorized.
+    temperature, id. Each available submodel predicts once, over every query
+    that carries its fields, so tree traversal stays vectorized; a query's
+    union is the sum of its submodels' predictions, in SUBMODEL_SETS order,
+    divided by their count.
     """
     for q in queries:
         for key in REQUIRED_QUERY_KEYS:
             if q.get(key) is None:
                 raise ValidationError(f"query missing base feature {key!r}")
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, q in enumerate(queries):
-        groups.setdefault(tuple(_applicable_sets(ensemble, q)), []).append(i)
-    results: list[InversePrediction | None] = [None] * len(queries)
-    for sets, rows in groups.items():
-        stack = []
-        for feature_set in sets:
-            X = np.asarray([_query_vector(queries[i], feature_set) for i in rows])
-            stack.append(submodel_predict(ensemble.submodels[feature_set], X))
-        union = clamp_at_pct(np.mean(stack, axis=0))
-        for row_pos, i in enumerate(rows):
-            values = {el: float(union[row_pos, j])
-                      for j, el in enumerate(ensemble.target_names)}
-            results[i] = InversePrediction(query_id=str(queries[i].get("id", i)),
-                                           values=values, contributing=list(sets))
-    return results  # type: ignore[return-value]
+    base = np.asarray([[float(q[key]) for key in REQUIRED_QUERY_KEYS] for q in queries])
+    # -0.0 is the exact additive identity, so each total is bit for bit the
+    # sum np.mean over the query's submodel predictions would take
+    total = np.full((len(queries), len(ensemble.target_names)), -0.0)
+    count = np.zeros(len(queries))
+    served: list[list[str]] = [[] for _ in queries]
+    for feature_set in ensemble.available_sets():
+        fields = SUBMODEL_FIELDS[feature_set]
+        rows = [i for i, q in enumerate(queries) if all(q.get(f) is not None for f in fields)]
+        if not rows:
+            continue
+        X = np.column_stack([base[rows]] + [[float(queries[i][f]) for i in rows] for f in fields])
+        total[rows] += submodel_predict(ensemble.submodels[feature_set], X)
+        count[rows] += 1
+        for i in rows:
+            served[i].append(feature_set)
+    union = clamp_at_pct(total / count[:, None])
+    return [InversePrediction(query_id=str(q.get("id", i)),
+                              values={el: float(union[i, j])
+                                      for j, el in enumerate(ensemble.target_names)},
+                              contributing=served[i])
+            for i, q in enumerate(queries)]
 
 
 def queries_from_dataset(dataset: Dataset) -> list[dict]:
@@ -239,10 +215,9 @@ def queries_from_dataset(dataset: Dataset) -> list[dict]:
     out = []
     for s in dataset.samples:
         at = _at_composition(s)
-        q = {"id": s.id, "rate": s.rate, "environment": s.environment,
-             "Al": at.get("Al"), "Si": at.get("Si"), "Mg": at.get("Mg"),
-             "duration": s.duration, "temperature": s.temperature}
-        out.append(q)
+        out.append({"id": s.id, "rate": s.rate, "environment": s.environment,
+                    **{e: at.get(e) for e in INVERSE_BASE_ELEMENTS},
+                    "duration": s.duration, "temperature": s.temperature})
     return out
 
 
@@ -259,14 +234,8 @@ def evaluate_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> InverseRepo
     queries = queries_from_dataset(dataset)
     preds = predict_inverse(ensemble, queries)
     truth = {s.id: _at_composition(s) for s in dataset.samples}
-    union_true = {el: [] for el in ensemble.target_names}
-    union_pred = {el: [] for el in ensemble.target_names}
-    for p in preds:
-        at = truth[p.query_id]
-        for el in ensemble.target_names:
-            union_true[el].append(at.get(el))
-            union_pred[el].append(p.values[el])
-    union = {el: compute_metrics(np.asarray(union_true[el]), np.asarray(union_pred[el]))
+    union = {el: compute_metrics(np.asarray([truth[p.query_id].get(el) for p in preds]),
+                                 np.asarray([p.values[el] for p in preds]))
              for el in ensemble.target_names}
 
     per_submodel: dict[str, dict[str, Metrics]] = {}
@@ -322,21 +291,52 @@ def inverse_to_dict(ensemble: InverseEnsemble) -> dict:
             "target_names": list(ensemble.target_names), "seed": int(ensemble.seed)}
 
 
+def _check_weights(name: str, weights) -> tuple[float, float]:
+    """A submodel's pair weights, which must form a convex combination."""
+    w = [float(v) for v in weights]
+    if not (len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w)
+            and abs(w[0] + w[1] - 1.0) <= 1e-9):
+        raise ValidationError(f"submodel {name!r} 'weights' must be two finite values >= 0 "
+                              f"summing to 1, got {weights!r}")
+    return w[0], w[1]
+
+
+def _pair_member(name: str, sd: dict, slot: str) -> MultiOutputModel:
+    """The submodel's `slot` regressor: a model of that kind per target."""
+    model = multi_output_from_dict(sd[slot])
+    if model.kind != slot or tuple(model.target_names) != INVERSE_TARGETS:
+        raise ValidationError(f"submodel {name!r} {slot!r} must be a {slot} model of the "
+                              f"targets {list(INVERSE_TARGETS)}, got a {model.kind} model of "
+                              f"{model.target_names}")
+    return model
+
+
 def inverse_from_dict(d: dict) -> InverseEnsemble:
+    """The ensemble a dict holds, checked to be one predict_inverse serves:
+    a base submodel, only known submodel names, and per submodel convex pair
+    weights over a forest and a GBM model of every inverse target."""
     if d.get("kind") != "inverse":
         raise ValidationError(f"expected kind 'inverse', got {d.get('kind')!r}")
+    if tuple(d["target_names"]) != INVERSE_TARGETS:
+        raise ValidationError(f"'target_names' must be {list(INVERSE_TARGETS)}, got "
+                              f"{d['target_names']!r}")
+    stored = d["submodels"]
+    if not isinstance(stored, dict) or stored.get("base") is None:
+        raise ValidationError("'submodels' must be an object holding the 'base' submodel")
     subs: dict[str, InverseSubmodel | None] = {}
-    for name, sd in d["submodels"].items():
+    for name, sd in stored.items():
+        if name not in SUBMODEL_FIELDS:
+            raise ValidationError(f"unknown submodel {name!r}; expected one of "
+                                  f"{list(SUBMODEL_SETS)}")
         if sd is None:
             subs[name] = None
             continue
         subs[name] = InverseSubmodel(
             feature_set=sd["feature_set"],
-            forest=multi_output_from_dict(sd["forest"]),
-            gbm=multi_output_from_dict(sd["gbm"]),
-            weights=(float(sd["weights"][0]), float(sd["weights"][1])),
+            forest=_pair_member(name, sd, "forest"),
+            gbm=_pair_member(name, sd, "gbm"),
+            weights=_check_weights(name, sd["weights"]),
             n_rows=int(sd["n_rows"]),
             validation_r2=(float(sd["validation_r2"][0]), float(sd["validation_r2"][1])),
             sample_ids=list(sd["sample_ids"]))
-    return InverseEnsemble(submodels=subs, target_names=tuple(d["target_names"]),
-                           seed=int(d["seed"]))
+    return InverseEnsemble(submodels=subs, target_names=INVERSE_TARGETS, seed=int(d["seed"]))

@@ -1,6 +1,7 @@
 """Covariance functions: ARD RBF, ARD Matern (half-integer nu), sums of kernels,
-Gram matrices, analytic log-space hyperparameter gradients, and jitter-stabilized
-Cholesky factorization.
+Gram matrices, log-space hyperparameter packing, per-leaf lengthscale-gradient
+prefactors (the GP layer assembles the analytic gradients from them), and
+jitter-stabilized Cholesky factorization.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf.
@@ -11,7 +12,7 @@ general Bessel-function form is deliberately out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +128,9 @@ LeafKernel = RbfKernel | MaternKernel
 
 
 def leaves(spec: KernelSpec) -> list[LeafKernel]:
-    """Leaf kernels in pre-order; leaf index k in parameter names refers here."""
+    """Leaf kernels in pre-order: the order in which get_log_params packs
+    their hyperparameters, each leaf's log lengthscales then its log
+    variance."""
     if isinstance(spec, SumKernel):
         return leaves(spec.left) + leaves(spec.right)
     return [spec]
@@ -138,15 +141,6 @@ def ard_dim(spec: KernelSpec) -> int:
     if len(dims) != 1:
         raise ValidationError("sum components disagree on ARD dimension")
     return dims.pop()
-
-
-def param_names(spec: KernelSpec) -> list[str]:
-    """Log-space hyperparameter ids, ordered leaf by leaf."""
-    names = []
-    for i, leaf in enumerate(leaves(spec)):
-        names += [f"k{i}.log_lengthscale.{d}" for d in range(leaf.lengthscales.size)]
-        names.append(f"k{i}.log_variance")
-    return names
 
 
 def get_log_params(spec: KernelSpec) -> np.ndarray:
@@ -197,22 +191,6 @@ def scaled_sq_dist(X: np.ndarray, Xp: np.ndarray, lengthscales: np.ndarray) -> n
     return r2
 
 
-def eval_kernel(x: np.ndarray, xp: np.ndarray, spec: KernelSpec) -> float:
-    """Covariance between two input vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    xp = np.asarray(xp, dtype=float).ravel()
-    if x.size != xp.size:
-        raise ValidationError(f"input dimensions differ: {x.size} vs {xp.size}")
-    total = 0.0
-    for leaf in leaves(spec):
-        if leaf.lengthscales.size != x.size:
-            raise ValidationError(
-                f"ARD lengthscale count {leaf.lengthscales.size} != input dimension {x.size}")
-        r2 = float(np.sum(((x - xp) / leaf.lengthscales) ** 2))
-        total += float(leaf.value_and_prefactor(np.array(r2))[0])
-    return total
-
-
 def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(X_i, Xp_j). Exactly symmetric when X is Xp."""
     K = None
@@ -222,43 +200,12 @@ def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def _parse_param(spec: KernelSpec, param: str) -> tuple[int, str, int]:
-    try:
-        leaf_part, rest = param.split(".", 1)
-        leaf_idx = int(leaf_part[1:])
-        if rest == "log_variance":
-            return leaf_idx, "variance", -1
-        kind, dim = rest.rsplit(".", 1)
-        if kind == "log_lengthscale":
-            return leaf_idx, "lengthscale", int(dim)
-    except (ValueError, IndexError):
-        pass
-    raise ValidationError(f"unknown hyperparameter id {param!r}")
-
-
-def gram_grad(X: np.ndarray, spec: KernelSpec, param: str) -> np.ndarray:
-    """Analytic dK/d(theta) for one log-space hyperparameter over a single input set."""
-    leaf_idx, kind, dim = _parse_param(spec, param)
-    all_leaves = leaves(spec)
-    if not 0 <= leaf_idx < len(all_leaves):
-        raise ValidationError(f"unknown hyperparameter id {param!r}")
-    leaf = all_leaves[leaf_idx]
-    k, p = leaf.value_and_prefactor(scaled_sq_dist(X, X, leaf.lengthscales))
-    if kind == "variance":
-        return k  # K is linear in the variance, so dK/dln(v) = K
-    if not 0 <= dim < leaf.lengthscales.size:
-        raise ValidationError(f"lengthscale dimension {dim} out of range in {param!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    diff = (X[:, dim, None] - X[None, :, dim]) / leaf.lengthscales[dim]
-    return p * (diff * diff)
-
-
-def cholesky_jitter(K: np.ndarray, ladder: tuple[float, ...] = DEFAULT_JITTER_LADDER,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def cholesky_jitter(K: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + j*I for the smallest workable jitter j.
 
-    Ladder entries are multiples of the mean diagonal so stabilization is
-    invariant to the output-variance magnitude. Returns (L, applied jitter).
+    The jitters tried are DEFAULT_JITTER_LADDER's multiples of the mean
+    diagonal, so stabilization is invariant to the output-variance
+    magnitude. Returns (L, applied jitter).
     L is Fortran-ordered with an exactly zero upper triangle; it is written
     into `out` (a Fortran-ordered float array of K's shape, not K itself)
     when given, so repeated factorizations can reuse one buffer.
@@ -268,7 +215,7 @@ def cholesky_jitter(K: np.ndarray, ladder: tuple[float, ...] = DEFAULT_JITTER_LA
         raise ValidationError("matrix must be square")
     L = np.empty(K.shape, order="F") if out is None else out
     scale = float(np.mean(np.diag(K)))
-    for mult in ladder:
+    for mult in DEFAULT_JITTER_LADDER:
         jitter = mult * scale
         np.copyto(L, K)
         if jitter != 0.0:
@@ -276,8 +223,7 @@ def cholesky_jitter(K: np.ndarray, ladder: tuple[float, ...] = DEFAULT_JITTER_LA
         _, info = dpotrf(L, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
-    raise TrainingError(
-        f"Cholesky factorization failed at maximum jitter {ladder[-1] * scale:g}")
+    raise TrainingError(f"Cholesky factorization failed at maximum jitter {jitter:g}")
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:

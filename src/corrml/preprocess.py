@@ -7,7 +7,6 @@ that a run can be reproduced bit-for-bit from its recorded metadata.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,6 @@ class FeatureMatrix:
             raise ValidationError("feature matrix shape does not match column descriptors")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("feature matrix contains non-finite entries")
-
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
@@ -136,11 +131,6 @@ def apply_scaler(state: ScalerState, values: np.ndarray) -> np.ndarray:
     return (values - state.means) / state.stds
 
 
-def invert_scaler(state: ScalerState, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    return values * state.stds + state.means
-
-
 def cap_target(samples: list[CorrosionSample], threshold: float = 100.0,
                mode: str = "drop") -> list[CorrosionSample]:
     """Remove (default) or clip samples whose rate exceeds the threshold.
@@ -182,23 +172,10 @@ def split_train_test(n: int, seed: int, test_fraction: float = 0.2) -> SplitIndi
                         seed=seed)
 
 
-def log_transform(y: np.ndarray, epsilon: float = DEFAULT_LOG_EPSILON) -> np.ndarray:
-    """z = ln(y + epsilon); epsilon keeps zero rates finite."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y + epsilon <= 0):
-        raise ValidationError("log transform requires y + epsilon > 0")
-    return np.log(y + epsilon)
-
-
-def inv_log_transform(z: np.ndarray, epsilon: float = DEFAULT_LOG_EPSILON) -> np.ndarray:
-    return np.exp(np.asarray(z, dtype=float)) - epsilon
-
-
 def run_metadata(feature_set: str, fm: FeatureMatrix, scaler: ScalerState | None,
-                 cap_mode: str, cap_threshold: float, seed: int,
-                 log_epsilon: float | None = None) -> dict:
+                 cap_mode: str, cap_threshold: float, seed: int) -> dict:
     """Sidecar dict recording everything needed to reproduce a preprocessing run."""
-    meta = {
+    return {
         "feature_set": feature_set,
         "columns": [{"name": c.name, "kind": c.kind} for c in fm.columns],
         "cap_mode": cap_mode,
@@ -206,6 +183,3 @@ def run_metadata(feature_set: str, fm: FeatureMatrix, scaler: ScalerState | None
         "seed": seed,
         "scaler": scaler.to_dict() if scaler is not None else None,
     }
-    if log_epsilon is not None:
-        meta["log_epsilon"] = log_epsilon
-    return meta

@@ -1,6 +1,7 @@
 """Regression trees and ensembles: CART with variance-reduction splitting,
 bagged forests with per-split feature subsetting, gradient boosting on
-residuals, and a per-target multi-output wrapper.
+residuals, and multi-output models (one regressor per target column),
+fitted for several training sets at once.
 
 Trees are stored as flat parallel arrays (feature, threshold, children, value),
 nodes numbered in preorder, so serialization is trivial. Prediction stacks a
@@ -61,19 +62,9 @@ class DecisionTree:
     max_depth: int | None = None
     min_samples_leaf: int = 1
 
-    def node_count(self) -> int:
-        return self.feature.size
 
-    def depth(self) -> int:
-        depths = np.zeros(self.node_count(), dtype=int)
-        out = 0
-        for i in range(self.node_count()):
-            if self.feature[i] != LEAF:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-            else:
-                out = max(out, depths[i])
-        return out
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _resolve_max_features(max_features, d: int) -> int:
@@ -83,10 +74,12 @@ def _resolve_max_features(max_features, d: int) -> int:
         return max(1, round(math.sqrt(d)))
     if max_features == "third":
         return max(1, round(d / 3))
-    mf = int(max_features)
-    if mf < 1:
+    if not _is_int(max_features):
+        raise ValidationError("max_features must be null, 'all', 'sqrt', 'third' or an "
+                              f"integer, got {max_features!r}")
+    if max_features < 1:
         raise ValidationError("max_features must be >= 1")
-    return min(mf, d)
+    return min(int(max_features), d)
 
 
 # Cells (nodes x columns x padded rows) scored at once when searching one
@@ -106,6 +99,8 @@ def _check_training(X: np.ndarray, Y: np.ndarray, max_depth, min_samples_leaf: i
         raise ValidationError("empty training data")
     if Y.shape[0] != n:
         raise ValidationError(f"{n} rows but {Y.shape[0]} targets")
+    if max_depth is not None and not _is_int(max_depth):
+        raise ValidationError(f"max_depth must be null or an integer, got {max_depth!r}")
     if max_depth is not None and max_depth < 0:
         raise ValidationError("max_depth must be >= 0")
     if min_samples_leaf < 1:
@@ -496,7 +491,6 @@ class GradientBoostedTrees:
     init_value: float      # F0 = mean(y)
     stages: list[DecisionTree]
     learning_rate: float
-    sse_history: list[float] = field(default_factory=list)  # training SSE per round
 
 
 def _fit_gbms(problems, n_rounds: int = DEFAULT_GBM_ROUNDS,
@@ -523,18 +517,15 @@ def _fit_gbms(problems, n_rounds: int = DEFAULT_GBM_ROUNDS,
     grower = _Grower(blocks)
     cuts = np.cumsum([T.size for T in targets])[:-1]
     stages = [[] for _ in f0]
-    history = [[] for _ in f0]
     for _ in range(n_rounds):
         residuals = np.concatenate([(T - P).ravel() for T, P in zip(targets, pred)])
         trees, fitted = grower.grow(residuals, max_depth, min_samples_leaf)
         for P, fit in zip(pred, np.split(fitted, cuts)):
             P += learning_rate * fit.reshape(P.shape)
-        sse = [float(np.sum((y - p) ** 2)) for T, P in zip(targets, pred) for y, p in zip(T, P)]
         for j, tree in enumerate(trees):
             stages[j].append(tree)
-            history[j].append(sse[j])
-    models = [GradientBoostedTrees(init_value=f, stages=s, learning_rate=learning_rate,
-                                   sse_history=h) for f, s, h in zip(f0, stages, history)]
+    models = [GradientBoostedTrees(init_value=f, stages=s, learning_rate=learning_rate)
+              for f, s in zip(f0, stages)]
     at = np.cumsum([0] + [T.shape[0] for T in targets])
     return [models[a:b] for a, b in zip(at[:-1], at[1:])]
 
@@ -565,19 +556,16 @@ class MultiOutputModel:
     target_names: list[str]
 
 
-def fit_multi_outputs(kind: str, problems, target_names: list[str] | None = None,
+def fit_multi_outputs(kind: str, problems, target_names: list[str],
                       **params) -> list[MultiOutputModel]:
     """Per problem (X, Y, seed), one independent regressor per target column
-    of Y. The forests of every problem grow in shared batches, and the GBMs
-    of every problem grow each round's stage trees together."""
+    of Y, the columns named by target_names. The forests of every problem
+    grow in shared batches, and the GBMs of every problem grow each round's
+    stage trees together."""
     problems = [(X, np.atleast_2d(np.asarray(Y, dtype=float)), seed) for X, Y, seed in problems]
-    names = []
     for _, Y, _ in problems:
-        t = Y.shape[1]
-        names.append(list(target_names) if target_names is not None
-                     else [f"target{i}" for i in range(t)])
-        if len(names[-1]) != t:
-            raise ValidationError(f"{len(names[-1])} names for {t} targets")
+        if len(target_names) != Y.shape[1]:
+            raise ValidationError(f"{len(target_names)} names for {Y.shape[1]} targets")
     if kind == "gbm":
         models = _fit_gbms([(X, Y) for X, Y, _ in problems], **params)
     elif kind == "forest":
@@ -585,16 +573,8 @@ def fit_multi_outputs(kind: str, problems, target_names: list[str] | None = None
                                for X, Y, seed in problems], **params)
     else:
         raise ValidationError(f"unknown base regressor {kind!r}")
-    return [MultiOutputModel(kind=kind, models=m, target_names=n)
-            for m, n in zip(models, names)]
-
-
-def fit_multi_output(X: np.ndarray, Y: np.ndarray, kind: str = "gbm",
-                     target_names: list[str] | None = None, seed: int = 0,
-                     **params) -> MultiOutputModel:
-    """One independent regressor per target column; the trees of all
-    targets grow together."""
-    return fit_multi_outputs(kind, [(X, Y, seed)], target_names, **params)[0]
+    return [MultiOutputModel(kind=kind, models=m, target_names=list(target_names))
+            for m in models]
 
 
 def predict_multi_output(model: MultiOutputModel, X: np.ndarray) -> np.ndarray:
@@ -675,7 +655,10 @@ def forest_to_dict(forest: RandomForest) -> dict:
 def forest_from_dict(d: dict) -> RandomForest:
     if d.get("kind") != "forest":
         raise ValidationError(f"expected kind 'forest', got {d.get('kind')!r}")
-    return RandomForest(trees=[tree_from_dict(t) for t in d["trees"]],
+    trees = [tree_from_dict(t) for t in d["trees"]]
+    if not trees:
+        raise ValidationError("a forest's 'trees' must hold at least one tree")
+    return RandomForest(trees=trees,
                         n_estimators=int(d["n_estimators"]),
                         max_features=int(d["max_features"]),
                         bootstrap=bool(d["bootstrap"]), seed=int(d["seed"]),
@@ -692,9 +675,14 @@ def gbm_to_dict(model: GradientBoostedTrees) -> dict:
 def gbm_from_dict(d: dict) -> GradientBoostedTrees:
     if d.get("kind") != "gbm":
         raise ValidationError(f"expected kind 'gbm', got {d.get('kind')!r}")
-    return GradientBoostedTrees(init_value=float(d["init_value"]),
+    init_value, learning_rate = float(d["init_value"]), float(d["learning_rate"])
+    if not math.isfinite(init_value):
+        raise ValidationError(f"'init_value' must be finite, got {init_value}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValidationError(f"'learning_rate' must be finite and > 0, got {learning_rate}")
+    return GradientBoostedTrees(init_value=init_value,
                                 stages=[tree_from_dict(t) for t in d["stages"]],
-                                learning_rate=float(d["learning_rate"]))
+                                learning_rate=learning_rate)
 
 
 def multi_output_to_dict(model: MultiOutputModel) -> dict:
@@ -707,6 +695,12 @@ def multi_output_to_dict(model: MultiOutputModel) -> dict:
 def multi_output_from_dict(d: dict) -> MultiOutputModel:
     if d.get("kind") != "multi":
         raise ValidationError(f"expected kind 'multi', got {d.get('kind')!r}")
-    from_dict = gbm_from_dict if d["base"] == "gbm" else forest_from_dict
-    return MultiOutputModel(kind=d["base"], models=[from_dict(m) for m in d["models"]],
-                            target_names=list(d["target_names"]))
+    kind, names = d["base"], list(d["target_names"])
+    if kind not in ("forest", "gbm"):
+        raise ValidationError(f"'base' must be 'forest' or 'gbm', got {kind!r}")
+    from_dict = gbm_from_dict if kind == "gbm" else forest_from_dict
+    models = [from_dict(m) for m in d["models"]]
+    if len(models) != len(names):
+        raise ValidationError(f"{len(models)} 'models' for {len(names)} 'target_names': "
+                              "one model per target")
+    return MultiOutputModel(kind=kind, models=models, target_names=names)

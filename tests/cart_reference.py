@@ -111,13 +111,12 @@ def fit_forest_trees(X, y, n_estimators, seed, max_depth=None, min_samples_leaf=
 
 
 def fit_gbm_stages(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf=1):
-    """fit_gbm's (init value, stage trees, SSE history), one round at a time."""
+    """fit_gbm's (init value, stage trees), one round at a time."""
     f0 = float(y.mean())
     pred = np.full(y.size, f0)
-    stages, history = [], []
+    stages = []
     for _ in range(n_rounds):
         tree = fit_tree(X, y - pred, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         stages.append(tree)
         pred += learning_rate * predict_tree(tree, X)
-        history.append(float(np.sum((y - pred) ** 2)))
-    return f0, stages, history
+    return f0, stages

@@ -4,7 +4,8 @@ per-dimension lengthscale gradient as a tensordot over the stack, as
 corrml.gpr computed them before its workspace dropped constant columns and
 took K^-1 from LAPACK dpotri with the matmul-identity gradient.
 
-Kept only as the oracle the workspace must match (tests/test_gp_workspace.py).
+Kept only as the oracle the workspace must match (tests/test_gp_workspace.py),
+together with the names tests give the packed parameters and gradient entries.
 """
 
 import math
@@ -15,6 +16,21 @@ from scipy.linalg import cho_solve
 from corrml.kernels import leaves
 
 LOG2PI = math.log(2.0 * math.pi)
+
+
+def param_names(spec):
+    """Log-space kernel hyperparameter ids, in get_log_params order."""
+    names = []
+    for i, leaf in enumerate(leaves(spec)):
+        names += [f"k{i}.log_lengthscale.{d}" for d in range(leaf.lengthscales.size)]
+        names.append(f"k{i}.log_variance")
+    return names
+
+
+def gpr_param_names(spec):
+    """Packed trainable-parameter order, as nlml_grad orders its gradient:
+    kernel params, ln noise variance, mean."""
+    return param_names(spec) + ["log_noise_variance", "mean"]
 
 
 def value_and_grad(X, y, spec, noise_variance, c):

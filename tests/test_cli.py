@@ -417,6 +417,61 @@ def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inve
     assert all(key in err for key in keys), err
 
 
+def _edit_ensemble(payload, edit):
+    """A copy of an inverse payload whose "ensemble" state is edited in place."""
+    payload = json.loads(json.dumps(payload))
+    edit(payload["ensemble"])
+    return payload
+
+
+def _base(edit):
+    return lambda ens: edit(ens["submodels"]["base"])
+
+
+def _swap_pair(sub):
+    sub["forest"], sub["gbm"] = sub["gbm"], sub["forest"]
+
+
+@pytest.mark.parametrize("direction,edit,keys", [
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(
+        weights=[float("nan"), 0.5]))), ("'base'", "'weights'")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(weights=[5.0, -4.0]))),
+     ("'base'", "'weights'")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["gbm"]["models"][0].update(
+        learning_rate=float("nan")))), ("'learning_rate'",)),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["gbm"]["models"][0].update(
+        init_value=float("inf")))), ("'init_value'",)),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["forest"]["models"][0].update(
+        trees=[]))), ("'trees'",)),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": []}), ("'trees'",)),
+    ("inverse", lambda p: _edit_ensemble(p, lambda e: e["submodels"].update(base=None)),
+     ("'base'",)),
+    ("inverse", lambda p: _edit_ensemble(p, lambda e: e["submodels"].update(
+        {"base+temp": e["submodels"]["base"]})), ("'base+temp'",)),
+    ("inverse", lambda p: _edit_ensemble(p, _base(_swap_pair)), ("'base'", "'forest'")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["forest"]["models"].pop())),
+     ("'models'", "'target_names'")),
+    ("inverse", lambda p: _edit_ensemble(p, lambda e: e.update(target_names=["Zn"])),
+     ("'target_names'",)),
+], ids=["weights-nan", "weights-not-convex", "gbm-learning-rate-nan", "gbm-init-value-inf",
+        "forest-no-trees", "rf-model-no-trees", "base-null", "unknown-submodel",
+        "pair-slots-swapped", "target-model-missing", "target-names-short"])
+def test_predict_rejects_inconsistent_ensemble(workspace, forward_payload, inverse_run,
+                                               tmp_path, capsys, direction, edit, keys):
+    payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
+                        else (inverse_run["payload"], inverse_run["csv"]))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(payload)))
+    rc = cli.main(["predict", "--model", str(path), "--direction", direction,
+                   "--input", queries, "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    model_key = "'ensemble'" if direction == "inverse" else "'model'"
+    assert err.startswith(f"error: {path}: model file key {model_key}") and "Traceback" not in err
+    assert all(key in err for key in keys), err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def loggpr_payload(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("loggprmodel")
@@ -582,6 +637,36 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
                    "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "model_params.gpr.turbo" in capsys.readouterr().err
+
+
+GRADES = {"A": 1.0, "B": 5.0, "C": 20.0, "D": 50.0}
+
+
+@pytest.mark.parametrize("command,option,value,key", [
+    ("train-forward", "--config", {"cap_threshold": "10"}, "'cap_threshold'"),
+    ("train-forward", "--config", {"seed": "abc"}, "'seed'"),
+    ("train-forward", "--config", {"seed": True}, "'seed'"),
+    ("train-forward", "--config", {"model_params": {"rf": {"max_depth": "x"}}}, "max_depth"),
+    ("train-forward", "--config", {"model_params": {"rf": {"max_depth": 2.5}}}, "max_depth"),
+    ("train-forward", "--config", {"model_params": {"rf": {"max_depth": True}}}, "max_depth"),
+    ("train-forward", "--config", {"model_params": {"rf": {"max_features": "bogus"}}},
+     "max_features"),
+    ("ingest", "--config", {"grade_map": {**GRADES, "A": "x"}}, "'A'"),
+    ("ingest", "--grade-map", {**GRADES, "A": "x"}, "'A'"),
+], ids=["cap-threshold-string", "seed-string", "seed-bool", "max-depth-string",
+        "max-depth-fraction", "max-depth-bool", "max-features-unknown", "config-grade-string",
+        "grade-map-string"])
+def test_mistyped_config_values_exit_one(workspace, tmp_path, capsys, command, option, value,
+                                         key):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(value))
+    argv = ({"ingest": ["--input", workspace["csv"]],
+             "train-forward": ["--dataset", workspace["dataset"], "--model", "rf"]}[command]
+            + [option, str(path), "--out", str(tmp_path / "o")])
+    assert cli.main([command] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

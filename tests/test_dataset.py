@@ -83,6 +83,10 @@ def test_grade_map_validation():
         GradeMap({"A": 1.0, "B": 5.0, "C": 5.0, "D": 50.0})
     with pytest.raises(ValidationError):
         GradeMap({"A": 1.0, "B": 5.0, "C": 20.0, "D": 50.0}).rate_for("E")
+    for bad in ("x", True, None, [1.0]):
+        with pytest.raises(ValidationError, match="'A'"):
+            GradeMap({"A": bad, "B": 5.0, "C": 20.0, "D": 50.0})
+    assert GradeMap({"A": 1, "B": 5, "C": 20, "D": 50}).rate_for("B") == 5.0
 
 
 def test_dataset_rejects_duplicate_ids():

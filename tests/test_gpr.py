@@ -17,7 +17,6 @@ from corrml.gpr import (
     fit_gpr,
     fit_log_gpr,
     gpr_from_dict,
-    gpr_param_names,
     gpr_to_dict,
     log_gpr_from_dict,
     log_gpr_to_dict,
@@ -31,9 +30,12 @@ from corrml.kernels import (
     RbfKernel,
     SumKernel,
     cholesky_jitter,
+    get_log_params,
     gram,
     leaves,
+    set_log_params,
 )
+from gp_reference import gpr_param_names
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -86,19 +88,27 @@ def test_nlml_matches_naive_oracle():
     del rng
 
 
-def test_nlml_grad_matches_finite_differences():
+@pytest.mark.parametrize("make_spec", [
+    lambda r: RbfKernel(r.uniform(0.8, 1.5, size=2), 1.3),
+    lambda r: MaternKernel(r.uniform(0.8, 1.5, size=2), 0.6, nu=0.5),
+    lambda r: MaternKernel(r.uniform(0.8, 1.5, size=2), 0.6, nu=1.5),
+    lambda r: MaternKernel(r.uniform(0.8, 1.5, size=2), 0.6, nu=2.5),
+    lambda r: SumKernel(RbfKernel(r.uniform(0.8, 1.5, size=2), 1.1),
+                        MaternKernel(r.uniform(0.8, 1.5, size=2), 0.9, nu=2.5)),
+], ids=["rbf", "matern12", "matern32", "matern52", "sum"])
+def test_nlml_grad_matches_finite_differences(make_spec):
+    # a duplicated row exercises each kernel's r = 0 gradient limit
     h = 1e-5
     for seed in range(20):
         r = np.random.default_rng(100 + seed)
         X = r.normal(size=(8, 2))
+        X[5] = X[2]
         y = r.normal(size=8)
-        spec = SumKernel(RbfKernel(r.uniform(0.8, 1.5, size=2), 1.1),
-                         MaternKernel(r.uniform(0.8, 1.5, size=2), 0.9, nu=2.5))
+        spec = make_spec(r)
         noise_var, c = 0.3, 0.1
         _, grad = nlml_grad(X, y, spec, noise_var, c)
         names = gpr_param_names(spec)
         assert grad.size == len(names)
-        from corrml.kernels import get_log_params, set_log_params
         theta = np.concatenate([get_log_params(spec), [math.log(noise_var)], [c]])
 
         def value_at(vec):
@@ -203,7 +213,7 @@ def test_interpolation_at_tiny_noise():
     X = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
     model = _build_model(X, y, RbfKernel(np.full(2, 1.5), 2.0), 1e-10, 0.0)
-    mean, _ = predict_gpr(model, X, include_noise=False)
+    mean, _ = predict_gpr(model, X)
     np.testing.assert_allclose(mean, y, atol=1e-4)
 
 
@@ -214,7 +224,7 @@ def test_prior_reversion_far_from_data():
     spec = RbfKernel(np.ones(1), 1.3)
     model = _build_model(X, y, spec, 0.2, 2.0)
     far = np.array([[25.0], [-31.0]])
-    mean, var = predict_gpr(model, far, include_noise=True)
+    mean, var = predict_gpr(model, far)
     np.testing.assert_allclose(mean, 2.0, atol=1e-3)
     np.testing.assert_allclose(var, 1.3 + 0.2, atol=1e-3)
 
@@ -228,7 +238,7 @@ def test_posterior_matches_naive_oracle():
                      MaternKernel(np.array([1.0, 1.5]), 1.1, nu=2.5))
     noise_var, c = 0.15, 0.2
     model = _build_model(X, y, spec, noise_var, c)
-    mean, var = predict_gpr(model, Xs, include_noise=True)
+    mean, var = predict_gpr(model, Xs)
     K_inv = np.linalg.inv(gram(X, X, spec) + noise_var * np.eye(6))
     Ks = gram(X, Xs, spec)
     naive_mean = c + Ks.T @ K_inv @ (y - c)
@@ -243,9 +253,9 @@ def test_variance_at_training_points_bounded_by_prior():
     X = rng.normal(size=(15, 3))
     y = rng.normal(size=15)
     model = fit_gpr(X, y, epochs=30)
-    _, var = predict_gpr(model, X, include_noise=True)
+    _, var = predict_gpr(model, X)
     assert np.all(var <= model.prior_variance + model.noise_variance + 1e-10)
-    _, latent = predict_gpr(model, X, include_noise=False)
+    latent = var - model.noise_variance
     assert np.all(latent > 0)
 
 

@@ -28,9 +28,16 @@ from corrml.inverse import (
     submodel_predict,
 )
 from corrml.preprocess import split_train_test
-from corrml.trees import fit_multi_output, multi_output_to_dict, predict_multi_output
+from corrml.trees import fit_multi_outputs, multi_output_to_dict, predict_multi_output
 
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
+
+
+def _vector(query, feature_set):
+    """A query's features for one submodel: the base ones, then its fields."""
+    fields = {"base": [], "base+dur": ["duration"], "base+dur+temp": ["duration", "temperature"]}
+    return [float(query[k]) for k in ["rate", "environment", "Al", "Si", "Mg"]
+            + fields[feature_set]]
 
 
 def _strip_extensions(dataset: Dataset) -> Dataset:
@@ -48,7 +55,7 @@ def _without_temperatures(dataset: Dataset) -> Dataset:
 
 
 def _fit_inverse_subset_by_subset(dataset, seed, configs):
-    """fit_inverse as independent fit_multi_output calls, one subset and one
+    """fit_inverse as independent fit_multi_outputs calls, one subset and one
     fit at a time: the oracle for its batched fits."""
     sub_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))
     names = list(INVERSE_TARGETS)
@@ -65,7 +72,7 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
 
         def model(kind, X, Y):
             seed_, params = fit[kind]
-            return fit_multi_output(X, Y, kind=kind, seed=seed_, target_names=names, **params)
+            return fit_multi_outputs(kind, [(X, Y, seed_)], names, **params)[0]
 
         r2_f = _mean_r2(Yv, predict_multi_output(model("forest", Xt, Yt), Xv))
         r2_g = _mean_r2(Yv, predict_multi_output(model("gbm", Xt, Yt), Xv))
@@ -192,12 +199,31 @@ def test_union_within_submodel_envelope_and_equal_outputs_pass_through():
         assert p.contributing == list(SUBMODEL_SETS)
         per_set = []
         for fs in SUBMODEL_SETS:
-            from corrml.inverse import _query_vector
-            per_set.append(submodel_predict(ens.submodels[fs],
-                                            np.array([_query_vector(x, fs)]))[0])
+            per_set.append(submodel_predict(ens.submodels[fs], np.array([_vector(x, fs)]))[0])
         per_set = np.stack(per_set)
         for j, el in enumerate(INVERSE_TARGETS):
             assert per_set[:, j].min() - 1e-9 <= p.values[el] <= per_set[:, j].max() + 1e-9
+
+
+def test_interleaved_query_signatures_get_the_mean_of_their_submodels():
+    data = generate_inverse_synthetic(90, seed=15)
+    ens = fit_inverse(data, seed=5, configs=QUICK)
+    assert ens.available_sets() == list(SUBMODEL_SETS)
+    base = {"rate": 3.0, "environment": 2, "Al": 42.0, "Si": 1.5, "Mg": 3.0}
+    optional = [{}, {"duration": 40.0}, {"temperature": 25.0},
+                {"duration": 40.0, "temperature": 25.0}]
+    served = [["base"], ["base", "base+dur"], ["base"], list(SUBMODEL_SETS)]
+    # every signature, interleaved, each at a few rates
+    queries = [{**base, **optional[k], "rate": 1.0 + i, "id": f"q{i}"}
+               for i, k in enumerate([0, 1, 2, 3, 3, 2, 1, 0, 1, 3, 0, 2])]
+    preds = predict_inverse(ens, queries)
+    for q, p in zip(queries, preds):
+        sets = served[optional.index({k: q[k] for k in ("duration", "temperature") if k in q})]
+        assert p.query_id == q["id"] and p.contributing == sets
+        want = clamp_at_pct(np.mean([submodel_predict(ens.submodels[fs],
+                                                      np.array([_vector(q, fs)]))[0]
+                                     for fs in sets], axis=0))
+        assert np.array_equal([p.values[el] for el in INVERSE_TARGETS], want), q["id"]
 
 
 def test_removing_unused_submodel_preserves_predictions():

@@ -14,16 +14,14 @@ from corrml.kernels import (
     SumKernel,
     ard_dim,
     cholesky_jitter,
-    eval_kernel,
     get_log_params,
     gram,
-    gram_grad,
     kernel_from_dict,
     kernel_to_dict,
     leaves,
-    param_names,
     set_log_params,
 )
+from gp_reference import param_names
 
 # hand-computed closed-form values at unit distance, unit lengthscale/variance
 RBF_AT_1 = 0.6065306597126334
@@ -33,6 +31,11 @@ M52_AT_1 = 0.5239941088318203
 
 X0 = np.zeros(1)
 X1 = np.ones(1)
+
+
+def eval_kernel(x, xp, spec) -> float:
+    """Covariance between two input vectors: the Gram matrix of one row each."""
+    return float(gram(np.atleast_2d(x), np.atleast_2d(xp), spec)[0, 0])
 
 
 def test_point_values_at_unit_distance():
@@ -165,48 +168,6 @@ def test_param_names_and_packing_roundtrip():
         set_log_params(spec, theta[:-1])
 
 
-def test_gram_grad_matches_central_differences():
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(9, 3))
-    X[4] = X[1]  # duplicate row exercises the r = 0 gradient limit
-    specs = [RbfKernel(np.array([0.8, 1.1, 1.7]), 1.3),
-             MaternKernel(np.array([1.2, 0.9, 1.4]), 0.6, nu=0.5),
-             MaternKernel(np.array([1.2, 0.9, 1.4]), 0.6, nu=1.5),
-             MaternKernel(np.array([1.2, 0.9, 1.4]), 0.6, nu=2.5),
-             SumKernel(RbfKernel(np.array([1.0, 2.0, 0.7]), 0.9),
-                       MaternKernel(np.array([0.6, 1.3, 1.1]), 1.8, nu=2.5))]
-    h = 1e-5
-    for spec in specs:
-        theta = get_log_params(spec)
-        for p, name in enumerate(param_names(spec)):
-            analytic = gram_grad(X, spec, name)
-            up, dn = theta.copy(), theta.copy()
-            up[p] += h
-            dn[p] -= h
-            fd = (gram(X, X, set_log_params(spec, up)) -
-                  gram(X, X, set_log_params(spec, dn))) / (2 * h)
-            scale = max(np.abs(fd).max(), 1e-12)
-            assert np.abs(analytic - fd).max() / scale <= 1e-5, (spec, name)
-
-
-def test_gram_grad_variance_is_component_gram():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(6, 2))
-    a = RbfKernel(np.ones(2), 0.7)
-    b = MaternKernel(np.ones(2), 1.4, nu=1.5)
-    spec = SumKernel(a, b)
-    np.testing.assert_allclose(gram_grad(X, spec, "k0.log_variance"), gram(X, X, a), rtol=1e-14)
-    np.testing.assert_allclose(gram_grad(X, spec, "k1.log_variance"), gram(X, X, b), rtol=1e-14)
-
-
-def test_gram_grad_rejects_unknown_parameter():
-    spec = RbfKernel(np.ones(2))
-    X = np.zeros((3, 2))
-    for bad in ("k1.log_variance", "k0.log_lengthscale.5", "k0.bogus", "nonsense"):
-        with pytest.raises(ValidationError):
-            gram_grad(X, spec, bad)
-
-
 def test_cholesky_jitter_clean_matrix_uses_no_jitter():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(15, 3))
@@ -253,6 +214,6 @@ def test_constructor_validation():
     with pytest.raises(ValidationError):
         MaternKernel(np.array([1.0]), 1.0, nu=2.0)
     with pytest.raises(ValidationError):
-        eval_kernel(np.zeros(3), np.zeros(2), RbfKernel(np.ones(3)))
+        gram(np.zeros((1, 3)), np.zeros((1, 2)), RbfKernel(np.ones(3)))
     with pytest.raises(ValidationError):
         gram(np.zeros((4, 3)), np.zeros((4, 3)), RbfKernel(np.ones(2)))

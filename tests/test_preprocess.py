@@ -10,6 +10,7 @@ from corrml.dataset import (
     generate_synthetic,
 )
 from corrml.errors import ValidationError
+from corrml.gpr import fit_log_gpr
 from corrml.preprocess import (
     DEFAULT_LOG_EPSILON,
     FEATURE_SETS,
@@ -18,9 +19,6 @@ from corrml.preprocess import (
     build_features,
     cap_target,
     fit_scaler,
-    inv_log_transform,
-    invert_scaler,
-    log_transform,
     run_metadata,
     split_train_test,
 )
@@ -105,7 +103,7 @@ def test_scaler_round_trip_and_leakage():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 6)) * 7 + 2
     state = fit_scaler(X[:30])
-    assert np.allclose(invert_scaler(state, apply_scaler(state, X)), X, atol=1e-12)
+    assert np.allclose(apply_scaler(state, X) * state.stds + state.means, X, atol=1e-12)
     # fitting on train+test must give different statistics (no silent refit)
     other = fit_scaler(X)
     assert not np.allclose(state.means, other.means)
@@ -171,25 +169,27 @@ def test_split_extreme_fractions_clamped():
 
 
 def test_log_transform_values():
-    assert log_transform(np.array([1.0]), epsilon=0.0)[0] == 0.0
-    assert log_transform(np.array([np.e ** 2]), epsilon=0.0)[0] == pytest.approx(2.0)
+    # the log-GP family trains on ln(y + epsilon), which keeps zero rates finite
+    X = np.arange(8.0).reshape(4, 2)
     y = np.array([0.0, 0.5, 40.0, 100.0])
-    z = log_transform(y)
-    assert np.allclose(inv_log_transform(z), y, rtol=1e-10, atol=1e-12)
+    z = fit_log_gpr(X, y, epochs=0).inner.y_train
+    np.testing.assert_array_equal(z, np.log(y + DEFAULT_LOG_EPSILON))
     assert z[0] == np.log(DEFAULT_LOG_EPSILON)
+    z = fit_log_gpr(X[:2], np.array([1.0, np.e ** 2]), epsilon=0.0, epochs=0).inner.y_train
+    assert z[0] == 0.0 and z[1] == pytest.approx(2.0)
 
 
 def test_run_metadata_contents():
     ds = generate_synthetic(20, seed=1)
     fm, _ = build_features(ds, "comp+env")
     scaler = fit_scaler(fm.values)
-    meta = run_metadata("comp+env", fm, scaler, "drop", 100.0, seed=3, log_epsilon=1e-6)
+    meta = run_metadata("comp+env", fm, scaler, "drop", 100.0, seed=3)
     assert meta["feature_set"] == "comp+env"
     assert len(meta["columns"]) == 41
     assert meta["cap_mode"] == "drop" and meta["cap_threshold"] == 100.0
-    assert meta["seed"] == 3 and meta["log_epsilon"] == 1e-6
+    assert meta["seed"] == 3
     assert meta["scaler"] == scaler.to_dict()
-    assert "log_epsilon" not in run_metadata("comp", fm, None, "drop", 100.0, seed=0)
+    assert run_metadata("comp", fm, None, "drop", 100.0, seed=0)["scaler"] is None
 
 
 def test_feature_sets_constant_lists_known_selectors():

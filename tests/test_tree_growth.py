@@ -13,7 +13,7 @@ from corrml.trees import (
     _kept_columns,
     fit_forest,
     fit_gbm,
-    fit_multi_output,
+    fit_multi_outputs,
     fit_tree,
     predict_forest,
     predict_gbm,
@@ -100,9 +100,8 @@ def test_limits_and_repeated_values_match_reference(params):
 def test_depth3_gbm_matches_reference(d):
     X, y = _inverse_like(150, d, seed=20 + d)
     gbm = fit_gbm(X, y, n_rounds=15, learning_rate=0.1, max_depth=3)
-    f0, stages, history = ref.fit_gbm_stages(X, y, 15, 0.1, 3)
+    f0, stages = ref.fit_gbm_stages(X, y, 15, 0.1, 3)
     assert gbm.init_value == f0
-    assert gbm.sse_history == history
     _assert_same_trees(gbm.stages, stages)
     Xq = _inverse_like(40, d, seed=200 + d)[0]
     assert np.array_equal(predict_gbm(gbm, Xq), _gbm_sum(f0, 0.1, stages, Xq))
@@ -111,14 +110,13 @@ def test_depth3_gbm_matches_reference(d):
 def test_multi_output_gbm_targets_grown_together_match_reference():
     X, y = _inverse_like(120, 6, seed=31)
     Y = np.column_stack([y, -2.0 * y, np.cos(X[:, 3]), np.zeros(120) + 4.0])
-    model = fit_multi_output(X, Y, kind="gbm", n_rounds=10, max_depth=3,
-                             min_samples_leaf=2)
+    model = fit_multi_outputs("gbm", [(X, Y, 0)], list("abcd"), n_rounds=10, max_depth=3,
+                              min_samples_leaf=2)[0]
     expected = []
     for j, gbm in enumerate(model.models):
-        f0, stages, history = ref.fit_gbm_stages(X, np.ascontiguousarray(Y[:, j]), 10,
-                                                 0.1, 3, min_samples_leaf=2)
+        f0, stages = ref.fit_gbm_stages(X, np.ascontiguousarray(Y[:, j]), 10,
+                                        0.1, 3, min_samples_leaf=2)
         assert gbm.init_value == f0
-        assert gbm.sse_history == history
         _assert_same_trees(gbm.stages, stages)
         expected.append(_gbm_sum(f0, 0.1, stages, X))
     assert np.array_equal(predict_multi_output(model, X), np.column_stack(expected))
@@ -130,7 +128,8 @@ def test_multi_output_forest_targets_grown_together_match_reference(monkeypatch)
     monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
     X, y = _inverse_like(60, 5, seed=41)
     Y = np.column_stack([y, np.cos(X[:, 2]), X[:, 4] - X[:, 0]])
-    model = fit_multi_output(X, Y, kind="forest", seed=8, n_estimators=7, max_depth=5)
+    model = fit_multi_outputs("forest", [(X, Y, 8)], list("abc"), n_estimators=7,
+                              max_depth=5)[0]
     seeds = np.random.SeedSequence(8).generate_state(3)
     for j, forest in enumerate(model.models):
         assert forest.seed == seeds[j]

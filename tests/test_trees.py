@@ -11,7 +11,7 @@ from corrml.trees import (
     DecisionTree,
     fit_forest,
     fit_gbm,
-    fit_multi_output,
+    fit_multi_outputs,
     fit_tree,
     forest_from_dict,
     forest_to_dict,
@@ -28,6 +28,29 @@ from corrml.trees import (
 )
 
 
+def _fit_multi(X, Y, kind, seed=0, **params):
+    names = [f"t{j}" for j in range(np.shape(Y)[1])]
+    return fit_multi_outputs(kind, [(X, Y, seed)], names, **params)[0]
+
+
+def _depth(tree: DecisionTree) -> int:
+    """Longest root-to-leaf path; preorder numbering puts parents first."""
+    depths = np.zeros(tree.feature.size, dtype=int)
+    for i in np.flatnonzero(tree.feature != LEAF):
+        depths[[tree.left[i], tree.right[i]]] = depths[i] + 1
+    return int(depths.max())
+
+
+def _training_sse(model, X, y) -> list[float]:
+    """Training SSE after each boosting round, from the stage predictions."""
+    pred = np.full(y.size, model.init_value)
+    sse = []
+    for tree in model.stages:
+        pred += model.learning_rate * predict_tree(tree, X)
+        sse.append(float(np.sum((y - pred) ** 2)))
+    return sse
+
+
 def _leaf_tree(value: float) -> DecisionTree:
     return DecisionTree(feature=np.array([LEAF]), threshold=np.zeros(1),
                         left=np.array([LEAF]), right=np.array([LEAF]),
@@ -38,7 +61,7 @@ def test_two_point_split():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
     tree = fit_tree(X, y, max_depth=1)
-    assert tree.node_count() == 3
+    assert tree.feature.size == 3
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5
     np.testing.assert_array_equal(predict_tree(tree, X), y)
@@ -47,7 +70,7 @@ def test_two_point_split():
 def test_constant_targets_give_single_leaf():
     X = np.arange(10.0)[:, None]
     tree = fit_tree(X, np.full(10, 7.0))
-    assert tree.node_count() == 1
+    assert tree.feature.size == 1
     assert tree.feature[0] == LEAF
     np.testing.assert_array_equal(predict_tree(tree, X), 7.0)
 
@@ -66,7 +89,7 @@ def test_max_depth_respected():
     y = rng.normal(size=100)
     for depth in (0, 1, 2, 4):
         tree = fit_tree(X, y, max_depth=depth)
-        assert tree.depth() <= depth
+        assert _depth(tree) <= depth
 
 
 def test_min_samples_leaf_respected():
@@ -180,7 +203,7 @@ def test_gbm_unit_rate_single_round_memorizes():
     y = rng.normal(size=25)
     model = fit_gbm(X, y, n_rounds=1, learning_rate=1.0, max_depth=None)
     np.testing.assert_allclose(predict_gbm(model, X), y, atol=1e-9)
-    assert model.sse_history[-1] < 1e-18
+    assert _training_sse(model, X, y)[-1] < 1e-18
 
 
 def test_gbm_training_sse_nonincreasing():
@@ -188,7 +211,7 @@ def test_gbm_training_sse_nonincreasing():
     X = rng.normal(size=(80, 3))
     y = np.sin(X[:, 0]) + rng.normal(size=80) * 0.1
     model = fit_gbm(X, y, n_rounds=40, learning_rate=0.1, max_depth=3)
-    h = np.asarray(model.sse_history)
+    h = np.asarray(_training_sse(model, X, y))
     assert np.all(np.diff(h) <= 1e-9)
 
 
@@ -196,7 +219,7 @@ def test_multi_output_single_target_reduces_to_base():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    multi = fit_multi_output(X, y[:, None], kind="gbm", n_rounds=10)
+    multi = _fit_multi(X, y[:, None], "gbm", n_rounds=10)
     base = fit_gbm(X, y, n_rounds=10)
     np.testing.assert_array_equal(predict_multi_output(multi, X)[:, 0],
                                   predict_gbm(base, X))
@@ -208,15 +231,14 @@ def test_multi_output_duplicate_and_independent_targets():
     y = rng.normal(size=30)
     other = rng.normal(size=30)
     Y = np.column_stack([y, y, other])
-    model = fit_multi_output(X, Y, kind="gbm", n_rounds=8,
-                             target_names=["a", "b", "c"])
+    model = fit_multi_outputs("gbm", [(X, Y, 0)], ["a", "b", "c"], n_rounds=8)[0]
     P = predict_multi_output(model, X)
     assert P.shape == (30, 3)
     np.testing.assert_array_equal(P[:, 0], P[:, 1])
     # perturbing one target leaves the others' predictions untouched
     Y2 = Y.copy()
     Y2[:, 2] += 5.0
-    P2 = predict_multi_output(fit_multi_output(X, Y2, kind="gbm", n_rounds=8), X)
+    P2 = predict_multi_output(_fit_multi(X, Y2, "gbm", n_rounds=8), X)
     np.testing.assert_array_equal(P2[:, 0], P[:, 0])
 
 
@@ -224,10 +246,10 @@ def test_multi_output_forest_kind():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 2))
     Y = rng.normal(size=(30, 2))
-    model = fit_multi_output(X, Y, kind="forest", n_estimators=4, seed=3)
+    model = _fit_multi(X, Y, "forest", seed=3, n_estimators=4)
     assert predict_multi_output(model, X).shape == (30, 2)
     with pytest.raises(ValidationError):
-        fit_multi_output(X, Y, kind="dnn")
+        _fit_multi(X, Y, "dnn")
 
 
 def test_serialization_roundtrips():
@@ -248,7 +270,7 @@ def test_serialization_roundtrips():
     gbm2 = gbm_from_dict(json.loads(json.dumps(gbm_to_dict(gbm))))
     np.testing.assert_array_equal(predict_gbm(gbm2, Xs), predict_gbm(gbm, Xs))
 
-    multi = fit_multi_output(X, np.column_stack([y, -y]), kind="gbm", n_rounds=4)
+    multi = _fit_multi(X, np.column_stack([y, -y]), "gbm", n_rounds=4)
     multi2 = multi_output_from_dict(json.loads(json.dumps(multi_output_to_dict(multi))))
     np.testing.assert_array_equal(predict_multi_output(multi2, Xs),
                                   predict_multi_output(multi, Xs))
