@@ -115,13 +115,25 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
             dst[key] = value
 
 
+def read_json(path: str, object_hook=None):
+    """The JSON value in the file at `path`, each object passed through
+    `object_hook` as the parser closes it; a file that does not parse is a
+    ValidationError naming it."""
+    from .errors import ValidationError
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_hook=object_hook)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     from .errors import ValidationError
 
     cfg = default_config()
     if path:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = read_json(path)
         if not isinstance(user, dict):
             raise ValidationError(f"{path}: config root must be a JSON object")
         _merge_config(cfg, user)
@@ -147,18 +159,65 @@ def write_csv(path: str, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _write_json_value(value, write, encode) -> None:
+    """Write `value` in pieces: a dict or list whose items are scalars or
+    lists of scalars, such as one tree's node lists, is encoded whole;
+    anything larger is walked, keys sorted. A callable stands for the value
+    it returns, built only when the walk reaches it."""
+    if callable(value):
+        value = value()
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:  # a scalar, or a dict with non-string keys
+        items = ()
+    if all(type(v) in _JSON_SCALARS
+           or type(v) is list and set(map(type, v)) <= _JSON_SCALARS for v in items):
+        write(encode(value))
+    elif isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            write(sep + encode(key) + ":")
+            _write_json_value(value[key], write, encode)
+            sep = ","
+        write("}")
+    else:
+        sep = "["
+        for item in value:
+            write(sep)
+            _write_json_value(item, write, encode)
+            sep = ","
+        write("]")
+
+
 def write_json(path: str, payload: dict) -> None:
-    """Compact, key-sorted standard JSON on one line: a NaN or infinity is
-    refused, not written as a bare token. Any `indent` (and `json.dump` to a
-    file) makes CPython fall back to its pure-Python encoder, about 4x slower
-    on an inverse ensemble; `python -m json.tool` pretty-prints the result."""
+    """Compact, key-sorted standard JSON on one line: the bytes of
+    `json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    allow_nan=False) + "\\n"`, made by CPython's C encoder piece by piece and
+    written as they are made, so the document never exists as one string.
+    A value may be a zero-argument callable, which stands for what it returns
+    (a tree's dict, say, built only when the writer reaches the tree). A NaN
+    or infinity is refused, not written as a bare token; the file is written
+    beside `path` and renamed onto it only when complete, so a refused
+    payload leaves no file. `python -m json.tool` pretty-prints the result."""
     from .errors import ValidationError
 
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+    partial = f"{path}.{os.getpid()}.partial"
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            _write_json_value(payload, fh.write, encode)
+            fh.write("\n")
+        os.replace(partial, path)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    write_text(path, text + "\n")
+    finally:
+        if os.path.lexists(partial):
+            os.remove(partial)
 
 
 def write_sidecar(out_dir: str, command: str, flags: dict, config: dict) -> None:
@@ -174,8 +233,7 @@ def read_csv_rows(path: str) -> list[list[str]]:
 def _load_dataset(path: str):
     from .dataset import dataset_from_dict
 
-    with open(path, encoding="utf-8") as fh:
-        return dataset_from_dict(json.load(fh))
+    return dataset_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +372,7 @@ def cmd_ingest(args) -> int:
     if args.units:
         cfg["units"] = args.units
     if args.grade_map:
-        with open(args.grade_map, encoding="utf-8") as fh:
-            mapping = json.load(fh)
+        mapping = read_json(args.grade_map)
         if not isinstance(mapping, dict):
             raise ValidationError(f"{args.grade_map}: grade map must be a JSON object")
         cfg["grade_map"] = GradeMap(mapping).mapping
@@ -400,6 +457,7 @@ def cmd_train_inverse(args) -> int:
     from .dataset import Dataset
     from .inverse import evaluate_inverse, fit_inverse, inverse_report_rows, inverse_to_dict
     from .preprocess import split_train_test
+    from .trees import tree_to_dict
 
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -418,10 +476,13 @@ def cmd_train_inverse(args) -> int:
     rows = inverse_report_rows(report)
 
     out = _ensure_out(args.out)
+    # each tree's node lists are built when the writer reaches the tree and
+    # dropped once written, so they never all exist at once
     write_json(os.path.join(out, "ensemble.json"),
                {"kind": "inverse-model",
                 "environment_names": list(dataset.environment_names),
-                "ensemble": inverse_to_dict(ensemble)})
+                "ensemble": inverse_to_dict(ensemble,
+                                            lambda tree: lambda: tree_to_dict(tree))})
     # union accuracy per element, and the per-submodel feature-set comparison
     write_csv(os.path.join(out, "inverse_metrics.csv"),
               [rows[0]] + [r for r in rows[1:] if r[3] == "union"])
@@ -482,9 +543,9 @@ def _model_state(from_dict, state, key: str, path: str):
 def cmd_predict(args) -> int:
     from .dataset import parse_csv
     from .errors import ValidationError
+    from .trees import node_arrays
 
-    with open(args.model, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(args.model, object_hook=node_arrays)
     if not isinstance(payload, dict):
         raise ValidationError(f"{args.model}: model file root must be a JSON object")
     out = _ensure_out(args.out)
@@ -496,6 +557,7 @@ def cmd_predict(args) -> int:
                 f"{payload.get('kind')!r}")
         from .evaluation import forward_family
         from .preprocess import ScalerState, apply_scaler, build_features
+        from .trees import RandomForest
 
         try:
             family = forward_family(_model_field(payload, "family", str, args.model))
@@ -524,6 +586,10 @@ def cmd_predict(args) -> int:
                     f"{X.shape[1]}")
             X = apply_scaler(scaler, X)
         model = _model_state(family.from_dict, model_state, "model", args.model)
+        if isinstance(model, RandomForest) and model.n_features != X.shape[1]:
+            raise ValidationError(
+                f"{args.model}: model file key 'model' holds trees of {model.n_features} "
+                f"features, feature set {feature_set!r} has {X.shape[1]}")
         pred = family.predict(model, X)
         rows = [["sample_id", "predicted_mpy"]]
         rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, pred)]
@@ -684,7 +750,7 @@ def main(argv=None) -> int:
         except TrainingError as exc:
             print(f"training failure: {exc}", file=sys.stderr)
             return 2
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     except UsageError as exc:

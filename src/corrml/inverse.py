@@ -27,6 +27,7 @@ from .trees import (
     multi_output_from_dict,
     multi_output_to_dict,
     predict_multi_output,
+    tree_to_dict,
 )
 
 INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
@@ -274,15 +275,17 @@ def inverse_prediction_rows(preds: list[InversePrediction]) -> list[list[str]]:
     return rows
 
 
-def inverse_to_dict(ensemble: InverseEnsemble) -> dict:
+def inverse_to_dict(ensemble: InverseEnsemble, tree_dict=tree_to_dict) -> dict:
+    """`tree_dict` gives each tree's entry: its dict, or a callable that
+    builds it later (see cli.write_json)."""
     subs = {}
     for name, sub in ensemble.submodels.items():
         if sub is None:
             subs[name] = None
             continue
         subs[name] = {"feature_set": sub.feature_set,
-                      "forest": multi_output_to_dict(sub.forest),
-                      "gbm": multi_output_to_dict(sub.gbm),
+                      "forest": multi_output_to_dict(sub.forest, tree_dict),
+                      "gbm": multi_output_to_dict(sub.gbm, tree_dict),
                       "weights": [float(w) for w in sub.weights],
                       "n_rows": int(sub.n_rows),
                       "validation_r2": [float(r) for r in sub.validation_r2],
@@ -302,12 +305,19 @@ def _check_weights(name: str, weights) -> tuple[float, float]:
 
 
 def _pair_member(name: str, sd: dict, slot: str) -> MultiOutputModel:
-    """The submodel's `slot` regressor: a model of that kind per target."""
+    """The submodel's `slot` regressor: a model of that kind per target,
+    every tree trained on the submodel's features."""
     model = multi_output_from_dict(sd[slot])
     if model.kind != slot or tuple(model.target_names) != INVERSE_TARGETS:
         raise ValidationError(f"submodel {name!r} {slot!r} must be a {slot} model of the "
                               f"targets {list(INVERSE_TARGETS)}, got a {model.kind} model of "
                               f"{model.target_names}")
+    width = len(REQUIRED_QUERY_KEYS) + len(SUBMODEL_FIELDS[name])
+    widths = {t.n_features for m in model.models
+              for t in (m.stages if slot == "gbm" else m.trees)} - {width}
+    if widths:
+        raise ValidationError(f"submodel {name!r} {slot!r} holds trees of {min(widths)} "
+                              f"features; the submodel has {width}")
     return model
 
 

@@ -627,16 +627,31 @@ def _check_nodes(tree: DecisionTree) -> None:
                                   f"{_NODE_RULES[key]}")
 
 
+# the dtype of each node array
+_NODE_DTYPES = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+
+
+def node_arrays(d: dict) -> dict:
+    """A JSON `object_hook`: a tree object's node lists as arrays, converted
+    while the parser closes it, so a model file's trees are never all held
+    as lists at once. A list that does not convert is left for
+    tree_from_dict to reject."""
+    if d.get("kind") == "tree":
+        for key, dtype in _NODE_DTYPES.items():
+            try:
+                d[key] = np.asarray(d[key], dtype=dtype)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                pass
+    return d
+
+
 def tree_from_dict(d: dict) -> DecisionTree:
     """The tree a dict holds, checked to be well formed. A per-node "gain"
     list, written by older versions, is ignored."""
     if d.get("kind") != "tree":
         raise ValidationError(f"expected kind 'tree', got {d.get('kind')!r}")
-    tree = DecisionTree(feature=np.asarray(d["feature"], dtype=int),
-                        threshold=np.asarray(d["threshold"], dtype=float),
-                        left=np.asarray(d["left"], dtype=int),
-                        right=np.asarray(d["right"], dtype=int),
-                        value=np.asarray(d["value"], dtype=float),
+    tree = DecisionTree(**{key: np.asarray(d[key], dtype=dtype)
+                           for key, dtype in _NODE_DTYPES.items()},
                         n_features=int(d["n_features"]),
                         max_depth=d["max_depth"],
                         min_samples_leaf=int(d["min_samples_leaf"]))
@@ -644,8 +659,10 @@ def tree_from_dict(d: dict) -> DecisionTree:
     return tree
 
 
-def forest_to_dict(forest: RandomForest) -> dict:
-    return {"kind": "forest", "trees": [tree_to_dict(t) for t in forest.trees],
+def forest_to_dict(forest: RandomForest, tree_dict=tree_to_dict) -> dict:
+    """`tree_dict` gives each tree's entry: its dict, or a callable that
+    builds it later (see cli.write_json)."""
+    return {"kind": "forest", "trees": [tree_dict(t) for t in forest.trees],
             "n_estimators": int(forest.n_estimators), "max_features": int(forest.max_features),
             "bootstrap": bool(forest.bootstrap), "seed": int(forest.seed),
             "n_features": int(forest.n_features),
@@ -658,18 +675,23 @@ def forest_from_dict(d: dict) -> RandomForest:
     trees = [tree_from_dict(t) for t in d["trees"]]
     if not trees:
         raise ValidationError("a forest's 'trees' must hold at least one tree")
+    n_features = int(d["n_features"])
+    widths = {t.n_features for t in trees} - {n_features}
+    if widths:
+        raise ValidationError(f"a forest of 'n_features' {n_features} holds trees of "
+                              f"{min(widths)} features")
     return RandomForest(trees=trees,
                         n_estimators=int(d["n_estimators"]),
                         max_features=int(d["max_features"]),
                         bootstrap=bool(d["bootstrap"]), seed=int(d["seed"]),
-                        n_features=int(d["n_features"]),
+                        n_features=n_features,
                         unique_inbag_counts=list(d["unique_inbag_counts"]))
 
 
-def gbm_to_dict(model: GradientBoostedTrees) -> dict:
+def gbm_to_dict(model: GradientBoostedTrees, tree_dict=tree_to_dict) -> dict:
     return {"kind": "gbm", "init_value": float(model.init_value),
             "learning_rate": float(model.learning_rate),
-            "stages": [tree_to_dict(t) for t in model.stages]}
+            "stages": [tree_dict(t) for t in model.stages]}
 
 
 def gbm_from_dict(d: dict) -> GradientBoostedTrees:
@@ -685,11 +707,11 @@ def gbm_from_dict(d: dict) -> GradientBoostedTrees:
                                 learning_rate=learning_rate)
 
 
-def multi_output_to_dict(model: MultiOutputModel) -> dict:
+def multi_output_to_dict(model: MultiOutputModel, tree_dict=tree_to_dict) -> dict:
     to_dict = gbm_to_dict if model.kind == "gbm" else forest_to_dict
     return {"kind": "multi", "base": model.kind,
             "target_names": list(model.target_names),
-            "models": [to_dict(m) for m in model.models]}
+            "models": [to_dict(m, tree_dict) for m in model.models]}
 
 
 def multi_output_from_dict(d: dict) -> MultiOutputModel:

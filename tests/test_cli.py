@@ -432,6 +432,11 @@ def _swap_pair(sub):
     sub["forest"], sub["gbm"] = sub["gbm"], sub["forest"]
 
 
+def _swap_submodels(ens):
+    subs = ens["submodels"]
+    subs["base"], subs["base+dur"] = subs["base+dur"], subs["base"]
+
+
 @pytest.mark.parametrize("direction,edit,keys", [
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(
         weights=[float("nan"), 0.5]))), ("'base'", "'weights'")),
@@ -453,9 +458,15 @@ def _swap_pair(sub):
      ("'models'", "'target_names'")),
     ("inverse", lambda p: _edit_ensemble(p, lambda e: e.update(target_names=["Zn"])),
      ("'target_names'",)),
+    ("inverse", lambda p: _edit_ensemble(p, _swap_submodels), ("'base'", "6 features", "has 5")),
+    ("forward", lambda p: {**p, "feature_set": "comp"}, ("41 features", "'comp' has 32")),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        {**m["trees"][0], "n_features": 50}] + m["trees"][1:]}),
+     ("'n_features' 41", "50 features")),
 ], ids=["weights-nan", "weights-not-convex", "gbm-learning-rate-nan", "gbm-init-value-inf",
         "forest-no-trees", "rf-model-no-trees", "base-null", "unknown-submodel",
-        "pair-slots-swapped", "target-model-missing", "target-names-short"])
+        "pair-slots-swapped", "target-model-missing", "target-names-short",
+        "submodels-swapped", "rf-narrower-feature-set", "rf-tree-wider"])
 def test_predict_rejects_inconsistent_ensemble(workspace, forward_payload, inverse_run,
                                                tmp_path, capsys, direction, edit, keys):
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
@@ -558,6 +569,28 @@ def test_predict_rejects_malformed_tree_within_timeout(workspace, forward_payloa
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {path}: ") and "Traceback" not in result.stderr
     assert all(key in result.stderr for key in keys), result.stderr
+
+
+@pytest.mark.parametrize("command", ["predict", "train-forward", "config", "grade-map"])
+def test_truncated_json_input_names_its_file(workspace, inverse_run, tmp_path, capsys,
+                                             command):
+    source = {"predict": json.dumps(inverse_run["payload"]),
+              "train-forward": open(workspace["dataset"]).read(),
+              "config": json.dumps(QUICK_CONFIG),
+              "grade-map": json.dumps(GRADES)}[command]
+    path = tmp_path / "cut.json"
+    path.write_text(source[:len(source) // 2])
+    out = ["--out", str(tmp_path / "o")]
+    argv = {"predict": ["predict", "--model", str(path), "--direction", "inverse",
+                        "--input", inverse_run["csv"]],
+            "train-forward": ["train-forward", "--dataset", str(path), "--model", "rf"],
+            "config": ["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                       "--config", str(path)],
+            "grade-map": ["ingest", "--input", workspace["csv"], "--grade-map", str(path)]}
+    assert cli.main(argv[command] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "line 1 column" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_reruns_write_byte_identical_json(tmp_path):
