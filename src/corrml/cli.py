@@ -115,28 +115,42 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
             dst[key] = value
 
 
-def read_json(path: str, object_hook=None):
-    """The JSON value in the file at `path`, each object passed through
-    `object_hook` as the parser closes it; a file that does not parse is a
-    ValidationError naming it."""
+def read_json(path: str, object_hook=None) -> dict:
+    """The JSON object in the file at `path`, each object passed through
+    `object_hook` as the parser closes it; a file that does not parse, or
+    whose root is not an object, is a ValidationError naming it."""
     from .errors import ValidationError
 
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_hook=object_hook)
+            root = json.load(fh, object_hook=object_hook)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValidationError(f"{path}: {exc}") from None
+    if not isinstance(root, dict):
+        raise ValidationError(f"{path}: the root must be a JSON object, "
+                              f"got {type(root).__name__}")
+    return root
+
+
+def _file_state(from_dict, state, path: str, where: str):
+    """`from_dict(state)` for the state read from the file at `path`; a key
+    missing anywhere inside it, or a malformed value, is a ValidationError
+    naming the file, `where` in it the state lies and the missing key."""
+    from .errors import ValidationError
+
+    try:
+        return from_dict(state)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {where} is incomplete: "
+                              f"no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: {where} is malformed: {exc}") from None
 
 
 def load_config(path: str | None) -> dict:
-    from .errors import ValidationError
-
     cfg = default_config()
     if path:
-        user = read_json(path)
-        if not isinstance(user, dict):
-            raise ValidationError(f"{path}: config root must be a JSON object")
-        _merge_config(cfg, user)
+        _merge_config(cfg, read_json(path))
     return cfg
 
 
@@ -159,58 +173,63 @@ def write_csv(path: str, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+class _Deferred(Exception):
+    """Raised by the encoder at a callable: the value holding it is walked."""
 
 
-def _write_json_value(value, write, encode) -> None:
-    """Write `value` in pieces: a dict or list whose items are scalars or
-    lists of scalars, such as one tree's node lists, is encoded whole;
-    anything larger is walked, keys sorted. A callable stands for the value
-    it returns, built only when the walk reaches it."""
+class _Encoder(json.JSONEncoder):
+    def default(self, o):
+        if callable(o):
+            raise _Deferred
+        return super().default(o)  # json's TypeError
+
+
+# the one format of every JSON output: compact, key-sorted, finite numbers only
+_encode = _Encoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def _write_json_value(value, write) -> None:
+    """Write `value`, a callable standing for the value it returns, with one
+    encoder call unless a callable lies inside it; only such a value is
+    walked, keys sorted, so each callable is called when the walk reaches it."""
     if callable(value):
         value = value()
-    if isinstance(value, dict) and all(type(k) is str for k in value):
-        items = value.values()
-    elif isinstance(value, (list, tuple)):
-        items = value
-    else:  # a scalar, or a dict with non-string keys
-        items = ()
-    if all(type(v) in _JSON_SCALARS
-           or type(v) is list and set(map(type, v)) <= _JSON_SCALARS for v in items):
-        write(encode(value))
-    elif isinstance(value, dict):
-        sep = "{"
-        for key in sorted(value):
-            write(sep + encode(key) + ":")
-            _write_json_value(value[key], write, encode)
-            sep = ","
-        write("}")
-    else:
-        sep = "["
-        for item in value:
-            write(sep)
-            _write_json_value(item, write, encode)
-            sep = ","
-        write("]")
+    try:
+        write(_encode(value))
+    except _Deferred:
+        if isinstance(value, dict):
+            sep = "{"
+            for key in sorted(value):
+                write(sep + _encode(key) + ":")
+                _write_json_value(value[key], write)
+                sep = ","
+            write("}")
+        else:
+            sep = "["
+            for item in value:
+                write(sep)
+                _write_json_value(item, write)
+                sep = ","
+            write("]")
 
 
 def write_json(path: str, payload: dict) -> None:
     """Compact, key-sorted standard JSON on one line: the bytes of
     `json.dumps(payload, sort_keys=True, separators=(",", ":"),
-    allow_nan=False) + "\\n"`, made by CPython's C encoder piece by piece and
-    written as they are made, so the document never exists as one string.
-    A value may be a zero-argument callable, which stands for what it returns
-    (a tree's dict, say, built only when the writer reaches the tree). A NaN
-    or infinity is refused, not written as a bare token; the file is written
-    beside `path` and renamed onto it only when complete, so a refused
-    payload leaves no file. `python -m json.tool` pretty-prints the result."""
+    allow_nan=False) + "\\n"`, made by CPython's C encoder. A value may be a
+    zero-argument callable, which stands for what it returns (a tree's dict,
+    say): the values that hold one are walked and written piece by piece, so
+    each deferred value exists only while it is written; every other value is
+    encoded whole. A NaN or infinity is refused, not written as a bare token;
+    the file is written beside `path` and renamed onto it only when complete,
+    so a refused payload leaves no file. `python -m json.tool` pretty-prints
+    the result."""
     from .errors import ValidationError
 
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     partial = f"{path}.{os.getpid()}.partial"
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
-            _write_json_value(payload, fh.write, encode)
+            _write_json_value(payload, fh.write)
             fh.write("\n")
         os.replace(partial, path)
     except ValueError as exc:
@@ -225,15 +244,34 @@ def write_sidecar(out_dir: str, command: str, flags: dict, config: dict) -> None
                {"command": command, "flags": flags, "config": config})
 
 
-def read_csv_rows(path: str) -> list[list[str]]:
+def _csv_records(path: str, header: list[str], convert) -> list:
+    """`convert(row)` for each nonempty row under `header`, which must be the
+    file's first row; a short row, or one `convert` rejects, is a
+    ValidationError naming the file and the row number."""
+    from .errors import ValidationError
+
     with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh) if row]
+        rows = csv.reader(fh)
+        if next(rows, None) != header:
+            raise ValidationError(f"{path}: expected header {','.join(header)}")
+        records = []
+        for row_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise ValidationError(f"{path}: row {row_no} has {len(row)} cell(s), "
+                                      f"expected {len(header)}")
+            try:
+                records.append(convert(row))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: row {row_no}: {exc}") from None
+    return records
 
 
 def _load_dataset(path: str):
     from .dataset import dataset_from_dict
 
-    return dataset_from_dict(read_json(path))
+    return _file_state(dataset_from_dict, read_json(path), path, "dataset file")
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +404,12 @@ def _cell_filename(model: str, feature_set: str) -> str:
 
 def cmd_ingest(args) -> int:
     from .dataset import ELEMENT_ORDER, GradeMap, dataset_to_dict, parse_csv, summarize
-    from .errors import ValidationError
 
     cfg = load_config(args.config)
     if args.units:
         cfg["units"] = args.units
     if args.grade_map:
-        mapping = read_json(args.grade_map)
-        if not isinstance(mapping, dict):
-            raise ValidationError(f"{args.grade_map}: grade map must be a JSON object")
-        cfg["grade_map"] = GradeMap(mapping).mapping
+        cfg["grade_map"] = GradeMap(read_json(args.grade_map)).mapping
 
     dataset = parse_csv(
         args.input,
@@ -457,7 +491,6 @@ def cmd_train_inverse(args) -> int:
     from .dataset import Dataset
     from .inverse import evaluate_inverse, fit_inverse, inverse_report_rows, inverse_to_dict
     from .preprocess import split_train_test
-    from .trees import tree_to_dict
 
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -476,13 +509,10 @@ def cmd_train_inverse(args) -> int:
     rows = inverse_report_rows(report)
 
     out = _ensure_out(args.out)
-    # each tree's node lists are built when the writer reaches the tree and
-    # dropped once written, so they never all exist at once
     write_json(os.path.join(out, "ensemble.json"),
                {"kind": "inverse-model",
                 "environment_names": list(dataset.environment_names),
-                "ensemble": inverse_to_dict(ensemble,
-                                            lambda tree: lambda: tree_to_dict(tree))})
+                "ensemble": inverse_to_dict(ensemble)})
     # union accuracy per element, and the per-submodel feature-set comparison
     write_csv(os.path.join(out, "inverse_metrics.csv"),
               [rows[0]] + [r for r in rows[1:] if r[3] == "union"])
@@ -525,29 +555,12 @@ def _model_field(payload: dict, key: str, expected, path: str):
     return payload[key]
 
 
-def _model_state(from_dict, state, key: str, path: str):
-    """`from_dict(state)` for the state under `key`; a key missing anywhere
-    inside it, or a malformed value, is a ValidationError naming the model
-    file at `path`, `key` and the missing key."""
-    from .errors import ValidationError
-
-    try:
-        return from_dict(state)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: model file key {key!r} is incomplete: "
-                              f"no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: model file key {key!r} is malformed: {exc}") from None
-
-
 def cmd_predict(args) -> int:
     from .dataset import parse_csv
     from .errors import ValidationError
     from .trees import node_arrays
 
     payload = read_json(args.model, object_hook=node_arrays)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{args.model}: model file root must be a JSON object")
     out = _ensure_out(args.out)
 
     if args.direction == "forward":
@@ -559,8 +572,9 @@ def cmd_predict(args) -> int:
         from .preprocess import ScalerState, apply_scaler, build_features
         from .trees import RandomForest
 
+        name = _model_field(payload, "family", str, args.model)
         try:
-            family = forward_family(_model_field(payload, "family", str, args.model))
+            family = forward_family(name)
         except ValidationError as exc:
             raise ValidationError(f"{args.model}: key 'family': {exc}") from None
         preprocess = _model_field(payload, "preprocess", dict, args.model)
@@ -577,15 +591,19 @@ def cmd_predict(args) -> int:
                         len(queries.samples) - len(fm.sample_ids), feature_set)
         X = fm.values
         if scaler_state is not None:
-            scaler = _model_state(ScalerState.from_dict, scaler_state, "preprocess.scaler",
-                                  args.model)
+            scaler = _file_state(ScalerState.from_dict, scaler_state, args.model,
+                                 "model file key 'preprocess.scaler'")
             if scaler.means.size != X.shape[1]:
                 raise ValidationError(
                     f"{args.model}: model file key 'preprocess.scaler' has "
                     f"{scaler.means.size} columns, feature set {feature_set!r} has "
                     f"{X.shape[1]}")
             X = apply_scaler(scaler, X)
-        model = _model_state(family.from_dict, model_state, "model", args.model)
+        if (scaler_state is not None) != family.scaled:
+            raise ValidationError(
+                f"{args.model}: model file key 'preprocess.scaler' must be "
+                f"{'an object' if family.scaled else 'null'} for family {name!r}")
+        model = _file_state(family.from_dict, model_state, args.model, "model file key 'model'")
         if isinstance(model, RandomForest) and model.n_features != X.shape[1]:
             raise ValidationError(
                 f"{args.model}: model file key 'model' holds trees of {model.n_features} "
@@ -605,7 +623,8 @@ def cmd_predict(args) -> int:
         environments = _model_field(payload, "environment_names", list, args.model)
         ensemble_state = _model_field(payload, "ensemble", dict, args.model)
         queries = parse_csv(args.input, units=args.units, environments=tuple(environments))
-        ensemble = _model_state(inverse_from_dict, ensemble_state, "ensemble", args.model)
+        ensemble = _file_state(inverse_from_dict, ensemble_state, args.model,
+                               "model file key 'ensemble'")
         preds = predict_inverse(ensemble, queries_from_dataset(queries))
         write_csv(os.path.join(out, "predictions.csv"), inverse_prediction_rows(preds))
 
@@ -617,25 +636,17 @@ def cmd_predict(args) -> int:
 
 
 def _parse_metric_rows(path: str) -> list[dict]:
-    from .errors import ValidationError
-
-    rows = read_csv_rows(path)
-    if not rows or rows[0] != ["model", "feature_set", "r2", "mae", "rmse"]:
-        raise ValidationError(f"{path}: expected header model,feature_set,r2,mae,rmse")
-    return [{"model": r[0], "feature_set": r[1], "r2": float(r[2]),
-             "mae": float(r[3]), "rmse": float(r[4])} for r in rows[1:]]
+    return _csv_records(path, ["model", "feature_set", "r2", "mae", "rmse"],
+                        lambda r: {"model": r[0], "feature_set": r[1], "r2": float(r[2]),
+                                   "mae": float(r[3]), "rmse": float(r[4])})
 
 
 def _parse_pair_rows(path: str) -> dict:
-    from .errors import ValidationError
-
-    rows = read_csv_rows(path)
-    if not rows or rows[0] != ["model", "feature_set", "sample_id", "true", "predicted"]:
-        raise ValidationError(
-            f"{path}: expected header model,feature_set,sample_id,true,predicted")
     cells: dict = {}
-    for r in rows[1:]:
-        cells.setdefault((r[0], r[1]), []).append((float(r[3]), float(r[4])))
+    for cell, pair in _csv_records(
+            path, ["model", "feature_set", "sample_id", "true", "predicted"],
+            lambda r: ((r[0], r[1]), (float(r[3]), float(r[4])))):
+        cells.setdefault(cell, []).append(pair)
     return cells
 
 

@@ -346,18 +346,25 @@ def dataset_to_dict(d: Dataset) -> dict:
 
 
 def dataset_from_dict(payload: dict) -> Dataset:
+    """The dataset a payload holds; a sample's environment or rate that does
+    not convert is a ValidationError naming the sample and the key."""
     if payload.get("kind") != "corrosion-dataset":
         raise ValidationError(f"not a dataset payload (kind={payload.get('kind')!r})")
     samples = []
-    for rec in payload["samples"]:
+    for i, rec in enumerate(payload["samples"]):
         comp = rec["composition"]
+        numbers = {}
+        for key, kind in (("environment", int), ("rate", float)):
+            try:
+                numbers[key] = kind(rec[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"sample {i} key {key!r}: {exc}") from None
         samples.append(CorrosionSample(
             id=rec["id"],
             composition=ElementComposition(entries=dict(comp["entries"]), basis=comp["basis"]),
-            environment=int(rec["environment"]),
-            rate=float(rec["rate"]),
             temperature=rec.get("temperature"),
             duration=rec.get("duration"),
+            **numbers,
         ))
     return Dataset(samples=samples, environment_names=tuple(payload["environment_names"]))
 

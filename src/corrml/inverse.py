@@ -27,7 +27,6 @@ from .trees import (
     multi_output_from_dict,
     multi_output_to_dict,
     predict_multi_output,
-    tree_to_dict,
 )
 
 INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
@@ -275,17 +274,15 @@ def inverse_prediction_rows(preds: list[InversePrediction]) -> list[list[str]]:
     return rows
 
 
-def inverse_to_dict(ensemble: InverseEnsemble, tree_dict=tree_to_dict) -> dict:
-    """`tree_dict` gives each tree's entry: its dict, or a callable that
-    builds it later (see cli.write_json)."""
+def inverse_to_dict(ensemble: InverseEnsemble) -> dict:
     subs = {}
     for name, sub in ensemble.submodels.items():
         if sub is None:
             subs[name] = None
             continue
         subs[name] = {"feature_set": sub.feature_set,
-                      "forest": multi_output_to_dict(sub.forest, tree_dict),
-                      "gbm": multi_output_to_dict(sub.gbm, tree_dict),
+                      "forest": multi_output_to_dict(sub.forest),
+                      "gbm": multi_output_to_dict(sub.gbm),
                       "weights": [float(w) for w in sub.weights],
                       "n_rows": int(sub.n_rows),
                       "validation_r2": [float(r) for r in sub.validation_r2],

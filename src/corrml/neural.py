@@ -257,5 +257,8 @@ def dnn_from_dict(d: dict) -> DnnModel:
     net = DenseNetwork([np.asarray(w, dtype=float) for w in d["weights"]],
                        [np.asarray(b, dtype=float) for b in d["biases"]],
                        list(d["activations"]))
+    if net.weights[-1].shape[1] != 1:
+        raise ValidationError(f"'weights' must end in a layer of one output, got "
+                              f"{net.weights[-1].shape[1]}")
     config = TrainConfig(huber_delta=float(d.get("huber_delta", DEFAULT_HUBER_DELTA)))
     return DnnModel(network=net, history=[], config=config)

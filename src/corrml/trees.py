@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -659,10 +660,10 @@ def tree_from_dict(d: dict) -> DecisionTree:
     return tree
 
 
-def forest_to_dict(forest: RandomForest, tree_dict=tree_to_dict) -> dict:
-    """`tree_dict` gives each tree's entry: its dict, or a callable that
-    builds it later (see cli.write_json)."""
-    return {"kind": "forest", "trees": [tree_dict(t) for t in forest.trees],
+def forest_to_dict(forest: RandomForest) -> dict:
+    """Each tree stands as a zero-argument callable returning its dict, so the
+    writer (cli.write_json) builds one tree's node lists at a time."""
+    return {"kind": "forest", "trees": [partial(tree_to_dict, t) for t in forest.trees],
             "n_estimators": int(forest.n_estimators), "max_features": int(forest.max_features),
             "bootstrap": bool(forest.bootstrap), "seed": int(forest.seed),
             "n_features": int(forest.n_features),
@@ -688,10 +689,11 @@ def forest_from_dict(d: dict) -> RandomForest:
                         unique_inbag_counts=list(d["unique_inbag_counts"]))
 
 
-def gbm_to_dict(model: GradientBoostedTrees, tree_dict=tree_to_dict) -> dict:
+def gbm_to_dict(model: GradientBoostedTrees) -> dict:
+    """Each stage is deferred as in forest_to_dict."""
     return {"kind": "gbm", "init_value": float(model.init_value),
             "learning_rate": float(model.learning_rate),
-            "stages": [tree_dict(t) for t in model.stages]}
+            "stages": [partial(tree_to_dict, t) for t in model.stages]}
 
 
 def gbm_from_dict(d: dict) -> GradientBoostedTrees:
@@ -707,11 +709,11 @@ def gbm_from_dict(d: dict) -> GradientBoostedTrees:
                                 learning_rate=learning_rate)
 
 
-def multi_output_to_dict(model: MultiOutputModel, tree_dict=tree_to_dict) -> dict:
+def multi_output_to_dict(model: MultiOutputModel) -> dict:
     to_dict = gbm_to_dict if model.kind == "gbm" else forest_to_dict
     return {"kind": "multi", "base": model.kind,
             "target_names": list(model.target_names),
-            "models": [to_dict(m, tree_dict) for m in model.models]}
+            "models": [to_dict(m) for m in model.models]}
 
 
 def multi_output_from_dict(d: dict) -> MultiOutputModel:

@@ -10,7 +10,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from corrml import cli
-from corrml.dataset import ELEMENT_ORDER, generate_inverse_synthetic, generate_synthetic
+from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
+                            generate_inverse_synthetic, generate_synthetic)
 from corrml.errors import ValidationError
 from corrml.evaluation import FAMILIES
 
@@ -129,6 +130,14 @@ def test_write_json_refuses_non_finite_values(tmp_path):
         with pytest.raises(ValidationError, match="model.json"):
             cli.write_json(str(tmp_path / "model.json"), {"mean": bad})
     assert not (tmp_path / "model.json").exists()
+
+
+def test_payload_without_callables_is_written_in_one_piece():
+    payload = dataset_to_dict(generate_synthetic(331, seed=0))
+    pieces = []
+    cli._write_json_value(payload, pieces.append)
+    assert pieces == [json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                 allow_nan=False)]
 
 
 def test_ingest_weight_units(tmp_path):
@@ -387,6 +396,12 @@ def _with_model(payload, edit):
     return {**payload, "model": edit(payload["model"])}
 
 
+def _unit_scaler(payload):
+    """A scaler that leaves each of the payload's feature columns as it is."""
+    n = len(payload["preprocess"]["columns"])
+    return {"means": [0.0] * n, "stds": [1.0] * n, "constant": [False] * n}
+
+
 @pytest.mark.parametrize("direction,edit,keys", [
     ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": {
         "stds": [], "constant": []}}},
@@ -401,8 +416,10 @@ def _with_model(payload, edit):
     ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "left": [10 ** 30] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
      ("'model'", "malformed")),
+    ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": _unit_scaler(p)}},
+     ("'preprocess.scaler'", "null", "'rf'")),
 ], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold",
-        "tree-index-beyond-int64"])
+        "tree-index-beyond-int64", "rf-with-scaler"])
 def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inverse_run,
                                                 tmp_path, capsys, direction, edit, keys):
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
@@ -517,9 +534,13 @@ def _with_scaler(payload, edit):
      ("'preprocess.scaler'", "one length")),
     (lambda p: _with_scaler(p, lambda s: {k: v[1:] for k, v in s.items()}),
      ("'preprocess.scaler'", "columns")),
+    (lambda p: _with_scaler(p, lambda s: None), ("'preprocess.scaler'", "an object", "'loggpr'")),
+    (lambda p: {**p, "family": "dnn", "model": {
+        "kind": "dnn", "weights": [[[0.0, 0.0]] * len(p["preprocess"]["columns"])],
+        "biases": [[0.0, 0.0]], "activations": ["identity"]}}, ("'model'", "'weights'", "got 2")),
 ], ids=["noise-variance-nan", "noise-variance-negative", "mean-nan", "epsilon-negative",
         "back-transform-unknown", "scaler-std-zero", "scaler-std-negative",
-        "scaler-means-short", "scaler-narrower"])
+        "scaler-means-short", "scaler-narrower", "scaler-null", "dnn-two-outputs"])
 def test_predict_rejects_bad_gp_or_scaler_state(workspace, loggpr_payload, tmp_path, capsys,
                                                 edit, keys):
     path = tmp_path / "model.json"
@@ -642,6 +663,20 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("option,text,message", [
+    ("--metrics", "model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\nrf,comp+env,high,1,2\n",
+     "row 3: could not convert string to float: 'high'"),
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0\n",
+     "row 2 has 4 cell(s), expected 5"),
+], ids=["metrics-r2-string", "pairs-short-row"])
+def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    assert cli.main(["report", option, str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n", err
+
+
 def test_report_requires_an_input(tmp_path, capsys):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
     assert "needs" in capsys.readouterr().err
@@ -673,6 +708,10 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
 
 
 GRADES = {"A": 1.0, "B": 5.0, "C": 20.0, "D": 50.0}
+DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRONMENTS),
+           "samples": [{"id": "s1", "environment": 0, "rate": 1.0, "temperature": None,
+                        "duration": None,
+                        "composition": {"basis": "atomic", "entries": {"Al": 100.0}}}]}
 
 
 @pytest.mark.parametrize("command,option,value,key", [
@@ -686,9 +725,18 @@ GRADES = {"A": 1.0, "B": 5.0, "C": 20.0, "D": 50.0}
      "max_features"),
     ("ingest", "--config", {"grade_map": {**GRADES, "A": "x"}}, "'A'"),
     ("ingest", "--grade-map", {**GRADES, "A": "x"}, "'A'"),
+    ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
+                                                             "rate": "abc"}]},
+     "value.json: dataset file is malformed: sample 0 key 'rate'"),
+    ("train-forward", "--dataset", _without(DATASET, "samples"),
+     "value.json: dataset file is incomplete: no 'samples' key"),
+    ("train-forward", "--dataset", [DATASET], "value.json: the root must be a JSON object"),
+    ("train-forward", "--config", [], "value.json: the root must be a JSON object"),
+    ("ingest", "--grade-map", [GRADES], "value.json: the root must be a JSON object"),
 ], ids=["cap-threshold-string", "seed-string", "seed-bool", "max-depth-string",
         "max-depth-fraction", "max-depth-bool", "max-features-unknown", "config-grade-string",
-        "grade-map-string"])
+        "grade-map-string", "dataset-rate-string", "dataset-no-samples", "dataset-root-array",
+        "config-root-array", "grade-map-root-array"])
 def test_mistyped_config_values_exit_one(workspace, tmp_path, capsys, command, option, value,
                                          key):
     path = tmp_path / "value.json"

@@ -1,11 +1,9 @@
 """Inverse ensemble: submodel construction, pair weighting, union aggregation."""
 
-import json
-
 import numpy as np
 import pytest
 
-from corrml import trees
+from corrml import cli, trees
 from corrml.dataset import CorrosionSample, Dataset, generate_inverse_synthetic
 from corrml.errors import ValidationError
 from corrml.inverse import (
@@ -29,6 +27,7 @@ from corrml.inverse import (
 )
 from corrml.preprocess import split_train_test
 from corrml.trees import fit_multi_outputs, multi_output_to_dict, predict_multi_output
+from test_trees import written
 
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
 
@@ -93,7 +92,8 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
     {"rf": {"n_estimators": 10, "max_depth": 4, "max_features": "sqrt"},
      "gbm": {"n_rounds": 8, "max_depth": 2, "min_samples_leaf": 3}},
 ], ids=["quick", "feature-subsets"])
-def test_batched_fit_equals_subset_by_subset_fits(monkeypatch, strip, present, configs):
+def test_batched_fit_equals_subset_by_subset_fits(monkeypatch, tmp_path, strip, present,
+                                                  configs):
     # small forest batches, so that batches end inside fits and span two
     monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
     data = strip(generate_inverse_synthetic(70, seed=14))
@@ -109,8 +109,9 @@ def test_batched_fit_equals_subset_by_subset_fits(monkeypatch, strip, present, c
         assert got.weights == exp.weights and got.validation_r2 == exp.validation_r2, name
         assert (got.n_rows, got.sample_ids) == (exp.n_rows, exp.sample_ids), name
         for kind in ("forest", "gbm"):
-            assert (multi_output_to_dict(getattr(got, kind))
-                    == multi_output_to_dict(getattr(exp, kind))), (name, kind)
+            got_file = written(multi_output_to_dict(getattr(got, kind)), tmp_path / "got.json")
+            exp_file = written(multi_output_to_dict(getattr(exp, kind)), tmp_path / "exp.json")
+            assert got_file == exp_file, (name, kind)
 
 
 def test_pair_weight_rule():
@@ -238,11 +239,12 @@ def test_removing_unused_submodel_preserves_predictions():
     assert before.contributing == after.contributing == ["base", "base+dur"]
 
 
-def test_fit_deterministic_in_seed():
+def test_fit_deterministic_in_seed(tmp_path):
     data = generate_inverse_synthetic(60, seed=7)
     a = fit_inverse(data, seed=5, configs=QUICK)
     b = fit_inverse(data, seed=5, configs=QUICK)
-    assert inverse_to_dict(a) == inverse_to_dict(b)
+    assert (written(inverse_to_dict(a), tmp_path / "a.json")
+            == written(inverse_to_dict(b), tmp_path / "b.json"))
     qs = queries_from_dataset(data)[:10]
     pa, pb = predict_inverse(a, qs), predict_inverse(b, qs)
     assert [p.values for p in pa] == [p.values for p in pb]
@@ -277,10 +279,11 @@ def test_report_and_prediction_rows():
     assert len(prows) == 1 + 4 * 6
 
 
-def test_serialization_roundtrip():
+def test_serialization_roundtrip(tmp_path):
     data = generate_inverse_synthetic(60, seed=11)
     ens = fit_inverse(data, seed=8, configs=QUICK)
-    rebuilt = inverse_from_dict(json.loads(json.dumps(inverse_to_dict(ens), sort_keys=True)))
+    written(inverse_to_dict(ens), tmp_path / "ensemble.json")
+    rebuilt = inverse_from_dict(cli.read_json(str(tmp_path / "ensemble.json")))
     qs = queries_from_dataset(data)[:12]
     pa, pb = predict_inverse(ens, qs), predict_inverse(rebuilt, qs)
     assert [p.values for p in pa] == [p.values for p in pb]

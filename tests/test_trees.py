@@ -1,10 +1,9 @@
 """CART splitting, forests, boosting, multi-output wrapper."""
 
-import json
-
 import numpy as np
 import pytest
 
+from corrml import cli
 from corrml.errors import ValidationError
 from corrml.trees import (
     LEAF,
@@ -26,6 +25,12 @@ from corrml.trees import (
     tree_from_dict,
     tree_to_dict,
 )
+
+
+def written(payload, path) -> bytes:
+    """The bytes cli.write_json writes to `path` for `payload`."""
+    cli.write_json(str(path), payload)
+    return path.read_bytes()
 
 
 def _fit_multi(X, Y, kind, seed=0, **params):
@@ -156,15 +161,17 @@ def test_degenerate_forest_equals_single_tree():
     np.testing.assert_array_equal(predict_forest(forest, X), predict_tree(tree, X))
 
 
-def test_forest_deterministic_in_seed():
+def test_forest_deterministic_in_seed(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 4))
     y = rng.normal(size=50)
-    a = fit_forest(X, y, n_estimators=10, max_features="sqrt", seed=42)
-    b = fit_forest(X, y, n_estimators=10, max_features="sqrt", seed=42)
-    assert forest_to_dict(a) == forest_to_dict(b)
-    c = fit_forest(X, y, n_estimators=10, max_features="sqrt", seed=43)
-    assert forest_to_dict(a) != forest_to_dict(c)
+
+    def model_file(seed):
+        forest = fit_forest(X, y, n_estimators=10, max_features="sqrt", seed=seed)
+        return written(forest_to_dict(forest), tmp_path / f"{seed}.json")
+
+    assert model_file(42) == model_file(42)
+    assert model_file(42) != model_file(43)
 
 
 def test_bootstrap_unique_coverage_statistic():
@@ -252,26 +259,30 @@ def test_multi_output_forest_kind():
         _fit_multi(X, Y, "dnn")
 
 
-def test_serialization_roundtrips():
+def test_serialization_roundtrips(tmp_path):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     Xs = rng.normal(size=(10, 3))
 
+    def reloaded(payload, from_dict):
+        written(payload, tmp_path / "model.json")
+        return from_dict(cli.read_json(str(tmp_path / "model.json")))
+
     tree = fit_tree(X, y, max_depth=4)
-    tree2 = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree), sort_keys=True)))
+    tree2 = reloaded(tree_to_dict(tree), tree_from_dict)
     np.testing.assert_array_equal(predict_tree(tree2, Xs), predict_tree(tree, Xs))
 
     forest = fit_forest(X, y, n_estimators=5, max_features="third", seed=2)
-    forest2 = forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
+    forest2 = reloaded(forest_to_dict(forest), forest_from_dict)
     np.testing.assert_array_equal(predict_forest(forest2, Xs), predict_forest(forest, Xs))
 
     gbm = fit_gbm(X, y, n_rounds=6)
-    gbm2 = gbm_from_dict(json.loads(json.dumps(gbm_to_dict(gbm))))
+    gbm2 = reloaded(gbm_to_dict(gbm), gbm_from_dict)
     np.testing.assert_array_equal(predict_gbm(gbm2, Xs), predict_gbm(gbm, Xs))
 
     multi = _fit_multi(X, np.column_stack([y, -y]), "gbm", n_rounds=4)
-    multi2 = multi_output_from_dict(json.loads(json.dumps(multi_output_to_dict(multi))))
+    multi2 = reloaded(multi_output_to_dict(multi), multi_output_from_dict)
     np.testing.assert_array_equal(predict_multi_output(multi2, Xs),
                                   predict_multi_output(multi, Xs))
 
