@@ -1,4 +1,4 @@
-"""The seven BLAS/LAPACK routines the GP layer calls, taken straight from
+"""The six BLAS/LAPACK routines the GP layer calls, taken straight from
 scipy's compiled f2py modules `scipy.linalg._flapack` and `scipy.linalg._fblas`.
 
 Importing `scipy.linalg` runs the package `__init__`, which in scipy 1.17
@@ -56,6 +56,5 @@ dpotrf = _flapack.dpotrf
 dpotri = _flapack.dpotri
 dpotrs = _flapack.dpotrs
 dtrtrs = _flapack.dtrtrs
-dgemv = _fblas.dgemv
 dgemm = _fblas.dgemm
 ddot = _fblas.ddot

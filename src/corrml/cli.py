@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -570,7 +571,6 @@ def cmd_predict(args) -> int:
                 f"{payload.get('kind')!r}")
         from .evaluation import forward_family
         from .preprocess import ScalerState, apply_scaler, build_features
-        from .trees import RandomForest
 
         name = _model_field(payload, "family", str, args.model)
         try:
@@ -604,9 +604,9 @@ def cmd_predict(args) -> int:
                 f"{args.model}: model file key 'preprocess.scaler' must be "
                 f"{'an object' if family.scaled else 'null'} for family {name!r}")
         model = _file_state(family.from_dict, model_state, args.model, "model file key 'model'")
-        if isinstance(model, RandomForest) and model.n_features != X.shape[1]:
+        if family.n_inputs(model) != X.shape[1]:
             raise ValidationError(
-                f"{args.model}: model file key 'model' holds trees of {model.n_features} "
+                f"{args.model}: model file key 'model' takes {family.n_inputs(model)} "
                 f"features, feature set {feature_set!r} has {X.shape[1]}")
         pred = family.predict(model, X)
         rows = [["sample_id", "predicted_mpy"]]
@@ -635,17 +635,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _finite(cell: str) -> float:
+    """The number in a report CSV cell; ValueError unless it is finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
+
+
 def _parse_metric_rows(path: str) -> list[dict]:
     return _csv_records(path, ["model", "feature_set", "r2", "mae", "rmse"],
-                        lambda r: {"model": r[0], "feature_set": r[1], "r2": float(r[2]),
-                                   "mae": float(r[3]), "rmse": float(r[4])})
+                        lambda r: {"model": r[0], "feature_set": r[1], "r2": _finite(r[2]),
+                                   "mae": _finite(r[3]), "rmse": _finite(r[4])})
 
 
 def _parse_pair_rows(path: str) -> dict:
     cells: dict = {}
     for cell, pair in _csv_records(
             path, ["model", "feature_set", "sample_id", "true", "predicted"],
-            lambda r: ((r[0], r[1]), (float(r[3]), float(r[4])))):
+            lambda r: ((r[0], r[1]), (_finite(r[3]), _finite(r[4])))):
         cells.setdefault(cell, []).append(pair)
     return cells
 

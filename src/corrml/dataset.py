@@ -346,24 +346,25 @@ def dataset_to_dict(d: Dataset) -> dict:
 
 
 def dataset_from_dict(payload: dict) -> Dataset:
-    """The dataset a payload holds; a sample's environment or rate that does
-    not convert is a ValidationError naming the sample and the key."""
+    """The dataset a payload holds; a sample's environment, rate, temperature
+    or duration that does not convert is a ValidationError naming the sample
+    and the key (temperature and duration may be absent or null)."""
     if payload.get("kind") != "corrosion-dataset":
         raise ValidationError(f"not a dataset payload (kind={payload.get('kind')!r})")
     samples = []
     for i, rec in enumerate(payload["samples"]):
         comp = rec["composition"]
         numbers = {}
-        for key, kind in (("environment", int), ("rate", float)):
+        for key, kind, required in (("environment", int, True), ("rate", float, True),
+                                    ("temperature", float, False), ("duration", float, False)):
+            value = rec[key] if required else rec.get(key)
             try:
-                numbers[key] = kind(rec[key])
+                numbers[key] = None if value is None and not required else kind(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"sample {i} key {key!r}: {exc}") from None
         samples.append(CorrosionSample(
             id=rec["id"],
             composition=ElementComposition(entries=dict(comp["entries"]), basis=comp["basis"]),
-            temperature=rec.get("temperature"),
-            duration=rec.get("duration"),
             **numbers,
         ))
     return Dataset(samples=samples, environment_names=tuple(payload["environment_names"]))

@@ -26,29 +26,32 @@ class Family(NamedTuple):
     """One forward model family: `fit(X, y, seed, params)` trains it (only rf
     and dnn draw on the seed; GP training is deterministic),
     `predict(model, X)` gives rates, `to_dict`/`from_dict` round-trip it
-    through a model file, and `scaled` says whether it trains on
-    standardized features (trees split on raw thresholds; the rest want
-    z-scores)."""
+    through a model file, `n_inputs(model)` is the feature count a model
+    takes, and `scaled` says whether it trains on standardized features
+    (trees split on raw thresholds; the rest want z-scores)."""
     fit: Callable
     predict: Callable
     to_dict: Callable
     from_dict: Callable
+    n_inputs: Callable
     scaled: bool
 
 
 FAMILIES: dict[str, Family] = {
     "rf": Family(fit=lambda X, y, seed, p: fit_forest(X, y, seed=seed, **p),
                  predict=predict_forest, to_dict=forest_to_dict,
-                 from_dict=forest_from_dict, scaled=False),
+                 from_dict=forest_from_dict, n_inputs=lambda m: m.n_features, scaled=False),
     "dnn": Family(fit=lambda X, y, seed, p: train_dnn(X, y, TrainConfig(seed=seed, **p)),
                   predict=predict_dnn, to_dict=dnn_to_dict, from_dict=dnn_from_dict,
-                  scaled=True),
+                  n_inputs=lambda m: m.network.input_dim, scaled=True),
     "gpr": Family(fit=lambda X, y, seed, p: fit_gpr(X, y, **p),
                   predict=lambda model, X: predict_gpr(model, X)[0],
-                  to_dict=gpr_to_dict, from_dict=gpr_from_dict, scaled=True),
+                  to_dict=gpr_to_dict, from_dict=gpr_from_dict,
+                  n_inputs=lambda m: m.x_train.shape[1], scaled=True),
     "loggpr": Family(fit=lambda X, y, seed, p: fit_log_gpr(X, y, **p),
                      predict=predict_log_gpr, to_dict=log_gpr_to_dict,
-                     from_dict=log_gpr_from_dict, scaled=True),
+                     from_dict=log_gpr_from_dict,
+                     n_inputs=lambda m: m.inner.x_train.shape[1], scaled=True),
 }
 
 

@@ -6,6 +6,8 @@ Training minimizes the negative log marginal likelihood
     NLML = 1/2 (y - c)^T (K + s_n^2 I)^(-1) (y - c) + sum_i ln L_ii + n/2 ln 2pi
 
 with Adam in log-hyperparameter space (Rasmussen & Williams, GPML, Alg. 2.1).
+Training and prediction take r^2 from one routine, `kernels.sq_dist`: a dgemm
+Gram product on rows centred on the training means.
 Gradients use the trace identity dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T)
 dK/dtheta) and d/dc = -1^T alpha (GPML eq. 5.9), with Kinv from LAPACK dpotri
 on the Cholesky factor. For a lengthscale the trace is a sum over
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import ddot, dgemm, dgemv, dpotri, dpotrs, dtrtrs
+from ._linalg import ddot, dgemm, dpotri, dpotrs, dtrtrs
 from .errors import TrainingError, ValidationError
 from .kernels import (
     KernelSpec,
@@ -38,7 +40,9 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
     leaves,
+    same_rows,
     set_log_params,
+    sq_dist,
 )
 from .optim import adam_init, adam_step
 from .preprocess import DEFAULT_LOG_EPSILON
@@ -76,14 +80,15 @@ class _NlmlWorkspace:
 
     Only the d_v columns that vary over the training rows enter the kernel: a
     constant column adds exactly 0 to every r^2 and to its own lengthscale
-    gradient, which is reported as an exact 0.0. The (d_v, n, n) stack of
-    squared coordinate differences is built once, one column at a time, and
-    r^2 is its tensordot with the inverse squared lengthscales, so r^2 is
-    exactly symmetric with exact zeros on the diagonal. Every evaluation writes
-    r^2, kernel values, gradient prefactors, K, its Cholesky factor, K^-1 and
-    the gradient weights into n x n buffers owned here, so after the first one
-    an evaluation allocates no n x n arrays. The terms and factor an evaluation
-    returns are overwritten by the next one.
+    gradient, which is reported as an exact 0.0. Each leaf divides the centred
+    varying columns by its lengthscales and takes r^2 from `kernels.sq_dist`,
+    as `kernels.gram` does: exactly symmetric, and exactly 0 for the pairs of
+    equal rows found here once. Every evaluation writes r^2, kernel values,
+    gradient prefactors, K, its Cholesky factor, K^-1 and the gradient
+    weights into n x n buffers owned here, as many whatever the input
+    dimension, so after the first one an evaluation allocates no n x n
+    arrays. The terms and factor an evaluation returns are overwritten by
+    the next one.
 
     Every large BLAS product and LAPACK call goes through scipy's library, bound
     in `corrml._linalg`, none through numpy's: when both libraries run
@@ -107,13 +112,10 @@ class _NlmlWorkspace:
         self.n = n = X.shape[0]
         self.varying = np.flatnonzero(np.any(X != X[0], axis=0))
         Xv = X[:, self.varying]
-        self.sqd = np.empty((self.varying.size, n, n))
-        for j, col in enumerate(Xv.T):
-            np.subtract(col[:, None], col[None, :], out=self.sqd[j])
-            self.sqd[j] *= self.sqd[j]
-        # differences are shift-invariant; centring keeps the gradient identity's
-        # two terms small relative to their difference
+        # differences are shift-invariant; centring keeps the terms of r^2's norm
+        # expansion and of the gradient identity small relative to their difference
         self._xc = np.asfortranarray(Xv - Xv.mean(axis=0))
+        self._same = same_rows(X, X)
         self._xc2 = self._xc * self._xc
         self._wx = np.empty_like(self._xc)
         self._K = np.empty((n, n))
@@ -134,12 +136,8 @@ class _NlmlWorkspace:
                 self._leaf_bufs.append(tuple(np.empty((self.n, self.n)) for _ in range(3)))
             r2, k, p = self._leaf_bufs[i]
             inv_ls2 = 1.0 / (leaf.lengthscales * leaf.lengthscales)
-            if self.varying.size:
-                # np.tensordot(inv_ls2, sqd, axes=1), written into the r2 buffer
-                dgemv(1.0, self.sqd.reshape(self.varying.size, -1).T, inv_ls2[self.varying],
-                      beta=0.0, y=r2.reshape(-1), overwrite_y=1)
-            else:
-                r2.fill(0.0)
+            Z = self._xc / leaf.lengthscales[self.varying]
+            sq_dist(Z, Z, self._same, out=r2, scratch=self._scratch)
             k, p = leaf.value_and_prefactor(r2, k, p, self._scratch)
             terms.append((leaf, inv_ls2, r2, k, p))
         return terms

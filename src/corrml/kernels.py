@@ -1,10 +1,12 @@
 """Covariance functions: ARD RBF, ARD Matern (half-integer nu), sums of kernels,
-Gram matrices, log-space hyperparameter packing, per-leaf lengthscale-gradient
-prefactors (the GP layer assembles the analytic gradients from them), and
-jitter-stabilized Cholesky factorization.
+scaled squared distances, Gram matrices, log-space hyperparameter packing,
+per-leaf lengthscale-gradient prefactors (the GP layer assembles the analytic
+gradients from them), and jitter-stabilized Cholesky factorization.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf.
+`sq_dist` computes it for training and prediction alike from one dgemm Gram
+product, exactly 0 for equal rows and exactly symmetric over one set of rows.
 Matern kernels are restricted to the closed-form nu in {1/2, 3/2, 5/2}; the
 general Bessel-function form is deliberately out of scope.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dpotrf
+from ._linalg import dgemm, dpotrf
 from .errors import TrainingError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -175,27 +177,54 @@ def set_log_params(spec: KernelSpec, values: np.ndarray) -> KernelSpec:
     return rebuilt
 
 
-def scaled_sq_dist(X: np.ndarray, Xp: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """r^2 matrix, accumulated per dimension to keep exact symmetry and zeros."""
+def same_rows(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
+    """Flat indices, into a (len(X), len(Xp)) matrix, of the pairs of equal rows."""
+    labels = np.unique(X if Xp is X else np.concatenate([X, Xp]), axis=0,
+                       return_inverse=True)[1].ravel()
+    return np.flatnonzero(labels[:len(X), None] == labels[labels.size - len(Xp):])
+
+
+def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """r^2[i, j] = |Z_i|^2 + |Zp_j|^2 - 2 Z_i . Zp_j for centred, lengthscale-scaled
+    rows, into the C-ordered `out`: clamped at 0 and exactly 0 at the flat
+    indices `same`. When Zp is Z, half of it goes to `scratch` and r^2 is that
+    plus its transpose, exactly symmetric where a dgemm product is not."""
+    out = np.empty((Z.shape[0], Zp.shape[0])) if out is None else out
+    if out.size == 0:  # f2py's dgemm rejects an empty c
+        return out
+    if Zp is Z:
+        half = 0.5 * np.einsum("ij,ij->i", Z, Z)
+        g = np.empty_like(out) if scratch is None else scratch
+        np.add(half[:, None], half, out=g)
+        dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
+        np.add(g, g.T, out=out)
+    else:
+        np.add(np.einsum("ij,ij->i", Z, Z)[:, None], np.einsum("ij,ij->i", Zp, Zp), out=out)
+        # out^T, the Fortran-ordered view dgemm writes in place, gets -2 Zp Z^T
+        dgemm(-2.0, Zp, Z, beta=1.0, c=out.T, trans_b=1, overwrite_c=1)
+    np.maximum(out, 0.0, out=out)
+    out.reshape(-1)[same] = 0.0
+    return out
+
+
+def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix K[i, j] = k(X_i, Xp_j), from rows centred on X's column
+    means. Exactly symmetric when Xp is X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
     if X.shape[1] != Xp.shape[1]:
         raise ValidationError(f"input dimensions differ: {X.shape[1]} vs {Xp.shape[1]}")
-    if lengthscales.size != X.shape[1]:
-        raise ValidationError(
-            f"ARD lengthscale count {lengthscales.size} != input dimension {X.shape[1]}")
-    r2 = np.zeros((X.shape[0], Xp.shape[0]))
-    for d in range(X.shape[1]):
-        diff = (X[:, d, None] - Xp[None, :, d]) / lengthscales[d]
-        r2 += diff * diff
-    return r2
-
-
-def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix K[i, j] = k(X_i, Xp_j). Exactly symmetric when X is Xp."""
+    Xc, Xpc = X - X.mean(axis=0), Xp - X.mean(axis=0)
+    same = same_rows(X, Xp)
     K = None
     for leaf in leaves(spec):
-        k, _ = leaf.value_and_prefactor(scaled_sq_dist(X, Xp, leaf.lengthscales))
+        if leaf.lengthscales.size != X.shape[1]:
+            raise ValidationError(f"ARD lengthscale count {leaf.lengthscales.size} != "
+                                  f"input dimension {X.shape[1]}")
+        Z = Xc / leaf.lengthscales
+        Zp = Z if Xp is X else Xpc / leaf.lengthscales
+        k, _ = leaf.value_and_prefactor(sq_dist(Z, Zp, same))
         K = k if K is None else K + k
     return K
 

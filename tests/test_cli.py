@@ -554,6 +554,31 @@ def test_predict_rejects_bad_gp_or_scaler_state(workspace, loggpr_payload, tmp_p
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_predict_rejects_model_of_another_width(workspace, tmp_path, capsys, family):
+    out = tmp_path / "m"
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", family,
+                     "--config", workspace["config"], "--out", str(out)]) == 0
+    with open(out / "model.json") as fh:
+        payload = json.load(fh)
+    # 'comp' has 32 of the 41 columns the model was trained on; a scaler cut
+    # to match leaves only the model's own width to disagree
+    scaler = payload["preprocess"]["scaler"]
+    if scaler is not None:
+        scaler = {key: values[:32] for key, values in scaler.items()}
+    payload = {**payload, "feature_set": "comp",
+               "preprocess": {**payload["preprocess"], "scaler": scaler}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    rc = cli.main(["predict", "--model", str(path), "--direction", "forward",
+                   "--input", workspace["csv"], "--out", str(tmp_path / "p")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: model file key 'model' takes 41 features, "
+                   f"feature set 'comp' has 32\n"), err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 def _first_tree_set(tree, key, value):
     assert tree["feature"][0] != -1, "the edits below need a root that splits"
     return {**tree, key: [value] + tree[key][1:]}
@@ -668,7 +693,11 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
      "row 3: could not convert string to float: 'high'"),
     ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0\n",
      "row 2 has 4 cell(s), expected 5"),
-], ids=["metrics-r2-string", "pairs-short-row"])
+    ("--metrics", "model,feature_set,r2,mae,rmse\nrf,comp,nan,1,2\n",
+     "row 2: 'nan' is not a finite number"),
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
+     "rf,comp,s2,1.0,-inf\n", "row 3: '-inf' is not a finite number"),
+], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf"])
 def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
     path = tmp_path / "rows.csv"
     path.write_text(text)
@@ -728,6 +757,9 @@ DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRO
     ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
                                                              "rate": "abc"}]},
      "value.json: dataset file is malformed: sample 0 key 'rate'"),
+    ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
+                                                             "temperature": "abc"}]},
+     "value.json: dataset file is malformed: sample 0 key 'temperature'"),
     ("train-forward", "--dataset", _without(DATASET, "samples"),
      "value.json: dataset file is incomplete: no 'samples' key"),
     ("train-forward", "--dataset", [DATASET], "value.json: the root must be a JSON object"),
@@ -735,7 +767,8 @@ DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRO
     ("ingest", "--grade-map", [GRADES], "value.json: the root must be a JSON object"),
 ], ids=["cap-threshold-string", "seed-string", "seed-bool", "max-depth-string",
         "max-depth-fraction", "max-depth-bool", "max-features-unknown", "config-grade-string",
-        "grade-map-string", "dataset-rate-string", "dataset-no-samples", "dataset-root-array",
+        "grade-map-string", "dataset-rate-string", "dataset-temperature-string",
+        "dataset-no-samples", "dataset-root-array",
         "config-root-array", "grade-map-root-array"])
 def test_mistyped_config_values_exit_one(workspace, tmp_path, capsys, command, option, value,
                                          key):

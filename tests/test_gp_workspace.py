@@ -1,7 +1,8 @@
 """The NLML workspace against the stack-based reference in tests/gp_reference.py:
-value and gradient agreement, exact zeros for constant columns, untouched
-constant-column lengthscales after a fit, no n x n allocation once warm, and
-logged early stops."""
+value and gradient agreement, exact zeros for constant columns, squared
+distances against a per-column sum, untouched constant-column lengthscales
+after a fit, n x n memory independent of the input dimension, no n x n
+allocation once warm, and logged early stops."""
 
 import logging
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from gp_reference import value_and_grad as reference_value_and_grad
 from corrml.gpr import _NlmlWorkspace, fit_gpr
-from corrml.kernels import MaternKernel, RbfKernel, SumKernel, leaves
+from corrml.kernels import MaternKernel, RbfKernel, SumKernel, gram, leaves
 
 CONSTANT_COLS = (1, 4)
 
@@ -68,13 +69,36 @@ def test_workspace_matches_reference():
 
 
 def test_squared_distances_exactly_symmetric_with_zero_diagonal():
+    for n, d in ((40, 6), (200, 30)):  # a 200 x 30 dgemm product is itself not bit-symmetric
+        X, y = _data(n, d)
+        workspace = _NlmlWorkspace(X, y)
+        spec = _specs(X.shape[1])["sum"]
+        for _, _, r2, _, _ in workspace._leaf_terms(spec):
+            assert np.array_equal(r2, r2.T)
+            assert np.all(np.diag(r2) == 0.0)
+            assert r2[3, 7] == r2[3, 19] == 0.0
+        K = gram(X, X, spec)
+        assert np.array_equal(K, K.T)
+
+
+def _per_column_sq_dist(X, Xp, ls):
+    return sum(((X[:, None, d] - Xp[None, :, d]) / ls[d]) ** 2 for d in range(X.shape[1]))
+
+
+@pytest.mark.parametrize("path", ["workspace", "gram"])
+def test_squared_distances_match_per_column_sum_far_from_origin(path):
+    # without centring, a column near 1e6 leaves about 1e-4 of rounding in r^2
     X, y = _data()
-    workspace = _NlmlWorkspace(X, y)
-    spec = _specs(X.shape[1])["sum"]
-    for _, _, r2, _, _ in workspace._leaf_terms(spec):
-        assert np.array_equal(r2, r2.T)
-        assert np.all(np.diag(r2) == 0.0)
-        assert r2[3, 7] == r2[3, 19] == 0.0
+    X[:, 2] += 1e6
+    ls = np.random.default_rng(2).uniform(0.5, 2.5, X.shape[1])
+    if path == "workspace":
+        Xp = X
+        r2 = _NlmlWorkspace(X, y)._leaf_terms(RbfKernel(ls))[0][2]
+    else:
+        Xp, _ = _data(n=20, seed=3)
+        Xp[:, 2] += 1e6
+        r2 = -2.0 * np.log(gram(X, Xp, RbfKernel(ls)))  # RBF at unit variance: exp(-r^2/2)
+    np.testing.assert_allclose(r2, _per_column_sq_dist(X, Xp, ls), rtol=1e-12, atol=0.0)
 
 
 def test_all_constant_columns_give_the_white_noise_model():
@@ -94,6 +118,24 @@ def test_fit_keeps_constant_column_lengthscales_at_start():
     for leaf in leaves(model.spec):
         assert all(leaf.lengthscales[col] == 1.0 for col in CONSTANT_COLS)
         assert np.all(leaf.lengthscales[[0, 2, 3, 5]] != 1.0)
+
+
+def _n_by_n_arrays_held(d, n=200):
+    """n x n float arrays' worth of memory a fresh workspace holds after one
+    evaluation, counted over the blocks of at least that size."""
+    X, y = _data(n=n, d=d)
+    tracemalloc.start()
+    try:
+        workspace = _NlmlWorkspace(X, y)
+        workspace.value_and_grad(_specs(d)["sum"], 0.05, 0.2)
+        held = sum(t.size for t in tracemalloc.take_snapshot().traces if t.size >= n * n * 8)
+    finally:
+        tracemalloc.stop()
+    return held / (n * n * 8)
+
+
+def test_workspace_memory_does_not_grow_with_input_dimension():
+    assert _n_by_n_arrays_held(6) == _n_by_n_arrays_held(60)
 
 
 def test_warm_evaluation_allocates_no_n_by_n_array():

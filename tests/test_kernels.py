@@ -84,6 +84,19 @@ def test_self_covariance_is_variance():
         assert eval_kernel(x, x, spec) == 3.3
 
 
+def test_gram_is_exactly_the_variance_at_repeated_rows():
+    # Matern-1/2 takes sqrt(r^2), so any rounding left in r^2 would show
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(20, 4)) * np.array([1.0, 10.0, 0.1, 3.0]) + 5.0
+    # the last rows are within rounding of X's: r^2 there must not come out negative
+    near = X * (1.0 + 1e-14 * rng.normal(size=X.shape))
+    Xq = np.vstack([X[[3, 11, 3]], rng.normal(size=(2, 4)), near])
+    K = gram(X, Xq, MaternKernel(np.array([0.7, 5.0, 0.2, 1.1]), 2.3, nu=0.5))
+    assert K[3, 0] == K[11, 1] == K[3, 2] == 2.3
+    assert np.all(np.delete(K, [3, 11], axis=0)[:, :3] < 2.3)
+    assert np.all(K <= 2.3) and np.all(np.diag(K[:, 5:]) > 2.3 * (1 - 1e-6))
+
+
 def test_stationarity_and_symmetry():
     rng = np.random.default_rng(2)
     spec = SumKernel(RbfKernel(np.full(4, 1.2), 0.8), MaternKernel(np.full(4, 0.6), 1.5, nu=1.5))
@@ -127,6 +140,7 @@ def test_gram_cross_shape():
     X, Xp = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
     K = gram(X, Xp, RbfKernel(np.ones(2)))
     assert K.shape == (6, 4)
+    assert gram(X, Xp[:0], RbfKernel(np.ones(2))).shape == (6, 0)
 
 
 def test_gram_positive_semidefinite():
