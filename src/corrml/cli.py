@@ -617,15 +617,14 @@ def cmd_predict(args) -> int:
             raise ValidationError(
                 f"{args.model}: expected an inverse model file, got kind "
                 f"{payload.get('kind')!r}")
-        from .inverse import (inverse_from_dict, inverse_prediction_rows, predict_inverse,
-                              queries_from_dataset)
+        from .inverse import inverse_from_dict, inverse_prediction_rows, predict_inverse
 
         environments = _model_field(payload, "environment_names", list, args.model)
         ensemble_state = _model_field(payload, "ensemble", dict, args.model)
         queries = parse_csv(args.input, units=args.units, environments=tuple(environments))
         ensemble = _file_state(inverse_from_dict, ensemble_state, args.model,
                                "model file key 'ensemble'")
-        preds = predict_inverse(ensemble, queries_from_dataset(queries))
+        preds = predict_inverse(ensemble, queries)
         write_csv(os.path.join(out, "predictions.csv"), inverse_prediction_rows(preds))
 
     write_sidecar(out, "predict",

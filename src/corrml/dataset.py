@@ -2,8 +2,9 @@
 and a schema-compatible synthetic generator.
 
 Compositions are maps from element symbol to percentage on either a weight or an
-atomic basis. The supported element set is fixed (32 symbols); rates are carried
-in mils per year (mpy) internally, with 1 mil = 0.0254 mm.
+atomic basis. A sample's composition is atomic: weight-basis input is converted
+before it becomes a sample. The supported element set is fixed (32 symbols); rates
+are carried in mils per year (mpy) internally, with 1 mil = 0.0254 mm.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ class CorrosionSample:
     duration: float | None = None
 
     def __post_init__(self):
+        if self.composition.basis != "atomic":
+            raise ValidationError(f"sample {self.id}: composition basis must be 'atomic', "
+                                  f"got {self.composition.basis!r}")
         if not (0 <= self.environment <= 8):
             raise ValidationError(f"sample {self.id}: environment id {self.environment} outside 0-8")
         if not math.isfinite(self.rate) or self.rate < 0:

@@ -5,9 +5,11 @@ Three submodels ordered by feature availability — base (rate, numeric
 environment id, at% Al/Si/Mg), base+duration, base+duration+temperature —
 each a weighted pair of multi-output regressors (random forest + gradient
 boosting). Pair weights come from validation R^2 clamped at zero and
-normalized; equal scores give (0.5, 0.5). A query is served by every submodel
-whose features it carries, and the served predictions are averaged unweighted
-(the union model), then clamped to the physical [0, 100] at% range.
+normalized; equal scores give (0.5, 0.5). Queries are dataset samples, and
+every row a submodel reads comes from `inverse_features`. A sample is served
+by every submodel whose fields it carries, and the served predictions are
+averaged unweighted (the union model), then clamped to the physical [0, 100]
+at% range.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CorrosionSample, Dataset, wt_to_at
+from .dataset import Dataset
 from .errors import ValidationError
 from .metrics import Metrics, compute_metrics
 from .preprocess import split_train_test
@@ -43,15 +45,16 @@ def clamp_at_pct(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 100.0)
 
 
-def _at_composition(sample: CorrosionSample):
-    c = sample.composition
-    return wt_to_at(c) if c.basis == "weight" else c
+def n_features(feature_set: str) -> int:
+    """A submodel's input width: rate, environment id, the base elements and
+    its optional fields."""
+    return 2 + len(INVERSE_BASE_ELEMENTS) + len(SUBMODEL_FIELDS[feature_set])
 
 
 def inverse_features(dataset: Dataset, feature_set: str
-                     ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(sample ids, X, Y) for one submodel subset: the samples that carry
-    every optional field the submodel reads.
+                     ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(row positions, X, Y) for one submodel subset: the samples that carry
+    every optional field the submodel reads, by position in the dataset.
 
     X columns: rate, environment id, at% Al, Si, Mg [, duration [, temperature]];
     Y columns: at% of the six target elements.
@@ -59,16 +62,17 @@ def inverse_features(dataset: Dataset, feature_set: str
     if feature_set not in SUBMODEL_FIELDS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
     fields = SUBMODEL_FIELDS[feature_set]
-    rows = [s for s in dataset.samples if all(getattr(s, f) is not None for f in fields)]
-    ids, X, Y = [], [], []
-    for s in rows:
-        at = _at_composition(s)
-        ids.append(s.id)
+    rows, X, Y = [], [], []
+    for i, s in enumerate(dataset.samples):
+        if any(getattr(s, f) is None for f in fields):
+            continue
+        at = s.composition
+        rows.append(i)
         X.append([s.rate, float(s.environment)] + [at.get(e) for e in INVERSE_BASE_ELEMENTS]
                  + [getattr(s, f) for f in fields])
         Y.append([at.get(e) for e in INVERSE_TARGETS])
-    X = np.asarray(X, dtype=float).reshape(-1, 2 + len(INVERSE_BASE_ELEMENTS) + len(fields))
-    return ids, X, np.asarray(Y, dtype=float).reshape(-1, len(INVERSE_TARGETS))
+    X = np.asarray(X, dtype=float).reshape(-1, n_features(feature_set))
+    return rows, X, np.asarray(Y, dtype=float).reshape(-1, len(INVERSE_TARGETS))
 
 
 def pair_weights(forest_r2: float, gbm_r2: float) -> tuple[float, float]:
@@ -127,14 +131,15 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None,
     submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
     subsets = []
     for i, feature_set in enumerate(SUBMODEL_SETS):
-        ids, X, Y = inverse_features(dataset, feature_set)
-        if len(ids) < min_rows:
+        rows, X, Y = inverse_features(dataset, feature_set)
+        if len(rows) < min_rows:
             if feature_set == "base":
                 raise ValidationError(
-                    f"base subset has {len(ids)} rows; need at least {min_rows}")
+                    f"base subset has {len(rows)} rows; need at least {min_rows}")
             continue
         if np.ptp(Y) == 0.0:
             raise ValidationError(f"{feature_set}: all target values identical")
+        ids = [dataset.samples[i].id for i in rows]
         split = split_train_test(len(ids), seed=seed, test_fraction=val_fraction)
         Xt, Yt = X[split.train], Y[split.train]
         forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
@@ -162,9 +167,6 @@ class InversePrediction:
     contributing: list[str]           # submodel feature sets that served the query
 
 
-REQUIRED_QUERY_KEYS = ("rate", "environment") + INVERSE_BASE_ELEMENTS   # in feature order
-
-
 def submodel_predict(sub: InverseSubmodel, X: np.ndarray) -> np.ndarray:
     """Convex forest/GBM combination for one submodel; clamped to [0, 100]."""
     wf, wg = sub.weights
@@ -172,53 +174,42 @@ def submodel_predict(sub: InverseSubmodel, X: np.ndarray) -> np.ndarray:
     return clamp_at_pct(raw)
 
 
-def predict_inverse(ensemble: InverseEnsemble, queries: list[dict]
-                    ) -> list[InversePrediction]:
-    """Union-model predictions for a batch of query dicts.
+def _predict_submodels(ensemble: InverseEnsemble, dataset: Dataset
+                       ) -> tuple[np.ndarray, list[list[str]], dict[str, tuple]]:
+    """One submodel_predict per available submodel, over the samples that
+    carry its fields, so tree traversal stays vectorized.
 
-    Required keys: rate, environment, Al, Si, Mg (at%); optional: duration,
-    temperature, id. Each available submodel predicts once, over every query
-    that carries its fields, so tree traversal stays vectorized; a query's
-    union is the sum of its submodels' predictions, in SUBMODEL_SETS order,
-    divided by their count.
+    Returns the union per sample (the sum of its submodels' predictions, in
+    SUBMODEL_SETS order, divided by their count, then clamped), the
+    submodels that served each sample, and per submodel its (Y, predictions).
     """
-    for q in queries:
-        for key in REQUIRED_QUERY_KEYS:
-            if q.get(key) is None:
-                raise ValidationError(f"query missing base feature {key!r}")
-    base = np.asarray([[float(q[key]) for key in REQUIRED_QUERY_KEYS] for q in queries])
+    n = len(dataset.samples)
     # -0.0 is the exact additive identity, so each total is bit for bit the
-    # sum np.mean over the query's submodel predictions would take
-    total = np.full((len(queries), len(ensemble.target_names)), -0.0)
-    count = np.zeros(len(queries))
-    served: list[list[str]] = [[] for _ in queries]
+    # sum np.mean over the sample's submodel predictions would take
+    total = np.full((n, len(ensemble.target_names)), -0.0)
+    count = np.zeros(n)
+    served: list[list[str]] = [[] for _ in range(n)]
+    per_set = {}
     for feature_set in ensemble.available_sets():
-        fields = SUBMODEL_FIELDS[feature_set]
-        rows = [i for i, q in enumerate(queries) if all(q.get(f) is not None for f in fields)]
-        if not rows:
-            continue
-        X = np.column_stack([base[rows]] + [[float(queries[i][f]) for i in rows] for f in fields])
-        total[rows] += submodel_predict(ensemble.submodels[feature_set], X)
+        rows, X, Y = inverse_features(dataset, feature_set)
+        P = submodel_predict(ensemble.submodels[feature_set], X)
+        per_set[feature_set] = (Y, P)
+        total[rows] += P
         count[rows] += 1
         for i in rows:
             served[i].append(feature_set)
-    union = clamp_at_pct(total / count[:, None])
-    return [InversePrediction(query_id=str(q.get("id", i)),
+    return clamp_at_pct(total / count[:, None]), served, per_set
+
+
+def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
+    """Union-model predictions for every sample of `dataset`: its rate,
+    environment, at% Al/Si/Mg and, where present, duration and temperature."""
+    union, served, _ = _predict_submodels(ensemble, dataset)
+    return [InversePrediction(query_id=s.id,
                               values={el: float(union[i, j])
                                       for j, el in enumerate(ensemble.target_names)},
                               contributing=served[i])
-            for i, q in enumerate(queries)]
-
-
-def queries_from_dataset(dataset: Dataset) -> list[dict]:
-    """Query dicts (base features + available extensions) for every sample."""
-    out = []
-    for s in dataset.samples:
-        at = _at_composition(s)
-        out.append({"id": s.id, "rate": s.rate, "environment": s.environment,
-                    **{e: at.get(e) for e in INVERSE_BASE_ELEMENTS},
-                    "duration": s.duration, "temperature": s.temperature})
-    return out
+            for i, s in enumerate(dataset.samples)]
 
 
 @dataclass
@@ -230,27 +221,21 @@ class InverseReport:
 
 def evaluate_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> InverseReport:
     """Score the union model per element on held-out samples, and each
-    submodel on the subset of rows it can serve."""
-    queries = queries_from_dataset(dataset)
-    preds = predict_inverse(ensemble, queries)
-    truth = {s.id: _at_composition(s) for s in dataset.samples}
-    union = {el: compute_metrics(np.asarray([truth[p.query_id].get(el) for p in preds]),
-                                 np.asarray([p.values[el] for p in preds]))
-             for el in ensemble.target_names}
-
+    submodel on the subset of rows it can serve, from one prediction pass.
+    Every sample carries the base fields, so the base subset's Y is the
+    union's truth."""
+    union, _, per_set = _predict_submodels(ensemble, dataset)
+    names = ensemble.target_names
+    truth = per_set["base"][0]
     per_submodel: dict[str, dict[str, Metrics]] = {}
     counts: dict[str, int] = {}
-    for feature_set in ensemble.available_sets():
-        ids, X, Y = inverse_features(dataset, feature_set)
-        counts[feature_set] = len(ids)
-        if not ids:
-            per_submodel[feature_set] = {}
-            continue
-        P = submodel_predict(ensemble.submodels[feature_set], X)
-        per_submodel[feature_set] = {
-            el: compute_metrics(Y[:, j], P[:, j])
-            for j, el in enumerate(ensemble.target_names)}
-    return InverseReport(union=union, per_submodel=per_submodel, counts=counts)
+    for feature_set, (Y, P) in per_set.items():
+        counts[feature_set] = len(Y)
+        per_submodel[feature_set] = {el: compute_metrics(Y[:, j], P[:, j])
+                                     for j, el in enumerate(names)} if len(Y) else {}
+    return InverseReport(
+        union={el: compute_metrics(truth[:, j], union[:, j]) for j, el in enumerate(names)},
+        per_submodel=per_submodel, counts=counts)
 
 
 def inverse_report_rows(report: InverseReport) -> list[list[str]]:
@@ -309,7 +294,7 @@ def _pair_member(name: str, sd: dict, slot: str) -> MultiOutputModel:
         raise ValidationError(f"submodel {name!r} {slot!r} must be a {slot} model of the "
                               f"targets {list(INVERSE_TARGETS)}, got a {model.kind} model of "
                               f"{model.target_names}")
-    width = len(REQUIRED_QUERY_KEYS) + len(SUBMODEL_FIELDS[name])
+    width = n_features(name)
     widths = {t.n_features for m in model.models
               for t in (m.stages if slot == "gbm" else m.trees)} - {width}
     if widths:
@@ -320,8 +305,9 @@ def _pair_member(name: str, sd: dict, slot: str) -> MultiOutputModel:
 
 def inverse_from_dict(d: dict) -> InverseEnsemble:
     """The ensemble a dict holds, checked to be one predict_inverse serves:
-    a base submodel, only known submodel names, and per submodel convex pair
-    weights over a forest and a GBM model of every inverse target."""
+    a base submodel, only known submodel names, each stored under its own
+    feature set, and per submodel convex pair weights over a forest and a GBM
+    model of every inverse target."""
     if d.get("kind") != "inverse":
         raise ValidationError(f"expected kind 'inverse', got {d.get('kind')!r}")
     if tuple(d["target_names"]) != INVERSE_TARGETS:
@@ -338,10 +324,12 @@ def inverse_from_dict(d: dict) -> InverseEnsemble:
         if sd is None:
             subs[name] = None
             continue
+        forest, gbm = _pair_member(name, sd, "forest"), _pair_member(name, sd, "gbm")
+        if sd["feature_set"] != name:
+            raise ValidationError(f"submodel {name!r} 'feature_set' must be {name!r}, "
+                                  f"got {sd['feature_set']!r}")
         subs[name] = InverseSubmodel(
-            feature_set=sd["feature_set"],
-            forest=_pair_member(name, sd, "forest"),
-            gbm=_pair_member(name, sd, "gbm"),
+            feature_set=name, forest=forest, gbm=gbm,
             weights=_check_weights(name, sd["weights"]),
             n_rows=int(sd["n_rows"]),
             validation_r2=(float(sd["validation_r2"][0]), float(sd["validation_r2"][1])),

@@ -113,10 +113,7 @@ def forward(net: DenseNetwork, x: np.ndarray) -> float | np.ndarray:
     X = np.atleast_2d(x)
     if X.shape[1] != net.input_dim:
         raise ValidationError(f"input dimension {X.shape[1]} != network input {net.input_dim}")
-    out = _forward_trace(net, X)[1][-1]
-    if out.shape[1] != 1:
-        return out if not single else out[0]
-    out = out[:, 0]
+    out = _forward_trace(net, X)[1][-1][:, 0]
     return float(out[0]) if single else out
 
 

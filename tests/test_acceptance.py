@@ -33,7 +33,6 @@ from corrml.inverse import (
     evaluate_inverse,
     fit_inverse,
     predict_inverse,
-    queries_from_dataset,
     submodel_predict,
 )
 from corrml.kernels import MaternKernel, RbfKernel, SumKernel, cholesky_jitter, gram
@@ -337,17 +336,16 @@ def test_08_synthetic_inverse_recovery_union_model():
 
     # every prediction is clamped to [0, 100] and stays inside the hull of the
     # submodels that served it
-    queries = queries_from_dataset(test)
-    preds = predict_inverse(ensemble, queries)
-    for q, p in zip(queries, preds):
+    preds = predict_inverse(ensemble, test)
+    for s, p in zip(test.samples, preds):
         per_set = []
         for feature_set in p.contributing:
-            x = [q["rate"], float(q["environment"])]
-            x += [q[e] for e in INVERSE_BASE_ELEMENTS]
+            x = [s.rate, float(s.environment)]
+            x += [s.composition.get(e) for e in INVERSE_BASE_ELEMENTS]
             if feature_set != "base":
-                x.append(q["duration"])
+                x.append(s.duration)
             if feature_set == "base+dur+temp":
-                x.append(q["temperature"])
+                x.append(s.temperature)
             per_set.append(submodel_predict(ensemble.submodels[feature_set],
                                             np.asarray([x])) [0])
         stack = np.vstack(per_set)

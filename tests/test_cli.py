@@ -476,6 +476,8 @@ def _swap_submodels(ens):
     ("inverse", lambda p: _edit_ensemble(p, lambda e: e.update(target_names=["Zn"])),
      ("'target_names'",)),
     ("inverse", lambda p: _edit_ensemble(p, _swap_submodels), ("'base'", "6 features", "has 5")),
+    ("inverse", lambda p: _edit_ensemble(p, lambda e: e["submodels"]["base+dur"].update(
+        feature_set="base")), ("'base+dur'", "'feature_set'")),
     ("forward", lambda p: {**p, "feature_set": "comp"}, ("41 features", "'comp' has 32")),
     ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "n_features": 50}] + m["trees"][1:]}),
@@ -483,7 +485,8 @@ def _swap_submodels(ens):
 ], ids=["weights-nan", "weights-not-convex", "gbm-learning-rate-nan", "gbm-init-value-inf",
         "forest-no-trees", "rf-model-no-trees", "base-null", "unknown-submodel",
         "pair-slots-swapped", "target-model-missing", "target-names-short",
-        "submodels-swapped", "rf-narrower-feature-set", "rf-tree-wider"])
+        "submodels-swapped", "feature-set-mislabelled", "rf-narrower-feature-set",
+        "rf-tree-wider"])
 def test_predict_rejects_inconsistent_ensemble(workspace, forward_payload, inverse_run,
                                                tmp_path, capsys, direction, edit, keys):
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
@@ -780,6 +783,24 @@ def test_mistyped_config_values_exit_one(workspace, tmp_path, capsys, command, o
     assert cli.main([command] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train-forward", "train-inverse"])
+def test_weight_basis_dataset_sample_exits_one(workspace, tmp_path, capsys, command):
+    # samples are atomic by contract: ingest converts a weight-basis CSV
+    with open(workspace["dataset"]) as fh:
+        payload = json.load(fh)
+    sample = payload["samples"][3]
+    sample["composition"]["basis"] = "weight"
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(payload))
+    argv = {"train-forward": ["--model", "rf"], "train-inverse": []}[command]
+    assert cli.main([command, "--dataset", str(path), "--config", workspace["config"],
+                     "--out", str(tmp_path / "o")] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: dataset file is malformed: sample {sample['id']}: ")
+    assert "'weight'" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 

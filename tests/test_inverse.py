@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from corrml import cli, trees
-from corrml.dataset import CorrosionSample, Dataset, generate_inverse_synthetic
+from corrml import cli, inverse, trees
+from corrml.dataset import (CorrosionSample, Dataset, ElementComposition,
+                            generate_inverse_synthetic)
 from corrml.errors import ValidationError
 from corrml.inverse import (
     INVERSE_TARGETS,
@@ -22,7 +23,6 @@ from corrml.inverse import (
     inverse_to_dict,
     pair_weights,
     predict_inverse,
-    queries_from_dataset,
     submodel_predict,
 )
 from corrml.preprocess import split_train_test
@@ -32,11 +32,24 @@ from test_trees import written
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
 
 
-def _vector(query, feature_set):
-    """A query's features for one submodel: the base ones, then its fields."""
+def _vector(sample, feature_set):
+    """A sample's features for one submodel: the base ones, then its fields."""
     fields = {"base": [], "base+dur": ["duration"], "base+dur+temp": ["duration", "temperature"]}
-    return [float(query[k]) for k in ["rate", "environment", "Al", "Si", "Mg"]
-            + fields[feature_set]]
+    return ([sample.rate, float(sample.environment)]
+            + [sample.composition.get(e) for e in ("Al", "Si", "Mg")]
+            + [getattr(sample, f) for f in fields[feature_set]])
+
+
+def _query(query_id, rate, environment, duration=None, temperature=None,
+           al=42.0, si=1.5, mg=3.0):
+    """A query sample: the base features, and optionally duration and temperature."""
+    return CorrosionSample(
+        id=query_id, composition=ElementComposition({"Al": al, "Si": si, "Mg": mg}, "atomic"),
+        environment=environment, rate=rate, duration=duration, temperature=temperature)
+
+
+def _queries(samples) -> Dataset:
+    return Dataset(samples=list(samples))
 
 
 def _strip_extensions(dataset: Dataset) -> Dataset:
@@ -60,11 +73,11 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
     names = list(INVERSE_TARGETS)
     submodels = {}
     for i, feature_set in enumerate(SUBMODEL_SETS):
-        ids, X, Y = inverse_features(dataset, feature_set)
-        if len(ids) < MIN_SUBSET_ROWS:
+        rows, X, Y = inverse_features(dataset, feature_set)
+        if len(rows) < MIN_SUBSET_ROWS:
             submodels[feature_set] = None
             continue
-        split = split_train_test(len(ids), seed=seed, test_fraction=0.2)
+        split = split_train_test(len(rows), seed=seed, test_fraction=0.2)
         Xt, Yt, Xv, Yv = X[split.train], Y[split.train], X[split.test], Y[split.test]
         forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
         fit = {"forest": (forest_seed, configs["rf"]), "gbm": (gbm_seed, configs["gbm"])}
@@ -77,8 +90,8 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
         r2_g = _mean_r2(Yv, predict_multi_output(model("gbm", Xt, Yt), Xv))
         submodels[feature_set] = InverseSubmodel(
             feature_set=feature_set, forest=model("forest", X, Y), gbm=model("gbm", X, Y),
-            weights=pair_weights(r2_f, r2_g), n_rows=len(ids), validation_r2=(r2_f, r2_g),
-            sample_ids=ids)
+            weights=pair_weights(r2_f, r2_g), n_rows=len(rows), validation_r2=(r2_f, r2_g),
+            sample_ids=[dataset.samples[i].id for i in rows])
     return submodels
 
 
@@ -130,13 +143,16 @@ def test_clamp_bounds():
 
 def test_feature_and_target_layout():
     data = generate_inverse_synthetic(40, seed=0)
-    ids, X, Y = inverse_features(data, "base")
-    assert X.shape == (40, 5) and Y.shape == (40, 6)
-    ids_d, X_d, _ = inverse_features(data, "base+dur")
-    assert X_d.shape[1] == 6 and len(ids_d) == round(0.85 * 40)
-    ids_dt, X_dt, _ = inverse_features(data, "base+dur+temp")
+    rows, X, Y = inverse_features(data, "base")
+    assert X.shape == (40, 5) and Y.shape == (40, 6) and rows == list(range(40))
+    rows_d, X_d, _ = inverse_features(data, "base+dur")
+    assert X_d.shape[1] == 6 and len(rows_d) == round(0.85 * 40)
+    # rows are positions in the dataset, in order
+    assert rows_d == [i for i, s in enumerate(data.samples) if s.duration is not None]
+    np.testing.assert_array_equal(X_d, [_vector(data.samples[i], "base+dur") for i in rows_d])
+    rows_dt, X_dt, _ = inverse_features(data, "base+dur+temp")
     assert X_dt.shape[1] == 7
-    assert len(ids_dt) <= len(ids_d) <= len(ids)
+    assert len(rows_dt) <= len(rows_d) <= len(rows)
     with pytest.raises(ValidationError):
         inverse_features(data, "base+temp")
 
@@ -161,16 +177,16 @@ def test_missing_durations_flag_submodels_absent():
     assert ens.available_sets() == ["base"]
     assert ens.submodels["base+dur"] is None
     assert ens.submodels["base+dur+temp"] is None
-    preds = predict_inverse(ens, queries_from_dataset(data)[:5])
+    preds = predict_inverse(ens, data)
     assert all(p.contributing == ["base"] for p in preds)
 
 
 def test_base_only_query_served_verbatim_by_base_submodel():
     data = generate_inverse_synthetic(70, seed=3)
     ens = fit_inverse(data, seed=1, configs=QUICK)
-    q = {"id": "q0", "rate": 5.0, "environment": 3, "Al": 45.0, "Si": 2.0, "Mg": 4.0}
-    pred = predict_inverse(ens, [q])[0]
-    assert pred.contributing == ["base"]
+    q = _query("q0", rate=5.0, environment=3, al=45.0, si=2.0, mg=4.0)
+    pred = predict_inverse(ens, _queries([q]))[0]
+    assert pred.query_id == "q0" and pred.contributing == ["base"]
     X = np.array([[5.0, 3.0, 45.0, 2.0, 4.0]])
     direct = submodel_predict(ens.submodels["base"], X)[0]
     for j, el in enumerate(INVERSE_TARGETS):
@@ -193,9 +209,9 @@ def test_pair_prediction_is_convex_combination():
 def test_union_within_submodel_envelope_and_equal_outputs_pass_through():
     data = generate_inverse_synthetic(90, seed=5)
     ens = fit_inverse(data, seed=3, configs=QUICK)
-    q = queries_from_dataset(data)
-    full = [x for x in q if x["duration"] is not None and x["temperature"] is not None][:8]
-    preds = predict_inverse(ens, full)
+    full = [s for s in data.samples
+            if s.duration is not None and s.temperature is not None][:8]
+    preds = predict_inverse(ens, _queries(full))
     for x, p in zip(full, preds):
         assert p.contributing == list(SUBMODEL_SETS)
         per_set = []
@@ -210,31 +226,32 @@ def test_interleaved_query_signatures_get_the_mean_of_their_submodels():
     data = generate_inverse_synthetic(90, seed=15)
     ens = fit_inverse(data, seed=5, configs=QUICK)
     assert ens.available_sets() == list(SUBMODEL_SETS)
-    base = {"rate": 3.0, "environment": 2, "Al": 42.0, "Si": 1.5, "Mg": 3.0}
     optional = [{}, {"duration": 40.0}, {"temperature": 25.0},
                 {"duration": 40.0, "temperature": 25.0}]
+    # temperature without duration is served by base only
     served = [["base"], ["base", "base+dur"], ["base"], list(SUBMODEL_SETS)]
     # every signature, interleaved, each at a few rates
-    queries = [{**base, **optional[k], "rate": 1.0 + i, "id": f"q{i}"}
-               for i, k in enumerate([0, 1, 2, 3, 3, 2, 1, 0, 1, 3, 0, 2])]
-    preds = predict_inverse(ens, queries)
-    for q, p in zip(queries, preds):
-        sets = served[optional.index({k: q[k] for k in ("duration", "temperature") if k in q})]
-        assert p.query_id == q["id"] and p.contributing == sets
+    signatures = [0, 1, 2, 3, 3, 2, 1, 0, 1, 3, 0, 2]
+    queries = [_query(f"q{i}", rate=1.0 + i, environment=2, **optional[k])
+               for i, k in enumerate(signatures)]
+    preds = predict_inverse(ens, _queries(queries))
+    for q, k, p in zip(queries, signatures, preds):
+        sets = served[k]
+        assert p.query_id == q.id and p.contributing == sets
         want = clamp_at_pct(np.mean([submodel_predict(ens.submodels[fs],
                                                       np.array([_vector(q, fs)]))[0]
                                      for fs in sets], axis=0))
-        assert np.array_equal([p.values[el] for el in INVERSE_TARGETS], want), q["id"]
+        assert np.array_equal([p.values[el] for el in INVERSE_TARGETS], want), q.id
 
 
 def test_removing_unused_submodel_preserves_predictions():
     data = generate_inverse_synthetic(80, seed=6)
     ens = fit_inverse(data, seed=4, configs=QUICK)
-    q = {"rate": 2.0, "environment": 1, "Al": 40.0, "Si": 1.0, "Mg": 2.0,
-         "duration": 30.0}  # no temperature: base+dur+temp cannot serve
-    before = predict_inverse(ens, [q])[0]
+    # no temperature: base+dur+temp cannot serve
+    q = _queries([_query("q", rate=2.0, environment=1, duration=30.0, al=40.0, si=1.0, mg=2.0)])
+    before = predict_inverse(ens, q)[0]
     ens.submodels["base+dur+temp"] = None
-    after = predict_inverse(ens, [q])[0]
+    after = predict_inverse(ens, q)[0]
     assert before.values == after.values
     assert before.contributing == after.contributing == ["base", "base+dur"]
 
@@ -245,7 +262,7 @@ def test_fit_deterministic_in_seed(tmp_path):
     b = fit_inverse(data, seed=5, configs=QUICK)
     assert (written(inverse_to_dict(a), tmp_path / "a.json")
             == written(inverse_to_dict(b), tmp_path / "b.json"))
-    qs = queries_from_dataset(data)[:10]
+    qs = _queries(data.samples[:10])
     pa, pb = predict_inverse(a, qs), predict_inverse(b, qs)
     assert [p.values for p in pa] == [p.values for p in pb]
 
@@ -273,7 +290,7 @@ def test_report_and_prediction_rows():
     assert [r[0] for r in union_rows] == list(INVERSE_TARGETS)
     assert len(rows) == 1 + 6 + 6 * 3
 
-    preds = predict_inverse(ens, queries_from_dataset(data)[:4])
+    preds = predict_inverse(ens, _queries(data.samples[:4]))
     prows = inverse_prediction_rows(preds)
     assert prows[0] == ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
     assert len(prows) == 1 + 4 * 6
@@ -284,7 +301,7 @@ def test_serialization_roundtrip(tmp_path):
     ens = fit_inverse(data, seed=8, configs=QUICK)
     written(inverse_to_dict(ens), tmp_path / "ensemble.json")
     rebuilt = inverse_from_dict(cli.read_json(str(tmp_path / "ensemble.json")))
-    qs = queries_from_dataset(data)[:12]
+    qs = _queries(data.samples[:12])
     pa, pb = predict_inverse(ens, qs), predict_inverse(rebuilt, qs)
     assert [p.values for p in pa] == [p.values for p in pb]
     with pytest.raises(ValidationError):
@@ -292,9 +309,21 @@ def test_serialization_roundtrip(tmp_path):
 
 
 def test_validation_errors():
-    data = generate_inverse_synthetic(60, seed=12)
-    ens = fit_inverse(data, seed=9, configs=QUICK)
-    with pytest.raises(ValidationError):
-        predict_inverse(ens, [{"rate": 1.0, "environment": 0, "Al": 40.0, "Si": 1.0}])
     with pytest.raises(ValidationError):
         fit_inverse(generate_inverse_synthetic(5, seed=13), configs=QUICK)
+
+
+def test_evaluation_predicts_each_submodel_once(monkeypatch):
+    data = generate_inverse_synthetic(60, seed=12)
+    ens = fit_inverse(data, seed=9, configs=QUICK)
+    assert ens.available_sets() == list(SUBMODEL_SETS)
+    calls = []
+
+    def counted(sub, X):
+        calls.append(sub.feature_set)
+        return submodel_predict(sub, X)
+
+    monkeypatch.setattr(inverse, "submodel_predict", counted)
+    report = evaluate_inverse(ens, data)
+    assert calls == list(SUBMODEL_SETS)
+    assert report.counts == {fs: len(inverse_features(data, fs)[0]) for fs in SUBMODEL_SETS}

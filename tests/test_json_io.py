@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from corrml import cli
 from corrml.dataset import generate_inverse_synthetic, parse_csv
 from corrml.errors import ValidationError
-from corrml.inverse import inverse_from_dict, predict_inverse, queries_from_dataset
+from corrml.inverse import inverse_from_dict, predict_inverse
 from corrml.trees import node_arrays
 from test_cli import QUICK_CONFIG, _dump_csv
 
@@ -115,7 +115,7 @@ def test_parse_hook_gives_the_ensemble_a_plain_load_gives(inverse_files):
     # the node lists of every tree are never alive together
     assert hooked_peak < 0.85 * plain_peak, (hooked_peak, plain_peak)
 
-    queries = queries_from_dataset(parse_csv(inverse_files["csv"]))
+    queries = parse_csv(inverse_files["csv"])
 
     def table(payload):
         preds = predict_inverse(inverse_from_dict(payload["ensemble"]), queries)
