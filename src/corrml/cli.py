@@ -155,6 +155,19 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _seeded_config(args) -> dict:
+    """The run config of a training command, its --seed flag applied; a
+    negative seed, which numpy's generators refuse, is a ValidationError."""
+    from .errors import ValidationError
+
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if cfg["seed"] < 0:
+        raise ValidationError(f"'seed' must be >= 0, got {cfg['seed']}")
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # deterministic file output
 
@@ -444,13 +457,11 @@ def cmd_train_forward(args) -> int:
                              comparison_pairs_rows, compute_metrics, forward_family)
     from .preprocess import build_features, cap_target, run_metadata, split_train_test
 
-    cfg = load_config(args.config)
+    cfg = _seeded_config(args)
     if args.model:
         cfg["model"] = args.model
     if args.features:
         cfg["features"] = args.features
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     family = cfg["model"]
     to_dict = forward_family(family).to_dict  # an unknown name fails before any work
 
@@ -493,9 +504,7 @@ def cmd_train_inverse(args) -> int:
     from .inverse import evaluate_inverse, fit_inverse, inverse_report_rows, inverse_to_dict
     from .preprocess import split_train_test
 
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _seeded_config(args)
 
     dataset = _load_dataset(args.dataset)
     split = split_train_test(len(dataset.samples), seed=cfg["seed"],
@@ -528,9 +537,7 @@ def cmd_compare_forward(args) -> int:
     from .evaluation import (compare_forward_models, comparison_metrics_rows,
                              comparison_pairs_rows)
 
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _seeded_config(args)
 
     dataset = _load_dataset(args.dataset)
     cells = compare_forward_models(dataset, seed=cfg["seed"], configs=cfg["model_params"],
@@ -561,6 +568,10 @@ def cmd_predict(args) -> int:
     from .errors import ValidationError
     from .trees import node_arrays
 
+    if args.direction == "inverse" and args.units == "wt":
+        raise ValidationError("--units wt does not apply to --direction inverse: its "
+                              "queries list only Al, Si and Mg, whose at% cannot be "
+                              "derived from wt% without the trace elements")
     payload = read_json(args.model, object_hook=node_arrays)
     out = _ensure_out(args.out)
 

@@ -15,7 +15,7 @@ W = (Kinv - alpha alpha^T) o P weighted by squared coordinate differences,
 taken as sum_ij W_ij (x_id - x_jd)^2 = 2 (x_d^2 . W1 - x_d . W x_d).
 Factorizations go through the jitter ladder; if a step drives the kernel
 matrix past the ladder, training stops with a logged warning and keeps the
-last factorizable state.
+state before that step (`optim.adam_minimize`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .kernels import (
     set_log_params,
     sq_dist,
 )
-from .optim import adam_init, adam_step
+from .optim import adam_minimize
 from .preprocess import DEFAULT_LOG_EPSILON
 
 log = logging.getLogger(__name__)
@@ -222,7 +222,7 @@ class GprModel:
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float = 0.0
-    history: list[float] = field(default_factory=list)  # NLML per epoch, then final
+    history: list[float] = field(default_factory=list)  # NLML of every kept state
 
     @property
     def prior_variance(self) -> float:
@@ -230,10 +230,10 @@ class GprModel:
 
 
 def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history) -> GprModel:
-    _, L, alpha, value, jitter = workspace._factorize(spec, noise_variance, c)
+    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c)
     return GprModel(x_train=workspace.X, y_train=workspace.y, spec=spec, mean=c,
                     noise_variance=noise_variance, chol=L.copy(order="F"), alpha=alpha,
-                    jitter=jitter, history=history + [value])
+                    jitter=jitter, history=history)
 
 
 def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
@@ -278,32 +278,12 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
             raise TrainingError("noise variance overflowed during training")
         return k, noise_var, float(vec[-1])
 
-    state = adam_init(theta.shape, lr)
-    history: list[float] = []
-    last_valid = None
-    for epoch in range(epochs):
-        try:
-            kern, noise_var, c = unpack(theta)
-            value, grad = workspace.value_and_grad(kern, noise_var, c)
-        except TrainingError as exc:
-            log.warning("GP training stopped at epoch %d of %d: %s", epoch + 1, epochs, exc)
-            theta = None  # fails again if retried; fall back to the last valid state
-            break
-        history.append(value)
-        last_valid = theta
-        state, theta = adam_step(state, theta, grad)
-
-    for candidate in (theta, last_valid):
-        if candidate is None:
-            continue
-        try:
-            kern, noise_var, c = unpack(candidate)
-            return _finalize(workspace, kern, noise_var, c, history)
-        except TrainingError as exc:
-            if candidate is theta and last_valid is not None:
-                log.warning("GP state after the last Adam step could not be factorized "
-                            "(%s); keeping the state of epoch %d", exc, len(history))
-    raise TrainingError("kernel matrix could not be factorized at any visited state")
+    theta, history, failure = adam_minimize(
+        lambda vec: workspace.value_and_grad(*unpack(vec)), theta, lr, epochs)
+    if failure is not None:
+        log.warning("GP training stopped: %s; keeping the state before it (NLML %g)",
+                    failure, history[-1])
+    return _finalize(workspace, *unpack(theta), history)
 
 
 def predict_gpr(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

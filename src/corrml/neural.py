@@ -36,15 +36,16 @@ class TrainConfig:
     plateau_stop: bool = False  # stop when 20-epoch relative improvement < 1e-5
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError("lr must be finite and > 0")
         if self.huber_delta <= 0:
             raise ValidationError("huber_delta must be > 0")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if any(int(h) <= 0 for h in self.hidden_sizes):
-            raise ValidationError("hidden sizes must be positive")
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        if not all(type(h) is int and h >= 1 for h in self.hidden_sizes):
+            raise ValidationError(f"hidden_sizes must be integers >= 1, got "
+                                  f"{list(self.hidden_sizes)!r}")
+        self.hidden_sizes = tuple(self.hidden_sizes)
 
 
 @dataclass
@@ -162,20 +163,17 @@ def backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray,
 @dataclass
 class DnnModel:
     network: DenseNetwork
-    history: list[float] = field(default_factory=list)  # loss per epoch, then final
+    history: list[float] = field(default_factory=list)  # loss of every kept network
     config: TrainConfig = field(default_factory=TrainConfig)
 
 
 def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -> DnnModel:
-    """Full-batch Adam on the mean Huber loss.
-
-    If an Adam step drives the loss non-finite, training stops with a logged
-    warning and keeps the network before that step, whose loss ends the
-    history (a non-finite loss before any step is a TrainingError); with
-    plateau_stop it also stops once the relative improvement over the
-    trailing 20 epochs drops below 1e-5.
+    """Full-batch Adam (`optim.adam_minimize`) on the mean Huber loss, over one
+    flat vector that the weights and biases of every layer view. A failed step
+    is logged and the network before it kept; plateau_stop also stops once the
+    relative improvement over the trailing 20 epochs drops below 1e-5.
     """
-    from .optim import adam_init, adam_step
+    from .optim import adam_minimize
 
     config = config or TrainConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -187,50 +185,32 @@ def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite training values")
 
-    net = init_network(X.shape[1], config.hidden_sizes, config.seed)
-    states_w = [adam_init(w.shape, config.lr) for w in net.weights]
-    states_b = [adam_init(b.shape, config.lr) for b in net.biases]
-    history: list[float] = []
-    kept = None             # the network whose loss is history[-1]
-    diverged = None         # why the network after the last step was rejected
-    for _ in range(config.epochs):
-        try:
-            loss, grads_w, grads_b = backward(net, X, y, config.huber_delta)
-        except TrainingError as exc:
-            diverged = str(exc)
-            break
-        if not math.isfinite(loss):
-            diverged = f"loss {loss}"
-            break
-        history.append(loss)
-        kept = net
-        new_w, new_b = [], []
-        for i in range(len(net.weights)):
-            states_w[i], w = adam_step(states_w[i], net.weights[i], grads_w[i])
-            states_b[i], b = adam_step(states_b[i], net.biases[i], grads_b[i])
-            new_w.append(w)
-            new_b.append(b)
-        candidate = DenseNetwork(new_w, new_b, list(net.activations))
-        net = candidate
-        if (config.plateau_stop and len(history) > PLATEAU_WINDOW):
-            old = history[-PLATEAU_WINDOW - 1]
-            if (old - history[-1]) < PLATEAU_REL_TOL * max(abs(old), 1e-12):
-                break
-    if diverged is None:
-        final = huber_loss(y, forward(net, X), config.huber_delta)
-        if math.isfinite(final):
-            history.append(final)
-            kept = net
-        else:
-            diverged = f"loss {final}"
-    if diverged is not None:
-        if kept is None:
-            raise TrainingError(f"DNN loss is not finite at initialization: {diverged}")
-        # the rejected network came from the Adam step of epoch len(history)
-        log.warning("DNN training stopped: the Adam step of epoch %d of %d gave %s; "
-                    "keeping the network before it (loss %g)",
-                    len(history), config.epochs, diverged, history[-1])
-    return DnnModel(network=kept, history=history, config=config)
+    init = init_network(X.shape[1], config.hidden_sizes, config.seed)
+    params = init.weights + init.biases
+    cuts = np.cumsum([p.size for p in params])[:-1]
+
+    def network(theta: np.ndarray) -> DenseNetwork:
+        parts = [part.reshape(p.shape) for part, p in zip(np.split(theta, cuts), params)]
+        return DenseNetwork(parts[:len(init.weights)], parts[len(init.weights):],
+                            init.activations)
+
+    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grads_w, grads_b = backward(network(theta), X, y, config.huber_delta)
+        return loss, np.concatenate([g.ravel() for g in grads_w + grads_b])
+
+    def plateau(history: list[float]) -> bool:
+        if len(history) <= PLATEAU_WINDOW:
+            return False
+        old = history[-PLATEAU_WINDOW - 1]
+        return (old - history[-1]) < PLATEAU_REL_TOL * max(abs(old), 1e-12)
+
+    theta = np.concatenate([p.ravel() for p in params])
+    theta, history, failure = adam_minimize(loss_and_grad, theta, config.lr, config.epochs,
+                                            plateau if config.plateau_stop else None)
+    if failure is not None:
+        log.warning("DNN training stopped: %s; keeping the state before it (loss %g)",
+                    failure, history[-1])
+    return DnnModel(network=network(theta), history=history, config=config)
 
 
 def predict_dnn(model: DnnModel, X: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Adam optimizer shared by kernel-hyperparameter and network training.
+"""Adam, and the one training loop that kernel-hyperparameter and network
+training share.
 
 Pure functional style: `adam_step` returns a fresh state so a step is fully
-determined by (state, params, grads). Works elementwise on arrays of any shape;
-network training keeps one state per weight tensor.
+determined by (state, params, grads). It works elementwise on arrays of any
+shape; `adam_minimize` steps one flat parameter vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,3 +56,37 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray
     new_state = AdamState(m=m, v=v, t=t, lr=state.lr, beta1=state.beta1,
                           beta2=state.beta2, epsilon=state.epsilon)
     return new_state, new_params
+
+
+def adam_minimize(objective, theta: np.ndarray, lr: float, epochs: int, stop=None
+                  ) -> tuple[np.ndarray, list[float], str | None]:
+    """Up to `epochs` Adam steps from `theta` on `objective`, which maps a state
+    to (value, gradient) or raises TrainingError for a state it cannot evaluate.
+
+    Every state reached is evaluated; one whose evaluation raises, or whose
+    value or gradient is not finite, is rejected and training keeps the state
+    before it, with `failure` naming the step (None if no state was rejected;
+    a rejected initial state is a TrainingError). `stop(history)`, asked after
+    each step, ends training at the new state. Returns (state, history,
+    failure), `history` holding the value of every kept state.
+    """
+    history, state = [], adam_init(theta.shape, lr)
+    candidate, stopping = theta, False
+    for epoch in range(epochs + 1):
+        try:
+            value, grad = objective(candidate)
+            if not math.isfinite(value):
+                raise TrainingError(f"a non-finite value {value}")
+            if not np.all(np.isfinite(grad)):
+                raise TrainingError("a non-finite gradient")
+        except TrainingError as exc:
+            if epoch == 0:
+                raise TrainingError(f"the state at initialization gave {exc}") from None
+            return theta, history, f"the Adam step of epoch {epoch} of {epochs} gave {exc}"
+        theta = candidate
+        history.append(value)
+        if stopping or epoch == epochs:
+            break
+        state, candidate = adam_step(state, theta, grad)
+        stopping = stop is not None and stop(history)
+    return theta, history, None

@@ -272,6 +272,19 @@ def test_inverse_train_and_predict(tmp_path):
     assert all(0.0 <= float(r[2]) <= 100.0 for r in rows[1:])
 
 
+def test_inverse_predict_refuses_weight_units(inverse_run, tmp_path, capsys):
+    # an inverse query lists only Al, Si and Mg, so wt% cannot be converted to at%
+    model = tmp_path / "ensemble.json"
+    model.write_text(json.dumps(inverse_run["payload"]))
+    argv = ["predict", "--model", str(model), "--direction", "inverse",
+            "--input", inverse_run["csv"], "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--units", "wt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --units wt does not apply to --direction inverse: ")
+    assert "Al, Si and Mg" in err and not (tmp_path / "o").exists()
+    assert cli.main(argv + ["--units", "at"]) == 0
+
+
 def test_compare_and_report_charts(workspace, tmp_path):
     cmp_out = tmp_path / "cmp"
     assert cli.main(["compare-forward", "--dataset", workspace["dataset"], "--seed", "4",
@@ -768,21 +781,43 @@ DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRO
     ("train-forward", "--dataset", [DATASET], "value.json: the root must be a JSON object"),
     ("train-forward", "--config", [], "value.json: the root must be a JSON object"),
     ("ingest", "--grade-map", [GRADES], "value.json: the root must be a JSON object"),
+    ("train-forward", "--config", {"seed": -1}, "'seed'"),
+    ("train-inverse", "--config", {"seed": -1}, "'seed'"),
+    ("compare-forward", "--config", {"seed": -1}, "'seed'"),
+    ("train-dnn", "--config", {"model_params": {"dnn": {"hidden_sizes": ["a"]}}},
+     "hidden_sizes"),
+    ("train-dnn", "--config", {"model_params": {"dnn": {"hidden_sizes": [True, 2.9]}}},
+     "hidden_sizes"),
 ], ids=["cap-threshold-string", "seed-string", "seed-bool", "max-depth-string",
         "max-depth-fraction", "max-depth-bool", "max-features-unknown", "config-grade-string",
         "grade-map-string", "dataset-rate-string", "dataset-temperature-string",
         "dataset-no-samples", "dataset-root-array",
-        "config-root-array", "grade-map-root-array"])
+        "config-root-array", "grade-map-root-array", "train-forward-seed-negative",
+        "train-inverse-seed-negative", "compare-forward-seed-negative",
+        "hidden-sizes-string", "hidden-sizes-bool-and-fraction"])
 def test_mistyped_config_values_exit_one(workspace, tmp_path, capsys, command, option, value,
                                          key):
     path = tmp_path / "value.json"
     path.write_text(json.dumps(value))
-    argv = ({"ingest": ["--input", workspace["csv"]],
-             "train-forward": ["--dataset", workspace["dataset"], "--model", "rf"]}[command]
+    dataset = ["--dataset", workspace["dataset"]]
+    argv = ({"ingest": ["ingest", "--input", workspace["csv"]],
+             "train-forward": ["train-forward"] + dataset + ["--model", "rf"],
+             "train-dnn": ["train-forward"] + dataset + ["--model", "dnn"],
+             "train-inverse": ["train-inverse"] + dataset,
+             "compare-forward": ["compare-forward"] + dataset}[command]
             + [option, str(path), "--out", str(tmp_path / "o")])
-    assert cli.main([command] + argv) == 1
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train-forward", "train-inverse", "compare-forward"])
+def test_negative_seed_flag_exits_one(workspace, tmp_path, capsys, command):
+    # numpy's generators refuse a negative seed; the flag is checked before any work
+    assert cli.main([command, "--dataset", workspace["dataset"], "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: 'seed' must be >= 0, got -1\n"
     assert not (tmp_path / "o").exists()
 
 

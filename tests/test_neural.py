@@ -246,6 +246,8 @@ def test_config_and_network_validation():
     with pytest.raises(ValidationError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValidationError):
+        TrainConfig(lr=float("inf"))
+    with pytest.raises(ValidationError):
         TrainConfig(huber_delta=-0.1)
     with pytest.raises(ValidationError):
         TrainConfig(epochs=-5)

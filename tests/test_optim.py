@@ -1,10 +1,15 @@
-"""Adam update rule: first-step algebra, momentum behaviour, convergence smoke."""
+"""Adam update rule: first-step algebra, momentum behaviour, convergence smoke;
+the training loop both trainers share: its history, divergence rule and stop."""
+
+import logging
 
 import numpy as np
 import pytest
 
 from corrml.errors import TrainingError
-from corrml.optim import AdamState, adam_init, adam_step
+from corrml.gpr import fit_gpr
+from corrml.neural import TrainConfig, train_dnn
+from corrml.optim import AdamState, adam_init, adam_minimize, adam_step
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -98,3 +103,82 @@ def test_custom_state_fields_respected():
     # with both betas zero Adam degenerates to sign(g) * lr steps
     _, p = adam_step(state, np.zeros(1), np.array([4.0]))
     assert p[0] == pytest.approx(-1.0, rel=1e-7)
+
+
+def _quadratic(theta):
+    return float(np.sum((theta - 1.0) ** 2)), 2.0 * (theta - 1.0)
+
+
+def _hand_loop(theta, steps, lr=0.1):
+    state = adam_init(theta.shape, lr)
+    for _ in range(steps):
+        state, theta = adam_step(state, theta, _quadratic(theta)[1])
+    return theta
+
+
+def test_minimize_is_a_plain_adam_loop():
+    start = np.array([3.0, -2.0])
+    theta, history, failure = adam_minimize(_quadratic, start, lr=0.1, epochs=25)
+    np.testing.assert_array_equal(theta, _hand_loop(start, 25))
+    assert failure is None
+    assert len(history) == 26  # every state reached, the returned one last
+    assert history[0] == _quadratic(start)[0] and history[-1] == _quadratic(theta)[0]
+
+
+def _unfactorizable(value, grad):
+    raise TrainingError("not factorizable")
+
+
+@pytest.mark.parametrize("bad", [
+    lambda value, grad: (value, np.array([np.inf, 0.0])),
+    lambda value, grad: (np.nan, grad),
+    _unfactorizable,
+], ids=["gradient", "value", "raises"])
+def test_minimize_keeps_the_state_before_a_rejected_one(bad):
+    states = []
+
+    def objective(theta):
+        states.append(theta)
+        value, grad = _quadratic(theta)
+        return bad(value, grad) if len(states) == 4 else (value, grad)
+
+    theta, history, failure = adam_minimize(objective, np.array([3.0, -2.0]), 0.1, 10)
+    np.testing.assert_array_equal(theta, states[2])
+    assert history == [_quadratic(s)[0] for s in states[:3]]
+    assert failure.startswith("the Adam step of epoch 3 of 10 gave ")
+
+
+def test_minimize_rejects_an_initial_state_it_cannot_evaluate():
+    with pytest.raises(TrainingError, match="at initialization gave a non-finite value inf"):
+        adam_minimize(lambda theta: (np.inf, theta), np.zeros(2), 0.1, 5)
+
+
+def test_stop_ends_training_one_evaluated_state_later():
+    asked = []
+
+    def stop(history):
+        asked.append(list(history))
+        return len(history) == 3
+
+    start = np.array([3.0, -2.0])
+    theta, history, failure = adam_minimize(_quadratic, start, 0.1, 10, stop)
+    assert asked == [history[:1], history[:2], history[:3]]
+    assert len(history) == 4 and failure is None
+    np.testing.assert_array_equal(theta, _hand_loop(start, 3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_gp_and_network_report_a_first_step_failure_alike(caplog):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20, 6))
+    y = rng.normal(size=20)
+    with caplog.at_level(logging.WARNING):
+        gp = fit_gpr(X, y, epochs=5, lr=1e3)
+        dnn = train_dnn(X, 100 * y, TrainConfig(lr=1e200, epochs=5, seed=0))
+    assert len(gp.history) == len(dnn.history) == 1
+    [gp_message] = [r.getMessage() for r in caplog.records if r.name == "corrml.gpr"]
+    [dnn_message] = [r.getMessage() for r in caplog.records if r.name == "corrml.neural"]
+    for trainer, message in (("GP", gp_message), ("DNN", dnn_message)):
+        assert message.startswith(f"{trainer} training stopped: the Adam step of epoch 1 "
+                                  f"of 5 gave "), message
+        assert "; keeping the state before it (" in message, message
