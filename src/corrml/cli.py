@@ -116,15 +116,20 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
             dst[key] = value
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def read_json(path: str, object_hook=None) -> dict:
     """The JSON object in the file at `path`, each object passed through
-    `object_hook` as the parser closes it; a file that does not parse, or
-    whose root is not an object, is a ValidationError naming it."""
+    `object_hook` as the parser closes it; a file that does not parse (the
+    NaN and Infinity tokens Python's parser allows included), or whose root
+    is not an object, is a ValidationError naming it."""
     from .errors import ValidationError
 
     with open(path, encoding="utf-8") as fh:
         try:
-            root = json.load(fh, object_hook=object_hook)
+            root = json.load(fh, object_hook=object_hook, parse_constant=_refuse_constant)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(root, dict):
@@ -417,7 +422,7 @@ def _cell_filename(model: str, feature_set: str) -> str:
 
 
 def cmd_ingest(args) -> int:
-    from .dataset import ELEMENT_ORDER, GradeMap, dataset_to_dict, parse_csv, summarize
+    from .dataset import GradeMap, dataset_to_dict, parse_csv, summary_rows
 
     cfg = load_config(args.config)
     if args.units:
@@ -434,17 +439,7 @@ def cmd_ingest(args) -> int:
     )
     out = _ensure_out(args.out)
     write_json(os.path.join(out, "dataset.json"), dataset_to_dict(dataset))
-
-    s = summarize(dataset)
-    rows = [["name", "count", "max_at_pct"],
-            ["samples", str(s.n_samples), ""],
-            ["with_temperature", str(s.n_with_temperature), ""],
-            ["with_duration", str(s.n_with_duration), ""],
-            ["with_both", str(s.n_with_both), ""]]
-    for sym in ELEMENT_ORDER:
-        rows.append([sym, str(s.element_counts[sym]), repr(s.element_maxima[sym])])
-    write_csv(os.path.join(out, "summary.csv"), rows)
-
+    write_csv(os.path.join(out, "summary.csv"), summary_rows(dataset))
     write_sidecar(out, "ingest",
                   {"input": args.input, "grade_map": args.grade_map, "out": out}, cfg)
     log.info("ingested %d samples from %s", len(dataset), args.input)
@@ -452,10 +447,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_forward(args) -> int:
-    from .dataset import Dataset
-    from .evaluation import (ComparisonCell, _fit_predict_cell, comparison_metrics_rows,
-                             comparison_pairs_rows, compute_metrics, forward_family)
-    from .preprocess import build_features, cap_target, run_metadata, split_train_test
+    from .evaluation import (_fit_predict_cell, comparison_metrics_rows, comparison_pairs_rows,
+                             forward_family)
+    from .preprocess import run_metadata
 
     cfg = _seeded_config(args)
     if args.model:
@@ -466,25 +460,15 @@ def cmd_train_forward(args) -> int:
     to_dict = forward_family(family).to_dict  # an unknown name fails before any work
 
     dataset = _load_dataset(args.dataset)
-    capped = Dataset(samples=cap_target(dataset.samples, cfg["cap_threshold"], cfg["cap_mode"]),
-                     environment_names=dataset.environment_names)
-    fm, y = build_features(capped, cfg["features"])
-    split = split_train_test(y.size, seed=cfg["seed"], test_fraction=cfg["test_fraction"])
-    y_train, y_test = y[split.train], y[split.test]
-    model, scaler, pred = _fit_predict_cell(family, fm.values[split.train], y_train,
-                                            fm.values[split.test], cfg["seed"],
-                                            cfg["model_params"][family])
-    metrics = compute_metrics(y_test, pred)
-
-    cell = ComparisonCell(model=family, feature_set=cfg["features"], metrics=metrics,
-                          sample_ids=[fm.sample_ids[i] for i in split.test],
-                          y_true=y_test, y_pred=pred)
+    cell, model, scaler, fm = _fit_predict_cell(
+        family, dataset, cfg["features"], cfg["seed"], cfg["model_params"][family],
+        cfg["cap_threshold"], cfg["cap_mode"], cfg["test_fraction"])
     out = _ensure_out(args.out)
     payload = {
         "kind": "forward-model",
         "family": family,
         "feature_set": cfg["features"],
-        "environment_names": list(capped.environment_names),
+        "environment_names": list(dataset.environment_names),
         "preprocess": run_metadata(cfg["features"], fm, scaler, cfg["cap_mode"],
                                    cfg["cap_threshold"], cfg["seed"]),
         "model": to_dict(model),
@@ -493,9 +477,10 @@ def cmd_train_forward(args) -> int:
     write_csv(os.path.join(out, "metrics.csv"), comparison_metrics_rows([cell]))
     write_csv(os.path.join(out, "pairs.csv"), comparison_pairs_rows([cell]))
     write_text(os.path.join(out, "scatter.svg"),
-               scatter_svg(f"{family} / {cfg['features']}", y_test, pred))
+               scatter_svg(f"{family} / {cfg['features']}", cell.y_true, cell.y_pred))
     write_sidecar(out, "train-forward", {"dataset": args.dataset, "out": out}, cfg)
-    log.info("trained %s on %d rows (test R^2 %.4f)", family, y_train.size, metrics.r2)
+    log.info("trained %s on %d rows (test R^2 %.4f)", family,
+             len(fm.sample_ids) - len(cell.sample_ids), cell.metrics.r2)
     return 0
 
 
@@ -515,19 +500,15 @@ def cmd_train_inverse(args) -> int:
                       environment_names=dataset.environment_names)
 
     ensemble = fit_inverse(train_ds, seed=cfg["seed"], configs=cfg["inverse_params"])
-    report = evaluate_inverse(ensemble, test_ds)
-    rows = inverse_report_rows(report)
+    union_rows, submodel_rows = inverse_report_rows(evaluate_inverse(ensemble, test_ds))
 
     out = _ensure_out(args.out)
     write_json(os.path.join(out, "ensemble.json"),
                {"kind": "inverse-model",
                 "environment_names": list(dataset.environment_names),
                 "ensemble": inverse_to_dict(ensemble)})
-    # union accuracy per element, and the per-submodel feature-set comparison
-    write_csv(os.path.join(out, "inverse_metrics.csv"),
-              [rows[0]] + [r for r in rows[1:] if r[3] == "union"])
-    write_csv(os.path.join(out, "inverse_submodels.csv"),
-              [rows[0]] + [r for r in rows[1:] if r[3] != "union"])
+    write_csv(os.path.join(out, "inverse_metrics.csv"), union_rows)
+    write_csv(os.path.join(out, "inverse_submodels.csv"), submodel_rows)
     write_sidecar(out, "train-inverse", {"dataset": args.dataset, "out": out}, cfg)
     log.info("trained inverse ensemble on %d rows", len(train_ds))
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -374,20 +374,11 @@ def dataset_from_dict(payload: dict) -> Dataset:
     return Dataset(samples=samples, environment_names=tuple(payload["environment_names"]))
 
 
-@dataclass
-class DatasetSummary:
-    n_samples: int
-    n_with_temperature: int
-    n_with_duration: int
-    n_with_both: int
-    element_counts: dict[str, int] = field(default_factory=dict)
-    element_maxima: dict[str, float] = field(default_factory=dict)
-
-
-def summarize(d: Dataset) -> DatasetSummary:
-    """Counts of samples and optional fields, plus per-element nonzero counts/maxima."""
-    counts = {sym: 0 for sym in ELEMENT_ORDER}
-    maxima = {sym: 0.0 for sym in ELEMENT_ORDER}
+def summary_rows(d: Dataset) -> list[list[str]]:
+    """`ingest`'s summary.csv rows (with header): counts of samples and of
+    optional fields, then each element's nonzero count and maximum at%."""
+    counts = dict.fromkeys(ELEMENT_ORDER, 0)
+    maxima = dict.fromkeys(ELEMENT_ORDER, 0.0)
     n_temp = n_dur = n_both = 0
     for s in d.samples:
         for sym, pct in s.composition.entries.items():
@@ -399,14 +390,10 @@ def summarize(d: Dataset) -> DatasetSummary:
         n_temp += has_t
         n_dur += has_d
         n_both += has_t and has_d
-    return DatasetSummary(
-        n_samples=len(d.samples),
-        n_with_temperature=n_temp,
-        n_with_duration=n_dur,
-        n_with_both=n_both,
-        element_counts=counts,
-        element_maxima=maxima,
-    )
+    return ([["name", "count", "max_at_pct"], ["samples", str(len(d.samples)), ""],
+             ["with_temperature", str(n_temp), ""], ["with_duration", str(n_dur), ""],
+             ["with_both", str(n_both), ""]]
+            + [[sym, str(counts[sym]), repr(maxima[sym])] for sym in ELEMENT_ORDER])
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,31 @@ class ComparisonCell:
     y_pred: np.ndarray
 
 
-def _fit_predict_cell(family: str, X_train, y_train, X_test, seed: int, params: dict):
-    """Fit one family on a training split and predict its test rows: the one
-    fit path of `compare-forward` and `train-forward`. Returns (model,
-    scaler, predictions); `scaler` is None for a family fit on raw features."""
+def _fit_predict_cell(family: str, dataset: Dataset, feature_set: str, seed: int,
+                      params: dict, cap: float, cap_mode: str, test_fraction: float):
+    """One cell of the shared protocol, the one fit path of `compare-forward`
+    and `train-forward`: cap extreme rates, build `feature_set`'s features,
+    split by `seed`, standardize for a family that wants z-scores, fit on the
+    training rows and score the test rows. Returns (cell, model, scaler,
+    feature matrix); `scaler` is None for a family fit on raw features."""
     entry = forward_family(family)
+    capped = Dataset(samples=cap_target(dataset.samples, cap, cap_mode),
+                     environment_names=dataset.environment_names)
+    fm, y = build_features(capped, feature_set)
+    split = split_train_test(y.size, seed=seed, test_fraction=test_fraction)
+    X_train, X_test, y_test = fm.values[split.train], fm.values[split.test], y[split.test]
     scaler = None
     if entry.scaled:
         scaler = fit_scaler(X_train)
         X_train = apply_scaler(scaler, X_train)
         X_test = apply_scaler(scaler, X_test)
-    model = entry.fit(X_train, y_train, seed, params)
-    return model, scaler, np.asarray(entry.predict(model, X_test), dtype=float)
+    model = entry.fit(X_train, y[split.train], seed, params)
+    pred = np.asarray(entry.predict(model, X_test), dtype=float)
+    cell = ComparisonCell(model=family, feature_set=feature_set,
+                          metrics=compute_metrics(y_test, pred),
+                          sample_ids=[fm.sample_ids[i] for i in split.test],
+                          y_true=y_test, y_pred=pred)
+    return cell, model, scaler, fm
 
 
 def compare_forward_models(dataset: Dataset, seed: int = 0,
@@ -93,29 +106,16 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
                            configs: dict | None = None,
                            cap: float = CAP_MPY, cap_mode: str = "drop",
                            test_fraction: float = 0.2) -> list[ComparisonCell]:
-    """Shared-protocol comparison: cap extreme rates, one 80/20 split per
-    feature set (same seed), fit every family on the identical split, report
-    test metrics and true-vs-predicted pairs. `configs` overrides per-family
-    training parameters, e.g. {"dnn": {"lr": 0.01}, "rf": {"n_estimators": 50}}.
+    """Shared-protocol comparison: every family fit on the identical split of
+    each feature set (same seed), one `_fit_predict_cell` each. `configs`
+    overrides per-family training parameters, e.g. {"dnn": {"lr": 0.01},
+    "rf": {"n_estimators": 50}}.
     """
     configs = configs or {}
-    capped = Dataset(samples=cap_target(dataset.samples, cap, cap_mode),
-                     environment_names=dataset.environment_names)
-    cells = []
-    for feature_set in feature_sets:
-        fm, y = build_features(capped, feature_set)
-        split = split_train_test(y.size, seed=seed, test_fraction=test_fraction)
-        X_train, X_test = fm.values[split.train], fm.values[split.test]
-        y_train, y_test = y[split.train], y[split.test]
-        test_ids = [fm.sample_ids[i] for i in split.test]
-        for model in models:
-            # keep only the predictions, so each model is freed before the next fit
-            pred = _fit_predict_cell(model, X_train, y_train, X_test, seed,
-                                     dict(configs.get(model, {})))[2]
-            cells.append(ComparisonCell(model=model, feature_set=feature_set,
-                                        metrics=compute_metrics(y_test, pred),
-                                        sample_ids=test_ids, y_true=y_test, y_pred=pred))
-    return cells
+    # keep only each cell, so each model is freed before the next fit
+    return [_fit_predict_cell(model, dataset, feature_set, seed, configs.get(model, {}),
+                              cap, cap_mode, test_fraction)[0]
+            for feature_set in feature_sets for model in models]
 
 
 def comparison_metrics_rows(cells: list[ComparisonCell]) -> list[list[str]]:

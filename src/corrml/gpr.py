@@ -250,6 +250,8 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
         raise ValidationError("need at least two samples to fit")
     if epochs < 0:
         raise ValidationError("epochs must be >= 0")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError("lr must be finite and > 0")
     dim = workspace.X.shape[1]
     spec = default_plain_kernel(dim) if spec is None else spec
     if ard_dim(spec) != dim:

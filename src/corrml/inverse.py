@@ -238,15 +238,14 @@ def evaluate_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> InverseRepo
         per_submodel=per_submodel, counts=counts)
 
 
-def inverse_report_rows(report: InverseReport) -> list[list[str]]:
-    """CSV rows (element, r2, rmse, submodel_set) for the union and submodels."""
-    rows = [["element", "r2", "rmse", "submodel_set"]]
-    for el, m in report.union.items():
-        rows.append([el, repr(m.r2), repr(m.rmse), "union"])
-    for feature_set in SUBMODEL_SETS:
-        for el, m in report.per_submodel.get(feature_set, {}).items():
-            rows.append([el, repr(m.r2), repr(m.rmse), feature_set])
-    return rows
+def inverse_report_rows(report: InverseReport) -> tuple[list[list[str]], list[list[str]]]:
+    """The two CSV tables (element, r2, rmse, submodel_set), each with its
+    header: union accuracy per element, and the per-submodel comparison."""
+    header = ["element", "r2", "rmse", "submodel_set"]
+    union = [[el, repr(m.r2), repr(m.rmse), "union"] for el, m in report.union.items()]
+    per_submodel = [[el, repr(m.r2), repr(m.rmse), feature_set] for feature_set in SUBMODEL_SETS
+                    for el, m in report.per_submodel.get(feature_set, {}).items()]
+    return [header] + union, [header] + per_submodel
 
 
 def inverse_prediction_rows(preds: list[InversePrediction]) -> list[list[str]]:

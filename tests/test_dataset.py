@@ -20,7 +20,7 @@ from corrml.dataset import (
     generate_inverse_synthetic,
     generate_synthetic,
     parse_csv,
-    summarize,
+    summary_rows,
     synthetic_clean_rate,
     wt_to_at,
 )
@@ -243,7 +243,7 @@ def test_parse_csv_strict_composition_floor(tmp_path):
 
 
 def test_summarize_counts():
-    assert summarize(Dataset(samples=[])).n_samples == 0
+    assert summary_rows(Dataset(samples=[]))[1] == ["samples", "0", ""]
     comp = ElementComposition(entries={"Al": 98.0, "Zn": 2.0}, basis="atomic")
     samples = [
         CorrosionSample(id="a", composition=comp, environment=0, rate=1.0, duration=3.0),
@@ -251,18 +251,20 @@ def test_summarize_counts():
                         temperature=20.0),
         CorrosionSample(id="c", composition=comp, environment=2, rate=1.0),
     ]
-    s = summarize(Dataset(samples=samples))
-    assert (s.n_samples, s.n_with_temperature, s.n_with_duration, s.n_with_both) == (3, 1, 2, 1)
-    assert s.element_counts["Zn"] == 3
-    assert s.element_counts["Cu"] == 0
-    assert s.element_maxima["Zn"] == 2.0
+    rows = summary_rows(Dataset(samples=samples))
+    assert rows[:5] == [["name", "count", "max_at_pct"], ["samples", "3", ""],
+                        ["with_temperature", "1", ""], ["with_duration", "2", ""],
+                        ["with_both", "1", ""]]
+    elements = {r[0]: r[1:] for r in rows[5:]}
+    assert list(elements) == list(ELEMENT_ORDER)
+    assert elements["Zn"] == ["3", "2.0"]
+    assert elements["Cu"] == ["0", "0.0"]
 
 
 def test_summarize_presence_fractions_on_synthetic():
-    ds = generate_synthetic(120, seed=3)
-    s = summarize(ds)
-    assert s.n_with_temperature == round(164 / 331 * 120)
-    assert s.n_with_duration == round(187 / 331 * 120)
+    rows = summary_rows(generate_synthetic(120, seed=3))
+    assert rows[2] == ["with_temperature", str(round(164 / 331 * 120)), ""]
+    assert rows[3] == ["with_duration", str(round(187 / 331 * 120)), ""]
 
 
 # ---------------------------------------------------------------------------

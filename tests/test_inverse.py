@@ -284,11 +284,12 @@ def test_report_and_prediction_rows():
     data = generate_inverse_synthetic(50, seed=10)
     ens = fit_inverse(data, seed=7, configs=QUICK)
     report = evaluate_inverse(ens, data)
-    rows = inverse_report_rows(report)
-    assert rows[0] == ["element", "r2", "rmse", "submodel_set"]
-    union_rows = [r for r in rows[1:] if r[3] == "union"]
-    assert [r[0] for r in union_rows] == list(INVERSE_TARGETS)
-    assert len(rows) == 1 + 6 + 6 * 3
+    union_rows, submodel_rows = inverse_report_rows(report)
+    assert union_rows[0] == submodel_rows[0] == ["element", "r2", "rmse", "submodel_set"]
+    assert [r[0] for r in union_rows[1:]] == list(INVERSE_TARGETS)
+    assert {r[3] for r in union_rows[1:]} == {"union"}
+    assert [r[3] for r in submodel_rows[1::6]] == list(SUBMODEL_SETS)
+    assert (len(union_rows), len(submodel_rows)) == (1 + 6, 1 + 6 * 3)
 
     preds = predict_inverse(ens, _queries(data.samples[:4]))
     prows = inverse_prediction_rows(preds)
