@@ -116,20 +116,27 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
             dst[key] = value
 
 
-def _refuse_constant(token: str):
-    raise ValueError(f"{token} is not a JSON value")
+def _finite(text: str) -> float:
+    """The number a report CSV cell or a JSON literal spells; ValueError
+    unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def read_json(path: str, object_hook=None) -> dict:
     """The JSON object in the file at `path`, each object passed through
     `object_hook` as the parser closes it; a file that does not parse (the
-    NaN and Infinity tokens Python's parser allows included), or whose root
-    is not an object, is a ValidationError naming it."""
+    NaN and Infinity tokens Python's parser allows, and number literals that
+    overflow a float, included), or whose root is not an object, is a
+    ValidationError naming it."""
     from .errors import ValidationError
 
     with open(path, encoding="utf-8") as fh:
         try:
-            root = json.load(fh, object_hook=object_hook, parse_constant=_refuse_constant)
+            root = json.load(fh, object_hook=object_hook, parse_constant=_finite,
+                             parse_float=_finite)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(root, dict):
@@ -554,15 +561,21 @@ def cmd_predict(args) -> int:
                               "queries list only Al, Si and Mg, whose at% cannot be "
                               "derived from wt% without the trace elements")
     payload = read_json(args.model, object_hook=node_arrays)
-    out = _ensure_out(args.out)
+    kind = f"{args.direction}-model"
+    if payload.get("kind") != kind:
+        raise ValidationError(f"{args.model}: {args.direction} model files have kind "
+                              f"{kind!r}, got {payload.get('kind')!r}")
+    environments = _model_field(payload, "environment_names", list, args.model)
+    if not (all(isinstance(name, str) for name in environments)
+            and len(set(environments)) == len(environments) == 9):
+        raise ValidationError(f"{args.model}: model file key 'environment_names' must hold "
+                              f"9 distinct strings, got {environments!r}")
+    queries = parse_csv(args.input, units=args.units, environments=tuple(environments),
+                        require_rate=args.direction == "inverse")
 
     if args.direction == "forward":
-        if payload.get("kind") != "forward-model":
-            raise ValidationError(
-                f"{args.model}: expected a forward model file, got kind "
-                f"{payload.get('kind')!r}")
         from .evaluation import forward_family
-        from .preprocess import ScalerState, apply_scaler, build_features
+        from .preprocess import FEATURE_SETS, ScalerState, apply_scaler, build_features
 
         name = _model_field(payload, "family", str, args.model)
         try:
@@ -572,11 +585,11 @@ def cmd_predict(args) -> int:
         preprocess = _model_field(payload, "preprocess", dict, args.model)
         scaler_state = _model_field(preprocess, "scaler", (dict, type(None)), args.model)
         feature_set = _model_field(payload, "feature_set", str, args.model)
-        environments = _model_field(payload, "environment_names", list, args.model)
+        if feature_set not in FEATURE_SETS:
+            raise ValidationError(f"{args.model}: model file key 'feature_set' must be one of "
+                                  f"{FEATURE_SETS}, got {feature_set!r}")
         model_state = _model_field(payload, "model", dict, args.model)
 
-        queries = parse_csv(args.input, units=args.units, environments=tuple(environments),
-                            require_rate=False)
         fm, _ = build_features(queries, feature_set)
         if len(fm.sample_ids) < len(queries.samples):
             log.warning("%d row(s) lack fields required by feature set %r and were skipped",
@@ -603,35 +616,20 @@ def cmd_predict(args) -> int:
         pred = family.predict(model, X)
         rows = [["sample_id", "predicted_mpy"]]
         rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, pred)]
-        write_csv(os.path.join(out, "predictions.csv"), rows)
     else:
-        if payload.get("kind") != "inverse-model":
-            raise ValidationError(
-                f"{args.model}: expected an inverse model file, got kind "
-                f"{payload.get('kind')!r}")
         from .inverse import inverse_from_dict, inverse_prediction_rows, predict_inverse
 
-        environments = _model_field(payload, "environment_names", list, args.model)
-        ensemble_state = _model_field(payload, "ensemble", dict, args.model)
-        queries = parse_csv(args.input, units=args.units, environments=tuple(environments))
-        ensemble = _file_state(inverse_from_dict, ensemble_state, args.model,
-                               "model file key 'ensemble'")
-        preds = predict_inverse(ensemble, queries)
-        write_csv(os.path.join(out, "predictions.csv"), inverse_prediction_rows(preds))
-
+        ensemble = _file_state(inverse_from_dict,
+                               _model_field(payload, "ensemble", dict, args.model),
+                               args.model, "model file key 'ensemble'")
+        rows = inverse_prediction_rows(predict_inverse(ensemble, queries))
+    out = _ensure_out(args.out)
+    write_csv(os.path.join(out, "predictions.csv"), rows)
     write_sidecar(out, "predict",
                   {"model": args.model, "input": args.input,
                    "direction": args.direction, "units": args.units, "out": out},
                   {})
     return 0
-
-
-def _finite(cell: str) -> float:
-    """The number in a report CSV cell; ValueError unless it is finite."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"{cell!r} is not a finite number")
-    return value
 
 
 def _parse_metric_rows(path: str) -> list[dict]:

@@ -45,7 +45,7 @@ from .kernels import (
     sq_dist,
 )
 from .optim import adam_minimize
-from .preprocess import DEFAULT_LOG_EPSILON
+from .preprocess import DEFAULT_LOG_EPSILON, training_matrices
 
 log = logging.getLogger(__name__)
 
@@ -97,16 +97,7 @@ class _NlmlWorkspace:
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2:
-            raise ValidationError("feature matrix must be 2-D")
-        if X.shape[0] != y.size:
-            raise ValidationError(f"{X.shape[0]} rows but {y.size} targets")
-        if X.shape[0] < 1:
-            raise ValidationError("need at least one sample")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise ValidationError("non-finite training values")
+        X, y = training_matrices(X, np.ravel(y))
         self.X = X
         self.y = y
         self.n = n = X.shape[0]

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import ELEMENT_ORDER, Dataset
 from .errors import ValidationError
 from .metrics import Metrics, compute_metrics
-from .preprocess import split_train_test
+from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, split_train_test
 from .trees import (
     MultiOutputModel,
     fit_multi_outputs,
@@ -32,11 +32,7 @@ from .trees import (
 )
 
 INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
-INVERSE_BASE_ELEMENTS = ("Al", "Si", "Mg")
-# each submodel's optional fields, read in this order after the base features
-SUBMODEL_FIELDS = {"base": (), "base+dur": ("duration",),
-                   "base+dur+temp": ("duration", "temperature")}
-SUBMODEL_SETS = tuple(SUBMODEL_FIELDS)
+SUBMODEL_SETS = ("base", "base+dur", "base+dur+temp")
 MIN_SUBSET_ROWS = 10
 
 
@@ -47,8 +43,8 @@ def clamp_at_pct(values: np.ndarray) -> np.ndarray:
 
 def n_features(feature_set: str) -> int:
     """A submodel's input width: rate, environment id, the base elements and
-    its optional fields."""
-    return 2 + len(INVERSE_BASE_ELEMENTS) + len(SUBMODEL_FIELDS[feature_set])
+    one column per optional part."""
+    return 2 + len(INVERSE_BASE_ELEMENTS) + feature_set.count("+")
 
 
 def inverse_features(dataset: Dataset, feature_set: str
@@ -57,22 +53,13 @@ def inverse_features(dataset: Dataset, feature_set: str
     every optional field the submodel reads, by position in the dataset.
 
     X columns: rate, environment id, at% Al, Si, Mg [, duration [, temperature]];
-    Y columns: at% of the six target elements.
+    Y columns: at% of the six target elements, read from the comp columns.
     """
-    if feature_set not in SUBMODEL_FIELDS:
+    if feature_set not in SUBMODEL_SETS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
-    fields = SUBMODEL_FIELDS[feature_set]
-    rows, X, Y = [], [], []
-    for i, s in enumerate(dataset.samples):
-        if any(getattr(s, f) is None for f in fields):
-            continue
-        at = s.composition
-        rows.append(i)
-        X.append([s.rate, float(s.environment)] + [at.get(e) for e in INVERSE_BASE_ELEMENTS]
-                 + [getattr(s, f) for f in fields])
-        Y.append([at.get(e) for e in INVERSE_TARGETS])
-    X = np.asarray(X, dtype=float).reshape(-1, n_features(feature_set))
-    return rows, X, np.asarray(Y, dtype=float).reshape(-1, len(INVERSE_TARGETS))
+    width = n_features(feature_set)
+    rows, M = feature_rows(dataset, feature_set + "+comp", width + len(ELEMENT_ORDER))
+    return rows, M[:, :width], M[:, [width + ELEMENT_ORDER.index(e) for e in INVERSE_TARGETS]]
 
 
 def pair_weights(forest_r2: float, gbm_r2: float) -> tuple[float, float]:
@@ -317,7 +304,7 @@ def inverse_from_dict(d: dict) -> InverseEnsemble:
         raise ValidationError("'submodels' must be an object holding the 'base' submodel")
     subs: dict[str, InverseSubmodel | None] = {}
     for name, sd in stored.items():
-        if name not in SUBMODEL_FIELDS:
+        if name not in SUBMODEL_SETS:
             raise ValidationError(f"unknown submodel {name!r}; expected one of "
                                   f"{list(SUBMODEL_SETS)}")
         if sd is None:

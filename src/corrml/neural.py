@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError, ValidationError
+from .preprocess import training_matrices
 
 log = logging.getLogger(__name__)
 
@@ -176,14 +177,7 @@ def train_dnn(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -
     from .optim import adam_minimize
 
     config = config or TrainConfig()
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.size:
-        raise ValidationError(f"{X.shape[0]} rows but {y.size} targets")
-    if X.shape[0] < 1:
-        raise ValidationError("need at least one sample")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValidationError("non-finite training values")
+    X, y = training_matrices(X, np.ravel(y))
 
     init = init_network(X.shape[1], config.hidden_sizes, config.seed)
     params = init.weights + init.biases

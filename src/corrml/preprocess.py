@@ -1,5 +1,6 @@
-"""Dataset -> model-ready matrices: feature assembly, one-hot environments,
-standard scaling, target capping and train/test splits.
+"""Dataset -> model-ready matrices: the feature-set grammar both directions
+read samples through, one-hot environments, the training-data check every
+model family applies, standard scaling, target capping and train/test splits.
 
 All transformations are pure and deterministic in their (data, seed) inputs so
 that a run can be reproduced bit-for-bit from its recorded metadata.
@@ -38,52 +39,74 @@ class FeatureMatrix:
             raise ValidationError("feature matrix contains non-finite entries")
 
 
+# A feature set joins its parts with "+", and its columns are its parts'
+# columns in that order. A part gives a sample's values for its columns, or
+# None where the sample lacks the field, which keeps the sample out; `n_env`
+# is the dataset's environment-label count. Forward sets read comp, env, temp
+# and dur, inverse sets base, dur and temp; rate is the forward target.
+INVERSE_BASE_ELEMENTS = ("Al", "Si", "Mg")
+_PARTS = {
+    "comp": lambda s, n_env: [s.composition.get(sym) for sym in ELEMENT_ORDER],
+    "env": lambda s, n_env: [1.0 if k == s.environment else 0.0 for k in range(n_env)],
+    "temp": lambda s, n_env: None if s.temperature is None else [s.temperature],
+    "dur": lambda s, n_env: None if s.duration is None else [s.duration],
+    "base": lambda s, n_env: ([s.rate, float(s.environment)]
+                              + [s.composition.get(e) for e in INVERSE_BASE_ELEMENTS]),
+    "rate": lambda s, n_env: [s.rate],
+}
+
+
+def feature_rows(d: Dataset, feature_set: str, width: int) -> tuple[list[int], np.ndarray]:
+    """(positions, matrix) of the samples that have a value in every column
+    of `feature_set`, `width` columns wide: the samples' positions in the
+    dataset, in order, and their rows."""
+    parts = [_PARTS[name] for name in feature_set.split("+")]
+    n_env = len(d.environment_names)
+    positions, rows = [], []
+    for i, s in enumerate(d.samples):
+        values = [part(s, n_env) for part in parts]
+        if None not in values:
+            positions.append(i)
+            rows.append([v for part in values for v in part])
+    return positions, np.asarray(rows, dtype=float).reshape(-1, width)
+
+
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
     """Assemble the feature matrix and target vector for one feature selector.
 
     Composition columns follow the fixed element order; environment columns are
-    9 one-hot indicators. Selecting temp/dur restricts to samples that carry
-    the field. Targets are rates in mils/year.
+    one indicator per environment label. Selecting temp/dur restricts to samples
+    that carry the field. Targets are rates in mils/year.
     """
     if feature_set not in FEATURE_SETS:
         raise ValidationError(f"unknown feature set {feature_set!r}; choose from {FEATURE_SETS}")
-    want_env = "env" in feature_set
-    want_temp = "temp" in feature_set
-    want_dur = "dur" in feature_set
-
-    rows = [s for s in d.samples
-            if (not want_temp or s.temperature is not None)
-            and (not want_dur or s.duration is not None)]
-    if not rows:
+    named = {"comp": [(sym, "composition") for sym in ELEMENT_ORDER],
+             "env": [(f"env={name}", "environment-indicator") for name in d.environment_names],
+             "temp": [("temp_c", "temperature")], "dur": [("duration_days", "duration")]}
+    columns = [FeatureColumn(*c) for part in feature_set.split("+") for c in named[part]]
+    # the target rides along as the last column, so one pass reads both
+    positions, values = feature_rows(d, feature_set + "+rate", len(columns) + 1)
+    if not positions:
         raise ValidationError(f"no samples carry the fields required by {feature_set!r}")
+    fm = FeatureMatrix(values=values[:, :-1], columns=columns,
+                       sample_ids=[d.samples[i].id for i in positions])
+    return fm, values[:, -1]
 
-    columns = [FeatureColumn(sym, "composition") for sym in ELEMENT_ORDER]
-    if want_env:
-        columns += [FeatureColumn(f"env={name}", "environment-indicator")
-                    for name in d.environment_names]
-    if want_temp:
-        columns.append(FeatureColumn("temp_c", "temperature"))
-    if want_dur:
-        columns.append(FeatureColumn("duration_days", "duration"))
 
-    values = np.zeros((len(rows), len(columns)))
-    y = np.zeros(len(rows))
-    for i, s in enumerate(rows):
-        for j, sym in enumerate(ELEMENT_ORDER):
-            values[i, j] = s.composition.get(sym)
-        k = len(ELEMENT_ORDER)
-        if want_env:
-            values[i, k + s.environment] = 1.0
-            k += len(d.environment_names)
-        if want_temp:
-            values[i, k] = s.temperature
-            k += 1
-        if want_dur:
-            values[i, k] = s.duration
-        y[i] = s.rate
-
-    fm = FeatureMatrix(values=values, columns=columns, sample_ids=[s.id for s in rows])
-    return fm, y
+def training_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) as float arrays, checked as every model family's training data:
+    X 2-D, one row of Y per row of X, Y not empty, every value finite."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got {X.ndim}-D")
+    if Y.shape[:1] != X.shape[:1]:
+        raise ValidationError(f"{X.shape[0]} rows but targets of shape {Y.shape}")
+    if Y.size == 0:
+        raise ValidationError("empty training data")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        raise ValidationError("non-finite training values")
+    return X, Y
 
 
 @dataclass

@@ -43,6 +43,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
+from .preprocess import training_matrices
 
 DEFAULT_N_ESTIMATORS = 100
 DEFAULT_GBM_ROUNDS = 100
@@ -93,13 +94,7 @@ _SLOT_BUDGET = 1 << 16
 
 def _check_training(X: np.ndarray, Y: np.ndarray, max_depth, min_samples_leaf: int):
     """Validated (X, Y) as float arrays, Y with one column per target."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    n = X.shape[0]
-    if n == 0:
-        raise ValidationError("empty training data")
-    if Y.shape[0] != n:
-        raise ValidationError(f"{n} rows but {Y.shape[0]} targets")
+    X, Y = training_matrices(X, Y)
     if max_depth is not None and not _is_int(max_depth):
         raise ValidationError(f"max_depth must be null or an integer, got {max_depth!r}")
     if max_depth is not None and max_depth < 0:
@@ -507,9 +502,6 @@ def _fit_gbms(problems, n_rounds: int = DEFAULT_GBM_ROUNDS,
         raise ValidationError("n_rounds must be >= 0")
     blocks, targets = [], []
     for X, Y in problems:
-        Y = np.asarray(Y, dtype=float)
-        if Y.size == 0:
-            raise ValidationError("empty training data")
         X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
         targets.append(np.ascontiguousarray(Y.T))
         blocks.append((X, np.tile(np.arange(X.shape[0]), (Y.shape[1], 1)), _kept_columns(X)))

@@ -396,10 +396,23 @@ def _without(payload, key):
     ("forward", lambda p: _without(p, "family"), "'family'"),
     ("forward", lambda p: _without(p, "preprocess"), "'preprocess'"),
     ("forward", lambda p: [1], "root"),
-    ("inverse", lambda p: {"kind": "inverse-model", "environment_names": []}, "'ensemble'"),
+    ("inverse", lambda p: {"kind": "inverse-model",
+                           "environment_names": list(DEFAULT_ENVIRONMENTS)}, "'ensemble'"),
     ("inverse", lambda p: {"kind": "inverse-model", "ensemble": {}}, "'environment_names'"),
+    ("forward", lambda p: {**p, "environment_names": [7] + p["environment_names"][1:]},
+     "'environment_names'"),
+    ("forward", lambda p: {**p, "environment_names": p["environment_names"][:8]},
+     "'environment_names'"),
+    ("forward", lambda p: {**p, "feature_set": "comp+xyz"}, "'feature_set'"),
+    ("inverse", lambda p: {"kind": "inverse-model", "ensemble": {},
+                           "environment_names": ["seawater"] * 9}, "'environment_names'"),
+    ("inverse", lambda p: {"kind": "inverse-model", "ensemble": {},
+                           "environment_names": list(DEFAULT_ENVIRONMENTS)[:8]},
+     "'environment_names'"),
 ], ids=["family-gbm", "family-svm", "no-family", "no-preprocess", "root-array", "no-ensemble",
-        "no-environment-names"])
+        "no-environment-names", "environment-name-int", "eight-environment-names",
+        "feature-set-unknown", "inverse-environment-names-repeated",
+        "inverse-eight-environment-names"])
 def test_predict_rejects_bad_model_file(workspace, forward_payload, tmp_path, capsys,
                                         direction, edit, key):
     path = tmp_path / "model.json"
@@ -408,7 +421,7 @@ def test_predict_rejects_bad_model_file(workspace, forward_payload, tmp_path, ca
                    "--input", workspace["csv"], "--out", str(tmp_path / "p")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert str(path) in err and key in err
+    assert err.startswith(f"error: {path}: ") and key in err and "Traceback" not in err, err
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +449,8 @@ def _edit_first_tree(payload, edit):
 
 def _model_text(payload):
     """`payload` as model-file text. JSON has no token for an infinity, so
-    one is written as an overflowing literal, which parses as an infinity."""
+    one is written as an overflowing literal, which read_json refuses before
+    any key is read."""
     return json.dumps(payload).replace("Infinity", "1e999")
 
 
@@ -504,13 +518,13 @@ def _swap_submodels(ens):
 
 @pytest.mark.parametrize("direction,edit,keys", [
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(
-        weights=[math.inf, 0.5]))), ("'base'", "'weights'")),
+        weights=[math.inf, 0.5]))), ("'1e999'",)),
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(weights=[5.0, -4.0]))),
      ("'base'", "'weights'")),
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["gbm"]["models"][0].update(
-        learning_rate=math.inf))), ("'learning_rate'",)),
+        learning_rate=math.inf))), ("'1e999'",)),
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["gbm"]["models"][0].update(
-        init_value=float("inf")))), ("'init_value'",)),
+        init_value=float("inf")))), ("'1e999'",)),
     ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["forest"]["models"][0].update(
         trees=[]))), ("'trees'",)),
     ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": []}), ("'trees'",)),
@@ -540,13 +554,16 @@ def test_predict_rejects_inconsistent_ensemble(workspace, forward_payload, inver
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
                         else (inverse_run["payload"], inverse_run["csv"]))
     path = tmp_path / "model.json"
-    path.write_text(_model_text(edit(payload)))
+    text = _model_text(edit(payload))
+    path.write_text(text)
     rc = cli.main(["predict", "--model", str(path), "--direction", direction,
                    "--input", queries, "--out", str(tmp_path / "p")])
     assert rc == 1
     err = capsys.readouterr().err
-    model_key = "'ensemble'" if direction == "inverse" else "'model'"
-    assert err.startswith(f"error: {path}: model file key {model_key}") and "Traceback" not in err
+    # an overflowing literal stops in read_json, before any key is read
+    where = "" if "1e999" in text else (
+        "model file key " + ("'ensemble'" if direction == "inverse" else "'model'"))
+    assert err.startswith(f"error: {path}: {where}") and "Traceback" not in err
     assert all(key in err for key in keys), err
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
@@ -571,9 +588,9 @@ def _with_scaler(payload, edit):
 
 
 @pytest.mark.parametrize("edit,keys", [
-    (lambda p: _with_inner(p, "noise_variance", math.inf), ("'model'", "noise_variance")),
+    (lambda p: _with_inner(p, "noise_variance", math.inf), ("'1e999'",)),
     (lambda p: _with_inner(p, "noise_variance", -5.0), ("'model'", "noise_variance")),
-    (lambda p: _with_inner(p, "mean", -math.inf), ("'model'", "'mean'")),
+    (lambda p: _with_inner(p, "mean", -math.inf), ("'-1e999'",)),
     (lambda p: {**p, "model": {**p["model"], "epsilon": -1.0}}, ("'model'", "epsilon")),
     (lambda p: {**p, "model": {**p["model"], "back_transform": "mode"}},
      ("'model'", "back_transform")),
@@ -830,14 +847,14 @@ DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRO
     # Python's parser takes NaN and Infinity, but they are not JSON and no
     # corrml output holds one: they are refused before any output is written
     ("ingest", "--config", {"strict_composition": True, "composition_floor": math.nan},
-     "value.json: NaN is not a JSON value"),
+     "value.json: 'NaN' is not a finite number"),
     ("train-forward", "--config", {"cap_threshold": math.inf},
-     "value.json: Infinity is not a JSON value"),
+     "value.json: 'Infinity' is not a finite number"),
     ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
                                                              "rate": math.nan}]},
-     "value.json: NaN is not a JSON value"),
+     "value.json: 'NaN' is not a finite number"),
     ("predict", "--model", {"kind": "forward-model", "model": {"threshold": [-math.inf]}},
-     "value.json: -Infinity is not a JSON value"),
+     "value.json: '-Infinity' is not a finite number"),
 ], ids=["cap-threshold-string", "seed-string", "seed-bool", "max-depth-string",
         "max-depth-fraction", "max-depth-bool", "max-features-unknown", "config-grade-string",
         "grade-map-string", "dataset-rate-string", "dataset-temperature-string",
@@ -903,7 +920,7 @@ def test_training_failure_exits_two(tmp_path, capsys):
     ds.samples[0].rate = 1e308
     data = _dump_csv(ds, tmp_path / "huge.csv")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"cap_threshold": 1e309, "model_params": {"gpr": {"epochs": 2}}}')
+    cfg.write_text('{"cap_threshold": 1e308, "model_params": {"gpr": {"epochs": 2}}}')
     out = tmp_path / "ds"
     assert cli.main(["ingest", "--input", data, "--out", str(out)]) == 0
     rc = cli.main(["train-forward", "--dataset", str(out / "dataset.json"), "--model",

@@ -338,6 +338,10 @@ def test_serialization_roundtrip_reproduces_predictions():
     tampered["y_train"][0] += 1.0
     with pytest.raises(ValidationError):
         gpr_from_dict(tampered)
+    # a model file cannot hold these infinities, so the checks are fed dicts
+    for key, value in (("noise_variance", math.inf), ("mean", -math.inf)):
+        with pytest.raises(ValidationError, match=key):
+            gpr_from_dict({**json.loads(blob), key: value})
 
 
 def test_log_serialization_roundtrip():

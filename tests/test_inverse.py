@@ -1,5 +1,8 @@
 """Inverse ensemble: submodel construction, pair weighting, union aggregation."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -301,12 +304,22 @@ def test_serialization_roundtrip(tmp_path):
     data = generate_inverse_synthetic(60, seed=11)
     ens = fit_inverse(data, seed=8, configs=QUICK)
     written(inverse_to_dict(ens), tmp_path / "ensemble.json")
-    rebuilt = inverse_from_dict(cli.read_json(str(tmp_path / "ensemble.json")))
+    state = cli.read_json(str(tmp_path / "ensemble.json"))
+    rebuilt = inverse_from_dict(state)
     qs = _queries(data.samples[:12])
     pa, pb = predict_inverse(ens, qs), predict_inverse(rebuilt, qs)
     assert [p.values for p in pa] == [p.values for p in pb]
     with pytest.raises(ValidationError):
         inverse_from_dict({"kind": "forward"})
+    # a model file cannot hold these infinities, so the checks are fed dicts
+    for key, edit in [
+            ("'weights'", lambda sub: sub.update(weights=[math.inf, 0.5])),
+            ("'learning_rate'", lambda sub: sub["gbm"]["models"][0].update(learning_rate=math.inf)),
+            ("'init_value'", lambda sub: sub["gbm"]["models"][0].update(init_value=math.inf))]:
+        edited = copy.deepcopy(state)
+        edit(edited["submodels"]["base"])
+        with pytest.raises(ValidationError, match=key):
+            inverse_from_dict(edited)
 
 
 def test_validation_errors():

@@ -1,8 +1,10 @@
 """Model-file I/O: the piecewise JSON writer and the parse-time tree hook."""
 
 import json
+import math
 import os
 import tracemalloc
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -52,6 +54,50 @@ def test_write_json_matches_one_shot_dumps(out_dir, payload):
     expected = json.dumps(_resolved(payload), sort_keys=True, separators=(",", ":"),
                           allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# JSON number literals, some beyond a float's range, and the non-finite
+# tokens Python's parser takes; nested in arrays and objects as text
+NUMBER_TEXT = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers().map(str)
+               | st.builds("{}e{}".format, st.integers(-9, 9), st.integers(300, 400))
+               | st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+
+
+def _arrays(kids):
+    return st.lists(kids, max_size=4).map(lambda items: "[" + ",".join(items) + "]")
+
+
+def _objects(kids):
+    return st.lists(st.tuples(st.text(max_size=3), kids), max_size=4,
+                    unique_by=lambda item: item[0]).map(
+        lambda items: "{" + ",".join(json.dumps(k) + ":" + v for k, v in items) + "}")
+
+
+JSON_VALUES = st.recursive(NUMBER_TEXT, lambda kids: _arrays(kids) | _objects(kids),
+                           max_leaves=12)
+
+
+def _numbers(value):
+    if isinstance(value, (dict, list)):
+        items = value.values() if isinstance(value, dict) else value
+        return [n for item in items for n in _numbers(item)]
+    return [value]
+
+
+@settings(derandomize=True, database=None, max_examples=60,
+          deadline=timedelta(milliseconds=200))
+@given(text=_objects(JSON_VALUES))
+def test_read_json_gives_finite_numbers_or_names_the_file(out_dir, text):
+    path = out_dir / "value.json"
+    path.write_text(text)
+    parsed = json.loads(text)  # Python's parser takes every non-finite literal
+    if all(math.isfinite(n) for n in _numbers(parsed)):
+        assert cli.read_json(str(path)) == parsed
+    else:
+        with pytest.raises(ValidationError) as refused:
+            cli.read_json(str(path))
+        assert str(refused.value).startswith(f"{path}: ")
 
 
 def test_non_finite_value_late_in_the_payload_leaves_no_file(tmp_path):

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from corrml.dataset import (
+    ELEMENT_ORDER,
     CorrosionSample,
     Dataset,
     ElementComposition,
+    generate_inverse_synthetic,
     generate_synthetic,
 )
 from corrml.errors import ValidationError
-from corrml.gpr import fit_log_gpr
+from corrml.gpr import fit_gpr, fit_log_gpr
+from corrml.inverse import INVERSE_TARGETS, SUBMODEL_SETS, inverse_features
+from corrml.neural import TrainConfig, train_dnn
 from corrml.preprocess import (
     DEFAULT_LOG_EPSILON,
     FEATURE_SETS,
@@ -22,6 +26,7 @@ from corrml.preprocess import (
     run_metadata,
     split_train_test,
 )
+from corrml.trees import fit_forest, fit_gbm
 
 
 def _sample(i, rate=1.0, env=0, temp=None, dur=None):
@@ -69,6 +74,47 @@ def test_optional_fields_subset_rows():
         build_features(ds, "comp+phase-of-moon")
 
 
+# each part's columns of a sample, and the field a sample must carry for it
+_PART_COLUMNS = {
+    "comp": lambda s: [s.composition.get(e) for e in ELEMENT_ORDER],
+    "env": lambda s: [float(k == s.environment) for k in range(9)],
+    "base": lambda s: [s.rate, float(s.environment)]
+    + [s.composition.get(e) for e in ("Al", "Si", "Mg")],
+    "temp": lambda s: [s.temperature],
+    "dur": lambda s: [s.duration],
+}
+_PART_FIELD = {"temp": "temperature", "dur": "duration"}
+_PART_KINDS = {"comp": ["composition"] * 32, "env": ["environment-indicator"] * 9,
+               "temp": ["temperature"], "dur": ["duration"]}
+
+
+@pytest.mark.parametrize("feature_set", FEATURE_SETS + SUBMODEL_SETS)
+def test_feature_set_rows_and_columns(feature_set):
+    # 40 inverse samples hold every mix of temperature and duration, present or not
+    ds = generate_inverse_synthetic(40, seed=0)
+    parts = feature_set.split("+")
+    rows = [i for i, s in enumerate(ds.samples)
+            if all(getattr(s, _PART_FIELD[p]) is not None for p in parts if p in _PART_FIELD)]
+    assert (len(rows) < len(ds.samples)) == any(p in _PART_FIELD for p in parts)
+    want = [[v for p in parts for v in _PART_COLUMNS[p](ds.samples[i])] for i in rows]
+    if feature_set in FEATURE_SETS:
+        fm, y = build_features(ds, feature_set)
+        assert fm.sample_ids == [ds.samples[i].id for i in rows]
+        assert [c.kind for c in fm.columns] == [k for p in parts for k in _PART_KINDS[p]]
+        np.testing.assert_array_equal(fm.values, want)
+        np.testing.assert_array_equal(y, [ds.samples[i].rate for i in rows])
+        with pytest.raises(ValidationError):  # each direction takes only its own sets
+            inverse_features(ds, feature_set)
+    else:
+        positions, X, Y = inverse_features(ds, feature_set)
+        assert positions == rows
+        np.testing.assert_array_equal(X, want)
+        np.testing.assert_array_equal(
+            Y, [[ds.samples[i].composition.get(e) for e in INVERSE_TARGETS] for i in rows])
+        with pytest.raises(ValidationError):
+            build_features(ds, feature_set)
+
+
 def test_feature_order_is_stable():
     ds = generate_synthetic(10, seed=5)
     names = [c.name for c in build_features(ds, "comp+env+temp+dur")[0].columns]
@@ -76,6 +122,23 @@ def test_feature_order_is_stable():
     assert names[32].startswith("env=")
     assert names[-2:] == ["temp_c", "duration_days"]
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_forest(X, y, n_estimators=2),
+    lambda X, y: fit_gbm(X, y, n_rounds=2),
+    lambda X, y: train_dnn(X, y, TrainConfig(epochs=2)),
+    lambda X, y: fit_gpr(X, y, epochs=2),
+], ids=["rf", "gbm", "dnn", "gpr"])
+def test_every_family_refuses_non_finite_training_values(fit):
+    X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    fit(X, y)
+    for bad in (np.nan, np.inf, -np.inf):
+        X_bad, y_bad = X.copy(), y.copy()
+        X_bad[3, 1] = y_bad[3] = bad
+        for args in ((X_bad, y), (X, y_bad)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                fit(*args)
 
 
 # ---------------------------------------------------------------------------
