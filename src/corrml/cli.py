@@ -13,6 +13,7 @@ before numpy first loads.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -158,6 +159,19 @@ def _file_state(from_dict, state, path: str, where: str):
                               f"no {exc.args[0]!r} key") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: {where} is malformed: {exc}") from None
+
+
+@contextlib.contextmanager
+def _samples_of(path: str):
+    """Run the block, naming the file at `path` in a NoSamplesError from it:
+    the dataset or query file that left no sample to fit or score."""
+    from .errors import ValidationError
+    from .preprocess import NoSamplesError
+
+    try:
+        yield
+    except NoSamplesError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | None) -> dict:
@@ -467,9 +481,10 @@ def cmd_train_forward(args) -> int:
     to_dict = forward_family(family).to_dict  # an unknown name fails before any work
 
     dataset = _load_dataset(args.dataset)
-    cell, model, scaler, fm = _fit_predict_cell(
-        family, dataset, cfg["features"], cfg["seed"], cfg["model_params"][family],
-        cfg["cap_threshold"], cfg["cap_mode"], cfg["test_fraction"])
+    with _samples_of(args.dataset):
+        cell, model, scaler, fm = _fit_predict_cell(
+            family, dataset, cfg["features"], cfg["seed"], cfg["model_params"][family],
+            cfg["cap_threshold"], cfg["cap_mode"], cfg["test_fraction"])
     out = _ensure_out(args.out)
     payload = {
         "kind": "forward-model",
@@ -528,9 +543,10 @@ def cmd_compare_forward(args) -> int:
     cfg = _seeded_config(args)
 
     dataset = _load_dataset(args.dataset)
-    cells = compare_forward_models(dataset, seed=cfg["seed"], configs=cfg["model_params"],
-                                   cap=cfg["cap_threshold"], cap_mode=cfg["cap_mode"],
-                                   test_fraction=cfg["test_fraction"])
+    with _samples_of(args.dataset):
+        cells = compare_forward_models(dataset, seed=cfg["seed"], configs=cfg["model_params"],
+                                       cap=cfg["cap_threshold"], cap_mode=cfg["cap_mode"],
+                                       test_fraction=cfg["test_fraction"])
     out = _ensure_out(args.out)
     write_csv(os.path.join(out, "compare_metrics.csv"), comparison_metrics_rows(cells))
     write_csv(os.path.join(out, "compare_pairs.csv"), comparison_pairs_rows(cells))
@@ -590,7 +606,8 @@ def cmd_predict(args) -> int:
                                   f"{FEATURE_SETS}, got {feature_set!r}")
         model_state = _model_field(payload, "model", dict, args.model)
 
-        fm, _ = build_features(queries, feature_set)
+        with _samples_of(args.input):
+            fm, _ = build_features(queries, feature_set)
         if len(fm.sample_ids) < len(queries.samples):
             log.warning("%d row(s) lack fields required by feature set %r and were skipped",
                         len(queries.samples) - len(fm.sample_ids), feature_set)

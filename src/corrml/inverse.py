@@ -107,9 +107,13 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None,
     weights from validation R^2, then both regressors are refit on the full
     subset. Extension subsets smaller than `min_rows` are flagged absent; an
     undersized base subset is an error since nothing could be served. Every
-    subset is checked before anything is fit. The validation fits and
-    refits of all GBMs grow each boosting round's trees together, and a
-    subset's two multi-output forests grow in shared batches.
+    subset is checked before anything is fit.
+
+    Only the refits are kept, so each validation model is scored as soon as
+    it is grown and dropped before the next grow. The validation fits and
+    refits of all GBMs grow each boosting round's trees together; then, per
+    subset, the validation forests are grown, scored and dropped before the
+    refit forests are grown, so no batch of trees mixes the two.
     """
     configs = configs or {}
     rf_params = dict(configs.get("rf", {}))
@@ -128,19 +132,21 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None,
             raise ValidationError(f"{feature_set}: all target values identical")
         ids = [dataset.samples[i].id for i in rows]
         split = split_train_test(len(ids), seed=seed, test_fraction=val_fraction)
-        Xt, Yt = X[split.train], Y[split.train]
         forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
-        subsets.append((feature_set, ids, X[split.test], Y[split.test],
-                        [(Xt, Yt, forest_seed), (X, Y, forest_seed)],
-                        [(Xt, Yt, gbm_seed), (X, Y, gbm_seed)]))
+        subsets.append((feature_set, ids, (X[split.train], Y[split.train]),
+                        (X[split.test], Y[split.test]), (X, Y), forest_seed, gbm_seed))
     names = list(INVERSE_TARGETS)
-    gbms = fit_multi_outputs("gbm", [fit for *_, gbm_fits in subsets for fit in gbm_fits],
-                             names, **gbm_params)
-    for k, (feature_set, ids, Xv, Yv, forest_fits, _) in enumerate(subsets):
-        forest_val, forest = fit_multi_outputs("forest", forest_fits, names, **rf_params)
-        gbm_val, gbm = gbms[2 * k:2 * k + 2]
+    gbms = fit_multi_outputs("gbm", [(*fit, gbm_seed) for _, _, train, _, full, _, gbm_seed
+                                     in subsets for fit in (train, full)], names, **gbm_params)
+    # pop(k) takes subset k's validation GBM, so only the refits stay, in order
+    gbm_r2 = [_mean_r2(Yv, predict_multi_output(gbms.pop(k), Xv))
+              for k, (_, _, _, (Xv, Yv), _, _, _) in enumerate(subsets)]
+    for (feature_set, ids, train, (Xv, Yv), full, forest_seed, _), gbm, r2_g in zip(
+            subsets, gbms, gbm_r2):
+        forest_val, = fit_multi_outputs("forest", [(*train, forest_seed)], names, **rf_params)
         r2_f = _mean_r2(Yv, predict_multi_output(forest_val, Xv))
-        r2_g = _mean_r2(Yv, predict_multi_output(gbm_val, Xv))
+        del forest_val
+        forest, = fit_multi_outputs("forest", [(*full, forest_seed)], names, **rf_params)
         submodels[feature_set] = InverseSubmodel(
             feature_set=feature_set, forest=forest, gbm=gbm, weights=pair_weights(r2_f, r2_g),
             n_rows=len(ids), validation_r2=(r2_f, r2_g), sample_ids=ids)

@@ -166,7 +166,9 @@ def set_log_params(spec: KernelSpec, values: np.ndarray) -> KernelSpec:
             right, offset = rebuild(node.right, offset)
             return SumKernel(left, right), offset
         d = node.lengthscales.size
-        ls = np.exp(values[offset:offset + d])
+        # an overflow to inf is refused by _check_leaf below, naming it
+        with np.errstate(over="ignore"):
+            ls = np.exp(values[offset:offset + d])
         var = math.exp(values[offset + d])
         offset += d + 1
         if isinstance(node, MaternKernel):

@@ -20,6 +20,12 @@ FEATURE_SETS = ("comp", "comp+env", "comp+env+temp", "comp+env+dur", "comp+env+t
 DEFAULT_LOG_EPSILON = 1e-6  # mpy shift so zero rates survive the log transform
 
 
+class NoSamplesError(ValidationError):
+    """No sample of a dataset is left to fit or score: none carries every
+    field a feature set reads, or the rate cap removed them all. The command
+    that read the dataset names its file."""
+
+
 @dataclass
 class FeatureColumn:
     name: str
@@ -87,7 +93,7 @@ def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndar
     # the target rides along as the last column, so one pass reads both
     positions, values = feature_rows(d, feature_set + "+rate", len(columns) + 1)
     if not positions:
-        raise ValidationError(f"no samples carry the fields required by {feature_set!r}")
+        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
     fm = FeatureMatrix(values=values[:, :-1], columns=columns,
                        sample_ids=[d.samples[i].id for i in positions])
     return fm, values[:, -1]
@@ -170,7 +176,7 @@ def cap_target(samples: list[CorrosionSample], threshold: float = 100.0,
                                 rate=threshold, temperature=s.temperature, duration=s.duration)
                 for s in samples]
     if not kept:
-        raise ValidationError(f"cap at {threshold} removed every sample")
+        raise NoSamplesError(f"cap at {threshold} removed every sample")
     return kept
 
 

@@ -4,15 +4,17 @@ residuals, and multi-output models (one regressor per target column),
 fitted for several training sets at once.
 
 Trees are stored as flat parallel arrays (feature, threshold, children, value),
-nodes numbered in preorder, so serialization is trivial. Prediction stacks a
+nodes numbered in preorder, so serialization is trivial. Feature and child
+indices are 4-byte integers (np.int32), thresholds and values float64, so a
+node takes 28 bytes, whether the tree was fitted or loaded. Prediction stacks a
 model's trees into one node table and descends all of them together, one
 indexing pass per level. A loaded tree is checked to be well formed first, so
 the descent always ends inside the node table.
 
 Fitting grows a batch of trees together, breadth first over presorted
 attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
-batch may span fits: the forests of every target of several training sets,
-in batches of bounded memory, or one boosting round's stage trees of every
+batch may span fits: the forests of every target of one training set, in
+batches of bounded memory, or one boosting round's stage trees of every
 target of several boosting fits, which therefore share their rounds. Trees
 that train on one matrix form a block sharing its kept columns, as XGBoost's
 column blocks are shared across trees (Chen & Guestrin 2016). Each tree's
@@ -51,15 +53,16 @@ DEFAULT_GBM_LR = 0.1
 DEFAULT_GBM_DEPTH = 3
 
 LEAF = -1
+INDEX = np.int32           # dtype of the feature and child index arrays
 
 
 @dataclass
 class DecisionTree:
-    feature: np.ndarray    # split feature per node, LEAF marks leaves
-    threshold: np.ndarray  # split threshold per node (x <= t goes left)
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray      # mean target of the rows reaching the node
+    feature: np.ndarray    # int32 split feature per node, LEAF marks leaves
+    threshold: np.ndarray  # float64 split threshold per node (x <= t goes left)
+    left: np.ndarray       # int32 left child per node, LEAF at leaves
+    right: np.ndarray      # int32 right child per node, LEAF at leaves
+    value: np.ndarray      # float64 mean target of the rows reaching the node
     n_features: int
     max_depth: int | None = None
     min_samples_leaf: int = 1
@@ -323,8 +326,8 @@ class _Grower:
         # (split node ids, their left children's ids); right child = left + 1
         links = [(first[i] + lv[4], first[i + 1] + 2 * np.arange(lv[4].size))
                  for i, lv in enumerate(levels) if lv[4].size]
-        left = np.full(tree.size, LEAF)
-        right = np.full(tree.size, LEAF)
+        left = np.full(tree.size, LEAF, dtype=INDEX)
+        right = np.full(tree.size, LEAF, dtype=INDEX)
         count = np.ones(tree.size, dtype=np.intp)
         for parent, child in reversed(links):
             count[parent] += count[child] + count[child + 1]
@@ -334,7 +337,7 @@ class _Grower:
             pre[child + 1] = pre[child] + count[child]
             left[parent] = pre[child]
             right[parent] = pre[child + 1]
-        feature = np.full(tree.size, LEAF)
+        feature = np.full(tree.size, LEAF, dtype=INDEX)
         is_split = feat != LEAF
         feature[is_split] = self.colmap[tree[is_split], feat[is_split]]
         perm = np.lexsort((pre, tree))
@@ -413,53 +416,39 @@ class RandomForest:
     unique_inbag_counts: list[int] = field(default_factory=list)
 
 
-def _fit_forests(problems, n_estimators: int = DEFAULT_N_ESTIMATORS,
-                 max_depth: int | None = None, max_features=None,
-                 min_samples_leaf: int = 1, bootstrap: bool = True) -> list[list[RandomForest]]:
-    """Per problem (X, Y, seeds), one forest per column j of Y, seeded by
-    seeds[j]. Each tree owns a pre-spawned RNG stream for its bootstrap
-    resample and per-split feature subsets, so fits are deterministic in
-    seed. The trees of every forest are grown together, in as few equal
-    batches as _SLOT_BUDGET allows; a batch's trees of one X form one block."""
+def _fit_forests(X: np.ndarray, Y: np.ndarray, seeds,
+                 n_estimators: int = DEFAULT_N_ESTIMATORS, max_depth: int | None = None,
+                 max_features=None, min_samples_leaf: int = 1,
+                 bootstrap: bool = True) -> list[RandomForest]:
+    """One forest per column j of Y, seeded by seeds[j]. Each tree owns a
+    pre-spawned RNG stream for its bootstrap resample and per-split feature
+    subsets, so fits are deterministic in seed. The trees of every forest are
+    grown together, in as few equal batches as _SLOT_BUDGET allows."""
     if n_estimators < 1:
         raise ValidationError("n_estimators must be >= 1")
-    fits, owner, rows, rngs, unique_counts = [], [], [], [], []
-    for k, (X, Y, seeds) in enumerate(problems):
-        X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
-        n, d = X.shape
-        fits.append((X, np.ascontiguousarray(Y.T), _kept_columns(X),
-                     _resolve_max_features(max_features, d), seeds))
-        for j, seed in enumerate(seeds):
-            for stream in np.random.SeedSequence(int(seed)).spawn(n_estimators):
-                rng = np.random.default_rng(stream)
-                rows.append(rng.integers(0, n, size=n) if bootstrap else np.arange(n))
-                unique_counts.append(int(np.unique(rows[-1]).size) if bootstrap else n)
-                rngs.append(rng)
-                owner.append((k, j))
-    owner = np.asarray(owner)
-    width = max(cols.size for _, _, cols, _, _ in fits)
-    slots = sum(r.size for r in rows) * (width + 1)
+    X, Y = _check_training(X, Y, max_depth, min_samples_leaf)
+    n, d = X.shape
+    mf = _resolve_max_features(max_features, d)
+    targets, cols = np.ascontiguousarray(Y.T), _kept_columns(X)
+    rows, rngs, unique_counts = [], [], []
+    for seed in seeds:
+        for stream in np.random.SeedSequence(int(seed)).spawn(n_estimators):
+            rng = np.random.default_rng(stream)
+            rows.append(rng.integers(0, n, size=n) if bootstrap else np.arange(n))
+            unique_counts.append(int(np.unique(rows[-1]).size) if bootstrap else n)
+            rngs.append(rng)
+    rows = np.asarray(rows)                                   # (trees, n)
+    column = np.repeat(np.arange(len(seeds)), n_estimators)[:, None]  # each tree's in Y
     trees = []
-    for part in np.array_split(np.arange(len(rows)), min(len(rows), -(-slots // _SLOT_BUDGET))):
-        blocks, ys = [], []
-        for k in np.unique(owner[part, 0]):
-            X, targets, cols, _, _ = fits[k]
-            mine = part[owner[part, 0] == k]
-            block_rows = np.asarray([rows[t] for t in mine])
-            blocks.append((X, block_rows, cols))
-            ys.append(targets[owner[mine, 1][:, None], block_rows].ravel())
-        trees += _Grower(blocks).grow(np.concatenate(ys), max_depth, min_samples_leaf,
-                                      max_features, [rngs[t] for t in part])[0]
-    forests, at = [], 0
-    for X, _, _, mf, seeds in fits:
-        forests.append([])
-        for seed in seeds:
-            forests[-1].append(RandomForest(
-                trees=trees[at:at + n_estimators], n_estimators=n_estimators, max_features=mf,
-                bootstrap=bootstrap, seed=int(seed), n_features=X.shape[1],
-                unique_inbag_counts=unique_counts[at:at + n_estimators]))
-            at += n_estimators
-    return forests
+    for part in np.array_split(np.arange(len(rows)),
+                               min(len(rows), -(-rows.size * (cols.size + 1) // _SLOT_BUDGET))):
+        trees += _Grower([(X, rows[part], cols)]).grow(
+            targets[column[part], rows[part]].ravel(), max_depth, min_samples_leaf,
+            max_features, [rngs[t] for t in part])[0]
+    return [RandomForest(trees=trees[at:at + n_estimators], n_estimators=n_estimators,
+                         max_features=mf, bootstrap=bootstrap, seed=int(seed), n_features=d,
+                         unique_inbag_counts=unique_counts[at:at + n_estimators])
+            for at, seed in zip(range(0, len(rows), n_estimators), seeds)]
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, n_estimators: int = DEFAULT_N_ESTIMATORS,
@@ -469,8 +458,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, n_estimators: int = DEFAULT_N_ESTIM
     """Bagged trees, each with its own RNG stream spawned from `seed` for its
     bootstrap resample and per-split feature subsets."""
     y = np.asarray(y, dtype=float).ravel()
-    return _fit_forests([(X, y[:, None], [seed])], n_estimators, max_depth, max_features,
-                        min_samples_leaf, bootstrap)[0][0]
+    return _fit_forests(X, y[:, None], [seed], n_estimators, max_depth, max_features,
+                        min_samples_leaf, bootstrap)[0]
 
 
 def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
@@ -552,9 +541,9 @@ class MultiOutputModel:
 def fit_multi_outputs(kind: str, problems, target_names: list[str],
                       **params) -> list[MultiOutputModel]:
     """Per problem (X, Y, seed), one independent regressor per target column
-    of Y, the columns named by target_names. The forests of every problem
-    grow in shared batches, and the GBMs of every problem grow each round's
-    stage trees together."""
+    of Y, the columns named by target_names. A problem's forests grow in
+    shared batches, which no other problem's trees join, and the GBMs of
+    every problem grow each round's stage trees together."""
     problems = [(X, np.atleast_2d(np.asarray(Y, dtype=float)), seed) for X, Y, seed in problems]
     for _, Y, _ in problems:
         if len(target_names) != Y.shape[1]:
@@ -562,8 +551,8 @@ def fit_multi_outputs(kind: str, problems, target_names: list[str],
     if kind == "gbm":
         models = _fit_gbms([(X, Y) for X, Y, _ in problems], **params)
     elif kind == "forest":
-        models = _fit_forests([(X, Y, np.random.SeedSequence(seed).generate_state(Y.shape[1]))
-                               for X, Y, seed in problems], **params)
+        models = [_fit_forests(X, Y, np.random.SeedSequence(seed).generate_state(Y.shape[1]),
+                               **params) for X, Y, seed in problems]
     else:
         raise ValidationError(f"unknown base regressor {kind!r}")
     return [MultiOutputModel(kind=kind, models=m, target_names=list(target_names))
@@ -621,7 +610,34 @@ def _check_nodes(tree: DecisionTree) -> None:
 
 
 # the dtype of each node array
-_NODE_DTYPES = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+_NODE_DTYPES = {"feature": INDEX, "threshold": np.float64, "left": INDEX, "right": INDEX,
+                "value": np.float64}
+_INDEX_RANGE = np.iinfo(INDEX)
+
+
+def _node_array(key: str, values) -> np.ndarray:
+    """A tree's node list `key` as its array of _NODE_DTYPES[key]: an index
+    list must hold integers within int32, a threshold or value list numbers.
+    Any other entry (a string, a fraction or an out-of-range integer in an
+    index list) is a ValidationError naming the key, so no entry is rounded
+    or wrapped on the way; the shape is _check_nodes' to judge."""
+    dtype = _NODE_DTYPES[key]
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        array = np.empty((0, 0))
+    if array.dtype == dtype:
+        return array
+    if dtype is INDEX:
+        what = f"integers in [{_INDEX_RANGE.min}, {_INDEX_RANGE.max}]"
+        ok = array.size == 0 or (array.dtype.kind in "iu" and _INDEX_RANGE.min <= array.min()
+                                 and array.max() <= _INDEX_RANGE.max)
+    else:
+        what = "numbers"
+        ok = array.dtype.kind in "iuf"
+    if not ok:
+        raise ValidationError(f"tree {key!r} must be a list of {what}")
+    return array.astype(dtype)
 
 
 def node_arrays(d: dict) -> dict:
@@ -630,10 +646,10 @@ def node_arrays(d: dict) -> dict:
     as lists at once. A list that does not convert is left for
     tree_from_dict to reject."""
     if d.get("kind") == "tree":
-        for key, dtype in _NODE_DTYPES.items():
+        for key in _NODE_DTYPES:
             try:
-                d[key] = np.asarray(d[key], dtype=dtype)
-            except (KeyError, TypeError, ValueError, OverflowError):
+                d[key] = _node_array(key, d[key])
+            except (KeyError, ValidationError):
                 pass
     return d
 
@@ -643,8 +659,7 @@ def tree_from_dict(d: dict) -> DecisionTree:
     list, written by older versions, is ignored."""
     if d.get("kind") != "tree":
         raise ValidationError(f"expected kind 'tree', got {d.get('kind')!r}")
-    tree = DecisionTree(**{key: np.asarray(d[key], dtype=dtype)
-                           for key, dtype in _NODE_DTYPES.items()},
+    tree = DecisionTree(**{key: _node_array(key, d[key]) for key in _NODE_DTYPES},
                         n_features=int(d["n_features"]),
                         max_depth=d["max_depth"],
                         min_samples_leaf=int(d["min_samples_leaf"]))

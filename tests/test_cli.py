@@ -1,15 +1,20 @@
 """End-to-end command-line runs: file outputs, determinism, exit codes."""
 
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrml import cli
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
@@ -478,10 +483,13 @@ def _unit_scaler(payload):
     ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "left": [10 ** 30] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
      ("'model'", "malformed")),
+    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        {**m["trees"][0], "left": [2 ** 31] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
+     ("'model'", "'left'", "int")),
     ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": _unit_scaler(p)}},
      ("'preprocess.scaler'", "null", "'rf'")),
 ], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold",
-        "tree-index-beyond-int64", "rf-with-scaler"])
+        "tree-index-beyond-int64", "tree-index-beyond-int32", "rf-with-scaler"])
 def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inverse_run,
                                                 tmp_path, capsys, direction, edit, keys):
     payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
@@ -683,6 +691,90 @@ def test_predict_rejects_malformed_tree_within_timeout(workspace, forward_payloa
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {path}: ") and "Traceback" not in result.stderr
     assert all(key in result.stderr for key in keys), result.stderr
+
+
+# one change to one tree's node lists: an entry set to a value, a list
+# deleted, or a list cut short
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+_ENTRIES = (st.sampled_from([2 ** 31, -2 ** 31, 2 ** 63])
+            | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
+_NODE_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_NODE_KEYS), st.integers(0, 10 ** 6), _ENTRIES),
+    st.tuples(st.just("delete"), st.sampled_from(_NODE_KEYS)),
+    st.tuples(st.just("truncate"), st.sampled_from(_NODE_KEYS), st.integers(0, 10 ** 6)))
+
+
+def _edit_nodes(tree, edit):
+    tree = dict(tree)
+    kind, key, *args = edit
+    if kind == "delete":
+        del tree[key]
+    elif kind == "truncate":
+        tree[key] = tree[key][:args[0] % len(tree[key])]
+    else:
+        values = list(tree[key])
+        values[args[0] % len(values)] = args[1]
+        tree[key] = values
+    return tree
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(derandomize=True, database=None, max_examples=40,
+          deadline=timedelta(milliseconds=500))
+@given(tree=st.integers(0, 4), edit=_NODE_EDITS)
+def test_predict_on_mutated_tree_exits_zero_or_names_the_file(workspace, forward_payload,
+                                                              mutation_dir, tree, edit):
+    trees = list(forward_payload["model"]["trees"])
+    trees[tree] = _edit_nodes(trees[tree], edit)
+    path = mutation_dir / "model.json"
+    path.write_text(json.dumps(_with_model(forward_payload, lambda m: {**m, "trees": trees})))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["predict", "--model", str(path), "--direction", "forward",
+                       "--input", workspace["csv"], "--out", str(mutation_dir / "p")])
+    assert rc in (0, 1), err.getvalue()
+    assert rc == 0 or err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+
+
+def _strip_temperatures(ds):
+    for s in ds.samples:
+        s.temperature = s.duration = None
+    return ds
+
+
+@pytest.mark.parametrize("command", ["predict", "train-forward", "compare-forward"])
+def test_no_usable_sample_names_the_file(workspace, tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "o")]
+    if command == "predict":
+        model = tmp_path / "m"
+        assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                         "--features", "comp+env+temp", "--config", workspace["config"],
+                         "--out", str(model)]) == 0
+        path = _dump_csv(_strip_temperatures(generate_synthetic(5, seed=1)), tmp_path / "q.csv",
+                         drop_rates=True)
+        argv = ["predict", "--model", str(model / "model.json"), "--direction", "forward",
+                "--input", path]
+        message = "no samples carry the fields required by 'comp+env+temp'"
+    elif command == "train-forward":
+        data = _dump_csv(_strip_temperatures(generate_synthetic(20, seed=1)), tmp_path / "d.csv")
+        assert cli.main(["ingest", "--input", data, "--out", str(tmp_path / "ds")]) == 0
+        path = str(tmp_path / "ds" / "dataset.json")
+        argv = ["train-forward", "--dataset", path, "--model", "rf",
+                "--features", "comp+env+temp", "--config", workspace["config"]]
+        message = "no samples carry the fields required by 'comp+env+temp'"
+    else:
+        cfg = tmp_path / "cap.json"
+        cfg.write_text(json.dumps({**QUICK_CONFIG, "cap_threshold": 1e-9}))
+        path = workspace["dataset"]
+        argv = ["compare-forward", "--dataset", path, "--config", str(cfg)]
+        message = "cap at 1e-09 removed every sample"
+    assert cli.main(argv + out) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "train-forward", "config", "grade-map"])

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
 ], ids=["quick", "feature-subsets"])
 def test_batched_fit_equals_subset_by_subset_fits(monkeypatch, tmp_path, strip, present,
                                                   configs):
-    # small forest batches, so that batches end inside fits and span two
+    # small forest batches, so that a forest fit spans several batches
     monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
     data = strip(generate_inverse_synthetic(70, seed=14))
     ens = fit_inverse(data, seed=3, configs=configs)
@@ -341,3 +342,32 @@ def test_evaluation_predicts_each_submodel_once(monkeypatch):
     report = evaluate_inverse(ens, data)
     assert calls == list(SUBMODEL_SETS)
     assert report.counts == {fs: len(inverse_features(data, fs)[0]) for fs in SUBMODEL_SETS}
+
+
+def test_fit_inverse_holds_only_the_models_it_keeps(monkeypatch):
+    # each validation model is dropped once it is scored, so as each fit
+    # returns, the traced memory is at most the ensemble fit_inverse returns
+    # plus one forest; a validation forest kept alive past its scoring
+    # exceeds that. The traced memory is read between fits, because within a
+    # grow the grower's scratch, bounded by _SLOT_BUDGET, outweighs these
+    # small forests.
+    data = generate_inverse_synthetic(60, seed=5)
+    held = []
+    fit = inverse.fit_multi_outputs
+
+    def sampled(*args, **kwargs):
+        models = fit(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return models
+
+    monkeypatch.setattr(inverse, "fit_multi_outputs", sampled)
+    tracemalloc.start()
+    try:
+        ens = fit_inverse(data, seed=0, configs=QUICK)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    largest = max(sum(getattr(t, key).nbytes for m in sub.forest.models for t in m.trees
+                      for key in ("feature", "threshold", "left", "right", "value"))
+                  for sub in ens.submodels.values() if sub is not None)
+    assert max(held) < retained + largest, (held, retained, largest)

@@ -18,6 +18,7 @@ from corrml.trees import (
     gbm_to_dict,
     multi_output_from_dict,
     multi_output_to_dict,
+    node_arrays,
     predict_forest,
     predict_gbm,
     predict_multi_output,
@@ -288,6 +289,25 @@ def test_serialization_roundtrips(tmp_path):
 
     with pytest.raises(ValidationError):
         tree_from_dict({"kind": "forest"})
+
+
+def test_trees_store_int32_indices_fitted_or_loaded(tmp_path):
+    # 4-byte feature and child indices, 8-byte thresholds and values
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, 3))
+    Y = rng.normal(size=(40, 2))
+    path = tmp_path / "model.json"
+    for kind, params in (("forest", {"n_estimators": 3}), ("gbm", {"n_rounds": 3})):
+        model = _fit_multi(X, Y, kind, **params)
+        written(multi_output_to_dict(model), path)
+        loaded = [multi_output_from_dict(cli.read_json(str(path), object_hook=hook))
+                  for hook in (node_arrays, None)]
+        for m in [model] + loaded:
+            for tree in (t for sub in m.models
+                         for t in (sub.trees if kind == "forest" else sub.stages)):
+                assert [getattr(tree, k).dtype for k in
+                        ("feature", "left", "right", "threshold", "value")] == (
+                    [np.dtype(np.int32)] * 3 + [np.dtype(np.float64)] * 2), kind
 
 
 def _split_tree_dict():
