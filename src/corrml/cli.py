@@ -7,9 +7,10 @@ metric tables, ``compare-forward`` runs the four-family comparison harness,
 Every command writes a resolved-config sidecar sufficient to reproduce the
 run. Exit codes: 0 success, 1 validation error, 2 training failure.
 
-Only stdlib is imported at module level: ``CORRML_THREADS`` (one thread
-when unset) must be applied to the BLAS thread-count environment variables
-before numpy first loads.
+At module level only the standard library and ``errors``, which imports
+nothing, are imported: ``CORRML_THREADS`` (one thread when unset) must be
+applied to the BLAS thread-count environment variables before numpy first
+loads.
 """
 
 import argparse
@@ -20,6 +21,8 @@ import logging
 import math
 import os
 import sys
+
+from .errors import NoSamplesError, TrainingError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -99,8 +102,6 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
     """Merge `src` over `dst`. A value must have its default's type, except
     that an int passes for a float; keys whose default is null are checked
     where they are used."""
-    from .errors import ValidationError
-
     for key, value in src.items():
         if key not in dst:
             raise ValidationError(f"unknown config key {trail + key!r}")
@@ -132,8 +133,6 @@ def read_json(path: str, object_hook=None) -> dict:
     NaN and Infinity tokens Python's parser allows, and number literals that
     overflow a float, included), or whose root is not an object, is a
     ValidationError naming it."""
-    from .errors import ValidationError
-
     with open(path, encoding="utf-8") as fh:
         try:
             root = json.load(fh, object_hook=object_hook, parse_constant=_finite,
@@ -150,8 +149,6 @@ def _file_state(from_dict, state, path: str, where: str):
     """`from_dict(state)` for the state read from the file at `path`; a key
     missing anywhere inside it, or a malformed value, is a ValidationError
     naming the file, `where` in it the state lies and the missing key."""
-    from .errors import ValidationError
-
     try:
         return from_dict(state)
     except KeyError as exc:
@@ -165,9 +162,6 @@ def _file_state(from_dict, state, path: str, where: str):
 def _samples_of(path: str):
     """Run the block, naming the file at `path` in a NoSamplesError from it:
     the dataset or query file that left no sample to fit or score."""
-    from .errors import ValidationError
-    from .preprocess import NoSamplesError
-
     try:
         yield
     except NoSamplesError as exc:
@@ -184,8 +178,6 @@ def load_config(path: str | None) -> dict:
 def _seeded_config(args) -> dict:
     """The run config of a training command, its --seed flag applied; a
     negative seed, which numpy's generators refuse, is a ValidationError."""
-    from .errors import ValidationError
-
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -264,8 +256,6 @@ def write_json(path: str, payload: dict) -> None:
     the file is written beside `path` and renamed onto it only when complete,
     so a refused payload leaves no file. `python -m json.tool` pretty-prints
     the result."""
-    from .errors import ValidationError
-
     partial = f"{path}.{os.getpid()}.partial"
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
@@ -288,8 +278,6 @@ def _csv_records(path: str, header: list[str], convert) -> list:
     """`convert(row)` for each nonempty row under `header`, which must be the
     file's first row; a short row, or one `convert` rejects, is a
     ValidationError naming the file and the row number."""
-    from .errors import ValidationError
-
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         if next(rows, None) != header:
@@ -557,8 +545,6 @@ def cmd_compare_forward(args) -> int:
 def _model_field(payload: dict, key: str, expected, path: str):
     """`payload[key]` if present and an instance of `expected`; otherwise a
     ValidationError naming the model file at `path` and the key."""
-    from .errors import ValidationError
-
     if key not in payload:
         raise ValidationError(f"{path}: model file has no {key!r} key")
     if not isinstance(payload[key], expected):
@@ -569,7 +555,6 @@ def _model_field(payload: dict, key: str, expected, path: str):
 
 def cmd_predict(args) -> int:
     from .dataset import parse_csv
-    from .errors import ValidationError
     from .trees import node_arrays
 
     if args.direction == "inverse" and args.units == "wt":
@@ -656,17 +641,29 @@ def _parse_metric_rows(path: str) -> list[dict]:
 
 
 def _parse_pair_rows(path: str) -> dict:
-    cells: dict = {}
-    for cell, pair in _csv_records(
-            path, ["model", "feature_set", "sample_id", "true", "predicted"],
-            lambda r: ((r[0], r[1]), (_finite(r[3]), _finite(r[4])))):
-        cells.setdefault(cell, []).append(pair)
-    return cells
+    """Per chart file name, its (model, feature_set) cell and the cell's
+    (true, predicted) pairs. A model or feature_set that holds a path
+    separator or a NUL, or a cell whose file name an earlier cell took, is
+    refused with its row."""
+    charts: dict = {}
+
+    def add(r):
+        for column, text in (("model", r[0]), ("feature_set", r[1])):
+            if any(c in text for c in "/\\\0"):
+                raise ValueError(f"{column} {text!r} holds '/', '\\' or NUL, which a chart "
+                                 "file name cannot")
+        name = _cell_filename(r[0], r[1])
+        (model, feature_set), pairs = charts.setdefault(name, ((r[0], r[1]), []))
+        if (model, feature_set) != (r[0], r[1]):
+            raise ValueError(f"model {r[0]!r} and feature_set {r[1]!r} chart to {name}, "
+                             f"as model {model!r} and feature_set {feature_set!r} do")
+        pairs.append((_finite(r[3]), _finite(r[4])))
+
+    _csv_records(path, ["model", "feature_set", "sample_id", "true", "predicted"], add)
+    return charts
 
 
 def cmd_report(args) -> int:
-    from .errors import ValidationError
-
     if not args.metrics and not args.pairs:
         raise ValidationError("report needs --metrics and/or --pairs")
     out = _ensure_out(args.out)
@@ -684,8 +681,7 @@ def cmd_report(args) -> int:
             written.append(name)
 
     if args.pairs:
-        for (model, feature_set), pairs in _parse_pair_rows(args.pairs).items():
-            name = _cell_filename(model, feature_set)
+        for name, ((model, feature_set), pairs) in _parse_pair_rows(args.pairs).items():
             write_text(os.path.join(out, name),
                        scatter_svg(f"{model} / {feature_set}",
                                    [p[0] for p in pairs], [p[1] for p in pairs]))
@@ -765,8 +761,6 @@ def main(argv=None) -> int:
     try:
         _configure_threads()
         args = build_parser().parse_args(argv)
-        # import deferred error types only after the thread caps are in place
-        from .errors import TrainingError, ValidationError
         try:
             return _COMMANDS[args.command](args)
         except ValidationError as exc:

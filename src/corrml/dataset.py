@@ -220,7 +220,8 @@ def parse_csv(
     column per element symbol, holding percentages in the declared basis
     (``units`` is "wt" or "at"). Empty cells are allowed only for temp_c,
     duration_days, the rate-or-grade pair, and element columns (default 0).
-    All row-level failures are collected and raised together with row numbers.
+    All row-level failures, a sample id already read on an earlier row among
+    them, are collected and raised together with row numbers.
 
     ``require_rate=False`` admits rows with neither rate nor grade (they get a
     0.0 placeholder), for prediction inputs where the rate is the unknown.
@@ -252,16 +253,22 @@ def parse_csv(
 
         samples = []
         problems: list[str] = []
+        first_row: dict[str, int] = {}  # sample id -> the row it was first read on
         for row_no, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):
                 continue
             try:
-                samples.append(
-                    _parse_row(row, idx, element_cols, units, grade_map, env_ids,
-                               strict_composition, composition_floor, require_rate)
-                )
+                sample = _parse_row(row, idx, element_cols, units, grade_map, env_ids,
+                                    strict_composition, composition_floor, require_rate)
             except ValidationError as exc:
                 problems.append(f"row {row_no}: {exc}")
+                continue
+            if sample.id in first_row:
+                problems.append(f"row {row_no}: duplicate sample id {sample.id!r} "
+                                f"(first on row {first_row[sample.id]})")
+                continue
+            first_row[sample.id] = row_no
+            samples.append(sample)
         if problems:
             raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(problems))
 

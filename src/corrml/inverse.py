@@ -25,7 +25,8 @@ from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, split_train_test
 from .trees import (
     MultiOutputModel,
-    fit_multi_outputs,
+    fit_forests,
+    fit_gbms,
     multi_output_from_dict,
     multi_output_to_dict,
     predict_multi_output,
@@ -34,6 +35,7 @@ from .trees import (
 INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
 SUBMODEL_SETS = ("base", "base+dur", "base+dur+temp")
 MIN_SUBSET_ROWS = 10
+VALIDATION_FRACTION = 0.2  # share of a subset held out to weight its forest/GBM pair
 
 
 def clamp_at_pct(values: np.ndarray) -> np.ndarray:
@@ -98,58 +100,64 @@ def _mean_r2(Y_true: np.ndarray, Y_pred: np.ndarray) -> float:
                           for j in range(Y_true.shape[1])]))
 
 
-def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None,
-                min_rows: int = MIN_SUBSET_ROWS,
-                val_fraction: float = 0.2) -> InverseEnsemble:
+def _pair_slot(kind: str, models: list) -> MultiOutputModel:
+    """A submodel's forest or gbm: one fitted model per inverse target."""
+    return MultiOutputModel(kind, models, list(INVERSE_TARGETS))
+
+
+def _score(kind: str, models: list, X: np.ndarray, Y: np.ndarray) -> float:
+    """Mean validation R^2 of one fitted model per inverse target."""
+    return _mean_r2(Y, predict_multi_output(_pair_slot(kind, models), X))
+
+
+def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) -> InverseEnsemble:
     """Fit the three-submodel ensemble.
 
     Per submodel: an internal train/validation split sets the forest/GBM pair
     weights from validation R^2, then both regressors are refit on the full
-    subset. Extension subsets smaller than `min_rows` are flagged absent; an
-    undersized base subset is an error since nothing could be served. Every
-    subset is checked before anything is fit.
+    subset. Extension subsets smaller than MIN_SUBSET_ROWS are flagged
+    absent; an undersized base subset is an error since nothing could be
+    served. Every subset is checked before anything is fit.
 
-    Only the refits are kept, so each validation model is scored as soon as
-    it is grown and dropped before the next grow. The validation fits and
-    refits of all GBMs grow each boosting round's trees together; then, per
-    subset, the validation forests are grown, scored and dropped before the
-    refit forests are grown, so no batch of trees mixes the two.
+    Only the refits are kept, so each validation model is dropped once it is
+    scored. The validation fits and refits of all GBMs share one boosting
+    run, and every validation GBM is scored and dropped before any forest
+    grows; then, per subset, the validation forests are grown, scored and
+    dropped before the refit forests are grown.
     """
     configs = configs or {}
     rf_params = dict(configs.get("rf", {}))
     gbm_params = dict(configs.get("gbm", {}))
-    sub_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))
-    submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
+    # subset i's forests are seeded from entry 2i of six: drawing three would reseed them
+    subset_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))[::2]
     subsets = []
-    for i, feature_set in enumerate(SUBMODEL_SETS):
+    for feature_set, subset_seed in zip(SUBMODEL_SETS, subset_seeds):
         rows, X, Y = inverse_features(dataset, feature_set)
-        if len(rows) < min_rows:
+        if len(rows) < MIN_SUBSET_ROWS:
             if feature_set == "base":
                 raise ValidationError(
-                    f"base subset has {len(rows)} rows; need at least {min_rows}")
+                    f"base subset has {len(rows)} rows; need at least {MIN_SUBSET_ROWS}")
             continue
         if np.ptp(Y) == 0.0:
             raise ValidationError(f"{feature_set}: all target values identical")
-        ids = [dataset.samples[i].id for i in rows]
-        split = split_train_test(len(ids), seed=seed, test_fraction=val_fraction)
-        forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
-        subsets.append((feature_set, ids, (X[split.train], Y[split.train]),
-                        (X[split.test], Y[split.test]), (X, Y), forest_seed, gbm_seed))
-    names = list(INVERSE_TARGETS)
-    gbms = fit_multi_outputs("gbm", [(*fit, gbm_seed) for _, _, train, _, full, _, gbm_seed
-                                     in subsets for fit in (train, full)], names, **gbm_params)
-    # pop(k) takes subset k's validation GBM, so only the refits stay, in order
-    gbm_r2 = [_mean_r2(Yv, predict_multi_output(gbms.pop(k), Xv))
-              for k, (_, _, _, (Xv, Yv), _, _, _) in enumerate(subsets)]
-    for (feature_set, ids, train, (Xv, Yv), full, forest_seed, _), gbm, r2_g in zip(
+        split = split_train_test(len(rows), seed=seed, test_fraction=VALIDATION_FRACTION)
+        forest_seeds = np.random.SeedSequence(int(subset_seed)).generate_state(Y.shape[1])
+        subsets.append((feature_set, [dataset.samples[i].id for i in rows], forest_seeds,
+                        (X[split.train], Y[split.train]), (X[split.test], Y[split.test]), (X, Y)))
+    gbms = fit_gbms([fit for *_, train, _, full in subsets for fit in (train, full)],
+                    **gbm_params)
+    # score every validation GBM, then keep only the refits
+    gbm_r2 = [_score("gbm", val, *valid) for val, (*_, valid, _) in zip(gbms[::2], subsets)]
+    del gbms[::2]
+    submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
+    for (feature_set, ids, forest_seeds, train, valid, full), gbm, r2_g in zip(
             subsets, gbms, gbm_r2):
-        forest_val, = fit_multi_outputs("forest", [(*train, forest_seed)], names, **rf_params)
-        r2_f = _mean_r2(Yv, predict_multi_output(forest_val, Xv))
-        del forest_val
-        forest, = fit_multi_outputs("forest", [(*full, forest_seed)], names, **rf_params)
+        r2_f = _score("forest", fit_forests(*train, forest_seeds, **rf_params), *valid)
+        forest = fit_forests(*full, forest_seeds, **rf_params)
         submodels[feature_set] = InverseSubmodel(
-            feature_set=feature_set, forest=forest, gbm=gbm, weights=pair_weights(r2_f, r2_g),
-            n_rows=len(ids), validation_r2=(r2_f, r2_g), sample_ids=ids)
+            feature_set=feature_set, forest=_pair_slot("forest", forest),
+            gbm=_pair_slot("gbm", gbm), weights=pair_weights(r2_f, r2_g), n_rows=len(ids),
+            validation_r2=(r2_f, r2_g), sample_ids=ids)
     return InverseEnsemble(submodels=submodels, target_names=INVERSE_TARGETS, seed=seed)
 
 

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ELEMENT_ORDER, CorrosionSample, Dataset
-from .errors import ValidationError
+from .errors import NoSamplesError, ValidationError
 
 FEATURE_SETS = ("comp", "comp+env", "comp+env+temp", "comp+env+dur", "comp+env+temp+dur")
 
 DEFAULT_LOG_EPSILON = 1e-6  # mpy shift so zero rates survive the log transform
-
-
-class NoSamplesError(ValidationError):
-    """No sample of a dataset is left to fit or score: none carries every
-    field a feature set reads, or the rate cap removed them all. The command
-    that read the dataset names its file."""
 
 
 @dataclass

@@ -94,6 +94,27 @@ def test_ingest_bad_row_names_row(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "predict"])
+def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, command):
+    path = _dump_csv(generate_synthetic(4, seed=2), tmp_path / "dup.csv")
+    lines = open(path).read().splitlines()
+    # row 4 repeats row 2's sample id
+    sample_id = lines[1].split(",")[0]
+    lines[3] = sample_id + lines[3][lines[3].index(","):]
+    (tmp_path / "dup.csv").write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "o")
+    if command == "ingest":
+        argv = ["ingest", "--input", path, "--out", out]
+    else:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(request.getfixturevalue("forward_payload")))
+        argv = ["predict", "--model", str(model), "--direction", "forward", "--input", path,
+                "--out", out]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {path}: 1 invalid row(s)\nrow 4: duplicate "
+                                       f"sample id {sample_id!r} (first on row 2)\n")
+
+
 @pytest.mark.parametrize("column, value", [
     ("duration_days", "1e400"),
     ("duration_days", "nan"),
@@ -857,7 +878,17 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
      "row 2: 'nan' is not a finite number"),
     ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
      "rf,comp,s2,1.0,-inf\n", "row 3: '-inf' is not a finite number"),
-], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf"])
+    ("--pairs", "model,feature_set,sample_id,true,predicted\na/b,comp,s1,1.0,2.0\n",
+     "row 2: model 'a/b' holds '/', '\\' or NUL, which a chart file name cannot"),
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
+     "rf,a\\b,s1,1.0,2.0\n",
+     "row 3: feature_set 'a\\\\b' holds '/', '\\' or NUL, which a chart file name cannot"),
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp+env,s1,1.0,2.0\n"
+     "rf,comp+env,s2,2.0,3.0\nrf,comp-env,s1,1.0,2.0\n",
+     "row 4: model 'rf' and feature_set 'comp-env' chart to scatter_rf_comp-env.svg, as "
+     "model 'rf' and feature_set 'comp+env' do"),
+], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf",
+        "pairs-model-slash", "pairs-feature-set-backslash", "pairs-file-name-taken"])
 def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
     path = tmp_path / "rows.csv"
     path.write_text(text)

@@ -30,7 +30,8 @@ from corrml.inverse import (
     submodel_predict,
 )
 from corrml.preprocess import split_train_test
-from corrml.trees import fit_multi_outputs, multi_output_to_dict, predict_multi_output
+from corrml.trees import (MultiOutputModel, fit_forests, fit_gbms, multi_output_to_dict,
+                          predict_multi_output)
 from test_trees import written
 
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
@@ -71,8 +72,8 @@ def _without_temperatures(dataset: Dataset) -> Dataset:
 
 
 def _fit_inverse_subset_by_subset(dataset, seed, configs):
-    """fit_inverse as independent fit_multi_outputs calls, one subset and one
-    fit at a time: the oracle for its batched fits."""
+    """fit_inverse as independent fit_forests and fit_gbms calls, one subset
+    and one fit at a time: the oracle for its batched fits."""
     sub_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))
     names = list(INVERSE_TARGETS)
     submodels = {}
@@ -83,12 +84,13 @@ def _fit_inverse_subset_by_subset(dataset, seed, configs):
             continue
         split = split_train_test(len(rows), seed=seed, test_fraction=0.2)
         Xt, Yt, Xv, Yv = X[split.train], Y[split.train], X[split.test], Y[split.test]
-        forest_seed, gbm_seed = int(sub_seeds[2 * i]), int(sub_seeds[2 * i + 1])
-        fit = {"forest": (forest_seed, configs["rf"]), "gbm": (gbm_seed, configs["gbm"])}
+        forest_seeds = np.random.SeedSequence(int(sub_seeds[2 * i])).generate_state(len(names))
 
         def model(kind, X, Y):
-            seed_, params = fit[kind]
-            return fit_multi_outputs(kind, [(X, Y, seed_)], names, **params)[0]
+            if kind == "forest":
+                return MultiOutputModel(kind, fit_forests(X, Y, forest_seeds, **configs["rf"]),
+                                        names)
+            return MultiOutputModel(kind, fit_gbms([(X, Y)], **configs["gbm"])[0], names)
 
         r2_f = _mean_r2(Yv, predict_multi_output(model("forest", Xt, Yt), Xv))
         r2_g = _mean_r2(Yv, predict_multi_output(model("gbm", Xt, Yt), Xv))
@@ -353,14 +355,16 @@ def test_fit_inverse_holds_only_the_models_it_keeps(monkeypatch):
     # small forests.
     data = generate_inverse_synthetic(60, seed=5)
     held = []
-    fit = inverse.fit_multi_outputs
 
-    def sampled(*args, **kwargs):
-        models = fit(*args, **kwargs)
-        held.append(tracemalloc.get_traced_memory()[0])
-        return models
+    def sampled(fit):
+        def call(*args, **kwargs):
+            models = fit(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return models
+        return call
 
-    monkeypatch.setattr(inverse, "fit_multi_outputs", sampled)
+    for name in ("fit_forests", "fit_gbms"):
+        monkeypatch.setattr(inverse, name, sampled(getattr(inverse, name)))
     tracemalloc.start()
     try:
         ens = fit_inverse(data, seed=0, configs=QUICK)

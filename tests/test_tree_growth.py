@@ -10,10 +10,12 @@ import cart_reference as ref
 from corrml import trees
 from corrml.trees import (
     _Grower,
+    MultiOutputModel,
     _kept_columns,
     fit_forest,
+    fit_forests,
     fit_gbm,
-    fit_multi_outputs,
+    fit_gbms,
     fit_tree,
     predict_forest,
     predict_gbm,
@@ -110,15 +112,15 @@ def test_depth3_gbm_matches_reference(d):
 def test_multi_output_gbm_targets_grown_together_match_reference():
     X, y = _inverse_like(120, 6, seed=31)
     Y = np.column_stack([y, -2.0 * y, np.cos(X[:, 3]), np.zeros(120) + 4.0])
-    model = fit_multi_outputs("gbm", [(X, Y, 0)], list("abcd"), n_rounds=10, max_depth=3,
-                              min_samples_leaf=2)[0]
+    gbms, = fit_gbms([(X, Y)], n_rounds=10, max_depth=3, min_samples_leaf=2)
     expected = []
-    for j, gbm in enumerate(model.models):
+    for j, gbm in enumerate(gbms):
         f0, stages = ref.fit_gbm_stages(X, np.ascontiguousarray(Y[:, j]), 10,
                                         0.1, 3, min_samples_leaf=2)
         assert gbm.init_value == f0
         _assert_same_trees(gbm.stages, stages)
         expected.append(_gbm_sum(f0, 0.1, stages, X))
+    model = MultiOutputModel("gbm", gbms, list("abcd"))
     assert np.array_equal(predict_multi_output(model, X), np.column_stack(expected))
 
 
@@ -128,10 +130,9 @@ def test_multi_output_forest_targets_grown_together_match_reference(monkeypatch)
     monkeypatch.setattr(trees, "_SLOT_BUDGET", 1 << 12)
     X, y = _inverse_like(60, 5, seed=41)
     Y = np.column_stack([y, np.cos(X[:, 2]), X[:, 4] - X[:, 0]])
-    model = fit_multi_outputs("forest", [(X, Y, 8)], list("abc"), n_estimators=7,
-                              max_depth=5)[0]
     seeds = np.random.SeedSequence(8).generate_state(3)
-    for j, forest in enumerate(model.models):
+    forests = fit_forests(X, Y, seeds, n_estimators=7, max_depth=5)
+    for j, forest in enumerate(forests):
         assert forest.seed == seeds[j]
         _assert_same_trees(forest.trees, ref.fit_forest_trees(
             X, np.ascontiguousarray(Y[:, j]), 7, seed=int(seeds[j]), max_depth=5))

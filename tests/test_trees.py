@@ -1,4 +1,4 @@
-"""CART splitting, forests, boosting, multi-output wrapper."""
+"""CART splitting, forests, boosting, multi-output models."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,11 @@ from corrml.errors import ValidationError
 from corrml.trees import (
     LEAF,
     DecisionTree,
+    MultiOutputModel,
     fit_forest,
+    fit_forests,
     fit_gbm,
-    fit_multi_outputs,
+    fit_gbms,
     fit_tree,
     forest_from_dict,
     forest_to_dict,
@@ -35,8 +37,14 @@ def written(payload, path) -> bytes:
 
 
 def _fit_multi(X, Y, kind, seed=0, **params):
-    names = [f"t{j}" for j in range(np.shape(Y)[1])]
-    return fit_multi_outputs(kind, [(X, Y, seed)], names, **params)[0]
+    """One `kind` model per column of Y, named t0, t1, ...; the forests are
+    seeded from `seed`."""
+    if kind == "forest":
+        models = fit_forests(X, Y, np.random.SeedSequence(seed).generate_state(Y.shape[1]),
+                             **params)
+    else:
+        models, = fit_gbms([(X, Y)], **params)
+    return MultiOutputModel(kind, models, [f"t{j}" for j in range(Y.shape[1])])
 
 
 def _depth(tree: DecisionTree) -> int:
@@ -239,7 +247,7 @@ def test_multi_output_duplicate_and_independent_targets():
     y = rng.normal(size=30)
     other = rng.normal(size=30)
     Y = np.column_stack([y, y, other])
-    model = fit_multi_outputs("gbm", [(X, Y, 0)], ["a", "b", "c"], n_rounds=8)[0]
+    model = _fit_multi(X, Y, "gbm", n_rounds=8)
     P = predict_multi_output(model, X)
     assert P.shape == (30, 3)
     np.testing.assert_array_equal(P[:, 0], P[:, 1])
@@ -256,8 +264,6 @@ def test_multi_output_forest_kind():
     Y = rng.normal(size=(30, 2))
     model = _fit_multi(X, Y, "forest", seed=3, n_estimators=4)
     assert predict_multi_output(model, X).shape == (30, 2)
-    with pytest.raises(ValidationError):
-        _fit_multi(X, Y, "dnn")
 
 
 def test_serialization_roundtrips(tmp_path):

@@ -1,0 +1,88 @@
+"""Print the SHA-256 digest of every file the command-line chains write, so
+that two checkouts can be shown to produce byte-identical outputs.
+
+    python3 tools/output_digests.py --src CHECKOUT --seed N
+
+The inputs are written by this repository's ``bench/inputs.py`` for seed N:
+the README walkthrough CSV, and the benchmark's inverse training data and
+queries. Each command then runs as ``python -m corrml.cli`` with
+``CHECKOUT/src`` on ``PYTHONPATH``, inside a temporary directory and with
+fixed relative paths, so that the sidecars of two checkouts record the same
+paths. The chains are
+
+    ingest -> train-forward (rf and loggpr) -> forward predict,
+              then compare-forward -> report
+    ingest -> train-inverse -> inverse predict
+
+and the output is one ``sha256  relative/path`` line per file they write,
+sorted by path. Run it on two checkouts and diff the two outputs. Uses the
+standard library only.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+FWD_DATASET = "out/fwd/ds/dataset.json"
+INV_DATASET = "out/inv/ds/dataset.json"
+COMMANDS = [
+    ["ingest", "--input", "in/fwd/data.csv", "--out", "out/fwd/ds"],
+    *(step for model in ("rf", "loggpr") for step in (
+        ["train-forward", "--dataset", FWD_DATASET, "--model", model,
+         "--out", f"out/fwd/{model}"],
+        ["predict", "--model", f"out/fwd/{model}/model.json", "--direction", "forward",
+         "--input", "in/fwd/data.csv", "--out", f"out/fwd/{model}-predict"])),
+    ["compare-forward", "--dataset", FWD_DATASET, "--out", "out/fwd/compare"],
+    ["report", "--metrics", "out/fwd/compare/compare_metrics.csv",
+     "--pairs", "out/fwd/compare/compare_pairs.csv", "--out", "out/fwd/report"],
+    ["ingest", "--input", "in/inv/data.csv", "--out", "out/inv/ds"],
+    ["train-inverse", "--dataset", INV_DATASET, "--out", "out/inv/train"],
+    ["predict", "--model", "out/inv/train/ensemble.json", "--direction", "inverse",
+     "--input", "in/inv/queries.csv", "--out", "out/inv/predict"],
+]
+
+
+def _run(argv: list[str], cwd: str, env: dict) -> None:
+    result = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {result.returncode}:\n{result.stderr}")
+
+
+def digests(src: str, seed: int) -> list[str]:
+    """The `sha256  path` lines of every file under out/, sorted by path."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(src), "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as work:
+        for workload, folder in (("forward-gp", "in/fwd"), ("inverse", "in/inv")):
+            _run([sys.executable, os.path.join(ROOT, "bench", "inputs.py"), "--workload",
+                  workload, "--seed", str(seed), "--out", folder], work, env)
+        for argv in COMMANDS:
+            _run([sys.executable, "-m", "corrml.cli", *argv], work, env)
+        lines = []
+        for folder, _, files in os.walk(os.path.join(work, "out")):
+            for name in files:
+                path = os.path.join(folder, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                lines.append((os.path.relpath(path, work).replace(os.sep, "/"), digest))
+    return [f"{digest}  {path}" for path, digest in sorted(lines)]
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", required=True, help="checkout whose src/ the commands run")
+    p.add_argument("--seed", type=int, required=True, help="seed of the generated inputs")
+    args = p.parse_args()
+    if not os.path.isfile(os.path.join(args.src, "src", "corrml", "cli.py")):
+        p.error(f"{args.src} holds no src/corrml/cli.py")
+    print("\n".join(digests(args.src, args.seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
