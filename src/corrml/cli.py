@@ -426,6 +426,9 @@ def _cell_filename(model: str, feature_set: str) -> str:
     return f"scatter_{model}_{feature_set.replace('+', '-')}.svg"
 
 
+_NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -643,8 +646,9 @@ def _parse_metric_rows(path: str) -> list[dict]:
 def _parse_pair_rows(path: str) -> dict:
     """Per chart file name, its (model, feature_set) cell and the cell's
     (true, predicted) pairs. A model or feature_set that holds a path
-    separator or a NUL, or a cell whose file name an earlier cell took, is
-    refused with its row."""
+    separator or a NUL, a cell whose file name is longer than a file system
+    allows, or one whose file name an earlier cell took, is refused with its
+    row."""
     charts: dict = {}
 
     def add(r):
@@ -653,6 +657,10 @@ def _parse_pair_rows(path: str) -> dict:
                 raise ValueError(f"{column} {text!r} holds '/', '\\' or NUL, which a chart "
                                  "file name cannot")
         name = _cell_filename(r[0], r[1])
+        size = len(name.encode("utf-8"))
+        if size > _NAME_MAX:
+            raise ValueError(f"model and feature_set chart to a file name of {size} bytes, "
+                             f"longer than the {_NAME_MAX} a file name may take")
         (model, feature_set), pairs = charts.setdefault(name, ((r[0], r[1]), []))
         if (model, feature_set) != (r[0], r[1]):
             raise ValueError(f"model {r[0]!r} and feature_set {r[1]!r} chart to {name}, "

@@ -4,6 +4,7 @@ harness (rate prediction from composition / composition+environment).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -100,6 +101,19 @@ def _fit_predict_cell(family: str, dataset: Dataset, feature_set: str, seed: int
     return cell, model, scaler, fm
 
 
+def _fit_cell(job: tuple) -> ComparisonCell:
+    """The cell of `_fit_predict_cell(*job)`, its model dropped. This is the
+    function `compare_forward_models` hands its worker processes by name: it
+    must stay a module-level function that nothing replaces at run time."""
+    return _fit_predict_cell(*job)[0]
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Processes for `n_jobs` independent cells: one per CPU this process may
+    run on, at most one per cell."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_jobs))
+
+
 def compare_forward_models(dataset: Dataset, seed: int = 0,
                            feature_sets: tuple[str, ...] = DEFAULT_COMPARE_FEATURE_SETS,
                            models: tuple[str, ...] = tuple(FAMILIES),
@@ -110,12 +124,30 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     each feature set (same seed), one `_fit_predict_cell` each. `configs`
     overrides per-family training parameters, e.g. {"dnn": {"lr": 0.01},
     "rf": {"n_estimators": 50}}.
+
+    The cells are independent, so they run in up to one forked process per
+    usable CPU (`_worker_count`), each cell whole in one process with the
+    parent's BLAS thread setting; with one usable CPU they run in this
+    process. Cells come back in job order (feature sets outer, models inner),
+    and a failure raises the error of the first failing cell in that order.
     """
     configs = configs or {}
-    # keep only each cell, so each model is freed before the next fit
-    return [_fit_predict_cell(model, dataset, feature_set, seed, configs.get(model, {}),
-                              cap, cap_mode, test_fraction)[0]
+    for model in models:
+        forward_family(model)  # an unknown name fails before any process starts
+    jobs = [(model, dataset, feature_set, seed, configs.get(model, {}), cap, cap_mode,
+             test_fraction)
             for feature_set in feature_sets for model in models]
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        return list(map(_fit_cell, jobs))
+    # imported here so the commands that fit one cell do not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers inherit the loaded modules and the BLAS thread setting;
+    # each job, the dataset in it, is pickled to its worker
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_fit_cell, jobs))
 
 
 def comparison_metrics_rows(cells: list[ComparisonCell]) -> list[list[str]]:

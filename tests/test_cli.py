@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrml import cli
+from corrml import cli, evaluation
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
                             generate_inverse_synthetic, generate_synthetic)
-from corrml.errors import ValidationError
+from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
 
 QUICK_CONFIG = {
@@ -337,6 +338,27 @@ def test_compare_and_report_charts(workspace, tmp_path):
                      "--out", str(rep2)]) == 0
     for name in ("r2.svg", "mae.svg", "rmse.svg", scatters[0]):
         assert (rep / name).read_bytes() == (rep2 / name).read_bytes()
+
+
+def _diverged(X, y, seed, params):
+    raise TrainingError("NLML diverged")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_cell_failures_keep_their_exit_code_and_message(workspace, tmp_path, capsys,
+                                                                monkeypatch, workers):
+    monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: workers)
+    bad_lr = tmp_path / "bad-lr.json"
+    bad_lr.write_text(json.dumps({"model_params": {**QUICK_CONFIG["model_params"],
+                                                   "dnn": {"lr": -1.0}}}))
+    argv = ["compare-forward", "--dataset", workspace["dataset"], "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--config", str(bad_lr)]) == 1
+    assert capsys.readouterr().err == "error: lr must be finite and > 0\n"
+    monkeypatch.setitem(FAMILIES, "gpr", FAMILIES["gpr"]._replace(fit=_diverged))
+    assert cli.main(argv + ["--config", workspace["config"]]) == 2
+    assert capsys.readouterr().err == "training failure: NLML diverged\n"
+    assert not (tmp_path / "o").exists()
+    assert multiprocessing.active_children() == []
 
 
 # run configs of the one-path test by test-id suffix: the quick config, and
@@ -854,9 +876,13 @@ def test_reruns_write_byte_identical_json(tmp_path):
     ("import corrml.cli, corrml.inverse", ("scipy",)),
     # the GP layer binds scipy's compiled BLAS/LAPACK without the scipy.linalg package
     ("import corrml.evaluation", ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")),
+    # only compare-forward starts a process pool; the commands that fit one cell
+    # do not import it
+    ("import corrml.evaluation", ("concurrent.futures.process", "multiprocessing")),
     ("from corrml import cli; "
      "assert cli.main(['ingest', '--input', {csv!r}, '--out', {out!r}]) == 0", ("numpy",)),
-], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "ingest-no-numpy"])
+], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "evaluation-no-process-pool",
+        "ingest-no-numpy"])
 def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwanted):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -887,14 +913,30 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
      "rf,comp+env,s2,2.0,3.0\nrf,comp-env,s1,1.0,2.0\n",
      "row 4: model 'rf' and feature_set 'comp-env' chart to scatter_rf_comp-env.svg, as "
      "model 'rf' and feature_set 'comp+env' do"),
+    # 137 characters, but 257 bytes in UTF-8
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
+     + "\u00e9" * 120 + ",comp,s1,1.0,2.0\n",
+     "row 3: model and feature_set chart to a file name of 257 bytes, longer than the 255 "
+     "a file name may take"),
 ], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf",
-        "pairs-model-slash", "pairs-feature-set-backslash", "pairs-file-name-taken"])
+        "pairs-model-slash", "pairs-feature-set-backslash", "pairs-file-name-taken",
+        "pairs-file-name-too-long"])
 def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
     path = tmp_path / "rows.csv"
     path.write_text(text)
     assert cli.main(["report", option, str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n", err
+
+
+def test_report_writes_the_longest_chart_file_name(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("model,feature_set,sample_id,true,predicted\n"
+                    + "x" * 238 + ",comp,s1,1.0,2.0\n")
+    assert cli.main(["report", "--pairs", str(path), "--out", str(tmp_path / "o")]) == 0
+    name = "scatter_" + "x" * 238 + "_comp.svg"
+    assert len(name) == 255
+    ET.parse(tmp_path / "o" / name)
 
 
 def test_report_requires_an_input(tmp_path, capsys):

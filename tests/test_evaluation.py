@@ -1,12 +1,21 @@
 """Metrics identities, forward-model comparison harness."""
 
+import concurrent.futures
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
+from corrml import evaluation
 from corrml.dataset import DEFAULT_ENVIRONMENTS, CorrosionSample, Dataset, ElementComposition
 from corrml.errors import ValidationError
 from corrml.evaluation import (
+    CAP_MPY,
+    DEFAULT_COMPARE_FEATURE_SETS,
+    FAMILIES,
     ComparisonCell,
+    _fit_predict_cell,
     compare_forward_models,
     comparison_metrics_rows,
     comparison_pairs_rows,
@@ -140,3 +149,76 @@ def test_comparison_rejects_unknown_model():
     data = _linear_dataset(40)
     with pytest.raises(ValidationError):
         compare_forward_models(data, models=("svm",))
+
+
+QUICK_CONFIGS = {"rf": {"n_estimators": 10}, "dnn": {"epochs": 5},
+                 "gpr": {"epochs": 3}, "loggpr": {"epochs": 3}}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """`pools(n)` makes `compare_forward_models` use `n` processes, whatever the
+    CPU count, and returns the list of the worker counts of the pools it starts."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+
+    def force(n):
+        monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: n)
+        return started
+
+    return force
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_comparison_equals_a_serial_loop_of_cells(pools, workers):
+    data = _linear_dataset(80)
+    started = pools(workers)
+    cells = compare_forward_models(data, seed=3, configs=QUICK_CONFIGS)
+    assert started == ([2] if workers == 2 else [])
+    serial = [_fit_predict_cell(model, data, feature_set, 3, QUICK_CONFIGS[model], CAP_MPY,
+                                "drop", 0.2)[0]
+              for feature_set in DEFAULT_COMPARE_FEATURE_SETS for model in FAMILIES]
+    assert [(c.model, c.feature_set) for c in cells] == [
+        (c.model, c.feature_set) for c in serial]
+    for got, want in zip(cells, serial):
+        assert got.metrics == want.metrics
+        assert got.sample_ids == want.sample_ids
+        assert got.y_true.tobytes() == want.y_true.tobytes()
+        assert got.y_pred.tobytes() == want.y_pred.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def _failing_fit(message, delay):
+    def fit(X, y, seed, params):
+        time.sleep(delay)
+        raise ValidationError(message)
+    return fit
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_comparison_raises_the_first_failing_cell_in_job_order(pools, monkeypatch, workers):
+    # dnn precedes gpr in job order but, with two workers, fails after it
+    monkeypatch.setitem(FAMILIES, "dnn", FAMILIES["dnn"]._replace(
+        fit=_failing_fit("dnn cell failed", 0.5)))
+    monkeypatch.setitem(FAMILIES, "gpr", FAMILIES["gpr"]._replace(
+        fit=_failing_fit("gpr cell failed", 0.0)))
+    started = pools(workers)
+    with pytest.raises(ValidationError, match="^dnn cell failed$"):
+        compare_forward_models(_linear_dataset(40), feature_sets=("comp",),
+                               configs=QUICK_CONFIGS)
+    assert started == ([2] if workers == 2 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_comparison_rejects_unknown_model_before_any_process_starts(pools):
+    started = pools(2)
+    with pytest.raises(ValidationError, match="unknown forward model 'svm'"):
+        compare_forward_models(_linear_dataset(40), models=("rf", "svm"))
+    assert started == []
+    assert multiprocessing.active_children() == []
