@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 from .errors import NoSamplesError, TrainingError, ValidationError
 
@@ -143,19 +144,6 @@ def read_json(path: str, object_hook=None) -> dict:
         raise ValidationError(f"{path}: the root must be a JSON object, "
                               f"got {type(root).__name__}")
     return root
-
-
-def _file_state(from_dict, state, path: str, where: str):
-    """`from_dict(state)` for the state read from the file at `path`; a key
-    missing anywhere inside it, or a malformed value, is a ValidationError
-    naming the file, `where` in it the state lies and the missing key."""
-    try:
-        return from_dict(state)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: {where} is incomplete: "
-                              f"no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: {where} is malformed: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -298,8 +286,9 @@ def _csv_records(path: str, header: list[str], convert) -> list:
 
 def _load_dataset(path: str):
     from .dataset import dataset_from_dict
+    from .schema import load
 
-    return _file_state(dataset_from_dict, read_json(path), path, "dataset file")
+    return load(read_json(path), dataset_from_dict, f"{path}: dataset file")
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +534,9 @@ def cmd_compare_forward(args) -> int:
     return 0
 
 
-def _model_field(payload: dict, key: str, expected, path: str):
-    """`payload[key]` if present and an instance of `expected`; otherwise a
-    ValidationError naming the model file at `path` and the key."""
-    if key not in payload:
-        raise ValidationError(f"{path}: model file has no {key!r} key")
-    if not isinstance(payload[key], expected):
-        raise ValidationError(f"{path}: model file key {key!r} has the wrong type "
-                              f"({type(payload[key]).__name__})")
-    return payload[key]
-
-
 def cmd_predict(args) -> int:
-    from .dataset import parse_csv
+    from .dataset import DEFAULT_ENVIRONMENTS, parse_csv
+    from .schema import load, one_of
     from .trees import node_arrays
 
     if args.direction == "inverse" and args.units == "wt":
@@ -565,69 +544,58 @@ def cmd_predict(args) -> int:
                               "queries list only Al, Si and Mg, whose at% cannot be "
                               "derived from wt% without the trace elements")
     payload = read_json(args.model, object_hook=node_arrays)
-    kind = f"{args.direction}-model"
-    if payload.get("kind") != kind:
-        raise ValidationError(f"{args.model}: {args.direction} model files have kind "
-                              f"{kind!r}, got {payload.get('kind')!r}")
-    environments = _model_field(payload, "environment_names", list, args.model)
-    if not (all(isinstance(name, str) for name in environments)
-            and len(set(environments)) == len(environments) == 9):
-        raise ValidationError(f"{args.model}: model file key 'environment_names' must hold "
-                              f"9 distinct strings, got {environments!r}")
-    queries = parse_csv(args.input, units=args.units, environments=tuple(environments),
-                        require_rate=args.direction == "inverse")
+    queries = parse_csv(args.input, units=args.units, require_rate=args.direction == "inverse")
+    # the envelope of the model files train-forward and train-inverse write;
+    # the states it holds are read by their own tables
+    envelope = {"kind": f"{args.direction}-model", "environment_names": list(DEFAULT_ENVIRONMENTS)}
+    where, state = f"{args.model}: {args.direction} model file", f"{args.model}: model file key"
+    # a model whose numbers overflow predicts non-finite values, refused below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if args.direction == "forward":
+            from .evaluation import FAMILIES
+            from .preprocess import FEATURE_SETS, ScalerState, apply_scaler, build_features
 
-    if args.direction == "forward":
-        from .evaluation import forward_family
-        from .preprocess import FEATURE_SETS, ScalerState, apply_scaler, build_features
-
-        name = _model_field(payload, "family", str, args.model)
-        try:
-            family = forward_family(name)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.model}: key 'family': {exc}") from None
-        preprocess = _model_field(payload, "preprocess", dict, args.model)
-        scaler_state = _model_field(preprocess, "scaler", (dict, type(None)), args.model)
-        feature_set = _model_field(payload, "feature_set", str, args.model)
-        if feature_set not in FEATURE_SETS:
-            raise ValidationError(f"{args.model}: model file key 'feature_set' must be one of "
-                                  f"{FEATURE_SETS}, got {feature_set!r}")
-        model_state = _model_field(payload, "model", dict, args.model)
-
-        with _samples_of(args.input):
-            fm, _ = build_features(queries, feature_set)
-        if len(fm.sample_ids) < len(queries.samples):
-            log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                        len(queries.samples) - len(fm.sample_ids), feature_set)
-        X = fm.values
-        if scaler_state is not None:
-            scaler = _file_state(ScalerState.from_dict, scaler_state, args.model,
-                                 "model file key 'preprocess.scaler'")
-            if scaler.means.size != X.shape[1]:
+            head = load(payload, {**envelope, "family": one_of(*FAMILIES),
+                                  "feature_set": one_of(*FEATURE_SETS),
+                                  "preprocess": {"scaler": (None, {})}, "model": {}}, where)
+            name, feature_set = head["family"], head["feature_set"]
+            family, scaler_state = FAMILIES[name], payload["preprocess"]["scaler"]
+            with _samples_of(args.input):
+                fm, _ = build_features(queries, feature_set)
+            if len(fm.sample_ids) < len(queries.samples):
+                log.warning("%d row(s) lack fields required by feature set %r and were skipped",
+                            len(queries.samples) - len(fm.sample_ids), feature_set)
+            X = fm.values
+            if scaler_state is not None:
+                scaler = load(scaler_state, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
+                if scaler.means.size != X.shape[1]:
+                    raise ValidationError(
+                        f"{state} 'preprocess.scaler' has {scaler.means.size} columns, "
+                        f"feature set {feature_set!r} has {X.shape[1]}")
+                X = apply_scaler(scaler, X)
+            if (scaler_state is not None) != family.scaled:
                 raise ValidationError(
-                    f"{args.model}: model file key 'preprocess.scaler' has "
-                    f"{scaler.means.size} columns, feature set {feature_set!r} has "
-                    f"{X.shape[1]}")
-            X = apply_scaler(scaler, X)
-        if (scaler_state is not None) != family.scaled:
-            raise ValidationError(
-                f"{args.model}: model file key 'preprocess.scaler' must be "
-                f"{'an object' if family.scaled else 'null'} for family {name!r}")
-        model = _file_state(family.from_dict, model_state, args.model, "model file key 'model'")
-        if family.n_inputs(model) != X.shape[1]:
-            raise ValidationError(
-                f"{args.model}: model file key 'model' takes {family.n_inputs(model)} "
-                f"features, feature set {feature_set!r} has {X.shape[1]}")
-        pred = family.predict(model, X)
-        rows = [["sample_id", "predicted_mpy"]]
-        rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, pred)]
-    else:
-        from .inverse import inverse_from_dict, inverse_prediction_rows, predict_inverse
+                    f"{state} 'preprocess.scaler' must be "
+                    f"{'an object' if family.scaled else 'null'} for family {name!r}")
+            model = load(payload["model"], family.from_dict, f"{state} 'model'")
+            if family.n_inputs(model) != X.shape[1]:
+                raise ValidationError(
+                    f"{state} 'model' takes {family.n_inputs(model)} features, "
+                    f"feature set {feature_set!r} has {X.shape[1]}")
+            values = family.predict(model, X)
+            rows = [["sample_id", "predicted_mpy"]]
+            rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, values)]
+        else:
+            from .inverse import inverse_from_dict, inverse_prediction_rows, predict_inverse
 
-        ensemble = _file_state(inverse_from_dict,
-                               _model_field(payload, "ensemble", dict, args.model),
-                               args.model, "model file key 'ensemble'")
-        rows = inverse_prediction_rows(predict_inverse(ensemble, queries))
+            load(payload, {**envelope, "ensemble": {}}, where)
+            ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
+            preds = predict_inverse(ensemble, queries)
+            values = [v for p in preds for v in p.values.values()]
+            rows = inverse_prediction_rows(preds)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{args.model}: the model predicts a non-finite value")
     out = _ensure_out(args.out)
     write_csv(os.path.join(out, "predictions.csv"), rows)
     write_sidecar(out, "predict",

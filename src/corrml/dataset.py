@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .schema import NUMBER, STRING, finite, integer, parse, rule
 
 log = logging.getLogger(__name__)
 
@@ -209,7 +210,6 @@ def parse_csv(
     path,
     units: str = "at",
     grade_map: GradeMap | None = None,
-    environments: tuple[str, ...] = DEFAULT_ENVIRONMENTS,
     strict_composition: bool = False,
     composition_floor: float = 95.0,
     require_rate: bool = True,
@@ -230,10 +230,7 @@ def parse_csv(
         raise ValidationError(f"units must be 'wt' or 'at', got {units!r}")
     if grade_map is None:
         grade_map = GradeMap(DEFAULT_GRADE_MAP)
-    environments = tuple(sorted(environments))
-    if len(environments) != 9:
-        raise ValidationError(f"expected 9 environment categories, got {len(environments)}")
-    env_ids = {name: i for i, name in enumerate(environments)}
+    env_ids = {name: i for i, name in enumerate(DEFAULT_ENVIRONMENTS)}
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -272,7 +269,7 @@ def parse_csv(
         if problems:
             raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(problems))
 
-    return Dataset(samples=samples, environment_names=environments)
+    return Dataset(samples=samples)
 
 
 def _cell(row: list[str], i: int) -> str:
@@ -356,29 +353,28 @@ def dataset_to_dict(d: Dataset) -> dict:
     }
 
 
+_ENTRIES = rule("an object of finite numbers",
+                lambda v: isinstance(v, dict) and all(map(finite, v.values())),
+                lambda v: {symbol: float(pct) for symbol, pct in v.items()})
+# temperature and duration may be absent or null
+_SAMPLE = {"id": STRING, "environment": integer(0), "rate": NUMBER,
+           "temperature?": (None, NUMBER), "duration?": (None, NUMBER),
+           "composition": {"basis": STRING, "entries": _ENTRIES}}
+
+
+def _sample(d: dict) -> CorrosionSample:
+    """The sample a dataset file's record holds, built as the walk reaches it."""
+    s = parse(d, _SAMPLE)
+    return CorrosionSample(**{**s, "composition": ElementComposition(**s["composition"])})
+
+
+DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRONMENTS),
+           "samples": [_sample]}
+
+
 def dataset_from_dict(payload: dict) -> Dataset:
-    """The dataset a payload holds; a sample's environment, rate, temperature
-    or duration that does not convert is a ValidationError naming the sample
-    and the key (temperature and duration may be absent or null)."""
-    if payload.get("kind") != "corrosion-dataset":
-        raise ValidationError(f"not a dataset payload (kind={payload.get('kind')!r})")
-    samples = []
-    for i, rec in enumerate(payload["samples"]):
-        comp = rec["composition"]
-        numbers = {}
-        for key, kind, required in (("environment", int, True), ("rate", float, True),
-                                    ("temperature", float, False), ("duration", float, False)):
-            value = rec[key] if required else rec.get(key)
-            try:
-                numbers[key] = None if value is None and not required else kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"sample {i} key {key!r}: {exc}") from None
-        samples.append(CorrosionSample(
-            id=rec["id"],
-            composition=ElementComposition(entries=dict(comp["entries"]), basis=comp["basis"]),
-            **numbers,
-        ))
-    return Dataset(samples=samples, environment_names=tuple(payload["environment_names"]))
+    """The dataset a payload holds; inverse of dataset_to_dict."""
+    return Dataset(**parse(payload, DATASET))
 
 
 def summary_rows(d: Dataset) -> list[list[str]]:

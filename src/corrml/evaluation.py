@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import TrainingError, ValidationError
 from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
                   log_gpr_to_dict, predict_gpr, predict_log_gpr)
 from .metrics import Metrics, compute_metrics
@@ -130,6 +130,8 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     parent's BLAS thread setting; with one usable CPU they run in this
     process. Cells come back in job order (feature sets outer, models inner),
     and a failure raises the error of the first failing cell in that order.
+    A worker that dies loses the cells its pool had not finished; if that is
+    the first failure, a TrainingError names them.
     """
     configs = configs or {}
     for model in models:
@@ -143,11 +145,20 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     # imported here so the commands that fit one cell do not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # forked workers inherit the loaded modules and the BLAS thread setting;
     # each job, the dataset in it, is pickled to its worker
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_fit_cell, jobs))
+        futures = [pool.submit(_fit_cell, job) for job in jobs]
+    # the pool has stopped: every cell is done, failed, or lost with a dead worker
+    failures = [future.exception() for future in futures if future.exception() is not None]
+    if failures and isinstance(failures[0], BrokenProcessPool):
+        lost = [f"{job[0]} on {job[2]}" for job, future in zip(jobs, futures)
+                if isinstance(future.exception(), BrokenProcessPool)]
+        raise TrainingError(f"a worker process ended abruptly; the cells {', '.join(lost)} "
+                            "were lost")
+    return [future.result() for future in futures]
 
 
 def comparison_metrics_rows(cells: list[ComparisonCell]) -> list[list[str]]:

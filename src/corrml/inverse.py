@@ -14,7 +14,6 @@ at% range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +22,15 @@ from .dataset import ELEMENT_ORDER, Dataset
 from .errors import ValidationError
 from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, split_train_test
+from .schema import NUMBER, STRING, integer, parse
 from .trees import (
     MultiOutputModel,
     fit_forests,
     fit_gbms,
     multi_output_from_dict,
     multi_output_to_dict,
+    predict_forest,
+    predict_gbm,
     predict_multi_output,
 )
 
@@ -100,14 +102,9 @@ def _mean_r2(Y_true: np.ndarray, Y_pred: np.ndarray) -> float:
                           for j in range(Y_true.shape[1])]))
 
 
-def _pair_slot(kind: str, models: list) -> MultiOutputModel:
-    """A submodel's forest or gbm: one fitted model per inverse target."""
-    return MultiOutputModel(kind, models, list(INVERSE_TARGETS))
-
-
-def _score(kind: str, models: list, X: np.ndarray, Y: np.ndarray) -> float:
+def _score(predict, models: list, X: np.ndarray, Y: np.ndarray) -> float:
     """Mean validation R^2 of one fitted model per inverse target."""
-    return _mean_r2(Y, predict_multi_output(_pair_slot(kind, models), X))
+    return _mean_r2(Y, np.column_stack([predict(m, X) for m in models]))
 
 
 def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) -> InverseEnsemble:
@@ -147,16 +144,18 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
     gbms = fit_gbms([fit for *_, train, _, full in subsets for fit in (train, full)],
                     **gbm_params)
     # score every validation GBM, then keep only the refits
-    gbm_r2 = [_score("gbm", val, *valid) for val, (*_, valid, _) in zip(gbms[::2], subsets)]
+    gbm_r2 = [_score(predict_gbm, val, *valid) for val, (*_, valid, _) in zip(gbms[::2], subsets)]
     del gbms[::2]
     submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
     for (feature_set, ids, forest_seeds, train, valid, full), gbm, r2_g in zip(
             subsets, gbms, gbm_r2):
-        r2_f = _score("forest", fit_forests(*train, forest_seeds, **rf_params), *valid)
+        r2_f = _score(predict_forest, fit_forests(*train, forest_seeds, **rf_params), *valid)
         forest = fit_forests(*full, forest_seeds, **rf_params)
         submodels[feature_set] = InverseSubmodel(
-            feature_set=feature_set, forest=_pair_slot("forest", forest),
-            gbm=_pair_slot("gbm", gbm), weights=pair_weights(r2_f, r2_g), n_rows=len(ids),
+            feature_set=feature_set,
+            forest=MultiOutputModel("forest", forest, list(INVERSE_TARGETS)),
+            gbm=MultiOutputModel("gbm", gbm, list(INVERSE_TARGETS)),
+            weights=pair_weights(r2_f, r2_g), n_rows=len(ids),
             validation_r2=(r2_f, r2_g), sample_ids=ids)
     return InverseEnsemble(submodels=submodels, target_names=INVERSE_TARGETS, seed=seed)
 
@@ -276,62 +275,49 @@ def inverse_to_dict(ensemble: InverseEnsemble) -> dict:
             "target_names": list(ensemble.target_names), "seed": int(ensemble.seed)}
 
 
-def _check_weights(name: str, weights) -> tuple[float, float]:
-    """A submodel's pair weights, which must form a convex combination."""
-    w = [float(v) for v in weights]
-    if not (len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w)
-            and abs(w[0] + w[1] - 1.0) <= 1e-9):
-        raise ValidationError(f"submodel {name!r} 'weights' must be two finite values >= 0 "
-                              f"summing to 1, got {weights!r}")
-    return w[0], w[1]
+def _slot(name: str, kind: str):
+    """The spec of submodel `name`'s `kind` slot: a multi-output model of
+    that kind over the inverse targets, every tree as wide as its inputs."""
+    def parse_slot(d: dict) -> MultiOutputModel:
+        parse(d, {"kind": "multi", "base": kind, "target_names": list(INVERSE_TARGETS)})
+        model = multi_output_from_dict(d)
+        widths = {t.n_features for m in model.models
+                  for t in (m.stages if kind == "gbm" else m.trees)} - {n_features(name)}
+        if widths:
+            raise ValidationError(f"holds trees of {min(widths)} features; submodel {name!r} "
+                                  f"has {n_features(name)}")
+        return model
+    return parse_slot
 
 
-def _pair_member(name: str, sd: dict, slot: str) -> MultiOutputModel:
-    """The submodel's `slot` regressor: a model of that kind per target,
-    every tree trained on the submodel's features."""
-    model = multi_output_from_dict(sd[slot])
-    if model.kind != slot or tuple(model.target_names) != INVERSE_TARGETS:
-        raise ValidationError(f"submodel {name!r} {slot!r} must be a {slot} model of the "
-                              f"targets {list(INVERSE_TARGETS)}, got a {model.kind} model of "
-                              f"{model.target_names}")
-    width = n_features(name)
-    widths = {t.n_features for m in model.models
-              for t in (m.stages if slot == "gbm" else m.trees)} - {width}
-    if widths:
-        raise ValidationError(f"submodel {name!r} {slot!r} holds trees of {min(widths)} "
-                              f"features; the submodel has {width}")
-    return model
+def _submodel(name: str):
+    """The spec of the submodel stored under `name`: its table, then convex
+    pair weights."""
+    table = {"forest": _slot(name, "forest"), "gbm": _slot(name, "gbm"),
+             "weights": [NUMBER, NUMBER], "n_rows": integer(0),
+             "validation_r2": [NUMBER, NUMBER], "sample_ids": [STRING], "feature_set": name}
+
+    def parse_submodel(d: dict) -> InverseSubmodel:
+        sub = InverseSubmodel(feature_set=name, **parse(d, table))
+        if not (min(sub.weights) >= 0 and abs(sum(sub.weights) - 1.0) <= 1e-9):
+            raise ValidationError(f"'weights' must be two values >= 0 summing to 1, "
+                                  f"got {list(sub.weights)!r}")
+        return sub
+    return parse_submodel
+
+
+# the "base" submodel must be present; the others may be absent or null
+INVERSE = {"kind": "inverse", "target_names": list(INVERSE_TARGETS), "seed": integer(0),
+           "submodels": {"base": _submodel("base"), **{
+               name + "?": (None, _submodel(name)) for name in SUBMODEL_SETS[1:]}}}
 
 
 def inverse_from_dict(d: dict) -> InverseEnsemble:
-    """The ensemble a dict holds, checked to be one predict_inverse serves:
-    a base submodel, only known submodel names, each stored under its own
-    feature set, and per submodel convex pair weights over a forest and a GBM
-    model of every inverse target."""
-    if d.get("kind") != "inverse":
-        raise ValidationError(f"expected kind 'inverse', got {d.get('kind')!r}")
-    if tuple(d["target_names"]) != INVERSE_TARGETS:
-        raise ValidationError(f"'target_names' must be {list(INVERSE_TARGETS)}, got "
-                              f"{d['target_names']!r}")
-    stored = d["submodels"]
-    if not isinstance(stored, dict) or stored.get("base") is None:
-        raise ValidationError("'submodels' must be an object holding the 'base' submodel")
-    subs: dict[str, InverseSubmodel | None] = {}
-    for name, sd in stored.items():
-        if name not in SUBMODEL_SETS:
-            raise ValidationError(f"unknown submodel {name!r}; expected one of "
-                                  f"{list(SUBMODEL_SETS)}")
-        if sd is None:
-            subs[name] = None
-            continue
-        forest, gbm = _pair_member(name, sd, "forest"), _pair_member(name, sd, "gbm")
-        if sd["feature_set"] != name:
-            raise ValidationError(f"submodel {name!r} 'feature_set' must be {name!r}, "
-                                  f"got {sd['feature_set']!r}")
-        subs[name] = InverseSubmodel(
-            feature_set=name, forest=forest, gbm=gbm,
-            weights=_check_weights(name, sd["weights"]),
-            n_rows=int(sd["n_rows"]),
-            validation_r2=(float(sd["validation_r2"][0]), float(sd["validation_r2"][1])),
-            sample_ids=list(sd["sample_ids"]))
-    return InverseEnsemble(submodels=subs, target_names=INVERSE_TARGETS, seed=int(d["seed"]))
+    """The ensemble a dict holds (INVERSE), checked to be one predict_inverse
+    serves: it names no submodel but those of SUBMODEL_SETS."""
+    ensemble = InverseEnsemble(**parse(d, INVERSE))
+    unknown = set(d["submodels"]) - set(SUBMODEL_SETS)
+    if unknown:
+        raise ValidationError(f"unknown submodel {min(unknown)!r}; expected one of "
+                              f"{list(SUBMODEL_SETS)}")
+    return ensemble

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._linalg import dgemm, dpotrf
 from .errors import TrainingError, ValidationError
+from .schema import NUMBER, array, one_of, parse
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -269,12 +270,11 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
 
 
 def kernel_from_dict(d: dict) -> KernelSpec:
-    kind = d.get("kind")
-    if kind == "sum":
-        return SumKernel(kernel_from_dict(d["left"]), kernel_from_dict(d["right"]))
-    if kind == "rbf":
-        return RbfKernel(np.asarray(d["lengthscales"], dtype=float), float(d["variance"]))
-    if kind == "matern":
-        return MaternKernel(np.asarray(d["lengthscales"], dtype=float),
-                            float(d["variance"]), float(d["nu"]))
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    """The kernel a dict holds; its "kind" picks its class and table."""
+    make, table = KERNELS[parse(d, {"kind": one_of(*KERNELS)})["kind"]]
+    return make(**parse(d, table))
+
+
+_LEAF = {"lengthscales": array(np.float64, 1), "variance": NUMBER}
+KERNELS = {"sum": (SumKernel, {"left": kernel_from_dict, "right": kernel_from_dict}),
+           "rbf": (RbfKernel, _LEAF), "matern": (MaternKernel, {**_LEAF, "nu": NUMBER})}

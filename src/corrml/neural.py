@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import TrainingError, ValidationError
 from .preprocess import training_matrices
+from .schema import POSITIVE, STRING, array, parse
 
 log = logging.getLogger(__name__)
 
@@ -222,14 +223,15 @@ def dnn_to_dict(model: DnnModel) -> dict:
     }
 
 
+DNN = {"kind": "dnn", "weights": [array(np.float64, 2)], "biases": [array(np.float64, 1)],
+       "activations": [STRING], "huber_delta?": POSITIVE}
+
+
 def dnn_from_dict(d: dict) -> DnnModel:
-    if d.get("kind") != "dnn":
-        raise ValidationError(f"expected kind 'dnn', got {d.get('kind')!r}")
-    net = DenseNetwork([np.asarray(w, dtype=float) for w in d["weights"]],
-                       [np.asarray(b, dtype=float) for b in d["biases"]],
-                       list(d["activations"]))
+    d = parse(d, DNN)
+    net = DenseNetwork(d["weights"], d["biases"], d["activations"])
     if net.weights[-1].shape[1] != 1:
         raise ValidationError(f"'weights' must end in a layer of one output, got "
                               f"{net.weights[-1].shape[1]}")
-    config = TrainConfig(huber_delta=float(d.get("huber_delta", DEFAULT_HUBER_DELTA)))
-    return DnnModel(network=net, history=[], config=config)
+    huber_delta = DEFAULT_HUBER_DELTA if d["huber_delta"] is None else d["huber_delta"]
+    return DnnModel(network=net, history=[], config=TrainConfig(huber_delta=huber_delta))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import ELEMENT_ORDER, CorrosionSample, Dataset
 from .errors import NoSamplesError, ValidationError
+from .schema import array, parse
 
 FEATURE_SETS = ("comp", "comp+env", "comp+env+temp", "comp+env+dur", "comp+env+temp+dur")
 
@@ -125,17 +126,15 @@ class ScalerState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerState":
-        state = cls(means=np.asarray(d["means"], dtype=float),
-                    stds=np.asarray(d["stds"], dtype=float),
-                    constant=np.asarray(d["constant"], dtype=bool))
-        if not (state.means.ndim == state.stds.ndim == state.constant.ndim == 1
-                and state.means.size == state.stds.size == state.constant.size):
+        state = cls(**parse(d, SCALER))
+        if not state.means.size == state.stds.size == state.constant.size:
             raise ValidationError("'means', 'stds' and 'constant' must be lists of one length")
-        if not np.all(np.isfinite(state.means)):
-            raise ValidationError("'means' must be finite")
-        if not np.all(np.isfinite(state.stds) & (state.stds > 0)):
-            raise ValidationError("'stds' must be finite and > 0")
+        if not np.all(state.stds > 0):
+            raise ValidationError("'stds' must be > 0")
         return state
+
+
+SCALER = {"means": array(np.float64, 1), "stds": array(np.float64, 1), "constant": array(bool, 1)}
 
 
 def fit_scaler(values: np.ndarray) -> ScalerState:

@@ -37,6 +37,7 @@ a tree is grown in never changes it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,6 +46,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .preprocess import training_matrices
+from .schema import BOOL, NUMBER, POSITIVE, STRING, array, integer, one_of, parse
 
 DEFAULT_N_ESTIMATORS = 100
 DEFAULT_GBM_ROUNDS = 100
@@ -561,16 +563,15 @@ def tree_to_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.max_depth, "min_samples_leaf": tree.min_samples_leaf}
 
 
-# What a loaded tree's node arrays must hold, per key: the grower's
-# invariants, which keep every descent inside the node table. Children
-# numbered after their parent rule out cycles.
+# A tree's node lists, and what their indices must satisfy beyond their types:
+# the grower's invariants, which keep every descent inside the node table.
+# Children numbered after their parent rule out cycles.
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 _NODE_RULES = {
     "feature": "a split node's feature must lie in [0, n_features)",
     "left": "a leaf's left child must be -1, a split node's must follow the node "
             "and precede its right child",
     "right": "a leaf's right child must be -1, a split node's must be a node index",
-    "threshold": "thresholds must be finite",
-    "value": "node values must be finite",
 }
 
 
@@ -578,8 +579,8 @@ def _check_nodes(tree: DecisionTree) -> None:
     """Raise ValidationError, naming the key and the first bad node, unless
     the node arrays describe a well-formed tree."""
     n = tree.feature.size
-    if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_RULES):
-        raise ValidationError(f"tree node lists {', '.join(map(repr, _NODE_RULES))} "
+    if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_KEYS):
+        raise ValidationError(f"tree node lists {', '.join(map(repr, _NODE_KEYS))} "
                               "must be nonempty and of one length")
     node = np.arange(n)
     feature, left, right = tree.feature, tree.left, tree.right
@@ -588,8 +589,6 @@ def _check_nodes(tree: DecisionTree) -> None:
         "feature": ~leaf & ((feature < 0) | (feature >= tree.n_features)),
         "left": np.where(leaf, left != LEAF, (left <= node) | (left >= right)),
         "right": np.where(leaf, right != LEAF, right >= n),
-        "threshold": ~np.isfinite(tree.threshold),
-        "value": ~np.isfinite(tree.value),
     }
     for key, bad in faults.items():
         if bad.any():
@@ -598,35 +597,12 @@ def _check_nodes(tree: DecisionTree) -> None:
                                   f"{_NODE_RULES[key]}")
 
 
-# the dtype of each node array
-_NODE_DTYPES = {"feature": INDEX, "threshold": np.float64, "left": INDEX, "right": INDEX,
-                "value": np.float64}
-_INDEX_RANGE = np.iinfo(INDEX)
-
-
-def _node_array(key: str, values) -> np.ndarray:
-    """A tree's node list `key` as its array of _NODE_DTYPES[key]: an index
-    list must hold integers within int32, a threshold or value list numbers.
-    Any other entry (a string, a fraction or an out-of-range integer in an
-    index list) is a ValidationError naming the key, so no entry is rounded
-    or wrapped on the way; the shape is _check_nodes' to judge."""
-    dtype = _NODE_DTYPES[key]
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nesting of lists
-        array = np.empty((0, 0))
-    if array.dtype == dtype:
-        return array
-    if dtype is INDEX:
-        what = f"integers in [{_INDEX_RANGE.min}, {_INDEX_RANGE.max}]"
-        ok = array.size == 0 or (array.dtype.kind in "iu" and _INDEX_RANGE.min <= array.min()
-                                 and array.max() <= _INDEX_RANGE.max)
-    else:
-        what = "numbers"
-        ok = array.dtype.kind in "iuf"
-    if not ok:
-        raise ValidationError(f"tree {key!r} must be a list of {what}")
-    return array.astype(dtype)
+# Node lists are arrays of 4-byte indices or of finite floats, their shapes
+# _check_nodes' to judge; a per-node "gain" list older versions wrote is ignored.
+TREE = {"kind": "tree", "feature": array(INDEX), "threshold": array(np.float64),
+        "left": array(INDEX), "right": array(INDEX), "value": array(np.float64),
+        "n_features": integer(0), "max_depth": (None, integer(0)),
+        "min_samples_leaf": integer(1)}
 
 
 def node_arrays(d: dict) -> dict:
@@ -635,23 +611,15 @@ def node_arrays(d: dict) -> dict:
     as lists at once. A list that does not convert is left for
     tree_from_dict to reject."""
     if d.get("kind") == "tree":
-        for key in _NODE_DTYPES:
-            try:
-                d[key] = _node_array(key, d[key])
-            except (KeyError, ValidationError):
-                pass
+        for key in _NODE_KEYS:
+            with contextlib.suppress(KeyError, ValidationError):
+                d[key] = TREE[key](d[key])
     return d
 
 
 def tree_from_dict(d: dict) -> DecisionTree:
-    """The tree a dict holds, checked to be well formed. A per-node "gain"
-    list, written by older versions, is ignored."""
-    if d.get("kind") != "tree":
-        raise ValidationError(f"expected kind 'tree', got {d.get('kind')!r}")
-    tree = DecisionTree(**{key: _node_array(key, d[key]) for key in _NODE_DTYPES},
-                        n_features=int(d["n_features"]),
-                        max_depth=d["max_depth"],
-                        min_samples_leaf=int(d["min_samples_leaf"]))
+    """The tree a dict holds, checked to be well formed."""
+    tree = DecisionTree(**parse(d, TREE))
     _check_nodes(tree)
     return tree
 
@@ -666,23 +634,20 @@ def forest_to_dict(forest: RandomForest) -> dict:
             "unique_inbag_counts": [int(c) for c in forest.unique_inbag_counts]}
 
 
+FOREST = {"kind": "forest", "trees": [tree_from_dict], "n_estimators": integer(1),
+          "max_features": integer(1), "bootstrap": BOOL, "seed": integer(0),
+          "n_features": integer(0), "unique_inbag_counts": [integer(0)]}
+
+
 def forest_from_dict(d: dict) -> RandomForest:
-    if d.get("kind") != "forest":
-        raise ValidationError(f"expected kind 'forest', got {d.get('kind')!r}")
-    trees = [tree_from_dict(t) for t in d["trees"]]
-    if not trees:
+    forest = RandomForest(**parse(d, FOREST))
+    if not forest.trees:
         raise ValidationError("a forest's 'trees' must hold at least one tree")
-    n_features = int(d["n_features"])
-    widths = {t.n_features for t in trees} - {n_features}
+    widths = {t.n_features for t in forest.trees} - {forest.n_features}
     if widths:
-        raise ValidationError(f"a forest of 'n_features' {n_features} holds trees of "
+        raise ValidationError(f"a forest of 'n_features' {forest.n_features} holds trees of "
                               f"{min(widths)} features")
-    return RandomForest(trees=trees,
-                        n_estimators=int(d["n_estimators"]),
-                        max_features=int(d["max_features"]),
-                        bootstrap=bool(d["bootstrap"]), seed=int(d["seed"]),
-                        n_features=n_features,
-                        unique_inbag_counts=list(d["unique_inbag_counts"]))
+    return forest
 
 
 def gbm_to_dict(model: GradientBoostedTrees) -> dict:
@@ -692,17 +657,12 @@ def gbm_to_dict(model: GradientBoostedTrees) -> dict:
             "stages": [partial(tree_to_dict, t) for t in model.stages]}
 
 
+GBM = {"kind": "gbm", "init_value": NUMBER, "learning_rate": POSITIVE,
+       "stages": [tree_from_dict]}
+
+
 def gbm_from_dict(d: dict) -> GradientBoostedTrees:
-    if d.get("kind") != "gbm":
-        raise ValidationError(f"expected kind 'gbm', got {d.get('kind')!r}")
-    init_value, learning_rate = float(d["init_value"]), float(d["learning_rate"])
-    if not math.isfinite(init_value):
-        raise ValidationError(f"'init_value' must be finite, got {init_value}")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValidationError(f"'learning_rate' must be finite and > 0, got {learning_rate}")
-    return GradientBoostedTrees(init_value=init_value,
-                                stages=[tree_from_dict(t) for t in d["stages"]],
-                                learning_rate=learning_rate)
+    return GradientBoostedTrees(**parse(d, GBM))
 
 
 def multi_output_to_dict(model: MultiOutputModel) -> dict:
@@ -712,15 +672,14 @@ def multi_output_to_dict(model: MultiOutputModel) -> dict:
             "models": [to_dict(m) for m in model.models]}
 
 
+MULTI = {"kind": "multi", "base": one_of("forest", "gbm")}
+
+
 def multi_output_from_dict(d: dict) -> MultiOutputModel:
-    if d.get("kind") != "multi":
-        raise ValidationError(f"expected kind 'multi', got {d.get('kind')!r}")
-    kind, names = d["base"], list(d["target_names"])
-    if kind not in ("forest", "gbm"):
-        raise ValidationError(f"'base' must be 'forest' or 'gbm', got {kind!r}")
-    from_dict = gbm_from_dict if kind == "gbm" else forest_from_dict
-    models = [from_dict(m) for m in d["models"]]
-    if len(models) != len(names):
-        raise ValidationError(f"{len(models)} 'models' for {len(names)} 'target_names': "
-                              "one model per target")
-    return MultiOutputModel(kind=kind, models=models, target_names=names)
+    kind = parse(d, MULTI)["base"]
+    d = parse(d, {"target_names": [STRING],
+                  "models": [gbm_from_dict if kind == "gbm" else forest_from_dict]})
+    if len(d["models"]) != len(d["target_names"]):
+        raise ValidationError(f"{len(d['models'])} 'models' for {len(d['target_names'])} "
+                              "'target_names': one model per target")
+    return MultiOutputModel(kind, **d)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: file outputs, determinism, exit codes."""
 
 import contextlib
+import copy
 import csv
 import functools
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -250,8 +252,7 @@ def test_predict_forward_matches_library(workspace, tmp_path):
     from corrml.trees import forest_from_dict, predict_forest
     with open(out / "model.json") as fh:
         payload = json.load(fh)
-    ds = parse_csv(queries, require_rate=False,
-                   environments=tuple(payload["environment_names"]))
+    ds = parse_csv(queries, require_rate=False)
     fm, _ = build_features(ds, payload["feature_set"])
     expected = predict_forest(forest_from_dict(payload["model"]), fm.values)
     assert [r[1] for r in rows[1:]] == [repr(float(v)) for v in expected]
@@ -361,6 +362,31 @@ def test_compare_cell_failures_keep_their_exit_code_and_message(workspace, tmp_p
     assert multiprocessing.active_children() == []
 
 
+def test_compare_worker_killed_exits_two_naming_the_lost_cells(workspace, tmp_path, capsys,
+                                                              monkeypatch):
+    # a worker killed by a signal, as the kernel's OOM killer would, breaks the pool
+    fit = evaluation._fit_predict_cell
+
+    def killed_on_gpr(family, *args):
+        if family == "gpr":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(family, *args)
+
+    monkeypatch.setattr(evaluation, "_fit_predict_cell", killed_on_gpr)  # forked workers inherit it
+    monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: 2)
+    assert cli.main(["compare-forward", "--dataset", workspace["dataset"], "--config",
+                     workspace["config"], "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    head, tail = "training failure: a worker process ended abruptly; the cells ", " were lost\n"
+    assert err.startswith(head) and err.endswith(tail) and err.count("\n") == 1, err
+    # the killed cell and the cells still pending when the pool broke, in job order
+    lost = err[len(head):-len(tail)].split(", ")
+    cells = [f"{m} on {f}" for f in ("comp", "comp+env") for m in FAMILIES]
+    assert "gpr on comp" in lost and lost == [c for c in cells if c in lost], lost
+    assert not (tmp_path / "o").exists()
+    assert multiprocessing.active_children() == []
+
+
 # run configs of the one-path test by test-id suffix: the quick config, and
 # the same under a protocol that clips rates at 30 mpy and tests on 30 % of rows
 ONE_PATH_CONFIGS = {"": QUICK_CONFIG,
@@ -426,12 +452,24 @@ def test_family_table_matches_default_config():
 
 
 @pytest.fixture(scope="module")
-def forward_payload(workspace, tmp_path_factory):
-    out = tmp_path_factory.mktemp("rfmodel")
-    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
-                     "--config", workspace["config"], "--out", str(out)]) == 0
-    with open(out / "model.json") as fh:
-        return json.load(fh)
+def trained(workspace, tmp_path_factory):
+    """`trained(family)`: the model.json payload of a quick-config
+    train-forward run of `family` on the workspace data, trained once per
+    module."""
+    @functools.cache
+    def run(family):
+        out = tmp_path_factory.mktemp(f"{family}model")
+        assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", family,
+                         "--config", workspace["config"], "--out", str(out)]) == 0
+        with open(out / "model.json") as fh:
+            return json.load(fh)
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def forward_payload(trained):
+    return trained("rf")
 
 
 def _without(payload, key):
@@ -512,31 +550,57 @@ def _unit_scaler(payload):
     return {"means": [0.0] * n, "stds": [1.0] * n, "constant": [False] * n}
 
 
-@pytest.mark.parametrize("direction,edit,keys", [
-    ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": {
+@pytest.mark.parametrize("source,edit,keys", [
+    ("rf", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": {
         "stds": [], "constant": []}}},
      ("'preprocess.scaler'", "'means'")),
-    ("forward", lambda p: _with_model(p, lambda m: _without(m, "trees")),
+    ("rf", lambda p: _with_model(p, lambda m: _without(m, "trees")),
      ("'model'", "'trees'")),
-    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "threshold": "high"}] + m["trees"][1:]}),
      ("'model'", "malformed")),
     ("inverse", lambda p: _edit_first_tree(p, lambda t: _without(t, "threshold")),
      ("'ensemble'", "'threshold'")),
-    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "left": [10 ** 30] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
      ("'model'", "malformed")),
-    ("forward", lambda p: _with_model(p, lambda m: {**m, "trees": [
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "left": [2 ** 31] + m["trees"][0]["left"][1:]}] + m["trees"][1:]}),
      ("'model'", "'left'", "int")),
-    ("forward", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": _unit_scaler(p)}},
+    ("rf", lambda p: {**p, "preprocess": {**p["preprocess"], "scaler": _unit_scaler(p)}},
      ("'preprocess.scaler'", "null", "'rf'")),
+    # each of these once ended in a traceback, or (max-depth-string) was taken
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": "x"}),
+     ("'model'", "['trees']: must be a list, got 'x'")),
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [[1]] + m["trees"][1:]}),
+     ("'model'", "['trees'][0]: must be an object, got [1]")),
+    ("gpr", lambda p: _with_model(p, lambda m: {**m, "kernel": "x"}),
+     ("'model'", "['kernel']: must be an object, got 'x'")),
+    ("gpr", lambda p: _with_model(p, lambda m: {**m, "kernel": None}),
+     ("'model'", "['kernel']: must be an object, got None")),
+    ("loggpr", lambda p: _with_model(p, lambda m: {**m, "inner": []}),
+     ("'model'", "['inner']: must be an object, got []")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(forest="x"))),
+     ("'ensemble'", "['submodels']['base']['forest']: must be an object, got 'x'")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s["gbm"]["models"][0].update(
+        stages="x"))),
+     ("'ensemble'", "['submodels']['base']['gbm']['models'][0]['stages']: must be a list")),
+    ("inverse", lambda p: _edit_ensemble(p, _base(lambda s: s.update(validation_r2=[]))),
+     ("'ensemble'", "['submodels']['base']['validation_r2']: must be a list of 2 items")),
+    ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [
+        {**m["trees"][0], "max_depth": "x"}] + m["trees"][1:]}),
+     ("'model'", "['trees'][0]['max_depth']: must be an integer >= 0, got 'x'")),
 ], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold",
-        "tree-index-beyond-int64", "tree-index-beyond-int32", "rf-with-scaler"])
-def test_predict_rejects_incomplete_model_state(workspace, forward_payload, inverse_run,
-                                                tmp_path, capsys, direction, edit, keys):
-    payload, queries = ((forward_payload, workspace["csv"]) if direction == "forward"
-                        else (inverse_run["payload"], inverse_run["csv"]))
+        "tree-index-beyond-int64", "tree-index-beyond-int32", "rf-with-scaler",
+        "rf-trees-string", "rf-tree-list", "gpr-kernel-string", "gpr-kernel-null",
+        "loggpr-inner-list", "inverse-forest-string", "gbm-stages-string",
+        "validation-r2-empty", "max-depth-string"])
+def test_predict_rejects_incomplete_model_state(workspace, trained, inverse_run, tmp_path,
+                                                capsys, source, edit, keys):
+    # `source` is the family of the forward model file edited, or "inverse"
+    direction, payload, queries = (
+        ("inverse", inverse_run["payload"], inverse_run["csv"]) if source == "inverse"
+        else ("forward", trained(source), workspace["csv"]))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(payload)))
     rc = cli.main(["predict", "--model", str(path), "--direction", direction,
@@ -620,12 +684,8 @@ def test_predict_rejects_inconsistent_ensemble(workspace, forward_payload, inver
 
 
 @pytest.fixture(scope="module")
-def loggpr_payload(workspace, tmp_path_factory):
-    out = tmp_path_factory.mktemp("loggprmodel")
-    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "loggpr",
-                     "--config", workspace["config"], "--out", str(out)]) == 0
-    with open(out / "model.json") as fh:
-        return json.load(fh)
+def loggpr_payload(trained):
+    return trained("loggpr")
 
 
 def _with_inner(payload, key, value):
@@ -766,8 +826,7 @@ def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
 
 
-@settings(derandomize=True, database=None, max_examples=40,
-          deadline=timedelta(milliseconds=500))
+@settings(max_examples=40, deadline=timedelta(milliseconds=500))
 @given(tree=st.integers(0, 4), edit=_NODE_EDITS)
 def test_predict_on_mutated_tree_exits_zero_or_names_the_file(workspace, forward_payload,
                                                               mutation_dir, tree, edit):
@@ -779,6 +838,87 @@ def test_predict_on_mutated_tree_exits_zero_or_names_the_file(workspace, forward
     with contextlib.redirect_stderr(err):
         rc = cli.main(["predict", "--model", str(path), "--direction", "forward",
                        "--input", workspace["csv"], "--out", str(mutation_dir / "p")])
+    assert rc in (0, 1), err.getvalue()
+    assert rc == 0 or err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+
+
+# One edit at a key path drawn from a real input file, as AFL mutates valid
+# inputs: a value retyped, a number changed, a key or list item deleted, or a
+# list truncated or extended.
+_NUMBERS = (st.sampled_from([0, 1, -1, 0.5, 2 ** 31, -2 ** 31 - 1, 2 ** 63, 1e-300, 1e300])
+            | st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = (st.none() | st.booleans() | st.text(max_size=3) | _NUMBERS
+           | st.sampled_from([[], {}, [1.0], {"kind": "tree"}]))
+
+
+def _mutated(data, root):
+    """A copy of `root` with one edit at a key path drawn from it; only the
+    containers on the path are copied."""
+    path, value = [], root
+    while isinstance(value, (dict, list)) and value:
+        key = data.draw(st.sampled_from([None, *(sorted(value) if isinstance(value, dict)
+                                                 else range(len(value)))]))
+        if key is None:
+            break
+        path.append(key)
+        value = value[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    edit = data.draw(st.sampled_from(["retype"] + ["delete"] * bool(path) + ["number"] * number
+                                     + ["truncate", "extend"] * isinstance(value, list)))
+    if edit == "retype":
+        new = data.draw(_VALUES)
+    elif edit == "number":
+        new = data.draw(_NUMBERS)
+    elif edit == "truncate":
+        new = value[:data.draw(st.integers(0, max(len(value) - 1, 0)))]
+    elif edit == "extend":
+        new = value + [data.draw(st.sampled_from(value) if value else _VALUES)]
+    if not path:
+        return new
+
+    def changed(node, rest):
+        node = copy.copy(node)
+        if len(rest) > 1:
+            node[rest[0]] = changed(node[rest[0]], rest[1:])
+        elif edit == "delete":
+            del node[rest[0]]
+        else:
+            node[rest[0]] = new
+        return node
+
+    return changed(root, path)
+
+
+@pytest.fixture(scope="module")
+def input_file(workspace, trained, inverse_run):
+    """`input_file(source)`: the payload of a real input file, and the
+    command that reads it with "{path}" standing for the file: a forward
+    model of a family, the inverse ensemble or the workspace dataset."""
+    def get(source):
+        if source == "dataset":
+            with open(workspace["dataset"]) as fh:
+                return json.load(fh), ["train-forward", "--dataset", "{path}", "--model", "rf",
+                                       "--config", workspace["config"]]
+        direction, payload, queries = (
+            ("inverse", inverse_run["payload"], inverse_run["csv"]) if source == "inverse"
+            else ("forward", trained(source), workspace["csv"]))
+        return payload, ["predict", "--model", "{path}", "--direction", direction,
+                         "--input", queries]
+
+    return get
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(source=st.sampled_from(["rf", "dnn", "gpr", "loggpr", "inverse", "dataset"]),
+       data=st.data())
+def test_mutated_input_file_exits_zero_or_names_the_file(input_file, mutation_dir, source,
+                                                         data):
+    payload, argv = input_file(source)
+    path = mutation_dir / f"{source}.json"
+    path.write_text(json.dumps(_mutated(data, payload)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([a.format(path=path) for a in argv] + ["--out", str(mutation_dir / "o")])
     assert rc in (0, 1), err.getvalue()
     assert rc == 0 or err.getvalue().startswith(f"error: {path}: "), err.getvalue()
 
@@ -989,10 +1129,12 @@ DATASET = {"kind": "corrosion-dataset", "environment_names": list(DEFAULT_ENVIRO
     ("ingest", "--grade-map", {**GRADES, "A": "x"}, "'A'"),
     ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
                                                              "rate": "abc"}]},
-     "value.json: dataset file is malformed: sample 0 key 'rate'"),
+     "value.json: dataset file is malformed: ['samples'][0]['rate']: must be a finite "
+     "number, got 'abc'"),
     ("train-forward", "--dataset", {**DATASET, "samples": [{**DATASET["samples"][0],
                                                              "temperature": "abc"}]},
-     "value.json: dataset file is malformed: sample 0 key 'temperature'"),
+     "value.json: dataset file is malformed: ['samples'][0]['temperature']: must be a finite "
+     "number, got 'abc'"),
     ("train-forward", "--dataset", _without(DATASET, "samples"),
      "value.json: dataset file is incomplete: no 'samples' key"),
     ("train-forward", "--dataset", [DATASET], "value.json: the root must be a JSON object"),
@@ -1072,7 +1214,8 @@ def test_weight_basis_dataset_sample_exits_one(workspace, tmp_path, capsys, comm
     assert cli.main([command, "--dataset", str(path), "--config", workspace["config"],
                      "--out", str(tmp_path / "o")] + argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: dataset file is malformed: sample {sample['id']}: ")
+    assert err.startswith(f"error: {path}: dataset file is malformed: ['samples'][3]: "
+                          f"sample {sample['id']}: ")
     assert "'weight'" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 

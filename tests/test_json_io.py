@@ -46,7 +46,7 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("jsonio")
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(payload=st.dictionaries(st.text(), PAYLOADS, max_size=5))
 def test_write_json_matches_one_shot_dumps(out_dir, payload):
     path = out_dir / "payload.json"
@@ -85,8 +85,7 @@ def _numbers(value):
     return [value]
 
 
-@settings(derandomize=True, database=None, max_examples=60,
-          deadline=timedelta(milliseconds=200))
+@settings(max_examples=60, deadline=timedelta(milliseconds=200))
 @given(text=_objects(JSON_VALUES))
 def test_read_json_gives_finite_numbers_or_names_the_file(out_dir, text):
     path = out_dir / "value.json"
