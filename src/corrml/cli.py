@@ -7,10 +7,10 @@ metric tables, ``compare-forward`` runs the four-family comparison harness,
 Every command writes a resolved-config sidecar sufficient to reproduce the
 run. Exit codes: 0 success, 1 validation error, 2 training failure.
 
-At module level only the standard library and ``errors``, which imports
-nothing, are imported: ``CORRML_THREADS`` (one thread when unset) must be
-applied to the BLAS thread-count environment variables before numpy first
-loads.
+At module level only the standard library, ``errors`` and ``csvrows``,
+neither of which loads numpy, are imported: ``CORRML_THREADS`` (one thread
+when unset) must be applied to the BLAS thread-count environment variables
+before numpy first loads.
 """
 
 import argparse
@@ -23,6 +23,7 @@ import os
 import sys
 import warnings
 
+from .csvrows import csv_rows
 from .errors import NoSamplesError, TrainingError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -266,21 +267,20 @@ def _csv_records(path: str, header: list[str], convert) -> list:
     """`convert(row)` for each nonempty row under `header`, which must be the
     file's first row; a short row, or one `convert` rejects, is a
     ValidationError naming the file and the row number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        if next(rows, None) != header:
-            raise ValidationError(f"{path}: expected header {','.join(header)}")
-        records = []
-        for row_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ValidationError(f"{path}: row {row_no} has {len(row)} cell(s), "
-                                      f"expected {len(header)}")
-            try:
-                records.append(convert(row))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: row {row_no}: {exc}") from None
+    rows = csv_rows(path)
+    if next(rows, None) != header:
+        raise ValidationError(f"{path}: expected header {','.join(header)}")
+    records = []
+    for row_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise ValidationError(f"{path}: row {row_no} has {len(row)} cell(s), "
+                                  f"expected {len(header)}")
+        try:
+            records.append(convert(row))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: row {row_no}: {exc}") from None
     return records
 
 
@@ -448,6 +448,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_forward(args) -> int:
+    from .dataset import DEFAULT_ENVIRONMENTS
     from .evaluation import (_fit_predict_cell, comparison_metrics_rows, comparison_pairs_rows,
                              forward_family)
     from .preprocess import run_metadata
@@ -470,8 +471,8 @@ def cmd_train_forward(args) -> int:
         "kind": "forward-model",
         "family": family,
         "feature_set": cfg["features"],
-        "environment_names": list(dataset.environment_names),
-        "preprocess": run_metadata(cfg["features"], fm, scaler, cfg["cap_mode"],
+        "environment_names": list(DEFAULT_ENVIRONMENTS),
+        "preprocess": run_metadata(cfg["features"], scaler, cfg["cap_mode"],
                                    cfg["cap_threshold"], cfg["seed"]),
         "model": to_dict(model),
     }
@@ -487,7 +488,7 @@ def cmd_train_forward(args) -> int:
 
 
 def cmd_train_inverse(args) -> int:
-    from .dataset import Dataset
+    from .dataset import DEFAULT_ENVIRONMENTS, Dataset
     from .inverse import evaluate_inverse, fit_inverse, inverse_report_rows, inverse_to_dict
     from .preprocess import split_train_test
 
@@ -496,10 +497,8 @@ def cmd_train_inverse(args) -> int:
     dataset = _load_dataset(args.dataset)
     split = split_train_test(len(dataset.samples), seed=cfg["seed"],
                              test_fraction=cfg["test_fraction"])
-    train_ds = Dataset(samples=[dataset.samples[i] for i in split.train],
-                       environment_names=dataset.environment_names)
-    test_ds = Dataset(samples=[dataset.samples[i] for i in split.test],
-                      environment_names=dataset.environment_names)
+    train_ds = Dataset(samples=[dataset.samples[i] for i in split.train])
+    test_ds = Dataset(samples=[dataset.samples[i] for i in split.test])
 
     ensemble = fit_inverse(train_ds, seed=cfg["seed"], configs=cfg["inverse_params"])
     union_rows, submodel_rows = inverse_report_rows(evaluate_inverse(ensemble, test_ds))
@@ -507,7 +506,7 @@ def cmd_train_inverse(args) -> int:
     out = _ensure_out(args.out)
     write_json(os.path.join(out, "ensemble.json"),
                {"kind": "inverse-model",
-                "environment_names": list(dataset.environment_names),
+                "environment_names": list(DEFAULT_ENVIRONMENTS),
                 "ensemble": inverse_to_dict(ensemble)})
     write_csv(os.path.join(out, "inverse_metrics.csv"), union_rows)
     write_csv(os.path.join(out, "inverse_submodels.csv"), submodel_rows)
@@ -554,35 +553,34 @@ def cmd_predict(args) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
             from .evaluation import FAMILIES
-            from .preprocess import FEATURE_SETS, ScalerState, apply_scaler, build_features
+            from .preprocess import (FEATURE_SETS, ScalerState, apply_scaler, build_features,
+                                     feature_width)
 
             head = load(payload, {**envelope, "family": one_of(*FAMILIES),
                                   "feature_set": one_of(*FEATURE_SETS),
                                   "preprocess": {"scaler": (None, {})}, "model": {}}, where)
             name, feature_set = head["family"], head["feature_set"]
-            family, scaler_state = FAMILIES[name], payload["preprocess"]["scaler"]
+            family, scaler = FAMILIES[name], payload["preprocess"]["scaler"]
+            width = feature_width(feature_set)
+            if scaler is not None:
+                scaler = load(scaler, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
+                if scaler.means.size != width:
+                    raise ValidationError(f"{state} 'preprocess.scaler' has {scaler.means.size} "
+                                          f"columns, feature set {feature_set!r} has {width}")
+            if (scaler is not None) != family.scaled:
+                raise ValidationError(
+                    f"{state} 'preprocess.scaler' must be "
+                    f"{'an object' if family.scaled else 'null'} for family {name!r}")
+            model = load(payload["model"], family.from_dict, f"{state} 'model'")
+            if family.n_inputs(model) != width:
+                raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
+                                      f"feature set {feature_set!r} has {width}")
             with _samples_of(args.input):
                 fm, _ = build_features(queries, feature_set)
             if len(fm.sample_ids) < len(queries.samples):
                 log.warning("%d row(s) lack fields required by feature set %r and were skipped",
                             len(queries.samples) - len(fm.sample_ids), feature_set)
-            X = fm.values
-            if scaler_state is not None:
-                scaler = load(scaler_state, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
-                if scaler.means.size != X.shape[1]:
-                    raise ValidationError(
-                        f"{state} 'preprocess.scaler' has {scaler.means.size} columns, "
-                        f"feature set {feature_set!r} has {X.shape[1]}")
-                X = apply_scaler(scaler, X)
-            if (scaler_state is not None) != family.scaled:
-                raise ValidationError(
-                    f"{state} 'preprocess.scaler' must be "
-                    f"{'an object' if family.scaled else 'null'} for family {name!r}")
-            model = load(payload["model"], family.from_dict, f"{state} 'model'")
-            if family.n_inputs(model) != X.shape[1]:
-                raise ValidationError(
-                    f"{state} 'model' takes {family.n_inputs(model)} features, "
-                    f"feature set {feature_set!r} has {X.shape[1]}")
+            X = fm.values if scaler is None else apply_scaler(scaler, fm.values)
             values = family.predict(model, X)
             rows = [["sample_id", "predicted_mpy"]]
             rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, values)]

@@ -9,11 +9,11 @@ are carried in mils per year (mpy) internally, with 1 mil = 0.0254 mm.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 
+from .csvrows import csv_rows
 from .errors import ValidationError
 from .schema import NUMBER, STRING, finite, integer, parse, rule
 
@@ -151,16 +151,14 @@ class Dataset:
     environment_names: tuple[str, ...] = DEFAULT_ENVIRONMENTS
 
     def __post_init__(self):
-        self.environment_names = tuple(self.environment_names)
-        if len(self.environment_names) != 9:
-            raise ValidationError(f"expected 9 environment categories, got {len(self.environment_names)}")
+        if tuple(self.environment_names) != DEFAULT_ENVIRONMENTS:
+            raise ValidationError(f"environment labels must be {list(DEFAULT_ENVIRONMENTS)}")
+        self.environment_names = DEFAULT_ENVIRONMENTS
         seen = set()
         for s in self.samples:
             if s.id in seen:
                 raise ValidationError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
-            if s.environment >= len(self.environment_names):
-                raise ValidationError(f"sample {s.id}: environment id {s.environment} has no label")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -218,8 +216,9 @@ def parse_csv(
 
     Header: ``id, env, temp_c, duration_days, rate, rate_unit, grade`` plus one
     column per element symbol, holding percentages in the declared basis
-    (``units`` is "wt" or "at"). Empty cells are allowed only for temp_c,
-    duration_days, the rate-or-grade pair, and element columns (default 0).
+    (``units`` is "wt" or "at"), each column named once. Empty cells are
+    allowed only for temp_c, duration_days, the rate-or-grade pair, and
+    element columns (default 0).
     All row-level failures, a sample id already read on an earlier row among
     them, are collected and raised together with row numbers.
 
@@ -232,42 +231,40 @@ def parse_csv(
         grade_map = GradeMap(DEFAULT_GRADE_MAP)
     env_ids = {name: i for i, name in enumerate(DEFAULT_ENVIRONMENTS)}
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in CSV_META_COLUMNS:
-            if col not in header:
-                raise ValidationError(f"{path}: missing required column {col!r}")
-        element_cols = [h for h in header if h not in CSV_META_COLUMNS]
-        unknown = [h for h in element_cols if h not in ATOMIC_MASS]
-        if unknown:
-            raise ValidationError(f"{path}: unknown element columns {unknown}")
-        idx = {name: header.index(name) for name in header}
+    rows = csv_rows(path)
+    header = [h.strip() for h in next(rows, [])]  # an empty file lacks every column
+    for col in CSV_META_COLUMNS:
+        if col not in header:
+            raise ValidationError(f"{path}: missing required column {col!r}")
+    element_cols = [h for h in header if h not in CSV_META_COLUMNS]
+    unknown = [h for h in element_cols if h not in ATOMIC_MASS]
+    if unknown:
+        raise ValidationError(f"{path}: unknown element columns {unknown}")
+    idx = {name: header.index(name) for name in header}
+    for i, name in enumerate(header):
+        if idx[name] != i:
+            raise ValidationError(f"{path}: column {name!r} appears more than once")
 
-        samples = []
-        problems: list[str] = []
-        first_row: dict[str, int] = {}  # sample id -> the row it was first read on
-        for row_no, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                sample = _parse_row(row, idx, element_cols, units, grade_map, env_ids,
-                                    strict_composition, composition_floor, require_rate)
-            except ValidationError as exc:
-                problems.append(f"row {row_no}: {exc}")
-                continue
-            if sample.id in first_row:
-                problems.append(f"row {row_no}: duplicate sample id {sample.id!r} "
-                                f"(first on row {first_row[sample.id]})")
-                continue
-            first_row[sample.id] = row_no
-            samples.append(sample)
-        if problems:
-            raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(problems))
+    samples = []
+    problems: list[str] = []
+    first_row: dict[str, int] = {}  # sample id -> the row it was first read on
+    for row_no, row in enumerate(rows, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        try:
+            sample = _parse_row(row, idx, element_cols, units, grade_map, env_ids,
+                                strict_composition, composition_floor, require_rate)
+        except ValidationError as exc:
+            problems.append(f"row {row_no}: {exc}")
+            continue
+        if sample.id in first_row:
+            problems.append(f"row {row_no}: duplicate sample id {sample.id!r} "
+                            f"(first on row {first_row[sample.id]})")
+            continue
+        first_row[sample.id] = row_no
+        samples.append(sample)
+    if problems:
+        raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(problems))
 
     return Dataset(samples=samples)
 
@@ -479,7 +476,7 @@ def generate_synthetic(
             temperature=float(temps[i]) if i in temp_rows else None,
             duration=float(durs[i]) if i in dur_rows else None,
         ))
-    return Dataset(samples=samples, environment_names=DEFAULT_ENVIRONMENTS)
+    return Dataset(samples=samples)
 
 
 def inverse_synthetic_targets(rate: float, environment: int,
@@ -538,4 +535,4 @@ def generate_inverse_synthetic(n: int, seed: int) -> Dataset:
             temperature=float(temps[i]) if i in temp_rows else None,
             duration=float(durs[i]) if i in dur_rows else None,
         ))
-    return Dataset(samples=samples, environment_names=DEFAULT_ENVIRONMENTS)
+    return Dataset(samples=samples)

@@ -82,9 +82,7 @@ def _fit_predict_cell(family: str, dataset: Dataset, feature_set: str, seed: int
     training rows and score the test rows. Returns (cell, model, scaler,
     feature matrix); `scaler` is None for a family fit on raw features."""
     entry = forward_family(family)
-    capped = Dataset(samples=cap_target(dataset.samples, cap, cap_mode),
-                     environment_names=dataset.environment_names)
-    fm, y = build_features(capped, feature_set)
+    fm, y = build_features(Dataset(samples=cap_target(dataset.samples, cap, cap_mode)), feature_set)
     split = split_train_test(y.size, seed=seed, test_fraction=test_fraction)
     X_train, X_test, y_test = fm.values[split.train], fm.values[split.test], y[split.test]
     scaler = None

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import ELEMENT_ORDER, Dataset
 from .errors import ValidationError
 from .metrics import Metrics, compute_metrics
-from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, split_train_test
+from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, feature_width, split_train_test
 from .schema import NUMBER, STRING, integer, parse
 from .trees import (
     MultiOutputModel,
@@ -45,12 +45,6 @@ def clamp_at_pct(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 100.0)
 
 
-def n_features(feature_set: str) -> int:
-    """A submodel's input width: rate, environment id, the base elements and
-    one column per optional part."""
-    return 2 + len(INVERSE_BASE_ELEMENTS) + feature_set.count("+")
-
-
 def inverse_features(dataset: Dataset, feature_set: str
                      ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """(row positions, X, Y) for one submodel subset: the samples that carry
@@ -61,8 +55,8 @@ def inverse_features(dataset: Dataset, feature_set: str
     """
     if feature_set not in SUBMODEL_SETS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
-    width = n_features(feature_set)
-    rows, M = feature_rows(dataset, feature_set + "+comp", width + len(ELEMENT_ORDER))
+    width = feature_width(feature_set)
+    rows, M = feature_rows(dataset, feature_set + "+comp")
     return rows, M[:, :width], M[:, [width + ELEMENT_ORDER.index(e) for e in INVERSE_TARGETS]]
 
 
@@ -282,10 +276,10 @@ def _slot(name: str, kind: str):
         parse(d, {"kind": "multi", "base": kind, "target_names": list(INVERSE_TARGETS)})
         model = multi_output_from_dict(d)
         widths = {t.n_features for m in model.models
-                  for t in (m.stages if kind == "gbm" else m.trees)} - {n_features(name)}
+                  for t in (m.stages if kind == "gbm" else m.trees)} - {feature_width(name)}
         if widths:
             raise ValidationError(f"holds trees of {min(widths)} features; submodel {name!r} "
-                                  f"has {n_features(name)}")
+                                  f"has {feature_width(name)}")
         return model
     return parse_slot
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ELEMENT_ORDER, CorrosionSample, Dataset
+from .dataset import DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, CorrosionSample, Dataset
 from .errors import NoSamplesError, ValidationError
 from .schema import array, parse
 
@@ -22,54 +22,50 @@ DEFAULT_LOG_EPSILON = 1e-6  # mpy shift so zero rates survive the log transform
 
 
 @dataclass
-class FeatureColumn:
-    name: str
-    kind: str  # composition | environment-indicator | temperature | duration
-
-
-@dataclass
 class FeatureMatrix:
-    values: np.ndarray  # (n_samples, n_features) float64
-    columns: list[FeatureColumn]
+    values: np.ndarray  # (n_samples, n_features) float64; every sample field is finite
     sample_ids: list[str]
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
-            raise ValidationError("feature matrix shape does not match column descriptors")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("feature matrix contains non-finite entries")
 
 
 # A feature set joins its parts with "+", and its columns are its parts'
-# columns in that order. A part gives a sample's values for its columns, or
-# None where the sample lacks the field, which keeps the sample out; `n_env`
-# is the dataset's environment-label count. Forward sets read comp, env, temp
-# and dur, inverse sets base, dur and temp; rate is the forward target.
+# columns in that order, so its name alone fixes its layout. A part gives a
+# sample's values for its columns, or None where the sample lacks the field,
+# which keeps the sample out. Forward sets read comp, env, temp and dur,
+# inverse sets base, dur and temp; rate is the forward target.
 INVERSE_BASE_ELEMENTS = ("Al", "Si", "Mg")
 _PARTS = {
-    "comp": lambda s, n_env: [s.composition.get(sym) for sym in ELEMENT_ORDER],
-    "env": lambda s, n_env: [1.0 if k == s.environment else 0.0 for k in range(n_env)],
-    "temp": lambda s, n_env: None if s.temperature is None else [s.temperature],
-    "dur": lambda s, n_env: None if s.duration is None else [s.duration],
-    "base": lambda s, n_env: ([s.rate, float(s.environment)]
-                              + [s.composition.get(e) for e in INVERSE_BASE_ELEMENTS]),
-    "rate": lambda s, n_env: [s.rate],
+    "comp": lambda s: [s.composition.get(sym) for sym in ELEMENT_ORDER],
+    "env": lambda s: [float(k == s.environment) for k in range(len(DEFAULT_ENVIRONMENTS))],
+    "temp": lambda s: None if s.temperature is None else [s.temperature],
+    "dur": lambda s: None if s.duration is None else [s.duration],
+    "base": lambda s: ([s.rate, float(s.environment)]
+                       + [s.composition.get(e) for e in INVERSE_BASE_ELEMENTS]),
+    "rate": lambda s: [s.rate],
 }
+_WIDTHS = {"comp": len(ELEMENT_ORDER), "env": len(DEFAULT_ENVIRONMENTS), "temp": 1, "dur": 1,
+           "base": 2 + len(INVERSE_BASE_ELEMENTS), "rate": 1}
+# a forward part's (name, kind) per column, as a model file records them
+_COLUMNS = {"comp": [(sym, "composition") for sym in ELEMENT_ORDER],
+            "env": [(f"env={name}", "environment-indicator") for name in DEFAULT_ENVIRONMENTS],
+            "temp": [("temp_c", "temperature")], "dur": [("duration_days", "duration")]}
 
 
-def feature_rows(d: Dataset, feature_set: str, width: int) -> tuple[list[int], np.ndarray]:
-    """(positions, matrix) of the samples that have a value in every column
-    of `feature_set`, `width` columns wide: the samples' positions in the
-    dataset, in order, and their rows."""
+def feature_width(feature_set: str) -> int:
+    """The number of columns of `feature_set`'s rows."""
+    return sum(_WIDTHS[part] for part in feature_set.split("+"))
+
+
+def feature_rows(d: Dataset, feature_set: str) -> tuple[list[int], np.ndarray]:
+    """(positions, matrix) of the samples that have a value in every column of
+    `feature_set`: their positions in the dataset, in order, and their rows."""
     parts = [_PARTS[name] for name in feature_set.split("+")]
-    n_env = len(d.environment_names)
     positions, rows = [], []
     for i, s in enumerate(d.samples):
-        values = [part(s, n_env) for part in parts]
+        values = [part(s) for part in parts]
         if None not in values:
             positions.append(i)
             rows.append([v for part in values for v in part])
-    return positions, np.asarray(rows, dtype=float).reshape(-1, width)
+    return positions, np.asarray(rows, dtype=float).reshape(-1, feature_width(feature_set))
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
@@ -81,17 +77,11 @@ def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndar
     """
     if feature_set not in FEATURE_SETS:
         raise ValidationError(f"unknown feature set {feature_set!r}; choose from {FEATURE_SETS}")
-    named = {"comp": [(sym, "composition") for sym in ELEMENT_ORDER],
-             "env": [(f"env={name}", "environment-indicator") for name in d.environment_names],
-             "temp": [("temp_c", "temperature")], "dur": [("duration_days", "duration")]}
-    columns = [FeatureColumn(*c) for part in feature_set.split("+") for c in named[part]]
     # the target rides along as the last column, so one pass reads both
-    positions, values = feature_rows(d, feature_set + "+rate", len(columns) + 1)
+    positions, values = feature_rows(d, feature_set + "+rate")
     if not positions:
         raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
-    fm = FeatureMatrix(values=values[:, :-1], columns=columns,
-                       sample_ids=[d.samples[i].id for i in positions])
-    return fm, values[:, -1]
+    return FeatureMatrix(values[:, :-1], [d.samples[i].id for i in positions]), values[:, -1]
 
 
 def training_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +184,14 @@ def split_train_test(n: int, seed: int, test_fraction: float = 0.2) -> SplitIndi
                         seed=seed)
 
 
-def run_metadata(feature_set: str, fm: FeatureMatrix, scaler: ScalerState | None,
-                 cap_mode: str, cap_threshold: float, seed: int) -> dict:
-    """Sidecar dict recording everything needed to reproduce a preprocessing run."""
+def run_metadata(feature_set: str, scaler: ScalerState | None, cap_mode: str,
+                 cap_threshold: float, seed: int) -> dict:
+    """Sidecar dict recording everything needed to reproduce a preprocessing
+    run of forward feature set `feature_set`."""
     return {
         "feature_set": feature_set,
-        "columns": [{"name": c.name, "kind": c.kind} for c in fm.columns],
+        "columns": [{"name": name, "kind": kind} for part in feature_set.split("+")
+                    for name, kind in _COLUMNS[part]],
         "cap_mode": cap_mode,
         "cap_threshold": cap_threshold,
         "seed": seed,

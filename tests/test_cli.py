@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrml import cli, evaluation
@@ -116,6 +116,34 @@ def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, c
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (f"error: {path}: 1 invalid row(s)\nrow 4: duplicate "
                                        f"sample id {sample_id!r} (first on row 2)\n")
+
+
+_HEADER = b"id,env,temp_c,duration_days,rate,rate_unit,grade,Al,Zn"
+
+
+@pytest.mark.parametrize("command", ["ingest", "predict"])
+@pytest.mark.parametrize("data,message", [
+    # a Latin-1 e-acute in the second sample's id
+    (_HEADER + b"\ns1,seawater,,,1.0,mpy,,95,5\ns\xe92,seawater,,,1.0,mpy,,95,5\n",
+     "line 3: 'utf-8' codec can't decode byte 0xe9 in position 1: invalid continuation byte"),
+    (_HEADER + b"\ns1,seawater,,,1.0,mpy,,95,5\ns2,seawater,,," + b"1" * 131073
+     + b",mpy,,95,5\n", "line 3: field larger than field limit (131072)"),
+    (_HEADER + b",Zn\ns1,seawater,,,1.0,mpy,,93,5,7\n", "column 'Zn' appears more than once"),
+], ids=["latin-1-byte", "oversized-cell", "repeated-column"])
+def test_unreadable_csv_names_the_file_and_line(tmp_path, capsys, request, command, data,
+                                                message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    argv = ["ingest", "--input", str(path), "--out", str(out)]
+    if command == "predict":
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(request.getfixturevalue("forward_payload")))
+        argv = ["predict", "--model", str(model), "--direction", "forward", "--input", str(path),
+                "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("column, value", [
@@ -852,8 +880,8 @@ _VALUES = (st.none() | st.booleans() | st.text(max_size=3) | _NUMBERS
 
 
 def _mutated(data, root):
-    """A copy of `root` with one edit at a key path drawn from it; only the
-    containers on the path are copied."""
+    """(path, copy): the key path drawn from `root`, and a copy of `root` with
+    one edit there; only the containers on the path are copied."""
     path, value = [], root
     while isinstance(value, (dict, list)) and value:
         key = data.draw(st.sampled_from([None, *(sorted(value) if isinstance(value, dict)
@@ -874,7 +902,7 @@ def _mutated(data, root):
     elif edit == "extend":
         new = value + [data.draw(st.sampled_from(value) if value else _VALUES)]
     if not path:
-        return new
+        return path, new
 
     def changed(node, rest):
         node = copy.copy(node)
@@ -886,7 +914,7 @@ def _mutated(data, root):
             node[rest[0]] = new
         return node
 
-    return changed(root, path)
+    return path, changed(root, path)
 
 
 @pytest.fixture(scope="module")
@@ -915,12 +943,71 @@ def test_mutated_input_file_exits_zero_or_names_the_file(input_file, mutation_di
                                                          data):
     payload, argv = input_file(source)
     path = mutation_dir / f"{source}.json"
-    path.write_text(json.dumps(_mutated(data, payload)))
+    path.write_text(json.dumps(_mutated(data, payload)[1]))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main([a.format(path=path) for a in argv] + ["--out", str(mutation_dir / "o")])
     assert rc in (0, 1), err.getvalue()
     assert rc == 0 or err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def walkthrough_rows(tmp_path_factory):
+    """The rows of a small valid walkthrough CSV, header first."""
+    path = _dump_csv(generate_synthetic(4, seed=3), tmp_path_factory.mktemp("rows") / "d.csv")
+    return _read_rows(path)
+
+
+_CELLS = st.text(max_size=6) | st.sampled_from(["", "nan", "-1", "1e400", "seawater", "x" * 131073])
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(data=st.data())
+def test_edited_csv_ingests_or_names_the_file(walkthrough_rows, mutation_dir, data):
+    # one edit: a cell's text, a cell dropped or added, a row dropped, a
+    # header name repeated, or a byte that is not UTF-8
+    rows = [list(row) for row in walkthrough_rows]
+    edit = data.draw(st.sampled_from(["text", "drop-cell", "add-cell", "drop-row", "repeat",
+                                      "byte"]))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    if edit == "text":
+        rows[r][c] = data.draw(_CELLS)
+    elif edit == "drop-cell":
+        del rows[r][c]
+    elif edit == "add-cell":
+        rows[r].insert(c, data.draw(_CELLS))
+    elif edit == "drop-row":
+        del rows[r]
+    elif edit == "repeat":
+        rows[0].insert(c, data.draw(st.sampled_from(rows[0])))
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    raw = text.getvalue().encode("utf-8")
+    if edit == "byte":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xe9", b"\xff"])) + raw[at:]
+    path = mutation_dir / "edited.csv"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["ingest", "--input", str(path), "--out", str(mutation_dir / "i")])
+    assert rc in (0, 1), err.getvalue()
+    assert rc == 0 or err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(data=st.data())
+def test_edited_config_merges_or_names_the_key(data):
+    path, config = _mutated(data, cli.default_config())
+    assume(path)  # an edit at a key, not one replacing the whole config
+    try:
+        cli._merge_config(cli.default_config(), config)
+    except ValidationError as exc:
+        # the refused key is the edited one or one inside it; the merge
+        # does not look into lists, so a list item's key is its list's
+        keys = path[:next((i for i, k in enumerate(path) if isinstance(k, int)), len(path))]
+        assert f"'{'.'.join(keys)}" in str(exc), str(exc)
 
 
 def _strip_temperatures(ds):
@@ -1058,12 +1145,17 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
      + "\u00e9" * 120 + ",comp,s1,1.0,2.0\n",
      "row 3: model and feature_set chart to a file name of 257 bytes, longer than the 255 "
      "a file name may take"),
+    # a Latin-1 e-acute, which is not UTF-8
+    ("--metrics", b"model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\nrf,c\xe9,0.5,1,2\n",
+     "line 3: 'utf-8' codec can't decode byte 0xe9 in position 4: invalid continuation byte"),
+    ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
+     "rf,comp," + "s" * 131073 + ",1.0,2.0\n", "line 3: field larger than field limit (131072)"),
 ], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf",
         "pairs-model-slash", "pairs-feature-set-backslash", "pairs-file-name-taken",
-        "pairs-file-name-too-long"])
+        "pairs-file-name-too-long", "metrics-latin-1-byte", "pairs-oversized-cell"])
 def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
     path = tmp_path / "rows.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert cli.main(["report", option, str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n", err

@@ -97,6 +97,15 @@ def test_dataset_rejects_duplicate_ids():
         Dataset(samples=twice)
 
 
+@pytest.mark.parametrize("labels", [DEFAULT_ENVIRONMENTS[:8], DEFAULT_ENVIRONMENTS[::-1],
+                                    ("seawater",) * 9])
+def test_dataset_takes_only_the_nine_environment_labels(labels):
+    with pytest.raises(ValidationError, match="environment labels must be"):
+        Dataset(samples=[], environment_names=labels)
+    assert Dataset(samples=[], environment_names=list(DEFAULT_ENVIRONMENTS)
+                   ).environment_names == DEFAULT_ENVIRONMENTS
+
+
 # ---------------------------------------------------------------------------
 # conversions
 

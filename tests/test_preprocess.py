@@ -22,6 +22,7 @@ from corrml.preprocess import (
     apply_scaler,
     build_features,
     cap_target,
+    feature_width,
     fit_scaler,
     run_metadata,
     split_train_test,
@@ -39,6 +40,11 @@ def _sample(i, rate=1.0, env=0, temp=None, dur=None):
 # feature assembly
 
 
+def _columns(feature_set):
+    """The columns a model file records for `feature_set`."""
+    return run_metadata(feature_set, None, "drop", 100.0, seed=0)["columns"]
+
+
 def test_feature_widths():
     ds = generate_synthetic(30, seed=0)
     fm, y = build_features(ds, "comp")
@@ -51,7 +57,8 @@ def test_feature_widths():
 def test_one_hot_rows_sum_to_one():
     ds = generate_synthetic(50, seed=2)
     fm, _ = build_features(ds, "comp+env")
-    env_cols = [i for i, c in enumerate(fm.columns) if c.kind == "environment-indicator"]
+    env_cols = [i for i, c in enumerate(_columns("comp+env"))
+                if c["kind"] == "environment-indicator"]
     block = fm.values[:, env_cols]
     assert set(np.unique(block)) <= {0.0, 1.0}
     assert np.all(block.sum(axis=1) == 1.0)
@@ -100,7 +107,9 @@ def test_feature_set_rows_and_columns(feature_set):
     if feature_set in FEATURE_SETS:
         fm, y = build_features(ds, feature_set)
         assert fm.sample_ids == [ds.samples[i].id for i in rows]
-        assert [c.kind for c in fm.columns] == [k for p in parts for k in _PART_KINDS[p]]
+        assert [c["kind"] for c in _columns(feature_set)] == [
+            k for p in parts for k in _PART_KINDS[p]]
+        assert fm.values.shape[1] == feature_width(feature_set) == len(_columns(feature_set))
         np.testing.assert_array_equal(fm.values, want)
         np.testing.assert_array_equal(y, [ds.samples[i].rate for i in rows])
         with pytest.raises(ValidationError):  # each direction takes only its own sets
@@ -109,6 +118,7 @@ def test_feature_set_rows_and_columns(feature_set):
         positions, X, Y = inverse_features(ds, feature_set)
         assert positions == rows
         np.testing.assert_array_equal(X, want)
+        assert X.shape[1] == feature_width(feature_set)
         np.testing.assert_array_equal(
             Y, [[ds.samples[i].composition.get(e) for e in INVERSE_TARGETS] for i in rows])
         with pytest.raises(ValidationError):
@@ -116,8 +126,7 @@ def test_feature_set_rows_and_columns(feature_set):
 
 
 def test_feature_order_is_stable():
-    ds = generate_synthetic(10, seed=5)
-    names = [c.name for c in build_features(ds, "comp+env+temp+dur")[0].columns]
+    names = [c["name"] for c in _columns("comp+env+temp+dur")]
     assert names[0] == "Al"      # fixed element order, balance element first
     assert names[32].startswith("env=")
     assert names[-2:] == ["temp_c", "duration_days"]
@@ -246,13 +255,13 @@ def test_run_metadata_contents():
     ds = generate_synthetic(20, seed=1)
     fm, _ = build_features(ds, "comp+env")
     scaler = fit_scaler(fm.values)
-    meta = run_metadata("comp+env", fm, scaler, "drop", 100.0, seed=3)
+    meta = run_metadata("comp+env", scaler, "drop", 100.0, seed=3)
     assert meta["feature_set"] == "comp+env"
     assert len(meta["columns"]) == 41
     assert meta["cap_mode"] == "drop" and meta["cap_threshold"] == 100.0
     assert meta["seed"] == 3
     assert meta["scaler"] == scaler.to_dict()
-    assert run_metadata("comp", fm, None, "drop", 100.0, seed=0)["scaler"] is None
+    assert run_metadata("comp", None, "drop", 100.0, seed=0)["scaler"] is None
 
 
 def test_feature_sets_constant_lists_known_selectors():

@@ -10,7 +10,7 @@ queries. Each command then runs as ``python -m corrml.cli`` with
 fixed relative paths, so that the sidecars of two checkouts record the same
 paths. The chains are
 
-    ingest -> train-forward (rf and loggpr) -> forward predict,
+    ingest -> train-forward (rf, dnn, gpr and loggpr) -> forward predict,
               then compare-forward -> report
     ingest -> train-inverse -> inverse predict
 
@@ -32,7 +32,7 @@ FWD_DATASET = "out/fwd/ds/dataset.json"
 INV_DATASET = "out/inv/ds/dataset.json"
 COMMANDS = [
     ["ingest", "--input", "in/fwd/data.csv", "--out", "out/fwd/ds"],
-    *(step for model in ("rf", "loggpr") for step in (
+    *(step for model in ("rf", "dnn", "gpr", "loggpr") for step in (
         ["train-forward", "--dataset", FWD_DATASET, "--model", model,
          "--out", f"out/fwd/{model}"],
         ["predict", "--model", f"out/fwd/{model}/model.json", "--direction", "forward",
