@@ -640,11 +640,13 @@ def _parse_pair_rows(path: str) -> dict:
 def cmd_report(args) -> int:
     if not args.metrics and not args.pairs:
         raise ValidationError("report needs --metrics and/or --pairs")
+    # both inputs are checked before the output directory is made
+    records = _parse_metric_rows(args.metrics) if args.metrics else None
+    charts = _parse_pair_rows(args.pairs) if args.pairs else {}
     out = _ensure_out(args.out)
     written = []
 
-    if args.metrics:
-        records = _parse_metric_rows(args.metrics)
+    if records is not None:
         groups = list(dict.fromkeys(r["model"] for r in records))
         series = list(dict.fromkeys(r["feature_set"] for r in records))
         for metric, title in (("r2", "R^2 by model"), ("mae", "MAE (mpy) by model"),
@@ -654,12 +656,11 @@ def cmd_report(args) -> int:
             write_text(os.path.join(out, name), bar_chart_svg(title, groups, series, values))
             written.append(name)
 
-    if args.pairs:
-        for name, ((model, feature_set), pairs) in _parse_pair_rows(args.pairs).items():
-            write_text(os.path.join(out, name),
-                       scatter_svg(f"{model} / {feature_set}",
-                                   [p[0] for p in pairs], [p[1] for p in pairs]))
-            written.append(name)
+    for name, ((model, feature_set), pairs) in charts.items():
+        write_text(os.path.join(out, name),
+                   scatter_svg(f"{model} / {feature_set}",
+                               [p[0] for p in pairs], [p[1] for p in pairs]))
+        written.append(name)
 
     write_sidecar(out, "report",
                   {"metrics": args.metrics, "pairs": args.pairs, "out": out}, {})

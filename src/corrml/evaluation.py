@@ -4,16 +4,16 @@ harness (rate prediction from composition / composition+environment).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import TrainingError, ValidationError
+from .errors import ValidationError
 from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
                   log_gpr_to_dict, predict_gpr, predict_log_gpr)
+from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
 from .preprocess import apply_scaler, build_features, cap_target, fit_scaler, split_train_test
@@ -99,19 +99,6 @@ def _fit_predict_cell(family: str, dataset: Dataset, feature_set: str, seed: int
     return cell, model, scaler, fm
 
 
-def _fit_cell(job: tuple) -> ComparisonCell:
-    """The cell of `_fit_predict_cell(*job)`, its model dropped. This is the
-    function `compare_forward_models` hands its worker processes by name: it
-    must stay a module-level function that nothing replaces at run time."""
-    return _fit_predict_cell(*job)[0]
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Processes for `n_jobs` independent cells: one per CPU this process may
-    run on, at most one per cell."""
-    return max(1, min(len(os.sched_getaffinity(0)), n_jobs))
-
-
 def compare_forward_models(dataset: Dataset, seed: int = 0,
                            feature_sets: tuple[str, ...] = DEFAULT_COMPARE_FEATURE_SETS,
                            models: tuple[str, ...] = tuple(FAMILIES),
@@ -123,13 +110,12 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     overrides per-family training parameters, e.g. {"dnn": {"lr": 0.01},
     "rf": {"n_estimators": 50}}.
 
-    The cells are independent, so they run in up to one forked process per
-    usable CPU (`_worker_count`), each cell whole in one process with the
-    parent's BLAS thread setting; with one usable CPU they run in this
-    process. Cells come back in job order (feature sets outer, models inner),
-    and a failure raises the error of the first failing cell in that order.
-    A worker that dies loses the cells its pool had not finished; if that is
-    the first failure, a TrainingError names them.
+    The cells are independent, so they run through `jobs.run_jobs`: in up
+    to one forked process per usable CPU, each cell whole in one process.
+    Cells come back in job order (feature sets outer, models inner), and a
+    failure raises the error of the first failing cell in that order. A
+    worker that dies loses the cell it was running; if that is the first
+    failure, a TrainingError names the lost cells.
     """
     configs = configs or {}
     for model in models:
@@ -137,26 +123,8 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     jobs = [(model, dataset, feature_set, seed, configs.get(model, {}), cap, cap_mode,
              test_fraction)
             for feature_set in feature_sets for model in models]
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        return list(map(_fit_cell, jobs))
-    # imported here so the commands that fit one cell do not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # forked workers inherit the loaded modules and the BLAS thread setting;
-    # each job, the dataset in it, is pickled to its worker
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_fit_cell, job) for job in jobs]
-    # the pool has stopped: every cell is done, failed, or lost with a dead worker
-    failures = [future.exception() for future in futures if future.exception() is not None]
-    if failures and isinstance(failures[0], BrokenProcessPool):
-        lost = [f"{job[0]} on {job[2]}" for job, future in zip(jobs, futures)
-                if isinstance(future.exception(), BrokenProcessPool)]
-        raise TrainingError(f"a worker process ended abruptly; the cells {', '.join(lost)} "
-                            "were lost")
-    return [future.result() for future in futures]
+    return run_jobs(lambda job: _fit_predict_cell(*job)[0], jobs,
+                    [f"{job[0]} on {job[2]}" for job in jobs], "cells")
 
 
 def comparison_metrics_rows(cells: list[ComparisonCell]) -> list[list[str]]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import ELEMENT_ORDER, Dataset
 from .errors import ValidationError
+from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, feature_width, split_train_test
 from .schema import NUMBER, STRING, integer, parse
@@ -101,6 +102,31 @@ def _score(predict, models: list, X: np.ndarray, Y: np.ndarray) -> float:
     return _mean_r2(Y, np.column_stack([predict(m, X) for m in models]))
 
 
+def _gbm_job(problems: list, params: dict) -> tuple[list[float], list]:
+    """fit_inverse's gbm job: one boosting run fits the validation GBMs and
+    the refits of every subset's (train, valid, full) problem, and each
+    validation GBM is scored and dropped. Returns per subset the validation
+    R^2 and the refits."""
+    gbms = fit_gbms([fit for train, _, full in problems for fit in (train, full)], **params)
+    r2s = [_score(predict_gbm, val, *valid) for val, (_, valid, _) in zip(gbms[::2], problems)]
+    del gbms[::2]
+    return r2s, gbms
+
+
+def _forest_job(seeds, train, valid, full, params: dict) -> tuple[float, list]:
+    """One subset's forest job of fit_inverse: its validation forests are
+    grown, scored and dropped before its refit forests grow. Returns the
+    validation R^2 and the refits."""
+    r2 = _score(predict_forest, fit_forests(*train, seeds, **params), *valid)
+    return r2, fit_forests(*full, seeds, **params)
+
+
+def _fit_job(job: tuple):
+    """The result of one fit_inverse job, `(name, *args)`."""
+    name, *args = job
+    return _gbm_job(*args) if name == "gbm" else _forest_job(*args)
+
+
 def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) -> InverseEnsemble:
     """Fit the three-submodel ensemble.
 
@@ -110,18 +136,25 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
     absent; an undersized base subset is an error since nothing could be
     served. Every subset is checked before anything is fit.
 
-    Only the refits are kept, so each validation model is dropped once it is
-    scored. The validation fits and refits of all GBMs share one boosting
-    run, and every validation GBM is scored and dropped before any forest
-    grows; then, per subset, the validation forests are grown, scored and
-    dropped before the refit forests are grown.
+    The fits are independent jobs, run through `jobs.run_jobs` in up to one
+    forked process per usable CPU, in this job order: `gbm`, the one
+    boosting run that fits the validation GBMs and refits of every subset,
+    then one forest job per present subset (`base`, `base+dur`,
+    `base+dur+temp`). A failure raises the error of the first failing job in
+    that order, so a bad GBM setting is reported before a bad forest one.
+    The ensemble is the same whatever the number of processes.
+
+    Only the refits are kept, so within each job every validation model is
+    dropped once it is scored: the gbm job scores and drops every validation
+    GBM before it returns, and a forest job grows, scores and drops its
+    validation forests before it grows the refit forests.
     """
     configs = configs or {}
     rf_params = dict(configs.get("rf", {}))
     gbm_params = dict(configs.get("gbm", {}))
     # subset i's forests are seeded from entry 2i of six: drawing three would reseed them
     subset_seeds = np.random.SeedSequence(seed).generate_state(2 * len(SUBMODEL_SETS))[::2]
-    subsets = []
+    ids, problems, forest_jobs = {}, [], []
     for feature_set, subset_seed in zip(SUBMODEL_SETS, subset_seeds):
         rows, X, Y = inverse_features(dataset, feature_set)
         if len(rows) < MIN_SUBSET_ROWS:
@@ -133,24 +166,21 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
             raise ValidationError(f"{feature_set}: all target values identical")
         split = split_train_test(len(rows), seed=seed, test_fraction=VALIDATION_FRACTION)
         forest_seeds = np.random.SeedSequence(int(subset_seed)).generate_state(Y.shape[1])
-        subsets.append((feature_set, [dataset.samples[i].id for i in rows], forest_seeds,
-                        (X[split.train], Y[split.train]), (X[split.test], Y[split.test]), (X, Y)))
-    gbms = fit_gbms([fit for *_, train, _, full in subsets for fit in (train, full)],
-                    **gbm_params)
-    # score every validation GBM, then keep only the refits
-    gbm_r2 = [_score(predict_gbm, val, *valid) for val, (*_, valid, _) in zip(gbms[::2], subsets)]
-    del gbms[::2]
+        ids[feature_set] = [dataset.samples[i].id for i in rows]
+        problems.append(((X[split.train], Y[split.train]), (X[split.test], Y[split.test]),
+                         (X, Y)))
+        forest_jobs.append((feature_set, forest_seeds, *problems[-1], rf_params))
+    (gbm_r2, gbms), *forests = run_jobs(_fit_job, [("gbm", problems, gbm_params), *forest_jobs],
+                                        ["gbm", *ids], "jobs")
     submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
-    for (feature_set, ids, forest_seeds, train, valid, full), gbm, r2_g in zip(
-            subsets, gbms, gbm_r2):
-        r2_f = _score(predict_forest, fit_forests(*train, forest_seeds, **rf_params), *valid)
-        forest = fit_forests(*full, forest_seeds, **rf_params)
+    for (feature_set, sample_ids), gbm, r2_g, (r2_f, forest) in zip(
+            ids.items(), gbms, gbm_r2, forests):
         submodels[feature_set] = InverseSubmodel(
             feature_set=feature_set,
             forest=MultiOutputModel("forest", forest, list(INVERSE_TARGETS)),
             gbm=MultiOutputModel("gbm", gbm, list(INVERSE_TARGETS)),
-            weights=pair_weights(r2_f, r2_g), n_rows=len(ids),
-            validation_r2=(r2_f, r2_g), sample_ids=ids)
+            weights=pair_weights(r2_f, r2_g), n_rows=len(sample_ids),
+            validation_r2=(r2_f, r2_g), sample_ids=sample_ids)
     return InverseEnsemble(submodels=submodels, target_names=INVERSE_TARGETS, seed=seed)
 
 

@@ -7,7 +7,6 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,11 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrml import cli, evaluation
+from corrml import cli, evaluation, inverse, jobs
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
                             generate_inverse_synthetic, generate_synthetic)
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
+from test_jobs import no_children
 
 QUICK_CONFIG = {
     "model_params": {
@@ -376,7 +376,7 @@ def _diverged(X, y, seed, params):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_compare_cell_failures_keep_their_exit_code_and_message(workspace, tmp_path, capsys,
                                                                 monkeypatch, workers):
-    monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: workers)
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: workers)
     bad_lr = tmp_path / "bad-lr.json"
     bad_lr.write_text(json.dumps({"model_params": {**QUICK_CONFIG["model_params"],
                                                    "dnn": {"lr": -1.0}}}))
@@ -387,7 +387,7 @@ def test_compare_cell_failures_keep_their_exit_code_and_message(workspace, tmp_p
     assert cli.main(argv + ["--config", workspace["config"]]) == 2
     assert capsys.readouterr().err == "training failure: NLML diverged\n"
     assert not (tmp_path / "o").exists()
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 def test_compare_worker_killed_exits_two_naming_the_lost_cells(workspace, tmp_path, capsys,
@@ -401,18 +401,56 @@ def test_compare_worker_killed_exits_two_naming_the_lost_cells(workspace, tmp_pa
         return fit(family, *args)
 
     monkeypatch.setattr(evaluation, "_fit_predict_cell", killed_on_gpr)  # forked workers inherit it
-    monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: 2)
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
     assert cli.main(["compare-forward", "--dataset", workspace["dataset"], "--config",
                      workspace["config"], "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     head, tail = "training failure: a worker process ended abruptly; the cells ", " were lost\n"
     assert err.startswith(head) and err.endswith(tail) and err.count("\n") == 1, err
-    # the killed cell and the cells still pending when the pool broke, in job order
+    # the cells whose worker was killed, and any left with no worker to run them, in job order
     lost = err[len(head):-len(tail)].split(", ")
     cells = [f"{m} on {f}" for f in ("comp", "comp+env") for m in FAMILIES]
     assert "gpr on comp" in lost and lost == [c for c in cells if c in lost], lost
     assert not (tmp_path / "o").exists()
-    assert multiprocessing.active_children() == []
+    assert no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inverse_bad_gbm_setting_exits_one_on_any_worker_count(inverse_run, tmp_path, capsys,
+                                                               monkeypatch, workers):
+    # the forest jobs fail too, and as soon; the gbm job comes first in job order
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: workers)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"inverse_params": {"rf": {"n_estimators": 0},
+                                                  "gbm": {"learning_rate": -1.0}}}))
+    assert cli.main(["train-inverse", "--dataset", inverse_run["dataset"], "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: learning_rate must be > 0\n"
+    assert not (tmp_path / "o").exists()
+    assert no_children()
+
+
+def test_inverse_worker_killed_exits_two_naming_the_lost_jobs(inverse_run, tmp_path, capsys,
+                                                             monkeypatch):
+    fit_job = inverse._fit_job
+
+    def killed_on_base(job):
+        if job[0] == "base":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit_job(job)
+
+    monkeypatch.setattr(inverse, "_fit_job", killed_on_base)  # forked workers inherit it
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
+    assert cli.main(["train-inverse", "--dataset", inverse_run["dataset"], "--config",
+                     inverse_run["config"], "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    head, tail = "training failure: a worker process ended abruptly; the jobs ", " were lost\n"
+    assert err.startswith(head) and err.endswith(tail) and err.count("\n") == 1, err
+    lost = err[len(head):-len(tail)].split(", ")
+    order = ["gbm", *inverse.SUBMODEL_SETS]
+    assert "base" in lost and lost == [j for j in order if j in lost], lost
+    assert not (tmp_path / "o").exists()
+    assert no_children()
 
 
 # run configs of the one-path test by test-id suffix: the quick config, and
@@ -549,7 +587,8 @@ def inverse_run(tmp_path_factory):
     assert cli.main(["train-inverse", "--dataset", str(root / "ds" / "dataset.json"),
                      "--config", str(cfg), "--out", str(root / "inv")]) == 0
     with open(root / "inv" / "ensemble.json") as fh:
-        return {"csv": data, "payload": json.load(fh)}
+        return {"csv": data, "payload": json.load(fh), "config": str(cfg),
+                "dataset": str(root / "ds" / "dataset.json")}
 
 
 def _edit_first_tree(payload, edit):
@@ -1103,8 +1142,8 @@ def test_reruns_write_byte_identical_json(tmp_path):
     ("import corrml.cli, corrml.inverse", ("scipy",)),
     # the GP layer binds scipy's compiled BLAS/LAPACK without the scipy.linalg package
     ("import corrml.evaluation", ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")),
-    # only compare-forward starts a process pool; the commands that fit one cell
-    # do not import it
+    # the job runner forks its workers itself, so no command loads a process
+    # pool library
     ("import corrml.evaluation", ("concurrent.futures.process", "multiprocessing")),
     ("from corrml import cli; "
      "assert cli.main(['ingest', '--input', {csv!r}, '--out', {out!r}]) == 0", ("numpy",)),
@@ -1159,6 +1198,19 @@ def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, messag
     assert cli.main(["report", option, str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n", err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_bad_pairs_row_writes_no_metric_chart(tmp_path, capsys):
+    # the metrics parse, but the output directory waits for the pairs too
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\n")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0\n")
+    assert cli.main(["report", "--metrics", str(metrics), "--pairs", str(pairs),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: row 2 has 4 cell(s), expected 5\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_writes_the_longest_chart_file_name(tmp_path):

@@ -1,13 +1,12 @@
 """Metrics identities, forward-model comparison harness."""
 
-import concurrent.futures
-import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
-from corrml import evaluation
+from corrml import jobs
 from corrml.dataset import DEFAULT_ENVIRONMENTS, CorrosionSample, Dataset, ElementComposition
 from corrml.errors import ValidationError
 from corrml.evaluation import (
@@ -21,6 +20,7 @@ from corrml.evaluation import (
     comparison_pairs_rows,
     compute_metrics,
 )
+from test_jobs import no_children
 
 
 def test_perfect_predictions():
@@ -158,19 +158,20 @@ QUICK_CONFIGS = {"rf": {"n_estimators": 10}, "dnn": {"epochs": 5},
 @pytest.fixture
 def pools(monkeypatch):
     """`pools(n)` makes `compare_forward_models` use `n` processes, whatever the
-    CPU count, and returns the list of the worker counts of the pools it starts."""
-    started = []
+    CPU count, and returns the list of the worker processes it forks."""
+    forked = []
+    fork = os.fork
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recorded():
+        pid = fork()
+        forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "fork", recorded)
 
     def force(n):
-        monkeypatch.setattr(evaluation, "_worker_count", lambda n_jobs: n)
-        return started
+        monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: n)
+        return forked
 
     return force
 
@@ -178,9 +179,9 @@ def pools(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 1])
 def test_comparison_equals_a_serial_loop_of_cells(pools, workers):
     data = _linear_dataset(80)
-    started = pools(workers)
+    forked = pools(workers)
     cells = compare_forward_models(data, seed=3, configs=QUICK_CONFIGS)
-    assert started == ([2] if workers == 2 else [])
+    assert len(forked) == (2 if workers == 2 else 0)
     serial = [_fit_predict_cell(model, data, feature_set, 3, QUICK_CONFIGS[model], CAP_MPY,
                                 "drop", 0.2)[0]
               for feature_set in DEFAULT_COMPARE_FEATURE_SETS for model in FAMILIES]
@@ -191,7 +192,7 @@ def test_comparison_equals_a_serial_loop_of_cells(pools, workers):
         assert got.sample_ids == want.sample_ids
         assert got.y_true.tobytes() == want.y_true.tobytes()
         assert got.y_pred.tobytes() == want.y_pred.tobytes()
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 def _failing_fit(message, delay):
@@ -208,17 +209,17 @@ def test_comparison_raises_the_first_failing_cell_in_job_order(pools, monkeypatc
         fit=_failing_fit("dnn cell failed", 0.5)))
     monkeypatch.setitem(FAMILIES, "gpr", FAMILIES["gpr"]._replace(
         fit=_failing_fit("gpr cell failed", 0.0)))
-    started = pools(workers)
+    forked = pools(workers)
     with pytest.raises(ValidationError, match="^dnn cell failed$"):
         compare_forward_models(_linear_dataset(40), feature_sets=("comp",),
                                configs=QUICK_CONFIGS)
-    assert started == ([2] if workers == 2 else [])
-    assert multiprocessing.active_children() == []
+    assert len(forked) == (2 if workers == 2 else 0)
+    assert no_children()
 
 
 def test_comparison_rejects_unknown_model_before_any_process_starts(pools):
-    started = pools(2)
+    forked = pools(2)
     with pytest.raises(ValidationError, match="unknown forward model 'svm'"):
         compare_forward_models(_linear_dataset(40), models=("rf", "svm"))
-    assert started == []
-    assert multiprocessing.active_children() == []
+    assert forked == []
+    assert no_children()

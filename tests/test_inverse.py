@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrml import cli, inverse, trees
+from corrml import cli, inverse, jobs, trees
 from corrml.dataset import (CorrosionSample, Dataset, ElementComposition,
                             generate_inverse_synthetic)
 from corrml.errors import ValidationError
@@ -32,6 +32,7 @@ from corrml.inverse import (
 from corrml.preprocess import split_train_test
 from corrml.trees import (MultiOutputModel, fit_forests, fit_gbms, multi_output_to_dict,
                           predict_multi_output)
+from test_jobs import no_children
 from test_trees import written
 
 QUICK = {"rf": {"n_estimators": 8, "max_depth": 10}, "gbm": {"n_rounds": 15}}
@@ -352,7 +353,9 @@ def test_fit_inverse_holds_only_the_models_it_keeps(monkeypatch):
     # plus one forest; a validation forest kept alive past its scoring
     # exceeds that. The traced memory is read between fits, because within a
     # grow the grower's scratch, bounded by _SLOT_BUDGET, outweighs these
-    # small forests.
+    # small forests. One worker runs the fits in this process, where
+    # tracemalloc sees them.
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 1)
     data = generate_inverse_synthetic(60, seed=5)
     held = []
 
@@ -375,3 +378,15 @@ def test_fit_inverse_holds_only_the_models_it_keeps(monkeypatch):
                       for key in ("feature", "threshold", "left", "right", "value"))
                   for sub in ens.submodels.values() if sub is not None)
     assert max(held) < retained + largest, (held, retained, largest)
+
+
+def test_fit_inverse_writes_the_same_bytes_on_one_worker_or_two(monkeypatch, tmp_path):
+    data = generate_inverse_synthetic(60, seed=4)
+    payloads = []
+    for workers in (2, 1):
+        monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: workers)
+        ensemble = fit_inverse(data, seed=2, configs=QUICK)
+        payloads.append(written({"ensemble": inverse_to_dict(ensemble)},
+                                tmp_path / f"{workers}.json"))
+        assert no_children()
+    assert payloads[0] == payloads[1]
