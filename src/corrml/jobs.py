@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import select
 import signal
 import threading
 
@@ -33,7 +34,7 @@ def _worker_count(n_jobs: int) -> int:
 
 def _work(tasks: int, out: int) -> None:
     """A worker's loop: take the next job index from the `tasks` pipe until
-    it is empty, and stream `(index, succeeded, result or exception)` for
+    it ends, and stream `(index, succeeded, result or exception)` for
     each job to the `out` pipe as one pickle."""
     fn, jobs = _pending
     with open(out, "wb") as fh:
@@ -46,6 +47,22 @@ def _work(tasks: int, out: int) -> None:
             pickle.dump(outcome, fh, _PROTOCOL)
             fh.flush()
             del outcome  # sent: not held while the next job runs
+
+
+def _feed(fd: int, n_jobs: int) -> None:
+    """Write every job index to the `fd` pipe, in job order, then close it.
+    A pipe takes a write of at most PIPE_BUF bytes whole, so writes of whole
+    indexes that size keep a worker's read from splitting one. Stops early
+    if every worker has ended, which leaves the pipe with no reader."""
+    chunk = select.PIPE_BUF // _INDEX_BYTES
+    try:
+        for lo in range(0, n_jobs, chunk):
+            os.write(fd, b"".join(i.to_bytes(_INDEX_BYTES, "little")
+                                  for i in range(lo, min(lo + chunk, n_jobs))))
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def _collect(fd: int, outcomes: dict) -> None:
@@ -66,23 +83,23 @@ def run_jobs(fn, jobs: list, names: list[str], noun: str) -> list:
     With one worker (`_worker_count`), the jobs run in this process, one
     after another. Otherwise each job runs whole in one forked worker, which
     inherits the loaded modules and the BLAS thread setting; each idle
-    worker takes the next job in job order, and this process only collects
-    the results, each streamed to it as it is unpickled, so no result is
-    held twice. A failure raises the error of the first failing job in job
-    order. A worker that dies loses the job it was running; if that is the
-    first failure, a TrainingError names the lost jobs by `names`, as
-    "the `noun` ... were lost". No worker outlives the call.
+    worker takes the next job in job order from a pipe that a thread of this
+    process feeds, whatever the number of jobs, and this process only
+    collects the results, each streamed to it as it is unpickled, so no
+    result is held twice. A failure raises the error of the first failing
+    job in job order. A worker that dies loses the job it was running; if
+    that is the first failure, a TrainingError names the lost jobs by
+    `names`, as "the `noun` ... were lost". No worker outlives the call, and
+    no pipe it opens stays open, also when a fork fails.
     """
     global _pending
     workers = _worker_count(len(jobs))
     if workers == 1:
         return list(map(fn, jobs))
     outcomes: dict = {}
-    pids, readers = [], []
+    pids, threads = [], []
     tasks, feed = os.pipe()
-    # every index is queued before a worker starts: a pipe holds 64 KiB, 16,384 indexes
-    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(jobs))))
-    os.close(feed)
+    unclosed = {tasks, feed}  # descriptors this call still has to close
     _pending = (fn, jobs)
     # objects that exist at the fork go to the permanent generation, so a
     # worker's collections do not touch, and so copy, the pages they share
@@ -90,29 +107,40 @@ def run_jobs(fn, jobs: list, names: list[str], noun: str) -> list:
     try:
         for _ in range(workers):
             fd, out = os.pipe()
+            unclosed |= {fd, out}
             pid = os.fork()
             if pid == 0:  # the worker: it never returns into the caller's code
                 code = 1
                 try:
-                    os.close(fd)
+                    # the task pipe ends only once no worker holds its write end
+                    for inherited in unclosed - {tasks, out}:
+                        os.close(inherited)
                     _work(tasks, out)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
             os.close(out)  # the worker's pipe then ends when the worker does
-            readers.append(threading.Thread(target=_collect, args=(fd, outcomes)))
-        # the threads start once every worker is forked: no worker copies a thread
-        for reader in readers:
-            reader.start()
-        for reader in readers:
-            reader.join()
+            unclosed.discard(out)
+            threads.append((threading.Thread(target=_collect, args=(fd, outcomes)), fd))
+        # once the workers hold the only read ends, the feed stops if they all end
+        os.close(tasks)
+        unclosed.discard(tasks)
+        threads.append((threading.Thread(target=_feed, args=(feed, len(jobs))), feed))
+        # the threads start once every worker is forked: no worker copies a
+        # thread; each closes its descriptor
+        for thread, fd in threads:
+            thread.start()
+            unclosed.discard(fd)
+        for thread, _ in threads:
+            thread.join()
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(tasks)
+        for fd in unclosed:
+            os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
         gc.unfreeze()

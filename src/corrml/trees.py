@@ -5,10 +5,14 @@ residuals, and multi-output models (one regressor per target column).
 Trees are stored as flat parallel arrays (feature, threshold, children, value),
 nodes numbered in preorder, so serialization is trivial. Feature and child
 indices are 4-byte integers (np.int32), thresholds and values float64, so a
-node takes 28 bytes, whether the tree was fitted or loaded. Prediction stacks a
-model's trees into one node table and descends all of them together, one
-indexing pass per level. A loaded tree is checked to be well formed first, so
-the descent always ends inside the node table.
+node takes 28 bytes, whether the tree was fitted or loaded. A fitted model's
+trees are one node table (`TreeTable`): every tree's node arrays laid end to
+end, which reads as a sequence of DecisionTree views and pickles as a few
+arrays, however many trees it holds. A loaded model's trees are per-tree
+arrays, as the parser made them. Prediction descends all of a model's trees
+together, one indexing pass per level, over its table as it is, or over a
+table packed once per descent from a list of trees. A loaded tree is checked
+to be well formed first, so the descent always ends inside the node table.
 
 Fitting grows a batch of trees together, breadth first over presorted
 attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
@@ -39,8 +43,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -67,6 +74,60 @@ class DecisionTree:
     n_features: int
     max_depth: int | None = None
     min_samples_leaf: int = 1
+
+
+# a tree's node arrays, in DecisionTree's field order, and their dtypes
+_NODE_DTYPES = {"feature": INDEX, "threshold": np.float64, "left": INDEX, "right": INDEX,
+                "value": np.float64}
+_NODE_KEYS = tuple(_NODE_DTYPES)
+
+
+class TreeTable(Sequence):
+    """A model's trees as one node table: each node array of every tree laid
+    end to end, tree t's nodes at offsets[t]:offsets[t + 1], its child
+    indices local to the tree, beside per-tree tuples of the DecisionTree
+    scalars. It reads as a read-only sequence of DecisionTree, each built on
+    demand as views of the table, and no array of it is writeable. It
+    pickles as its arrays and tuples, so a model sent between processes is
+    a few arrays, not one object and five arrays per tree."""
+
+    __slots__ = (*_NODE_KEYS, "offsets", "n_features", "max_depth", "min_samples_leaf")
+
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, value: np.ndarray, offsets: np.ndarray,
+                 n_features: tuple, max_depth: tuple, min_samples_leaf: tuple):
+        for column in (feature, threshold, left, right, value, offsets):
+            column.flags.writeable = False
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+        self.value, self.offsets = value, offsets
+        self.n_features = n_features
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+
+    @classmethod
+    def pack(cls, trees) -> TreeTable:
+        """The table of `trees`, an iterable of DecisionTree, their node
+        arrays copied end to end."""
+        trees = list(trees)
+        sizes = [tree.feature.size for tree in trees]
+        return cls(*(np.concatenate([np.empty(0, dtype), *(getattr(t, key) for t in trees)],
+                                    dtype=dtype) for key, dtype in _NODE_DTYPES.items()),
+                   offsets=np.cumsum([0, *sizes]),
+                   **{key: tuple(getattr(t, key) for t in trees)
+                      for key in ("n_features", "max_depth", "min_samples_leaf")})
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i) -> DecisionTree:
+        i = range(len(self))[operator.index(i)]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return DecisionTree(*(getattr(self, key)[lo:hi] for key in _NODE_KEYS),
+                            n_features=self.n_features[i], max_depth=self.max_depth[i],
+                            min_samples_leaf=self.min_samples_leaf[i])
+
+    def __reduce__(self):
+        return TreeTable, tuple(getattr(self, key) for key in self.__slots__)
 
 
 def _is_int(value) -> bool:
@@ -243,11 +304,11 @@ class _Grower:
     def grow(self, y: np.ndarray, max_depth: int | None, min_leaf: int,
              max_features=None, rngs=None) -> tuple[list[DecisionTree], np.ndarray]:
         """One tree per tree of the blocks, grown together one depth level at
-        a time; y holds each tree's targets in its slots. Returns the trees
-        and, per slot, the value of the leaf its row reaches. A tree whose
-        resolved max_features is below its feature count draws each
-        splittable node's candidate subset from rngs[t], nodes taken level by
-        level and left to right within a level."""
+        a time; y holds each tree's targets in its slots. Returns the trees,
+        views of one table, and, per slot, the value of the leaf its row
+        reaches. A tree whose resolved max_features is below its feature
+        count draws each splittable node's candidate subset from rngs[t],
+        nodes taken level by level and left to right within a level."""
         x, order = self.x, self.order
         n_trees = self.n_rows.size
         mf = np.array([_resolve_max_features(max_features, d) for d in self.n_features])
@@ -316,9 +377,9 @@ class _Grower:
             order, start, size = new, child_start, child_size
             tree = np.repeat(tree[split], 2)
             depth += 1
-        return self._assemble(levels, max_depth, min_leaf), fitted
+        return list(self._assemble(levels, max_depth, min_leaf)), fitted
 
-    def _assemble(self, levels, max_depth, min_leaf: int) -> list[DecisionTree]:
+    def _assemble(self, levels, max_depth, min_leaf: int) -> TreeTable:
         """Number each tree's nodes in preorder (node, left subtree, right
         subtree), as a depth-first stack that pops the left child first does,
         and name each split by the tree's own column index."""
@@ -342,11 +403,12 @@ class _Grower:
         is_split = feat != LEAF
         feature[is_split] = self.colmap[tree[is_split], feat[is_split]]
         perm = np.lexsort((pre, tree))
-        columns = [a[perm] for a in (feature, thr, left, right, value)]
-        ends = np.cumsum(np.bincount(tree, minlength=self.n_rows.size)).tolist()
-        return [DecisionTree(*(c[lo:hi] for c in columns), n_features=int(d),
-                             max_depth=max_depth, min_samples_leaf=min_leaf)
-                for lo, hi, d in zip([0] + ends[:-1], ends, self.n_features)]
+        n_trees = self.n_rows.size
+        return TreeTable(*(a[perm] for a in (feature, thr, left, right, value)),
+                         offsets=np.cumsum([0, *np.bincount(tree, minlength=n_trees)]),
+                         n_features=tuple(int(d) for d in self.n_features),
+                         max_depth=(max_depth,) * n_trees,
+                         min_samples_leaf=(min_leaf,) * n_trees)
 
 
 def _kept_columns(X: np.ndarray) -> np.ndarray:
@@ -372,25 +434,22 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     return grower.grow(Y[:, 0], max_depth, min_samples_leaf, max_features, [rng])[0][0]
 
 
-def _stacked_values(trees: list[DecisionTree], X: np.ndarray) -> np.ndarray:
+def _stacked_values(trees: TreeTable | list[DecisionTree], X: np.ndarray) -> np.ndarray:
     """(trees, rows) predictions of every tree, from one vectorized descent
-    over the trees' node tables stacked end to end."""
+    over their node table; a list of trees is packed into one first."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    for tree in trees:
-        if X.shape[1] != tree.n_features:
-            raise ValidationError(f"feature count {X.shape[1]} != training {tree.n_features}")
+    table = trees if isinstance(trees, TreeTable) else TreeTable.pack(trees)
+    wrong = [width for width in table.n_features if width != X.shape[1]]
+    if wrong:
+        raise ValidationError(f"feature count {X.shape[1]} != training {wrong[0]}")
     n = X.shape[0]
-    if not trees:
-        return np.zeros((0, n))
-    sizes = [tree.feature.size for tree in trees]
-    root = np.cumsum(sizes) - sizes
-    shift = np.repeat(root, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left for tree in trees]) + shift
-    right = np.concatenate([tree.right for tree in trees]) + shift
+    root = table.offsets[:-1]
+    shift = np.repeat(root, np.diff(table.offsets))
+    feature, threshold = table.feature, table.threshold
+    left = table.left + shift
+    right = table.right + shift
     node = np.repeat(root, n)
-    row = np.tile(np.arange(n), len(trees))
+    row = np.tile(np.arange(n), len(table))
     active = np.flatnonzero(feature[node] != LEAF)
     while active.size:
         cur = node[active]
@@ -398,7 +457,7 @@ def _stacked_values(trees: list[DecisionTree], X: np.ndarray) -> np.ndarray:
         cur = np.where(go, left[cur], right[cur])
         node[active] = cur
         active = active[feature[cur] != LEAF]
-    return np.concatenate([tree.value for tree in trees])[node].reshape(len(trees), n)
+    return table.value[node].reshape(len(table), n)
 
 
 def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
@@ -408,7 +467,7 @@ def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RandomForest:
-    trees: list[DecisionTree]
+    trees: TreeTable | list[DecisionTree]   # fitted: a table; loaded: a list
     n_estimators: int
     max_features: int
     bootstrap: bool
@@ -446,13 +505,17 @@ def fit_forests(X: np.ndarray, Y: np.ndarray, seeds,
             rngs.append(rng)
     rows = np.asarray(rows)                                   # (trees, n)
     column = np.repeat(np.arange(len(seeds)), n_estimators)[:, None]  # each tree's in Y
-    trees = []
-    for part in np.array_split(np.arange(len(rows)),
-                               min(len(rows), -(-rows.size * (cols.size + 1) // _SLOT_BUDGET))):
-        trees += _Grower([(X, rows[part], cols)]).grow(
+    parts = np.array_split(np.arange(len(rows)),
+                           min(len(rows), -(-rows.size * (cols.size + 1) // _SLOT_BUDGET)))
+    # a batch is grown when a forest first takes one of its trees, and its
+    # table is dropped once the forests holding them are packed
+    grown = chain.from_iterable(
+        _Grower([(X, rows[part], cols)]).grow(
             targets[column[part], rows[part]].ravel(), max_depth, min_samples_leaf,
             max_features, [rngs[t] for t in part])[0]
-    return [RandomForest(trees=trees[at:at + n_estimators], n_estimators=n_estimators,
+        for part in parts)
+    return [RandomForest(trees=TreeTable.pack(islice(grown, n_estimators)),
+                         n_estimators=n_estimators,
                          max_features=mf, bootstrap=bootstrap, seed=int(seed), n_features=d,
                          unique_inbag_counts=unique_counts[at:at + n_estimators])
             for at, seed in zip(range(0, len(rows), n_estimators), seeds)]
@@ -481,7 +544,7 @@ def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
 @dataclass
 class GradientBoostedTrees:
     init_value: float      # F0 = mean(y)
-    stages: list[DecisionTree]
+    stages: TreeTable | list[DecisionTree]  # fitted: a table; loaded: a list
     learning_rate: float
 
 
@@ -510,16 +573,16 @@ def fit_gbms(problems, n_rounds: int = DEFAULT_GBM_ROUNDS,
     pred = [np.array([np.full(T.shape[1], float(y.mean())) for y in T]) for T in targets]
     grower = _Grower(blocks)
     cuts = np.cumsum([T.size for T in targets])[:-1]
-    stages = [[] for _ in f0]
+    rounds = []     # per round, its stage trees, one per model
     for _ in range(n_rounds):
         residuals = np.concatenate([(T - P).ravel() for T, P in zip(targets, pred)])
         trees, fitted = grower.grow(residuals, max_depth, min_samples_leaf)
         for P, fit in zip(pred, np.split(fitted, cuts)):
             P += learning_rate * fit.reshape(P.shape)
-        for j, tree in enumerate(trees):
-            stages[j].append(tree)
-    models = [GradientBoostedTrees(init_value=f, stages=s, learning_rate=learning_rate)
-              for f, s in zip(f0, stages)]
+        rounds.append(trees)
+    models = [GradientBoostedTrees(init_value=f, stages=TreeTable.pack(r[j] for r in rounds),
+                                   learning_rate=learning_rate)
+              for j, f in enumerate(f0)]
     at = np.cumsum([0] + [T.shape[0] for T in targets])
     return [models[a:b] for a, b in zip(at[:-1], at[1:])]
 
@@ -563,10 +626,9 @@ def tree_to_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.max_depth, "min_samples_leaf": tree.min_samples_leaf}
 
 
-# A tree's node lists, and what their indices must satisfy beyond their types:
-# the grower's invariants, which keep every descent inside the node table.
-# Children numbered after their parent rule out cycles.
-_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+# What a tree's node indices must satisfy beyond their types: the grower's
+# invariants, which keep every descent inside the node table. Children
+# numbered after their parent rule out cycles.
 _NODE_RULES = {
     "feature": "a split node's feature must lie in [0, n_features)",
     "left": "a leaf's left child must be -1, a split node's must follow the node "
@@ -624,10 +686,16 @@ def tree_from_dict(d: dict) -> DecisionTree:
     return tree
 
 
+def _tree_dicts(trees) -> list:
+    """Each tree as a zero-argument callable returning its dict."""
+    return [partial(tree_to_dict, tree) for tree in trees]
+
+
 def forest_to_dict(forest: RandomForest) -> dict:
-    """Each tree stands as a zero-argument callable returning its dict, so the
-    writer (cli.write_json) builds one tree's node lists at a time."""
-    return {"kind": "forest", "trees": [partial(tree_to_dict, t) for t in forest.trees],
+    """The tree list stands as a zero-argument callable returning it, each
+    tree in it another returning its dict, so the writer (cli.write_json)
+    builds one model's tree views, and one tree's node lists, at a time."""
+    return {"kind": "forest", "trees": partial(_tree_dicts, forest.trees),
             "n_estimators": int(forest.n_estimators), "max_features": int(forest.max_features),
             "bootstrap": bool(forest.bootstrap), "seed": int(forest.seed),
             "n_features": int(forest.n_features),
@@ -651,10 +719,10 @@ def forest_from_dict(d: dict) -> RandomForest:
 
 
 def gbm_to_dict(model: GradientBoostedTrees) -> dict:
-    """Each stage is deferred as in forest_to_dict."""
+    """The stage list is deferred as forest_to_dict's tree list is."""
     return {"kind": "gbm", "init_value": float(model.init_value),
             "learning_rate": float(model.learning_rate),
-            "stages": [partial(tree_to_dict, t) for t in model.stages]}
+            "stages": partial(_tree_dicts, model.stages)}
 
 
 GBM = {"kind": "gbm", "init_value": NUMBER, "learning_rate": POSITIVE,

@@ -453,6 +453,27 @@ def test_inverse_worker_killed_exits_two_naming_the_lost_jobs(inverse_run, tmp_p
     assert no_children()
 
 
+def test_inverse_with_no_boosting_rounds_trains_and_predicts(inverse_run, tmp_path, monkeypatch):
+    # every GBM is its initial value: an empty tree table, sent from a worker
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**QUICK_CONFIG, "inverse_params": {
+        **QUICK_CONFIG["inverse_params"], "gbm": {"n_rounds": 0}}}))
+    assert cli.main(["train-inverse", "--dataset", inverse_run["dataset"], "--config", str(cfg),
+                     "--out", str(tmp_path / "inv")]) == 0
+    with open(tmp_path / "inv" / "ensemble.json") as fh:
+        submodels = json.load(fh)["ensemble"]["submodels"]
+    gbms = [m for sub in submodels.values() if sub for m in sub["gbm"]["models"]]
+    assert gbms and all(m["stages"] == [] for m in gbms)
+    assert cli.main(["predict", "--model", str(tmp_path / "inv" / "ensemble.json"),
+                     "--direction", "inverse", "--input", inverse_run["csv"],
+                     "--out", str(tmp_path / "pred")]) == 0
+    rows = _read_rows(tmp_path / "pred" / "predictions.csv")
+    assert len(rows) == 1 + 60 * 6
+    assert all(0.0 <= float(r[2]) <= 100.0 for r in rows[1:])
+    assert no_children()
+
+
 # run configs of the one-path test by test-id suffix: the quick config, and
 # the same under a protocol that clips rates at 30 mpy and tests on 30 % of rows
 ONE_PATH_CONFIGS = {"": QUICK_CONFIG,

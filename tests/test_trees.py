@@ -1,14 +1,18 @@
 """CART splitting, forests, boosting, multi-output models."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from corrml import cli
+from corrml import cli, jobs
 from corrml.errors import ValidationError
 from corrml.trees import (
     LEAF,
     DecisionTree,
     MultiOutputModel,
+    TreeTable,
     fit_forest,
     fit_forests,
     fit_gbm,
@@ -314,6 +318,69 @@ def test_trees_store_int32_indices_fitted_or_loaded(tmp_path):
                 assert [getattr(tree, k).dtype for k in
                         ("feature", "left", "right", "threshold", "value")] == (
                     [np.dtype(np.int32)] * 3 + [np.dtype(np.float64)] * 2), kind
+
+
+NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _pickled(model):
+    """`model` as a job result reaches the process that collects it."""
+    return pickle.loads(pickle.dumps(model, jobs._PROTOCOL))
+
+
+@pytest.mark.parametrize("kind,key", [("forest", "trees"), ("gbm", "stages")])
+def test_a_fitted_model_pickles_as_one_table_of_the_same_trees(kind, key):
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(50, 4))
+    Y = rng.normal(size=(50, 2))
+    Xs = rng.normal(size=(12, 4))
+    predict = predict_forest if kind == "forest" else predict_gbm
+    params = {"n_estimators": 5} if kind == "forest" else {"n_rounds": 5}
+    for model in _fit_multi(X, Y, kind, **params).models:
+        copy = _pickled(model)
+        trees, copied = getattr(model, key), getattr(copy, key)
+        assert type(trees) is TreeTable and type(copied) is TreeTable
+        assert len(copied) == len(trees) == 5
+        assert [tree_to_dict(t) for t in copied] == [tree_to_dict(t) for t in trees]
+        np.testing.assert_array_equal(predict(copy, Xs), predict(model, Xs))
+
+
+@pytest.mark.parametrize("sent", [False, True])
+def test_a_fitted_tree_cannot_be_written_through_its_view(sent):
+    rng = np.random.default_rng(17)
+    forest = fit_forest(rng.normal(size=(30, 3)), rng.normal(size=30), n_estimators=3)
+    table = _pickled(forest).trees if sent else forest.trees
+    for tree in (table[0], table[-1]):
+        for key in NODE_KEYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tree, key)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.offsets[1] = 0
+    with pytest.raises(IndexError):
+        table[3]
+
+
+def test_fitted_forests_hold_their_node_bytes_and_a_little_more():
+    # a model's trees are one table: beyond their node bytes, a model holds
+    # its per-tree offsets and scalars and a fixed amount, where one
+    # DecisionTree object and five arrays per tree would hold about 750
+    # bytes more per tree. What the forests hold is what deleting them
+    # frees, which leaves out the interpreter's free lists.
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(150, 5))
+    Y = rng.normal(size=(150, 3))
+    tracemalloc.start()
+    try:
+        forests = fit_forests(X, Y, [1, 2, 3], n_estimators=40)
+        node_bytes = sum(getattr(t, key).nbytes for f in forests for t in f.trees
+                         for key in NODE_KEYS)
+        n_trees = sum(len(f.trees) for f in forests)
+        traced = tracemalloc.get_traced_memory()[0]
+        del forests
+        held = traced - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= node_bytes + 48 * n_trees + 2048 * 3, (held, node_bytes, n_trees)
 
 
 def _split_tree_dict():

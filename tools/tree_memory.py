@@ -1,9 +1,11 @@
 """Measure the memory of one corrml command across all of its processes.
 
-    python3 tools/tree_memory.py --src CHECKOUT -- COMMAND [ARGS...]
+    python3 tools/tree_memory.py --src CHECKOUT [--runs N] -- COMMAND [ARGS...]
 
 runs ``python -m corrml.cli COMMAND ARGS...`` with ``CHECKOUT/src`` on
-``PYTHONPATH``, in the current directory, and prints three figures:
+``PYTHONPATH``, in the current directory, N times (default 1), one run after
+another, and prints the median and range over the runs of three figures, as
+``NAME median M range LO-HI runs N``:
 
     wait4_peak_mb      the ru_maxrss that wait4 reports for the command, that
                        is, the peak RSS of its largest single process (what the
@@ -16,12 +18,14 @@ The command runs in a session of its own, and its forked workers stay in its
 process group. Every 10 ms the tool lists the process ids in /proc and, for
 each one in that group, reads ``/proc/<pid>/smaps_rollup``; it reads nothing
 else under /proc and writes nothing there. A process that starts and ends
-between two samples is missed. MB is 2**20 bytes. The tool exits with the
-command's exit code. Uses the standard library only.
+between two samples is missed. MB is 2**20 bytes. A run that exits nonzero
+ends the series: the figures cover the runs up to it, and the tool exits
+with its exit code. Uses the standard library only.
 """
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -69,6 +73,7 @@ def measure(src: str, argv: list[str]) -> tuple[int, float, float, int]:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", required=True, help="checkout whose src/ the command runs")
+    p.add_argument("--runs", type=int, default=1, help="runs of the command (default 1)")
     p.add_argument("command", nargs=argparse.REMAINDER,
                    help="the corrml command and its arguments, after --")
     args = p.parse_args()
@@ -77,9 +82,21 @@ def main() -> int:
         p.error("no corrml command given")
     if not os.path.isfile(os.path.join(args.src, "src", "corrml", "cli.py")):
         p.error(f"{args.src} holds no src/corrml/cli.py")
-    code, wait4_mb, pss_mb, processes = measure(args.src, argv)
-    print(f"wait4_peak_mb {wait4_mb:.1f}\ntree_pss_peak_mb {pss_mb:.1f}\n"
-          f"peak_processes {processes}")
+    if args.runs < 1:
+        p.error("--runs must be >= 1")
+    figures = {"wait4_peak_mb": [], "tree_pss_peak_mb": [], "peak_processes": []}
+    code = 0
+    for _ in range(args.runs):
+        code, *values = measure(args.src, argv)
+        for series, value in zip(figures.values(), values):
+            series.append(value)
+        if code:
+            break
+    runs = len(figures["peak_processes"])
+    for name, series in figures.items():
+        fmt = "g" if name == "peak_processes" else ".1f"
+        print(f"{name} median {statistics.median(series):{fmt}} "
+              f"range {min(series):{fmt}}-{max(series):{fmt}} runs {runs}")
     return code
 
 
