@@ -130,15 +130,19 @@ def _finite(text: str) -> float:
 
 
 def read_json(path: str, object_hook=None) -> dict:
-    """The JSON object in the file at `path`, each object passed through
+    """The JSON object in the file at `path`, read through a bounded window
+    of its text (`jsonstream.load`), each object passed through
     `object_hook` as the parser closes it; a file that does not parse (the
-    NaN and Infinity tokens Python's parser allows, and number literals that
-    overflow a float, included), or whose root is not an object, is a
-    ValidationError naming it."""
-    with open(path, encoding="utf-8") as fh:
+    NaN and Infinity tokens Python's parser allows, number literals that
+    overflow a float, and nesting deeper than `jsonstream.MAX_DEPTH`
+    included), or whose root is not an object, is a ValidationError naming
+    it."""
+    from .jsonstream import load
+
+    with open(path, "rb") as fh:
         try:
-            root = json.load(fh, object_hook=object_hook, parse_constant=_finite,
-                             parse_float=_finite)
+            root = load(fh, object_hook=object_hook, parse_constant=_finite,
+                        parse_float=_finite)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(root, dict):
@@ -572,6 +576,7 @@ def cmd_predict(args) -> int:
                     f"{state} 'preprocess.scaler' must be "
                     f"{'an object' if family.scaled else 'null'} for family {name!r}")
             model = load(payload["model"], family.from_dict, f"{state} 'model'")
+            del payload  # the model holds what it needs of the file
             if family.n_inputs(model) != width:
                 raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
                                       f"feature set {feature_set!r} has {width}")
@@ -589,6 +594,7 @@ def cmd_predict(args) -> int:
 
             load(payload, {**envelope, "ensemble": {}}, where)
             ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
+            del payload
             preds = predict_inverse(ensemble, queries)
             values = [v for p in preds for v in p.values.values()]
             rows = inverse_prediction_rows(preds)

@@ -9,10 +9,11 @@ node takes 28 bytes, whether the tree was fitted or loaded. A fitted model's
 trees are one node table (`TreeTable`): every tree's node arrays laid end to
 end, which reads as a sequence of DecisionTree views and pickles as a few
 arrays, however many trees it holds. A loaded model's trees are per-tree
-arrays, as the parser made them. Prediction descends all of a model's trees
-together, one indexing pass per level, over its table as it is, or over a
-table packed once per descent from a list of trees. A loaded tree is checked
-to be well formed first, so the descent always ends inside the node table.
+arrays, as the parser made them. Prediction descends a model's trees in
+blocks of bounded size, each block's trees together, one indexing pass per
+level, over views of its table, or over a table packed from a block of a
+list of trees. A loaded tree is checked to be well formed first, so the
+descent always ends inside the node table.
 
 Fitting grows a batch of trees together, breadth first over presorted
 attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
@@ -152,8 +153,9 @@ def _resolve_max_features(max_features, d: int) -> int:
 # Cells (nodes x columns x padded rows) scored at once when searching one
 # level's splits; bounds the search's scratch memory whatever the batch size.
 _CELL_BUDGET = 1 << 14
-# Entries (training rows x presorted lists) of the trees grown in one batch;
-# bounds the presort's and the partition's memory whatever the forest size.
+# Entries (training rows x presorted lists) of the trees grown in one batch,
+# and (tree, row) slots of the trees descended in one block; bounds the
+# presort's, the partition's and the descent's memory whatever the forest size.
 _SLOT_BUDGET = 1 << 16
 
 
@@ -434,30 +436,52 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     return grower.grow(Y[:, 0], max_depth, min_samples_leaf, max_features, [rng])[0][0]
 
 
+def _block(trees: TreeTable | list[DecisionTree], lo: int, hi: int) -> TreeTable:
+    """Trees lo to hi of `trees` as one table: views of a table, or the
+    block's trees of a list packed."""
+    if not isinstance(trees, TreeTable):
+        return TreeTable.pack(trees[lo:hi])
+    hi = min(hi, len(trees))
+    first, last = trees.offsets[lo], trees.offsets[hi]
+    return TreeTable(*(getattr(trees, key)[first:last] for key in _NODE_KEYS),
+                     offsets=trees.offsets[lo:hi + 1] - first,
+                     **{key: getattr(trees, key)[lo:hi]
+                        for key in ("n_features", "max_depth", "min_samples_leaf")})
+
+
 def _stacked_values(trees: TreeTable | list[DecisionTree], X: np.ndarray) -> np.ndarray:
-    """(trees, rows) predictions of every tree, from one vectorized descent
-    over their node table; a list of trees is packed into one first."""
+    """(trees, rows) predictions of every tree. The trees descend a block at
+    a time, each block (one tree at least) holding at most _SLOT_BUDGET
+    (tree, row) slots, so the descent's scratch is bounded whatever the
+    model's size; a block descends together, one indexing pass per level
+    over its node table, and fills its rows of the result. A table's block
+    is views of it, a list's block its trees packed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    table = trees if isinstance(trees, TreeTable) else TreeTable.pack(trees)
-    wrong = [width for width in table.n_features if width != X.shape[1]]
+    widths = trees.n_features if isinstance(trees, TreeTable) else [t.n_features for t in trees]
+    wrong = [width for width in widths if width != X.shape[1]]
     if wrong:
         raise ValidationError(f"feature count {X.shape[1]} != training {wrong[0]}")
     n = X.shape[0]
-    root = table.offsets[:-1]
-    shift = np.repeat(root, np.diff(table.offsets))
-    feature, threshold = table.feature, table.threshold
-    left = table.left + shift
-    right = table.right + shift
-    node = np.repeat(root, n)
-    row = np.tile(np.arange(n), len(table))
-    active = np.flatnonzero(feature[node] != LEAF)
-    while active.size:
-        cur = node[active]
-        go = X[row[active], feature[cur]] <= threshold[cur]
-        cur = np.where(go, left[cur], right[cur])
-        node[active] = cur
-        active = active[feature[cur] != LEAF]
-    return table.value[node].reshape(len(table), n)
+    values = np.empty((len(trees), n))
+    step = max(1, _SLOT_BUDGET // max(n, 1))
+    for lo in range(0, len(trees), step):
+        table = _block(trees, lo, lo + step)
+        root = table.offsets[:-1]
+        shift = np.repeat(root, np.diff(table.offsets))
+        feature, threshold = table.feature, table.threshold
+        left = table.left + shift
+        right = table.right + shift
+        node = np.repeat(root, n)
+        row = np.tile(np.arange(n), len(table))
+        active = np.flatnonzero(feature[node] != LEAF)
+        while active.size:
+            cur = node[active]
+            go = X[row[active], feature[cur]] <= threshold[cur]
+            cur = np.where(go, left[cur], right[cur])
+            node[active] = cur
+            active = active[feature[cur] != LEAF]
+        np.take(table.value, node, out=values[lo:lo + len(table)].reshape(-1))
+    return values
 
 
 def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:

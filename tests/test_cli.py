@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrml import cli, evaluation, inverse, jobs
+from corrml import cli, evaluation, inverse, jobs, jsonstream
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
                             generate_inverse_synthetic, generate_synthetic)
 from corrml.errors import TrainingError, ValidationError
@@ -1126,6 +1126,29 @@ def test_truncated_json_input_names_its_file(workspace, inverse_run, tmp_path, c
     assert cli.main(argv[command] + out) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "line 1 column" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train-forward", "config", "grade-map"])
+def test_deeply_nested_json_input_names_its_file(workspace, inverse_run, tmp_path, capsys,
+                                                 command):
+    # well-formed JSON that json.load, which recurses once a level, ends in
+    # a RecursionError on
+    path = tmp_path / "deep.json"
+    path.write_text('{"a":' + "[" * 200_000 + "]" * 200_000 + "}")
+    out = ["--out", str(tmp_path / "o")]
+    argv = {"predict": ["predict", "--model", str(path), "--direction", "inverse",
+                        "--input", inverse_run["csv"]],
+            "train-forward": ["train-forward", "--dataset", str(path), "--model", "rf"],
+            "config": ["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                       "--config", str(path)],
+            "grade-map": ["ingest", "--input", workspace["csv"], "--grade-map", str(path)]}
+    assert cli.main(argv[command] + out) == 1
+    # the root object is the first container, so the refused one is '[' number MAX_DEPTH
+    at = len('{"a":') + jsonstream.MAX_DEPTH - 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: More than {jsonstream.MAX_DEPTH} nested containers: "
+        f"line 1 column {at + 1} (char {at})\n")
     assert not (tmp_path / "o").exists()
 
 

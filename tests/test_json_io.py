@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrml import cli
+from corrml import cli, jsonstream
 from corrml.dataset import generate_inverse_synthetic, parse_csv
 from corrml.errors import ValidationError
 from corrml.inverse import inverse_from_dict, predict_inverse
@@ -99,6 +99,99 @@ def test_read_json_gives_finite_numbers_or_names_the_file(out_dir, text):
         assert str(refused.value).startswith(f"{path}: ")
 
 
+# JSON documents as text: any keys and strings (escapes, multi-byte UTF-8 and
+# surrogate pairs among them), with assorted spacing and newlines, then maybe
+# edited: a token spliced in, cut short, a BOM before or data after
+DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=4),
+    max_leaves=15)
+SPLICED = ["NaN", "-Infinity", "1e400", "1" + "0" * 400, "1" + "0" * 400 + "e-300", "-",
+           "1.", "2e+", "tru", '"\\ud834"', '"\\x"', '"\\u12"', '"\x01"', '"', "\\", "{", "}",
+           "[", "]", ",", ":", " ", "\r", "x", "é", "\U0001f600", "\ufeff"]
+
+
+@st.composite
+def json_texts(draw, edits=True):
+    text = json.dumps(draw(st.dictionaries(st.text(max_size=4), DATA, max_size=4) | DATA),
+                      ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 0, 2, " \t"])),
+                      separators=draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " :")])))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    text = draw(st.sampled_from(["", " ", "\n", "\r\n\t"])) + text
+    if not edits:
+        return text + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SPLICED)) + text[at:]
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return (draw(st.sampled_from(["", "", "\ufeff"])) + text
+            + draw(st.sampled_from(["", "\n", " \r\n", " x", "{}", "[1] "])))
+
+
+def _recorded():
+    """An object hook that records each call, and the list it records in."""
+    calls = []
+
+    def hook(d):
+        calls.append(list(d.items()))
+        return {"call": len(calls), "object": d}
+    return hook, calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=json_texts(), window=st.integers(1, 7))
+def test_read_json_is_json_loads_through_any_window(out_dir, text, window):
+    # a window of a few bytes puts a window boundary inside every token
+    path = out_dir / "windowed.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        whole = fh.read()  # the text as text mode reads it, newlines translated
+    loads_hook, loads_calls = _recorded()
+    hook, calls = _recorded()
+    try:
+        expected = json.loads(whole, object_hook=loads_hook, parse_float=cli._finite,
+                              parse_constant=cli._finite)
+    except ValueError as exc:
+        expected, refusal = None, f"{path}: {exc}"
+    else:
+        refusal = (None if isinstance(expected, dict) else
+                   f"{path}: the root must be a JSON object, got {type(expected).__name__}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonstream, "WINDOW", window)
+        if refusal is None:
+            assert repr(cli.read_json(str(path), object_hook=hook)) == repr(expected)
+        else:
+            with pytest.raises(ValidationError) as refused:
+                cli.read_json(str(path), object_hook=hook)
+            assert str(refused.value) == refusal
+    assert repr(calls) == repr(loads_calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=json_texts(edits=False), window=st.integers(1, 7), data=st.data(),
+       bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
+                            b"\xf4\x90\x80\x80"]))
+def test_bytes_not_utf8_are_refused_at_their_place_in_the_file(out_dir, text, window, data,
+                                                               bad):
+    raw = text.encode("utf-8")
+    at = data.draw(st.integers(min(window, len(raw)), len(raw)))  # after the first window
+    raw = raw[:at] + bad + raw[at:]
+    path = out_dir / "latin.json"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as undecodable:
+        raw.decode("utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonstream, "WINDOW", window)
+        with pytest.raises(ValidationError) as refused:
+            cli.read_json(str(path))
+    assert str(refused.value) == f"{path}: {undecodable.value}"
+
+
 def test_non_finite_value_late_in_the_payload_leaves_no_file(tmp_path):
     path = tmp_path / "model.json"
     payload = {"a": [{"tree": list(range(1000))}] * 50, "z": [lambda: {"value": [float("nan")]}]}
@@ -140,6 +233,21 @@ def test_train_inverse_writes_the_ensemble_in_pieces(inverse_files):
     # a one-shot dump holds the whole document as a string: at least the file's size
     size = os.path.getsize(inverse_files["ensemble"])
     assert inverse_files["peaks"]["ensemble.json"] < size / 4, (inverse_files["peaks"], size)
+
+
+def test_predict_reads_the_ensemble_a_window_at_a_time(inverse_files):
+    # json.load holds the file's whole text, and its bytes beside it while
+    # they are decoded: more than the file's size above what the parse keeps
+    path = inverse_files["ensemble"]
+    tracemalloc.start()
+    try:
+        payload = cli.read_json(path, object_hook=node_arrays)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert payload["kind"] == "inverse-model"
+    assert peak - kept < size / 4, (peak, kept, size)
 
 
 def test_parse_hook_gives_the_ensemble_a_plain_load_gives(inverse_files):

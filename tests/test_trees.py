@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from corrml import cli, jobs
+from corrml import trees as trees_module
 from corrml.errors import ValidationError
 from corrml.trees import (
     LEAF,
     DecisionTree,
+    GradientBoostedTrees,
     MultiOutputModel,
+    RandomForest,
     TreeTable,
     fit_forest,
     fit_forests,
@@ -381,6 +384,54 @@ def test_fitted_forests_hold_their_node_bytes_and_a_little_more():
     finally:
         tracemalloc.stop()
     assert held <= node_bytes + 48 * n_trees + 2048 * 3, (held, node_bytes, n_trees)
+
+
+def _descended(kind: str, n_trees: int):
+    """Trees to descend: a fitted forest's table, the same trees loaded as a
+    list, or a fitted GBM's table of stages."""
+    rng = np.random.default_rng(19)
+    X, y = rng.normal(size=(60, 4)), rng.normal(size=60)
+    if kind == "gbm":
+        return fit_gbm(X, y, n_rounds=n_trees).stages
+    table = fit_forest(X, y, n_estimators=n_trees, seed=3).trees
+    return table if kind == "fitted" else [tree_from_dict(tree_to_dict(t)) for t in table]
+
+
+@pytest.mark.parametrize("kind", ["fitted", "loaded", "gbm"])
+def test_descent_gives_the_same_bits_in_blocks_of_any_size(monkeypatch, kind):
+    trees = _descended(kind, 30)
+    Xs = np.random.default_rng(20).normal(size=(200, 4))
+    by_budget = {}
+    # one tree a block, 7 trees a block (the last block of 2), one block
+    for budget in (1, 7 * 200, 1 << 30):
+        monkeypatch.setattr(trees_module, "_SLOT_BUDGET", budget)
+        by_budget[budget] = (trees_module._stacked_values(trees, Xs),
+                             predict_gbm(GradientBoostedTrees(0.5, trees, 0.1), Xs),
+                             predict_forest(RandomForest(trees, n_estimators=30, max_features=4,
+                                                         bootstrap=True, seed=3, n_features=4),
+                                            Xs))
+    for values in by_budget.values():
+        for got, expected in zip(values, by_budget[1 << 30]):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert by_budget[1][0].shape == (30, 200)
+
+
+@pytest.mark.parametrize("kind", ["fitted", "loaded"])
+def test_descent_scratch_does_not_grow_with_the_tree_count(kind):
+    # 1,000 rows: a block of the default budget holds 65 trees
+    trees = _descended(kind, 400)
+    Xs = np.random.default_rng(21).normal(size=(1000, 4))
+
+    def scratch(some):
+        tracemalloc.start()
+        try:
+            values = trees_module._stacked_values(some, Xs)
+            return tracemalloc.get_traced_memory()[1] - values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    few = trees[:100] if kind == "loaded" else TreeTable.pack(trees[i] for i in range(100))
+    assert scratch(trees) <= 1.25 * scratch(few), (scratch(trees), scratch(few))
 
 
 def _split_tree_dict():
