@@ -117,6 +117,11 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     worker that dies loses the cell it was running; if that is the first
     failure, a TrainingError names the lost cells.
     """
+    # every cell draws from numpy.random, whose import loads OpenSSL's
+    # libcrypto (numpy.random -> secrets -> hmac); loaded before the fork,
+    # its pages are shared with the workers instead of loaded by each one
+    import numpy.random  # noqa: F401
+
     configs = configs or {}
     for model in models:
         forward_family(model)  # an unknown name fails before any process starts

@@ -20,7 +20,6 @@ state before that step (`optim.adam_minimize`).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -47,6 +46,16 @@ from .kernels import (
 from .optim import adam_minimize
 from .preprocess import DEFAULT_LOG_EPSILON, training_matrices
 from .schema import NONNEGATIVE, NUMBER, POSITIVE, STRING, array, one_of, parse
+
+# CPython's own SHA-256 module, as random.py takes its _sha512: hashlib loads
+# OpenSSL's libcrypto (3.5 MB of resident memory) for one checksum
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +100,11 @@ class _NlmlWorkspace:
     arrays. The terms and factor an evaluation returns are overwritten by
     the next one.
 
+    A value-only evaluation (`value`, and `_finalize` for a fitted or loaded
+    model) needs K, its factor and the kernels' work arrays only: the
+    buffers only a gradient reads are allocated at the first
+    `value_and_grad`, so a model loaded for prediction never holds them.
+
     Every large BLAS product and LAPACK call goes through scipy's library, bound
     in `corrml._linalg`, none through numpy's: when both libraries run
     multi-threaded, their two thread pools compete for the cores and an epoch
@@ -108,38 +122,57 @@ class _NlmlWorkspace:
         # expansion and of the gradient identity small relative to their difference
         self._xc = np.asfortranarray(Xv - Xv.mean(axis=0))
         self._same = same_rows(X, X)
-        self._xc2 = self._xc * self._xc
-        self._wx = np.empty_like(self._xc)
         self._K = np.empty((n, n))
         self._L = np.empty((n, n), order="F")
-        self._inv = np.empty((n, n), order="F")
-        self._A = np.empty((n, n))
         self._scratch = np.empty((n, n))
+        # gradient-only: the squared centred columns, dgemm output, K^-1,
+        # K^-1 - alpha alpha^T, and each leaf's (r^2, k, p)
+        self._xc2 = self._wx = self._inv = self._A = None
         self._leaf_bufs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _leaf_terms(self, spec: KernelSpec):
+    def _leaf_terms(self, spec: KernelSpec, grad: bool = True):
+        """K without its noise, summed over the leaves in pre-order. With
+        `grad`, each leaf's (leaf, 1/l^2, r^2, k, p) is kept in its own
+        buffers and returned. Without, each leaf's values are written over
+        its r^2 and added into K before the next leaf is evaluated, and []
+        is returned: the first leaf's r^2 is K itself, a later leaf's is
+        one more n x n array, and the kernels' work goes to the scratch
+        buffer and the factor's, both free until the factorization."""
+        K = self._K
         terms = []
         for i, leaf in enumerate(leaves(spec)):
             if leaf.lengthscales.size != self.X.shape[1]:
                 raise ValidationError(
                     f"ARD lengthscale count {leaf.lengthscales.size} != input "
                     f"dimension {self.X.shape[1]}")
+            Z = self._xc / leaf.lengthscales[self.varying]
+            if not grad:
+                if i == 1:
+                    # a gradient's buffer when one has been allocated, so a
+                    # fit's last factorization allocates nothing
+                    later = np.empty((self.n, self.n)) if self._A is None else self._A
+                r2 = sq_dist(Z, Z, self._same, out=K if i == 0 else later,
+                             scratch=self._scratch)
+                k = leaf.value(r2, (self._scratch, self._L))
+                if i:
+                    K += k
+                continue
             if i == len(self._leaf_bufs):
                 self._leaf_bufs.append(tuple(np.empty((self.n, self.n)) for _ in range(3)))
             r2, k, p = self._leaf_bufs[i]
             inv_ls2 = 1.0 / (leaf.lengthscales * leaf.lengthscales)
-            Z = self._xc / leaf.lengthscales[self.varying]
             sq_dist(Z, Z, self._same, out=r2, scratch=self._scratch)
             k, p = leaf.value_and_prefactor(r2, k, p, self._scratch)
             terms.append((leaf, inv_ls2, r2, k, p))
+            if i == 0:
+                np.copyto(K, k)
+            else:
+                K += k
         return terms
 
-    def _factorize(self, spec, noise_variance, c):
-        terms = self._leaf_terms(spec)
+    def _factorize(self, spec, noise_variance, c, grad=True):
+        terms = self._leaf_terms(spec, grad)
         K = self._K
-        np.copyto(K, terms[0][3])
-        for term in terms[1:]:
-            K += term[3]
         K.flat[::self.n + 1] += noise_variance
         L, jitter = cholesky_jitter(K, out=self._L)
         resid = self.y - c
@@ -150,11 +183,17 @@ class _NlmlWorkspace:
         return terms, L, alpha, value, jitter
 
     def value(self, spec: KernelSpec, noise_variance: float, c: float) -> float:
-        return self._factorize(spec, noise_variance, c)[3]
+        return self._factorize(spec, noise_variance, c, grad=False)[3]
 
     def value_and_grad(self, spec: KernelSpec, noise_variance: float, c: float
                        ) -> tuple[float, np.ndarray]:
         terms, L, alpha, value, _ = self._factorize(spec, noise_variance, c)
+        if self._inv is None:
+            n = self.n
+            self._xc2 = self._xc * self._xc
+            self._wx = np.empty_like(self._xc)
+            self._inv = np.empty((n, n), order="F")
+            self._A = np.empty((n, n))
         # K^-1 from the factor (LAPACK dpotri), held in the lower triangle of
         # `inv`; its upper triangle is the factor's exact zeros, so inv + inv^T
         # mirrors it with a doubled diagonal
@@ -221,10 +260,19 @@ class GprModel:
         return float(sum(leaf.variance for leaf in leaves(self.spec)))
 
 
-def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history) -> GprModel:
-    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c)
+def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history,
+              origin: str) -> GprModel:
+    """The model of these hyperparameters over the workspace's data, which
+    keeps the workspace's factor buffer: the workspace is spent. `origin`
+    ("fitted" or "loaded") names the model in the warning logged when K
+    factors only with jitter added to its diagonal."""
+    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c, grad=False)
+    if jitter:
+        log.warning("%s GP model (%d training rows, noise variance %g) factors only with "
+                    "jitter %g added to the diagonal of its kernel matrix",
+                    origin, workspace.n, noise_variance, jitter)
     return GprModel(x_train=workspace.X, y_train=workspace.y, spec=spec, mean=c,
-                    noise_variance=noise_variance, chol=L.copy(order="F"), alpha=alpha,
+                    noise_variance=noise_variance, chol=L, alpha=alpha,
                     jitter=jitter, history=history)
 
 
@@ -277,7 +325,7 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
     if failure is not None:
         log.warning("GP training stopped: %s; keeping the state before it (NLML %g)",
                     failure, history[-1])
-    return _finalize(workspace, *unpack(theta), history)
+    return _finalize(workspace, *unpack(theta), history, "fitted")
 
 
 def predict_gpr(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +344,8 @@ def predict_gpr(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nda
     w, info = dtrtrs(model.chol, k_star, lower=1)
     if info != 0:
         raise TrainingError(f"triangular solve failed (LAPACK dtrtrs info {info})")
-    var = model.prior_variance - np.sum(w * w, axis=0)
+    w *= w
+    var = model.prior_variance - np.sum(w, axis=0)
     var = np.maximum(var, 1e-12 * model.prior_variance)
     return mean, var + model.noise_variance
 
@@ -349,7 +398,7 @@ def predict_log_gpr(model: LogGprModel, X_star: np.ndarray) -> np.ndarray:
 
 
 def _data_checksum(X: np.ndarray, y: np.ndarray) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     h.update(np.ascontiguousarray(X, dtype=float).tobytes())
     h.update(np.ascontiguousarray(y, dtype=float).tobytes())
     h.update(repr(X.shape).encode())
@@ -378,7 +427,7 @@ def gpr_from_dict(d: dict) -> GprModel:
     if _data_checksum(d["x_train"], d["y_train"]) != d["checksum"]:
         raise ValidationError("training-data checksum mismatch")
     return _finalize(_NlmlWorkspace(d["x_train"], d["y_train"]), d["kernel"],
-                     d["noise_variance"], d["mean"], [])
+                     d["noise_variance"], d["mean"], [], "loaded")
 
 
 def log_gpr_to_dict(model: LogGprModel) -> dict:

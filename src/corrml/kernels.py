@@ -3,6 +3,13 @@ scaled squared distances, Gram matrices, log-space hyperparameter packing,
 per-leaf lengthscale-gradient prefactors (the GP layer assembles the analytic
 gradients from them), and jitter-stabilized Cholesky factorization.
 
+Each leaf kernel has two evaluations of the same arithmetic: `value` writes
+its values over r^2 for the Gram matrices that need no gradient (a fitted or
+loaded model's K and the cross-covariance of a prediction), and
+`value_and_prefactor` gives the values beside the gradient prefactor for
+training. The two agree to the last bit, so a model's factor is the same
+whichever built it.
+
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf.
 `sq_dist` computes it for training and prediction alike from one dgemm Gram
@@ -50,6 +57,15 @@ class RbfKernel:
         self.lengthscales = np.asarray(self.lengthscales, dtype=float)
         _check_leaf(self.lengthscales, self.variance)
 
+    work_arrays = 0
+
+    def value(self, r2: np.ndarray, work=()) -> np.ndarray:
+        """Kernel values from r^2, written over r2 and returned."""
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= self.variance
+        return r2
+
     def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
                             p: np.ndarray | None = None, scratch: np.ndarray | None = None
                             ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +93,45 @@ class MaternKernel:
         _check_leaf(self.lengthscales, self.variance)
         if self.nu not in MATERN_NUS:
             raise ValidationError(f"nu must be one of {MATERN_NUS}, got {self.nu}")
+
+    @property
+    def work_arrays(self) -> int:
+        """How many arrays of r^2's shape `value` needs besides r^2."""
+        return MATERN_NUS.index(self.nu)
+
+    def value(self, r2: np.ndarray, work=()) -> np.ndarray:
+        """Kernel values from r^2, written over r2 and returned, with the
+        operations of `value_and_prefactor`'s k in its order. nu=3/2 and 5/2
+        use the first one and two arrays of `work`, each of r2's shape."""
+        v = self.variance
+        if self.nu == 0.5:
+            r = np.sqrt(r2, out=r2)
+            np.negative(r, out=r)
+            np.exp(r, out=r)
+            r *= v
+            return r
+        c = SQRT3 if self.nu == 1.5 else SQRT5
+        if self.nu == 1.5:
+            e = work[0]
+            r = np.sqrt(r2, out=r2)
+            np.multiply(r, -c, out=e)
+            np.exp(e, out=e)                  # e = exp(-c r)
+            r *= c
+            r += 1.0
+            r *= v
+            r *= e                            # v (1 + sqrt3 r) e
+            return r
+        r, e = work[:2]
+        np.sqrt(r2, out=r)
+        np.multiply(r, -c, out=e)
+        np.exp(e, out=e)                      # e = exp(-c r)
+        r *= c
+        r += 1.0                              # 1 + sqrt5 r
+        r2 *= 5.0 / 3.0
+        r2 += r
+        r2 *= v
+        r2 *= e                               # v (1 + sqrt5 r + 5 r^2 / 3) e
+        return r2
 
     def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
                             p: np.ndarray | None = None, scratch: np.ndarray | None = None
@@ -213,22 +268,31 @@ def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | N
 
 def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(X_i, Xp_j), from rows centred on X's column
-    means. Exactly symmetric when Xp is X."""
+    means. Exactly symmetric when Xp is X. Each leaf's values are written
+    over its r^2 and added into K before the next leaf is evaluated, so K,
+    one later leaf's values and that leaf's `value` work are all the arrays
+    of K's shape alive at once."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
     if X.shape[1] != Xp.shape[1]:
         raise ValidationError(f"input dimensions differ: {X.shape[1]} vs {Xp.shape[1]}")
     Xc, Xpc = X - X.mean(axis=0), Xp - X.mean(axis=0)
     same = same_rows(X, Xp)
-    K = None
+    K, work = None, []
     for leaf in leaves(spec):
         if leaf.lengthscales.size != X.shape[1]:
             raise ValidationError(f"ARD lengthscale count {leaf.lengthscales.size} != "
                                   f"input dimension {X.shape[1]}")
         Z = Xc / leaf.lengthscales
         Zp = Z if Xp is X else Xpc / leaf.lengthscales
-        k, _ = leaf.value_and_prefactor(sq_dist(Z, Zp, same))
-        K = k if K is None else K + k
+        # work[:w] is the leaf's `value` work and work[w] a later leaf's r^2
+        w = leaf.work_arrays
+        while len(work) < w + (K is not None):
+            work.append(np.empty((X.shape[0], Xp.shape[0])))
+        if K is None:
+            K = leaf.value(sq_dist(Z, Zp, same), work)
+        else:
+            K += leaf.value(sq_dist(Z, Zp, same, out=work[w]), work)
     return K
 
 

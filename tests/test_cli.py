@@ -1205,6 +1205,24 @@ def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwant
     assert result.stdout.strip() == "[]"
 
 
+def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
+    # the GP checksum takes CPython's built-in SHA-256; hashlib's OpenSSL
+    # module maps libcrypto, about 3.5 MB of resident memory
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained("loggpr")))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    argv = ["predict", "--model", str(model), "--direction", "forward", "--input",
+            workspace["csv"], "--out", str(tmp_path / "pred")]
+    code = (f"import sys; from corrml import cli; assert cli.main({argv!r}) == 0; "
+            f"print('_hashlib' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("option,text,message", [
     ("--metrics", "model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\nrf,comp+env,high,1,2\n",
      "row 3: could not convert string to float: 'high'"),

@@ -1,8 +1,11 @@
 """Exact-GP inference against naive dense linear algebra, gradient checks,
 training behaviour, log-space wrapper, serialization."""
 
+import hashlib
 import json
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from scipy.linalg import cho_solve
 from corrml.errors import ValidationError
 from corrml.gpr import (
     GprModel,
+    _data_checksum,
+    _finalize,
+    _NlmlWorkspace,
     back_transform_log_predictions,
     default_log_kernel,
     default_plain_kernel,
@@ -368,3 +374,61 @@ def test_fit_validation_errors():
         model = fit_gpr(np.zeros((4, 2)) + np.arange(8).reshape(4, 2), np.arange(4.0),
                         epochs=0)
         predict_gpr(model, np.zeros((2, 5)))
+
+
+def _repeated_rows_file(noise_variance):
+    """A GP model file over 3 distinct rows, each repeated 4 times: at a
+    noise variance far below the kernel's rounding, K is singular."""
+    X = np.repeat(np.arange(3.0)[:, None], 4, axis=0)
+    y = np.arange(12.0) % 5
+    return {"kind": "gpr", "kernel": {"kind": "rbf", "lengthscales": [1.0], "variance": 1.0},
+            "mean": 0.0, "noise_variance": noise_variance, "x_train": X.tolist(),
+            "y_train": y.tolist(), "checksum": _data_checksum(X, y)}
+
+
+@pytest.mark.parametrize("origin", ["fitted", "loaded"])
+def test_jittered_factor_is_logged_naming_the_jitter_and_the_model(caplog, origin):
+    d = _repeated_rows_file(1e-300)
+    with caplog.at_level(logging.WARNING, logger="corrml.gpr"):
+        if origin == "loaded":
+            model = gpr_from_dict(d)
+        else:
+            workspace = _NlmlWorkspace(np.array(d["x_train"]), np.array(d["y_train"]))
+            model = _finalize(workspace, RbfKernel(np.ones(1)), 1e-300, 0.0, [], "fitted")
+    assert model.jitter > 0.0
+    messages = [r.getMessage() for r in caplog.records if r.name == "corrml.gpr"]
+    assert messages == [f"{origin} GP model (12 training rows, noise variance 1e-300) factors "
+                        f"only with jitter {model.jitter:g} added to the diagonal of its "
+                        f"kernel matrix"]
+
+
+def test_unjittered_factor_logs_nothing(caplog):
+    with caplog.at_level(logging.WARNING, logger="corrml.gpr"):
+        model = gpr_from_dict(_repeated_rows_file(0.1))
+    assert model.jitter == 0.0
+    assert not [r for r in caplog.records if r.name == "corrml.gpr"]
+
+
+def test_checksum_is_sha256_of_the_data():
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(9, 4)), rng.normal(size=9)
+    expected = hashlib.sha256(X.tobytes() + y.tobytes() + repr(X.shape).encode()).hexdigest()
+    assert _data_checksum(X, y) == expected
+
+
+def test_load_holds_under_five_n_by_n_arrays_above_the_model():
+    # a load factors K once, value only: K, the kept factor, the scratch
+    # buffer and one later leaf's values, and none of the gradient's buffers
+    rng = np.random.default_rng(6)
+    n, d = 200, 8
+    X = rng.normal(size=(n, d))
+    model = fit_log_gpr(X, np.exp(np.sin(X[:, 0])), epochs=0)
+    payload = json.loads(json.dumps(gpr_to_dict(model.inner)))
+    tracemalloc.start()
+    try:
+        loaded = gpr_from_dict(payload)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.chol.tobytes() == model.inner.chol.tobytes()
+    assert peak - kept <= 5 * n * n * 8, f"{(peak - kept) / (n * n * 8):.2f} n x n arrays"

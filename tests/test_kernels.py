@@ -2,9 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrml.errors import TrainingError, ValidationError
 from corrml.kernels import (
@@ -231,3 +235,43 @@ def test_constructor_validation():
         gram(np.zeros((1, 3)), np.zeros((1, 2)), RbfKernel(np.ones(3)))
     with pytest.raises(ValidationError):
         gram(np.zeros((4, 3)), np.zeros((4, 3)), RbfKernel(np.ones(2)))
+
+
+# r^2 values as kernels meet them: exact zeros (equal rows), subnormal and
+# tiny distances, ordinary ones, and distances whose kernel value underflows
+R2_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e-6),
+                      st.floats(0.0, 50.0), st.floats(1e3, 1e300))
+LEAVES = {"rbf": RbfKernel, "matern12": lambda ls, v: MaternKernel(ls, v, nu=0.5),
+          "matern32": lambda ls, v: MaternKernel(ls, v, nu=1.5),
+          "matern52": lambda ls, v: MaternKernel(ls, v, nu=2.5)}
+
+
+@pytest.mark.parametrize("kind", LEAVES)
+@settings(max_examples=60, deadline=None)
+@given(r2=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 9)), elements=R2_VALUES),
+       variance=st.floats(1e-3, 1e3))
+def test_value_only_kernel_is_bit_exact_with_value_and_prefactor(kind, r2, variance):
+    # training builds K from value_and_prefactor's k, a loaded model and a
+    # prediction from `value`; their bytes must not drift apart
+    leaf = LEAVES[kind](np.ones(1), variance)
+    expected, _ = leaf.value_and_prefactor(r2.copy())
+    work = [np.full_like(r2, np.nan) for _ in range(leaf.work_arrays)]
+    got = leaf.value(r2.copy(), work)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_cross_gram_holds_under_five_arrays_of_its_shape():
+    # the default log-space kernel, an RBF plus a Matern 5/2, evaluated value
+    # only into one accumulated K*: K*, one r^2 and two Matern work arrays
+    rng = np.random.default_rng(4)
+    n, m, d = 200, 150, 8
+    X, X_star = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    spec = SumKernel(RbfKernel(rng.uniform(0.5, 2.0, d), 0.7),
+                     MaternKernel(rng.uniform(0.5, 2.0, d), 0.4, nu=2.5))
+    tracemalloc.start()
+    try:
+        gram(X, X_star, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * m * 8, f"{peak / (n * m * 8):.2f} arrays of n x m floats"

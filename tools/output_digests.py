@@ -11,16 +11,20 @@ fixed relative paths, so that the sidecars of two checkouts record the same
 paths. The chains are
 
     ingest -> train-forward (rf, dnn, gpr and loggpr) -> forward predict,
-              then compare-forward -> report
+              then train-forward (loggpr, back_transform "mean") -> forward
+              predict, then compare-forward -> report
     ingest -> train-inverse -> inverse predict
 
 and the output is one ``sha256  relative/path`` line per file they write,
 sorted by path. Run it on two checkouts and diff the two outputs. Uses the
-standard library only.
+standard library only. The mean back-transform reads the GP's predictive
+variance, which the default median one does not, so its chain puts the
+variance path under the check too.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,13 +34,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FWD_DATASET = "out/fwd/ds/dataset.json"
 INV_DATASET = "out/inv/ds/dataset.json"
+MEAN_CONFIG = ("in/fwd/loggpr-mean.json", {"model_params": {"loggpr": {"back_transform": "mean"}}})
+# (output folder, family, extra flags) of each train-forward -> predict chain
+FORWARD_RUNS = [*((model, model, []) for model in ("rf", "dnn", "gpr", "loggpr")),
+                ("loggpr-mean", "loggpr", ["--config", MEAN_CONFIG[0]])]
 COMMANDS = [
     ["ingest", "--input", "in/fwd/data.csv", "--out", "out/fwd/ds"],
-    *(step for model in ("rf", "dnn", "gpr", "loggpr") for step in (
-        ["train-forward", "--dataset", FWD_DATASET, "--model", model,
-         "--out", f"out/fwd/{model}"],
-        ["predict", "--model", f"out/fwd/{model}/model.json", "--direction", "forward",
-         "--input", "in/fwd/data.csv", "--out", f"out/fwd/{model}-predict"])),
+    *(step for name, model, config in FORWARD_RUNS for step in (
+        ["train-forward", "--dataset", FWD_DATASET, "--model", model, *config,
+         "--out", f"out/fwd/{name}"],
+        ["predict", "--model", f"out/fwd/{name}/model.json", "--direction", "forward",
+         "--input", "in/fwd/data.csv", "--out", f"out/fwd/{name}-predict"])),
     ["compare-forward", "--dataset", FWD_DATASET, "--out", "out/fwd/compare"],
     ["report", "--metrics", "out/fwd/compare/compare_metrics.csv",
      "--pairs", "out/fwd/compare/compare_pairs.csv", "--out", "out/fwd/report"],
@@ -61,6 +69,8 @@ def digests(src: str, seed: int) -> list[str]:
         for workload, folder in (("forward-gp", "in/fwd"), ("inverse", "in/inv")):
             _run([sys.executable, os.path.join(ROOT, "bench", "inputs.py"), "--workload",
                   workload, "--seed", str(seed), "--out", folder], work, env)
+        with open(os.path.join(work, MEAN_CONFIG[0]), "w", encoding="utf-8") as fh:
+            json.dump(MEAN_CONFIG[1], fh)
         for argv in COMMANDS:
             _run([sys.executable, "-m", "corrml.cli", *argv], work, env)
         lines = []
