@@ -93,12 +93,12 @@ class _NlmlWorkspace:
     gradient, which is reported as an exact 0.0. Each leaf divides the centred
     varying columns by its lengthscales and takes r^2 from `kernels.sq_dist`,
     as `kernels.gram` does: exactly symmetric, and exactly 0 for the pairs of
-    equal rows found here once. Every evaluation writes r^2, kernel values,
-    gradient prefactors, K, its Cholesky factor, K^-1 and the gradient
-    weights into n x n buffers owned here, as many whatever the input
-    dimension, so after the first one an evaluation allocates no n x n
-    arrays. The terms and factor an evaluation returns are overwritten by
-    the next one.
+    equal rows found here once. Every evaluation writes r^2 and then the
+    kernel values over it, gradient prefactors, K, its Cholesky factor, K^-1
+    and the gradient weights into n x n buffers owned here, as many whatever
+    the input dimension, so after the first one an evaluation allocates no
+    n x n arrays. The terms and factor an evaluation returns are overwritten
+    by the next one.
 
     A value-only evaluation (`value`, and `_finalize` for a fitted or loaded
     model) needs K, its factor and the kernels' work arrays only: the
@@ -126,48 +126,45 @@ class _NlmlWorkspace:
         self._L = np.empty((n, n), order="F")
         self._scratch = np.empty((n, n))
         # gradient-only: the squared centred columns, dgemm output, K^-1,
-        # K^-1 - alpha alpha^T, and each leaf's (r^2, k, p)
+        # K^-1 - alpha alpha^T, and each leaf's (k, p)
         self._xc2 = self._wx = self._inv = self._A = None
-        self._leaf_bufs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._leaf_bufs: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _leaf_terms(self, spec: KernelSpec, grad: bool = True):
-        """K without its noise, summed over the leaves in pre-order. With
-        `grad`, each leaf's (leaf, 1/l^2, r^2, k, p) is kept in its own
-        buffers and returned. Without, each leaf's values are written over
-        its r^2 and added into K before the next leaf is evaluated, and []
-        is returned: the first leaf's r^2 is K itself, a later leaf's is
-        one more n x n array, and the kernels' work goes to the scratch
-        buffer and the factor's, both free until the factorization."""
-        K = self._K
+        """K without its noise, summed over the leaves in pre-order. Each
+        leaf's r^2 is written into its values' buffer and its values over
+        it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own two
+        buffers and returned. Without, each leaf's values are added into K
+        before the next leaf is evaluated, and [] is returned: the first
+        leaf's values are K itself and a later leaf's are one more n x n
+        array. The kernels' work goes to the scratch buffer and the
+        factor's, both free until the factorization."""
+        K, n = self._K, self.n
         terms = []
         for i, leaf in enumerate(leaves(spec)):
             if leaf.lengthscales.size != self.X.shape[1]:
                 raise ValidationError(
                     f"ARD lengthscale count {leaf.lengthscales.size} != input "
                     f"dimension {self.X.shape[1]}")
+            if grad:
+                if i == len(self._leaf_bufs):
+                    self._leaf_bufs.append((np.empty((n, n)), np.empty((n, n))))
+                k, p = self._leaf_bufs[i]
+            elif i == 0:
+                k, p = K, None
+            elif i == 1:
+                # a gradient's buffer when one has been allocated, so a
+                # fit's last factorization allocates nothing
+                k = np.empty((n, n)) if self._A is None else self._A
             Z = self._xc / leaf.lengthscales[self.varying]
-            if not grad:
-                if i == 1:
-                    # a gradient's buffer when one has been allocated, so a
-                    # fit's last factorization allocates nothing
-                    later = np.empty((self.n, self.n)) if self._A is None else self._A
-                r2 = sq_dist(Z, Z, self._same, out=K if i == 0 else later,
-                             scratch=self._scratch)
-                k = leaf.value(r2, (self._scratch, self._L))
-                if i:
-                    K += k
-                continue
-            if i == len(self._leaf_bufs):
-                self._leaf_bufs.append(tuple(np.empty((self.n, self.n)) for _ in range(3)))
-            r2, k, p = self._leaf_bufs[i]
-            inv_ls2 = 1.0 / (leaf.lengthscales * leaf.lengthscales)
-            sq_dist(Z, Z, self._same, out=r2, scratch=self._scratch)
-            k, p = leaf.value_and_prefactor(r2, k, p, self._scratch)
-            terms.append((leaf, inv_ls2, r2, k, p))
-            if i == 0:
-                np.copyto(K, k)
-            else:
+            sq_dist(Z, Z, self._same, out=k, scratch=self._scratch)
+            leaf.value(k, (self._scratch, self._L), p)
+            if grad:
+                terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
+            if i:
                 K += k
+            elif grad:
+                np.copyto(K, k)
         return terms
 
     def _factorize(self, spec, noise_variance, c, grad=True):
@@ -208,7 +205,7 @@ class _NlmlWorkspace:
         np.multiply(alpha[:, None], alpha[None, :], out=W)
         A -= W                                  # A = K^-1 - alpha alpha^T
         grad = []
-        for _, inv_ls2, _, k, p in terms:
+        for inv_ls2, k, p in terms:
             ls_grad = np.zeros(inv_ls2.size)
             if self.varying.size:
                 np.multiply(A, p, out=W)

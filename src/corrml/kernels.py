@@ -3,12 +3,12 @@ scaled squared distances, Gram matrices, log-space hyperparameter packing,
 per-leaf lengthscale-gradient prefactors (the GP layer assembles the analytic
 gradients from them), and jitter-stabilized Cholesky factorization.
 
-Each leaf kernel has two evaluations of the same arithmetic: `value` writes
-its values over r^2 for the Gram matrices that need no gradient (a fitted or
-loaded model's K and the cross-covariance of a prediction), and
-`value_and_prefactor` gives the values beside the gradient prefactor for
-training. The two agree to the last bit, so a model's factor is the same
-whichever built it.
+Each leaf kernel evaluates its arithmetic in one method, `value`, which
+writes its values over r^2 and, given an output for it, the gradient
+prefactor from the same intermediates. Training asks for both; the Gram
+matrices that need no gradient (a fitted or loaded model's K and the
+cross-covariance of a prediction) ask for the values only, and get the same
+bytes, so a model's factor is the same whichever built it.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf.
@@ -59,23 +59,17 @@ class RbfKernel:
 
     work_arrays = 0
 
-    def value(self, r2: np.ndarray, work=()) -> np.ndarray:
-        """Kernel values from r^2, written over r2 and returned."""
+    def value(self, r2: np.ndarray, work=(), p: np.ndarray | None = None) -> np.ndarray:
+        """Kernel values from r^2, written over r2 and returned. With `p`, the
+        lengthscale-gradient prefactor P, dK/dln(l_d) = P * s_d for s_d the
+        per-dimension scaled squared distance, is written there too: for RBF,
+        P equals K, and K is copied there."""
         r2 *= -0.5
         np.exp(r2, out=r2)
         r2 *= self.variance
+        if p is not None:
+            np.copyto(p, r2)
         return r2
-
-    def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
-                            p: np.ndarray | None = None, scratch: np.ndarray | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel values K and lengthscale-gradient prefactor P from r^2, with
-        dK/dln(l_d) = P * s_d for s_d the per-dimension scaled squared distance.
-        For RBF, P is K itself, so `p` and `scratch` go unused."""
-        k = np.multiply(r2, -0.5, out=np.empty_like(r2) if k is None else k)
-        np.exp(k, out=k)
-        k *= self.variance
-        return k, k
 
 
 @dataclass
@@ -99,20 +93,28 @@ class MaternKernel:
         """How many arrays of r^2's shape `value` needs besides r^2."""
         return MATERN_NUS.index(self.nu)
 
-    def value(self, r2: np.ndarray, work=()) -> np.ndarray:
-        """Kernel values from r^2, written over r2 and returned, with the
-        operations of `value_and_prefactor`'s k in its order. nu=3/2 and 5/2
-        use the first one and two arrays of `work`, each of r2's shape."""
+    def value(self, r2: np.ndarray, work=(), p: np.ndarray | None = None) -> np.ndarray:
+        """Kernel values from r^2, written over r2 and returned. With `p`, the
+        lengthscale-gradient prefactor P, dK/dln(l_d) = P * s_d, is written
+        there from the same sqrt and exp. nu=3/2 and 5/2 use the first one
+        and two arrays of `work`, each of r2's shape, and one array fewer
+        with `p`, which then holds exp(-c r)."""
         v = self.variance
         if self.nu == 0.5:
             r = np.sqrt(r2, out=r2)
+            if p is not None:
+                # s_d / r -> 0 as r -> 0, so a zero-filled inverse is the correct limit
+                p.fill(0.0)
+                np.divide(1.0, r, out=p, where=r > 0)
             np.negative(r, out=r)
             np.exp(r, out=r)
             r *= v
+            if p is not None:
+                p *= r                        # v e / r
             return r
         c = SQRT3 if self.nu == 1.5 else SQRT5
         if self.nu == 1.5:
-            e = work[0]
+            e = work[0] if p is None else p
             r = np.sqrt(r2, out=r2)
             np.multiply(r, -c, out=e)
             np.exp(e, out=e)                  # e = exp(-c r)
@@ -120,8 +122,10 @@ class MaternKernel:
             r += 1.0
             r *= v
             r *= e                            # v (1 + sqrt3 r) e
+            if p is not None:
+                p *= 3.0 * v                  # 3 v e
             return r
-        r, e = work[:2]
+        r, e = work[0], (work[1] if p is None else p)
         np.sqrt(r2, out=r)
         np.multiply(r, -c, out=e)
         np.exp(e, out=e)                      # e = exp(-c r)
@@ -131,46 +135,10 @@ class MaternKernel:
         r2 += r
         r2 *= v
         r2 *= e                               # v (1 + sqrt5 r + 5 r^2 / 3) e
+        if p is not None:
+            r *= (5.0 / 3.0) * v
+            p *= r                            # 5/3 v (1 + sqrt5 r) e
         return r2
-
-    def value_and_prefactor(self, r2: np.ndarray, k: np.ndarray | None = None,
-                            p: np.ndarray | None = None, scratch: np.ndarray | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel values K and lengthscale-gradient prefactor P from r^2, with
-        dK/dln(l_d) = P * s_d. Both share one sqrt and one exp; results go to
-        `k` and `p`, r to `scratch` (each allocated when not given)."""
-        k = np.empty_like(r2) if k is None else k
-        p = np.empty_like(r2) if p is None else p
-        r = np.sqrt(r2, out=np.empty_like(r2) if scratch is None else scratch)
-        v = self.variance
-        if self.nu == 0.5:
-            np.negative(r, out=k)
-            np.exp(k, out=k)
-            k *= v
-            # s_d / r -> 0 as r -> 0, so a zero-filled inverse is the correct limit
-            p.fill(0.0)
-            np.divide(1.0, r, out=p, where=r > 0)
-            p *= k
-            return k, p
-        c = SQRT3 if self.nu == 1.5 else SQRT5
-        np.multiply(r, -c, out=p)
-        np.exp(p, out=p)                      # e = exp(-c r)
-        if self.nu == 1.5:
-            np.multiply(r, c, out=k)
-            k += 1.0
-            k *= v
-            k *= p                            # v (1 + sqrt3 r) e
-            p *= 3.0 * v                      # 3 v e
-            return k, p
-        r *= c
-        r += 1.0                              # 1 + sqrt5 r
-        np.multiply(r2, 5.0 / 3.0, out=k)
-        k += r
-        k *= v
-        k *= p                                # v (1 + sqrt5 r + 5 r^2 / 3) e
-        r *= (5.0 / 3.0) * v
-        p *= r                                # 5/3 v (1 + sqrt5 r) e
-        return k, p
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """The NLML workspace against the stack-based reference in tests/gp_reference.py:
 value and gradient agreement, exact zeros for constant columns, squared
 distances against a per-column sum, untouched constant-column lengthscales
-after a fit, n x n memory independent of the input dimension, no n x n
-allocation once warm, and logged early stops."""
+after a fit, n x n memory independent of the input dimension and two
+buffers per leaf for a gradient, no n x n allocation once warm, and logged
+early stops."""
 
 import logging
 import tracemalloc
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from gp_reference import value_and_grad as reference_value_and_grad
-from corrml.gpr import _NlmlWorkspace, fit_gpr
-from corrml.kernels import MaternKernel, RbfKernel, SumKernel, gram, leaves
+from corrml.gpr import _NlmlWorkspace, default_log_kernel, fit_gpr
+from corrml.kernels import MaternKernel, RbfKernel, SumKernel, gram, leaves, sq_dist
 
 CONSTANT_COLS = (1, 4)
 
@@ -68,15 +69,26 @@ def test_workspace_matches_reference():
             assert workspace.value(spec, 0.05, 0.2) == value
 
 
+def _workspace_sq_dist(ws, ls):
+    """r^2 of one leaf as `_NlmlWorkspace._leaf_terms` computes it, before
+    the leaf's values are written over it."""
+    Z = ws._xc / ls[ws.varying]
+    return sq_dist(Z, Z, ws._same)
+
+
 def test_squared_distances_exactly_symmetric_with_zero_diagonal():
     for n, d in ((40, 6), (200, 30)):  # a 200 x 30 dgemm product is itself not bit-symmetric
         X, y = _data(n, d)
         workspace = _NlmlWorkspace(X, y)
         spec = _specs(X.shape[1])["sum"]
-        for _, _, r2, _, _ in workspace._leaf_terms(spec):
+        for leaf, (_, k, _) in zip(leaves(spec), workspace._leaf_terms(spec)):
+            r2 = _workspace_sq_dist(workspace, leaf.lengthscales)
             assert np.array_equal(r2, r2.T)
             assert np.all(np.diag(r2) == 0.0)
             assert r2[3, 7] == r2[3, 19] == 0.0
+            assert np.array_equal(k, k.T)
+            assert np.all(np.diag(k) == leaf.variance)
+            assert k[3, 7] == k[3, 19] == leaf.variance
         K = gram(X, X, spec)
         assert np.array_equal(K, K.T)
 
@@ -93,7 +105,7 @@ def test_squared_distances_match_per_column_sum_far_from_origin(path):
     ls = np.random.default_rng(2).uniform(0.5, 2.5, X.shape[1])
     if path == "workspace":
         Xp = X
-        r2 = _NlmlWorkspace(X, y)._leaf_terms(RbfKernel(ls))[0][2]
+        r2 = _workspace_sq_dist(_NlmlWorkspace(X, y), ls)
     else:
         Xp, _ = _data(n=20, seed=3)
         Xp[:, 2] += 1e6
@@ -136,6 +148,23 @@ def _n_by_n_arrays_held(d, n=200):
 
 def test_workspace_memory_does_not_grow_with_input_dimension():
     assert _n_by_n_arrays_held(6) == _n_by_n_arrays_held(60)
+
+
+def test_gradient_keeps_two_n_by_n_buffers_per_leaf():
+    # beyond construction's K, factor and scratch: K^-1, K^-1 - alpha alpha^T
+    # and each of the two leaves' values and prefactor, whose values are
+    # written over their r^2
+    n, d = 200, 8
+    X, y = _data(n=n, d=d)
+    tracemalloc.start()
+    try:
+        workspace = _NlmlWorkspace(X, y)
+        built = tracemalloc.get_traced_memory()[0]
+        workspace.value_and_grad(default_log_kernel(d), 0.05, 0.2)
+        held = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert held <= 6.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
 
 
 def test_warm_evaluation_allocates_no_n_by_n_array():

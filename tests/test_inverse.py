@@ -2,10 +2,14 @@
 
 import copy
 import math
+import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrml import cli, inverse, jobs, trees
 from corrml.dataset import (CorrosionSample, Dataset, ElementComposition,
@@ -31,7 +35,7 @@ from corrml.inverse import (
 )
 from corrml.preprocess import split_train_test
 from corrml.trees import (MultiOutputModel, fit_forests, fit_gbms, multi_output_to_dict,
-                          predict_multi_output)
+                          node_arrays, predict_multi_output)
 from test_jobs import no_children
 from test_trees import written
 
@@ -324,6 +328,30 @@ def test_serialization_roundtrip(tmp_path):
         edit(edited["submodels"]["base"])
         with pytest.raises(ValidationError, match=key):
             inverse_from_dict(edited)
+
+
+def _prediction_bytes(preds) -> tuple:
+    return (np.array([[p.values[el] for el in INVERSE_TARGETS] for p in preds]).tobytes(),
+            [(p.query_id, p.contributing) for p in preds])
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_ensemble_file_round_trip_is_bit_exact(seed):
+    # written as train-inverse writes it, read as predict reads it
+    data = generate_inverse_synthetic(60, seed=seed)
+    ens = fit_inverse(data, seed=seed, configs=QUICK)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "ensemble.json")
+        text = written(inverse_to_dict(ens), path)
+        loaded = inverse_from_dict(cli.read_json(str(path), object_hook=node_arrays))
+        # a bool, so that a failure does not diff the two files
+        same_file = written(inverse_to_dict(loaded), path) == text
+        assert same_file
+    fresh = generate_inverse_synthetic(20, seed=seed + 1)
+    for queries in (data, _without_temperatures(fresh), _strip_extensions(fresh)):
+        assert (_prediction_bytes(predict_inverse(loaded, queries))
+                == _prediction_bytes(predict_inverse(ens, queries)))
 
 
 def test_validation_errors():

@@ -25,7 +25,7 @@ from corrml.kernels import (
     leaves,
     set_log_params,
 )
-from gp_reference import param_names
+from gp_reference import kernel_and_prefactor, param_names
 
 # hand-computed closed-form values at unit distance, unit lengthscale/variance
 RBF_AT_1 = 0.6065306597126334
@@ -250,14 +250,22 @@ LEAVES = {"rbf": RbfKernel, "matern12": lambda ls, v: MaternKernel(ls, v, nu=0.5
 @settings(max_examples=60, deadline=None)
 @given(r2=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 9)), elements=R2_VALUES),
        variance=st.floats(1e-3, 1e3))
-def test_value_only_kernel_is_bit_exact_with_value_and_prefactor(kind, r2, variance):
-    # training builds K from value_and_prefactor's k, a loaded model and a
-    # prediction from `value`; their bytes must not drift apart
+def test_value_gives_the_same_kernel_with_or_without_the_prefactor(kind, r2, variance):
+    # training asks `value` for the prefactor, a loaded model and a prediction
+    # do not; their K must be the same bytes, and P the closed form's
     leaf = LEAVES[kind](np.ones(1), variance)
-    expected, _ = leaf.value_and_prefactor(r2.copy())
     work = [np.full_like(r2, np.nan) for _ in range(leaf.work_arrays)]
-    got = leaf.value(r2.copy(), work)
-    assert got.tobytes() == expected.tobytes()
+    alone = leaf.value(r2.copy(), work).copy()
+    p = np.full_like(r2, np.nan)
+    k = leaf.value(r2.copy(), work, p)
+    assert k.tobytes() == alone.tobytes()
+    want_k, want_p = kernel_and_prefactor(leaf, r2)
+    tiny = np.finfo(float).tiny  # below it, subnormal rounding is absolute
+    np.testing.assert_allclose(k, want_k, rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=tiny)
+    assert not np.isnan(p).any()
+    if kind == "matern12":
+        assert np.all(p[r2 == 0.0] == 0.0)
 
 
 def test_cross_gram_holds_under_five_arrays_of_its_shape():
