@@ -126,19 +126,19 @@ class _NlmlWorkspace:
         self._L = np.empty((n, n), order="F")
         self._scratch = np.empty((n, n))
         # gradient-only: the squared centred columns, dgemm output, K^-1,
-        # K^-1 - alpha alpha^T, and each leaf's (k, p)
+        # K^-1 - alpha alpha^T, and each leaf's [k, p], p made once a leaf needs it
         self._xc2 = self._wx = self._inv = self._A = None
-        self._leaf_bufs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._leaf_bufs: list[list] = []
 
     def _leaf_terms(self, spec: KernelSpec, grad: bool = True):
         """K without its noise, summed over the leaves in pre-order. Each
         leaf's r^2 is written into its values' buffer and its values over
-        it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own two
-        buffers and returned. Without, each leaf's values are added into K
-        before the next leaf is evaluated, and [] is returned: the first
-        leaf's values are K itself and a later leaf's are one more n x n
-        array. The kernels' work goes to the scratch buffer and the
-        factor's, both free until the factorization."""
+        it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own
+        buffers, p None for an RBF leaf, and returned. Without, each leaf's
+        values are added into K before the next leaf is evaluated, and [] is
+        returned: the first leaf's values are K itself and a later leaf's are
+        one more n x n array. The kernels' work goes to the scratch buffer
+        and the factor's, both free until the factorization."""
         K, n = self._K, self.n
         terms = []
         for i, leaf in enumerate(leaves(spec)):
@@ -148,8 +148,10 @@ class _NlmlWorkspace:
                     f"dimension {self.X.shape[1]}")
             if grad:
                 if i == len(self._leaf_bufs):
-                    self._leaf_bufs.append((np.empty((n, n)), np.empty((n, n))))
+                    self._leaf_bufs.append([np.empty((n, n)), None])
                 k, p = self._leaf_bufs[i]
+                if p is None and not isinstance(leaf, RbfKernel):  # an RBF leaf's P is its k
+                    p = self._leaf_bufs[i][1] = np.empty((n, n))
             elif i == 0:
                 k, p = K, None
             elif i == 1:
@@ -208,7 +210,7 @@ class _NlmlWorkspace:
         for inv_ls2, k, p in terms:
             ls_grad = np.zeros(inv_ls2.size)
             if self.varying.size:
-                np.multiply(A, p, out=W)
+                np.multiply(A, k if p is None else p, out=W)
                 # sum_ij W_ij (x_id - x_jd)^2 = 2 (x_d^2 . W1 - x_d . W x_d), W symmetric;
                 # W^T is W in the Fortran order BLAS takes without a copy
                 dgemm(1.0, W.T, self._xc, beta=0.0, c=self._wx, overwrite_c=1)

@@ -305,8 +305,8 @@ def _slot(name: str, kind: str):
     def parse_slot(d: dict) -> MultiOutputModel:
         parse(d, {"kind": "multi", "base": kind, "target_names": list(INVERSE_TARGETS)})
         model = multi_output_from_dict(d)
-        widths = {t.n_features for m in model.models
-                  for t in (m.stages if kind == "gbm" else m.trees)} - {feature_width(name)}
+        widths = {w for m in model.models for w in
+                  (m.stages if kind == "gbm" else m.trees).n_features} - {feature_width(name)}
         if widths:
             raise ValidationError(f"holds trees of {min(widths)} features; submodel {name!r} "
                                   f"has {feature_width(name)}")

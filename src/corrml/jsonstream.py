@@ -28,6 +28,7 @@ WINDOW = 1 << 15
 MAX_DEPTH = 256
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*").match
+_HELD = re.compile(r"(?:\[[^\]]*\]|(?!\[)[-+.0-9eE]*[^-+.0-9eE])").match
 # a key with no escape and its ':', whole in the text: the key as it stands
 _PLAIN_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:').match
 
@@ -105,19 +106,15 @@ class _Text:
 
     def decoded(self, decode):
         """(value, end) of `decode(text, at)`, a C decoder reading one value
-        from `at`, tried again with more text until it succeeds with more
-        than two characters to spare (a number's digits, '.', 'e' or sign
-        may follow), or the file ends. A failure before the end may be a
-        value the window cut, so only the whole rest of the file refuses."""
+        from `at`, tried again with more text until it succeeds or the file
+        ends: a failure before the end may be a value the window cut, so only
+        the whole rest of the file refuses; a number is read whole first."""
         while True:
             try:
-                value, end = decode(self.text, self.at)
+                return decode(self.text, self.at)
             except ValueError:
                 if self.eof:
                     raise
-            else:
-                if end + 2 < len(self.text) or self.eof:
-                    return value, end
             self.read(max(WINDOW, len(self.text) - self.at))
 
     def where(self, pos: int) -> str:
@@ -182,9 +179,11 @@ def _value(text: _Text, decode, object_hook):
             continue
         else:
             # a scalar, or an array whose first item is one, decoded whole
-            # (an array without the hook); such an array is walked item by
-            # item if it holds an object, nests too deep for the C decoder,
-            # or refuses
+            # (an array without the hook) once read up to a number's end or
+            # the array's first ']'; such an array is walked item by item if
+            # it holds an object, nests too deep for the C decoder, or refuses
+            while not (text.eof or _HELD(text.text, text.at)):
+                text.read(max(WINDOW, len(text.text) - text.at))
             try:
                 value, end = text.decoded(decode)
             except (ValueError, RecursionError):

@@ -5,15 +5,14 @@ residuals, and multi-output models (one regressor per target column).
 Trees are stored as flat parallel arrays (feature, threshold, children, value),
 nodes numbered in preorder, so serialization is trivial. Feature and child
 indices are 4-byte integers (np.int32), thresholds and values float64, so a
-node takes 28 bytes, whether the tree was fitted or loaded. A fitted model's
-trees are one node table (`TreeTable`): every tree's node arrays laid end to
-end, which reads as a sequence of DecisionTree views and pickles as a few
-arrays, however many trees it holds. A loaded model's trees are per-tree
-arrays, as the parser made them. Prediction descends a model's trees in
-blocks of bounded size, each block's trees together, one indexing pass per
-level, over views of its table, or over a table packed from a block of a
-list of trees. A loaded tree is checked to be well formed first, so the
-descent always ends inside the node table.
+node takes 28 bytes. A model's trees, fitted or loaded, are one node table
+(`TreeTable`): every tree's node arrays laid end to end, which reads as a
+sequence of DecisionTree views and pickles as a few arrays, however many
+trees it holds. A loaded model's table is packed from its tree list as the
+parser closes the model, its nodes checked to be well formed, so every
+descent ends inside it. Prediction descends a model's trees in blocks of
+bounded size over views of its table, each block's trees together, one
+indexing pass per level.
 
 Fitting grows a batch of trees together, breadth first over presorted
 attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
@@ -54,7 +53,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .preprocess import training_matrices
-from .schema import BOOL, NUMBER, POSITIVE, STRING, array, integer, one_of, parse
+from .schema import BOOL, NUMBER, POSITIVE, STRING, Fault, array, integer, one_of, parse
 
 DEFAULT_N_ESTIMATORS = 100
 DEFAULT_GBM_ROUNDS = 100
@@ -110,10 +109,9 @@ class TreeTable(Sequence):
         """The table of `trees`, an iterable of DecisionTree, their node
         arrays copied end to end."""
         trees = list(trees)
-        sizes = [tree.feature.size for tree in trees]
         return cls(*(np.concatenate([np.empty(0, dtype), *(getattr(t, key) for t in trees)],
                                     dtype=dtype) for key, dtype in _NODE_DTYPES.items()),
-                   offsets=np.cumsum([0, *sizes]),
+                   offsets=np.cumsum([0, *(tree.feature.size for tree in trees)]),
                    **{key: tuple(getattr(t, key) for t in trees)
                       for key in ("n_features", "max_depth", "min_samples_leaf")})
 
@@ -436,43 +434,28 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     return grower.grow(Y[:, 0], max_depth, min_samples_leaf, max_features, [rng])[0][0]
 
 
-def _block(trees: TreeTable | list[DecisionTree], lo: int, hi: int) -> TreeTable:
-    """Trees lo to hi of `trees` as one table: views of a table, or the
-    block's trees of a list packed."""
-    if not isinstance(trees, TreeTable):
-        return TreeTable.pack(trees[lo:hi])
-    hi = min(hi, len(trees))
-    first, last = trees.offsets[lo], trees.offsets[hi]
-    return TreeTable(*(getattr(trees, key)[first:last] for key in _NODE_KEYS),
-                     offsets=trees.offsets[lo:hi + 1] - first,
-                     **{key: getattr(trees, key)[lo:hi]
-                        for key in ("n_features", "max_depth", "min_samples_leaf")})
-
-
-def _stacked_values(trees: TreeTable | list[DecisionTree], X: np.ndarray) -> np.ndarray:
+def _stacked_values(trees: TreeTable, X: np.ndarray) -> np.ndarray:
     """(trees, rows) predictions of every tree. The trees descend a block at
     a time, each block (one tree at least) holding at most _SLOT_BUDGET
     (tree, row) slots, so the descent's scratch is bounded whatever the
-    model's size; a block descends together, one indexing pass per level
-    over its node table, and fills its rows of the result. A table's block
-    is views of it, a list's block its trees packed."""
+    model's size: views of the table, one indexing pass per level."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    widths = trees.n_features if isinstance(trees, TreeTable) else [t.n_features for t in trees]
-    wrong = [width for width in widths if width != X.shape[1]]
+    wrong = [width for width in trees.n_features if width != X.shape[1]]
     if wrong:
         raise ValidationError(f"feature count {X.shape[1]} != training {wrong[0]}")
     n = X.shape[0]
     values = np.empty((len(trees), n))
     step = max(1, _SLOT_BUDGET // max(n, 1))
     for lo in range(0, len(trees), step):
-        table = _block(trees, lo, lo + step)
-        root = table.offsets[:-1]
-        shift = np.repeat(root, np.diff(table.offsets))
-        feature, threshold = table.feature, table.threshold
-        left = table.left + shift
-        right = table.right + shift
+        hi = min(lo + step, len(trees))
+        nodes = slice(trees.offsets[lo], trees.offsets[hi])
+        root = trees.offsets[lo:hi] - nodes.start
+        shift = np.repeat(root, np.diff(trees.offsets[lo:hi + 1]))
+        feature, threshold = trees.feature[nodes], trees.threshold[nodes]
+        left = trees.left[nodes] + shift
+        right = trees.right[nodes] + shift
         node = np.repeat(root, n)
-        row = np.tile(np.arange(n), len(table))
+        row = np.tile(np.arange(n), hi - lo)
         active = np.flatnonzero(feature[node] != LEAF)
         while active.size:
             cur = node[active]
@@ -480,18 +463,18 @@ def _stacked_values(trees: TreeTable | list[DecisionTree], X: np.ndarray) -> np.
             cur = np.where(go, left[cur], right[cur])
             node[active] = cur
             active = active[feature[cur] != LEAF]
-        np.take(table.value, node, out=values[lo:lo + len(table)].reshape(-1))
+        np.take(trees.value[nodes], node, out=values[lo:hi].reshape(-1))
     return values
 
 
 def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     """Vectorized descent: one indexing pass per tree level."""
-    return _stacked_values([tree], X)[0]
+    return _stacked_values(TreeTable.pack([tree]), X)[0]
 
 
 @dataclass
 class RandomForest:
-    trees: TreeTable | list[DecisionTree]   # fitted: a table; loaded: a list
+    trees: TreeTable
     n_estimators: int
     max_features: int
     bootstrap: bool
@@ -568,7 +551,7 @@ def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
 @dataclass
 class GradientBoostedTrees:
     init_value: float      # F0 = mean(y)
-    stages: TreeTable | list[DecisionTree]  # fitted: a table; loaded: a list
+    stages: TreeTable
     learning_rate: float
 
 
@@ -661,53 +644,70 @@ _NODE_RULES = {
 }
 
 
-def _check_nodes(tree: DecisionTree) -> None:
-    """Raise ValidationError, naming the key and the first bad node, unless
-    the node arrays describe a well-formed tree."""
-    n = tree.feature.size
-    if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_KEYS):
-        raise ValidationError(f"tree node lists {', '.join(map(repr, _NODE_KEYS))} "
-                              "must be nonempty and of one length")
-    node = np.arange(n)
-    feature, left, right = tree.feature, tree.left, tree.right
-    leaf = feature == LEAF
-    faults = {
-        "feature": ~leaf & ((feature < 0) | (feature >= tree.n_features)),
-        "left": np.where(leaf, left != LEAF, (left <= node) | (left >= right)),
-        "right": np.where(leaf, right != LEAF, right >= n),
-    }
-    for key, bad in faults.items():
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(f"tree {key!r} of node {i} is {getattr(tree, key)[i].item()!r}: "
-                                  f"{_NODE_RULES[key]}")
-
-
 # Node lists are arrays of 4-byte indices or of finite floats, their shapes
-# _check_nodes' to judge; a per-node "gain" list older versions wrote is ignored.
+# tree_table's to judge; a per-node "gain" list older versions wrote is ignored.
 TREE = {"kind": "tree", "feature": array(INDEX), "threshold": array(np.float64),
         "left": array(INDEX), "right": array(INDEX), "value": array(np.float64),
         "n_features": integer(0), "max_depth": (None, integer(0)),
         "min_samples_leaf": integer(1)}
 
 
+def tree_table(trees) -> TreeTable:
+    """The table of a list of tree dicts, checked to be well formed (a
+    TreeTable, as node_arrays makes, is taken as it is): the dicts parsed,
+    the trees packed, and all their nodes judged together by their local
+    indices. A fault names the first bad tree, as judging each in turn would."""
+    if isinstance(trees, TreeTable):
+        return trees
+    parsed = []
+
+    def parse_tree(d):
+        tree = DecisionTree(**parse(d, TREE))
+        n = tree.feature.size
+        if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_KEYS):
+            raise ValidationError(f"tree node lists {', '.join(map(repr, _NODE_KEYS))} "
+                                  "must be nonempty and of one length")
+        parsed.append(tree)
+    try:
+        parse(trees, [parse_tree])
+    finally:  # the trees before one refused are judged, and a bad node among them comes first
+        table = TreeTable.pack(parsed)
+        sizes = np.diff(table.offsets)
+        tree = np.repeat(np.arange(len(table)), sizes)
+        node = np.arange(tree.size) - np.repeat(table.offsets[:-1], sizes)
+        feature, left, right = table.feature, table.left, table.right
+        leaf = feature == LEAF
+        faults = {
+            "feature": ~leaf & ((feature < 0) | (feature >= np.repeat(table.n_features, sizes))),
+            "left": np.where(leaf, left != LEAF, (left <= node) | (left >= right)),
+            "right": np.where(leaf, right != LEAF, right >= np.repeat(sizes, sizes)),
+        }
+        first = [(tree[i], rank, key, i) for rank, (key, bad) in enumerate(faults.items())
+                 for i in np.flatnonzero(bad)[:1]]
+        if first:
+            t, _, key, i = min(first)
+            fault = Fault(f"tree {key!r} of node {node[i]} is {getattr(table, key)[i].item()!r}: "
+                          f"{_NODE_RULES[key]}")
+            fault.path.append(int(t))
+            raise fault
+    return table
+
+
 def node_arrays(d: dict) -> dict:
-    """A JSON `object_hook`: a tree object's node lists as arrays, converted
-    while the parser closes it, so a model file's trees are never all held
-    as lists at once. A list that does not convert is left for
-    tree_from_dict to reject."""
-    if d.get("kind") == "tree":
+    """A JSON `object_hook`: a tree's node lists as arrays, and a forest's
+    or a GBM's tree list as its TreeTable, each made as the parser closes
+    the object, so a model file's trees are never all held as lists, nor as
+    per-tree arrays. What does not convert is left for the schema walk."""
+    kind = d.get("kind")
+    if kind == "tree":
         for key in _NODE_KEYS:
             with contextlib.suppress(KeyError, ValidationError):
                 d[key] = TREE[key](d[key])
+    elif kind in ("forest", "gbm"):
+        key = "trees" if kind == "forest" else "stages"
+        with contextlib.suppress(KeyError, ValidationError):
+            d[key] = tree_table(d[key])
     return d
-
-
-def tree_from_dict(d: dict) -> DecisionTree:
-    """The tree a dict holds, checked to be well formed."""
-    tree = DecisionTree(**parse(d, TREE))
-    _check_nodes(tree)
-    return tree
 
 
 def _tree_dicts(trees) -> list:
@@ -726,7 +726,7 @@ def forest_to_dict(forest: RandomForest) -> dict:
             "unique_inbag_counts": [int(c) for c in forest.unique_inbag_counts]}
 
 
-FOREST = {"kind": "forest", "trees": [tree_from_dict], "n_estimators": integer(1),
+FOREST = {"kind": "forest", "trees": tree_table, "n_estimators": integer(1),
           "max_features": integer(1), "bootstrap": BOOL, "seed": integer(0),
           "n_features": integer(0), "unique_inbag_counts": [integer(0)]}
 
@@ -735,7 +735,7 @@ def forest_from_dict(d: dict) -> RandomForest:
     forest = RandomForest(**parse(d, FOREST))
     if not forest.trees:
         raise ValidationError("a forest's 'trees' must hold at least one tree")
-    widths = {t.n_features for t in forest.trees} - {forest.n_features}
+    widths = set(forest.trees.n_features) - {forest.n_features}
     if widths:
         raise ValidationError(f"a forest of 'n_features' {forest.n_features} holds trees of "
                               f"{min(widths)} features")
@@ -749,8 +749,7 @@ def gbm_to_dict(model: GradientBoostedTrees) -> dict:
             "stages": partial(_tree_dicts, model.stages)}
 
 
-GBM = {"kind": "gbm", "init_value": NUMBER, "learning_rate": POSITIVE,
-       "stages": [tree_from_dict]}
+GBM = {"kind": "gbm", "init_value": NUMBER, "learning_rate": POSITIVE, "stages": tree_table}
 
 
 def gbm_from_dict(d: dict) -> GradientBoostedTrees:

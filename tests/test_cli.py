@@ -23,6 +23,7 @@ from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict
                             generate_inverse_synthetic, generate_synthetic)
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
+from corrml.trees import TreeTable, forest_from_dict, node_arrays
 from test_jobs import no_children
 
 QUICK_CONFIG = {
@@ -882,6 +883,62 @@ def test_predict_rejects_malformed_tree_within_timeout(workspace, forward_payloa
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {path}: ") and "Traceback" not in result.stderr
     assert all(key in result.stderr for key in keys), result.stderr
+
+
+def _node_set(key, node, value):
+    """An edit setting entry `node` (negative: from the end) of a tree's `key` list."""
+    def edit(tree):
+        tree[key][node] = value
+    return edit
+
+
+# A bad node in tree k of model j of a slot of the base submodel, and the
+# message the per-tree loader it replaced gave, with the path as {path}
+_BAD_NODES = {
+    "feature": ("forest", 2, 3, _node_set("feature", 0, 99),
+                "['forest']['models'][2]['trees'][3]: tree 'feature' of node 0 is 99: "
+                "a split node's feature must lie in [0, n_features)"),
+    "left": ("gbm", 1, 4, _node_set("left", 0, 0),
+             "['gbm']['models'][1]['stages'][4]: tree 'left' of node 0 is 0: a leaf's left "
+             "child must be -1, a split node's must follow the node and precede its right child"),
+    "right": ("forest", 5, 1, _node_set("right", -1, 1),
+              "['forest']['models'][5]['trees'][1]: tree 'right' of node 60 is 1: a leaf's "
+              "right child must be -1, a split node's must be a node index"),
+    "length": ("gbm", 4, 7, lambda tree: tree["value"].pop(),
+               "['gbm']['models'][4]['stages'][7]: tree node lists 'feature', 'threshold', "
+               "'left', 'right', 'value' must be nonempty and of one length"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_NODES))
+def test_predict_names_a_bad_node_of_an_ensemble_tree(inverse_run, tmp_path, capsys, fault):
+    slot, j, k, edit, where = _BAD_NODES[fault]
+    payload = json.loads(json.dumps(inverse_run["payload"]))
+    model = payload["ensemble"]["submodels"]["base"][slot]["models"][j]
+    edit(model["trees" if slot == "forest" else "stages"][k])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["predict", "--model", str(path), "--direction", "inverse",
+                     "--input", inverse_run["csv"], "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: model file key 'ensemble' is malformed: "
+                                       f"['submodels']['base']{where}\n")
+
+
+def test_loaded_tree_models_are_node_tables(trained, inverse_run, tmp_path):
+    # a loaded forest or GBM is the table fitting makes, whether the parse
+    # hook packed it or the schema walk did
+    rf, ensemble = tmp_path / "rf.json", tmp_path / "ensemble.json"
+    rf.write_text(json.dumps(trained("rf")))
+    ensemble.write_text(json.dumps(inverse_run["payload"]))
+    for hook in (node_arrays, None):
+        forest = forest_from_dict(cli.read_json(str(rf), object_hook=hook)["model"])
+        payload = cli.read_json(str(ensemble), object_hook=hook)
+        loaded = inverse.inverse_from_dict(payload["ensemble"])
+        subs = [sub for sub in loaded.submodels.values() if sub is not None]
+        tables = ([forest.trees] + [m.trees for sub in subs for m in sub.forest.models]
+                  + [m.stages for sub in subs for m in sub.gbm.models])
+        assert len(tables) == 1 + 12 * len(subs)
+        assert all(type(table) is TreeTable for table in tables), hook
 
 
 # one change to one tree's node lists: an entry set to a value, a list

@@ -167,6 +167,22 @@ def test_gradient_keeps_two_n_by_n_buffers_per_leaf():
     assert held <= 6.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
 
 
+def test_an_rbf_leaf_keeps_its_values_as_its_prefactor():
+    # the RBF leaf's prefactor P is its K: of the two leaves of the default
+    # log kernel, only the Matern 5/2 keeps a buffer for P
+    n, d = 200, 8
+    X, y = _data(n=n, d=d)
+    tracemalloc.start()
+    try:
+        workspace = _NlmlWorkspace(X, y)
+        built = tracemalloc.get_traced_memory()[0]
+        workspace.value_and_grad(default_log_kernel(d), 0.05, 0.2)
+        held = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert held <= 5.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
+
+
 def test_warm_evaluation_allocates_no_n_by_n_array():
     X, y = _data(n=200)
     workspace = _NlmlWorkspace(X, y)

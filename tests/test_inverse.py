@@ -354,6 +354,38 @@ def test_ensemble_file_round_trip_is_bit_exact(seed):
                 == _prediction_bytes(predict_inverse(ens, queries)))
 
 
+@pytest.fixture(scope="module")
+def ensemble_file(tmp_path_factory):
+    """The file of an ensemble of default-size models over 150 rows."""
+    path = tmp_path_factory.mktemp("ensemble") / "ensemble.json"
+    written(inverse_to_dict(fit_inverse(generate_inverse_synthetic(150, seed=5))), path)
+    return str(path)
+
+
+def test_a_loaded_ensemble_holds_its_node_bytes_and_a_little_more(ensemble_file):
+    # each forest and GBM is packed into its table as the parser closes it:
+    # what the ensemble holds is its node table, not an object and five
+    # arrays per tree, and at most one model's trees are per-tree arrays
+    # beside the tables while the file is read
+    tracemalloc.start()
+    try:
+        loaded = inverse_from_dict(cli.read_json(ensemble_file, object_hook=node_arrays))
+        traced, peak = tracemalloc.get_traced_memory()
+        tables = [m.trees for sub in loaded.submodels.values() for m in sub.forest.models]
+        tables += [m.stages for sub in loaded.submodels.values() for m in sub.gbm.models]
+        node_bytes = [sum(getattr(table, key).nbytes for key in
+                          ("feature", "threshold", "left", "right", "value")) for table in tables]
+        del tables
+        now = tracemalloc.get_traced_memory()[0]
+        del loaded
+        held = now - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.05 * sum(node_bytes), (held, sum(node_bytes))
+    assert peak - sum(node_bytes) <= 2 * max(node_bytes) + (1 << 20), (
+        peak, traced, sum(node_bytes), max(node_bytes))
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         fit_inverse(generate_inverse_synthetic(5, seed=13), configs=QUICK)

@@ -15,7 +15,8 @@ from corrml import cli, jsonstream
 from corrml.dataset import generate_inverse_synthetic, parse_csv
 from corrml.errors import ValidationError
 from corrml.inverse import inverse_from_dict, predict_inverse
-from corrml.trees import node_arrays
+from corrml.trees import (MultiOutputModel, TreeTable, fit_forests, fit_gbms,
+                          multi_output_to_dict, node_arrays)
 from test_cli import QUICK_CONFIG, _dump_csv
 
 SCALARS = (st.none() | st.booleans() | st.text()
@@ -172,6 +173,28 @@ def test_read_json_is_json_loads_through_any_window(out_dir, text, window):
     assert repr(calls) == repr(loads_calls)
 
 
+def test_read_json_decodes_each_float_literal_once(tmp_path):
+    # a node list the window cut was once decoded up to the cut, refused,
+    # and decoded again from its start: each float parsed twice or more
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    models = [MultiOutputModel("gbm", fit_gbms([(X, Y)], n_rounds=4)[0], ["a", "b"]),
+              MultiOutputModel("forest", fit_forests(X, Y, [1, 2], n_estimators=3), ["a", "b"])]
+    path = tmp_path / "models.json"
+    cli.write_json(str(path), {"models": [multi_output_to_dict(m) for m in models],
+                               "scale": 0.25, "offsets": [[1.5, 2.5], 3.5]})
+    literals = []
+    json.loads(path.read_text(), parse_float=lambda text: literals.append(text))
+    assert len(literals) > 500
+    for window in range(1, 65):
+        parsed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonstream, "WINDOW", window)
+            with open(path, "rb") as fh:
+                jsonstream.load(fh, parse_float=lambda text: parsed.append(text))
+        assert parsed == literals, window
+
+
 @settings(max_examples=100, deadline=None)
 @given(text=json_texts(edits=False), window=st.integers(1, 7), data=st.data(),
        bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
@@ -262,9 +285,8 @@ def test_parse_hook_gives_the_ensemble_a_plain_load_gives(inverse_files):
     plain_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
-    tree = hooked["ensemble"]["submodels"]["base"]["forest"]["models"][0]["trees"][0]
-    assert all(isinstance(tree[key], np.ndarray)
-               for key in ("feature", "threshold", "left", "right", "value"))
+    model = hooked["ensemble"]["submodels"]["base"]["forest"]["models"][0]
+    assert type(model["trees"]) is TreeTable
     # the node lists of every tree are never alive together
     assert hooked_peak < 0.85 * plain_peak, (hooked_peak, plain_peak)
 

@@ -32,7 +32,7 @@ from corrml.trees import (
     predict_gbm,
     predict_multi_output,
     predict_tree,
-    tree_from_dict,
+    tree_table,
     tree_to_dict,
 )
 
@@ -70,6 +70,11 @@ def _training_sse(model, X, y) -> list[float]:
         pred += model.learning_rate * predict_tree(tree, X)
         sse.append(float(np.sum((y - pred) ** 2)))
     return sse
+
+
+def tree_from_dict(d: dict) -> DecisionTree:
+    """The one tree a dict holds, loaded as a model's tree list is."""
+    return tree_table([d])[0]
 
 
 def _leaf_tree(value: float) -> DecisionTree:
@@ -155,16 +160,16 @@ def test_predictions_piecewise_constant():
 
 
 def test_forest_mean_of_trees():
-    forest_like = [_leaf_tree(1.0), _leaf_tree(3.0)]
+    forest_like = TreeTable.pack([_leaf_tree(1.0), _leaf_tree(3.0)])
     from corrml.trees import RandomForest
     forest = RandomForest(trees=forest_like, n_estimators=2, max_features=2,
                           bootstrap=False, seed=0, n_features=2)
     X = np.zeros((4, 2))
     np.testing.assert_array_equal(predict_forest(forest, X), 2.0)
     # identical trees = single-tree prediction; order cannot matter
-    forest.trees = [_leaf_tree(5.0), _leaf_tree(5.0)]
+    forest.trees = TreeTable.pack([_leaf_tree(5.0), _leaf_tree(5.0)])
     np.testing.assert_array_equal(predict_forest(forest, X), 5.0)
-    forest.trees = forest_like[::-1]
+    forest.trees = TreeTable.pack(reversed(forest_like))
     np.testing.assert_array_equal(predict_forest(forest, X), 2.0)
 
 
@@ -387,14 +392,14 @@ def test_fitted_forests_hold_their_node_bytes_and_a_little_more():
 
 
 def _descended(kind: str, n_trees: int):
-    """Trees to descend: a fitted forest's table, the same trees loaded as a
-    list, or a fitted GBM's table of stages."""
+    """Trees to descend: a fitted forest's table, the same trees loaded from
+    their dicts, or a fitted GBM's table of stages."""
     rng = np.random.default_rng(19)
     X, y = rng.normal(size=(60, 4)), rng.normal(size=60)
     if kind == "gbm":
         return fit_gbm(X, y, n_rounds=n_trees).stages
     table = fit_forest(X, y, n_estimators=n_trees, seed=3).trees
-    return table if kind == "fitted" else [tree_from_dict(tree_to_dict(t)) for t in table]
+    return table if kind == "fitted" else tree_table([tree_to_dict(t) for t in table])
 
 
 @pytest.mark.parametrize("kind", ["fitted", "loaded", "gbm"])
@@ -430,7 +435,7 @@ def test_descent_scratch_does_not_grow_with_the_tree_count(kind):
         finally:
             tracemalloc.stop()
 
-    few = trees[:100] if kind == "loaded" else TreeTable.pack(trees[i] for i in range(100))
+    few = TreeTable.pack(trees[i] for i in range(100))
     assert scratch(trees) <= 1.25 * scratch(few), (scratch(trees), scratch(few))
 
 
