@@ -62,6 +62,7 @@ MPY_PER_MM = 0.0254  # 1 mil = 0.0254 mm, exact by unit definition
 ABSOLUTE_ZERO_C = -273.15
 
 CSV_META_COLUMNS = ("id", "env", "temp_c", "duration_days", "rate", "rate_unit", "grade")
+_LISTED_PROBLEMS = 20  # bad rows a CSV refusal names; the rest it counts
 
 COMPOSITION_SUM_SLACK = 1e-6
 
@@ -220,7 +221,8 @@ def parse_csv(
     allowed only for temp_c, duration_days, the rate-or-grade pair, and
     element columns (default 0).
     All row-level failures, a sample id already read on an earlier row among
-    them, are collected and raised together with row numbers.
+    them, are collected and raised together: their count, then the first 20
+    with their row numbers, then how many more there are.
 
     ``require_rate=False`` admits rows with neither rate nor grade (they get a
     0.0 placeholder), for prediction inputs where the rate is the unknown.
@@ -254,17 +256,18 @@ def parse_csv(
         try:
             sample = _parse_row(row, idx, element_cols, units, grade_map, env_ids,
                                 strict_composition, composition_floor, require_rate)
+            if sample.id in first_row:
+                raise ValidationError(f"duplicate sample id {sample.id!r} "
+                                      f"(first on row {first_row[sample.id]})")
         except ValidationError as exc:
             problems.append(f"row {row_no}: {exc}")
-            continue
-        if sample.id in first_row:
-            problems.append(f"row {row_no}: duplicate sample id {sample.id!r} "
-                            f"(first on row {first_row[sample.id]})")
             continue
         first_row[sample.id] = row_no
         samples.append(sample)
     if problems:
-        raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(problems))
+        more = len(problems) - _LISTED_PROBLEMS
+        listed = problems[:_LISTED_PROBLEMS] + ([f"… and {more} more"] if more > 0 else [])
+        raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(listed))
 
     return Dataset(samples=samples)
 

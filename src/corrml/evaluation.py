@@ -110,12 +110,12 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     overrides per-family training parameters, e.g. {"dnn": {"lr": 0.01},
     "rf": {"n_estimators": 50}}.
 
-    The cells are independent, so they run through `jobs.run_jobs`: in up
-    to one forked process per usable CPU, each cell whole in one process.
+    The cells are independent, so they run through `jobs.run_jobs`: each
+    cell in a process forked for it, up to one at a time per usable CPU.
     Cells come back in job order (feature sets outer, models inner), and a
     failure raises the error of the first failing cell in that order. A
-    worker that dies loses the cell it was running; if that is the first
-    failure, a TrainingError names the lost cells.
+    cell whose process dies is lost, and only that cell; if that is the
+    first failure, a TrainingError names the lost cells.
     """
     # every cell draws from numpy.random, whose import loads OpenSSL's
     # libcrypto (numpy.random -> secrets -> hmac); loaded before the fork,

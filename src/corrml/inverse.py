@@ -136,13 +136,14 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
     absent; an undersized base subset is an error since nothing could be
     served. Every subset is checked before anything is fit.
 
-    The fits are independent jobs, run through `jobs.run_jobs` in up to one
-    forked process per usable CPU, in this job order: `gbm`, the one
-    boosting run that fits the validation GBMs and refits of every subset,
-    then one forest job per present subset (`base`, `base+dur`,
-    `base+dur+temp`). A failure raises the error of the first failing job in
-    that order, so a bad GBM setting is reported before a bad forest one.
-    The ensemble is the same whatever the number of processes.
+    The fits are independent jobs, run through `jobs.run_jobs`, each in a
+    process forked for it, up to one at a time per usable CPU, in this job
+    order: `gbm`, the one boosting run that fits the validation GBMs and
+    refits of every subset, then one forest job per present subset (`base`,
+    `base+dur`, `base+dur+temp`). A failure raises the error of the first
+    failing job in that order, so a bad GBM setting is reported before a bad
+    forest one. A job whose process dies loses only itself. The ensemble is
+    the same whatever the number of processes.
 
     Only the refits are kept, so within each job every validation model is
     dropped once it is scored: the gbm job scores and drops every validation

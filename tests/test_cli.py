@@ -119,6 +119,24 @@ def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, c
                                        f"sample id {sample_id!r} (first on row 2)\n")
 
 
+def test_a_query_file_of_many_repeated_ids_lists_the_first_twenty(tmp_path, capsys,
+                                                                 forward_payload):
+    # 10,000 rows whose last 9,000 repeat the ids of the first 1,000
+    path = _dump_csv(generate_synthetic(1000, seed=2), tmp_path / "q.csv", drop_rates=True)
+    header, *rows = open(path).read().splitlines()
+    (tmp_path / "q.csv").write_text("\n".join([header] + rows * 10) + "\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(forward_payload))
+    assert cli.main(["predict", "--model", str(model), "--direction", "forward", "--input",
+                     path, "--out", str(tmp_path / "o")]) == 1
+    ids = [row.split(",")[0] for row in rows]
+    assert capsys.readouterr().err.splitlines() == (
+        [f"error: {path}: 9000 invalid row(s)"]
+        + [f"row {1002 + i}: duplicate sample id {ids[i]!r} (first on row {2 + i})"
+           for i in range(20)]
+        + ["… and 8980 more"])
+
+
 _HEADER = b"id,env,temp_c,duration_days,rate,rate_unit,grade,Al,Zn"
 
 

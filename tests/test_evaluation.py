@@ -177,7 +177,7 @@ QUICK_CONFIGS = {"rf": {"n_estimators": 10}, "dnn": {"epochs": 5},
 @pytest.fixture
 def pools(monkeypatch):
     """`pools(n)` makes `compare_forward_models` use `n` processes, whatever the
-    CPU count, and returns the list of the worker processes it forks."""
+    CPU count, and returns the list of the processes it forks."""
     forked = []
     fork = os.fork
 
@@ -200,7 +200,7 @@ def test_comparison_equals_a_serial_loop_of_cells(pools, workers):
     data = _linear_dataset(80)
     forked = pools(workers)
     cells = compare_forward_models(data, seed=3, configs=QUICK_CONFIGS)
-    assert len(forked) == (2 if workers == 2 else 0)
+    assert len(forked) == (8 if workers == 2 else 0)  # one process per cell
     serial = [_fit_predict_cell(model, data, feature_set, 3, QUICK_CONFIGS[model], CAP_MPY,
                                 "drop", 0.2)[0]
               for feature_set in DEFAULT_COMPARE_FEATURE_SETS for model in FAMILIES]
@@ -232,7 +232,7 @@ def test_comparison_raises_the_first_failing_cell_in_job_order(pools, monkeypatc
     with pytest.raises(ValidationError, match="^dnn cell failed$"):
         compare_forward_models(_linear_dataset(40), feature_sets=("comp",),
                                configs=QUICK_CONFIGS)
-    assert len(forked) == (2 if workers == 2 else 0)
+    assert len(forked) == (4 if workers == 2 else 0)
     assert no_children()
 
 

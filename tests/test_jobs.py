@@ -10,6 +10,7 @@ import time
 import pytest
 
 from corrml import jobs
+from corrml.errors import TrainingError
 from corrml.jobs import run_jobs
 
 
@@ -38,27 +39,58 @@ def test_results_come_back_in_job_order_from_a_function_no_pickle_can_send(monke
     monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: workers)
     work = [(0.3, 1, threading.Lock()), (0.0, 2, threading.Lock()), (0.0, 3, threading.Lock())]
     assert run_jobs(fn, work, ["a", "b", "c"], "jobs") == [2, 4, 6]
-    assert jobs._pending is None
     assert no_children()
 
 
-def test_more_jobs_than_a_pipe_holds_come_back_in_job_order(monkeypatch):
-    # a pipe holds 64 KiB, 16,384 job indexes; the rest are fed as workers
-    # take them. An alarm ends the test if the feed blocks.
+def test_jobs_start_in_job_order_with_at_most_one_process_per_worker(monkeypatch):
+    # each job runs in a process forked for it; a job starts only once a
+    # running one has ended, so at most two job processes are alive at once
+    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
+    fork, forked = os.fork, []
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def fn(job):
+        start = time.monotonic()
+        time.sleep(0.001)
+        return job, os.getpid(), start, time.monotonic()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    n = 400
+    results = run_jobs(fn, list(range(n)), [str(i) for i in range(n)], "jobs")
+    assert [job for job, *_ in results] == list(range(n))
+    assert [pid for _, pid, _, _ in results] == forked  # one process per job, in job order
+    ends = [end for *_, end in results]
+    for job, _, start, _ in results:
+        # of the jobs before it, all but at most one have ended when a job starts
+        assert sum(end > start for end in ends[:job]) <= 1, job
+    assert no_children()
+
+
+def test_a_job_whose_process_dies_loses_only_itself(monkeypatch):
     monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
 
-    def timed_out(signum, frame):
-        raise TimeoutError("run_jobs did not return within 60 s")
+    def fn(job):
+        if job in (1, 3):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return -job
 
-    n = 20_000
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(60)
-    try:
-        results = run_jobs(operator.neg, list(range(n)), [str(i) for i in range(n)], "jobs")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert results == [-i for i in range(n)]
+    with pytest.raises(TrainingError, match="^a worker process ended abruptly; "
+                                            "the jobs j1, j3 were lost$"):
+        run_jobs(fn, list(range(6)), [f"j{i}" for i in range(6)], "jobs")
+    assert no_children()
+
+
+def test_worker_count_without_an_affinity_call_counts_every_cpu(monkeypatch):
+    # CPython on macOS has no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert jobs._worker_count(1_000) == (os.cpu_count() or 1)
+    assert jobs._worker_count(1) == 1
+    assert run_jobs(operator.neg, [1, 2, 3], ["a", "b", "c"], "jobs") == [-1, -2, -3]
     assert no_children()
 
 
@@ -78,4 +110,3 @@ def test_a_fork_that_fails_partway_leaves_no_child_and_no_open_descriptor(monkey
         run_jobs(operator.neg, [1, 2, 3], ["a", "b", "c"], "jobs")
     assert sorted(os.listdir("/proc/self/fd")) == open_before
     assert len(forks) == 2 and no_children()
-    assert jobs._pending is None
