@@ -268,8 +268,8 @@ def write_sidecar(out_dir: str, command: str, flags: dict, config: dict) -> None
 
 
 def _csv_records(path: str, header: list[str], convert) -> list:
-    """`convert(row)` for each nonempty row under `header`, which must be the
-    file's first row; a short row, or one `convert` rejects, is a
+    """`convert(row, row_no)` for each nonempty row under `header`, which must
+    be the file's first row; a short row, or one `convert` rejects, is a
     ValidationError naming the file and the row number."""
     rows = csv_rows(path)
     if next(rows, None) != header:
@@ -282,7 +282,7 @@ def _csv_records(path: str, header: list[str], convert) -> list:
             raise ValidationError(f"{path}: row {row_no} has {len(row)} cell(s), "
                                   f"expected {len(header)}")
         try:
-            records.append(convert(row))
+            records.append(convert(row, row_no))
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: {exc}") from None
     return records
@@ -610,9 +610,17 @@ def cmd_predict(args) -> int:
 
 
 def _parse_metric_rows(path: str) -> list[dict]:
-    return _csv_records(path, ["model", "feature_set", "r2", "mae", "rmse"],
-                        lambda r: {"model": r[0], "feature_set": r[1], "r2": _finite(r[2]),
-                                   "mae": _finite(r[3]), "rmse": _finite(r[4])})
+    """Each row's metrics; a row whose model and feature_set an earlier row
+    holds is refused, naming both rows."""
+    first_row: dict = {}  # (model, feature_set) -> the row it was first read on
+
+    def convert(r, row_no):
+        first = first_row.setdefault((r[0], r[1]), row_no)
+        if first != row_no:
+            raise ValueError(f"model {r[0]!r} and feature_set {r[1]!r} repeat row {first}")
+        return {"model": r[0], "feature_set": r[1], "r2": _finite(r[2]),
+                "mae": _finite(r[3]), "rmse": _finite(r[4])}
+    return _csv_records(path, ["model", "feature_set", "r2", "mae", "rmse"], convert)
 
 
 def _parse_pair_rows(path: str) -> dict:
@@ -623,7 +631,7 @@ def _parse_pair_rows(path: str) -> dict:
     row."""
     charts: dict = {}
 
-    def add(r):
+    def add(r, _):
         for column, text in (("model", r[0]), ("feature_set", r[1])):
             if any(c in text for c in "/\\\0"):
                 raise ValueError(f"{column} {text!r} holds '/', '\\' or NUL, which a chart "

@@ -6,10 +6,11 @@ from .errors import ValidationError
 
 
 def csv_rows(path: str):
-    """The rows of the CSV file at `path`; a byte that is not UTF-8, or a cell over
-    the csv module's field limit, is a ValidationError naming the file and line."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)  # at \n, \r and \r\n, as newline="" does
+    """The rows of the CSV file at `path`, read past a UTF-8 byte order mark (which
+    Excel's "CSV UTF-8" writes); a byte that is not UTF-8, or a cell over the csv
+    module's field limit, is a ValidationError naming the file and line."""
+    with open(path, "rb") as fh:  # lines end at \n, \r and \r\n, as newline="" does
+        lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines(keepends=True)
     reader = csv.reader(line.decode("utf-8") for line in lines)
     try:
         yield from reader

@@ -110,8 +110,8 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     overrides per-family training parameters, e.g. {"dnn": {"lr": 0.01},
     "rf": {"n_estimators": 50}}.
 
-    The cells are independent, so they run through `jobs.run_jobs`: each
-    cell in a process forked for it, up to one at a time per usable CPU.
+    The cells are independent jobs of `jobs.run_jobs`: each cell runs in a
+    process forked for it, up to one at a time per usable CPU, one CPU too.
     Cells come back in job order (feature sets outer, models inner), and a
     failure raises the error of the first failing cell in that order. A
     cell whose process dies is lost, and only that cell; if that is the
@@ -125,11 +125,10 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     configs = configs or {}
     for model in models:
         forward_family(model)  # an unknown name fails before any process starts
-    jobs = [(model, dataset, feature_set, seed, configs.get(model, {}), cap, cap_mode,
-             test_fraction)
-            for feature_set in feature_sets for model in models]
-    return run_jobs(lambda job: _fit_predict_cell(*job)[0], jobs,
-                    [f"{job[0]} on {job[2]}" for job in jobs], "cells")
+    cells = [(model, feature_set) for feature_set in feature_sets for model in models]
+    return run_jobs([lambda m=model, f=feature_set: _fit_predict_cell(
+        m, dataset, f, seed, configs.get(m, {}), cap, cap_mode, test_fraction)[0]
+        for model, feature_set in cells], [f"{m} on {f}" for m, f in cells], "cells")
 
 
 def comparison_metrics_rows(cells: list[ComparisonCell]) -> list[list[str]]:

@@ -15,6 +15,7 @@ at% range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -121,12 +122,6 @@ def _forest_job(seeds, train, valid, full, params: dict) -> tuple[float, list]:
     return r2, fit_forests(*full, seeds, **params)
 
 
-def _fit_job(job: tuple):
-    """The result of one fit_inverse job, `(name, *args)`."""
-    name, *args = job
-    return _gbm_job(*args) if name == "gbm" else _forest_job(*args)
-
-
 def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) -> InverseEnsemble:
     """Fit the three-submodel ensemble.
 
@@ -136,14 +131,14 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
     absent; an undersized base subset is an error since nothing could be
     served. Every subset is checked before anything is fit.
 
-    The fits are independent jobs, run through `jobs.run_jobs`, each in a
-    process forked for it, up to one at a time per usable CPU, in this job
-    order: `gbm`, the one boosting run that fits the validation GBMs and
-    refits of every subset, then one forest job per present subset (`base`,
-    `base+dur`, `base+dur+temp`). A failure raises the error of the first
-    failing job in that order, so a bad GBM setting is reported before a bad
-    forest one. A job whose process dies loses only itself. The ensemble is
-    the same whatever the number of processes.
+    The fits are independent jobs of `jobs.run_jobs`, each in a process
+    forked for it, up to one at a time per usable CPU, one CPU too, in this
+    job order: `gbm` (`_gbm_job`), the one boosting run that fits the
+    validation GBMs and refits of every subset, then one `_forest_job` per
+    present subset (`base`, `base+dur`, `base+dur+temp`). A failure raises
+    the error of the first failing job in that order, so a bad GBM setting
+    is reported before a bad forest one. A job whose process dies loses only
+    itself. The ensemble is the same whatever the number of processes.
 
     Only the refits are kept, so within each job every validation model is
     dropped once it is scored: the gbm job scores and drops every validation
@@ -170,8 +165,8 @@ def fit_inverse(dataset: Dataset, seed: int = 0, configs: dict | None = None) ->
         ids[feature_set] = [dataset.samples[i].id for i in rows]
         problems.append(((X[split.train], Y[split.train]), (X[split.test], Y[split.test]),
                          (X, Y)))
-        forest_jobs.append((feature_set, forest_seeds, *problems[-1], rf_params))
-    (gbm_r2, gbms), *forests = run_jobs(_fit_job, [("gbm", problems, gbm_params), *forest_jobs],
+        forest_jobs.append(partial(_forest_job, forest_seeds, *problems[-1], rf_params))
+    (gbm_r2, gbms), *forests = run_jobs([partial(_gbm_job, problems, gbm_params), *forest_jobs],
                                         ["gbm", *ids], "jobs")
     submodels: dict[str, InverseSubmodel | None] = dict.fromkeys(SUBMODEL_SETS)
     for (feature_set, sample_ids), gbm, r2_g, (r2_f, forest) in zip(

@@ -1,7 +1,8 @@
 """Independent jobs, each run in a process forked for it alone.
 
-`run_jobs(fn, jobs, names, noun)` is `[fn(job) for job in jobs]`; it serves
-both `compare-forward` (one job per cell) and `train-inverse` (one per fit).
+`run_jobs(jobs, names, noun)` is `[job() for job in jobs]`, whatever the CPU
+count; it serves both `compare-forward` (one job per cell) and `train-inverse`
+(one per fit).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(cpus or 1, n_jobs))
 
 
-def _start(fn, job, inherited: list[int]) -> tuple[int, object]:
+def _start(job, inherited: list[int]) -> tuple[int, object]:
     """Fork a process that closes the descriptors `inherited`, sends
-    `(succeeded, result or exception)` of `fn(job)` as one pickle on its own
+    `(succeeded, result or exception)` of `job()` as one pickle on its own
     pipe, and exits. Returns its pid and the pipe's read end as a file."""
     read_fd, write_fd = os.pipe()
     # objects that exist at the fork go to the permanent generation, so the
@@ -47,7 +48,7 @@ def _start(fn, job, inherited: list[int]) -> tuple[int, object]:
         for fd in (read_fd, *inherited):
             os.close(fd)
         try:
-            outcome = (True, fn(job))
+            outcome = (True, job())
         except Exception as exc:
             outcome = (False, exc)
         with open(write_fd, "wb") as fh:
@@ -57,14 +58,13 @@ def _start(fn, job, inherited: list[int]) -> tuple[int, object]:
         os._exit(1)
 
 
-def run_jobs(fn, jobs: list, names: list[str], noun: str) -> list:
-    """`fn(job)` for every job, in job order.
+def run_jobs(jobs: list, names: list[str], noun: str) -> list:
+    """`job()` for every job, a callable that takes no argument, in job order.
 
-    With one worker (`_worker_count`), the jobs run in this process, one
-    after another. Otherwise each job runs in a process forked for it alone,
-    which inherits `fn`, the job, the loaded modules and the BLAS thread
-    setting, so neither `fn` nor a job is pickled. At most `_worker_count`
-    such processes run at once, and jobs start in job order as they end.
+    Each job runs in a process forked for it alone, on one CPU as on many,
+    which inherits the job, the loaded modules and the BLAS thread setting,
+    so no job is pickled. At most `_worker_count` such processes run at once
+    (one, on one usable CPU), and jobs start in job order as they end.
     This process waits on their pipes and unpickles each result as it
     streams in, so no result is held twice. A failure raises the error of
     the first failing job in job order. A job whose process dies is lost,
@@ -74,8 +74,6 @@ def run_jobs(fn, jobs: list, names: list[str], noun: str) -> list:
     fails.
     """
     workers = _worker_count(len(jobs))
-    if workers == 1:
-        return list(map(fn, jobs))
     # a job's process costs a 2 ms fork and 30-60 ms of page faults; jobs take 0.1-1.8 s
     outcomes: dict = {}
     running: dict = {}  # read end's descriptor -> (job index, pid, read end)
@@ -84,7 +82,7 @@ def run_jobs(fn, jobs: list, names: list[str], noun: str) -> list:
     try:
         while started < len(jobs) or running:
             while started < len(jobs) and len(running) < workers:
-                pid, fh = _start(fn, jobs[started], list(running))
+                pid, fh = _start(jobs[started], list(running))
                 running[fh.fileno()] = (started, pid, fh)
                 poll.register(fh, select.POLLIN)
                 started += 1

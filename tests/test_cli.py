@@ -87,6 +87,16 @@ def test_ingest_outputs(workspace):
     assert sidecar["config"]["grade_map"]["B"] == 5.0  # defaults made explicit
 
 
+def test_ingest_reads_past_a_utf8_byte_order_mark(workspace, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF
+    path = tmp_path / "bom.csv"
+    with open(workspace["csv"], "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "ds")]) == 0
+    with open(workspace["dataset"], "rb") as fh:
+        assert (tmp_path / "ds" / "dataset.json").read_bytes() == fh.read()
+
+
 def test_ingest_bad_row_names_row(tmp_path, capsys):
     ds = generate_synthetic(5, seed=1)
     path = _dump_csv(ds, tmp_path / "bad.csv")
@@ -451,14 +461,14 @@ def test_inverse_bad_gbm_setting_exits_one_on_any_worker_count(inverse_run, tmp_
 
 def test_inverse_worker_killed_exits_two_naming_the_lost_jobs(inverse_run, tmp_path, capsys,
                                                              monkeypatch):
-    fit_job = inverse._fit_job
+    forest_job = inverse._forest_job
 
-    def killed_on_base(job):
-        if job[0] == "base":
+    def killed_on_base(seeds, train, *args):
+        if train[0].shape[1] == 5:  # the base subset's X: rate, env, at% Al, Si, Mg
             os.kill(os.getpid(), signal.SIGKILL)
-        return fit_job(job)
+        return forest_job(seeds, train, *args)
 
-    monkeypatch.setattr(inverse, "_fit_job", killed_on_base)  # forked workers inherit it
+    monkeypatch.setattr(inverse, "_forest_job", killed_on_base)  # forked workers inherit it
     monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 2)
     assert cli.main(["train-inverse", "--dataset", inverse_run["dataset"], "--config",
                      inverse_run["config"], "--out", str(tmp_path / "o")]) == 2
@@ -470,6 +480,64 @@ def test_inverse_worker_killed_exits_two_naming_the_lost_jobs(inverse_run, tmp_p
     assert "base" in lost and lost == [j for j in order if j in lost], lost
     assert not (tmp_path / "o").exists()
     assert no_children()
+
+
+def _python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """`code` run by a new Python process that imports this checkout's corrml."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_compare_cell_killed_on_one_worker_exits_two_naming_the_lost_cells(workspace,
+                                                                          tmp_path):
+    # one worker forks too, so a killed cell costs only itself; the command
+    # runs in a child, which a cell run in its own process would take down
+    argv = ["compare-forward", "--dataset", workspace["dataset"], "--config",
+            workspace["config"], "--out", str(tmp_path / "o")]
+    result = _python(
+        "import os, signal, sys\n"
+        "from corrml import cli, evaluation, jobs\n"
+        "jobs._worker_count = lambda n_jobs: 1\n"
+        "fit = evaluation._fit_predict_cell\n"
+        "def killed_on_gpr(family, *args):\n"
+        "    if family == 'gpr':\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return fit(family, *args)\n"
+        "evaluation._fit_predict_cell = killed_on_gpr\n"
+        f"sys.exit(cli.main({argv!r}))\n")
+    assert (result.returncode, result.stderr) == (
+        2, "training failure: a worker process ended abruptly; the cells gpr on comp, "
+           "gpr on comp+env were lost\n"), result
+    assert not (tmp_path / "o").exists()
+
+
+def test_one_usable_cpu_writes_the_bytes_of_every_usable_cpu(workspace, inverse_run,
+                                                             tmp_path):
+    # each run is a child with the real _worker_count; the pinned one has one
+    # worker, so its jobs run one at a time, each in a process of its own
+    commands = [["train-inverse", "--dataset", inverse_run["dataset"], "--config",
+                 inverse_run["config"], "--out", "inv"],
+                ["compare-forward", "--dataset", workspace["dataset"], "--config",
+                 workspace["config"], "--out", "cmp"]]
+    pins = {"all": "", "one": "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"}
+    outputs = {}
+    for run, pin in pins.items():
+        (tmp_path / run).mkdir()
+        result = _python(f"import os; {pin}\n"
+                         "from corrml import cli, jobs\n"
+                         "print(jobs._worker_count(8))\n"
+                         f"assert all(cli.main(argv) == 0 for argv in {commands!r})\n",
+                         cwd=tmp_path / run)
+        assert result.returncode == 0, result
+        outputs[run] = {str(p.relative_to(tmp_path / run)): p.read_bytes()
+                        for p in sorted((tmp_path / run).rglob("*")) if p.is_file()}
+        if pin:
+            assert result.stdout == "1\n"
+    assert {"inv/ensemble.json", "cmp/compare_pairs.csv"} <= set(outputs["one"])
+    assert outputs["one"] == outputs["all"]
 
 
 def test_inverse_with_no_boosting_rounds_trains_and_predicts(inverse_run, tmp_path, monkeypatch):
@@ -1312,6 +1380,8 @@ def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
     ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
      "rf,a\\b,s1,1.0,2.0\n",
      "row 3: feature_set 'a\\\\b' holds '/', '\\' or NUL, which a chart file name cannot"),
+    ("--metrics", "model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\n\nrf,comp,0.9,1,2\n",
+     "row 4: model 'rf' and feature_set 'comp' repeat row 2"),
     ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp+env,s1,1.0,2.0\n"
      "rf,comp+env,s2,2.0,3.0\nrf,comp-env,s1,1.0,2.0\n",
      "row 4: model 'rf' and feature_set 'comp-env' chart to scatter_rf_comp-env.svg, as "
@@ -1327,7 +1397,8 @@ def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
     ("--pairs", "model,feature_set,sample_id,true,predicted\nrf,comp,s1,1.0,2.0\n"
      "rf,comp," + "s" * 131073 + ",1.0,2.0\n", "line 3: field larger than field limit (131072)"),
 ], ids=["metrics-r2-string", "pairs-short-row", "metrics-r2-nan", "pairs-predicted-inf",
-        "pairs-model-slash", "pairs-feature-set-backslash", "pairs-file-name-taken",
+        "pairs-model-slash", "pairs-feature-set-backslash", "metrics-repeated-cell",
+        "pairs-file-name-taken",
         "pairs-file-name-too-long", "metrics-latin-1-byte", "pairs-oversized-cell"])
 def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, message):
     path = tmp_path / "rows.csv"

@@ -200,7 +200,7 @@ def test_comparison_equals_a_serial_loop_of_cells(pools, workers):
     data = _linear_dataset(80)
     forked = pools(workers)
     cells = compare_forward_models(data, seed=3, configs=QUICK_CONFIGS)
-    assert len(forked) == (8 if workers == 2 else 0)  # one process per cell
+    assert len(forked) == 8  # one process per cell, one worker or two
     serial = [_fit_predict_cell(model, data, feature_set, 3, QUICK_CONFIGS[model], CAP_MPY,
                                 "drop", 0.2)[0]
               for feature_set in DEFAULT_COMPARE_FEATURE_SETS for model in FAMILIES]
@@ -232,7 +232,7 @@ def test_comparison_raises_the_first_failing_cell_in_job_order(pools, monkeypatc
     with pytest.raises(ValidationError, match="^dnn cell failed$"):
         compare_forward_models(_linear_dataset(40), feature_sets=("comp",),
                                configs=QUICK_CONFIGS)
-    assert len(forked) == (4 if workers == 2 else 0)
+    assert len(forked) == 4
     assert no_children()
 
 

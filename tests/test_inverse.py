@@ -413,9 +413,10 @@ def test_fit_inverse_holds_only_the_models_it_keeps(monkeypatch):
     # plus one forest; a validation forest kept alive past its scoring
     # exceeds that. The traced memory is read between fits, because within a
     # grow the grower's scratch, bounded by _SLOT_BUDGET, outweighs these
-    # small forests. One worker runs the fits in this process, where
-    # tracemalloc sees them.
-    monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: 1)
+    # small forests. `run_jobs` runs each job in a forked process, which
+    # tracemalloc does not see, so here fit_inverse's `_gbm_job` and
+    # `_forest_job` partials are called directly, in job order, in this one.
+    monkeypatch.setattr(inverse, "run_jobs", lambda fits, names, noun: [fit() for fit in fits])
     data = generate_inverse_synthetic(60, seed=5)
     held = []
 

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -26,8 +27,8 @@ def no_children() -> bool:
 @pytest.mark.parametrize("workers", [2, 1])
 def test_results_come_back_in_job_order_from_a_function_no_pickle_can_send(monkeypatch,
                                                                            workers):
-    # forked workers inherit fn and the jobs, so neither is pickled: a closure
-    # over a lock, and jobs holding one, run as they are
+    # forked processes inherit the jobs, so none is pickled: a closure over a
+    # lock, and jobs holding one, run as they are, one CPU or many
     lock = threading.Lock()
 
     def fn(job):
@@ -38,7 +39,7 @@ def test_results_come_back_in_job_order_from_a_function_no_pickle_can_send(monke
 
     monkeypatch.setattr(jobs, "_worker_count", lambda n_jobs: workers)
     work = [(0.3, 1, threading.Lock()), (0.0, 2, threading.Lock()), (0.0, 3, threading.Lock())]
-    assert run_jobs(fn, work, ["a", "b", "c"], "jobs") == [2, 4, 6]
+    assert run_jobs([partial(fn, job) for job in work], ["a", "b", "c"], "jobs") == [2, 4, 6]
     assert no_children()
 
 
@@ -61,7 +62,7 @@ def test_jobs_start_in_job_order_with_at_most_one_process_per_worker(monkeypatch
 
     monkeypatch.setattr(os, "fork", recorded)
     n = 400
-    results = run_jobs(fn, list(range(n)), [str(i) for i in range(n)], "jobs")
+    results = run_jobs([partial(fn, i) for i in range(n)], [str(i) for i in range(n)], "jobs")
     assert [job for job, *_ in results] == list(range(n))
     assert [pid for _, pid, _, _ in results] == forked  # one process per job, in job order
     ends = [end for *_, end in results]
@@ -81,7 +82,7 @@ def test_a_job_whose_process_dies_loses_only_itself(monkeypatch):
 
     with pytest.raises(TrainingError, match="^a worker process ended abruptly; "
                                             "the jobs j1, j3 were lost$"):
-        run_jobs(fn, list(range(6)), [f"j{i}" for i in range(6)], "jobs")
+        run_jobs([partial(fn, i) for i in range(6)], [f"j{i}" for i in range(6)], "jobs")
     assert no_children()
 
 
@@ -90,7 +91,8 @@ def test_worker_count_without_an_affinity_call_counts_every_cpu(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert jobs._worker_count(1_000) == (os.cpu_count() or 1)
     assert jobs._worker_count(1) == 1
-    assert run_jobs(operator.neg, [1, 2, 3], ["a", "b", "c"], "jobs") == [-1, -2, -3]
+    assert run_jobs([partial(operator.neg, i) for i in (1, 2, 3)], ["a", "b", "c"],
+                    "jobs") == [-1, -2, -3]
     assert no_children()
 
 
@@ -107,6 +109,6 @@ def test_a_fork_that_fails_partway_leaves_no_child_and_no_open_descriptor(monkey
     monkeypatch.setattr(os, "fork", fails_second)
     open_before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(OSError, match="fork refused"):
-        run_jobs(operator.neg, [1, 2, 3], ["a", "b", "c"], "jobs")
+        run_jobs([partial(operator.neg, i) for i in (1, 2, 3)], ["a", "b", "c"], "jobs")
     assert sorted(os.listdir("/proc/self/fd")) == open_before
     assert len(forks) == 2 and no_children()
