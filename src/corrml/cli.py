@@ -4,8 +4,11 @@ Commands wire the pipeline end to end: ``ingest`` normalizes a CSV into a
 dataset file, ``train-forward`` / ``train-inverse`` fit models and emit
 metric tables, ``compare-forward`` runs the four-family comparison harness,
 ``predict`` scores new rows, and ``report`` renders the CSVs as SVG charts.
-Every command writes a resolved-config sidecar sufficient to reproduce the
-run. Exit codes: 0 success, 1 validation error, 2 training failure.
+Each command ends by handing its outputs, {file name: content}, to one
+writer (``_write_outputs``): it makes ``--out``, writes each file through a
+partial file renamed onto its name once complete, and writes last a
+resolved-config sidecar sufficient to reproduce the run. Exit codes: 0
+success, 1 validation or output error, 2 training failure.
 
 At module level only the standard library, ``errors`` and ``csvrows``,
 neither of which loads numpy, are imported: ``CORRML_THREADS`` (one thread
@@ -22,6 +25,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 
 from .csvrows import csv_rows
 from .errors import NoSamplesError, TrainingError, ValidationError
@@ -183,28 +187,13 @@ def _seeded_config(args) -> dict:
 # deterministic file output
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 class _Deferred(Exception):
-    """Raised by the encoder at a callable: the value holding it is walked."""
+    """Raised by the encoder at an iterator: the value holding it is walked."""
 
 
 class _Encoder(json.JSONEncoder):
     def default(self, o):
-        if callable(o):
+        if isinstance(o, Iterator):
             raise _Deferred
         return super().default(o)  # json's TypeError
 
@@ -214,11 +203,10 @@ _encode = _Encoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encod
 
 
 def _write_json_value(value, write) -> None:
-    """Write `value`, a callable standing for the value it returns, with one
-    encoder call unless a callable lies inside it; only such a value is
-    walked, keys sorted, so each callable is called when the walk reaches it."""
-    if callable(value):
-        value = value()
+    """Write `value` with one encoder call unless an iterator lies inside it;
+    only such a value is walked, keys sorted, so each iterator's items are
+    built as the walk reaches them and written as a JSON array, maybe empty;
+    a dict that holds an iterator is never empty."""
     try:
         write(_encode(value))
     except _Deferred:
@@ -230,30 +218,25 @@ def _write_json_value(value, write) -> None:
                 sep = ","
             write("}")
         else:
-            sep = "["
-            for item in value:
-                write(sep)
+            write("[")
+            for i, item in enumerate(value):
+                if i:
+                    write(",")
                 _write_json_value(item, write)
-                sep = ","
             write("]")
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Compact, key-sorted standard JSON on one line: the bytes of
-    `json.dumps(payload, sort_keys=True, separators=(",", ":"),
-    allow_nan=False) + "\\n"`, made by CPython's C encoder. A value may be a
-    zero-argument callable, which stands for what it returns (a tree's dict,
-    say): the values that hold one are walked and written piece by piece, so
-    each deferred value exists only while it is written; every other value is
-    encoded whole. A NaN or infinity is refused, not written as a bare token;
-    the file is written beside `path` and renamed onto it only when complete,
-    so a refused payload leaves no file. `python -m json.tool` pretty-prints
-    the result."""
-    partial = f"{path}.{os.getpid()}.partial"
+@contextlib.contextmanager
+def _whole(path: str):
+    """A text file to write `path`'s content into: a partial file in the
+    folder of `path`, named for this process and not for `path`, which is
+    renamed onto `path` once the block completes and removed if it fails. A
+    ValueError in the block (a value the format cannot hold) is a
+    ValidationError naming `path`."""
+    partial = os.path.join(os.path.dirname(path), f".corrml-{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
-            _write_json_value(payload, fh.write)
-            fh.write("\n")
+            yield fh
         os.replace(partial, path)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
@@ -262,9 +245,43 @@ def write_json(path: str, payload: dict) -> None:
             os.remove(partial)
 
 
-def write_sidecar(out_dir: str, command: str, flags: dict, config: dict) -> None:
-    write_json(os.path.join(out_dir, f"{command}.config.json"),
-               {"command": command, "flags": flags, "config": config})
+def write_json(path: str, payload: dict) -> None:
+    """Compact, key-sorted standard JSON on one line: the bytes of
+    `json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    allow_nan=False) + "\\n"`, made by CPython's C encoder. A value may be an
+    iterator (a `map` of a model's trees to their dicts, say), which stands
+    for the list of its items: the values that hold one are walked and
+    written piece by piece, so each item exists only while it is written;
+    every other value is encoded whole. An iterator is spent once written, so
+    a payload that holds one is written once. A NaN or infinity is refused,
+    not written as a bare token, and the file appears under `path` only
+    whole (`_whole`), so a refused payload leaves no file. `python -m
+    json.tool` pretty-prints the result."""
+    with _whole(path) as fh:
+        _write_json_value(payload, fh.write)
+        fh.write("\n")
+
+
+def _write_outputs(out: str, files: dict, command: str, flags: dict, config: dict) -> int:
+    """Write a command's `files`, {file name: content}, into the folder `out`,
+    made if missing, and then its `<command>.config.json` sidecar of `flags`
+    and `config`; return the command's exit code, 0. A dict is written as
+    JSON (`write_json`), a str as text, and any other content as CSV rows.
+    Each file appears under its name only whole (`_whole`); a failure leaves
+    the files written before it."""
+    os.makedirs(out, exist_ok=True)
+    files[f"{command}.config.json"] = {"command": command, "flags": flags, "config": config}
+    for name, content in files.items():
+        path = os.path.join(out, name)
+        if isinstance(content, dict):
+            write_json(path, content)
+            continue
+        with _whole(path) as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                csv.writer(fh).writerows(content)
+    return 0
 
 
 def _csv_records(path: str, header: list[str], convert) -> list:
@@ -442,13 +459,11 @@ def cmd_ingest(args) -> int:
         strict_composition=cfg["strict_composition"],
         composition_floor=cfg["composition_floor"],
     )
-    out = _ensure_out(args.out)
-    write_json(os.path.join(out, "dataset.json"), dataset_to_dict(dataset))
-    write_csv(os.path.join(out, "summary.csv"), summary_rows(dataset))
-    write_sidecar(out, "ingest",
-                  {"input": args.input, "grade_map": args.grade_map, "out": out}, cfg)
     log.info("ingested %d samples from %s", len(dataset), args.input)
-    return 0
+    return _write_outputs(args.out, {"dataset.json": dataset_to_dict(dataset),
+                                     "summary.csv": summary_rows(dataset)},
+                          "ingest", {"input": args.input, "grade_map": args.grade_map,
+                                     "out": args.out}, cfg)
 
 
 def cmd_train_forward(args) -> int:
@@ -470,7 +485,8 @@ def cmd_train_forward(args) -> int:
         cell, model, scaler, fm = _fit_predict_cell(
             family, dataset, cfg["features"], cfg["seed"], cfg["model_params"][family],
             cfg["cap_threshold"], cfg["cap_mode"], cfg["test_fraction"])
-    out = _ensure_out(args.out)
+    log.info("trained %s on %d rows (test R^2 %.4f)", family,
+             len(fm.sample_ids) - len(cell.sample_ids), cell.metrics.r2)
     payload = {
         "kind": "forward-model",
         "family": family,
@@ -480,15 +496,12 @@ def cmd_train_forward(args) -> int:
                                    cfg["cap_threshold"], cfg["seed"]),
         "model": to_dict(model),
     }
-    write_json(os.path.join(out, "model.json"), payload)
-    write_csv(os.path.join(out, "metrics.csv"), comparison_metrics_rows([cell]))
-    write_csv(os.path.join(out, "pairs.csv"), comparison_pairs_rows([cell]))
-    write_text(os.path.join(out, "scatter.svg"),
-               scatter_svg(f"{family} / {cfg['features']}", cell.y_true, cell.y_pred))
-    write_sidecar(out, "train-forward", {"dataset": args.dataset, "out": out}, cfg)
-    log.info("trained %s on %d rows (test R^2 %.4f)", family,
-             len(fm.sample_ids) - len(cell.sample_ids), cell.metrics.r2)
-    return 0
+    return _write_outputs(args.out, {
+        "model.json": payload,
+        "metrics.csv": comparison_metrics_rows([cell]),
+        "pairs.csv": comparison_pairs_rows([cell]),
+        "scatter.svg": scatter_svg(f"{family} / {cfg['features']}", cell.y_true, cell.y_pred),
+    }, "train-forward", {"dataset": args.dataset, "out": args.out}, cfg)
 
 
 def cmd_train_inverse(args) -> int:
@@ -507,16 +520,14 @@ def cmd_train_inverse(args) -> int:
     ensemble = fit_inverse(train_ds, seed=cfg["seed"], configs=cfg["inverse_params"])
     union_rows, submodel_rows = inverse_report_rows(evaluate_inverse(ensemble, test_ds))
 
-    out = _ensure_out(args.out)
-    write_json(os.path.join(out, "ensemble.json"),
-               {"kind": "inverse-model",
-                "environment_names": list(DEFAULT_ENVIRONMENTS),
-                "ensemble": inverse_to_dict(ensemble)})
-    write_csv(os.path.join(out, "inverse_metrics.csv"), union_rows)
-    write_csv(os.path.join(out, "inverse_submodels.csv"), submodel_rows)
-    write_sidecar(out, "train-inverse", {"dataset": args.dataset, "out": out}, cfg)
     log.info("trained inverse ensemble on %d rows", len(train_ds))
-    return 0
+    return _write_outputs(args.out, {
+        "ensemble.json": {"kind": "inverse-model",
+                          "environment_names": list(DEFAULT_ENVIRONMENTS),
+                          "ensemble": inverse_to_dict(ensemble)},
+        "inverse_metrics.csv": union_rows,
+        "inverse_submodels.csv": submodel_rows,
+    }, "train-inverse", {"dataset": args.dataset, "out": args.out}, cfg)
 
 
 def cmd_compare_forward(args) -> int:
@@ -530,11 +541,9 @@ def cmd_compare_forward(args) -> int:
         cells = compare_forward_models(dataset, seed=cfg["seed"], configs=cfg["model_params"],
                                        cap=cfg["cap_threshold"], cap_mode=cfg["cap_mode"],
                                        test_fraction=cfg["test_fraction"])
-    out = _ensure_out(args.out)
-    write_csv(os.path.join(out, "compare_metrics.csv"), comparison_metrics_rows(cells))
-    write_csv(os.path.join(out, "compare_pairs.csv"), comparison_pairs_rows(cells))
-    write_sidecar(out, "compare-forward", {"dataset": args.dataset, "out": out}, cfg)
-    return 0
+    return _write_outputs(args.out, {"compare_metrics.csv": comparison_metrics_rows(cells),
+                                     "compare_pairs.csv": comparison_pairs_rows(cells)},
+                          "compare-forward", {"dataset": args.dataset, "out": args.out}, cfg)
 
 
 def cmd_predict(args) -> int:
@@ -595,18 +604,16 @@ def cmd_predict(args) -> int:
             load(payload, {**envelope, "ensemble": {}}, where)
             ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
             del payload
-            preds = predict_inverse(ensemble, queries)
+            with _samples_of(args.input):
+                preds = predict_inverse(ensemble, queries)
             values = [v for p in preds for v in p.values.values()]
             rows = inverse_prediction_rows(preds)
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"{args.model}: the model predicts a non-finite value")
-    out = _ensure_out(args.out)
-    write_csv(os.path.join(out, "predictions.csv"), rows)
-    write_sidecar(out, "predict",
-                  {"model": args.model, "input": args.input,
-                   "direction": args.direction, "units": args.units, "out": out},
-                  {})
-    return 0
+    return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
+                          {"model": args.model, "input": args.input,
+                           "direction": args.direction, "units": args.units, "out": args.out},
+                          {})
 
 
 def _parse_metric_rows(path: str) -> list[dict]:
@@ -657,29 +664,20 @@ def cmd_report(args) -> int:
     # both inputs are checked before the output directory is made
     records = _parse_metric_rows(args.metrics) if args.metrics else None
     charts = _parse_pair_rows(args.pairs) if args.pairs else {}
-    out = _ensure_out(args.out)
-    written = []
-
+    files = {}
     if records is not None:
         groups = list(dict.fromkeys(r["model"] for r in records))
         series = list(dict.fromkeys(r["feature_set"] for r in records))
         for metric, title in (("r2", "R^2 by model"), ("mae", "MAE (mpy) by model"),
                               ("rmse", "RMSE (mpy) by model")):
             values = {(r["feature_set"], r["model"]): r[metric] for r in records}
-            name = f"{metric}.svg"
-            write_text(os.path.join(out, name), bar_chart_svg(title, groups, series, values))
-            written.append(name)
-
+            files[f"{metric}.svg"] = bar_chart_svg(title, groups, series, values)
     for name, ((model, feature_set), pairs) in charts.items():
-        write_text(os.path.join(out, name),
-                   scatter_svg(f"{model} / {feature_set}",
-                               [p[0] for p in pairs], [p[1] for p in pairs]))
-        written.append(name)
-
-    write_sidecar(out, "report",
-                  {"metrics": args.metrics, "pairs": args.pairs, "out": out}, {})
-    log.info("wrote %d chart(s)", len(written))
-    return 0
+        files[name] = scatter_svg(f"{model} / {feature_set}",
+                                  [p[0] for p in pairs], [p[1] for p in pairs])
+    log.info("rendered %d chart(s)", len(files))
+    return _write_outputs(args.out, files, "report",
+                          {"metrics": args.metrics, "pairs": args.pairs, "out": args.out}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ class ValidationError(ValueError):
 
 class NoSamplesError(ValidationError):
     """No sample of a dataset is left to fit or score: none carries every
-    field a feature set reads, or the rate cap removed them all. The command
-    that read the dataset names its file."""
+    field a feature set reads, the rate cap removed them all, or a query
+    file holds none. The command that read the dataset names its file."""
 
 
 class TrainingError(RuntimeError):

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import ELEMENT_ORDER, Dataset
-from .errors import ValidationError
+from .errors import NoSamplesError, ValidationError
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, feature_width, split_train_test
@@ -223,7 +223,10 @@ def _predict_submodels(ensemble: InverseEnsemble, dataset: Dataset
 
 def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
     """Union-model predictions for every sample of `dataset`: its rate,
-    environment, at% Al/Si/Mg and, where present, duration and temperature."""
+    environment, at% Al/Si/Mg and, where present, duration and temperature;
+    a dataset of no sample is a NoSamplesError."""
+    if not dataset.samples:
+        raise NoSamplesError("no sample to predict")
     union, served, _ = _predict_submodels(ensemble, dataset)
     return [InversePrediction(query_id=s.id,
                               values={el: float(union[i, j])

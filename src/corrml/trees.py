@@ -46,7 +46,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -710,16 +709,11 @@ def node_arrays(d: dict) -> dict:
     return d
 
 
-def _tree_dicts(trees) -> list:
-    """Each tree as a zero-argument callable returning its dict."""
-    return [partial(tree_to_dict, tree) for tree in trees]
-
-
 def forest_to_dict(forest: RandomForest) -> dict:
-    """The tree list stands as a zero-argument callable returning it, each
-    tree in it another returning its dict, so the writer (cli.write_json)
-    builds one model's tree views, and one tree's node lists, at a time."""
-    return {"kind": "forest", "trees": partial(_tree_dicts, forest.trees),
+    """The tree list is an iterator of the trees' dicts, so the writer
+    (cli.write_json) builds one tree's view and node lists at a time; the
+    payload is spent once written."""
+    return {"kind": "forest", "trees": map(tree_to_dict, forest.trees),
             "n_estimators": int(forest.n_estimators), "max_features": int(forest.max_features),
             "bootstrap": bool(forest.bootstrap), "seed": int(forest.seed),
             "n_features": int(forest.n_features),
@@ -746,7 +740,7 @@ def gbm_to_dict(model: GradientBoostedTrees) -> dict:
     """The stage list is deferred as forest_to_dict's tree list is."""
     return {"kind": "gbm", "init_value": float(model.init_value),
             "learning_rate": float(model.learning_rate),
-            "stages": partial(_tree_dicts, model.stages)}
+            "stages": map(tree_to_dict, model.stages)}
 
 
 GBM = {"kind": "gbm", "init_value": NUMBER, "learning_rate": POSITIVE, "stages": tree_table}

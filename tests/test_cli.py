@@ -372,6 +372,46 @@ def test_inverse_predict_refuses_weight_units(inverse_run, tmp_path, capsys):
     assert cli.main(argv + ["--units", "at"]) == 0
 
 
+@pytest.mark.parametrize("command", ["ingest", "train-forward", "train-inverse",
+                                     "compare-forward", "predict-forward", "predict-inverse",
+                                     "report"])
+def test_an_output_whose_path_is_taken_exits_one_naming_it(workspace, inverse_run,
+                                                            forward_payload, tmp_path, capsys,
+                                                            command):
+    # a folder at an output's path fails that file's write, whichever output
+    # it is; which files written before it stay is left open here
+    (tmp_path / "model.json").write_text(json.dumps(forward_payload))
+    (tmp_path / "ensemble.json").write_text(json.dumps(inverse_run["payload"]))
+    (tmp_path / "metrics.csv").write_text("model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\n")
+    (tmp_path / "pairs.csv").write_text("model,feature_set,sample_id,true,predicted\n"
+                                        "rf,comp,s1,1.0,2.0\n")
+    quick = ["--config", workspace["config"]]
+    argv = {
+        "ingest": ["ingest", "--input", workspace["csv"]],
+        "train-forward": ["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                          *quick],
+        "train-inverse": ["train-inverse", "--dataset", inverse_run["dataset"], *quick],
+        "compare-forward": ["compare-forward", "--dataset", workspace["dataset"], *quick],
+        "predict-forward": ["predict", "--model", str(tmp_path / "model.json"),
+                            "--direction", "forward", "--input", workspace["csv"]],
+        "predict-inverse": ["predict", "--model", str(tmp_path / "ensemble.json"),
+                            "--direction", "inverse", "--input", inverse_run["csv"]],
+        "report": ["report", "--metrics", str(tmp_path / "metrics.csv"),
+                   "--pairs", str(tmp_path / "pairs.csv")],
+    }[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "all")]) == 0
+    names = sorted(os.listdir(tmp_path / "all"))
+    assert f"{argv[0]}.config.json" in names and len(names) >= 2
+    capsys.readouterr()
+    for k, name in enumerate(names):
+        out = tmp_path / f"o{k}"
+        (out / name).mkdir(parents=True)
+        assert cli.main(argv + ["--out", str(out)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / name) in err, err
+        assert not [f for _, _, files in os.walk(out) for f in files if f.endswith(".partial")]
+
+
 def test_compare_and_report_charts(workspace, tmp_path):
     cmp_out = tmp_path / "cmp"
     assert cli.main(["compare-forward", "--dataset", workspace["dataset"], "--seed", "4",
@@ -1219,8 +1259,9 @@ def _strip_temperatures(ds):
     return ds
 
 
-@pytest.mark.parametrize("command", ["predict", "train-forward", "compare-forward"])
-def test_no_usable_sample_names_the_file(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["predict", "predict-inverse", "train-forward",
+                                     "compare-forward"])
+def test_no_usable_sample_names_the_file(workspace, inverse_run, tmp_path, capsys, command):
     out = ["--out", str(tmp_path / "o")]
     if command == "predict":
         model = tmp_path / "m"
@@ -1232,6 +1273,14 @@ def test_no_usable_sample_names_the_file(workspace, tmp_path, capsys, command):
         argv = ["predict", "--model", str(model / "model.json"), "--direction", "forward",
                 "--input", path]
         message = "no samples carry the fields required by 'comp+env+temp'"
+    elif command == "predict-inverse":
+        model = tmp_path / "ensemble.json"
+        model.write_text(json.dumps(inverse_run["payload"]))
+        path = str(tmp_path / "empty.csv")
+        with open(inverse_run["csv"]) as fh:
+            (tmp_path / "empty.csv").write_text(fh.readline())  # the header alone
+        argv = ["predict", "--model", str(model), "--direction", "inverse", "--input", path]
+        message = "no sample to predict"
     elif command == "train-forward":
         data = _dump_csv(_strip_temperatures(generate_synthetic(20, seed=1)), tmp_path / "d.csv")
         assert cli.main(["ingest", "--input", data, "--out", str(tmp_path / "ds")]) == 0

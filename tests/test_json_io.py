@@ -22,23 +22,24 @@ from test_cli import QUICK_CONFIG, _dump_csv
 SCALARS = (st.none() | st.booleans() | st.text()
            | st.integers() | st.integers(2 ** 63, 2 ** 80) | st.integers(-2 ** 80, -2 ** 63)
            | st.floats(allow_nan=False, allow_infinity=False))
-# nested payloads; a container may be deferred behind a zero-argument callable
+# nested payloads; a tuple stands for a list deferred behind an iterator
 def _containers(kids):
-    made = st.lists(kids, max_size=5) | st.dictionaries(st.text(), kids, max_size=5)
-    return made | made.map(lambda v: lambda: v)
+    lists = st.lists(kids, max_size=5)
+    return lists | lists.map(tuple) | st.dictionaries(st.text(), kids, max_size=5)
 
 
 PAYLOADS = st.recursive(SCALARS, _containers, max_leaves=20)
 
 
-def _resolved(value):
-    """`value` with every deferred container replaced by what it returns."""
-    if callable(value):
-        value = value()
+def _live(value):
+    """`value` with every tuple made an iterator that builds its items as it
+    reaches them, as a tree model's payload holds its tree list."""
     if isinstance(value, dict):
-        return {k: _resolved(v) for k, v in value.items()}
+        return {k: _live(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_resolved(v) for v in value]
+        return [_live(v) for v in value]
+    if isinstance(value, tuple):
+        return map(_live, value)
     return value
 
 
@@ -51,8 +52,8 @@ def out_dir(tmp_path_factory):
 @given(payload=st.dictionaries(st.text(), PAYLOADS, max_size=5))
 def test_write_json_matches_one_shot_dumps(out_dir, payload):
     path = out_dir / "payload.json"
-    cli.write_json(str(path), payload)
-    expected = json.dumps(_resolved(payload), sort_keys=True, separators=(",", ":"),
+    cli.write_json(str(path), _live(payload))
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -217,7 +218,7 @@ def test_bytes_not_utf8_are_refused_at_their_place_in_the_file(out_dir, text, wi
 
 def test_non_finite_value_late_in_the_payload_leaves_no_file(tmp_path):
     path = tmp_path / "model.json"
-    payload = {"a": [{"tree": list(range(1000))}] * 50, "z": [lambda: {"value": [float("nan")]}]}
+    payload = {"a": [{"tree": list(range(1000))}] * 50, "z": iter([{"value": [float("nan")]}])}
     with pytest.raises(ValidationError, match="model.json"):
         cli.write_json(str(path), payload)
     assert os.listdir(tmp_path) == []
