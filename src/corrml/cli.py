@@ -232,12 +232,16 @@ def _whole(path: str):
     folder of `path`, named for this process and not for `path`, which is
     renamed onto `path` once the block completes and removed if it fails. A
     ValueError in the block (a value the format cannot hold) is a
-    ValidationError naming `path`."""
+    ValidationError naming `path`; a ValidationError from the content, which
+    may be made as it is written, names its own subject and passes as it
+    is."""
     partial = os.path.join(os.path.dirname(path), f".corrml-{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(partial, path)
+    except ValidationError:
+        raise
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     finally:
@@ -266,9 +270,10 @@ def _write_outputs(out: str, files: dict, command: str, flags: dict, config: dic
     """Write a command's `files`, {file name: content}, into the folder `out`,
     made if missing, and then its `<command>.config.json` sidecar of `flags`
     and `config`; return the command's exit code, 0. A dict is written as
-    JSON (`write_json`), a str as text, and any other content as CSV rows.
-    Each file appears under its name only whole (`_whole`); a failure leaves
-    the files written before it."""
+    JSON (`write_json`), a str as text, and any other content as CSV rows,
+    taken from it one at a time, so rows a generator makes are written as it
+    makes them. Each file appears under its name only whole (`_whole`); a
+    failure leaves the files written before it."""
     os.makedirs(out, exist_ok=True)
     files[f"{command}.config.json"] = {"command": command, "flags": flags, "config": config}
     for name, content in files.items():
@@ -547,7 +552,7 @@ def cmd_compare_forward(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .dataset import DEFAULT_ENVIRONMENTS, parse_csv
+    from .dataset import DEFAULT_ENVIRONMENTS, csv_samples, parse_csv
     from .schema import load, one_of
     from .trees import node_arrays
 
@@ -555,13 +560,22 @@ def cmd_predict(args) -> int:
         raise ValidationError("--units wt does not apply to --direction inverse: its "
                               "queries list only Al, Si and Mg, whose at% cannot be "
                               "derived from wt% without the trace elements")
+    # The query file is read first, so the memory its check takes (every id
+    # it has read) is free again when the model is loaded. Inverse queries
+    # are read a row at a time and only their ids and fields kept.
+    if args.direction == "forward":
+        queries = parse_csv(args.input, units=args.units, require_rate=False)
+    else:
+        from .inverse import query_columns
+
+        queries = query_columns(csv_samples(args.input))
     payload = read_json(args.model, object_hook=node_arrays)
-    queries = parse_csv(args.input, units=args.units, require_rate=args.direction == "inverse")
     # the envelope of the model files train-forward and train-inverse write;
     # the states it holds are read by their own tables
     envelope = {"kind": f"{args.direction}-model", "environment_names": list(DEFAULT_ENVIRONMENTS)}
     where, state = f"{args.model}: {args.direction} model file", f"{args.model}: model file key"
-    # a model whose numbers overflow predicts non-finite values, refused below
+    # a model whose numbers overflow predicts non-finite values, refused as
+    # they are scored; inverse queries are scored as predictions.csv is written
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
@@ -596,24 +610,24 @@ def cmd_predict(args) -> int:
                             len(queries.samples) - len(fm.sample_ids), feature_set)
             X = fm.values if scaler is None else apply_scaler(scaler, fm.values)
             values = family.predict(model, X)
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{args.model}: the model predicts a non-finite value")
             rows = [["sample_id", "predicted_mpy"]]
             rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, values)]
         else:
-            from .inverse import inverse_from_dict, inverse_prediction_rows, predict_inverse
+            from .inverse import (finite_predictions, inverse_from_dict, inverse_prediction_rows,
+                                  inverse_predictions)
 
             load(payload, {**envelope, "ensemble": {}}, where)
             ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
             del payload
             with _samples_of(args.input):
-                preds = predict_inverse(ensemble, queries)
-            values = [v for p in preds for v in p.values.values()]
-            rows = inverse_prediction_rows(preds)
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{args.model}: the model predicts a non-finite value")
-    return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
-                          {"model": args.model, "input": args.input,
-                           "direction": args.direction, "units": args.units, "out": args.out},
-                          {})
+                preds = inverse_predictions(ensemble, queries)
+            rows = inverse_prediction_rows(finite_predictions(preds, args.model))
+        return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
+                              {"model": args.model, "input": args.input,
+                               "direction": args.direction, "units": args.units,
+                               "out": args.out}, {})
 
 
 def _parse_metric_rows(path: str) -> list[dict]:

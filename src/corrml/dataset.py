@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .csvrows import csv_rows
@@ -205,15 +206,21 @@ def at_to_wt(c: ElementComposition) -> ElementComposition:
     return ElementComposition(entries=entries, basis="weight")
 
 
-def parse_csv(
+def parse_csv(path, **options) -> Dataset:
+    """Read corrosion records from CSV: the dataset of `csv_samples(path,
+    **options)`."""
+    return Dataset(samples=list(csv_samples(path, **options)))
+
+
+def csv_samples(
     path,
     units: str = "at",
     grade_map: GradeMap | None = None,
     strict_composition: bool = False,
     composition_floor: float = 95.0,
     require_rate: bool = True,
-) -> Dataset:
-    """Read corrosion records from CSV.
+) -> Iterator[CorrosionSample]:
+    """The records of a CSV file, each sample yielded as its row is read.
 
     Header: ``id, env, temp_c, duration_days, rate, rate_unit, grade`` plus one
     column per element symbol, holding percentages in the declared basis
@@ -221,8 +228,10 @@ def parse_csv(
     allowed only for temp_c, duration_days, the rate-or-grade pair, and
     element columns (default 0).
     All row-level failures, a sample id already read on an earlier row among
-    them, are collected and raised together: their count, then the first 20
-    with their row numbers, then how many more there are.
+    them, are collected and raised together once the last row is read: their
+    count, then the first 20 with their row numbers, then how many more there
+    are. So a caller keeps what it takes from the samples only once the
+    iteration ends without an error.
 
     ``require_rate=False`` admits rows with neither rate nor grade (they get a
     0.0 placeholder), for prediction inputs where the rate is the unknown.
@@ -247,7 +256,6 @@ def parse_csv(
         if idx[name] != i:
             raise ValidationError(f"{path}: column {name!r} appears more than once")
 
-    samples = []
     problems: list[str] = []
     first_row: dict[str, int] = {}  # sample id -> the row it was first read on
     for row_no, row in enumerate(rows, start=2):
@@ -263,13 +271,11 @@ def parse_csv(
             problems.append(f"row {row_no}: {exc}")
             continue
         first_row[sample.id] = row_no
-        samples.append(sample)
+        yield sample
     if problems:
         more = len(problems) - _LISTED_PROBLEMS
         listed = problems[:_LISTED_PROBLEMS] + ([f"… and {more} more"] if more > 0 else [])
         raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(listed))
-
-    return Dataset(samples=samples)
 
 
 def _cell(row: list[str], i: int) -> str:

@@ -5,21 +5,27 @@ Three submodels ordered by feature availability — base (rate, numeric
 environment id, at% Al/Si/Mg), base+duration, base+duration+temperature —
 each a weighted pair of multi-output regressors (random forest + gradient
 boosting). Pair weights come from validation R^2 clamped at zero and
-normalized; equal scores give (0.5, 0.5). Queries are dataset samples, and
-every row a submodel reads comes from `inverse_features`. A sample is served
-by every submodel whose fields it carries, and the served predictions are
-averaged unweighted (the union model), then clamped to the physical [0, 100]
-at% range.
+normalized; equal scores give (0.5, 0.5). Training and evaluation read a
+dataset's rows through `inverse_features`. Queries are columns
+(`InverseQueries`): each query's id and its seven fields, taken from samples
+one at a time, so a query file need not be held as samples. A query is
+served by every submodel whose fields it carries, and the served
+predictions are averaged unweighted (the union model), then clamped to the
+physical [0, 100] at% range. Queries are scored a fixed-size chunk at a
+time, so scoring holds one chunk's arrays however many queries there are.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .dataset import ELEMENT_ORDER, Dataset
+from .dataset import ELEMENT_ORDER, CorrosionSample, Dataset
 from .errors import NoSamplesError, ValidationError
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
@@ -40,6 +46,13 @@ INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
 SUBMODEL_SETS = ("base", "base+dur", "base+dur+temp")
 MIN_SUBSET_ROWS = 10
 VALIDATION_FRACTION = 0.2  # share of a subset held out to weight its forest/GBM pair
+# Queries scored at once. A chunk's feature rows, union sums and descent
+# blocks are what scoring holds besides the model, whatever the query count;
+# the benchmark's 1,000 queries are one chunk. Smaller chunks make more
+# descent blocks, each as deep as its deepest tree: chunks of 1,024 scored
+# 10,000 queries about 12 % slower, and chunks of 4,096 peaked about 0.9 MB
+# higher at 40,000 queries.
+_QUERY_CHUNK = 1 << 11
 
 
 def clamp_at_pct(values: np.ndarray) -> np.ndarray:
@@ -194,45 +207,111 @@ def submodel_predict(sub: InverseSubmodel, X: np.ndarray) -> np.ndarray:
     return clamp_at_pct(raw)
 
 
-def _predict_submodels(ensemble: InverseEnsemble, dataset: Dataset
-                       ) -> tuple[np.ndarray, list[list[str]], dict[str, tuple]]:
-    """One submodel_predict per available submodel, over the samples that
-    carry its fields, so tree traversal stays vectorized.
-
-    Returns the union per sample (the sum of its submodels' predictions, in
-    SUBMODEL_SETS order, divided by their count, then clamped), the
-    submodels that served each sample, and per submodel its (Y, predictions).
-    """
-    n = len(dataset.samples)
+def _union(ensemble: InverseEnsemble, n: int, subsets) -> tuple[np.ndarray, dict]:
+    """(union, per-set predictions) over `n` rows, from each serving
+    submodel's (feature set, rows, X), in SUBMODEL_SETS order: a row's union
+    is the sum of its submodels' predictions in that order, divided by their
+    count, then clamped. One submodel_predict per submodel, over the rows it
+    serves, so tree traversal stays vectorized."""
     # -0.0 is the exact additive identity, so each total is bit for bit the
     # sum np.mean over the sample's submodel predictions would take
     total = np.full((n, len(ensemble.target_names)), -0.0)
     count = np.zeros(n)
-    served: list[list[str]] = [[] for _ in range(n)]
     per_set = {}
-    for feature_set in ensemble.available_sets():
-        rows, X, Y = inverse_features(dataset, feature_set)
-        P = submodel_predict(ensemble.submodels[feature_set], X)
-        per_set[feature_set] = (Y, P)
+    for feature_set, rows, X in subsets:
+        per_set[feature_set] = P = submodel_predict(ensemble.submodels[feature_set], X)
         total[rows] += P
         count[rows] += 1
-        for i in rows:
-            served[i].append(feature_set)
-    return clamp_at_pct(total / count[:, None]), served, per_set
+    return clamp_at_pct(total / count[:, None]), per_set
+
+
+@dataclass
+class InverseQueries:
+    """Queries as columns: every query's id, UTF-8 encoded, end to end in
+    `id_bytes`, query i's ending at byte id_ends[i], and one row of
+    `features` per query, (rate, environment id, at% Al, Si, Mg, duration,
+    temperature), NaN for an absent duration or temperature. Every feature
+    set's columns lead it: a submodel reads a row's first
+    feature_width(set) values. Ids held as bytes take about a sixth of the
+    memory of as many str objects."""
+    id_bytes: bytearray
+    id_ends: np.ndarray
+    features: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def id(self, i: int) -> str:
+        """The id of query i."""
+        return self.id_bytes[self.id_ends[i - 1] if i else 0:self.id_ends[i]].decode()
+
+
+_NO_VALUE = float("nan")  # an absent duration or temperature; a present one is finite
+_QUERY_FIELDS = feature_width(SUBMODEL_SETS[-1])  # the widest set reads every field
+
+
+def query_columns(samples: Iterable[CorrosionSample]) -> InverseQueries:
+    """The queries of `samples` (a dataset's, or `dataset.csv_samples` of a
+    query file), each taken as it comes: its id and its feature row, the
+    values `feature_rows` reads for it."""
+    id_bytes, id_ends, values = bytearray(), array("q"), array("d")
+    for s in samples:
+        id_bytes += s.id.encode()
+        id_ends.append(len(id_bytes))
+        values.extend((s.rate, float(s.environment),
+                       *map(s.composition.get, INVERSE_BASE_ELEMENTS),
+                       _NO_VALUE if s.duration is None else s.duration,
+                       _NO_VALUE if s.temperature is None else s.temperature))
+    return InverseQueries(id_bytes, np.frombuffer(id_ends, dtype=np.int64),
+                          np.frombuffer(values).reshape(len(id_ends), _QUERY_FIELDS))
+
+
+def _chunk_predictions(ensemble: InverseEnsemble, queries: InverseQueries, lo: int
+                       ) -> Iterator[InversePrediction]:
+    """The predictions of the chunk of queries from lo, each made as the
+    iteration reaches it, from the chunk's union and its served rows."""
+    M = queries.features[lo:lo + _QUERY_CHUNK]
+    subsets = []
+    for feature_set in ensemble.available_sets():
+        X = M[:, :feature_width(feature_set)]
+        served = ~np.isnan(X).any(axis=1)
+        if served.any():
+            subsets.append((feature_set, served, X[served]))
+    union, _ = _union(ensemble, len(M), subsets)
+    names = ensemble.target_names
+    for i, values in enumerate(union):
+        yield InversePrediction(queries.id(lo + i), dict(zip(names, values.tolist())),
+                                [feature_set for feature_set, served, _ in subsets
+                                 if served[i]])
+
+
+def inverse_predictions(ensemble: InverseEnsemble, queries: InverseQueries
+                        ) -> Iterator[InversePrediction]:
+    """Union-model predictions for every query, in order, scored
+    _QUERY_CHUNK queries at a time as the iteration reaches them; each
+    query's prediction is the same in a chunk of any size. No query is a
+    NoSamplesError, raised by the call."""
+    if not len(queries):
+        raise NoSamplesError("no sample to predict")
+    return (p for lo in range(0, len(queries), _QUERY_CHUNK)
+            for p in _chunk_predictions(ensemble, queries, lo))
+
+
+def finite_predictions(preds: Iterable[InversePrediction], model: str
+                       ) -> Iterator[InversePrediction]:
+    """`preds`, each checked as the iteration reaches it: a non-finite value
+    is a ValidationError naming `model`, the file the ensemble was read from."""
+    for p in preds:
+        if not all(map(math.isfinite, p.values.values())):
+            raise ValidationError(f"{model}: the model predicts a non-finite value")
+        yield p
 
 
 def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
     """Union-model predictions for every sample of `dataset`: its rate,
     environment, at% Al/Si/Mg and, where present, duration and temperature;
     a dataset of no sample is a NoSamplesError."""
-    if not dataset.samples:
-        raise NoSamplesError("no sample to predict")
-    union, served, _ = _predict_submodels(ensemble, dataset)
-    return [InversePrediction(query_id=s.id,
-                              values={el: float(union[i, j])
-                                      for j, el in enumerate(ensemble.target_names)},
-                              contributing=served[i])
-            for i, s in enumerate(dataset.samples)]
+    return list(inverse_predictions(ensemble, query_columns(dataset.samples)))
 
 
 @dataclass
@@ -247,12 +326,17 @@ def evaluate_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> InverseRepo
     submodel on the subset of rows it can serve, from one prediction pass.
     Every sample carries the base fields, so the base subset's Y is the
     union's truth."""
-    union, _, per_set = _predict_submodels(ensemble, dataset)
+    truths, subsets = {}, []
+    for feature_set in ensemble.available_sets():
+        rows, X, truths[feature_set] = inverse_features(dataset, feature_set)
+        subsets.append((feature_set, rows, X))
+    union, per_set = _union(ensemble, len(dataset.samples), subsets)
     names = ensemble.target_names
-    truth = per_set["base"][0]
+    truth = truths["base"]
     per_submodel: dict[str, dict[str, Metrics]] = {}
     counts: dict[str, int] = {}
-    for feature_set, (Y, P) in per_set.items():
+    for feature_set, P in per_set.items():
+        Y = truths[feature_set]
         counts[feature_set] = len(Y)
         per_submodel[feature_set] = {el: compute_metrics(Y[:, j], P[:, j])
                                      for j, el in enumerate(names)} if len(Y) else {}
@@ -271,14 +355,15 @@ def inverse_report_rows(report: InverseReport) -> tuple[list[list[str]], list[li
     return [header] + union, [header] + per_submodel
 
 
-def inverse_prediction_rows(preds: list[InversePrediction]) -> list[list[str]]:
-    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels)."""
-    rows = [["query_id", "element", "predicted_at_pct", "contributing_submodels"]]
+def inverse_prediction_rows(preds: Iterable[InversePrediction]) -> Iterator[list[str]]:
+    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels),
+    the header first, each prediction's rows made as the iteration reaches
+    it."""
+    yield ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
     for p in preds:
         tag = "|".join(p.contributing)  # "+" appears inside submodel names
         for el, v in p.values.items():
-            rows.append([p.query_id, el, repr(v), tag])
-    return rows
+            yield [p.query_id, el, repr(v), tag]
 
 
 def inverse_to_dict(ensemble: InverseEnsemble) -> dict:

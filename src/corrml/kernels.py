@@ -210,6 +210,16 @@ def same_rows(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     return np.flatnonzero(labels[:len(X), None] == labels[labels.size - len(Xp):])
 
 
+def _add_outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = a[i] + b[j] into the C-ordered `out`, each the one rounding
+    of that sum, with no ufunc buffer: numpy buffers a two-dimensional
+    broadcast sum, about 128 KiB a call for a 262 x 331 `out`. Each row of
+    `out` is set to a[i], then a rank-one dgemm adds b[j] * 1, a product that
+    is exact, so each entry is a[i] + b[j] rounded once, whatever the BLAS."""
+    np.copyto(out, a[:, None])
+    dgemm(1.0, b[:, None], np.ones((1, a.size)), beta=1.0, c=out.T, overwrite_c=1)
+
+
 def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | None = None,
             scratch: np.ndarray | None = None) -> np.ndarray:
     """r^2[i, j] = |Z_i|^2 + |Zp_j|^2 - 2 Z_i . Zp_j for centred, lengthscale-scaled
@@ -222,11 +232,11 @@ def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | N
     if Zp is Z:
         half = 0.5 * np.einsum("ij,ij->i", Z, Z)
         g = np.empty_like(out) if scratch is None else scratch
-        np.add(half[:, None], half, out=g)
+        _add_outer(half, half, g)
         dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
         np.add(g, g.T, out=out)
     else:
-        np.add(np.einsum("ij,ij->i", Z, Z)[:, None], np.einsum("ij,ij->i", Zp, Zp), out=out)
+        _add_outer(np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", Zp, Zp), out)
         # out^T, the Fortran-ordered view dgemm writes in place, gets -2 Zp Z^T
         dgemm(-2.0, Zp, Z, beta=1.0, c=out.T, trans_b=1, overwrite_c=1)
     np.maximum(out, 0.0, out=out)

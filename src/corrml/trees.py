@@ -12,7 +12,9 @@ trees it holds. A loaded model's table is packed from its tree list as the
 parser closes the model, its nodes checked to be well formed, so every
 descent ends inside it. Prediction descends a model's trees in blocks of
 bounded size over views of its table, each block's trees together, one
-indexing pass per level.
+indexing pass per level, and folds each block's values into the model's
+sums in tree order as the block is scored, so no (trees, rows) matrix of
+values is made.
 
 Fitting grows a batch of trees together, breadth first over presorted
 attribute lists (SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A
@@ -150,10 +152,15 @@ def _resolve_max_features(max_features, d: int) -> int:
 # Cells (nodes x columns x padded rows) scored at once when searching one
 # level's splits; bounds the search's scratch memory whatever the batch size.
 _CELL_BUDGET = 1 << 14
-# Entries (training rows x presorted lists) of the trees grown in one batch,
-# and (tree, row) slots of the trees descended in one block; bounds the
-# presort's, the partition's and the descent's memory whatever the forest size.
+# Entries (training rows x presorted lists) of the trees grown in one batch;
+# bounds the presort's and the partition's memory whatever the forest size.
 _SLOT_BUDGET = 1 << 16
+# (tree, row) slots of the trees descended in one block; bounds the descent's
+# scratch, a dozen or so slot-sized arrays, whatever the model's size. The
+# benchmark's 1,000 inverse queries descend 8 trees a block; blocks of
+# 1 << 14 and 1 << 16 slots peaked 0.6 and 3.1 MB higher there, and 1 << 14
+# scored 10,000 queries about 5 % faster.
+_DESCENT_SLOTS = 1 << 13
 
 
 def _check_training(X: np.ndarray, Y: np.ndarray, max_depth, min_samples_leaf: int):
@@ -433,18 +440,21 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     return grower.grow(Y[:, 0], max_depth, min_samples_leaf, max_features, [rng])[0][0]
 
 
-def _stacked_values(trees: TreeTable, X: np.ndarray) -> np.ndarray:
-    """(trees, rows) predictions of every tree. The trees descend a block at
-    a time, each block (one tree at least) holding at most _SLOT_BUDGET
-    (tree, row) slots, so the descent's scratch is bounded whatever the
-    model's size: views of the table, one indexing pass per level."""
+def _value_blocks(trees: TreeTable, X: np.ndarray):
+    """Each block's (trees, rows) predictions, block after block in tree
+    order. The trees descend a block at a time, each block (one tree at
+    least) holding at most _DESCENT_SLOTS (tree, row) slots, so the
+    descent's scratch is bounded whatever the model's size: views of the
+    table, one indexing pass per level. Slot s of a block is row s % rows of
+    X, and a slot still descending reads its node's feature at its row's
+    offset in X's flat values, one gather where a two-index one is slower."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     wrong = [width for width in trees.n_features if width != X.shape[1]]
     if wrong:
         raise ValidationError(f"feature count {X.shape[1]} != training {wrong[0]}")
-    n = X.shape[0]
-    values = np.empty((len(trees), n))
-    step = max(1, _SLOT_BUDGET // max(n, 1))
+    n, d = X.shape
+    flat = X.ravel()
+    step = max(1, _DESCENT_SLOTS // max(n, 1))
     for lo in range(0, len(trees), step):
         hi = min(lo + step, len(trees))
         nodes = slice(trees.offsets[lo], trees.offsets[hi])
@@ -454,15 +464,26 @@ def _stacked_values(trees: TreeTable, X: np.ndarray) -> np.ndarray:
         left = trees.left[nodes] + shift
         right = trees.right[nodes] + shift
         node = np.repeat(root, n)
-        row = np.tile(np.arange(n), hi - lo)
         active = np.flatnonzero(feature[node] != LEAF)
+        at = active % n * d
         while active.size:
             cur = node[active]
-            go = X[row[active], feature[cur]] <= threshold[cur]
+            go = flat[at + feature[cur]] <= threshold[cur]
             cur = np.where(go, left[cur], right[cur])
             node[active] = cur
-            active = active[feature[cur] != LEAF]
-        np.take(trees.value[nodes], node, out=values[lo:hi].reshape(-1))
+            keep = feature[cur] != LEAF
+            active, at = active[keep], at[keep]
+        yield trees.value[nodes][node].reshape(hi - lo, n)
+
+
+def _stacked_values(trees: TreeTable, X: np.ndarray) -> np.ndarray:
+    """(trees, rows) predictions of every tree, from `_value_blocks`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    values = np.empty((len(trees), X.shape[0]))
+    at = 0
+    for block in _value_blocks(trees, X):
+        values[at:at + len(block)] = block
+        at += len(block)
     return values
 
 
@@ -539,11 +560,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray, n_estimators: int = DEFAULT_N_ESTIM
 
 
 def predict_forest(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """Unweighted mean over trees, summed in fixed index order."""
-    values = _stacked_values(forest.trees, X)
-    total = np.zeros(values.shape[1])
-    for v in values:
-        total += v
+    """Unweighted mean over trees, summed in fixed index order, each
+    descent block folded into the sum as it is scored."""
+    total = np.zeros(np.atleast_2d(X).shape[0])
+    for block in _value_blocks(forest.trees, X):
+        for v in block:
+            total += v
     return total / len(forest.trees)
 
 
@@ -605,10 +627,12 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, n_rounds: int = DEFAULT_GBM_ROUNDS,
 
 
 def predict_gbm(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
-    values = _stacked_values(model.stages, X)
-    out = np.full(values.shape[1], model.init_value)
-    for v in values:
-        out += model.learning_rate * v
+    """F0 plus each stage's learning-rate-scaled value, in stage order, each
+    descent block folded into the sum as it is scored."""
+    out = np.full(np.atleast_2d(X).shape[0], model.init_value)
+    for block in _value_blocks(model.stages, X):
+        for v in block:
+            out += model.learning_rate * v
     return out
 
 

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import timedelta
 
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrml import cli, evaluation, inverse, jobs, jsonstream
-from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, dataset_to_dict,
+from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, Dataset, dataset_to_dict,
                             generate_inverse_synthetic, generate_synthetic)
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
@@ -1658,3 +1659,108 @@ def test_thread_cap_env_var(monkeypatch):
     cli._configure_threads()  # unset: every unset BLAS variable defaults to one thread
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
     assert os.environ["OMP_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == "1"
+
+
+def _mixed_queries(path, n, seed=8):
+    """A query CSV of `n` rows with fresh ids, cycling through a few dozen
+    inverse samples, row i lacking by i % 4 nothing, its temperature, its
+    duration, or both, so every submodel signature recurs throughout."""
+    pool = generate_inverse_synthetic(40, seed=seed).samples
+    samples = []
+    for i in range(n):
+        s = copy.copy(pool[i % len(pool)])
+        s.id = f"q{i}"
+        if i % 4 in (1, 3):
+            s.temperature = None
+        if i % 4 in (2, 3):
+            s.duration = None
+        samples.append(s)
+    return _dump_csv(Dataset(samples=samples), path)
+
+
+def _predict_inverse(model, queries, out):
+    assert cli.main(["predict", "--model", str(model), "--direction", "inverse",
+                     "--input", str(queries), "--out", str(out)]) == 0
+    with open(os.path.join(out, "predictions.csv"), "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def test_inverse_predictions_do_not_depend_on_the_chunks(inverse_run, tmp_path):
+    # queries are scored a chunk at a time, each written as it is scored:
+    # the file of 2 chunks + 1 row is its chunk-sized slices' files end to end
+    model = tmp_path / "ensemble.json"
+    model.write_text(json.dumps(inverse_run["payload"]))
+    chunk = inverse._QUERY_CHUNK
+    rows = _read_rows(_mixed_queries(tmp_path / "q.csv", 2 * chunk + 1))
+    whole = _predict_inverse(model, tmp_path / "q.csv", tmp_path / "p")
+    assert len(whole) == 1 + 6 * (2 * chunk + 1)
+    assert len({line.rsplit(b",", 1)[1] for line in whole[1:]}) == 3  # every signature served
+
+    def scored(name, part):
+        with open(tmp_path / name, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], *part])
+        lines = _predict_inverse(model, tmp_path / name, tmp_path / f"p-{name}")
+        assert lines[0] == whole[0]
+        return lines[1:]
+
+    slices = [scored(f"slice{lo}.csv", rows[1 + lo:1 + lo + chunk])
+              for lo in range(0, 2 * chunk + 1, chunk)]
+    assert [len(s) for s in slices] == [6 * chunk, 6 * chunk, 6]
+    assert b"".join(whole[1:]) == b"".join(b"".join(s) for s in slices)
+    k = 37
+    assert scored("first.csv", rows[1:1 + k]) == whole[1:1 + 6 * k]
+
+
+def test_inverse_non_finite_value_in_the_last_chunk_leaves_no_output(inverse_run, tmp_path,
+                                                                    capsys):
+    # the last chunk's rows alone carry a temperature, so the edited
+    # base+dur+temp submodel serves them alone: its forest's leaves sum to
+    # +inf and its GBM's stages to -inf, and any weighting of the two is NaN.
+    # Those rows are scored after the first chunks' rows were written.
+    payload = copy.deepcopy(inverse_run["payload"])
+    sub = payload["ensemble"]["submodels"]["base+dur+temp"]
+    assert sub is not None
+    for kind, key, big in (("forest", "trees", 1e308), ("gbm", "stages", -1e308)):
+        for model in sub[kind]["models"]:
+            model.update({"init_value": big} if kind == "gbm" else {})
+            for tree in model[key]:
+                tree["value"] = [big] * len(tree["value"])
+    model = tmp_path / "ensemble.json"
+    model.write_text(json.dumps(payload))
+    chunk = inverse._QUERY_CHUNK
+    queries = tmp_path / "q.csv"
+    rows = _read_rows(_mixed_queries(queries, 2 * chunk + 1))
+    head = rows[0]
+    for row in rows[1:1 + 2 * chunk]:
+        row[head.index("temp_c")] = ""
+    for row in rows[1 + 2 * chunk:]:
+        row[head.index("temp_c")] = row[head.index("temp_c")] or "25.0"
+        row[head.index("duration_days")] = row[head.index("duration_days")] or "30.0"
+    with open(queries, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "p"
+    assert cli.main(["predict", "--model", str(model), "--direction", "inverse",
+                     "--input", str(queries), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: the model predicts a non-finite value\n"
+    assert os.listdir(out) == []
+
+
+def test_inverse_predict_memory_does_not_grow_with_the_query_count(inverse_run, tmp_path):
+    # inverse predict holds the model and one chunk of queries, plus each
+    # query's id and seven fields (about 80 bytes a query): the traced peak
+    # on 20,000 queries is within a fixed margin of the peak on 2,000
+    model = tmp_path / "ensemble.json"
+    model.write_text(json.dumps(inverse_run["payload"]))
+
+    def peak(n):
+        queries = _mixed_queries(tmp_path / f"q{n}.csv", n)
+        tracemalloc.start()
+        try:
+            assert cli.main(["predict", "--model", str(model), "--direction", "inverse",
+                             "--input", queries, "--out", str(tmp_path / f"p{n}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(20_000)
+    assert large - small < 4 * 2 ** 20, (small, large)

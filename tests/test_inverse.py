@@ -303,7 +303,7 @@ def test_report_and_prediction_rows():
     assert (len(union_rows), len(submodel_rows)) == (1 + 6, 1 + 6 * 3)
 
     preds = predict_inverse(ens, _queries(data.samples[:4]))
-    prows = inverse_prediction_rows(preds)
+    prows = list(inverse_prediction_rows(preds))
     assert prows[0] == ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
     assert len(prows) == 1 + 4 * 6
 

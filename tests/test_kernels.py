@@ -24,6 +24,7 @@ from corrml.kernels import (
     kernel_to_dict,
     leaves,
     set_log_params,
+    sq_dist,
 )
 from gp_reference import kernel_and_prefactor, param_names
 
@@ -283,3 +284,28 @@ def test_cross_gram_holds_under_five_arrays_of_its_shape():
     finally:
         tracemalloc.stop()
     assert peak < 5 * n * m * 8, f"{peak / (n * m * 8):.2f} arrays of n x m floats"
+
+
+@pytest.mark.parametrize("same_rows", [False, True], ids=["two-row-sets", "one-row-set"])
+def test_sq_dist_fills_its_broadcast_sums_without_a_ufunc_buffer(same_rows):
+    # numpy buffers a two-dimensional broadcast sum, two buffers of
+    # np.getbufsize() floats a call (128 KiB) at 262 x 331; sq_dist fills
+    # |Z_i|^2 + |Zp_j|^2, and with one row set the half of it, without one.
+    # With one row set, r^2 = g + g^T still buffers its transposed operand,
+    # one buffer. Few columns, so the copies dgemm takes of Z and Zp stay small.
+    rng = np.random.default_rng(41)
+    n, m, d = 262, 331, 2
+    Z = rng.normal(size=(n, d))
+    Zp = Z if same_rows else rng.normal(size=(m, d))
+    out = np.empty((n, len(Zp)))
+    scratch = np.empty((n, n)) if same_rows else None
+    want = np.maximum(np.add.outer((Z * Z).sum(1), (Zp * Zp).sum(1)) - 2 * Z @ Zp.T, 0.0)
+    sq_dist(Z, Zp, np.array([], dtype=np.intp), out=out, scratch=scratch)
+    tracemalloc.start()
+    try:
+        sq_dist(Z, Zp, np.array([], dtype=np.intp), out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 10 + same_rows * 8 * np.getbufsize(), peak
+    np.testing.assert_allclose(out, want, atol=1e-12)

@@ -409,7 +409,7 @@ def test_descent_gives_the_same_bits_in_blocks_of_any_size(monkeypatch, kind):
     by_budget = {}
     # one tree a block, 7 trees a block (the last block of 2), one block
     for budget in (1, 7 * 200, 1 << 30):
-        monkeypatch.setattr(trees_module, "_SLOT_BUDGET", budget)
+        monkeypatch.setattr(trees_module, "_DESCENT_SLOTS", budget)
         by_budget[budget] = (trees_module._stacked_values(trees, Xs),
                              predict_gbm(GradientBoostedTrees(0.5, trees, 0.1), Xs),
                              predict_forest(RandomForest(trees, n_estimators=30, max_features=4,
@@ -423,7 +423,7 @@ def test_descent_gives_the_same_bits_in_blocks_of_any_size(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["fitted", "loaded"])
 def test_descent_scratch_does_not_grow_with_the_tree_count(kind):
-    # 1,000 rows: a block of the default budget holds 65 trees
+    # 1,000 rows: a block of the default budget holds 8 trees
     trees = _descended(kind, 400)
     Xs = np.random.default_rng(21).normal(size=(1000, 4))
 
