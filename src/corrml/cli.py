@@ -552,7 +552,8 @@ def cmd_compare_forward(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .dataset import DEFAULT_ENVIRONMENTS, csv_samples, parse_csv
+    from .dataset import DEFAULT_ENVIRONMENTS, csv_samples
+    from .preprocess import FEATURE_SETS, feature_fields, sample_table
     from .schema import load, one_of
     from .trees import node_arrays
 
@@ -560,15 +561,17 @@ def cmd_predict(args) -> int:
         raise ValidationError("--units wt does not apply to --direction inverse: its "
                               "queries list only Al, Si and Mg, whose at% cannot be "
                               "derived from wt% without the trace elements")
-    # The query file is read first, so the memory its check takes (every id
-    # it has read) is free again when the model is loaded. Inverse queries
-    # are read a row at a time and only their ids and fields kept.
+    # The query file is read first, a row at a time into a table of its ids
+    # and the fields the direction reads, so the memory its check takes
+    # (every id it has read) is free again when the model is loaded.
     if args.direction == "forward":
-        queries = parse_csv(args.input, units=args.units, require_rate=False)
+        samples = csv_samples(args.input, units=args.units, require_rate=False)
+        widest = FEATURE_SETS[-1]
     else:
-        from .inverse import query_columns
+        from .inverse import SUBMODEL_SETS
 
-        queries = query_columns(csv_samples(args.input))
+        samples, widest = csv_samples(args.input), SUBMODEL_SETS[-1]
+    queries = sample_table(samples, feature_fields(widest))
     payload = read_json(args.model, object_hook=node_arrays)
     # the envelope of the model files train-forward and train-inverse write;
     # the states it holds are read by their own tables
@@ -580,8 +583,7 @@ def cmd_predict(args) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
             from .evaluation import FAMILIES
-            from .preprocess import (FEATURE_SETS, ScalerState, apply_scaler, build_features,
-                                     feature_width)
+            from .preprocess import ScalerState, apply_scaler, feature_matrix, feature_width
 
             head = load(payload, {**envelope, "family": one_of(*FAMILIES),
                                   "feature_set": one_of(*FEATURE_SETS),
@@ -604,10 +606,11 @@ def cmd_predict(args) -> int:
                 raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
                                       f"feature set {feature_set!r} has {width}")
             with _samples_of(args.input):
-                fm, _ = build_features(queries, feature_set)
-            if len(fm.sample_ids) < len(queries.samples):
+                fm, _ = feature_matrix(queries, feature_set)
+            if len(fm.sample_ids) < len(queries):
                 log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                            len(queries.samples) - len(fm.sample_ids), feature_set)
+                            len(queries) - len(fm.sample_ids), feature_set)
+            del queries  # the feature matrix holds what scoring needs of the table
             X = fm.values if scaler is None else apply_scaler(scaler, fm.values)
             values = family.predict(model, X)
             if not all(map(math.isfinite, values)):

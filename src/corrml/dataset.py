@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .csvrows import csv_rows
 from .errors import ValidationError
-from .schema import NUMBER, STRING, finite, integer, parse, rule
+from .schema import NUMBER, STRING, Fault, finite, integer, parse, rule
 
 log = logging.getLogger(__name__)
 
@@ -156,11 +156,11 @@ class Dataset:
         if tuple(self.environment_names) != DEFAULT_ENVIRONMENTS:
             raise ValidationError(f"environment labels must be {list(DEFAULT_ENVIRONMENTS)}")
         self.environment_names = DEFAULT_ENVIRONMENTS
-        seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise ValidationError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
+        first: dict[str, int] = {}  # sample id -> the position it first holds
+        for i, s in enumerate(self.samples):
+            if first.setdefault(s.id, i) != i:
+                raise Fault(f"duplicate sample id {s.id!r} (first at ['samples'][{first[s.id]}])",
+                            path=("samples", i, "id"))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -226,7 +226,7 @@ def csv_samples(
     column per element symbol, holding percentages in the declared basis
     (``units`` is "wt" or "at"), each column named once. Empty cells are
     allowed only for temp_c, duration_days, the rate-or-grade pair, and
-    element columns (default 0).
+    element columns (default 0); a cell past the header's last column must be empty.
     All row-level failures, a sample id already read on an earlier row among
     them, are collected and raised together once the last row is read: their
     count, then the first 20 with their row numbers, then how many more there
@@ -259,11 +259,17 @@ def csv_samples(
     problems: list[str] = []
     first_row: dict[str, int] = {}  # sample id -> the row it was first read on
     for row_no, row in enumerate(rows, start=2):
-        if not any(cell.strip() for cell in row):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
             continue
         try:
-            sample = _parse_row(row, idx, element_cols, units, grade_map, env_ids,
-                                strict_composition, composition_floor, require_rate)
+            beyond = [i + 1 for i in range(len(header), len(cells)) if cells[i]]
+            if beyond:
+                raise ValidationError(f"cell {beyond[0]} is beyond the header's {len(header)} cells")
+            # a short row's missing cells are empty
+            sample = _parse_row(cells + [""] * (len(header) - len(cells)), idx, element_cols,
+                                units, grade_map, env_ids, strict_composition,
+                                composition_floor, require_rate)
             if sample.id in first_row:
                 raise ValidationError(f"duplicate sample id {sample.id!r} "
                                       f"(first on row {first_row[sample.id]})")
@@ -278,10 +284,6 @@ def csv_samples(
         raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(listed))
 
 
-def _cell(row: list[str], i: int) -> str:
-    return row[i].strip() if i < len(row) else ""
-
-
 def _parse_float(text: str, what: str) -> float:
     try:
         return float(text)
@@ -291,17 +293,18 @@ def _parse_float(text: str, what: str) -> float:
 
 def _parse_row(row, idx, element_cols, units, grade_map, env_ids,
                strict_composition, composition_floor, require_rate) -> CorrosionSample:
-    sample_id = _cell(row, idx["id"])
+    """The sample of a row's cells, stripped and one per header column."""
+    sample_id = row[idx["id"]]
     if not sample_id:
         raise ValidationError("empty id")
 
-    env_label = _cell(row, idx["env"])
+    env_label = row[idx["env"]]
     if env_label not in env_ids:
         raise ValidationError(f"unknown environment label {env_label!r}")
 
     entries = {}
     for sym in element_cols:
-        text = _cell(row, idx[sym])
+        text = row[idx[sym]]
         value = _parse_float(text, f"element {sym}") if text else 0.0
         if value != 0.0:
             entries[sym] = value
@@ -311,10 +314,10 @@ def _parse_row(row, idx, element_cols, units, grade_map, env_ids,
     if units == "wt":
         comp = wt_to_at(comp)
 
-    rate_text = _cell(row, idx["rate"])
-    grade_text = _cell(row, idx["grade"])
+    rate_text = row[idx["rate"]]
+    grade_text = row[idx["grade"]]
     if rate_text:
-        unit = _cell(row, idx["rate_unit"]) or "mpy"
+        unit = row[idx["rate_unit"]] or "mpy"
         rate = convert_rate(_parse_float(rate_text, "rate"), unit, "mpy")
         if grade_text:
             log.info("sample %s: both rate and grade present; using rate", sample_id)
@@ -327,8 +330,8 @@ def _parse_row(row, idx, element_cols, units, grade_map, env_ids,
     if rate < 0:
         raise ValidationError(f"negative rate {rate}")
 
-    temp_text = _cell(row, idx["temp_c"])
-    dur_text = _cell(row, idx["duration_days"])
+    temp_text = row[idx["temp_c"]]
+    dur_text = row[idx["duration_days"]]
     return CorrosionSample(
         id=sample_id,
         composition=comp,

@@ -6,10 +6,11 @@ environment id, at% Al/Si/Mg), base+duration, base+duration+temperature —
 each a weighted pair of multi-output regressors (random forest + gradient
 boosting). Pair weights come from validation R^2 clamped at zero and
 normalized; equal scores give (0.5, 0.5). Training and evaluation read a
-dataset's rows through `inverse_features`. Queries are columns
-(`InverseQueries`): each query's id and its seven fields, taken from samples
-one at a time, so a query file need not be held as samples. A query is
-served by every submodel whose fields it carries, and the served
+dataset's rows through `inverse_features`. Queries are a
+`preprocess.SampleTable` of the fields the widest submodel reads, written a
+sample at a time, so a query file need not be held as samples; each
+submodel selects its feature set from that table, as training does. A
+query is served by every submodel whose fields it carries, and the served
 predictions are averaged unweighted (the union model), then clamped to the
 physical [0, 100] at% range. Queries are scored a fixed-size chunk at a
 time, so scoring holds one chunk's arrays however many queries there are.
@@ -18,18 +19,19 @@ time, so scoring holds one chunk's arrays however many queries there are.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .dataset import ELEMENT_ORDER, CorrosionSample, Dataset
+from .dataset import Dataset
 from .errors import NoSamplesError, ValidationError
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
-from .preprocess import INVERSE_BASE_ELEMENTS, feature_rows, feature_width, split_train_test
+from .preprocess import INVERSE_BASE_ELEMENTS  # noqa: F401  (the base part's; re-exported)
+from .preprocess import (SampleTable, feature_fields, feature_width, sample_table, select,
+                         split_train_test)
 from .schema import NUMBER, STRING, integer, parse
 from .trees import (
     MultiOutputModel,
@@ -66,13 +68,14 @@ def inverse_features(dataset: Dataset, feature_set: str
     every optional field the submodel reads, by position in the dataset.
 
     X columns: rate, environment id, at% Al, Si, Mg [, duration [, temperature]];
-    Y columns: at% of the six target elements, read from the comp columns.
+    Y columns: at% of the six target elements.
     """
     if feature_set not in SUBMODEL_SETS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
-    width = feature_width(feature_set)
-    rows, M = feature_rows(dataset, feature_set + "+comp")
-    return rows, M[:, :width], M[:, [width + ELEMENT_ORDER.index(e) for e in INVERSE_TARGETS]]
+    table = sample_table(dataset.samples, feature_fields(feature_set) + INVERSE_TARGETS)
+    X, present = select(table, feature_set)
+    rows = np.flatnonzero(present)
+    return rows.tolist(), X[rows], table.columns(INVERSE_TARGETS)[rows]
 
 
 def pair_weights(forest_r2: float, gbm_r2: float) -> tuple[float, float]:
@@ -225,67 +228,26 @@ def _union(ensemble: InverseEnsemble, n: int, subsets) -> tuple[np.ndarray, dict
     return clamp_at_pct(total / count[:, None]), per_set
 
 
-@dataclass
-class InverseQueries:
-    """Queries as columns: every query's id, UTF-8 encoded, end to end in
-    `id_bytes`, query i's ending at byte id_ends[i], and one row of
-    `features` per query, (rate, environment id, at% Al, Si, Mg, duration,
-    temperature), NaN for an absent duration or temperature. Every feature
-    set's columns lead it: a submodel reads a row's first
-    feature_width(set) values. Ids held as bytes take about a sixth of the
-    memory of as many str objects."""
-    id_bytes: bytearray
-    id_ends: np.ndarray
-    features: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-    def id(self, i: int) -> str:
-        """The id of query i."""
-        return self.id_bytes[self.id_ends[i - 1] if i else 0:self.id_ends[i]].decode()
-
-
-_NO_VALUE = float("nan")  # an absent duration or temperature; a present one is finite
-_QUERY_FIELDS = feature_width(SUBMODEL_SETS[-1])  # the widest set reads every field
-
-
-def query_columns(samples: Iterable[CorrosionSample]) -> InverseQueries:
-    """The queries of `samples` (a dataset's, or `dataset.csv_samples` of a
-    query file), each taken as it comes: its id and its feature row, the
-    values `feature_rows` reads for it."""
-    id_bytes, id_ends, values = bytearray(), array("q"), array("d")
-    for s in samples:
-        id_bytes += s.id.encode()
-        id_ends.append(len(id_bytes))
-        values.extend((s.rate, float(s.environment),
-                       *map(s.composition.get, INVERSE_BASE_ELEMENTS),
-                       _NO_VALUE if s.duration is None else s.duration,
-                       _NO_VALUE if s.temperature is None else s.temperature))
-    return InverseQueries(id_bytes, np.frombuffer(id_ends, dtype=np.int64),
-                          np.frombuffer(values).reshape(len(id_ends), _QUERY_FIELDS))
-
-
-def _chunk_predictions(ensemble: InverseEnsemble, queries: InverseQueries, lo: int
+def _chunk_predictions(ensemble: InverseEnsemble, queries: SampleTable, lo: int
                        ) -> Iterator[InversePrediction]:
     """The predictions of the chunk of queries from lo, each made as the
     iteration reaches it, from the chunk's union and its served rows."""
-    M = queries.features[lo:lo + _QUERY_CHUNK]
+    chunk = slice(lo, min(lo + _QUERY_CHUNK, len(queries)))
     subsets = []
     for feature_set in ensemble.available_sets():
-        X = M[:, :feature_width(feature_set)]
-        served = ~np.isnan(X).any(axis=1)
+        X, served = select(queries, feature_set, chunk)
         if served.any():
             subsets.append((feature_set, served, X[served]))
-    union, _ = _union(ensemble, len(M), subsets)
+    ids = queries.ids(range(chunk.start, chunk.stop))
+    union, _ = _union(ensemble, len(ids), subsets)
     names = ensemble.target_names
     for i, values in enumerate(union):
-        yield InversePrediction(queries.id(lo + i), dict(zip(names, values.tolist())),
+        yield InversePrediction(ids[i], dict(zip(names, values.tolist())),
                                 [feature_set for feature_set, served, _ in subsets
                                  if served[i]])
 
 
-def inverse_predictions(ensemble: InverseEnsemble, queries: InverseQueries
+def inverse_predictions(ensemble: InverseEnsemble, queries: SampleTable
                         ) -> Iterator[InversePrediction]:
     """Union-model predictions for every query, in order, scored
     _QUERY_CHUNK queries at a time as the iteration reaches them; each
@@ -311,7 +273,8 @@ def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[Inverse
     """Union-model predictions for every sample of `dataset`: its rate,
     environment, at% Al/Si/Mg and, where present, duration and temperature;
     a dataset of no sample is a NoSamplesError."""
-    return list(inverse_predictions(ensemble, query_columns(dataset.samples)))
+    queries = sample_table(dataset.samples, feature_fields(SUBMODEL_SETS[-1]))
+    return list(inverse_predictions(ensemble, queries))
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""Dataset -> model-ready matrices: the feature-set grammar both directions
-read samples through, one-hot environments, the training-data check every
-model family applies, standard scaling, target capping and train/test splits.
+"""Dataset -> model-ready matrices: the one column table every stream of
+samples is written into, the feature-set grammar that selects from it for
+both directions, one-hot environments, the training-data check every model
+family applies, standard scaling, target capping and train/test splits.
 
 All transformations are pure and deterministic in their (data, seed) inputs so
 that a run can be reproduced bit-for-bit from its recorded metadata.
@@ -8,11 +9,14 @@ that a run can be reproduced bit-for-bit from its recorded metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, CorrosionSample, Dataset
+from .dataset import (ATOMIC_MASS, DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, CorrosionSample,
+                      Dataset)
 from .errors import NoSamplesError, ValidationError
 from .schema import array, parse
 
@@ -27,45 +31,111 @@ class FeatureMatrix:
     sample_ids: list[str]
 
 
+_ABSENT = float("nan")  # an absent temperature or duration; a present one is finite
+# each table field besides the element symbols, read from a sample
+_SCALARS = {"env": lambda s: float(s.environment), "rate": lambda s: s.rate,
+            "temp": lambda s: _ABSENT if s.temperature is None else s.temperature,
+            "dur": lambda s: _ABSENT if s.duration is None else s.duration}
+
+
+@dataclass
+class SampleTable:
+    """Samples as columns, as Arrow lays them out: the ids, UTF-8, end to
+    end in `id_bytes` (sample i's at offsets[i]:offsets[i + 1]), a sixth of
+    the memory of str objects, and one row of `values` per sample, one column
+    per field: an element symbol (at%), "env" (the environment id), "temp",
+    "dur" (NaN where absent) or "rate"."""
+    fields: tuple[str, ...]
+    values: np.ndarray
+    id_bytes: bytearray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def ids(self, rows) -> list[str]:
+        """The ids of the samples at positions `rows`, in order."""
+        ends = zip(self.offsets[rows].tolist(), self.offsets[np.add(rows, 1)].tolist())
+        return [self.id_bytes[a:b].decode() for a, b in ends]
+
+    def columns(self, fields: Sequence[str], rows: slice = slice(None)) -> np.ndarray:
+        """The values of `fields` of the samples in `rows`, C-ordered: the
+        GP's products round a Fortran-ordered matrix differently."""
+        return self.values[rows].take([self.fields.index(name) for name in fields], axis=1)
+
+
+def sample_table(samples: Iterable[CorrosionSample], fields: Sequence[str]) -> SampleTable:
+    """The table of `samples`' `fields`, each sample written as the iteration
+    reaches it, so a stream of samples (`dataset.csv_samples` of a file) is
+    never held. A composition is written one entry at a time, the entries
+    it holds only; an element it lacks reads 0."""
+    fields = tuple(fields)
+    elements = {name: j for j, name in enumerate(fields) if name in ATOMIC_MASS}
+    scalars = [(j, _SCALARS[name]) for j, name in enumerate(fields) if name not in elements]
+    blank = [0.0] * len(fields)
+    # `struct` packs them: numpy loads it, and `array` would add 0.4 MB of RSS
+    pack_row, pack_offset = struct.Struct(f"{len(fields)}d").pack, struct.Struct("q").pack
+    id_bytes, offsets, values = bytearray(), bytearray(pack_offset(0)), bytearray()
+    for s in samples:
+        id_bytes += s.id.encode()
+        offsets += pack_offset(len(id_bytes))
+        row = blank.copy()
+        for symbol, pct in s.composition.entries.items():
+            if symbol in elements:
+                row[elements[symbol]] = pct
+        for j, value in scalars:
+            row[j] = value(s)
+        values += pack_row(*row)
+    offsets = np.frombuffer(offsets, dtype=np.int64)
+    return SampleTable(fields, np.frombuffer(values).reshape(len(offsets) - 1, len(fields)),
+                       id_bytes, offsets)
+
+
 # A feature set joins its parts with "+", and its columns are its parts'
-# columns in that order, so its name alone fixes its layout. A part gives a
-# sample's values for its columns, or None where the sample lacks the field,
-# which keeps the sample out. Forward sets read comp, env, temp and dur,
-# inverse sets base, dur and temp; rate is the forward target.
+# table fields in that order, so its name alone fixes its layout; a forward
+# set's env part is one indicator column per environment. Forward sets read
+# comp, env, temp and dur, inverse sets base, dur and temp.
 INVERSE_BASE_ELEMENTS = ("Al", "Si", "Mg")
-_PARTS = {
-    "comp": lambda s: [s.composition.get(sym) for sym in ELEMENT_ORDER],
-    "env": lambda s: [float(k == s.environment) for k in range(len(DEFAULT_ENVIRONMENTS))],
-    "temp": lambda s: None if s.temperature is None else [s.temperature],
-    "dur": lambda s: None if s.duration is None else [s.duration],
-    "base": lambda s: ([s.rate, float(s.environment)]
-                       + [s.composition.get(e) for e in INVERSE_BASE_ELEMENTS]),
-    "rate": lambda s: [s.rate],
-}
-_WIDTHS = {"comp": len(ELEMENT_ORDER), "env": len(DEFAULT_ENVIRONMENTS), "temp": 1, "dur": 1,
-           "base": 2 + len(INVERSE_BASE_ELEMENTS), "rate": 1}
+_PART_FIELDS = {"comp": ELEMENT_ORDER, "env": ("env",), "temp": ("temp",), "dur": ("dur",),
+                "base": ("rate", "env", *INVERSE_BASE_ELEMENTS)}
 # a forward part's (name, kind) per column, as a model file records them
 _COLUMNS = {"comp": [(sym, "composition") for sym in ELEMENT_ORDER],
             "env": [(f"env={name}", "environment-indicator") for name in DEFAULT_ENVIRONMENTS],
             "temp": [("temp_c", "temperature")], "dur": [("duration_days", "duration")]}
 
 
+def feature_fields(feature_set: str) -> tuple[str, ...]:
+    """The table fields `feature_set` reads."""
+    return tuple(f for part in feature_set.split("+") for f in _PART_FIELDS[part])
+
+
 def feature_width(feature_set: str) -> int:
     """The number of columns of `feature_set`'s rows."""
-    return sum(_WIDTHS[part] for part in feature_set.split("+"))
+    return sum(len(DEFAULT_ENVIRONMENTS) if part == "env" else len(_PART_FIELDS[part])
+               for part in feature_set.split("+"))
 
 
-def feature_rows(d: Dataset, feature_set: str) -> tuple[list[int], np.ndarray]:
-    """(positions, matrix) of the samples that have a value in every column of
-    `feature_set`: their positions in the dataset, in order, and their rows."""
-    parts = [_PARTS[name] for name in feature_set.split("+")]
-    positions, rows = [], []
-    for i, s in enumerate(d.samples):
-        values = [part(s) for part in parts]
-        if None not in values:
-            positions.append(i)
-            rows.append([v for part in values for v in part])
-    return positions, np.asarray(rows, dtype=float).reshape(-1, feature_width(feature_set))
+def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(X, present): `feature_set`'s columns of the samples in `rows`, NaN
+    where a sample lacks a field, and the mask of the rows that lack none."""
+    blocks = []
+    for part in feature_set.split("+"):
+        block = table.columns(_PART_FIELDS[part], rows)
+        blocks.append((block == np.arange(len(DEFAULT_ENVIRONMENTS))).astype(float)
+                      if part == "env" else block)
+    X = np.hstack(blocks)
+    return X, ~np.isnan(X).any(axis=1)
+
+
+def feature_matrix(table: SampleTable, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
+    """(matrix, rows): the samples of `table` that carry every field of
+    forward `feature_set`, and their positions; none is a NoSamplesError."""
+    X, present = select(table, feature_set)
+    rows = np.flatnonzero(present)
+    if not rows.size:
+        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
+    return FeatureMatrix(X if rows.size == len(X) else X[rows], table.ids(rows)), rows
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
@@ -77,11 +147,9 @@ def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndar
     """
     if feature_set not in FEATURE_SETS:
         raise ValidationError(f"unknown feature set {feature_set!r}; choose from {FEATURE_SETS}")
-    # the target rides along as the last column, so one pass reads both
-    positions, values = feature_rows(d, feature_set + "+rate")
-    if not positions:
-        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
-    return FeatureMatrix(values[:, :-1], [d.samples[i].id for i in positions]), values[:, -1]
+    table = sample_table(d.samples, feature_fields(feature_set) + ("rate",))
+    fm, rows = feature_matrix(table, feature_set)
+    return fm, table.columns(("rate",))[rows, 0]
 
 
 def training_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +222,7 @@ def cap_target(samples: list[CorrosionSample], threshold: float = 100.0,
     if mode == "drop":
         kept = [s for s in samples if s.rate <= threshold]
     else:
-        kept = [s if s.rate <= threshold else
-                CorrosionSample(id=s.id, composition=s.composition, environment=s.environment,
-                                rate=threshold, temperature=s.temperature, duration=s.duration)
-                for s in samples]
+        kept = [s if s.rate <= threshold else replace(s, rate=threshold) for s in samples]
     if not kept:
         raise NoSamplesError(f"cap at {threshold} removed every sample")
     return kept

@@ -21,9 +21,9 @@ from .errors import ValidationError
 class Fault(ValidationError):
     """A refused value, at `path`: the keys and list positions leading to it."""
 
-    def __init__(self, problem: str, missing: bool = False):
+    def __init__(self, problem: str, missing: bool = False, path: tuple = ()):
         super().__init__(problem)
-        self.problem, self.missing, self.path = problem, missing, []
+        self.problem, self.missing, self.path = problem, missing, list(path)
 
     def __str__(self) -> str:
         where = "".join(f"[{key!r}]" for key in self.path)

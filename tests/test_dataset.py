@@ -209,6 +209,23 @@ def test_parse_csv_aggregates_row_errors(tmp_path):
     assert "row 2" not in message
 
 
+def test_parse_csv_refuses_a_cell_beyond_the_header(tmp_path):
+    # blank cells past the header's last column pass; the csv reader would
+    # drop a non-empty one, so its row is refused
+    path = _write_csv(tmp_path / "wide.csv", [
+        ["a1", ENV, "", "", "1.5", "mpy", "", "95", "5", "", " "],
+        ["a2", ENV, "", "", "1.5", "mpy", "", "95", "5", "77"],
+        ["a3", ENV, "", "", "1.5", "mpy", "", "95", "5", "", "x"],
+    ])
+    with pytest.raises(ValidationError) as err:
+        parse_csv(path)
+    assert str(err.value).splitlines()[1:] == [
+        "row 3: cell 10 is beyond the header's 9 cells",
+        "row 4: cell 11 is beyond the header's 9 cells"]
+    assert len(parse_csv(_write_csv(tmp_path / "blank.csv", [
+        ["a1", ENV, "", "", "1.5", "mpy", "", "95", "5", "", " "]]))) == 1
+
+
 def test_parse_csv_structural_errors(tmp_path):
     missing = tmp_path / "missing.csv"
     with open(missing, "w", newline="") as fh:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import feature_reference as ref
 from corrml.dataset import (
     ELEMENT_ORDER,
     CorrosionSample,
@@ -22,9 +25,12 @@ from corrml.preprocess import (
     apply_scaler,
     build_features,
     cap_target,
+    feature_fields,
     feature_width,
     fit_scaler,
     run_metadata,
+    sample_table,
+    select,
     split_train_test,
 )
 from corrml.trees import fit_forest, fit_gbm
@@ -123,6 +129,64 @@ def test_feature_set_rows_and_columns(feature_set):
             Y, [[ds.samples[i].composition.get(e) for e in INVERSE_TARGETS] for i in rows])
         with pytest.raises(ValidationError):
             build_features(ds, feature_set)
+
+
+def _zero_or(values):
+    """0.0, -0.0 or one of `values`."""
+    return st.sampled_from([0.0, -0.0]) | values
+
+
+@st.composite
+def _table_samples(draw):
+    """Up to 12 samples, each field drawn on its own: a composition of no
+    entries or of some, an entry possibly an explicit 0.0 or -0.0, and a
+    temperature or duration possibly absent."""
+    samples = []
+    for i in range(draw(st.integers(0, 12))):
+        entries = draw(st.dictionaries(st.sampled_from(ELEMENT_ORDER),
+                                       _zero_or(st.floats(0.0, 3.0)), max_size=8))
+        samples.append(CorrosionSample(
+            id=f"{draw(st.text(max_size=3))}#{i}",
+            composition=ElementComposition(entries=entries, basis="atomic"),
+            environment=draw(st.integers(0, 8)), rate=draw(_zero_or(st.floats(0.0, 1e3))),
+            temperature=draw(st.none() | _zero_or(st.floats(-273.15, 500.0))),
+            duration=draw(st.none() | st.floats(1e-3, 1e4))))
+    return samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=_table_samples(), lo=st.integers(0, 12), size=st.integers(1, 12))
+def test_feature_sets_match_the_per_sample_reference(samples, lo, size):
+    # every feature set of each direction selects, from the column table,
+    # the rows, ids and bytes the per-sample reference builds
+    ds = Dataset(samples=samples)
+    for feature_set in FEATURE_SETS:
+        positions, M = ref.feature_rows(samples, feature_set + "+rate")
+        if not positions:
+            with pytest.raises(ValidationError):
+                build_features(ds, feature_set)
+            continue
+        fm, y = build_features(ds, feature_set)
+        assert fm.sample_ids == [samples[i].id for i in positions]
+        assert fm.values.shape == (len(positions), feature_width(feature_set))
+        assert fm.values.tobytes() == np.ascontiguousarray(M[:, :-1]).tobytes()
+        assert y.tobytes() == np.ascontiguousarray(M[:, -1]).tobytes()
+    queries = sample_table(samples, feature_fields(SUBMODEL_SETS[-1]))
+    chunk = slice(lo, lo + size)
+    for feature_set in SUBMODEL_SETS:
+        width = feature_width(feature_set)
+        positions, M = ref.feature_rows(samples, feature_set + "+targets")
+        rows, X, Y = inverse_features(ds, feature_set)
+        assert rows == positions
+        assert (X.shape, Y.shape) == ((len(rows), width), (len(rows), len(INVERSE_TARGETS)))
+        assert X.tobytes() == np.ascontiguousarray(M[:, :width]).tobytes()
+        assert Y.tobytes() == np.ascontiguousarray(M[:, width:]).tobytes()
+        # a chunk of a query table serves the same rows, with the same bytes
+        X, served = select(queries, feature_set, chunk)
+        in_chunk = [i for i in positions if lo <= i < lo + size]
+        assert (np.flatnonzero(served) + lo).tolist() == in_chunk
+        assert X[served].tobytes() == np.ascontiguousarray(
+            M[[positions.index(i) for i in in_chunk], :width]).tobytes()
 
 
 def test_feature_order_is_stable():
