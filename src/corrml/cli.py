@@ -19,6 +19,7 @@ before numpy first loads.
 import argparse
 import contextlib
 import csv
+import importlib.util
 import json
 import logging
 import math
@@ -65,6 +66,22 @@ def _configure_threads() -> None:
         raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
     for var in _BLAS_ENV_VARS:
         os.environ[var] = str(n)
+
+
+def _use_builtin_digests() -> None:
+    """Keep OpenSSL's libcrypto, about 3.5 MB of resident memory, out of the
+    process where CPython has a SHA-256 of its own: `numpy.random` imports
+    `secrets`, whose `hmac` imports hashlib's OpenSSL module `_hashlib`.
+    A None entry for that module fails its import, so `hmac` and `hashlib`
+    take CPython's built-in digests and `_operator._compare_digest`, as on a
+    build without OpenSSL. A module already loaded is kept, and a build whose
+    only SHA-256 is OpenSSL's keeps it. The entry outlives `main`: a caller
+    that runs `main` in its own process and imports `hashlib` after it gets
+    the built-in digests only."""
+    # found, not imported: loading it would map one more shared object into
+    # commands that take no digest
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        sys.modules.setdefault("_hashlib", None)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +780,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
+        _use_builtin_digests()
         _configure_threads()
         args = build_parser().parse_args(argv)
         try:

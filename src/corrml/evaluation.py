@@ -117,9 +117,9 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     cell whose process dies is lost, and only that cell; if that is the
     first failure, a TrainingError names the lost cells.
     """
-    # every cell draws from numpy.random, whose import loads OpenSSL's
-    # libcrypto (numpy.random -> secrets -> hmac); loaded before the fork,
-    # its pages are shared with the workers instead of loaded by each one
+    # every cell draws from numpy.random; imported before the fork, its
+    # extension modules (and OpenSSL's libcrypto, in a process that lets
+    # hashlib load it) are pages the workers share instead of each loading them
     import numpy.random  # noqa: F401
 
     configs = configs or {}

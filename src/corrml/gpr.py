@@ -93,17 +93,27 @@ class _NlmlWorkspace:
     gradient, which is reported as an exact 0.0. Each leaf divides the centred
     varying columns by its lengthscales and takes r^2 from `kernels.sq_dist`,
     as `kernels.gram` does: exactly symmetric, and exactly 0 for the pairs of
-    equal rows found here once. Every evaluation writes r^2 and then the
-    kernel values over it, gradient prefactors, K, its Cholesky factor, K^-1
-    and the gradient weights into n x n buffers owned here, as many whatever
-    the input dimension, so after the first one an evaluation allocates no
-    n x n arrays. The terms and factor an evaluation returns are overwritten
-    by the next one.
+    equal rows found here once. The n x n buffers are as many whatever the
+    input dimension, so after the first evaluation one allocates no n x n
+    arrays:
+
+    - K, and the factor buffer, which holds L once K is factored;
+    - for a gradient, each leaf's values k, written over its r^2, and its
+      prefactor p, except an RBF leaf's, whose p is its k.
+
+    No buffer holds K^-1 or the gradient weights on its own. K is not read
+    once factored, nor L once alpha and the value are taken from it: a
+    gradient computes K^-1 over L in place (LAPACK dpotri), writes
+    A = K^-1 - alpha alpha^T over K, and each leaf's weights A o p over the
+    factor buffer, which until the factorization is also `sq_dist`'s
+    scratch and the kernels' work array. So a gradient overwrites the
+    factor `_factorize` returns, and the next evaluation every buffer.
 
     A value-only evaluation (`value`, and `_finalize` for a fitted or loaded
-    model) needs K, its factor and the kernels' work arrays only: the
-    buffers only a gradient reads are allocated at the first
-    `value_and_grad`, so a model loaded for prediction never holds them.
+    model) writes K's later leaves and their work into the gradient's leaf
+    buffers, and allocates only those a gradient has not: a fit's last
+    factorization allocates nothing, and a model loaded for prediction
+    holds no gradient buffers.
 
     Every large BLAS product and LAPACK call goes through scipy's library, bound
     in `corrml._linalg`, none through numpy's: when both libraries run
@@ -124,10 +134,9 @@ class _NlmlWorkspace:
         self._same = same_rows(X, X)
         self._K = np.empty((n, n))
         self._L = np.empty((n, n), order="F")
-        self._scratch = np.empty((n, n))
-        # gradient-only: the squared centred columns, dgemm output, K^-1,
-        # K^-1 - alpha alpha^T, and each leaf's [k, p], p made once a leaf needs it
-        self._xc2 = self._wx = self._inv = self._A = None
+        # gradient-only: the squared centred columns, dgemm output, and each
+        # leaf's [k, p], p made once a leaf needs it
+        self._xc2 = self._wx = None
         self._leaf_bufs: list[list] = []
 
     def _leaf_terms(self, spec: KernelSpec, grad: bool = True):
@@ -136,10 +145,13 @@ class _NlmlWorkspace:
         it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own
         buffers, p None for an RBF leaf, and returned. Without, each leaf's
         values are added into K before the next leaf is evaluated, and [] is
-        returned: the first leaf's values are K itself and a later leaf's are
-        one more n x n array. The kernels' work goes to the scratch buffer
-        and the factor's, both free until the factorization."""
+        returned: the first leaf's values are K itself and a later leaf's,
+        with a Matern 5/2 leaf's second work array, are spares. The
+        factor's buffer, free until the factorization, is `sq_dist`'s
+        scratch and the kernels' first work array."""
         K, n = self._K, self.n
+        free = self._L.T  # the factor buffer's C-ordered view
+        spares = [] if grad else [b for bufs in self._leaf_bufs for b in bufs if b is not None]
         terms = []
         for i, leaf in enumerate(leaves(spec)):
             if leaf.lengthscales.size != self.X.shape[1]:
@@ -152,15 +164,16 @@ class _NlmlWorkspace:
                 k, p = self._leaf_bufs[i]
                 if p is None and not isinstance(leaf, RbfKernel):  # an RBF leaf's P is its k
                     p = self._leaf_bufs[i][1] = np.empty((n, n))
-            elif i == 0:
-                k, p = K, None
-            elif i == 1:
-                # a gradient's buffer when one has been allocated, so a
-                # fit's last factorization allocates nothing
-                k = np.empty((n, n)) if self._A is None else self._A
+                work = (free,)
+            else:
+                need = (i > 0) + (leaf.work_arrays > 1)
+                while len(spares) < need:
+                    spares.append(np.empty((n, n)))
+                k, p = (spares[0] if i else K), None
+                work = (free, *spares[int(i > 0):need])
             Z = self._xc / leaf.lengthscales[self.varying]
-            sq_dist(Z, Z, self._same, out=k, scratch=self._scratch)
-            leaf.value(k, (self._scratch, self._L), p)
+            sq_dist(Z, Z, self._same, out=k, scratch=free)
+            leaf.value(k, work, p)
             if grad:
                 terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
             if i:
@@ -187,24 +200,25 @@ class _NlmlWorkspace:
     def value_and_grad(self, spec: KernelSpec, noise_variance: float, c: float
                        ) -> tuple[float, np.ndarray]:
         terms, L, alpha, value, _ = self._factorize(spec, noise_variance, c)
-        if self._inv is None:
-            n = self.n
+        if self._xc2 is None:
             self._xc2 = self._xc * self._xc
             self._wx = np.empty_like(self._xc)
-            self._inv = np.empty((n, n), order="F")
-            self._A = np.empty((n, n))
-        # K^-1 from the factor (LAPACK dpotri), held in the lower triangle of
-        # `inv`; its upper triangle is the factor's exact zeros, so inv + inv^T
-        # mirrors it with a doubled diagonal
-        inv, A = self._inv, self._A
-        np.copyto(inv, L)
+        # K^-1 from the factor (LAPACK dpotri), computed over the factor's
+        # lower triangle; the upper triangle is the factor's exact zeros, so
+        # inv + inv^T mirrors it with a doubled diagonal. That sum goes over
+        # K, not read once factored, as a copy and a sum of C-ordered
+        # operands: numpy buffers a ufunc over mixed orders or a
+        # two-dimensional broadcast, 64 KiB an operand at n = 200
+        inv, A = L, self._K
         _, info = dpotri(inv, lower=1, overwrite_c=1)
         if info != 0:
             raise TrainingError(f"kernel matrix inverse failed (LAPACK info {info})")
-        np.add(inv, inv.T, out=A)
+        np.copyto(A, inv)
+        np.add(A, inv.T, out=A)
         A.flat[::self.n + 1] *= 0.5
-        W = self._scratch                       # free once the leaf terms are built
-        np.multiply(alpha[:, None], alpha[None, :], out=W)
+        W = inv.T                               # free once A holds K^-1
+        np.copyto(W, alpha[:, None])
+        W *= alpha                              # alpha alpha^T, one buffered operand
         A -= W                                  # A = K^-1 - alpha alpha^T
         grad = []
         for inv_ls2, k, p in terms:

@@ -234,7 +234,10 @@ def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | N
         g = np.empty_like(out) if scratch is None else scratch
         _add_outer(half, half, g)
         dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
-        np.add(g, g.T, out=out)
+        # g^T + g, the sum of two C-ordered operands, which numpy does not
+        # buffer as it buffers g + g^T
+        np.copyto(out, g.T)
+        np.add(out, g, out=out)
     else:
         _add_outer(np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", Zp, Zp), out)
         # out^T, the Fortran-ordered view dgemm writes in place, gets -2 Zp Z^T

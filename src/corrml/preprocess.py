@@ -118,13 +118,21 @@ def feature_width(feature_set: str) -> int:
 def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
            ) -> tuple[np.ndarray, np.ndarray]:
     """(X, present): `feature_set`'s columns of the samples in `rows`, NaN
-    where a sample lacks a field, and the mask of the rows that lack none."""
-    blocks = []
+    where a sample lacks a field, and the mask of the rows that lack none.
+    Each column is written straight into one C-ordered X, a forward env
+    part's indicators compared in place."""
+    values = table.values[rows]
+    X = np.empty((len(values), feature_width(feature_set)))
+    j = 0
     for part in feature_set.split("+"):
-        block = table.columns(_PART_FIELDS[part], rows)
-        blocks.append((block == np.arange(len(DEFAULT_ENVIRONMENTS))).astype(float)
-                      if part == "env" else block)
-    X = np.hstack(blocks)
+        for name in _PART_FIELDS[part]:
+            column = values[:, table.fields.index(name), None]
+            width = len(DEFAULT_ENVIRONMENTS) if part == "env" else 1
+            if part == "env":
+                np.equal(column, np.arange(width), out=X[:, j:j + width])
+            else:
+                X[:, j:j + 1] = column
+            j += width
     return X, ~np.isnan(X).any(axis=1)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, Dataset, datase
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
 from corrml.trees import TreeTable, forest_from_dict, node_arrays
+from conftest import child_env
 from test_jobs import no_children
 
 QUICK_CONFIG = {
@@ -398,24 +400,22 @@ def test_inverse_predict_refuses_weight_units(inverse_run, tmp_path, capsys):
     assert cli.main(argv + ["--units", "at"]) == 0
 
 
-@pytest.mark.parametrize("command", ["ingest", "train-forward", "train-inverse",
-                                     "compare-forward", "predict-forward", "predict-inverse",
-                                     "report"])
-def test_an_output_whose_path_is_taken_exits_one_naming_it(workspace, inverse_run,
-                                                            forward_payload, tmp_path, capsys,
-                                                            command):
-    # a folder at an output's path fails that file's write, whichever output
-    # it is; which files written before it stay is left open here
+def _quick_argv(command, workspace, inverse_run, forward_payload, tmp_path):
+    """The arguments but --out of a quick run of `command`: a command name,
+    "train-forward-loggpr" (plain "train-forward" fits rf), or
+    "predict-forward" or "predict-inverse". The files it reads that no
+    fixture holds are written into tmp_path."""
     (tmp_path / "model.json").write_text(json.dumps(forward_payload))
     (tmp_path / "ensemble.json").write_text(json.dumps(inverse_run["payload"]))
     (tmp_path / "metrics.csv").write_text("model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\n")
     (tmp_path / "pairs.csv").write_text("model,feature_set,sample_id,true,predicted\n"
                                         "rf,comp,s1,1.0,2.0\n")
     quick = ["--config", workspace["config"]]
-    argv = {
+    train = ["train-forward", "--dataset", workspace["dataset"], *quick, "--model"]
+    return {
         "ingest": ["ingest", "--input", workspace["csv"]],
-        "train-forward": ["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
-                          *quick],
+        "train-forward": [*train, "rf"],
+        "train-forward-loggpr": [*train, "loggpr"],
         "train-inverse": ["train-inverse", "--dataset", inverse_run["dataset"], *quick],
         "compare-forward": ["compare-forward", "--dataset", workspace["dataset"], *quick],
         "predict-forward": ["predict", "--model", str(tmp_path / "model.json"),
@@ -425,6 +425,17 @@ def test_an_output_whose_path_is_taken_exits_one_naming_it(workspace, inverse_ru
         "report": ["report", "--metrics", str(tmp_path / "metrics.csv"),
                    "--pairs", str(tmp_path / "pairs.csv")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "train-forward", "train-inverse",
+                                     "compare-forward", "predict-forward", "predict-inverse",
+                                     "report"])
+def test_an_output_whose_path_is_taken_exits_one_naming_it(workspace, inverse_run,
+                                                            forward_payload, tmp_path, capsys,
+                                                            command):
+    # a folder at an output's path fails that file's write, whichever output
+    # it is; which files written before it stay is left open here
+    argv = _quick_argv(command, workspace, inverse_run, forward_payload, tmp_path)
     assert cli.main(argv + ["--out", str(tmp_path / "all")]) == 0
     names = sorted(os.listdir(tmp_path / "all"))
     assert f"{argv[0]}.config.json" in names and len(names) >= 2
@@ -550,10 +561,7 @@ def test_inverse_worker_killed_exits_two_naming_the_lost_jobs(inverse_run, tmp_p
 
 def _python(code: str, cwd=None) -> subprocess.CompletedProcess:
     """`code` run by a new Python process that imports this checkout's corrml."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), cwd=cwd,
                           capture_output=True, text=True)
 
 
@@ -1025,13 +1033,10 @@ def test_predict_rejects_malformed_tree_within_timeout(workspace, forward_payloa
                         else (inverse_run["payload"], inverse_run["csv"]))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(payload)))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     result = subprocess.run(
         [sys.executable, "-m", "corrml.cli", "predict", "--model", str(path), "--direction",
          direction, "--input", queries, "--out", str(tmp_path / "p")],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {path}: ") and "Traceback" not in result.stderr
     assert all(key in result.stderr for key in keys), result.stderr
@@ -1412,33 +1417,52 @@ def test_reruns_write_byte_identical_json(tmp_path):
 ], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "evaluation-no-process-pool",
         "ingest-no-numpy"])
 def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwanted):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     code = (f"import sys; {probe.format(csv=workspace['csv'], out=str(tmp_path))}; "
             f"print(sorted(m for m in sys.modules "
             f"if any(m == u or m.startswith(u + '.') for u in {unwanted!r})))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
 
 
 def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
     # the GP checksum takes CPython's built-in SHA-256; hashlib's OpenSSL
-    # module maps libcrypto, about 3.5 MB of resident memory
+    # module maps libcrypto, about 3.5 MB of resident memory. `cli.main`
+    # marks that module absent with a None entry, which is not a loaded module
     model = tmp_path / "model.json"
     model.write_text(json.dumps(trained("loggpr")))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     argv = ["predict", "--model", str(model), "--direction", "forward", "--input",
             workspace["csv"], "--out", str(tmp_path / "pred")]
     code = (f"import sys; from corrml import cli; assert cli.main({argv!r}) == 0; "
-            f"print('_hashlib' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            f"print(sys.modules.get('_hashlib') is not None)")
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
     assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this Python's only SHA-256 is OpenSSL's")
+@pytest.mark.parametrize("command", ["ingest", "train-forward", "train-forward-loggpr",
+                                     "compare-forward", "train-inverse", "predict-forward",
+                                     "predict-inverse", "report"])
+def test_no_command_loads_openssl(workspace, trained, inverse_run, tmp_path, command):
+    # numpy.random imports secrets, hmac and so hashlib's OpenSSL module,
+    # which maps libcrypto; every command runs without it, and a digest
+    # taken after the command still comes from CPython's own SHA-256
+    argv = _quick_argv(command, workspace, inverse_run, trained("loggpr"), tmp_path) + [
+        "--out", str(tmp_path / "out")]
+    code = ("import sys; from corrml import cli; "
+            f"assert cli.main({argv!r}) == 0; "
+            "loaded = sys.modules.get('_hashlib') is not None; "
+            "maps = open('/proc/self/maps').read(); "
+            "import hashlib; "
+            "print(loaded, 'libcrypto' in maps, hashlib.sha256(b'abc').hexdigest())")
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == [
+        "False", "False", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
 
 
 @pytest.mark.parametrize("option,text,message", [

@@ -25,6 +25,7 @@ from corrml.evaluation import (
     comparison_pairs_rows,
     compute_metrics,
 )
+from conftest import child_env
 from test_jobs import no_children
 
 
@@ -157,15 +158,12 @@ def test_comparison_rejects_unknown_model():
 
 
 def test_comparison_loads_numpy_random_before_its_workers_fork():
-    # numpy.random loads OpenSSL's libcrypto; a worker that loads it itself
-    # peaks about 2.8 MB higher than one that shares the parent's pages
-    src = os.path.dirname(os.path.dirname(jobs.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    # a worker that imports numpy.random itself holds its extension modules
+    # in pages of its own instead of sharing the parent's
     code = ("import sys; from corrml import evaluation; "
             "evaluation.run_jobs = lambda *a: print('numpy.random' in sys.modules) or []; "
             "evaluation.compare_forward_models(None)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "True"
 

@@ -1,9 +1,9 @@
 """The NLML workspace against the stack-based reference in tests/gp_reference.py:
 value and gradient agreement, exact zeros for constant columns, squared
 distances against a per-column sum, untouched constant-column lengthscales
-after a fit, n x n memory independent of the input dimension and two
-buffers per leaf for a gradient, no n x n allocation once warm, and logged
-early stops."""
+after a fit, n x n memory independent of the input dimension, two buffers
+per leaf for a gradient and a fit's peak at those and K's and the factor's,
+no n x n allocation once warm, and logged early stops."""
 
 import logging
 import tracemalloc
@@ -151,9 +151,9 @@ def test_workspace_memory_does_not_grow_with_input_dimension():
 
 
 def test_gradient_keeps_two_n_by_n_buffers_per_leaf():
-    # beyond construction's K, factor and scratch: K^-1, K^-1 - alpha alpha^T
-    # and each of the two leaves' values and prefactor, whose values are
-    # written over their r^2
+    # beyond construction's K and factor, only each of the two leaves' values
+    # and prefactor, whose values are written over their r^2: K^-1 is
+    # computed over the factor, and the gradient weights over K and the factor
     n, d = 200, 8
     X, y = _data(n=n, d=d)
     tracemalloc.start()
@@ -164,7 +164,7 @@ def test_gradient_keeps_two_n_by_n_buffers_per_leaf():
         held = tracemalloc.get_traced_memory()[0] - built
     finally:
         tracemalloc.stop()
-    assert held <= 6.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
+    assert held <= 4.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
 
 
 def test_an_rbf_leaf_keeps_its_values_as_its_prefactor():
@@ -180,7 +180,25 @@ def test_an_rbf_leaf_keeps_its_values_as_its_prefactor():
         held = tracemalloc.get_traced_memory()[0] - built
     finally:
         tracemalloc.stop()
-    assert held <= 5.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
+    assert held <= 3.5 * n * n * 8, f"{held / (n * n * 8):.2f} n x n arrays"
+
+
+@pytest.mark.parametrize("kernel,bound", [
+    (default_log_kernel, 5.5),  # K, the factor, the RBF's k, the Matern's k and p
+    (lambda d: MaternKernel(np.ones(d), 1.0, nu=2.5), 4.5),  # K, the factor, k and p
+], ids=["default-log", "matern52"])
+def test_fit_peaks_at_the_buffers_a_gradient_needs(kernel, bound):
+    # the peak of a whole fit, its model's last factorization too, which
+    # borrows the leaves' buffers; n x n arrays of scratch would show here
+    n, d = 200, 8
+    X, y = _data(n=n, d=d)
+    tracemalloc.start()
+    try:
+        fit_gpr(X, y, spec=kernel(d), epochs=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n * n * 8, f"{peak / (n * n * 8):.2f} n x n arrays"
 
 
 def test_warm_evaluation_allocates_no_n_by_n_array():

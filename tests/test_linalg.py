@@ -1,12 +1,12 @@
 """The GP layer's BLAS/LAPACK bindings: the objects scipy.linalg exports."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from corrml import _linalg
 from corrml.errors import TrainingError
 from corrml.gpr import GprModel, cho_solve, predict_gpr
@@ -19,9 +19,6 @@ ROUTINES = {"lapack": ("dpotrf", "dpotri", "dpotrs", "dtrtrs"),
 @pytest.mark.parametrize("first", ["corrml", "scipy"])
 def test_bound_routines_are_scipy_linalg_objects(first):
     # run in a fresh interpreter so each import order is really the first
-    src = os.path.dirname(os.path.dirname(_linalg.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     imports = ["import corrml._linalg as bound", "import scipy.linalg"]
     if first == "scipy":
         imports.reverse()
@@ -29,7 +26,7 @@ def test_bound_routines_are_scipy_linalg_objects(first):
         f"[n for n in {names!r} if getattr(bound, n) is not getattr({module}, n)]"
         for module, names in ROUTINES.items())
     code = "; ".join(imports + ["from scipy.linalg import blas, lapack", f"print({mismatched})"])
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
 
