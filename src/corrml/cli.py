@@ -68,20 +68,30 @@ def _configure_threads() -> None:
         os.environ[var] = str(n)
 
 
-def _use_builtin_digests() -> None:
+@contextlib.contextmanager
+def _builtin_digests():
     """Keep OpenSSL's libcrypto, about 3.5 MB of resident memory, out of the
-    process where CPython has a SHA-256 of its own: `numpy.random` imports
-    `secrets`, whose `hmac` imports hashlib's OpenSSL module `_hashlib`.
-    A None entry for that module fails its import, so `hmac` and `hashlib`
-    take CPython's built-in digests and `_operator._compare_digest`, as on a
-    build without OpenSSL. A module already loaded is kept, and a build whose
-    only SHA-256 is OpenSSL's keeps it. The entry outlives `main`: a caller
-    that runs `main` in its own process and imports `hashlib` after it gets
-    the built-in digests only."""
+    process for the block where CPython has a SHA-256 of its own:
+    `numpy.random` imports `secrets`, whose `hmac` imports hashlib's OpenSSL
+    module `_hashlib`. A None entry for that module fails its import, so
+    `hmac` and `hashlib` take CPython's built-in digests and
+    `_operator._compare_digest`, as on a build without OpenSSL. A module
+    already loaded is kept, and a build whose only SHA-256 is OpenSSL's
+    keeps it. The entry is removed when the block ends, so a caller that
+    runs `main` in its own process and first imports `hashlib` after it gets
+    OpenSSL's digests; a module imported within the block keeps the
+    built-in ones."""
     # found, not imported: loading it would map one more shared object into
     # commands that take no digest
-    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
-        sys.modules.setdefault("_hashlib", None)
+    blocked = "_hashlib" not in sys.modules and any(
+        importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    if blocked:
+        sys.modules["_hashlib"] = None
+    try:
+        yield
+    finally:
+        if blocked and "_hashlib" in sys.modules and sys.modules["_hashlib"] is None:
+            del sys.modules["_hashlib"]
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +645,13 @@ def cmd_predict(args) -> int:
             rows = [["sample_id", "predicted_mpy"]]
             rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, values)]
         else:
-            from .inverse import (finite_predictions, inverse_from_dict, inverse_prediction_rows,
-                                  inverse_predictions)
+            from .inverse import inverse_from_dict, inverse_prediction_rows
 
             load(payload, {**envelope, "ensemble": {}}, where)
             ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
             del payload
             with _samples_of(args.input):
-                preds = inverse_predictions(ensemble, queries)
-            rows = inverse_prediction_rows(finite_predictions(preds, args.model))
+                rows = inverse_prediction_rows(ensemble, queries, args.model)
         return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
                               {"model": args.model, "input": args.input,
                                "direction": args.direction, "units": args.units,
@@ -779,24 +787,24 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    try:
-        _use_builtin_digests()
-        _configure_threads()
-        args = build_parser().parse_args(argv)
+    with _builtin_digests():
         try:
-            return _COMMANDS[args.command](args)
-        except ValidationError as exc:
+            _configure_threads()
+            args = build_parser().parse_args(argv)
+            try:
+                return _COMMANDS[args.command](args)
+            except ValidationError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            except TrainingError as exc:
+                print(f"training failure: {exc}", file=sys.stderr)
+                return 2
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+        except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except TrainingError as exc:
-            print(f"training failure: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

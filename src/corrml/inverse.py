@@ -18,10 +18,10 @@ time, so scoring holds one chunk's arrays however many queries there are.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS  # noqa: F401  (the base part's; re-exported)
 from .preprocess import (SampleTable, feature_fields, feature_width, sample_table, select,
-                         split_train_test)
+                         select_present, split_train_test)
 from .schema import NUMBER, STRING, integer, parse
 from .trees import (
     MultiOutputModel,
@@ -73,9 +73,8 @@ def inverse_features(dataset: Dataset, feature_set: str
     if feature_set not in SUBMODEL_SETS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
     table = sample_table(dataset.samples, feature_fields(feature_set) + INVERSE_TARGETS)
-    X, present = select(table, feature_set)
-    rows = np.flatnonzero(present)
-    return rows.tolist(), X[rows], table.columns(INVERSE_TARGETS)[rows]
+    rows, X = select_present(table, feature_set)
+    return rows.tolist(), X, table.columns(INVERSE_TARGETS, rows)
 
 
 def pair_weights(forest_r2: float, gbm_r2: float) -> tuple[float, float]:
@@ -228,45 +227,25 @@ def _union(ensemble: InverseEnsemble, n: int, subsets) -> tuple[np.ndarray, dict
     return clamp_at_pct(total / count[:, None]), per_set
 
 
-def _chunk_predictions(ensemble: InverseEnsemble, queries: SampleTable, lo: int
-                       ) -> Iterator[InversePrediction]:
-    """The predictions of the chunk of queries from lo, each made as the
-    iteration reaches it, from the chunk's union and its served rows."""
+def _score_chunk(ensemble: InverseEnsemble, queries: SampleTable, lo: int) -> tuple:
+    """(ids, union, served) of the chunk of queries from lo: `served` pairs
+    each serving submodel's feature set with the mask of the queries it served."""
     chunk = slice(lo, min(lo + _QUERY_CHUNK, len(queries)))
     subsets = []
     for feature_set in ensemble.available_sets():
         X, served = select(queries, feature_set, chunk)
         if served.any():
             subsets.append((feature_set, served, X[served]))
-    ids = queries.ids(range(chunk.start, chunk.stop))
-    union, _ = _union(ensemble, len(ids), subsets)
-    names = ensemble.target_names
-    for i, values in enumerate(union):
-        yield InversePrediction(ids[i], dict(zip(names, values.tolist())),
-                                [feature_set for feature_set, served, _ in subsets
-                                 if served[i]])
+    union, _ = _union(ensemble, chunk.stop - lo, subsets)
+    return (queries.ids(range(lo, chunk.stop)), union,
+            [(feature_set, served) for feature_set, served, _ in subsets])
 
 
-def inverse_predictions(ensemble: InverseEnsemble, queries: SampleTable
-                        ) -> Iterator[InversePrediction]:
-    """Union-model predictions for every query, in order, scored
-    _QUERY_CHUNK queries at a time as the iteration reaches them; each
-    query's prediction is the same in a chunk of any size. No query is a
-    NoSamplesError, raised by the call."""
+def _chunk_starts(queries: SampleTable) -> range:
+    """The first query of each chunk; no query is a NoSamplesError."""
     if not len(queries):
         raise NoSamplesError("no sample to predict")
-    return (p for lo in range(0, len(queries), _QUERY_CHUNK)
-            for p in _chunk_predictions(ensemble, queries, lo))
-
-
-def finite_predictions(preds: Iterable[InversePrediction], model: str
-                       ) -> Iterator[InversePrediction]:
-    """`preds`, each checked as the iteration reaches it: a non-finite value
-    is a ValidationError naming `model`, the file the ensemble was read from."""
-    for p in preds:
-        if not all(map(math.isfinite, p.values.values())):
-            raise ValidationError(f"{model}: the model predicts a non-finite value")
-        yield p
+    return range(0, len(queries), _QUERY_CHUNK)
 
 
 def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
@@ -274,7 +253,38 @@ def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[Inverse
     environment, at% Al/Si/Mg and, where present, duration and temperature;
     a dataset of no sample is a NoSamplesError."""
     queries = sample_table(dataset.samples, feature_fields(SUBMODEL_SETS[-1]))
-    return list(inverse_predictions(ensemble, queries))
+    preds = []
+    for lo in _chunk_starts(queries):
+        ids, union, served = _score_chunk(ensemble, queries, lo)
+        preds += [InversePrediction(ids[i], dict(zip(ensemble.target_names, values)),
+                                    [feature_set for feature_set, mask in served if mask[i]])
+                  for i, values in enumerate(union.tolist())]
+    return preds
+
+
+def _chunk_rows(ensemble: InverseEnsemble, queries: SampleTable, model: str, lo: int
+                ) -> Iterator[list[str]]:
+    """The CSV rows of the chunk of queries from lo; a non-finite value in
+    it is a ValidationError naming `model`, raised before any of its rows."""
+    ids, union, served = _score_chunk(ensemble, queries, lo)
+    if not np.isfinite(union).all():
+        raise ValidationError(f"{model}: the model predicts a non-finite value")
+    for i, values in enumerate(union):
+        tag = "|".join(name for name, mask in served if mask[i])  # "+" is in set names
+        for el, v in zip(ensemble.target_names, values.tolist()):
+            yield [ids[i], el, repr(v), tag]
+
+
+def inverse_prediction_rows(ensemble: InverseEnsemble, queries: SampleTable, model: str
+                            ) -> Iterator[list[str]]:
+    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels)
+    of every query, the header first, scored a chunk at a time as the
+    iteration reaches it, by a generator per chunk, so that each chunk's
+    arrays are freed before the next is scored. No query is a
+    NoSamplesError, raised by the call."""
+    starts = _chunk_starts(queries)
+    return chain([["query_id", "element", "predicted_at_pct", "contributing_submodels"]],
+                 (row for lo in starts for row in _chunk_rows(ensemble, queries, model, lo)))
 
 
 @dataclass
@@ -316,17 +326,6 @@ def inverse_report_rows(report: InverseReport) -> tuple[list[list[str]], list[li
     per_submodel = [[el, repr(m.r2), repr(m.rmse), feature_set] for feature_set in SUBMODEL_SETS
                     for el, m in report.per_submodel.get(feature_set, {}).items()]
     return [header] + union, [header] + per_submodel
-
-
-def inverse_prediction_rows(preds: Iterable[InversePrediction]) -> Iterator[list[str]]:
-    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels),
-    the header first, each prediction's rows made as the iteration reaches
-    it."""
-    yield ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
-    for p in preds:
-        tag = "|".join(p.contributing)  # "+" appears inside submodel names
-        for el, v in p.values.items():
-            yield [p.query_id, el, repr(v), tag]
 
 
 def inverse_to_dict(ensemble: InverseEnsemble) -> dict:

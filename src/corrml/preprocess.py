@@ -58,10 +58,11 @@ class SampleTable:
         ends = zip(self.offsets[rows].tolist(), self.offsets[np.add(rows, 1)].tolist())
         return [self.id_bytes[a:b].decode() for a, b in ends]
 
-    def columns(self, fields: Sequence[str], rows: slice = slice(None)) -> np.ndarray:
-        """The values of `fields` of the samples in `rows`, C-ordered: the
-        GP's products round a Fortran-ordered matrix differently."""
-        return self.values[rows].take([self.fields.index(name) for name in fields], axis=1)
+    def columns(self, fields: Sequence[str], rows=slice(None)) -> np.ndarray:
+        """The values of `fields` of the samples at `rows`, a slice or
+        positions, read column by column into one C-ordered matrix: the GP's
+        products round a Fortran-ordered matrix differently."""
+        return np.stack([self.values[rows, self.fields.index(name)] for name in fields], axis=1)
 
 
 def sample_table(samples: Iterable[CorrosionSample], fields: Sequence[str]) -> SampleTable:
@@ -115,35 +116,58 @@ def feature_width(feature_set: str) -> int:
                for part in feature_set.split("+"))
 
 
-def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, present): `feature_set`'s columns of the samples in `rows`, NaN
-    where a sample lacks a field, and the mask of the rows that lack none.
-    Each column is written straight into one C-ordered X, a forward env
-    part's indicators compared in place."""
-    values = table.values[rows]
-    X = np.empty((len(values), feature_width(feature_set)))
+def _present(table: SampleTable, feature_set: str, rows=slice(None)) -> np.ndarray:
+    """The mask of the samples at `rows`, a slice of `table` or positions in
+    it, that carry every field `feature_set` reads: none of them is NaN."""
+    first, *others = (table.fields.index(name) for name in feature_fields(feature_set))
+    mask = ~np.isnan(table.values[rows, first])
+    for j in others:
+        mask &= ~np.isnan(table.values[rows, j])
+    return mask
+
+
+def _matrix(table: SampleTable, feature_set: str, rows, n: int) -> np.ndarray:
+    """`feature_set`'s columns of the `n` samples at `rows`, a slice of
+    `table` or positions in it, NaN where a sample lacks a field. Each
+    column is written straight into one C-ordered X, a forward env part's
+    indicators compared in place, so the table's rows are never copied."""
+    X = np.empty((n, feature_width(feature_set)))
     j = 0
     for part in feature_set.split("+"):
         for name in _PART_FIELDS[part]:
-            column = values[:, table.fields.index(name), None]
+            column = table.values[rows, table.fields.index(name), None]
             width = len(DEFAULT_ENVIRONMENTS) if part == "env" else 1
             if part == "env":
                 np.equal(column, np.arange(width), out=X[:, j:j + width])
             else:
                 X[:, j:j + 1] = column
             j += width
-    return X, ~np.isnan(X).any(axis=1)
+    return X
+
+
+def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(X, present): `feature_set`'s columns of the samples in `rows`, NaN
+    where a sample lacks a field, and the mask of the rows that lack none."""
+    served = _present(table, feature_set, rows)
+    return _matrix(table, feature_set, rows, served.size), served
+
+
+def select_present(table: SampleTable, feature_set: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, X): the positions of the samples of `table` that carry every
+    field of `feature_set`, found first, and their columns, written for
+    them only."""
+    rows = np.flatnonzero(_present(table, feature_set))
+    return rows, _matrix(table, feature_set, rows, rows.size)
 
 
 def feature_matrix(table: SampleTable, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
     """(matrix, rows): the samples of `table` that carry every field of
     forward `feature_set`, and their positions; none is a NoSamplesError."""
-    X, present = select(table, feature_set)
-    rows = np.flatnonzero(present)
+    rows, X = select_present(table, feature_set)
     if not rows.size:
         raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
-    return FeatureMatrix(X if rows.size == len(X) else X[rows], table.ids(rows)), rows
+    return FeatureMatrix(X, table.ids(rows)), rows
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
@@ -157,7 +181,7 @@ def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndar
         raise ValidationError(f"unknown feature set {feature_set!r}; choose from {FEATURE_SETS}")
     table = sample_table(d.samples, feature_fields(feature_set) + ("rate",))
     fm, rows = feature_matrix(table, feature_set)
-    return fm, table.columns(("rate",))[rows, 0]
+    return fm, table.columns(("rate",), rows)[:, 0]
 
 
 def training_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ value is a Fault naming the key path to it.
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 from .errors import ValidationError
@@ -98,7 +99,9 @@ def finite(value) -> bool:
 NUMBER = rule("a finite number", finite, float)
 POSITIVE = rule("a finite number > 0", lambda v: finite(v) and v > 0, float)
 NONNEGATIVE = rule("a finite number >= 0", lambda v: finite(v) and v >= 0, float)
-STRING = rule("a string", lambda v: isinstance(v, str))
+# a lone surrogate, which a JSON "\ud800" escape decodes to, is no text UTF-8 holds
+_SURROGATE = re.compile("[\ud800-\udfff]")
+STRING = rule("a string of Unicode text", lambda v: isinstance(v, str) and not _SURROGATE.search(v))
 BOOL = rule("true or false", lambda v: isinstance(v, bool))
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from corrml import cli, evaluation, inverse, jobs, jsonstream
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, Dataset, dataset_to_dict,
-                            generate_inverse_synthetic, generate_synthetic)
+                            generate_inverse_synthetic, generate_synthetic, parse_csv)
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
 from corrml.trees import TreeTable, forest_from_dict, node_arrays
@@ -1450,7 +1450,7 @@ def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
 def test_no_command_loads_openssl(workspace, trained, inverse_run, tmp_path, command):
     # numpy.random imports secrets, hmac and so hashlib's OpenSSL module,
     # which maps libcrypto; every command runs without it, and a digest
-    # taken after the command still comes from CPython's own SHA-256
+    # taken after the command is SHA-256 whichever module takes it
     argv = _quick_argv(command, workspace, inverse_run, trained("loggpr"), tmp_path) + [
         "--out", str(tmp_path / "out")]
     code = ("import sys; from corrml import cli; "
@@ -1463,6 +1463,20 @@ def test_no_command_loads_openssl(workspace, trained, inverse_run, tmp_path, com
                             text=True, check=True)
     assert result.stdout.split() == [
         "False", "False", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                    reason="this Python has no OpenSSL digests")
+def test_openssl_digests_are_free_again_after_main(tmp_path):
+    # main keeps hashlib's OpenSSL module out only while it runs: a caller
+    # that first imports hashlib after it gets OpenSSL's digests, scrypt among them
+    (tmp_path / "metrics.csv").write_text("model,feature_set,r2,mae,rmse\nrf,comp,0.5,1,2\n")
+    argv = ["report", "--metrics", str(tmp_path / "metrics.csv"), "--out", str(tmp_path / "o")]
+    code = (f"import sys; from corrml import cli; assert cli.main({argv!r}) == 0; "
+            "assert 'hashlib' not in sys.modules; import hashlib; print(hasattr(hashlib, 'scrypt'))")
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("option,text,message", [
@@ -1674,6 +1688,24 @@ def test_weight_basis_dataset_sample_exits_one(workspace, tmp_path, capsys, comm
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train-forward", "train-inverse", "compare-forward"])
+def test_dataset_id_that_is_not_text_exits_one(workspace, tmp_path, capsys, command):
+    # JSON's "\\ud800" escape decodes to a lone surrogate, which UTF-8 cannot
+    # hold: the id is refused as the file is read, naming its key path
+    with open(workspace["dataset"]) as fh:
+        payload = json.load(fh)
+    payload["samples"][3]["id"] = "s\ud800"
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(payload))
+    argv = {"train-forward": ["--model", "rf"]}.get(command, [])
+    assert cli.main([command, "--dataset", str(path), "--config", workspace["config"],
+                     "--out", str(tmp_path / "o")] + argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: dataset file is malformed: ['samples'][3]['id']: must be a string "
+        "of Unicode text, got 's\\ud800'\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_training_failure_exits_two(tmp_path, capsys):
     # an uncapped astronomically large target overflows the variance-based
@@ -1761,6 +1793,24 @@ def test_inverse_predictions_do_not_depend_on_the_chunks(inverse_run, tmp_path):
     assert b"".join(whole[1:]) == b"".join(b"".join(s) for s in slices)
     k = 37
     assert scored("first.csv", rows[1:1 + k]) == whole[1:1 + 6 * k]
+
+
+def test_library_predictions_are_the_rows_predict_writes(inverse_run, tmp_path, monkeypatch):
+    # predict_inverse and inverse predict score the same chunks: over four
+    # chunks, the last one partial, each query's values and serving sets are
+    # its rows of predictions.csv
+    monkeypatch.setattr(inverse, "_QUERY_CHUNK", 64)
+    model = tmp_path / "ensemble.json"
+    model.write_text(json.dumps(inverse_run["payload"]))
+    queries = _mixed_queries(tmp_path / "q.csv", 3 * 64 + 5)
+    lines = _predict_inverse(model, queries, tmp_path / "p")
+    preds = inverse.predict_inverse(inverse.inverse_from_dict(inverse_run["payload"]["ensemble"]),
+                                    parse_csv(queries))
+    assert len(preds) == 3 * 64 + 5
+    assert len({"|".join(p.contributing) for p in preds}) == 3  # every signature served
+    rows = list(csv.reader(line.decode() for line in lines[1:]))
+    assert rows == [[p.query_id, el, repr(v), "|".join(p.contributing)]
+                    for p in preds for el, v in p.values.items()]
 
 
 def test_inverse_non_finite_value_in_the_last_chunk_leaves_no_output(inverse_run, tmp_path,

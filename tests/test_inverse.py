@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from corrml import cli, inverse, jobs, trees
 from corrml.dataset import (CorrosionSample, Dataset, ElementComposition,
                             generate_inverse_synthetic)
-from corrml.errors import ValidationError
+from corrml.errors import NoSamplesError, ValidationError
 from corrml.inverse import (
     INVERSE_TARGETS,
     MIN_SUBSET_ROWS,
@@ -33,7 +33,7 @@ from corrml.inverse import (
     predict_inverse,
     submodel_predict,
 )
-from corrml.preprocess import split_train_test
+from corrml.preprocess import feature_fields, sample_table, split_train_test
 from corrml.trees import (MultiOutputModel, fit_forests, fit_gbms, multi_output_to_dict,
                           node_arrays, predict_multi_output)
 from test_jobs import no_children
@@ -302,10 +302,13 @@ def test_report_and_prediction_rows():
     assert [r[3] for r in submodel_rows[1::6]] == list(SUBMODEL_SETS)
     assert (len(union_rows), len(submodel_rows)) == (1 + 6, 1 + 6 * 3)
 
-    preds = predict_inverse(ens, _queries(data.samples[:4]))
-    prows = list(inverse_prediction_rows(preds))
+    queries = sample_table(data.samples[:4], feature_fields(SUBMODEL_SETS[-1]))
+    prows = list(inverse_prediction_rows(ens, queries, "ensemble.json"))
     assert prows[0] == ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
     assert len(prows) == 1 + 4 * 6
+    # no query is refused by the call, before any row is asked for
+    with pytest.raises(NoSamplesError):
+        inverse_prediction_rows(ens, sample_table([], feature_fields(SUBMODEL_SETS[-1])), "m")
 
 
 def test_serialization_roundtrip(tmp_path):

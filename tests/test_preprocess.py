@@ -208,6 +208,26 @@ def test_a_selection_writes_its_columns_into_one_matrix():
     assert peak - held <= fm.values.nbytes / 2, f"{(peak - held) / fm.values.nbytes:.2f} X"
 
 
+def test_a_selection_writes_only_the_rows_that_carry_its_fields():
+    # rows that lack a temperature or a duration are found before any column
+    # is written, so the selection never holds a matrix of every row: a
+    # full-height X, from which the kept rows were copied, took 3.2 X here
+    samples = generate_synthetic(20000, seed=0).samples
+    for i, s in enumerate(samples):
+        s.temperature = None if i % 2 else (s.temperature or 25.0)
+        s.duration = None if i % 3 == 1 else (s.duration or 30.0)
+    table = sample_table(samples, feature_fields("comp+env+temp+dur") + ("rate",))
+    tracemalloc.start()
+    try:
+        fm, rows = feature_matrix(table, "comp+env+temp+dur")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(fm.values) == len(range(0, 20000, 2)) - len(range(4, 20000, 6))
+    assert fm.values.flags.c_contiguous
+    assert peak - held <= fm.values.nbytes / 2, f"{(peak - held) / fm.values.nbytes:.2f} X"
+
+
 def test_feature_order_is_stable():
     names = [c["name"] for c in _columns("comp+env+temp+dur")]
     assert names[0] == "Al"      # fixed element order, balance element first

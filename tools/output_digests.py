@@ -12,14 +12,24 @@ paths. The chains are
 
     ingest -> train-forward (rf, dnn, gpr and loggpr) -> forward predict,
               then train-forward (loggpr, back_transform "mean") -> forward
-              predict, then compare-forward -> report
-    ingest -> train-inverse -> inverse predict
+              predict, then train-forward (rf, --features
+              comp+env+temp+dur) -> forward predict, then compare-forward
+              -> report
+    ingest -> train-inverse -> inverse predict on the 1,000 queries, then
+              on 5,000
 
 and the output is one ``sha256  relative/path`` line per file they write,
 sorted by path. Run it on two checkouts and diff the two outputs. Uses the
-standard library only. The mean back-transform reads the GP's predictive
-variance, which the default median one does not, so its chain puts the
-variance path under the check too.
+standard library only.
+
+Each extra chain puts a path under the check that the others miss. The mean
+back-transform reads the GP's predictive variance, which the default median
+one does not. Every walkthrough row carries the fields of comp and
+comp+env, but not all carry a temperature and a duration, so the
+comp+env+temp+dur chain selects a subset of the rows, in training and in
+predict. The 5,000 queries are the benchmark's 1,000 repeated by
+``tools/repeat_queries.py``: inverse predict scores them in three chunks,
+the last one partial, where 1,000 queries are one chunk.
 """
 
 import argparse
@@ -37,7 +47,10 @@ INV_DATASET = "out/inv/ds/dataset.json"
 MEAN_CONFIG = ("in/fwd/loggpr-mean.json", {"model_params": {"loggpr": {"back_transform": "mean"}}})
 # (output folder, family, extra flags) of each train-forward -> predict chain
 FORWARD_RUNS = [*((model, model, []) for model in ("rf", "dnn", "gpr", "loggpr")),
-                ("loggpr-mean", "loggpr", ["--config", MEAN_CONFIG[0]])]
+                ("loggpr-mean", "loggpr", ["--config", MEAN_CONFIG[0]]),
+                ("rf-temp-dur", "rf", ["--features", "comp+env+temp+dur"])]
+INV_QUERIES = "in/inv/queries.csv"
+INV_QUERIES_5000 = "in/inv/queries-5000.csv"
 COMMANDS = [
     ["ingest", "--input", "in/fwd/data.csv", "--out", "out/fwd/ds"],
     *(step for name, model, config in FORWARD_RUNS for step in (
@@ -50,8 +63,10 @@ COMMANDS = [
      "--pairs", "out/fwd/compare/compare_pairs.csv", "--out", "out/fwd/report"],
     ["ingest", "--input", "in/inv/data.csv", "--out", "out/inv/ds"],
     ["train-inverse", "--dataset", INV_DATASET, "--out", "out/inv/train"],
-    ["predict", "--model", "out/inv/train/ensemble.json", "--direction", "inverse",
-     "--input", "in/inv/queries.csv", "--out", "out/inv/predict"],
+    *(["predict", "--model", "out/inv/train/ensemble.json", "--direction", "inverse",
+       "--input", queries, "--out", out]
+      for queries, out in ((INV_QUERIES, "out/inv/predict"),
+                           (INV_QUERIES_5000, "out/inv/predict-5000"))),
 ]
 
 
@@ -69,6 +84,8 @@ def digests(src: str, seed: int) -> list[str]:
         for workload, folder in (("forward-gp", "in/fwd"), ("inverse", "in/inv")):
             _run([sys.executable, os.path.join(ROOT, "bench", "inputs.py"), "--workload",
                   workload, "--seed", str(seed), "--out", folder], work, env)
+        _run([sys.executable, os.path.join(ROOT, "tools", "repeat_queries.py"), "--input",
+              INV_QUERIES, "--rows", "5000", "--out", INV_QUERIES_5000], work, env)
         with open(os.path.join(work, MEAN_CONFIG[0]), "w", encoding="utf-8") as fh:
             json.dump(MEAN_CONFIG[1], fh)
         for argv in COMMANDS:
