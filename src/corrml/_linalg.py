@@ -55,6 +55,6 @@ _fblas = _load_extension("_fblas")
 dpotrf = _flapack.dpotrf
 dpotri = _flapack.dpotri
 dpotrs = _flapack.dpotrs
-dtrtrs = _flapack.dtrtrs
+dtrtri = _flapack.dtrtri
 dgemm = _fblas.dgemm
 ddot = _fblas.ddot

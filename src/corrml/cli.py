@@ -605,12 +605,13 @@ def cmd_predict(args) -> int:
     envelope = {"kind": f"{args.direction}-model", "environment_names": list(DEFAULT_ENVIRONMENTS)}
     where, state = f"{args.model}: {args.direction} model file", f"{args.model}: model file key"
     # a model whose numbers overflow predicts non-finite values, refused as
-    # they are scored; inverse queries are scored as predictions.csv is written
+    # they are scored; queries are scored a chunk at a time as predictions.csv
+    # is written
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
-            from .evaluation import FAMILIES
-            from .preprocess import ScalerState, apply_scaler, feature_matrix, feature_width
+            from .evaluation import FAMILIES, forward_prediction_rows
+            from .preprocess import ScalerState, feature_width, present_rows
 
             head = load(payload, {**envelope, "family": one_of(*FAMILIES),
                                   "feature_set": one_of(*FEATURE_SETS),
@@ -633,17 +634,12 @@ def cmd_predict(args) -> int:
                 raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
                                       f"feature set {feature_set!r} has {width}")
             with _samples_of(args.input):
-                fm, _ = feature_matrix(queries, feature_set)
-            if len(fm.sample_ids) < len(queries):
+                present = present_rows(queries, feature_set)
+            if present.size < len(queries):
                 log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                            len(queries) - len(fm.sample_ids), feature_set)
-            del queries  # the feature matrix holds what scoring needs of the table
-            X = fm.values if scaler is None else apply_scaler(scaler, fm.values)
-            values = family.predict(model, X)
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"{args.model}: the model predicts a non-finite value")
-            rows = [["sample_id", "predicted_mpy"]]
-            rows += [[sid, repr(float(p))] for sid, p in zip(fm.sample_ids, values)]
+                            len(queries) - present.size, feature_set)
+            rows = forward_prediction_rows(family, model, scaler, queries, feature_set, present,
+                                           args.model)
         else:
             from .inverse import inverse_from_dict, inverse_prediction_rows
 

@@ -5,6 +5,7 @@ harness (rate prediction from composition / composition+environment).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -16,20 +17,25 @@ from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
-from .preprocess import apply_scaler, build_features, cap_target, fit_scaler, split_train_test
+from .preprocess import (SampleTable, apply_scaler, build_features, cap_target, fit_scaler,
+                         select_rows, split_train_test)
 from .trees import fit_forest, forest_from_dict, forest_to_dict, predict_forest
 
 DEFAULT_COMPARE_FEATURE_SETS = ("comp", "comp+env")
 CAP_MPY = 100.0
+# forward `predict` scores this many query rows at a time: a GP chunk's
+# cross-covariances and their kernel work are a few hundred KB
+_ROW_CHUNK = 64
 
 
 class Family(NamedTuple):
     """One forward model family: `fit(X, y, seed, params)` trains it (only rf
     and dnn draw on the seed; GP training is deterministic),
-    `predict(model, X)` gives rates, `to_dict`/`from_dict` round-trip it
-    through a model file, `n_inputs(model)` is the feature count a model
-    takes, and `scaled` says whether it trains on standardized features
-    (trees split on raw thresholds; the rest want z-scores)."""
+    `predict(model, X)` gives rates, each row's from that row alone, so that
+    it does not depend on the rows scored beside it, `to_dict`/`from_dict`
+    round-trip it through a model file, `n_inputs(model)` is the feature
+    count a model takes, and `scaled` says whether it trains on standardized
+    features (trees split on raw thresholds; the rest want z-scores)."""
     fit: Callable
     predict: Callable
     to_dict: Callable
@@ -46,7 +52,7 @@ FAMILIES: dict[str, Family] = {
                   predict=predict_dnn, to_dict=dnn_to_dict, from_dict=dnn_from_dict,
                   n_inputs=lambda m: m.network.input_dim, scaled=True),
     "gpr": Family(fit=lambda X, y, seed, p: fit_gpr(X, y, **p),
-                  predict=lambda model, X: predict_gpr(model, X)[0],
+                  predict=lambda model, X: predict_gpr(model, X, variance=False)[0],
                   to_dict=gpr_to_dict, from_dict=gpr_from_dict,
                   n_inputs=lambda m: m.x_train.shape[1], scaled=True),
     "loggpr": Family(fit=lambda X, y, seed, p: fit_log_gpr(X, y, **p),
@@ -62,6 +68,26 @@ def forward_family(name: str) -> Family:
     if family is None:
         raise ValidationError(f"unknown forward model {name!r}; choose from {tuple(FAMILIES)}")
     return family
+
+
+def forward_prediction_rows(family: Family, model, scaler, queries: SampleTable,
+                            feature_set: str, rows: np.ndarray, model_path: str):
+    """CSV rows (sample_id, predicted_mpy) of the queries at positions `rows`,
+    the header first, scored _ROW_CHUNK rows at a time as the iteration
+    reaches them, so scoring holds one chunk's arrays, whatever the number
+    of rows. A chunk that predicts a non-finite value is a ValidationError
+    naming `model_path`, raised before any of that chunk's rows."""
+    def scored(at):
+        X = select_rows(queries, feature_set, at)
+        values = np.asarray(family.predict(model, X if scaler is None
+                                           else apply_scaler(scaler, X)), dtype=float)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{model_path}: the model predicts a non-finite value")
+        return zip(queries.ids(at), map(repr, values.tolist()))
+
+    return chain([["sample_id", "predicted_mpy"]],
+                 (row for lo in range(0, rows.size, _ROW_CHUNK)
+                  for row in scored(rows[lo:lo + _ROW_CHUNK])))
 
 
 @dataclass

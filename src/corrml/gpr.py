@@ -6,8 +6,12 @@ Training minimizes the negative log marginal likelihood
     NLML = 1/2 (y - c)^T (K + s_n^2 I)^(-1) (y - c) + sum_i ln L_ii + n/2 ln 2pi
 
 with Adam in log-hyperparameter space (Rasmussen & Williams, GPML, Alg. 2.1).
-Training and prediction take r^2 from one routine, `kernels.sq_dist`: a dgemm
-Gram product on rows centred on the training means.
+Both take r^2 from rows centred on the training means: training from
+`kernels.sq_dist`'s dgemm Gram product, and prediction from
+`kernels.cross_sq_dist`, which computes a query's distances from its own
+row alone. Every product of a prediction is one of numpy's einsum forms,
+which compute each query's result from its own row, so a query's prediction
+does not depend on the other rows of its batch, as a BLAS product's would.
 Gradients use the trace identity dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T)
 dK/dtheta) and d/dc = -1^T alpha (GPML eq. 5.9), with Kinv from LAPACK dpotri
 on the Cholesky factor. For a lengthscale the trace is a sum over
@@ -23,10 +27,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import ddot, dgemm, dpotri, dpotrs, dtrtrs
+from ._linalg import ddot, dgemm, dpotri, dpotrs, dtrtri
 from .errors import TrainingError, ValidationError
 from .kernels import (
     KernelSpec,
@@ -35,7 +40,7 @@ from .kernels import (
     SumKernel,
     ard_dim,
     cholesky_jitter,
-    gram,
+    cross_gram,
     kernel_from_dict,
     kernel_to_dict,
     leaves,
@@ -172,7 +177,7 @@ class _NlmlWorkspace:
                 k, p = (spares[0] if i else K), None
                 work = (free, *spares[int(i > 0):need])
             Z = self._xc / leaf.lengthscales[self.varying]
-            sq_dist(Z, Z, self._same, out=k, scratch=free)
+            sq_dist(Z, self._same, out=k, scratch=free)
             leaf.value(k, work, p)
             if grad:
                 terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
@@ -272,6 +277,17 @@ class GprModel:
     def prior_variance(self) -> float:
         return float(sum(leaf.variance for leaf in leaves(self.spec)))
 
+    @cached_property
+    def chol_inverse(self) -> np.ndarray:
+        """L^-1, C-ordered, made once a predictive variance is first asked for:
+        a query's ||L^-1 k_*||^2 is then a product over its own row, where a
+        triangular solve over a batch's columns rounds each column
+        differently with the batch (LAPACK dtrtrs)."""
+        inv, info = dtrtri(self.chol, lower=1)
+        if info != 0:
+            raise TrainingError(f"triangular inverse failed (LAPACK dtrtri info {info})")
+        return np.ascontiguousarray(inv)
+
 
 def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history,
               origin: str) -> GprModel:
@@ -341,24 +357,27 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
     return _finalize(workspace, *unpack(theta), history, "fitted")
 
 
-def predict_gpr(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of an observation at new inputs.
+def predict_gpr(model: GprModel, X_star: np.ndarray, variance: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Posterior mean and, with `variance`, the variance of an observation at
+    new inputs (None without).
 
     mean = c + K_*^T alpha; variance = k(x,x) - ||L^-1 K_*||^2 plus the noise
     variance (the latent rate's variance is this less model.noise_variance).
+    Each row's results are computed from that row alone (`kernels.cross_gram`,
+    and einsum over the query-major K_*), so they do not depend on the batch.
     """
     X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
     if X_star.shape[1] != model.x_train.shape[1]:
         raise ValidationError(
             f"feature dimension {X_star.shape[1]} != training dimension "
             f"{model.x_train.shape[1]}")
-    k_star = gram(model.x_train, X_star, model.spec)
-    mean = model.mean + k_star.T @ model.alpha
-    w, info = dtrtrs(model.chol, k_star, lower=1)
-    if info != 0:
-        raise TrainingError(f"triangular solve failed (LAPACK dtrtrs info {info})")
-    w *= w
-    var = model.prior_variance - np.sum(w, axis=0)
+    k_star = cross_gram(model.x_train, X_star, model.spec)
+    mean = model.mean + np.einsum("ij,j->i", k_star, model.alpha)
+    if not variance:
+        return mean, None
+    w = np.einsum("ij,kj->ik", k_star, model.chol_inverse)  # row i: L^-1 k_*i
+    var = model.prior_variance - np.einsum("ij,ij->i", w, w)
     var = np.maximum(var, 1e-12 * model.prior_variance)
     return mean, var + model.noise_variance
 
@@ -406,7 +425,7 @@ def back_transform_log_predictions(mu: np.ndarray, var: np.ndarray, epsilon: flo
 
 def predict_log_gpr(model: LogGprModel, X_star: np.ndarray) -> np.ndarray:
     """Back-transformed rate predictions, clamped to be non-negative."""
-    mu, var = predict_gpr(model.inner, X_star)
+    mu, var = predict_gpr(model.inner, X_star, variance=model.back_transform == "mean")
     return back_transform_log_predictions(mu, var, model.epsilon, model.back_transform)
 
 

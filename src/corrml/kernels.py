@@ -11,9 +11,13 @@ cross-covariance of a prediction) ask for the values only, and get the same
 bytes, so a model's factor is the same whichever built it.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
-with one lengthscale per input dimension (ARD) and an output variance per leaf.
-`sq_dist` computes it for training and prediction alike from one dgemm Gram
-product, exactly 0 for equal rows and exactly symmetric over one set of rows.
+with one lengthscale per input dimension (ARD) and an output variance per leaf,
+exactly 0 for equal rows. Over one set of rows (training, and a model's K)
+`sq_dist` takes it from a dgemm Gram product, exactly symmetric. Between
+query rows and training rows (prediction) `cross_sq_dist` takes it, query
+by query, from numpy's einsum loops, which compute each entry from its two
+rows alone: a BLAS product rounds a row's entries differently with the
+number of rows beside it, so a query's prediction would depend on its batch.
 Matern kernels are restricted to the closed-form nu in {1/2, 3/2, 5/2}; the
 general Bessel-function form is deliberately out of scope.
 """
@@ -204,9 +208,14 @@ def set_log_params(spec: KernelSpec, values: np.ndarray) -> KernelSpec:
 
 
 def same_rows(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    """Flat indices, into a (len(X), len(Xp)) matrix, of the pairs of equal rows."""
-    labels = np.unique(X if Xp is X else np.concatenate([X, Xp]), axis=0,
-                       return_inverse=True)[1].ravel()
+    """Flat indices, into a (len(X), len(Xp)) matrix, of the pairs of equal rows.
+    Each row is compared as one opaque value of its bytes, after adding 0.0
+    turns -0.0 into 0.0, which sorts several times faster than numpy's
+    row-wise unique."""
+    rows = np.concatenate([X] if Xp is X else [X, Xp])
+    rows += 0.0
+    labels = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                       return_inverse=True)[1]
     return np.flatnonzero(labels[:len(X), None] == labels[labels.size - len(Xp):])
 
 
@@ -220,60 +229,95 @@ def _add_outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     dgemm(1.0, b[:, None], np.ones((1, a.size)), beta=1.0, c=out.T, overwrite_c=1)
 
 
-def sq_dist(Z: np.ndarray, Zp: np.ndarray, same: np.ndarray, out: np.ndarray | None = None,
+def sq_dist(Z: np.ndarray, same: np.ndarray, out: np.ndarray | None = None,
             scratch: np.ndarray | None = None) -> np.ndarray:
-    """r^2[i, j] = |Z_i|^2 + |Zp_j|^2 - 2 Z_i . Zp_j for centred, lengthscale-scaled
+    """r^2[i, j] = |Z_i|^2 + |Z_j|^2 - 2 Z_i . Z_j for centred, lengthscale-scaled
     rows, into the C-ordered `out`: clamped at 0 and exactly 0 at the flat
-    indices `same`. When Zp is Z, half of it goes to `scratch` and r^2 is that
-    plus its transpose, exactly symmetric where a dgemm product is not."""
-    out = np.empty((Z.shape[0], Zp.shape[0])) if out is None else out
+    indices `same`. Half of it goes to `scratch` from one dgemm, and r^2 is
+    that plus its transpose, exactly symmetric where a dgemm product is not."""
+    out = np.empty((Z.shape[0], Z.shape[0])) if out is None else out
     if out.size == 0:  # f2py's dgemm rejects an empty c
         return out
-    if Zp is Z:
-        half = 0.5 * np.einsum("ij,ij->i", Z, Z)
-        g = np.empty_like(out) if scratch is None else scratch
-        _add_outer(half, half, g)
-        dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
-        # g^T + g, the sum of two C-ordered operands, which numpy does not
-        # buffer as it buffers g + g^T
-        np.copyto(out, g.T)
-        np.add(out, g, out=out)
-    else:
-        _add_outer(np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", Zp, Zp), out)
-        # out^T, the Fortran-ordered view dgemm writes in place, gets -2 Zp Z^T
-        dgemm(-2.0, Zp, Z, beta=1.0, c=out.T, trans_b=1, overwrite_c=1)
+    half = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    g = np.empty_like(out) if scratch is None else scratch
+    _add_outer(half, half, g)
+    dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
+    # g^T + g, the sum of two C-ordered operands, which numpy does not
+    # buffer as it buffers g + g^T
+    np.copyto(out, g.T)
+    np.add(out, g, out=out)
+    np.maximum(out, 0.0, out=out)
+    out.reshape(-1)[same] = 0.0
+    return out
+
+
+def cross_sq_dist(Zq: np.ndarray, Z: np.ndarray, same: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Query-major r^2[i, j] = |Zq_i|^2 + |Z_j|^2 - 2 Zq_i . Z_j between query
+    rows Zq and training rows Z, centred and lengthscale-scaled alike, into
+    the C-ordered (len(Zq), len(Z)) `out`: clamped at 0 and exactly 0 at the
+    flat indices `same`. Each entry is computed from its two rows alone, so
+    it does not depend on the other queries: the products by einsum's loops
+    (`ij,kj->ik`), and the norms added one query row at a time, because
+    numpy buffers a two-dimensional broadcast sum."""
+    out = np.einsum("ij,kj->ik", Zq, Z, out=out)
+    out *= -2.0
+    norms = np.einsum("ij,ij->i", Z, Z)
+    for row, norm in zip(out, np.einsum("ij,ij->i", Zq, Zq)):
+        row += norms
+        row += norm
     np.maximum(out, 0.0, out=out)
     out.reshape(-1)[same] = 0.0
     return out
 
 
 def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix K[i, j] = k(X_i, Xp_j), from rows centred on X's column
-    means. Exactly symmetric when Xp is X. Each leaf's values are written
-    over its r^2 and added into K before the next leaf is evaluated, so K,
-    one later leaf's values and that leaf's `value` work are all the arrays
-    of K's shape alive at once."""
+    """Gram matrix K[i, j] = k(X_i, Xp_j): exactly symmetric when Xp is X
+    (`sq_dist`), and otherwise the transpose of `cross_gram(X, Xp, spec)`."""
+    return _gram(X, X, spec, True) if Xp is X else cross_gram(X, Xp, spec).T
+
+
+def cross_gram(X: np.ndarray, Xq: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Query-major covariances K_*[i, j] = k(Xq_i, X_j) of query rows Xq with
+    training rows X, C-ordered. Row i is computed from Xq_i and X alone
+    (`cross_sq_dist`), so it does not depend on Xq's other rows, even where
+    Xq is X."""
+    return _gram(X, Xq, spec, False)
+
+
+def _gram(X: np.ndarray, Xq: np.ndarray, spec: KernelSpec, one: bool) -> np.ndarray:
+    """The (len(Xq), len(X)) kernel matrix, from rows centred on X's column
+    means, with r^2 from `sq_dist` when `one` (Xq is X) and from
+    `cross_sq_dist` otherwise. Each leaf's values are written over its r^2
+    and added into K before the next leaf is evaluated, so K, one later
+    leaf's values and that leaf's `value` work are all the arrays of K's
+    shape alive at once."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xp = np.atleast_2d(np.asarray(Xp, dtype=float))
-    if X.shape[1] != Xp.shape[1]:
-        raise ValidationError(f"input dimensions differ: {X.shape[1]} vs {Xp.shape[1]}")
-    Xc, Xpc = X - X.mean(axis=0), Xp - X.mean(axis=0)
-    same = same_rows(X, Xp)
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    if X.shape[1] != Xq.shape[1]:
+        raise ValidationError(f"input dimensions differ: {X.shape[1]} vs {Xq.shape[1]}")
+    mean = X.mean(axis=0)
+    Xc, Xqc = X - mean, Xq - mean
+    same = same_rows(Xq, X)
     K, work = None, []
     for leaf in leaves(spec):
         if leaf.lengthscales.size != X.shape[1]:
             raise ValidationError(f"ARD lengthscale count {leaf.lengthscales.size} != "
                                   f"input dimension {X.shape[1]}")
         Z = Xc / leaf.lengthscales
-        Zp = Z if Xp is X else Xpc / leaf.lengthscales
         # work[:w] is the leaf's `value` work and work[w] a later leaf's r^2
         w = leaf.work_arrays
         while len(work) < w + (K is not None):
-            work.append(np.empty((X.shape[0], Xp.shape[0])))
-        if K is None:
-            K = leaf.value(sq_dist(Z, Zp, same), work)
+            work.append(np.empty((Xq.shape[0], X.shape[0])))
+        r2 = None if K is None else work[w]
+        if one:
+            r2 = sq_dist(Z, same, out=r2)
         else:
-            K += leaf.value(sq_dist(Z, Zp, same, out=work[w]), work)
+            r2 = cross_sq_dist(Xqc / leaf.lengthscales, Z, same, out=r2)
+        if K is None:
+            K = leaf.value(r2, work)
+        else:
+            K += leaf.value(r2, work)
     return K
 
 

@@ -110,13 +110,22 @@ def _forward_trace(net: DenseNetwork, X: np.ndarray):
 
 
 def forward(net: DenseNetwork, x: np.ndarray) -> float | np.ndarray:
-    """Network output; a 1-D input yields a scalar, a matrix yields a vector."""
+    """Network output; a 1-D input yields a scalar, a matrix yields a vector.
+    This is scoring's forward pass, which keeps no activations. Each layer's
+    product is einsum's `ij,jk->ik`, which computes a row's outputs from that
+    row alone, so they do not depend on the other rows of the batch, as a
+    BLAS product's do; training's `_forward_trace` keeps `@`."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != net.input_dim:
-        raise ValidationError(f"input dimension {X.shape[1]} != network input {net.input_dim}")
-    out = _forward_trace(net, X)[1][-1][:, 0]
+    h = np.atleast_2d(x)
+    if h.shape[1] != net.input_dim:
+        raise ValidationError(f"input dimension {h.shape[1]} != network input {net.input_dim}")
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        h = np.einsum("ij,jk->ik", h, w)
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+    out = h[:, 0]
     return float(out[0]) if single else out
 
 

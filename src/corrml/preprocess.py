@@ -153,21 +153,34 @@ def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
     return _matrix(table, feature_set, rows, served.size), served
 
 
+def select_rows(table: SampleTable, feature_set: str, rows: np.ndarray) -> np.ndarray:
+    """`feature_set`'s columns of the samples at positions `rows`, written
+    for them only."""
+    return _matrix(table, feature_set, rows, rows.size)
+
+
 def select_present(table: SampleTable, feature_set: str) -> tuple[np.ndarray, np.ndarray]:
     """(rows, X): the positions of the samples of `table` that carry every
     field of `feature_set`, found first, and their columns, written for
     them only."""
     rows = np.flatnonzero(_present(table, feature_set))
-    return rows, _matrix(table, feature_set, rows, rows.size)
+    return rows, select_rows(table, feature_set, rows)
+
+
+def present_rows(table: SampleTable, feature_set: str) -> np.ndarray:
+    """The positions of the samples of `table` that carry every field of
+    forward `feature_set`; none is a NoSamplesError."""
+    rows = np.flatnonzero(_present(table, feature_set))
+    if not rows.size:
+        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
+    return rows
 
 
 def feature_matrix(table: SampleTable, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
     """(matrix, rows): the samples of `table` that carry every field of
     forward `feature_set`, and their positions; none is a NoSamplesError."""
-    rows, X = select_present(table, feature_set)
-    if not rows.size:
-        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
-    return FeatureMatrix(X, table.ids(rows)), rows
+    rows = present_rows(table, feature_set)
+    return FeatureMatrix(select_rows(table, feature_set, rows), table.ids(rows)), rows
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:

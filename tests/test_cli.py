@@ -16,6 +16,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, Dataset, datase
                             generate_inverse_synthetic, generate_synthetic, parse_csv)
 from corrml.errors import TrainingError, ValidationError
 from corrml.evaluation import FAMILIES
+from corrml.preprocess import ScalerState, apply_scaler, build_features
 from corrml.trees import TreeTable, forest_from_dict, node_arrays
 from conftest import child_env
 from test_jobs import no_children
@@ -664,18 +666,8 @@ def compared(workspace, tmp_path_factory):
     return run
 
 
-def _one_path_case(family, features, suffix):
-    # predict scores all 60 CSV rows in one batch; in these cells BLAS gives
-    # the last row of the 18-row test batch a different last bit there
-    case = f"{family}-{features}{suffix}"
-    batch_dependent = case in ("dnn-comp+env-clip30", "gpr-comp-clip30", "loggpr-comp-clip30")
-    return pytest.param(family, features, suffix, id=case, marks=[pytest.mark.xfail(
-        reason="a row's prediction depends on the batch it is scored in",
-        raises=AssertionError)] if batch_dependent else [])
-
-
 @pytest.mark.parametrize("family,features,suffix", [
-    _one_path_case(family, features, suffix)
+    pytest.param(family, features, suffix, id=f"{family}-{features}{suffix}")
     for suffix in ONE_PATH_CONFIGS for family in FAMILIES for features in ("comp", "comp+env")])
 def test_train_compare_and_predict_share_one_path(workspace, compared, tmp_path,
                                                    family, features, suffix):
@@ -1847,28 +1839,118 @@ def test_inverse_non_finite_value_in_the_last_chunk_leaves_no_output(inverse_run
     assert os.listdir(out) == []
 
 
-def test_forward_predict_memory_per_row_is_its_columns(forward_payload, tmp_path):
-    # forward predict writes each query row into a column table and holds no
-    # sample object: between 2,000 and 20,000 rows, its traced peak grows by
-    # under 1,200 bytes a row (the table, the feature matrix and the ids take
-    # about 1,000), where a sample object and a list of its values per row
-    # would take about 1,700
+@pytest.fixture(scope="module")
+def forward_queries(tmp_path_factory):
+    """`forward_queries(n)`: a rate-less query CSV of `n` synthetic rows,
+    written once per module."""
+    root = tmp_path_factory.mktemp("fq")
+
+    @functools.cache
+    def make(n):
+        return _dump_csv(generate_synthetic(n, seed=9), root / f"q{n}.csv", drop_rates=True)
+
+    return make
+
+
+def _predict_forward(model, queries, out):
+    assert cli.main(["predict", "--model", str(model), "--direction", "forward",
+                     "--input", str(queries), "--out", str(out)]) == 0
+    with open(os.path.join(out, "predictions.csv"), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("family,back_transform", [
+    ("rf", None), ("dnn", None), ("gpr", None), ("loggpr", "median"), ("loggpr", "mean")],
+    ids=["rf", "dnn", "gpr", "loggpr-median", "loggpr-mean"])
+def test_forward_predictions_do_not_depend_on_the_batch(trained, forward_queries, tmp_path,
+                                                        monkeypatch, family, back_transform):
+    # every product of a forward prediction computes a row's value from that
+    # row alone: a row scores the same bytes alone, in a batch of 7 and with
+    # every row, and predict writes the same file whatever its chunk size
+    payload = copy.deepcopy(trained(family))
+    if back_transform:
+        payload["model"]["back_transform"] = back_transform
+    entry = FAMILIES[family]
+    model = entry.from_dict(payload["model"])
+    fm, _ = build_features(generate_synthetic(150, seed=9), payload["feature_set"])
+    X = fm.values
+    if payload["preprocess"]["scaler"] is not None:
+        X = apply_scaler(ScalerState.from_dict(payload["preprocess"]["scaler"]), X)
+    whole = entry.predict(model, X)
+    for size in (1, 7):
+        parts = [entry.predict(model, X[lo:lo + size]) for lo in range(0, len(X), size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    queries = forward_queries(150)
+    default = _predict_forward(path, queries, tmp_path / "default")
+    assert default.splitlines()[1:] == [f"{sid},{v!r}".encode()
+                                        for sid, v in zip(fm.sample_ids, whole.tolist())]
+    monkeypatch.setattr(evaluation, "_ROW_CHUNK", 7)
+    assert _predict_forward(path, queries, tmp_path / "by7") == default
+
+
+def _env_queries(path, n_first, n_last):
+    """A query CSV of `n_first` rows in the first environment, then `n_last`
+    in the second."""
+    ds = generate_synthetic(n_first + n_last, seed=9)
+    for i, s in enumerate(ds.samples):
+        s.environment = int(i >= n_first)
+    return _dump_csv(ds, path, drop_rates=True)
+
+
+def test_forward_non_finite_value_in_the_last_chunk_leaves_no_output(forward_payload,
+                                                                     tmp_path, capsys):
+    # each tree of the edited forest splits on the second environment's
+    # indicator, and only the last chunk's rows carry it: its leaf for them
+    # holds 1e308, so their trees' values sum to +inf. Those rows are scored
+    # after the first chunks' rows were written.
+    payload = copy.deepcopy(forward_payload)
+    column = len(ELEMENT_ORDER) + 1  # comp+env: the indicator of environment 1
+    assert payload["feature_set"] == "comp+env"
+    for tree in payload["model"]["trees"]:
+        tree.update(feature=[column, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                    right=[2, -1, -1], value=[0.0, 1.0, 1e308])
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(forward_payload))
+    model.write_text(json.dumps(payload))
+    chunk = evaluation._ROW_CHUNK
+    queries = _env_queries(tmp_path / "q.csv", 2 * chunk, 5)
+    out = tmp_path / "p"
+    assert cli.main(["predict", "--model", str(model), "--direction", "forward",
+                     "--input", queries, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: the model predicts a non-finite value\n"
+    assert os.listdir(out) == []
+    # the same model scores the first chunks' rows alone
+    _predict_forward(model, _env_queries(tmp_path / "first.csv", 2 * chunk, 0), tmp_path / "ok")
+    rows = _read_rows(tmp_path / "ok" / "predictions.csv")[1:]
+    assert len(rows) == 2 * chunk and {value for _, value in rows} == {"1.0"}
 
-    def peak(n):
-        queries = _dump_csv(generate_synthetic(n, seed=9), tmp_path / f"q{n}.csv",
-                            drop_rates=True)
-        tracemalloc.start()
-        try:
-            assert cli.main(["predict", "--model", str(model), "--direction", "forward",
-                             "--input", queries, "--out", str(tmp_path / f"p{n}")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    small, large = peak(2_000), peak(20_000)
-    assert large - small < 1_200 * 18_000, (small, large)
+def test_forward_predict_memory_per_row_is_its_columns(trained, forward_queries, tmp_path):
+    # forward predict writes each query row into a column table, holds no
+    # sample object, and scores a chunk of rows at a time: between 2,000
+    # and 20,000 rows, its traced peak grows by under 600 bytes a row (the
+    # table and the ids take about 300), where a feature matrix of every row
+    # takes about 330 more, a GP's cross-covariances of every row 6 x 8
+    # bytes per training row, and a network's activations of every row
+    # about 2,000
+    for family in ("rf", "dnn", "gpr"):
+        model = tmp_path / f"{family}.json"
+        model.write_text(json.dumps(trained(family)))
+
+        def peak(n):
+            queries = forward_queries(n)
+            tracemalloc.start()
+            try:
+                assert cli.main(["predict", "--model", str(model), "--direction", "forward",
+                                 "--input", queries, "--out", str(tmp_path / f"{family}{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        assert large - small < 600 * 18_000, (family, small, large)
 
 
 def test_inverse_predict_memory_does_not_grow_with_the_query_count(inverse_run, tmp_path):

@@ -73,7 +73,7 @@ def _workspace_sq_dist(ws, ls):
     """r^2 of one leaf as `_NlmlWorkspace._leaf_terms` computes it, before
     the leaf's values are written over it."""
     Z = ws._xc / ls[ws.varying]
-    return sq_dist(Z, Z, ws._same)
+    return sq_dist(Z, ws._same)
 
 
 def test_squared_distances_exactly_symmetric_with_zero_diagonal():

@@ -18,6 +18,7 @@ from corrml.kernels import (
     SumKernel,
     ard_dim,
     cholesky_jitter,
+    cross_sq_dist,
     get_log_params,
     gram,
     kernel_from_dict,
@@ -289,21 +290,28 @@ def test_cross_gram_holds_under_five_arrays_of_its_shape():
 @pytest.mark.parametrize("same_rows", [False, True], ids=["two-row-sets", "one-row-set"])
 def test_sq_dist_fills_its_broadcast_sums_without_a_ufunc_buffer(same_rows):
     # numpy buffers a two-dimensional broadcast sum, two buffers of
-    # np.getbufsize() floats a call (128 KiB) at 262 x 331; sq_dist fills
-    # |Z_i|^2 + |Zp_j|^2, and with one row set the half of it, without one.
-    # With one row set, r^2 = g + g^T still buffers its transposed operand,
-    # one buffer. Few columns, so the copies dgemm takes of Z and Zp stay small.
+    # np.getbufsize() floats a call (128 KiB) at 262 x 331. With one row set,
+    # sq_dist fills the half of |Z_i|^2 + |Z_j|^2 without one, and
+    # r^2 = g + g^T still buffers its transposed operand, one buffer. Between
+    # two row sets, cross_sq_dist adds the norms a query row at a time, with
+    # none. Few columns, so the copies dgemm takes of Z stay small.
     rng = np.random.default_rng(41)
     n, m, d = 262, 331, 2
     Z = rng.normal(size=(n, d))
     Zp = Z if same_rows else rng.normal(size=(m, d))
-    out = np.empty((n, len(Zp)))
-    scratch = np.empty((n, n)) if same_rows else None
     want = np.maximum(np.add.outer((Z * Z).sum(1), (Zp * Zp).sum(1)) - 2 * Z @ Zp.T, 0.0)
-    sq_dist(Z, Zp, np.array([], dtype=np.intp), out=out, scratch=scratch)
+    none = np.array([], dtype=np.intp)
+    if same_rows:
+        out, scratch = np.empty((n, n)), np.empty((n, n))
+        call = lambda: sq_dist(Z, none, out=out, scratch=scratch)  # noqa: E731
+    else:
+        out = np.empty((m, n))  # query-major
+        call = lambda: cross_sq_dist(Zp, Z, none, out=out)  # noqa: E731
+        want = want.T
+    call()
     tracemalloc.start()
     try:
-        sq_dist(Z, Zp, np.array([], dtype=np.intp), out=out, scratch=scratch)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

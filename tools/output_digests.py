@@ -13,8 +13,9 @@ paths. The chains are
     ingest -> train-forward (rf, dnn, gpr and loggpr) -> forward predict,
               then train-forward (loggpr, back_transform "mean") -> forward
               predict, then train-forward (rf, --features
-              comp+env+temp+dur) -> forward predict, then compare-forward
-              -> report
+              comp+env+temp+dur) -> forward predict, then forward predict
+              of the dnn and loggpr models on 1,000 rows, then
+              compare-forward -> report
     ingest -> train-inverse -> inverse predict on the 1,000 queries, then
               on 5,000
 
@@ -27,9 +28,13 @@ back-transform reads the GP's predictive variance, which the default median
 one does not. Every walkthrough row carries the fields of comp and
 comp+env, but not all carry a temperature and a duration, so the
 comp+env+temp+dur chain selects a subset of the rows, in training and in
-predict. The 5,000 queries are the benchmark's 1,000 repeated by
-``tools/repeat_queries.py``: inverse predict scores them in three chunks,
-the last one partial, where 1,000 queries are one chunk.
+predict. Forward predict scores its rows a chunk of
+``evaluation._ROW_CHUNK`` (64) at a time; the 1,000 rows are the
+walkthrough's 331 repeated by ``tools/repeat_queries.py``, fifteen whole
+chunks and a partial one, each repeated row scored in a different place in
+its chunk. The 5,000 queries are the benchmark's 1,000 repeated the same
+way: inverse predict scores them in three chunks, the last one partial,
+where 1,000 queries are one chunk.
 """
 
 import argparse
@@ -49,6 +54,7 @@ MEAN_CONFIG = ("in/fwd/loggpr-mean.json", {"model_params": {"loggpr": {"back_tra
 FORWARD_RUNS = [*((model, model, []) for model in ("rf", "dnn", "gpr", "loggpr")),
                 ("loggpr-mean", "loggpr", ["--config", MEAN_CONFIG[0]]),
                 ("rf-temp-dur", "rf", ["--features", "comp+env+temp+dur"])]
+FWD_QUERIES_1000 = "in/fwd/data-1000.csv"
 INV_QUERIES = "in/inv/queries.csv"
 INV_QUERIES_5000 = "in/inv/queries-5000.csv"
 COMMANDS = [
@@ -58,6 +64,9 @@ COMMANDS = [
          "--out", f"out/fwd/{name}"],
         ["predict", "--model", f"out/fwd/{name}/model.json", "--direction", "forward",
          "--input", "in/fwd/data.csv", "--out", f"out/fwd/{name}-predict"])),
+    *(["predict", "--model", f"out/fwd/{name}/model.json", "--direction", "forward",
+       "--input", FWD_QUERIES_1000, "--out", f"out/fwd/{name}-predict-1000"]
+      for name in ("dnn", "loggpr")),
     ["compare-forward", "--dataset", FWD_DATASET, "--out", "out/fwd/compare"],
     ["report", "--metrics", "out/fwd/compare/compare_metrics.csv",
      "--pairs", "out/fwd/compare/compare_pairs.csv", "--out", "out/fwd/report"],
@@ -84,8 +93,10 @@ def digests(src: str, seed: int) -> list[str]:
         for workload, folder in (("forward-gp", "in/fwd"), ("inverse", "in/inv")):
             _run([sys.executable, os.path.join(ROOT, "bench", "inputs.py"), "--workload",
                   workload, "--seed", str(seed), "--out", folder], work, env)
-        _run([sys.executable, os.path.join(ROOT, "tools", "repeat_queries.py"), "--input",
-              INV_QUERIES, "--rows", "5000", "--out", INV_QUERIES_5000], work, env)
+        for queries, rows, out in (("in/fwd/data.csv", "1000", FWD_QUERIES_1000),
+                                   (INV_QUERIES, "5000", INV_QUERIES_5000)):
+            _run([sys.executable, os.path.join(ROOT, "tools", "repeat_queries.py"), "--input",
+                  queries, "--rows", rows, "--out", out], work, env)
         with open(os.path.join(work, MEAN_CONFIG[0]), "w", encoding="utf-8") as fh:
             json.dump(MEAN_CONFIG[1], fh)
         for argv in COMMANDS:
