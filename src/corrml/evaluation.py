@@ -143,10 +143,13 @@ def compare_forward_models(dataset: Dataset, seed: int = 0,
     cell whose process dies is lost, and only that cell; if that is the
     first failure, a TrainingError names the lost cells.
     """
-    # every cell draws from numpy.random; imported before the fork, its
-    # extension modules (and OpenSSL's libcrypto, in a process that lets
-    # hashlib load it) are pages the workers share instead of each loading them
+    # every cell draws from numpy.random, and GP cells train through the
+    # BLAS/LAPACK binding; imported before the fork, their extension modules
+    # (and OpenSSL's libcrypto, in a process that lets hashlib load it) are
+    # pages the workers share instead of each loading them
     import numpy.random  # noqa: F401
+
+    from . import _linalg  # noqa: F401
 
     configs = configs or {}
     for model in models:

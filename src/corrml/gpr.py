@@ -6,12 +6,16 @@ Training minimizes the negative log marginal likelihood
     NLML = 1/2 (y - c)^T (K + s_n^2 I)^(-1) (y - c) + sum_i ln L_ii + n/2 ln 2pi
 
 with Adam in log-hyperparameter space (Rasmussen & Williams, GPML, Alg. 2.1).
-Both take r^2 from rows centred on the training means: training from
-`kernels.sq_dist`'s dgemm Gram product, and prediction from
+Both take r^2 from rows centred on the training means: training's NLML
+epochs from `kernels.sq_dist`'s dgemm Gram product, and prediction from
 `kernels.cross_sq_dist`, which computes a query's distances from its own
 row alone. Every product of a prediction is one of numpy's einsum forms,
 which compute each query's result from its own row, so a query's prediction
 does not depend on the other rows of its batch, as a BLAS product's would.
+A fitted or loaded model's K, Cholesky factor, alpha and L^-1 are einsum
+forms too (`_finalize`), so scoring from a model file runs no BLAS and
+depends on no BLAS core type or thread count; only training imports
+`corrml._linalg`, and with it scipy.
 Gradients use the trace identity dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T)
 dK/dtheta) and d/dc = -1^T alpha (GPML eq. 5.9), with Kinv from LAPACK dpotri
 on the Cholesky factor. For a lengthscale the trace is a sum over
@@ -31,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import ddot, dgemm, dpotri, dpotrs, dtrtri
 from .errors import TrainingError, ValidationError
 from .kernels import (
     KernelSpec,
@@ -83,6 +86,8 @@ def default_log_kernel(dim: int) -> KernelSpec:
 def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """x with (L L^T) x = b for the Cholesky factor L given as (c, lower),
     the factor read from the lower triangle of c when `lower` is true."""
+    from ._linalg import dpotrs
+
     c, lower = c_and_lower
     x, info = dpotrs(c, b, lower=int(lower))
     if info != 0:
@@ -118,12 +123,13 @@ class _NlmlWorkspace:
     model) writes K's later leaves and their work into the gradient's leaf
     buffers, and allocates only those a gradient has not: a fit's last
     factorization allocates nothing, and a model loaded for prediction
-    holds no gradient buffers.
+    holds no gradient buffers. `_finalize`'s is numpy only, into the same
+    buffers; its factor is C-ordered, in the factor buffer's transposed view.
 
-    Every large BLAS product and LAPACK call goes through scipy's library, bound
-    in `corrml._linalg`, none through numpy's: when both libraries run
-    multi-threaded, their two thread pools compete for the cores and an epoch
-    was about 5x slower on two cores.
+    Every large BLAS product and LAPACK call of an NLML evaluation goes
+    through scipy's library, bound in `corrml._linalg`, none through numpy's:
+    when both libraries run multi-threaded, their two thread pools compete
+    for the cores and an epoch was about 5x slower on two cores.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
@@ -144,7 +150,7 @@ class _NlmlWorkspace:
         self._xc2 = self._wx = None
         self._leaf_bufs: list[list] = []
 
-    def _leaf_terms(self, spec: KernelSpec, grad: bool = True):
+    def _leaf_terms(self, spec: KernelSpec, grad: bool = True, blas: bool = True):
         """K without its noise, summed over the leaves in pre-order. Each
         leaf's r^2 is written into its values' buffer and its values over
         it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own
@@ -177,7 +183,7 @@ class _NlmlWorkspace:
                 k, p = (spares[0] if i else K), None
                 work = (free, *spares[int(i > 0):need])
             Z = self._xc / leaf.lengthscales[self.varying]
-            sq_dist(Z, self._same, out=k, scratch=free)
+            sq_dist(Z, self._same, out=k, scratch=free, blas=blas)
             leaf.value(k, work, p)
             if grad:
                 terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
@@ -187,13 +193,17 @@ class _NlmlWorkspace:
                 np.copyto(K, k)
         return terms
 
-    def _factorize(self, spec, noise_variance, c, grad=True):
-        terms = self._leaf_terms(spec, grad)
+    def _factorize(self, spec, noise_variance, c, grad=True, blas=True):
+        """(terms, L, alpha, NLML, jitter) at these hyperparameters. Without
+        `blas`, numpy only: r^2 from einsum loops, L from
+        `kernels._cholesky_rows`, C-ordered in the factor buffer's
+        transposed view, and alpha by `_substitute`."""
+        terms = self._leaf_terms(spec, grad, blas)
         K = self._K
         K.flat[::self.n + 1] += noise_variance
-        L, jitter = cholesky_jitter(K, out=self._L)
+        L, jitter = cholesky_jitter(K, out=self._L if blas else self._L.T, blas=blas)
         resid = self.y - c
-        alpha = cho_solve((L, True), resid)
+        alpha = cho_solve((L, True), resid) if blas else _substitute(L, resid)
         value = (0.5 * float(resid @ alpha)
                  + float(np.sum(np.log(np.diag(L))))
                  + 0.5 * self.n * LOG2PI)
@@ -204,6 +214,8 @@ class _NlmlWorkspace:
 
     def value_and_grad(self, spec: KernelSpec, noise_variance: float, c: float
                        ) -> tuple[float, np.ndarray]:
+        from ._linalg import ddot, dgemm, dpotri
+
         terms, L, alpha, value, _ = self._factorize(spec, noise_variance, c)
         if self._xc2 is None:
             self._xc2 = self._xc * self._xc
@@ -282,20 +294,46 @@ class GprModel:
         """L^-1, C-ordered, made once a predictive variance is first asked for:
         a query's ||L^-1 k_*||^2 is then a product over its own row, where a
         triangular solve over a batch's columns rounds each column
-        differently with the batch (LAPACK dtrtrs)."""
-        inv, info = dtrtri(self.chol, lower=1)
-        if info != 0:
-            raise TrainingError(f"triangular inverse failed (LAPACK dtrtri info {info})")
-        return np.ascontiguousarray(inv)
+        differently with the batch. Row i of L^-1 is taken by substitution
+        from the rows above it, each entry one einsum dot, so its bits
+        depend on no BLAS. A zero or non-finite pivot is a TrainingError."""
+        L = np.ascontiguousarray(self.chol)
+        inv = np.zeros(L.shape)
+        for i in range(L.shape[0]):
+            pivot = L[i, i]
+            if pivot == 0.0 or not math.isfinite(pivot):
+                raise TrainingError(f"triangular inverse failed: the factor's pivot "
+                                    f"L[{i}, {i}] is {pivot:g}")
+            row = inv[i, :i]
+            np.einsum("k,kj->j", L[i, :i], inv[:i, :i], out=row)
+            row /= -pivot
+            inv[i, i] = 1.0 / pivot
+        return inv
+
+
+def _substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with (L L^T) x = b for the C-ordered lower factor L, by forward and
+    then back substitution, each entry one einsum dot of a row or column of
+    L with the entries already solved, so its bits depend on no BLAS."""
+    x = np.empty(b.size)
+    for i in range(b.size):
+        x[i] = (b[i] - np.einsum("i,i->", L[i, :i], x[:i])) / L[i, i]
+    for i in reversed(range(b.size)):
+        x[i] = (x[i] - np.einsum("i,i->", L[i + 1:, i], x[i + 1:])) / L[i, i]
+    return x
 
 
 def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history,
               origin: str) -> GprModel:
     """The model of these hyperparameters over the workspace's data, which
-    keeps the workspace's factor buffer: the workspace is spent. `origin`
-    ("fitted" or "loaded") names the model in the warning logged when K
-    factors only with jitter added to its diagonal."""
-    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c, grad=False)
+    keeps the workspace's factor buffer: the workspace is spent. K, its
+    factor and alpha are numpy only (`_factorize` without `blas`), so a
+    model scores the same under any BLAS library, core type or thread
+    count, and a process that loads a model file to score loads no BLAS
+    binding. `origin` ("fitted" or "loaded") names the model in the warning
+    logged when K factors only with jitter added to its diagonal."""
+    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c, grad=False,
+                                                  blas=False)
     if jitter:
         log.warning("%s GP model (%d training rows, noise variance %g) factors only with "
                     "jitter %g added to the diagonal of its kernel matrix",

@@ -12,12 +12,15 @@ bytes, so a model's factor is the same whichever built it.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf,
-exactly 0 for equal rows. Over one set of rows (training, and a model's K)
-`sq_dist` takes it from a dgemm Gram product, exactly symmetric. Between
-query rows and training rows (prediction) `cross_sq_dist` takes it, query
-by query, from numpy's einsum loops, which compute each entry from its two
-rows alone: a BLAS product rounds a row's entries differently with the
-number of rows beside it, so a query's prediction would depend on its batch.
+exactly 0 for equal rows. Between query rows and training rows
+(prediction) `cross_sq_dist` takes it, query by query, from numpy's einsum
+loops, which compute each entry from its two rows alone: a BLAS product
+rounds a row's entries differently with the number of rows beside it, so a
+query's prediction would depend on its batch. Over one set of rows
+`sq_dist` takes it exactly symmetric: in training, from a dgemm Gram
+product, and for a fitted or loaded model's K, from those einsum loops, so
+that a model's K, and the numpy-only factor `cholesky_jitter` takes of it,
+depend on no BLAS library, core type or thread count.
 Matern kernels are restricted to the closed-form nu in {1/2, 3/2, 5/2}; the
 general Bessel-function form is deliberately out of scope.
 """
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dgemm, dpotrf
 from .errors import TrainingError, ValidationError
 from .schema import NUMBER, array, one_of, parse
 
@@ -225,23 +227,33 @@ def _add_outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     broadcast sum, about 128 KiB a call for a 262 x 331 `out`. Each row of
     `out` is set to a[i], then a rank-one dgemm adds b[j] * 1, a product that
     is exact, so each entry is a[i] + b[j] rounded once, whatever the BLAS."""
+    from ._linalg import dgemm
+
     np.copyto(out, a[:, None])
     dgemm(1.0, b[:, None], np.ones((1, a.size)), beta=1.0, c=out.T, overwrite_c=1)
 
 
 def sq_dist(Z: np.ndarray, same: np.ndarray, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
+            scratch: np.ndarray | None = None, blas: bool = True) -> np.ndarray:
     """r^2[i, j] = |Z_i|^2 + |Z_j|^2 - 2 Z_i . Z_j for centred, lengthscale-scaled
     rows, into the C-ordered `out`: clamped at 0 and exactly 0 at the flat
-    indices `same`. Half of it goes to `scratch` from one dgemm, and r^2 is
-    that plus its transpose, exactly symmetric where a dgemm product is not."""
+    indices `same`. Half of it goes to `scratch`, and r^2 is that plus its
+    transpose, exactly symmetric where the half is not. With `blas` the half
+    comes from one dgemm (training); without, it is half of
+    `cross_sq_dist(Z, Z)`, from numpy's einsum loops alone (a model's K)."""
     out = np.empty((Z.shape[0], Z.shape[0])) if out is None else out
     if out.size == 0:  # f2py's dgemm rejects an empty c
         return out
-    half = 0.5 * np.einsum("ij,ij->i", Z, Z)
     g = np.empty_like(out) if scratch is None else scratch
-    _add_outer(half, half, g)
-    dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
+    if blas:
+        from ._linalg import dgemm
+
+        half = 0.5 * np.einsum("ij,ij->i", Z, Z)
+        _add_outer(half, half, g)
+        dgemm(-1.0, Z, Z, beta=1.0, c=g.T, trans_b=1, overwrite_c=1)
+    else:
+        cross_sq_dist(Z, Z, same, out=g)
+        g *= 0.5
     # g^T + g, the sum of two C-ordered operands, which numpy does not
     # buffer as it buffers g + g^T
     np.copyto(out, g.T)
@@ -321,30 +333,56 @@ def _gram(X: np.ndarray, Xq: np.ndarray, spec: KernelSpec, one: bool) -> np.ndar
     return K
 
 
-def cholesky_jitter(K: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def cholesky_jitter(K: np.ndarray, out: np.ndarray | None = None,
+                    blas: bool = True) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + j*I for the smallest workable jitter j.
 
     The jitters tried are DEFAULT_JITTER_LADDER's multiples of the mean
     diagonal, so stabilization is invariant to the output-variance
     magnitude. Returns (L, applied jitter).
-    L is Fortran-ordered with an exactly zero upper triangle; it is written
-    into `out` (a Fortran-ordered float array of K's shape, not K itself)
-    when given, so repeated factorizations can reuse one buffer.
+    L has an exactly zero upper triangle. With `blas` it comes from LAPACK
+    dpotrf and is Fortran-ordered; without, from `_cholesky_rows`, numpy
+    only, and C-ordered. It is written into `out` (a float array of K's
+    shape in that order, not K itself) when given, so repeated
+    factorizations can reuse one buffer.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValidationError("matrix must be square")
-    L = np.empty(K.shape, order="F") if out is None else out
+    if blas:
+        from ._linalg import dpotrf
+    L = np.empty(K.shape, order="F" if blas else "C") if out is None else out
     scale = float(np.mean(np.diag(K)))
     for mult in DEFAULT_JITTER_LADDER:
         jitter = mult * scale
         np.copyto(L, K)
         if jitter != 0.0:
             L.flat[::K.shape[0] + 1] += jitter
-        _, info = dpotrf(L, lower=1, clean=1, overwrite_a=1)
-        if info == 0:
+        factored = (dpotrf(L, lower=1, clean=1, overwrite_a=1)[1] == 0 if blas
+                    else _cholesky_rows(L))
+        if factored:
             return L, jitter
     raise TrainingError(f"Cholesky factorization failed at maximum jitter {jitter:g}")
+
+
+def _cholesky_rows(L: np.ndarray) -> bool:
+    """Lower Cholesky factor of the symmetric matrix in the C-ordered L,
+    written over it column by column with an exactly zero upper triangle.
+    Each entry takes one einsum dot of the leading parts of two of the
+    factor's rows, so its bits depend on no BLAS. False, with L part
+    written, at the first pivot that is not positive or is NaN, where
+    reference LAPACK's dpotrf reports a matrix not positive definite."""
+    for j in range(L.shape[0]):
+        row = L[j, :j]
+        pivot = L[j, j] - np.einsum("i,i->", row, row)
+        if not pivot > 0.0:
+            return False
+        L[j, j] = diag = math.sqrt(pivot)
+        L[j, j + 1:] = 0.0
+        below = L[j + 1:, j]
+        below -= np.einsum("ij,j->i", L[j + 1:, :j], row)
+        below /= diag
+    return True
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:

@@ -1,7 +1,7 @@
 """Regression metrics shared by the forward and inverse directions.
 
-numpy only: the inverse path imports this module, and it runs no GP, so it
-must not pull in scipy through the forward-family table.
+numpy only: every scoring path imports this module, and scipy's BLAS/LAPACK
+binding loads only where GP training runs (`corrml._linalg`).
 """
 
 from __future__ import annotations

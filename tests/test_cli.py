@@ -1406,8 +1406,10 @@ def test_reruns_write_byte_identical_json(tmp_path):
     ("import corrml.evaluation", ("concurrent.futures.process", "multiprocessing")),
     ("from corrml import cli; "
      "assert cli.main(['ingest', '--input', {csv!r}, '--out', {out!r}]) == 0", ("numpy",)),
+    # scipy's BLAS/LAPACK binding loads where GP training runs, not on import
+    ("import corrml.evaluation", ("scipy",)),
 ], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "evaluation-no-process-pool",
-        "ingest-no-numpy"])
+        "ingest-no-numpy", "evaluation-no-scipy"])
 def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwanted):
     code = (f"import sys; {probe.format(csv=workspace['csv'], out=str(tmp_path))}; "
             f"print(sorted(m for m in sys.modules "
@@ -1430,6 +1432,35 @@ def test_forward_gp_predict_does_not_load_openssl(workspace, trained, tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
+def _model_file(trained, family, back_transform, path):
+    """`path`, written with the model file of `trained(family)`, its loggpr
+    back-transform set to `back_transform` unless that is None."""
+    payload = copy.deepcopy(trained(family))
+    if back_transform:
+        payload["model"]["back_transform"] = back_transform
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("family,back_transform", [
+    ("gpr", None), ("loggpr", "median"), ("loggpr", "mean")],
+    ids=["gpr", "loggpr-median", "loggpr-mean"])
+def test_forward_gp_predict_does_not_load_scipy(workspace, trained, tmp_path, family,
+                                                back_transform):
+    # a loaded GP's K, factor, alpha and L^-1 (which the mean back-transform
+    # reads) are numpy's einsum loops: scipy and the OpenBLAS its BLAS/LAPACK
+    # binding maps, about 5 MB of resident memory, are for training
+    model = _model_file(trained, family, back_transform, tmp_path / "model.json")
+    argv = ["predict", "--model", str(model), "--direction", "forward", "--input",
+            workspace["csv"], "--out", str(tmp_path / "pred")]
+    code = (f"import sys; from corrml import cli; assert cli.main({argv!r}) == 0; "
+            f"print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
     assert (tmp_path / "pred" / "predictions.csv").exists()
 
 
@@ -1889,6 +1920,55 @@ def test_forward_predictions_do_not_depend_on_the_batch(trained, forward_queries
                                         for sid, v in zip(fm.sample_ids, whole.tolist())]
     monkeypatch.setattr(evaluation, "_ROW_CHUNK", 7)
     assert _predict_forward(path, queries, tmp_path / "by7") == default
+
+
+# environments added to a child's own: the default, another OpenBLAS core
+# type, and two BLAS threads
+BLAS_ENVS = ({}, {"OPENBLAS_CORETYPE": "Nehalem"}, {"CORRML_THREADS": "2"})
+
+
+def _cli_outputs(argvs, cwd, env):
+    """{relative path: bytes} of every file written in the new folder `cwd`
+    by `python -m corrml.cli argv` for each of `argvs` in turn, each run in
+    a child process with `env` set in its environment only."""
+    cwd.mkdir()
+    base = {k: v for k, v in child_env().items()
+            if k not in ("OPENBLAS_CORETYPE", cli.THREADS_ENV_VAR)}
+    for argv in argvs:
+        result = subprocess.run([sys.executable, "-m", "corrml.cli", *argv], cwd=cwd,
+                                env={**base, **env}, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+    return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("family,back_transform", [
+    ("rf", None), ("dnn", None), ("gpr", None), ("loggpr", "median"), ("loggpr", "mean")],
+    ids=["rf", "dnn", "gpr", "loggpr-median", "loggpr-mean"])
+def test_forward_predict_from_one_model_file_is_the_same_under_any_blas(
+        workspace, trained, tmp_path, family, back_transform):
+    # scoring, and a loaded GP's K, factor and alpha, run no BLAS: numpy's
+    # einsum loops give the same bytes whatever OpenBLAS's core type or
+    # thread count
+    model = _model_file(trained, family, back_transform, tmp_path / "model.json")
+    argv = ["predict", "--model", str(model), "--direction", "forward", "--input",
+            workspace["csv"], "--out", "pred"]
+    default, *others = [_cli_outputs([argv], tmp_path / f"env{i}", env)
+                        for i, env in enumerate(BLAS_ENVS)]
+    assert "pred/predictions.csv" in default
+    assert others == [default] * len(others)
+
+
+def test_tree_training_is_the_same_under_any_blas(workspace, inverse_run, tmp_path):
+    # rf and the inverse forest+GBM ensemble train on numpy alone
+    argvs = [["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+              "--config", workspace["config"], "--out", "fwd"],
+             ["train-inverse", "--dataset", inverse_run["dataset"], "--config",
+              inverse_run["config"], "--out", "inv"]]
+    default, *others = [_cli_outputs(argvs, tmp_path / f"env{i}", env)
+                        for i, env in enumerate(BLAS_ENVS)]
+    assert {"fwd/model.json", "inv/ensemble.json"} <= set(default)
+    assert others == [default] * len(others)
 
 
 def _env_queries(path, n_first, n_last):

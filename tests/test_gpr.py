@@ -402,6 +402,24 @@ def test_jittered_factor_is_logged_naming_the_jitter_and_the_model(caplog, origi
                         f"kernel matrix"]
 
 
+def test_a_loaded_model_takes_the_jitter_rung_lapack_takes(caplog):
+    # repeated rows under a kernel variance of 1e5 and a noise variance of
+    # 1e-12: K is singular at the kernel's rounding, and the numpy factor a
+    # loaded model takes climbs the ladder to the rung LAPACK's takes
+    d = {**_repeated_rows_file(1e-12), "kernel": {"kind": "rbf", "lengthscales": [1.0],
+                                                  "variance": 1e5}}
+    workspace = _NlmlWorkspace(np.array(d["x_train"]), np.array(d["y_train"]))
+    lapack_jitter = workspace._factorize(RbfKernel(np.ones(1), 1e5), 1e-12, 0.0, grad=False)[4]
+    assert lapack_jitter > 0.0
+    with caplog.at_level(logging.WARNING, logger="corrml.gpr"):
+        model = gpr_from_dict(d)
+    assert model.jitter == lapack_jitter
+    messages = [r.getMessage() for r in caplog.records if r.name == "corrml.gpr"]
+    assert messages == [f"loaded GP model (12 training rows, noise variance 1e-12) factors "
+                        f"only with jitter {lapack_jitter:g} added to the diagonal of its "
+                        f"kernel matrix"]
+
+
 def test_unjittered_factor_logs_nothing(caplog):
     with caplog.at_level(logging.WARNING, logger="corrml.gpr"):
         model = gpr_from_dict(_repeated_rows_file(0.1))

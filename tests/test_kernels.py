@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrml.errors import TrainingError, ValidationError
+from corrml.gpr import _substitute
 from corrml.kernels import (
     DEFAULT_JITTER_LADDER,
     MaternKernel,
@@ -212,6 +213,50 @@ def test_cholesky_jitter_gives_up_on_indefinite_matrix():
     K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(TrainingError):
         cholesky_jitter(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(0.05, 10.0))
+def test_numpy_factor_matches_lapack(n, seed, shift):
+    # the factor a model scores with is numpy's einsum loops, not LAPACK
+    # dpotrf; on a well-conditioned K the two agree to rounding, and the
+    # substitutions solve K alpha = b
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    K = A @ A.T + shift * n * np.eye(n)
+    K = 0.5 * (K + K.T)
+    lapack, jitter = cholesky_jitter(K)
+    L, numpy_jitter = cholesky_jitter(K, blas=False)
+    assert jitter == numpy_jitter == 0.0
+    assert L.flags.c_contiguous and np.all(np.triu(L, 1) == 0.0)
+    assert np.max(np.abs(L - lapack)) <= 1e-12 * np.max(np.abs(lapack))
+    b = rng.normal(size=n)
+    alpha = _substitute(L, b)
+    assert np.linalg.norm(K @ alpha - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("K", [np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
+                               -np.eye(3)], ids=["indefinite", "negative"])
+def test_numpy_factor_gives_up_with_the_lapack_message(K):
+    with pytest.raises(TrainingError) as lapack:
+        cholesky_jitter(K)
+    with pytest.raises(TrainingError) as numpy_only:
+        cholesky_jitter(K, blas=False)
+    assert str(numpy_only.value) == str(lapack.value)
+
+
+def test_numpy_sq_dist_keeps_the_contract():
+    # a model's r^2 over one row set, from einsum loops: exactly symmetric,
+    # clamped at 0, exactly 0 at equal rows, and the BLAS one's to rounding
+    rng = np.random.default_rng(12)
+    Z = rng.normal(size=(80, 7)) * 1e3
+    Z[11] = Z[47]
+    same = np.flatnonzero(np.all(Z[:, None] == Z[None], axis=2).ravel())
+    r2 = sq_dist(Z, same, blas=False)
+    assert np.array_equal(r2, r2.T)
+    assert np.all(r2 >= 0.0) and np.all(r2.reshape(-1)[same] == 0.0)
+    assert r2[11, 47] == 0.0
+    np.testing.assert_allclose(r2, sq_dist(Z, same), rtol=1e-9, atol=1e-6)
 
 
 def test_serialization_roundtrip():

@@ -12,7 +12,7 @@ from corrml.errors import TrainingError
 from corrml.gpr import GprModel, cho_solve, predict_gpr
 from corrml.kernels import RbfKernel
 
-ROUTINES = {"lapack": ("dpotrf", "dpotri", "dpotrs", "dtrtri"),
+ROUTINES = {"lapack": ("dpotrf", "dpotri", "dpotrs"),
             "blas": ("dgemm", "ddot")}
 
 
@@ -47,5 +47,5 @@ def test_predict_reports_a_failed_triangular_solve():
     chol[1, 1] = 0.0  # a factor with a zero pivot is singular
     model = GprModel(x_train=X, y_train=np.zeros(3), spec=RbfKernel(np.ones(1)), mean=0.0,
                      noise_variance=0.1, chol=chol, alpha=np.zeros(3))
-    with pytest.raises(TrainingError, match="dtrtri info 2"):
+    with pytest.raises(TrainingError, match=r"pivot L\[1, 1\] is 0"):
         predict_gpr(model, X)

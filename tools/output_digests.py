@@ -15,7 +15,8 @@ paths. The chains are
               predict, then train-forward (rf, --features
               comp+env+temp+dur) -> forward predict, then forward predict
               of the dnn and loggpr models on 1,000 rows, then
-              compare-forward -> report
+              compare-forward -> report, then forward predict of the gpr
+              and loggpr-mean models again with CORRML_THREADS=2
     ingest -> train-inverse -> inverse predict on the 1,000 queries, then
               on 5,000
 
@@ -34,7 +35,12 @@ walkthrough's 331 repeated by ``tools/repeat_queries.py``, fifteen whole
 chunks and a partial one, each repeated row scored in a different place in
 its chunk. The 5,000 queries are the benchmark's 1,000 repeated the same
 way: inverse predict scores them in three chunks, the last one partial,
-where 1,000 queries are one chunk.
+where 1,000 queries are one chunk. The gpr and loggpr-mean models are
+scored again with ``CORRML_THREADS=2`` set in that child's environment
+only, into folders of their own: a loaded GP's factor and scoring run no
+BLAS, so their ``predictions.csv`` lines carry the digests of the
+default-environment ones (their sidecars record another ``--out``). For
+seed N the tool prints 79 lines.
 """
 
 import argparse
@@ -77,6 +83,10 @@ COMMANDS = [
       for queries, out in ((INV_QUERIES, "out/inv/predict"),
                            (INV_QUERIES_5000, "out/inv/predict-5000"))),
 ]
+# run after COMMANDS, each with CORRML_THREADS=2 set in its child's environment only
+THREADS_2_COMMANDS = [["predict", "--model", f"out/fwd/{name}/model.json", "--direction",
+                       "forward", "--input", "in/fwd/data.csv", "--out",
+                       f"out/fwd/{name}-predict-threads2"] for name in ("gpr", "loggpr-mean")]
 
 
 def _run(argv: list[str], cwd: str, env: dict) -> None:
@@ -101,6 +111,9 @@ def digests(src: str, seed: int) -> list[str]:
             json.dump(MEAN_CONFIG[1], fh)
         for argv in COMMANDS:
             _run([sys.executable, "-m", "corrml.cli", *argv], work, env)
+        for argv in THREADS_2_COMMANDS:
+            _run([sys.executable, "-m", "corrml.cli", *argv], work,
+                 {**env, "CORRML_THREADS": "2"})
         lines = []
         for folder, _, files in os.walk(os.path.join(work, "out")):
             for name in files:
