@@ -300,19 +300,27 @@ def _write_outputs(out: str, files: dict, command: str, flags: dict, config: dic
     JSON (`write_json`), a str as text, and any other content as CSV rows,
     taken from it one at a time, so rows a generator makes are written as it
     makes them. Each file appears under its name only whole (`_whole`); a
-    failure leaves the files written before it."""
+    failure leaves the files written before it, and removes `out` if this
+    call made it and nothing is left in it."""
+    made = not os.path.lexists(out)
     os.makedirs(out, exist_ok=True)
     files[f"{command}.config.json"] = {"command": command, "flags": flags, "config": config}
-    for name, content in files.items():
-        path = os.path.join(out, name)
-        if isinstance(content, dict):
-            write_json(path, content)
-            continue
-        with _whole(path) as fh:
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                csv.writer(fh).writerows(content)
+    try:
+        for name, content in files.items():
+            path = os.path.join(out, name)
+            if isinstance(content, dict):
+                write_json(path, content)
+                continue
+            with _whole(path) as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    csv.writer(fh).writerows(content)
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):  # a folder that holds a file stays
+                os.rmdir(out)
+        raise
     return 0
 
 
@@ -579,8 +587,8 @@ def cmd_compare_forward(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .dataset import DEFAULT_ENVIRONMENTS, csv_samples
-    from .preprocess import FEATURE_SETS, feature_fields, sample_table
+    from .dataset import DEFAULT_ENVIRONMENTS, csv_records
+    from .preprocess import FEATURE_SETS, feature_fields
     from .schema import load, one_of
     from .trees import node_arrays
 
@@ -588,30 +596,27 @@ def cmd_predict(args) -> int:
         raise ValidationError("--units wt does not apply to --direction inverse: its "
                               "queries list only Al, Si and Mg, whose at% cannot be "
                               "derived from wt% without the trace elements")
-    # The query file is read first, a row at a time into a table of its ids
-    # and the fields the direction reads, so the memory its check takes
-    # (every id it has read) is free again when the model is loaded.
+    # The query file's header is checked, the model loaded, and the rows read,
+    # checked and scored a block at a time as predictions.csv is written.
     if args.direction == "forward":
-        samples = csv_samples(args.input, units=args.units, require_rate=False)
-        widest = FEATURE_SETS[-1]
+        fields = feature_fields(FEATURE_SETS[-1])
+        records = csv_records(args.input, fields, units=args.units, require_rate=False)
     else:
-        from .inverse import SUBMODEL_SETS
+        from .inverse import QUERY_FIELDS
 
-        samples, widest = csv_samples(args.input), SUBMODEL_SETS[-1]
-    queries = sample_table(samples, feature_fields(widest))
+        records = csv_records(args.input, QUERY_FIELDS)
     payload = read_json(args.model, object_hook=node_arrays)
     # the envelope of the model files train-forward and train-inverse write;
     # the states it holds are read by their own tables
     envelope = {"kind": f"{args.direction}-model", "environment_names": list(DEFAULT_ENVIRONMENTS)}
     where, state = f"{args.model}: {args.direction} model file", f"{args.model}: model file key"
     # a model whose numbers overflow predicts non-finite values, refused as
-    # they are scored; queries are scored a chunk at a time as predictions.csv
-    # is written
+    # they are scored
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
             from .evaluation import FAMILIES, forward_prediction_rows
-            from .preprocess import ScalerState, feature_width, present_rows
+            from .preprocess import ScalerState, feature_width
 
             head = load(payload, {**envelope, "family": one_of(*FAMILIES),
                                   "feature_set": one_of(*FEATURE_SETS),
@@ -633,12 +638,7 @@ def cmd_predict(args) -> int:
             if family.n_inputs(model) != width:
                 raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
                                       f"feature set {feature_set!r} has {width}")
-            with _samples_of(args.input):
-                present = present_rows(queries, feature_set)
-            if present.size < len(queries):
-                log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                            len(queries) - present.size, feature_set)
-            rows = forward_prediction_rows(family, model, scaler, queries, feature_set, present,
+            rows = forward_prediction_rows(family, model, scaler, records, fields, feature_set,
                                            args.model)
         else:
             from .inverse import inverse_from_dict, inverse_prediction_rows
@@ -646,12 +646,12 @@ def cmd_predict(args) -> int:
             load(payload, {**envelope, "ensemble": {}}, where)
             ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
             del payload
-            with _samples_of(args.input):
-                rows = inverse_prediction_rows(ensemble, queries, args.model)
-        return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
-                              {"model": args.model, "input": args.input,
-                               "direction": args.direction, "units": args.units,
-                               "out": args.out}, {})
+            rows = inverse_prediction_rows(ensemble, records, args.model)
+        with _samples_of(args.input):
+            return _write_outputs(args.out, {"predictions.csv": rows}, "predict",
+                                  {"model": args.model, "input": args.input,
+                                   "direction": args.direction, "units": args.units,
+                                   "out": args.out}, {})
 
 
 def _parse_metric_rows(path: str) -> list[dict]:

@@ -13,6 +13,7 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import mul, truediv
 
 from .csvrows import csv_rows
 from .errors import ValidationError
@@ -68,6 +69,38 @@ _LISTED_PROBLEMS = 20  # bad rows a CSV refusal names; the rest it counts
 COMPOSITION_SUM_SLACK = 1e-6
 
 
+def _checked_total(entries: dict[str, float]) -> float:
+    """The sum of a composition's percentages, in order, each a supported
+    element's, finite and >= 0; a sum over 100 is refused."""
+    for symbol, pct in entries.items():
+        if symbol not in ATOMIC_MASS:
+            raise ValidationError(f"unsupported element symbol {symbol!r}")
+        if not math.isfinite(pct) or pct < 0:
+            raise ValidationError(f"element {symbol}: percentage {pct!r} must be finite and >= 0")
+    total = sum(entries.values())
+    if total > 100.0 + COMPOSITION_SUM_SLACK:
+        raise ValidationError(f"composition sums to {total:.6f} > 100")
+    return total
+
+
+def _check_sample(sample_id: str, environment: int, rate: float, temperature: float | None,
+                  duration: float | None) -> None:
+    """Refuse an environment id outside 0-8, a rate not finite and >= 0, or
+    a present duration or temperature out of range."""
+    if not (0 <= environment <= 8):
+        raise ValidationError(f"sample {sample_id}: environment id {environment} outside 0-8")
+    if not math.isfinite(rate) or rate < 0:
+        raise ValidationError(f"sample {sample_id}: rate {rate!r} must be finite and >= 0")
+    if duration is not None and not (math.isfinite(duration) and duration > 0):
+        raise ValidationError(
+            f"sample {sample_id}: duration {duration!r} must be finite and > 0 when present")
+    if temperature is not None and not (math.isfinite(temperature)
+                                        and temperature >= ABSOLUTE_ZERO_C):
+        raise ValidationError(
+            f"sample {sample_id}: temperature {temperature!r} must be finite and "
+            f">= {ABSOLUTE_ZERO_C} C when present")
+
+
 @dataclass
 class ElementComposition:
     """Element -> percentage map on a declared basis ("weight" or "atomic")."""
@@ -78,16 +111,7 @@ class ElementComposition:
     def __post_init__(self):
         if self.basis not in ("weight", "atomic"):
             raise ValidationError(f"unknown composition basis {self.basis!r}")
-        for symbol, pct in self.entries.items():
-            if symbol not in ATOMIC_MASS:
-                raise ValidationError(f"unsupported element symbol {symbol!r}")
-            if not math.isfinite(pct) or pct < 0:
-                raise ValidationError(f"element {symbol}: percentage {pct!r} must be finite and >= 0")
-        if self.total() > 100.0 + COMPOSITION_SUM_SLACK:
-            raise ValidationError(f"composition sums to {self.total():.6f} > 100")
-
-    def total(self) -> float:
-        return sum(self.entries.values())
+        _checked_total(self.entries)
 
     def get(self, symbol: str) -> float:
         return self.entries.get(symbol, 0.0)
@@ -108,18 +132,7 @@ class CorrosionSample:
         if self.composition.basis != "atomic":
             raise ValidationError(f"sample {self.id}: composition basis must be 'atomic', "
                                   f"got {self.composition.basis!r}")
-        if not (0 <= self.environment <= 8):
-            raise ValidationError(f"sample {self.id}: environment id {self.environment} outside 0-8")
-        if not math.isfinite(self.rate) or self.rate < 0:
-            raise ValidationError(f"sample {self.id}: rate {self.rate!r} must be finite and >= 0")
-        if self.duration is not None and not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValidationError(
-                f"sample {self.id}: duration {self.duration!r} must be finite and > 0 when present")
-        if self.temperature is not None and not (math.isfinite(self.temperature)
-                                                 and self.temperature >= ABSOLUTE_ZERO_C):
-            raise ValidationError(
-                f"sample {self.id}: temperature {self.temperature!r} must be finite and "
-                f">= {ABSOLUTE_ZERO_C} C when present")
+        _check_sample(self.id, self.environment, self.rate, self.temperature, self.duration)
 
 
 @dataclass
@@ -178,32 +191,30 @@ def convert_rate(value: float, unit_from: str, unit_to: str) -> float:
     return value / MPY_PER_MM
 
 
+def _per_hundred(entries: dict[str, float], weigh) -> dict[str, float]:
+    """Each entry's `weigh(pct, atomic mass)`, scaled to sum to 100:
+    `truediv` takes weight to atomic percent, `mul` atomic to weight."""
+    if not entries:
+        raise ValidationError("empty composition")
+    amounts = {sym: weigh(pct, ATOMIC_MASS[sym]) for sym, pct in entries.items()}
+    total = sum(amounts.values())
+    if total == 0.0:
+        raise ValidationError("all-zero composition")
+    return {sym: m / total * 100.0 for sym, m in amounts.items()}
+
+
 def wt_to_at(c: ElementComposition) -> ElementComposition:
     """Weight -> atomic percent over the listed elements; output sums to 100."""
     if c.basis != "weight":
         raise ValidationError(f"expected weight basis, got {c.basis!r}")
-    if not c.entries:
-        raise ValidationError("empty composition")
-    moles = {sym: pct / ATOMIC_MASS[sym] for sym, pct in c.entries.items()}
-    total = sum(moles.values())
-    if total == 0.0:
-        raise ValidationError("all-zero composition")
-    entries = {sym: m / total * 100.0 for sym, m in moles.items()}
-    return ElementComposition(entries=entries, basis="atomic")
+    return ElementComposition(entries=_per_hundred(c.entries, truediv), basis="atomic")
 
 
 def at_to_wt(c: ElementComposition) -> ElementComposition:
     """Atomic -> weight percent; inverse of wt_to_at on normalized compositions."""
     if c.basis != "atomic":
         raise ValidationError(f"expected atomic basis, got {c.basis!r}")
-    if not c.entries:
-        raise ValidationError("empty composition")
-    masses = {sym: pct * ATOMIC_MASS[sym] for sym, pct in c.entries.items()}
-    total = sum(masses.values())
-    if total == 0.0:
-        raise ValidationError("all-zero composition")
-    entries = {sym: m / total * 100.0 for sym, m in masses.items()}
-    return ElementComposition(entries=entries, basis="weight")
+    return ElementComposition(entries=_per_hundred(c.entries, mul), basis="weight")
 
 
 def parse_csv(path, **options) -> Dataset:
@@ -212,15 +223,27 @@ def parse_csv(path, **options) -> Dataset:
     return Dataset(samples=list(csv_samples(path, **options)))
 
 
-def csv_samples(
-    path,
-    units: str = "at",
-    grade_map: GradeMap | None = None,
-    strict_composition: bool = False,
-    composition_floor: float = 95.0,
-    require_rate: bool = True,
-) -> Iterator[CorrosionSample]:
-    """The records of a CSV file, each sample yielded as its row is read.
+_ENV_IDS = {name: i for i, name in enumerate(DEFAULT_ENVIRONMENTS)}
+
+
+def table_row(slots: dict[str, int], entries: dict[str, float], environment: int, rate: float,
+              temperature: float | None, duration: float | None) -> list[float]:
+    """A sample's row of the table whose field `name` is at `slots[name]`:
+    an element symbol's at% (0.0 when `entries` lacks it), "env" (the
+    environment id), "rate" (mpy), and "temp" and "dur", NaN when absent."""
+    row = [0.0] * len(slots)
+    for name, value in (*entries.items(), ("env", float(environment)), ("rate", rate),
+                        ("temp", math.nan if temperature is None else temperature),
+                        ("dur", math.nan if duration is None else duration)):
+        if name in slots:
+            row[slots[name]] = value
+    return row
+
+
+def csv_records(path, fields, **options) -> Iterator[tuple[str, list[float]]]:
+    """(id, row) of each record of a CSV file, yielded as its line is read,
+    `row` being its `table_row` in the layout of `fields`; the header is
+    checked by the call. `options` are `csv_samples`'.
 
     Header: ``id, env, temp_c, duration_days, rate, rate_unit, grade`` plus one
     column per element symbol, holding percentages in the declared basis
@@ -230,54 +253,83 @@ def csv_samples(
     All row-level failures, a sample id already read on an earlier row among
     them, are collected and raised together once the last row is read: their
     count, then the first 20 with their row numbers, then how many more there
-    are. So a caller keeps what it takes from the samples only once the
+    are. So a caller keeps what it takes from the records only once the
     iteration ends without an error.
 
     ``require_rate=False`` admits rows with neither rate nor grade (they get a
     0.0 placeholder), for prediction inputs where the rate is the unknown.
     """
+    records = _records(path, fields, **options)
+    next(records)  # the header's element columns, once it is checked
+    return records
+
+
+def csv_samples(path, units: str = "at", grade_map: GradeMap | None = None,
+                strict_composition: bool = False, composition_floor: float = 95.0,
+                require_rate: bool = True) -> Iterator[CorrosionSample]:
+    """The samples of `csv_records`' rows, each built as its line is read; a
+    composition lists its nonzero elements in header order."""
+    records = _records(path, None, units, grade_map, strict_composition, composition_floor,
+                       require_rate)
+    elements = next(records)
+    for sample_id, (env, rate, temp, dur, *pcts) in records:
+        composition = ElementComposition({e: pct for e, pct in zip(elements, pcts) if pct}, "atomic")
+        yield CorrosionSample(sample_id, composition, int(env), rate,
+                              None if math.isnan(temp) else temp, None if math.isnan(dur) else dur)
+
+
+def _records(path, fields, units="at", grade_map=None, strict_composition=False,
+             composition_floor=95.0, require_rate=True) -> Iterator:
+    """The header's element columns, once it is checked, then `csv_records`'
+    records; `fields` None is "env", "rate", "temp", "dur" and those columns."""
     if units not in ("wt", "at"):
         raise ValidationError(f"units must be 'wt' or 'at', got {units!r}")
-    if grade_map is None:
-        grade_map = GradeMap(DEFAULT_GRADE_MAP)
-    env_ids = {name: i for i, name in enumerate(DEFAULT_ENVIRONMENTS)}
-
     rows = csv_rows(path)
     header = [h.strip() for h in next(rows, [])]  # an empty file lacks every column
     for col in CSV_META_COLUMNS:
         if col not in header:
             raise ValidationError(f"{path}: missing required column {col!r}")
-    element_cols = [h for h in header if h not in CSV_META_COLUMNS]
-    unknown = [h for h in element_cols if h not in ATOMIC_MASS]
+    elements = [h for h in header if h not in CSV_META_COLUMNS]
+    unknown = [h for h in elements if h not in ATOMIC_MASS]
     if unknown:
         raise ValidationError(f"{path}: unknown element columns {unknown}")
-    idx = {name: header.index(name) for name in header}
     for i, name in enumerate(header):
-        if idx[name] != i:
+        if header.index(name) != i:
             raise ValidationError(f"{path}: column {name!r} appears more than once")
-
+    yield elements
+    cells = {name: i for i, name in enumerate(header)}
+    fields = fields or ("env", "rate", "temp", "dur", *elements)
+    # where `_parse_row` reads a row's cells, and the row position of each field
+    layout = (cells, [(h, cells[h]) for h in elements], {f: j for j, f in enumerate(fields)})
+    options = (units, grade_map or GradeMap(DEFAULT_GRADE_MAP), strict_composition,
+               composition_floor, require_rate)
     problems: list[str] = []
-    first_row: dict[str, int] = {}  # sample id -> the row it was first read on
+    skipped = 0  # rows read that yielded no record
+    # each yielded id, UTF-8, -> the rows skipped before it: a small int rows
+    # share, where each row's own number would be one more object
+    seen: dict[bytes, int] = {}
     for row_no, row in enumerate(rows, start=2):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
+        row = [cell.strip() for cell in row]
+        if not any(row):
+            skipped += 1
             continue
         try:
-            beyond = [i + 1 for i in range(len(header), len(cells)) if cells[i]]
+            beyond = [i + 1 for i in range(len(header), len(row)) if row[i]]
             if beyond:
                 raise ValidationError(f"cell {beyond[0]} is beyond the header's {len(header)} cells")
             # a short row's missing cells are empty
-            sample = _parse_row(cells + [""] * (len(header) - len(cells)), idx, element_cols,
-                                units, grade_map, env_ids, strict_composition,
-                                composition_floor, require_rate)
-            if sample.id in first_row:
-                raise ValidationError(f"duplicate sample id {sample.id!r} "
-                                      f"(first on row {first_row[sample.id]})")
+            sample_id, values = _parse_row(row + [""] * (len(header) - len(row)), layout, *options)
+            key = sample_id.encode()
+            if key in seen:  # a listed refusal names its row: 2 + skips + records before
+                first = (2 + seen[key] + next(k for k, other in enumerate(seen) if other == key)
+                         if len(problems) < _LISTED_PROBLEMS else None)
+                raise ValidationError(f"duplicate sample id {sample_id!r} (first on row {first})")
         except ValidationError as exc:
             problems.append(f"row {row_no}: {exc}")
+            skipped += 1
             continue
-        first_row[sample.id] = row_no
-        yield sample
+        seen[key] = skipped
+        yield sample_id, values
     if problems:
         more = len(problems) - _LISTED_PROBLEMS
         listed = problems[:_LISTED_PROBLEMS] + ([f"… and {more} more"] if more > 0 else [])
@@ -291,33 +343,36 @@ def _parse_float(text: str, what: str) -> float:
         raise ValidationError(f"unparseable numeric cell {text!r} for {what}") from None
 
 
-def _parse_row(row, idx, element_cols, units, grade_map, env_ids,
-               strict_composition, composition_floor, require_rate) -> CorrosionSample:
-    """The sample of a row's cells, stripped and one per header column."""
-    sample_id = row[idx["id"]]
+def _parse_row(row, layout, units, grade_map, strict_composition, composition_floor,
+               require_rate) -> tuple[str, list[float]]:
+    """(id, row): the sample id of a row's cells, stripped and one per
+    header column, and, once they pass every check of a sample, its
+    `table_row`; wt% become at% over the row's elements, in header order."""
+    cells, elements, slots = layout
+    sample_id = row[cells["id"]]
     if not sample_id:
         raise ValidationError("empty id")
 
-    env_label = row[idx["env"]]
-    if env_label not in env_ids:
-        raise ValidationError(f"unknown environment label {env_label!r}")
+    environment = _ENV_IDS.get(row[cells["env"]])
+    if environment is None:
+        raise ValidationError(f"unknown environment label {row[cells['env']]!r}")
 
     entries = {}
-    for sym in element_cols:
-        text = row[idx[sym]]
+    for sym, at in elements:
+        text = row[at]
         value = _parse_float(text, f"element {sym}") if text else 0.0
         if value != 0.0:
             entries[sym] = value
-    comp = ElementComposition(entries=entries, basis="weight" if units == "wt" else "atomic")
-    if strict_composition and comp.total() < composition_floor:
-        raise ValidationError(f"composition sums to {comp.total():.4f} < floor {composition_floor}")
+    total = _checked_total(entries)
+    if strict_composition and total < composition_floor:
+        raise ValidationError(f"composition sums to {total:.4f} < floor {composition_floor}")
     if units == "wt":
-        comp = wt_to_at(comp)
+        entries = _per_hundred(entries, truediv)
 
-    rate_text = row[idx["rate"]]
-    grade_text = row[idx["grade"]]
+    rate_text = row[cells["rate"]]
+    grade_text = row[cells["grade"]]
     if rate_text:
-        unit = row[idx["rate_unit"]] or "mpy"
+        unit = row[cells["rate_unit"]] or "mpy"
         rate = convert_rate(_parse_float(rate_text, "rate"), unit, "mpy")
         if grade_text:
             log.info("sample %s: both rate and grade present; using rate", sample_id)
@@ -330,16 +385,12 @@ def _parse_row(row, idx, element_cols, units, grade_map, env_ids,
     if rate < 0:
         raise ValidationError(f"negative rate {rate}")
 
-    temp_text = row[idx["temp_c"]]
-    dur_text = row[idx["duration_days"]]
-    return CorrosionSample(
-        id=sample_id,
-        composition=comp,
-        environment=env_ids[env_label],
-        rate=rate,
-        temperature=_parse_float(temp_text, "temp_c") if temp_text else None,
-        duration=_parse_float(dur_text, "duration_days") if dur_text else None,
-    )
+    temp_text = row[cells["temp_c"]]
+    dur_text = row[cells["duration_days"]]
+    temperature = _parse_float(temp_text, "temp_c") if temp_text else None
+    duration = _parse_float(dur_text, "duration_days") if dur_text else None
+    _check_sample(sample_id, environment, rate, temperature, duration)
+    return sample_id, table_row(slots, entries, environment, rate, temperature, duration)
 
 
 def dataset_to_dict(d: Dataset) -> dict:

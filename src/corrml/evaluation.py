@@ -4,27 +4,30 @@ harness (rate prediction from composition / composition+environment).
 
 from __future__ import annotations
 
+import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import NoSamplesError, ValidationError
 from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
                   log_gpr_to_dict, predict_gpr, predict_log_gpr)
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
-from .preprocess import (SampleTable, apply_scaler, build_features, cap_target, fit_scaler,
-                         select_rows, split_train_test)
+from .preprocess import (apply_scaler, build_features, cap_target, fit_scaler, sample_table,
+                         select, split_train_test)
 from .trees import fit_forest, forest_from_dict, forest_to_dict, predict_forest
+
+log = logging.getLogger(__name__)
 
 DEFAULT_COMPARE_FEATURE_SETS = ("comp", "comp+env")
 CAP_MPY = 100.0
-# forward `predict` scores this many query rows at a time: a GP chunk's
-# cross-covariances and their kernel work are a few hundred KB
+# forward `predict` reads and scores this many query rows at a time: a GP
+# chunk's cross-covariances and their kernel work are a few hundred KB
 _ROW_CHUNK = 64
 
 
@@ -70,24 +73,31 @@ def forward_family(name: str) -> Family:
     return family
 
 
-def forward_prediction_rows(family: Family, model, scaler, queries: SampleTable,
-                            feature_set: str, rows: np.ndarray, model_path: str):
-    """CSV rows (sample_id, predicted_mpy) of the queries at positions `rows`,
-    the header first, scored _ROW_CHUNK rows at a time as the iteration
-    reaches them, so scoring holds one chunk's arrays, whatever the number
-    of rows. A chunk that predicts a non-finite value is a ValidationError
-    naming `model_path`, raised before any of that chunk's rows."""
-    def scored(at):
-        X = select_rows(queries, feature_set, at)
+def forward_prediction_rows(family: Family, model, scaler, records, fields,
+                            feature_set: str, model_path: str) -> Iterator[list[str]]:
+    """CSV rows (sample_id, predicted_mpy), the header first, of the
+    `records` (id, row of `fields`) that carry every field of `feature_set`,
+    read and scored a table of _ROW_CHUNK at a time as the iteration reaches
+    it. A table that predicts a non-finite value is a ValidationError naming
+    `model_path`, raised before any of its rows. The rows skipped for a
+    missing field are counted in a warning, and none scored is refused."""
+    yield ["sample_id", "predicted_mpy"]
+    read = scored = 0
+    for table in sample_table(records, fields, _ROW_CHUNK):
+        rows, X = select(table, feature_set)
+        read, scored = read + len(table), scored + rows.size
+        if not rows.size:
+            continue
         values = np.asarray(family.predict(model, X if scaler is None
                                            else apply_scaler(scaler, X)), dtype=float)
         if not np.isfinite(values).all():
             raise ValidationError(f"{model_path}: the model predicts a non-finite value")
-        return zip(queries.ids(at), map(repr, values.tolist()))
-
-    return chain([["sample_id", "predicted_mpy"]],
-                 (row for lo in range(0, rows.size, _ROW_CHUNK)
-                  for row in scored(rows[lo:lo + _ROW_CHUNK])))
+        yield from zip(table.ids(rows), map(repr, values.tolist()))
+    if not scored:
+        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
+    if scored < read:
+        log.warning("%d row(s) lack fields required by feature set %r and were skipped",
+                    read - scored, feature_set)
 
 
 @dataclass

@@ -5,15 +5,13 @@ Three submodels ordered by feature availability — base (rate, numeric
 environment id, at% Al/Si/Mg), base+duration, base+duration+temperature —
 each a weighted pair of multi-output regressors (random forest + gradient
 boosting). Pair weights come from validation R^2 clamped at zero and
-normalized; equal scores give (0.5, 0.5). Training and evaluation read a
-dataset's rows through `inverse_features`. Queries are a
-`preprocess.SampleTable` of the fields the widest submodel reads, written a
-sample at a time, so a query file need not be held as samples; each
-submodel selects its feature set from that table, as training does. A
-query is served by every submodel whose fields it carries, and the served
-predictions are averaged unweighted (the union model), then clamped to the
-physical [0, 100] at% range. Queries are scored a fixed-size chunk at a
-time, so scoring holds one chunk's arrays however many queries there are.
+normalized; equal scores give (0.5, 0.5). Training, evaluation and
+`predict_inverse` read a dataset's rows through `inverse_features`; a query
+file's are read and scored a fixed-size `preprocess.SampleTable` at a time,
+each submodel selecting its feature set from it as training does. A query is
+served by every submodel whose fields it carries, and the served predictions
+are averaged unweighted (the union model), then clamped to the physical
+[0, 100] at% range.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -30,8 +27,8 @@ from .errors import NoSamplesError, ValidationError
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS  # noqa: F401  (the base part's; re-exported)
-from .preprocess import (SampleTable, feature_fields, feature_width, sample_table, select,
-                         select_present, split_train_test)
+from .preprocess import (feature_fields, feature_width, sample_records, sample_table, select,
+                         split_train_test)
 from .schema import NUMBER, STRING, integer, parse
 from .trees import (
     MultiOutputModel,
@@ -48,13 +45,12 @@ INVERSE_TARGETS = ("Zn", "Ti", "Ni", "Cu", "Fe", "Mn")
 SUBMODEL_SETS = ("base", "base+dur", "base+dur+temp")
 MIN_SUBSET_ROWS = 10
 VALIDATION_FRACTION = 0.2  # share of a subset held out to weight its forest/GBM pair
-# Queries scored at once. A chunk's feature rows, union sums and descent
-# blocks are what scoring holds besides the model, whatever the query count;
-# the benchmark's 1,000 queries are one chunk. Smaller chunks make more
-# descent blocks, each as deep as its deepest tree: chunks of 1,024 scored
-# 10,000 queries about 12 % slower, and chunks of 4,096 peaked about 0.9 MB
-# higher at 40,000 queries.
+# Queries read and scored at once (the benchmark's 1,000 are one chunk), and
+# the fields of their table, those the widest submodel reads. Chunks of 1,024
+# scored 10,000 queries about 12 % slower, as their descent blocks are more,
+# and chunks of 4,096 peaked about 0.9 MB higher at 40,000 queries.
 _QUERY_CHUNK = 1 << 11
+QUERY_FIELDS = feature_fields(SUBMODEL_SETS[-1])
 
 
 def clamp_at_pct(values: np.ndarray) -> np.ndarray:
@@ -72,8 +68,9 @@ def inverse_features(dataset: Dataset, feature_set: str
     """
     if feature_set not in SUBMODEL_SETS:
         raise ValidationError(f"unknown inverse feature set {feature_set!r}")
-    table = sample_table(dataset.samples, feature_fields(feature_set) + INVERSE_TARGETS)
-    rows, X = select_present(table, feature_set)
+    fields = feature_fields(feature_set) + INVERSE_TARGETS
+    (table,) = sample_table(sample_records(dataset.samples, fields), fields)
+    rows, X = select(table, feature_set)
     return rows.tolist(), X, table.columns(INVERSE_TARGETS, rows)
 
 
@@ -227,64 +224,46 @@ def _union(ensemble: InverseEnsemble, n: int, subsets) -> tuple[np.ndarray, dict
     return clamp_at_pct(total / count[:, None]), per_set
 
 
-def _score_chunk(ensemble: InverseEnsemble, queries: SampleTable, lo: int) -> tuple:
-    """(ids, union, served) of the chunk of queries from lo: `served` pairs
-    each serving submodel's feature set with the mask of the queries it served."""
-    chunk = slice(lo, min(lo + _QUERY_CHUNK, len(queries)))
-    subsets = []
-    for feature_set in ensemble.available_sets():
-        X, served = select(queries, feature_set, chunk)
-        if served.any():
-            subsets.append((feature_set, served, X[served]))
-    union, _ = _union(ensemble, chunk.stop - lo, subsets)
-    return (queries.ids(range(lo, chunk.stop)), union,
-            [(feature_set, served) for feature_set, served, _ in subsets])
-
-
-def _chunk_starts(queries: SampleTable) -> range:
-    """The first query of each chunk; no query is a NoSamplesError."""
-    if not len(queries):
-        raise NoSamplesError("no sample to predict")
-    return range(0, len(queries), _QUERY_CHUNK)
-
-
 def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
-    """Union-model predictions for every sample of `dataset`: its rate,
-    environment, at% Al/Si/Mg and, where present, duration and temperature;
-    a dataset of no sample is a NoSamplesError."""
-    queries = sample_table(dataset.samples, feature_fields(SUBMODEL_SETS[-1]))
-    preds = []
-    for lo in _chunk_starts(queries):
-        ids, union, served = _score_chunk(ensemble, queries, lo)
-        preds += [InversePrediction(ids[i], dict(zip(ensemble.target_names, values)),
-                                    [feature_set for feature_set, mask in served if mask[i]])
-                  for i, values in enumerate(union.tolist())]
-    return preds
+    """Union-model predictions for every sample of `dataset`, each submodel
+    reading those that carry its fields (`inverse_features`); a dataset of
+    no sample is a NoSamplesError."""
+    if not dataset.samples:
+        raise NoSamplesError("no sample to predict")
+    subsets = [(feature_set, *inverse_features(dataset, feature_set)[:2])
+               for feature_set in ensemble.available_sets()]
+    union, _ = _union(ensemble, len(dataset.samples), subsets)
+    served = [(feature_set, set(rows)) for feature_set, rows, _ in subsets]
+    return [InversePrediction(s.id, dict(zip(ensemble.target_names, values)),
+                              [feature_set for feature_set, rows in served if i in rows])
+            for i, (s, values) in enumerate(zip(dataset.samples, union.tolist()))]
 
 
-def _chunk_rows(ensemble: InverseEnsemble, queries: SampleTable, model: str, lo: int
-                ) -> Iterator[list[str]]:
-    """The CSV rows of the chunk of queries from lo; a non-finite value in
-    it is a ValidationError naming `model`, raised before any of its rows."""
-    ids, union, served = _score_chunk(ensemble, queries, lo)
-    if not np.isfinite(union).all():
-        raise ValidationError(f"{model}: the model predicts a non-finite value")
-    for i, values in enumerate(union):
-        tag = "|".join(name for name, mask in served if mask[i])  # "+" is in set names
-        for el, v in zip(ensemble.target_names, values.tolist()):
-            yield [ids[i], el, repr(v), tag]
-
-
-def inverse_prediction_rows(ensemble: InverseEnsemble, queries: SampleTable, model: str
+def inverse_prediction_rows(ensemble: InverseEnsemble, records, model: str
                             ) -> Iterator[list[str]]:
-    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels)
-    of every query, the header first, scored a chunk at a time as the
-    iteration reaches it, by a generator per chunk, so that each chunk's
-    arrays are freed before the next is scored. No query is a
-    NoSamplesError, raised by the call."""
-    starts = _chunk_starts(queries)
-    return chain([["query_id", "element", "predicted_at_pct", "contributing_submodels"]],
-                 (row for lo in starts for row in _chunk_rows(ensemble, queries, model, lo)))
+    """CSV rows (query_id, element, predicted_at_pct, contributing_submodels),
+    the header first, of the query `records` (id, row of QUERY_FIELDS), read
+    and scored a table of _QUERY_CHUNK at a time as the iteration reaches it.
+    A table that predicts a non-finite value is a ValidationError naming
+    `model`, raised before any of its rows; no query is a NoSamplesError."""
+    yield ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
+    queries = 0
+    for table in sample_table(records, QUERY_FIELDS, _QUERY_CHUNK):
+        queries += len(table)
+        subsets = [(feature_set, *select(table, feature_set))
+                   for feature_set in ensemble.available_sets()]
+        union, _ = _union(ensemble, len(table), subsets)
+        if not np.isfinite(union).all():
+            raise ValidationError(f"{model}: the model predicts a non-finite value")
+        served = [(feature_set, np.isin(np.arange(len(table)), rows).tolist())
+                  for feature_set, rows, _ in subsets]
+        for i, query_id in enumerate(table.ids(np.arange(len(table)))):
+            tag = "|".join(feature_set for feature_set, mask in served if mask[i])  # "+" in names
+            for el, v in zip(ensemble.target_names, union[i].tolist()):
+                yield [query_id, el, repr(v), tag]
+        del subsets, union, served  # freed before the next table is read
+    if not queries:
+        raise NoSamplesError("no sample to predict")
 
 
 @dataclass

@@ -358,8 +358,9 @@ def cholesky_jitter(K: np.ndarray, out: np.ndarray | None = None,
         np.copyto(L, K)
         if jitter != 0.0:
             L.flat[::K.shape[0] + 1] += jitter
-        factored = (dpotrf(L, lower=1, clean=1, overwrite_a=1)[1] == 0 if blas
-                    else _cholesky_rows(L))
+        # dpotrf passes a NaN pivot, which _cholesky_rows refuses
+        factored = (dpotrf(L, lower=1, clean=1, overwrite_a=1)[1] == 0
+                    and np.isfinite(np.diagonal(L)).all() if blas else _cholesky_rows(L))
         if factored:
             return L, jitter
     raise TrainingError(f"Cholesky factorization failed at maximum jitter {jitter:g}")

@@ -10,13 +10,13 @@ that a run can be reproduced bit-for-bit from its recorded metadata.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .dataset import (ATOMIC_MASS, DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, CorrosionSample,
-                      Dataset)
+from .dataset import DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, CorrosionSample, Dataset, table_row
 from .errors import NoSamplesError, ValidationError
 from .schema import array, parse
 
@@ -29,13 +29,6 @@ DEFAULT_LOG_EPSILON = 1e-6  # mpy shift so zero rates survive the log transform
 class FeatureMatrix:
     values: np.ndarray  # (n_samples, n_features) float64; every sample field is finite
     sample_ids: list[str]
-
-
-_ABSENT = float("nan")  # an absent temperature or duration; a present one is finite
-# each table field besides the element symbols, read from a sample
-_SCALARS = {"env": lambda s: float(s.environment), "rate": lambda s: s.rate,
-            "temp": lambda s: _ABSENT if s.temperature is None else s.temperature,
-            "dur": lambda s: _ABSENT if s.duration is None else s.duration}
 
 
 @dataclass
@@ -58,38 +51,44 @@ class SampleTable:
         ends = zip(self.offsets[rows].tolist(), self.offsets[np.add(rows, 1)].tolist())
         return [self.id_bytes[a:b].decode() for a, b in ends]
 
-    def columns(self, fields: Sequence[str], rows=slice(None)) -> np.ndarray:
-        """The values of `fields` of the samples at `rows`, a slice or
-        positions, read column by column into one C-ordered matrix: the GP's
-        products round a Fortran-ordered matrix differently."""
+    def columns(self, fields: Sequence[str], rows) -> np.ndarray:
+        """The values of `fields` of the samples at positions `rows`, read
+        column by column into one C-ordered matrix: the GP's products round a
+        Fortran-ordered matrix differently."""
         return np.stack([self.values[rows, self.fields.index(name)] for name in fields], axis=1)
 
 
-def sample_table(samples: Iterable[CorrosionSample], fields: Sequence[str]) -> SampleTable:
-    """The table of `samples`' `fields`, each sample written as the iteration
-    reaches it, so a stream of samples (`dataset.csv_samples` of a file) is
-    never held. A composition is written one entry at a time, the entries
-    it holds only; an element it lacks reads 0."""
+def sample_records(samples: Iterable[CorrosionSample], fields: Sequence[str]
+                   ) -> Iterator[tuple[str, list[float]]]:
+    """(id, row) of each of `samples`, its `dataset.table_row` of `fields`,
+    as `dataset.csv_records` yields a file's."""
+    slots = {name: j for j, name in enumerate(fields)}
+    for s in samples:
+        yield s.id, table_row(slots, s.composition.entries, s.environment, s.rate,
+                              s.temperature, s.duration)
+
+
+def sample_table(records: Iterable[tuple[str, Sequence[float]]], fields: Sequence[str],
+                 size: int | None = None) -> Iterator[SampleTable]:
+    """Tables of at most `size` (all in one if None) of `records`, (id, row
+    of `fields`) pairs, each built as the iteration reaches it, so a stream
+    of records is held a table at a time; the last holds what remains, maybe
+    nothing."""
     fields = tuple(fields)
-    elements = {name: j for j, name in enumerate(fields) if name in ATOMIC_MASS}
-    scalars = [(j, _SCALARS[name]) for j, name in enumerate(fields) if name not in elements]
-    blank = [0.0] * len(fields)
+    records = iter(records)
     # `struct` packs them: numpy loads it, and `array` would add 0.4 MB of RSS
     pack_row, pack_offset = struct.Struct(f"{len(fields)}d").pack, struct.Struct("q").pack
-    id_bytes, offsets, values = bytearray(), bytearray(pack_offset(0)), bytearray()
-    for s in samples:
-        id_bytes += s.id.encode()
-        offsets += pack_offset(len(id_bytes))
-        row = blank.copy()
-        for symbol, pct in s.composition.entries.items():
-            if symbol in elements:
-                row[elements[symbol]] = pct
-        for j, value in scalars:
-            row[j] = value(s)
-        values += pack_row(*row)
-    offsets = np.frombuffer(offsets, dtype=np.int64)
-    return SampleTable(fields, np.frombuffer(values).reshape(len(offsets) - 1, len(fields)),
-                       id_bytes, offsets)
+    while True:
+        id_bytes, offsets, values = bytearray(), bytearray(pack_offset(0)), bytearray()
+        for sample_id, row in islice(records, size):
+            id_bytes += sample_id.encode()
+            offsets += pack_offset(len(id_bytes))
+            values += pack_row(*row)
+        n = len(offsets) // 8 - 1
+        yield SampleTable(fields, np.frombuffer(values).reshape(n, len(fields)), id_bytes,
+                          np.frombuffer(offsets, dtype=np.int64))
+        if size is None or n < size:
+            return
 
 
 # A feature set joins its parts with "+", and its columns are its parts'
@@ -116,22 +115,17 @@ def feature_width(feature_set: str) -> int:
                for part in feature_set.split("+"))
 
 
-def _present(table: SampleTable, feature_set: str, rows=slice(None)) -> np.ndarray:
-    """The mask of the samples at `rows`, a slice of `table` or positions in
-    it, that carry every field `feature_set` reads: none of them is NaN."""
+def select(table: SampleTable, feature_set: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, X): the positions of the samples of `table` that carry every
+    field `feature_set` reads (none NaN), found first, and their columns,
+    each written straight into one C-ordered X (a forward env part's
+    indicators compared in place), so the table's rows are never copied."""
     first, *others = (table.fields.index(name) for name in feature_fields(feature_set))
-    mask = ~np.isnan(table.values[rows, first])
+    present = ~np.isnan(table.values[:, first])
     for j in others:
-        mask &= ~np.isnan(table.values[rows, j])
-    return mask
-
-
-def _matrix(table: SampleTable, feature_set: str, rows, n: int) -> np.ndarray:
-    """`feature_set`'s columns of the `n` samples at `rows`, a slice of
-    `table` or positions in it, NaN where a sample lacks a field. Each
-    column is written straight into one C-ordered X, a forward env part's
-    indicators compared in place, so the table's rows are never copied."""
-    X = np.empty((n, feature_width(feature_set)))
+        present &= ~np.isnan(table.values[:, j])
+    rows = np.flatnonzero(present)
+    X = np.empty((rows.size, feature_width(feature_set)))
     j = 0
     for part in feature_set.split("+"):
         for name in _PART_FIELDS[part]:
@@ -142,59 +136,21 @@ def _matrix(table: SampleTable, feature_set: str, rows, n: int) -> np.ndarray:
             else:
                 X[:, j:j + 1] = column
             j += width
-    return X
-
-
-def select(table: SampleTable, feature_set: str, rows: slice = slice(None)
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, present): `feature_set`'s columns of the samples in `rows`, NaN
-    where a sample lacks a field, and the mask of the rows that lack none."""
-    served = _present(table, feature_set, rows)
-    return _matrix(table, feature_set, rows, served.size), served
-
-
-def select_rows(table: SampleTable, feature_set: str, rows: np.ndarray) -> np.ndarray:
-    """`feature_set`'s columns of the samples at positions `rows`, written
-    for them only."""
-    return _matrix(table, feature_set, rows, rows.size)
-
-
-def select_present(table: SampleTable, feature_set: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, X): the positions of the samples of `table` that carry every
-    field of `feature_set`, found first, and their columns, written for
-    them only."""
-    rows = np.flatnonzero(_present(table, feature_set))
-    return rows, select_rows(table, feature_set, rows)
-
-
-def present_rows(table: SampleTable, feature_set: str) -> np.ndarray:
-    """The positions of the samples of `table` that carry every field of
-    forward `feature_set`; none is a NoSamplesError."""
-    rows = np.flatnonzero(_present(table, feature_set))
-    if not rows.size:
-        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
-    return rows
-
-
-def feature_matrix(table: SampleTable, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
-    """(matrix, rows): the samples of `table` that carry every field of
-    forward `feature_set`, and their positions; none is a NoSamplesError."""
-    rows = present_rows(table, feature_set)
-    return FeatureMatrix(select_rows(table, feature_set, rows), table.ids(rows)), rows
+    return rows, X
 
 
 def build_features(d: Dataset, feature_set: str) -> tuple[FeatureMatrix, np.ndarray]:
-    """Assemble the feature matrix and target vector for one feature selector.
-
-    Composition columns follow the fixed element order; environment columns are
-    one indicator per environment label. Selecting temp/dur restricts to samples
-    that carry the field. Targets are rates in mils/year.
-    """
+    """(matrix, rates in mils/year) of the samples of `d` that carry every
+    field of `feature_set`, none of which is a NoSamplesError: composition
+    columns in the fixed element order, one indicator per environment label."""
     if feature_set not in FEATURE_SETS:
         raise ValidationError(f"unknown feature set {feature_set!r}; choose from {FEATURE_SETS}")
-    table = sample_table(d.samples, feature_fields(feature_set) + ("rate",))
-    fm, rows = feature_matrix(table, feature_set)
-    return fm, table.columns(("rate",), rows)[:, 0]
+    fields = feature_fields(feature_set) + ("rate",)
+    (table,) = sample_table(sample_records(d.samples, fields), fields)
+    rows, X = select(table, feature_set)
+    if not rows.size:
+        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
+    return FeatureMatrix(X, table.ids(rows)), table.columns(("rate",), rows)[:, 0]
 
 
 def training_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:

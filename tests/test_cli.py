@@ -113,25 +113,36 @@ def test_ingest_bad_row_names_row(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["ingest", "predict"])
-def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, command):
-    path = _dump_csv(generate_synthetic(4, seed=2), tmp_path / "dup.csv")
+@pytest.mark.parametrize("command,blocks", [
+    ("ingest", 0), ("predict", 0), ("predict", 2), ("predict-inverse", 2)])
+def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, command,
+                                                    blocks):
+    # predict reads and scores its rows a block at a time (forward 64,
+    # inverse 2,048): a repeat after `blocks` full blocks, whose rows were
+    # scored and written, still refuses the file whole and leaves no output
+    size = inverse._QUERY_CHUNK if command == "predict-inverse" else evaluation._ROW_CHUNK
+    at = blocks * size + 3  # the line of the repeat; one more row follows it
+    path = _dump_csv(generate_synthetic(at + 1, seed=2), tmp_path / "dup.csv")
     lines = open(path).read().splitlines()
-    # row 4 repeats row 2's sample id
+    # row at + 1 repeats row 2's sample id
     sample_id = lines[1].split(",")[0]
-    lines[3] = sample_id + lines[3][lines[3].index(","):]
+    lines[at] = sample_id + lines[at][lines[at].index(","):]
     (tmp_path / "dup.csv").write_text("\n".join(lines) + "\n")
     out = str(tmp_path / "o")
     if command == "ingest":
         argv = ["ingest", "--input", path, "--out", out]
     else:
+        direction = "forward" if command == "predict" else "inverse"
+        payload = (request.getfixturevalue("forward_payload") if direction == "forward"
+                   else request.getfixturevalue("inverse_run")["payload"])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(request.getfixturevalue("forward_payload")))
-        argv = ["predict", "--model", str(model), "--direction", "forward", "--input", path,
+        model.write_text(json.dumps(payload))
+        argv = ["predict", "--model", str(model), "--direction", direction, "--input", path,
                 "--out", out]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (f"error: {path}: 1 invalid row(s)\nrow 4: duplicate "
-                                       f"sample id {sample_id!r} (first on row 2)\n")
+    assert capsys.readouterr().err == (f"error: {path}: 1 invalid row(s)\nrow {at + 1}: "
+                                       f"duplicate sample id {sample_id!r} (first on row 2)\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["ingest", "predict", "predict-inverse"])
@@ -322,14 +333,18 @@ def test_default_kernels_per_family(workspace, tmp_path):
     assert kernel["right"]["kind"] == "matern" and kernel["right"]["nu"] == 2.5
 
 
-def test_predict_forward_matches_library(workspace, tmp_path):
+@pytest.mark.parametrize("units", ["at", "wt"])
+def test_predict_forward_matches_library(workspace, tmp_path, units):
+    # with --units wt, the query rows are converted to at% as they are read,
+    # as parse_csv converts them
     out = tmp_path / "m"
     assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
                      "--seed", "4", "--config", workspace["config"], "--out", str(out)]) == 0
     queries = _dump_csv(generate_synthetic(8, seed=21), tmp_path / "q.csv", drop_rates=True)
     pred_out = tmp_path / "p"
     assert cli.main(["predict", "--model", str(out / "model.json"), "--direction",
-                     "forward", "--input", queries, "--out", str(pred_out)]) == 0
+                     "forward", "--input", queries, "--units", units,
+                     "--out", str(pred_out)]) == 0
     rows = _read_rows(pred_out / "predictions.csv")
     assert rows[0] == ["sample_id", "predicted_mpy"]
     assert len(rows) == 9
@@ -339,7 +354,7 @@ def test_predict_forward_matches_library(workspace, tmp_path):
     from corrml.trees import forest_from_dict, predict_forest
     with open(out / "model.json") as fh:
         payload = json.load(fh)
-    ds = parse_csv(queries, require_rate=False)
+    ds = parse_csv(queries, units=units, require_rate=False)
     fm, _ = build_features(ds, payload["feature_set"])
     expected = predict_forest(forest_from_dict(payload["model"]), fm.values)
     assert [r[1] for r in rows[1:]] == [repr(float(v)) for v in expected]
@@ -1867,7 +1882,7 @@ def test_inverse_non_finite_value_in_the_last_chunk_leaves_no_output(inverse_run
     assert cli.main(["predict", "--model", str(model), "--direction", "inverse",
                      "--input", str(queries), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {model}: the model predicts a non-finite value\n"
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -2000,7 +2015,7 @@ def test_forward_non_finite_value_in_the_last_chunk_leaves_no_output(forward_pay
     assert cli.main(["predict", "--model", str(model), "--direction", "forward",
                      "--input", queries, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {model}: the model predicts a non-finite value\n"
-    assert os.listdir(out) == []
+    assert not out.exists()
     # the same model scores the first chunks' rows alone
     _predict_forward(model, _env_queries(tmp_path / "first.csv", 2 * chunk, 0), tmp_path / "ok")
     rows = _read_rows(tmp_path / "ok" / "predictions.csv")[1:]
@@ -2033,10 +2048,34 @@ def test_forward_predict_memory_per_row_is_its_columns(trained, forward_queries,
         assert large - small < 600 * 18_000, (family, small, large)
 
 
+def test_forward_predict_memory_per_row_is_its_ids(trained, forward_queries, tmp_path):
+    # forward predict holds one block of query rows at a time, and beyond
+    # it only each row's id, for the repeated-id check (about 75 bytes a
+    # row): between 2,000 and 20,000 rows, its traced peak grows by at most
+    # 200 bytes a row, where a table of every row's fields added about 300
+    # more
+    for family in ("rf", "dnn", "gpr"):
+        model = tmp_path / f"{family}.json"
+        model.write_text(json.dumps(trained(family)))
+
+        def peak(n):
+            queries = forward_queries(n)
+            tracemalloc.start()
+            try:
+                assert cli.main(["predict", "--model", str(model), "--direction", "forward",
+                                 "--input", queries, "--out", str(tmp_path / f"{family}{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        assert large - small <= 200 * 18_000, (family, small, large, (large - small) / 18_000)
+
+
 def test_inverse_predict_memory_does_not_grow_with_the_query_count(inverse_run, tmp_path):
-    # inverse predict holds the model and one chunk of queries, plus each
-    # query's id and seven fields (about 80 bytes a query): the traced peak
-    # on 20,000 queries is within a fixed margin of the peak on 2,000
+    # inverse predict holds the model and one block of queries, plus each
+    # query's id (about 75 bytes a query): the traced peak on 20,000
+    # queries is within a fixed margin of the peak on 2,000
     model = tmp_path / "ensemble.json"
     model.write_text(json.dumps(inverse_run["payload"]))
 

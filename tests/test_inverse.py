@@ -18,6 +18,7 @@ from corrml.errors import NoSamplesError, ValidationError
 from corrml.inverse import (
     INVERSE_TARGETS,
     MIN_SUBSET_ROWS,
+    QUERY_FIELDS,
     SUBMODEL_SETS,
     InverseSubmodel,
     _mean_r2,
@@ -33,7 +34,7 @@ from corrml.inverse import (
     predict_inverse,
     submodel_predict,
 )
-from corrml.preprocess import feature_fields, sample_table, split_train_test
+from corrml.preprocess import sample_records, split_train_test
 from corrml.trees import (MultiOutputModel, fit_forests, fit_gbms, multi_output_to_dict,
                           node_arrays, predict_multi_output)
 from test_jobs import no_children
@@ -302,13 +303,13 @@ def test_report_and_prediction_rows():
     assert [r[3] for r in submodel_rows[1::6]] == list(SUBMODEL_SETS)
     assert (len(union_rows), len(submodel_rows)) == (1 + 6, 1 + 6 * 3)
 
-    queries = sample_table(data.samples[:4], feature_fields(SUBMODEL_SETS[-1]))
+    queries = sample_records(data.samples[:4], QUERY_FIELDS)
     prows = list(inverse_prediction_rows(ens, queries, "ensemble.json"))
     assert prows[0] == ["query_id", "element", "predicted_at_pct", "contributing_submodels"]
     assert len(prows) == 1 + 4 * 6
-    # no query is refused by the call, before any row is asked for
+    # no query is refused by the iteration, once the records end
     with pytest.raises(NoSamplesError):
-        inverse_prediction_rows(ens, sample_table([], feature_fields(SUBMODEL_SETS[-1])), "m")
+        list(inverse_prediction_rows(ens, iter([]), "m"))
 
 
 def test_serialization_roundtrip(tmp_path):

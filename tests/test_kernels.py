@@ -236,7 +236,8 @@ def test_numpy_factor_matches_lapack(n, seed, shift):
 
 
 @pytest.mark.parametrize("K", [np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
-                               -np.eye(3)], ids=["indefinite", "negative"])
+                               -np.eye(3), np.array([[1.0, np.nan], [np.nan, 1.0]])],
+                         ids=["indefinite", "negative", "nan"])
 def test_numpy_factor_gives_up_with_the_lapack_message(K):
     with pytest.raises(TrainingError) as lapack:
         cholesky_jitter(K)

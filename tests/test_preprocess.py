@@ -28,10 +28,10 @@ from corrml.preprocess import (
     build_features,
     cap_target,
     feature_fields,
-    feature_matrix,
     feature_width,
     fit_scaler,
     run_metadata,
+    sample_records,
     sample_table,
     select,
     split_train_test,
@@ -158,8 +158,8 @@ def _table_samples(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(samples=_table_samples(), lo=st.integers(0, 12), size=st.integers(1, 12))
-def test_feature_sets_match_the_per_sample_reference(samples, lo, size):
+@given(samples=_table_samples(), size=st.integers(1, 12))
+def test_feature_sets_match_the_per_sample_reference(samples, size):
     # every feature set of each direction selects, from the column table,
     # the rows, ids and bytes the per-sample reference builds
     ds = Dataset(samples=samples)
@@ -174,8 +174,9 @@ def test_feature_sets_match_the_per_sample_reference(samples, lo, size):
         assert fm.values.shape == (len(positions), feature_width(feature_set))
         assert fm.values.tobytes() == np.ascontiguousarray(M[:, :-1]).tobytes()
         assert y.tobytes() == np.ascontiguousarray(M[:, -1]).tobytes()
-    queries = sample_table(samples, feature_fields(SUBMODEL_SETS[-1]))
-    chunk = slice(lo, lo + size)
+    fields = feature_fields(SUBMODEL_SETS[-1])
+    tables = list(sample_table(sample_records(samples, fields), fields, size))
+    assert [len(t) for t in tables] == [size] * (len(samples) // size) + [len(samples) % size]
     for feature_set in SUBMODEL_SETS:
         width = feature_width(feature_set)
         positions, M = ref.feature_rows(samples, feature_set + "+targets")
@@ -184,28 +185,31 @@ def test_feature_sets_match_the_per_sample_reference(samples, lo, size):
         assert (X.shape, Y.shape) == ((len(rows), width), (len(rows), len(INVERSE_TARGETS)))
         assert X.tobytes() == np.ascontiguousarray(M[:, :width]).tobytes()
         assert Y.tobytes() == np.ascontiguousarray(M[:, width:]).tobytes()
-        # a chunk of a query table serves the same rows, with the same bytes
-        X, served = select(queries, feature_set, chunk)
-        in_chunk = [i for i in positions if lo <= i < lo + size]
-        assert (np.flatnonzero(served) + lo).tolist() == in_chunk
-        assert X[served].tobytes() == np.ascontiguousarray(
-            M[[positions.index(i) for i in in_chunk], :width]).tobytes()
+        # each table of a stream of query records serves the same rows,
+        # with the same bytes
+        for lo, table in zip(range(0, len(samples) + 1, size), tables):
+            served, X = select(table, feature_set)
+            in_chunk = [i for i in positions if lo <= i < lo + size]
+            assert (served + lo).tolist() == in_chunk
+            assert X.tobytes() == np.ascontiguousarray(
+                M[[positions.index(i) for i in in_chunk], :width]).tobytes()
 
 
 def test_a_selection_writes_its_columns_into_one_matrix():
-    # beyond the matrix and ids it returns, a forward selection briefly holds
-    # its NaN mask and the ids' offsets, about a quarter of X; a copy of each
-    # part's columns, stacked, added nearly all of X
-    table = sample_table(generate_synthetic(20000, seed=0).samples,
-                         feature_fields("comp+env") + ("rate",))
+    # beyond the matrix and rows it returns, a forward selection briefly
+    # holds its NaN mask, well under a quarter of X; a copy of each part's
+    # columns, stacked, added nearly all of X
+    fields = feature_fields("comp+env") + ("rate",)
+    (table,) = sample_table(sample_records(generate_synthetic(20000, seed=0).samples, fields),
+                            fields)
     tracemalloc.start()
     try:
-        fm, _ = feature_matrix(table, "comp+env")
+        _, X = select(table, "comp+env")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fm.values.flags.c_contiguous
-    assert peak - held <= fm.values.nbytes / 2, f"{(peak - held) / fm.values.nbytes:.2f} X"
+    assert X.flags.c_contiguous
+    assert peak - held <= X.nbytes / 2, f"{(peak - held) / X.nbytes:.2f} X"
 
 
 def test_a_selection_writes_only_the_rows_that_carry_its_fields():
@@ -216,16 +220,17 @@ def test_a_selection_writes_only_the_rows_that_carry_its_fields():
     for i, s in enumerate(samples):
         s.temperature = None if i % 2 else (s.temperature or 25.0)
         s.duration = None if i % 3 == 1 else (s.duration or 30.0)
-    table = sample_table(samples, feature_fields("comp+env+temp+dur") + ("rate",))
+    fields = feature_fields("comp+env+temp+dur") + ("rate",)
+    (table,) = sample_table(sample_records(samples, fields), fields)
     tracemalloc.start()
     try:
-        fm, rows = feature_matrix(table, "comp+env+temp+dur")
+        rows, X = select(table, "comp+env+temp+dur")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == len(fm.values) == len(range(0, 20000, 2)) - len(range(4, 20000, 6))
-    assert fm.values.flags.c_contiguous
-    assert peak - held <= fm.values.nbytes / 2, f"{(peak - held) / fm.values.nbytes:.2f} X"
+    assert len(rows) == len(X) == len(range(0, 20000, 2)) - len(range(4, 20000, 6))
+    assert X.flags.c_contiguous
+    assert peak - held <= X.nbytes / 2, f"{(peak - held) / X.nbytes:.2f} X"
 
 
 def test_feature_order_is_stable():

@@ -4,7 +4,7 @@
 
 runs ``python -m corrml.cli COMMAND ARGS...`` with ``CHECKOUT/src`` on
 ``PYTHONPATH``, in the current directory, N times (default 1), one run after
-another, and prints the median and range over the runs of three figures, as
+another, and prints the median and range over the runs of five figures, as
 ``NAME median M range LO-HI runs N``:
 
     wait4_peak_mb      the ru_maxrss that wait4 reports for the command, that
@@ -13,6 +13,9 @@ another, and prints the median and range over the runs of three figures, as
     tree_pss_peak_mb   the peak over time of the summed proportional set size
                        (Pss) of the command and its worker processes
     peak_processes     the most of those processes alive at one sample
+    cpu_s              the user plus system CPU seconds that the same wait4
+                       call reports for the command and the workers it reaped
+    wall_s             the seconds from starting the command to reaping it
 
 The command runs in a session of its own, and its forked workers stay in its
 process group. Every 10 ms the tool lists the process ids in /proc and, for
@@ -52,10 +55,12 @@ def _group_pss_kb(pgid: int) -> tuple[int, int]:
     return total, count
 
 
-def measure(src: str, argv: list[str]) -> tuple[int, float, float, int]:
-    """(exit code, wait4 peak MB, summed-Pss peak MB, peak process count)."""
+def measure(src: str, argv: list[str]) -> tuple[int, float, float, int, float, float]:
+    """(exit code, wait4 peak MB, summed-Pss peak MB, peak process count, CPU
+    seconds, wall seconds)."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(src), "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.monotonic()
     proc = subprocess.Popen([sys.executable, "-m", "corrml.cli", *argv], env=env,
                             start_new_session=True)
     peak_kb = peak_count = 0
@@ -66,8 +71,10 @@ def measure(src: str, argv: list[str]) -> tuple[int, float, float, int]:
         kb, count = _group_pss_kb(proc.pid)
         peak_kb, peak_count = max(peak_kb, kb), max(peak_count, count)
         time.sleep(INTERVAL_S)
+    wall = time.monotonic() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return proc.returncode, usage.ru_maxrss / 1024, peak_kb / 1024, peak_count
+    return (proc.returncode, usage.ru_maxrss / 1024, peak_kb / 1024, peak_count,
+            usage.ru_utime + usage.ru_stime, wall)
 
 
 def main() -> int:
@@ -84,7 +91,8 @@ def main() -> int:
         p.error(f"{args.src} holds no src/corrml/cli.py")
     if args.runs < 1:
         p.error("--runs must be >= 1")
-    figures = {"wait4_peak_mb": [], "tree_pss_peak_mb": [], "peak_processes": []}
+    figures = {"wait4_peak_mb": [], "tree_pss_peak_mb": [], "peak_processes": [],
+               "cpu_s": [], "wall_s": []}
     code = 0
     for _ in range(args.runs):
         code, *values = measure(args.src, argv)
@@ -94,7 +102,7 @@ def main() -> int:
             break
     runs = len(figures["peak_processes"])
     for name, series in figures.items():
-        fmt = "g" if name == "peak_processes" else ".1f"
+        fmt = {"peak_processes": "g", "cpu_s": ".2f", "wall_s": ".2f"}.get(name, ".1f")
         print(f"{name} median {statistics.median(series):{fmt}} "
               f"range {min(series):{fmt}}-{max(series):{fmt}} runs {runs}")
     return code
