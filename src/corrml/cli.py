@@ -600,11 +600,11 @@ def cmd_predict(args) -> int:
     # checked and scored a block at a time as predictions.csv is written.
     if args.direction == "forward":
         fields = feature_fields(FEATURE_SETS[-1])
-        records = csv_records(args.input, fields, units=args.units, require_rate=False)
+        _, records = csv_records(args.input, fields, units=args.units, require_rate=False)
     else:
         from .inverse import QUERY_FIELDS
 
-        records = csv_records(args.input, QUERY_FIELDS)
+        _, records = csv_records(args.input, QUERY_FIELDS)
     payload = read_json(args.model, object_hook=node_arrays)
     # the envelope of the model files train-forward and train-inverse write;
     # the states it holds are read by their own tables

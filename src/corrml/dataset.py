@@ -72,12 +72,15 @@ COMPOSITION_SUM_SLACK = 1e-6
 def _checked_total(entries: dict[str, float]) -> float:
     """The sum of a composition's percentages, in order, each a supported
     element's, finite and >= 0; a sum over 100 is refused."""
-    for symbol, pct in entries.items():
-        if symbol not in ATOMIC_MASS:
-            raise ValidationError(f"unsupported element symbol {symbol!r}")
-        if not math.isfinite(pct) or pct < 0:
-            raise ValidationError(f"element {symbol}: percentage {pct!r} must be finite and >= 0")
-    total = sum(entries.values())
+    total = sum(entries.values())  # finite unless an entry is not
+    if not (math.isfinite(total) and min(entries.values(), default=0.0) >= 0
+            and entries.keys() <= ATOMIC_MASS.keys()):  # then name the first bad entry
+        for symbol, pct in entries.items():
+            if symbol not in ATOMIC_MASS:
+                raise ValidationError(f"unsupported element symbol {symbol!r}")
+            if not math.isfinite(pct) or pct < 0:
+                raise ValidationError(
+                    f"element {symbol}: percentage {pct!r} must be finite and >= 0")
     if total > 100.0 + COMPOSITION_SUM_SLACK:
         raise ValidationError(f"composition sums to {total:.6f} > 100")
     return total
@@ -232,18 +235,34 @@ def table_row(slots: dict[str, int], entries: dict[str, float], environment: int
     an element symbol's at% (0.0 when `entries` lacks it), "env" (the
     environment id), "rate" (mpy), and "temp" and "dur", NaN when absent."""
     row = [0.0] * len(slots)
-    for name, value in (*entries.items(), ("env", float(environment)), ("rate", rate),
-                        ("temp", math.nan if temperature is None else temperature),
-                        ("dur", math.nan if duration is None else duration)):
-        if name in slots:
-            row[slots[name]] = value
+    for items in (entries.items(), (("env", float(environment)), ("rate", rate),
+                                    ("temp", math.nan if temperature is None else temperature),
+                                    ("dur", math.nan if duration is None else duration))):
+        for name, value in items:
+            if name in slots:
+                row[slots[name]] = value
     return row
 
 
-def csv_records(path, fields, **options) -> Iterator[tuple[str, list[float]]]:
-    """(id, row) of each record of a CSV file, yielded as its line is read,
-    `row` being its `table_row` in the layout of `fields`; the header is
-    checked by the call. `options` are `csv_samples`'.
+def csv_samples(path, units: str = "at", grade_map: GradeMap | None = None,
+                strict_composition: bool = False, composition_floor: float = 95.0,
+                require_rate: bool = True) -> Iterator[CorrosionSample]:
+    """The samples of `csv_records`' rows, each built as its line is read; a
+    composition lists its nonzero elements in header order."""
+    elements, records = csv_records(path, None, units, grade_map, strict_composition,
+                                    composition_floor, require_rate)
+    for sample_id, (env, rate, temp, dur, *pcts) in records:
+        entries = {e: pct for e, pct in zip(elements, pcts) if pct}
+        yield CorrosionSample(sample_id, ElementComposition(entries, "atomic"), int(env), rate,
+                              None if math.isnan(temp) else temp, None if math.isnan(dur) else dur)
+
+
+def csv_records(path, fields=None, units="at", grade_map=None, strict_composition=False,
+                composition_floor=95.0, require_rate=True) -> tuple[list[str], Iterator]:
+    """(elements, records) of a CSV file, its header checked by the call: the
+    element symbols the header names, in order, and the (id, row) of each
+    record, yielded as its line is read, `row` its `table_row` in the layout
+    of `fields` (None: "env", "rate", "temp", "dur" and those elements).
 
     Header: ``id, env, temp_c, duration_days, rate, rate_unit, grade`` plus one
     column per element symbol, holding percentages in the declared basis
@@ -259,29 +278,6 @@ def csv_records(path, fields, **options) -> Iterator[tuple[str, list[float]]]:
     ``require_rate=False`` admits rows with neither rate nor grade (they get a
     0.0 placeholder), for prediction inputs where the rate is the unknown.
     """
-    records = _records(path, fields, **options)
-    next(records)  # the header's element columns, once it is checked
-    return records
-
-
-def csv_samples(path, units: str = "at", grade_map: GradeMap | None = None,
-                strict_composition: bool = False, composition_floor: float = 95.0,
-                require_rate: bool = True) -> Iterator[CorrosionSample]:
-    """The samples of `csv_records`' rows, each built as its line is read; a
-    composition lists its nonzero elements in header order."""
-    records = _records(path, None, units, grade_map, strict_composition, composition_floor,
-                       require_rate)
-    elements = next(records)
-    for sample_id, (env, rate, temp, dur, *pcts) in records:
-        composition = ElementComposition({e: pct for e, pct in zip(elements, pcts) if pct}, "atomic")
-        yield CorrosionSample(sample_id, composition, int(env), rate,
-                              None if math.isnan(temp) else temp, None if math.isnan(dur) else dur)
-
-
-def _records(path, fields, units="at", grade_map=None, strict_composition=False,
-             composition_floor=95.0, require_rate=True) -> Iterator:
-    """The header's element columns, once it is checked, then `csv_records`'
-    records; `fields` None is "env", "rate", "temp", "dur" and those columns."""
     if units not in ("wt", "at"):
         raise ValidationError(f"units must be 'wt' or 'at', got {units!r}")
     rows = csv_rows(path)
@@ -296,44 +292,49 @@ def _records(path, fields, units="at", grade_map=None, strict_composition=False,
     for i, name in enumerate(header):
         if header.index(name) != i:
             raise ValidationError(f"{path}: column {name!r} appears more than once")
-    yield elements
     cells = {name: i for i, name in enumerate(header)}
     fields = fields or ("env", "rate", "temp", "dur", *elements)
     # where `_parse_row` reads a row's cells, and the row position of each field
-    layout = (cells, [(h, cells[h]) for h in elements], {f: j for j, f in enumerate(fields)})
+    layout = (cells, [(h, cells[h], f"element {h}") for h in elements],
+              {f: j for j, f in enumerate(fields)})
     options = (units, grade_map or GradeMap(DEFAULT_GRADE_MAP), strict_composition,
                composition_floor, require_rate)
-    problems: list[str] = []
-    skipped = 0  # rows read that yielded no record
-    # each yielded id, UTF-8, -> the rows skipped before it: a small int rows
-    # share, where each row's own number would be one more object
-    seen: dict[bytes, int] = {}
-    for row_no, row in enumerate(rows, start=2):
-        row = [cell.strip() for cell in row]
-        if not any(row):
-            skipped += 1
-            continue
-        try:
-            beyond = [i + 1 for i in range(len(header), len(row)) if row[i]]
-            if beyond:
-                raise ValidationError(f"cell {beyond[0]} is beyond the header's {len(header)} cells")
-            # a short row's missing cells are empty
-            sample_id, values = _parse_row(row + [""] * (len(header) - len(row)), layout, *options)
-            key = sample_id.encode()
-            if key in seen:  # a listed refusal names its row: 2 + skips + records before
-                first = (2 + seen[key] + next(k for k, other in enumerate(seen) if other == key)
-                         if len(problems) < _LISTED_PROBLEMS else None)
-                raise ValidationError(f"duplicate sample id {sample_id!r} (first on row {first})")
-        except ValidationError as exc:
-            problems.append(f"row {row_no}: {exc}")
-            skipped += 1
-            continue
-        seen[key] = skipped
-        yield sample_id, values
-    if problems:
-        more = len(problems) - _LISTED_PROBLEMS
-        listed = problems[:_LISTED_PROBLEMS] + ([f"… and {more} more"] if more > 0 else [])
-        raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(listed))
+
+    def records():
+        problems, skipped = [], 0  # the refusals, and the rows read that yielded no record
+        # each yielded id, UTF-8, -> the rows skipped before it: a small int
+        # rows share, where each row's own number would be one more object
+        seen: dict[bytes, int] = {}
+        for row_no, row in enumerate(rows, start=2):
+            row = [cell.strip() for cell in row]
+            if not any(row):
+                skipped += 1
+                continue
+            try:
+                if any(row[len(header):]):
+                    beyond = next(i for i in range(len(header), len(row)) if row[i]) + 1
+                    raise ValidationError(
+                        f"cell {beyond} is beyond the header's {len(header)} cells")
+                row += [""] * (len(header) - len(row))  # a short row's missing cells are empty
+                sample_id, values = _parse_row(row, layout, *options)
+                key = sample_id.encode()
+                if key in seen:  # a listed refusal names its row: 2 + skips + records before
+                    first = (2 + seen[key] + next(k for k, other in enumerate(seen) if other == key)
+                             if len(problems) < _LISTED_PROBLEMS else None)
+                    raise ValidationError(
+                        f"duplicate sample id {sample_id!r} (first on row {first})")
+            except ValidationError as exc:
+                problems.append(f"row {row_no}: {exc}")
+                skipped += 1
+                continue
+            seen[key] = skipped
+            yield sample_id, values
+        if problems:
+            more = len(problems) - _LISTED_PROBLEMS
+            listed = problems[:_LISTED_PROBLEMS] + ([f"… and {more} more"] if more > 0 else [])
+            raise ValidationError(f"{path}: {len(problems)} invalid row(s)\n" + "\n".join(listed))
+
+    return elements, records()
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -358,9 +359,9 @@ def _parse_row(row, layout, units, grade_map, strict_composition, composition_fl
         raise ValidationError(f"unknown environment label {row[cells['env']]!r}")
 
     entries = {}
-    for sym, at in elements:
+    for sym, at, what in elements:
         text = row[at]
-        value = _parse_float(text, f"element {sym}") if text else 0.0
+        value = _parse_float(text, what) if text else 0.0
         if value != 0.0:
             entries[sym] = value
     total = _checked_total(entries)
@@ -369,11 +370,10 @@ def _parse_row(row, layout, units, grade_map, strict_composition, composition_fl
     if units == "wt":
         entries = _per_hundred(entries, truediv)
 
-    rate_text = row[cells["rate"]]
-    grade_text = row[cells["grade"]]
+    rate_text, grade_text = row[cells["rate"]], row[cells["grade"]]
     if rate_text:
-        unit = row[cells["rate_unit"]] or "mpy"
-        rate = convert_rate(_parse_float(rate_text, "rate"), unit, "mpy")
+        rate, unit = _parse_float(rate_text, "rate"), row[cells["rate_unit"]] or "mpy"
+        rate = rate if unit == "mpy" else convert_rate(rate, unit, "mpy")
         if grade_text:
             log.info("sample %s: both rate and grade present; using rate", sample_id)
     elif grade_text:
@@ -385,8 +385,7 @@ def _parse_row(row, layout, units, grade_map, strict_composition, composition_fl
     if rate < 0:
         raise ValidationError(f"negative rate {rate}")
 
-    temp_text = row[cells["temp_c"]]
-    dur_text = row[cells["duration_days"]]
+    temp_text, dur_text = row[cells["temp_c"]], row[cells["duration_days"]]
     temperature = _parse_float(temp_text, "temp_c") if temp_text else None
     duration = _parse_float(dur_text, "duration_days") if dur_text else None
     _check_sample(sample_id, environment, rate, temperature, duration)

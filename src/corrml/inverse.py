@@ -5,10 +5,10 @@ Three submodels ordered by feature availability — base (rate, numeric
 environment id, at% Al/Si/Mg), base+duration, base+duration+temperature —
 each a weighted pair of multi-output regressors (random forest + gradient
 boosting). Pair weights come from validation R^2 clamped at zero and
-normalized; equal scores give (0.5, 0.5). Training, evaluation and
-`predict_inverse` read a dataset's rows through `inverse_features`; a query
-file's are read and scored a fixed-size `preprocess.SampleTable` at a time,
-each submodel selecting its feature set from it as training does. A query is
+normalized; equal scores give (0.5, 0.5). Training and evaluation read a
+dataset's rows through `inverse_features`; queries, a dataset's at once or a
+file's a block at a time, are scored from a `preprocess.SampleTable`, each
+submodel selecting its feature set from it as training does. A query is
 served by every submodel whose fields it carries, and the served predictions
 are averaged unweighted (the union model), then clamped to the physical
 [0, 100] at% range.
@@ -224,18 +224,26 @@ def _union(ensemble: InverseEnsemble, n: int, subsets) -> tuple[np.ndarray, dict
     return clamp_at_pct(total / count[:, None]), per_set
 
 
+def _score_table(ensemble: InverseEnsemble, table) -> tuple[np.ndarray, dict]:
+    """(union, served) of a QUERY_FIELDS table's queries, served[feature_set]
+    marking those that submodel selects (they carry its fields) and serves."""
+    subsets = [(feature_set, *select(table, feature_set))
+               for feature_set in ensemble.available_sets()]
+    served = {feature_set: np.zeros(len(table), dtype=bool) for feature_set, _, _ in subsets}
+    for feature_set, rows, _ in subsets:
+        served[feature_set][rows] = True
+    return _union(ensemble, len(table), subsets)[0], served
+
+
 def predict_inverse(ensemble: InverseEnsemble, dataset: Dataset) -> list[InversePrediction]:
-    """Union-model predictions for every sample of `dataset`, each submodel
-    reading those that carry its fields (`inverse_features`); a dataset of
-    no sample is a NoSamplesError."""
+    """Union-model predictions for every sample of `dataset`, scored as one
+    query table; a dataset of no sample is a NoSamplesError."""
     if not dataset.samples:
         raise NoSamplesError("no sample to predict")
-    subsets = [(feature_set, *inverse_features(dataset, feature_set)[:2])
-               for feature_set in ensemble.available_sets()]
-    union, _ = _union(ensemble, len(dataset.samples), subsets)
-    served = [(feature_set, set(rows)) for feature_set, rows, _ in subsets]
+    (table,) = sample_table(sample_records(dataset.samples, QUERY_FIELDS), QUERY_FIELDS)
+    union, served = _score_table(ensemble, table)
     return [InversePrediction(s.id, dict(zip(ensemble.target_names, values)),
-                              [feature_set for feature_set, rows in served if i in rows])
+                              [feature_set for feature_set, mask in served.items() if mask[i]])
             for i, (s, values) in enumerate(zip(dataset.samples, union.tolist()))]
 
 
@@ -250,18 +258,14 @@ def inverse_prediction_rows(ensemble: InverseEnsemble, records, model: str
     queries = 0
     for table in sample_table(records, QUERY_FIELDS, _QUERY_CHUNK):
         queries += len(table)
-        subsets = [(feature_set, *select(table, feature_set))
-                   for feature_set in ensemble.available_sets()]
-        union, _ = _union(ensemble, len(table), subsets)
+        union, served = _score_table(ensemble, table)
         if not np.isfinite(union).all():
             raise ValidationError(f"{model}: the model predicts a non-finite value")
-        served = [(feature_set, np.isin(np.arange(len(table)), rows).tolist())
-                  for feature_set, rows, _ in subsets]
         for i, query_id in enumerate(table.ids(np.arange(len(table)))):
-            tag = "|".join(feature_set for feature_set, mask in served if mask[i])  # "+" in names
+            tag = "|".join(feature_set for feature_set, mask in served.items() if mask[i])
             for el, v in zip(ensemble.target_names, union[i].tolist()):
-                yield [query_id, el, repr(v), tag]
-        del subsets, union, served  # freed before the next table is read
+                yield [query_id, el, repr(v), tag]  # "|" joins the tags: "+" is in their names
+        del union, served  # freed before the next table is read
     if not queries:
         raise NoSamplesError("no sample to predict")
 

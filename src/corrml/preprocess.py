@@ -117,13 +117,12 @@ def feature_width(feature_set: str) -> int:
 
 def select(table: SampleTable, feature_set: str) -> tuple[np.ndarray, np.ndarray]:
     """(rows, X): the positions of the samples of `table` that carry every
-    field `feature_set` reads (none NaN), found first, and their columns,
-    each written straight into one C-ordered X (a forward env part's
-    indicators compared in place), so the table's rows are never copied."""
-    first, *others = (table.fields.index(name) for name in feature_fields(feature_set))
-    present = ~np.isnan(table.values[:, first])
-    for j in others:
-        present &= ~np.isnan(table.values[:, j])
+    field `feature_set` reads, found first, and their columns, each written
+    straight into one C-ordered X (a forward env part's indicators compared
+    in place), so the table's rows are never copied."""
+    present = np.ones(len(table), dtype=bool)
+    for name in {"temp", "dur"}.intersection(feature_set.split("+")):  # the fields NaN marks absent
+        present &= ~np.isnan(table.values[:, table.fields.index(name)])
     rows = np.flatnonzero(present)
     X = np.empty((rows.size, feature_width(feature_set)))
     j = 0

@@ -53,6 +53,27 @@ def test_composition_validation():
         ElementComposition(entries={"Al": 100.0}, basis="molar")
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({"Al": 5.0, "Xx": 1.0}, "unsupported element symbol 'Xx'"),
+    ({"Xx": 1.0, "Al": math.nan}, "unsupported element symbol 'Xx'"),
+    ({"Al": math.nan, "Xx": 1.0}, "element Al: percentage nan must be finite and >= 0"),
+    ({"Al": 50.0, "Mg": math.inf}, "element Mg: percentage inf must be finite and >= 0"),
+    ({"Al": math.inf, "Mg": -math.inf}, "element Al: percentage inf must be finite and >= 0"),
+    ({"Al": 5.0, "Mg": -1e-300}, "element Mg: percentage -1e-300 must be finite and >= 0"),
+    ({"Al": 1e308, "Mg": 1e308}, "composition sums to inf > 100"),
+    ({"Al": -0.0, "Mg": 5.0}, None),
+])
+def test_a_composition_refusal_names_its_first_bad_entry(entries, message):
+    # the checks run on every CSV row, through a sum-first fast path: a
+    # refusal still names the first bad entry in the composition's order
+    if message is None:
+        assert ElementComposition(entries=entries, basis="atomic").entries == entries
+        return
+    with pytest.raises(ValidationError) as exc:
+        ElementComposition(entries=entries, basis="atomic")
+    assert str(exc.value) == message
+
+
 def test_sample_validation():
     comp = ElementComposition(entries={"Al": 100.0}, basis="atomic")
     with pytest.raises(ValidationError):
