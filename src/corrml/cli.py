@@ -300,9 +300,12 @@ def _write_outputs(out: str, files: dict, command: str, flags: dict, config: dic
     JSON (`write_json`), a str as text, and any other content as CSV rows,
     taken from it one at a time, so rows a generator makes are written as it
     makes them. Each file appears under its name only whole (`_whole`); a
-    failure leaves the files written before it, and removes `out` if this
-    call made it and nothing is left in it."""
-    made = not os.path.lexists(out)
+    failure leaves the files written before it, and removes each folder this
+    call made for `out`, innermost first, that nothing is left in."""
+    made, folder = [], out
+    while folder and not os.path.lexists(folder):
+        made.append(folder)
+        folder = os.path.dirname(folder)
     os.makedirs(out, exist_ok=True)
     files[f"{command}.config.json"] = {"command": command, "flags": flags, "config": config}
     try:
@@ -317,9 +320,9 @@ def _write_outputs(out: str, files: dict, command: str, flags: dict, config: dic
                 else:
                     csv.writer(fh).writerows(content)
     except BaseException:
-        if made:
+        for folder in made:
             with contextlib.suppress(OSError):  # a folder that holds a file stays
-                os.rmdir(out)
+                os.rmdir(folder)
         raise
     return 0
 
@@ -616,14 +619,14 @@ def cmd_predict(args) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
             from .evaluation import FAMILIES, forward_prediction_rows
-            from .preprocess import ScalerState, feature_width
+            from .preprocess import ScalerState, feature_columns, feature_width
 
             head = load(payload, {**envelope, "family": one_of(*FAMILIES),
                                   "feature_set": one_of(*FEATURE_SETS),
                                   "preprocess": {"scaler": (None, {})}, "model": {}}, where)
             name, feature_set = head["family"], head["feature_set"]
-            family, scaler = FAMILIES[name], payload["preprocess"]["scaler"]
-            width = feature_width(feature_set)
+            family, preprocess = FAMILIES[name], payload["preprocess"]
+            scaler, width = preprocess["scaler"], feature_width(feature_set)
             if scaler is not None:
                 scaler = load(scaler, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
                 if scaler.means.size != width:
@@ -638,6 +641,11 @@ def cmd_predict(args) -> int:
             if family.n_inputs(model) != width:
                 raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
                                       f"feature set {feature_set!r} has {width}")
+            for key, want in {"feature_set": feature_set,
+                              "columns": feature_columns(feature_set)}.items():
+                if preprocess.get(key) != want:
+                    raise ValidationError(f"{state} 'preprocess.{key}' does not match feature "
+                                          f"set {feature_set!r}")
             rows = forward_prediction_rows(family, model, scaler, records, fields, feature_set,
                                            args.model)
         else:

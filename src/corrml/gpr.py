@@ -6,15 +6,16 @@ Training minimizes the negative log marginal likelihood
     NLML = 1/2 (y - c)^T (K + s_n^2 I)^(-1) (y - c) + sum_i ln L_ii + n/2 ln 2pi
 
 with Adam in log-hyperparameter space (Rasmussen & Williams, GPML, Alg. 2.1).
-Both take r^2 from rows centred on the training means: training's NLML
-epochs from `kernels.sq_dist`'s dgemm Gram product, and prediction from
-`kernels.cross_sq_dist`, which computes a query's distances from its own
-row alone. Every product of a prediction is one of numpy's einsum forms,
-which compute each query's result from its own row, so a query's prediction
-does not depend on the other rows of its batch, as a BLAS product's would.
-A fitted or loaded model's K, Cholesky factor, alpha and L^-1 are einsum
-forms too (`_finalize`), so scoring from a model file runs no BLAS and
-depends on no BLAS core type or thread count; only training imports
+All take r^2 from rows centred on the training means: training's NLML
+epochs from `kernels.sq_dist`'s dgemm Gram product, a fitted or loaded
+model's K from `kernels.gram` (einsum loops over the same centred rows),
+and prediction from `kernels.cross_sq_dist`, which computes a query's
+distances from its own row alone. Every product of a prediction is one of
+numpy's einsum forms, which compute each query's result from its own row,
+so a query's prediction does not depend on the other rows of its batch, as
+a BLAS product's would. A model's Cholesky factor, alpha and L^-1 are
+einsum forms too (`_finalize`), so scoring from a model file runs no BLAS
+and depends on no BLAS core type or thread count; only training imports
 `corrml._linalg`, and with it scipy.
 Gradients use the trace identity dNLML/dtheta = 1/2 tr((Kinv - alpha alpha^T)
 dK/dtheta) and d/dc = -1^T alpha (GPML eq. 5.9), with Kinv from LAPACK dpotri
@@ -43,7 +44,9 @@ from .kernels import (
     SumKernel,
     ard_dim,
     cholesky_jitter,
+    centred_rows,
     cross_gram,
+    gram,
     kernel_from_dict,
     kernel_to_dict,
     leaves,
@@ -100,16 +103,16 @@ class _NlmlWorkspace:
 
     Only the d_v columns that vary over the training rows enter the kernel: a
     constant column adds exactly 0 to every r^2 and to its own lengthscale
-    gradient, which is reported as an exact 0.0. Each leaf divides the centred
-    varying columns by its lengthscales and takes r^2 from `kernels.sq_dist`,
-    as `kernels.gram` does: exactly symmetric, and exactly 0 for the pairs of
-    equal rows found here once. The n x n buffers are as many whatever the
-    input dimension, so after the first evaluation one allocates no n x n
-    arrays:
+    gradient, which is reported as an exact 0.0. Each leaf divides the
+    centred varying columns (`kernels.centred_rows`) by its lengthscales and
+    takes r^2 from `kernels.sq_dist`: exactly symmetric, and exactly 0 for
+    the pairs of equal rows found here once. The n x n buffers are as many
+    whatever the input dimension, so after the first evaluation one
+    allocates no n x n arrays:
 
     - K, and the factor buffer, which holds L once K is factored;
-    - for a gradient, each leaf's values k, written over its r^2, and its
-      prefactor p, except an RBF leaf's, whose p is its k.
+    - each leaf's values k, written over its r^2, and its prefactor p,
+      except an RBF leaf's, whose p is its k.
 
     No buffer holds K^-1 or the gradient weights on its own. K is not read
     once factored, nor L once alpha and the value are taken from it: a
@@ -118,13 +121,6 @@ class _NlmlWorkspace:
     factor buffer, which until the factorization is also `sq_dist`'s
     scratch and the kernels' work array. So a gradient overwrites the
     factor `_factorize` returns, and the next evaluation every buffer.
-
-    A value-only evaluation (`value`, and `_finalize` for a fitted or loaded
-    model) writes K's later leaves and their work into the gradient's leaf
-    buffers, and allocates only those a gradient has not: a fit's last
-    factorization allocates nothing, and a model loaded for prediction
-    holds no gradient buffers. `_finalize`'s is numpy only, into the same
-    buffers; its factor is C-ordered, in the factor buffer's transposed view.
 
     Every large BLAS product and LAPACK call of an NLML evaluation goes
     through scipy's library, bound in `corrml._linalg`, none through numpy's:
@@ -137,80 +133,58 @@ class _NlmlWorkspace:
         self.X = X
         self.y = y
         self.n = n = X.shape[0]
-        self.varying = np.flatnonzero(np.any(X != X[0], axis=0))
-        Xv = X[:, self.varying]
-        # differences are shift-invariant; centring keeps the terms of r^2's norm
-        # expansion and of the gradient identity small relative to their difference
-        self._xc = np.asfortranarray(Xv - Xv.mean(axis=0))
+        self.varying, self._xc = centred_rows(X)
         self._same = same_rows(X, X)
         self._K = np.empty((n, n))
         self._L = np.empty((n, n), order="F")
-        # gradient-only: the squared centred columns, dgemm output, and each
+        # the squared centred columns, the gradient's dgemm output, and each
         # leaf's [k, p], p made once a leaf needs it
         self._xc2 = self._wx = None
         self._leaf_bufs: list[list] = []
 
-    def _leaf_terms(self, spec: KernelSpec, grad: bool = True, blas: bool = True):
-        """K without its noise, summed over the leaves in pre-order. Each
-        leaf's r^2 is written into its values' buffer and its values over
-        it. With `grad`, each leaf's (1/l^2, k, p) is kept in its own
-        buffers, p None for an RBF leaf, and returned. Without, each leaf's
-        values are added into K before the next leaf is evaluated, and [] is
-        returned: the first leaf's values are K itself and a later leaf's,
-        with a Matern 5/2 leaf's second work array, are spares. The
-        factor's buffer, free until the factorization, is `sq_dist`'s
-        scratch and the kernels' first work array."""
+    def _leaf_terms(self, spec: KernelSpec):
+        """Each leaf's (1/l^2, k, p) in pre-order, p None for an RBF leaf, its
+        k its values written over its r^2 in its own buffers, and their sum,
+        K without its noise, in K. The factor's buffer, free until the
+        factorization, is `sq_dist`'s scratch and the kernels' work array."""
         K, n = self._K, self.n
         free = self._L.T  # the factor buffer's C-ordered view
-        spares = [] if grad else [b for bufs in self._leaf_bufs for b in bufs if b is not None]
         terms = []
         for i, leaf in enumerate(leaves(spec)):
             if leaf.lengthscales.size != self.X.shape[1]:
                 raise ValidationError(
                     f"ARD lengthscale count {leaf.lengthscales.size} != input "
                     f"dimension {self.X.shape[1]}")
-            if grad:
-                if i == len(self._leaf_bufs):
-                    self._leaf_bufs.append([np.empty((n, n)), None])
-                k, p = self._leaf_bufs[i]
-                if p is None and not isinstance(leaf, RbfKernel):  # an RBF leaf's P is its k
-                    p = self._leaf_bufs[i][1] = np.empty((n, n))
-                work = (free,)
-            else:
-                need = (i > 0) + (leaf.work_arrays > 1)
-                while len(spares) < need:
-                    spares.append(np.empty((n, n)))
-                k, p = (spares[0] if i else K), None
-                work = (free, *spares[int(i > 0):need])
+            if i == len(self._leaf_bufs):
+                self._leaf_bufs.append([np.empty((n, n)), None])
+            k, p = self._leaf_bufs[i]
+            if p is None and not isinstance(leaf, RbfKernel):  # an RBF leaf's P is its k
+                p = self._leaf_bufs[i][1] = np.empty((n, n))
             Z = self._xc / leaf.lengthscales[self.varying]
-            sq_dist(Z, self._same, out=k, scratch=free, blas=blas)
-            leaf.value(k, work, p)
-            if grad:
-                terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
+            sq_dist(Z, self._same, out=k, scratch=free)
+            leaf.value(k, (free,), p)
+            terms.append((1.0 / (leaf.lengthscales * leaf.lengthscales), k, p))
             if i:
                 K += k
-            elif grad:
+            else:
                 np.copyto(K, k)
         return terms
 
-    def _factorize(self, spec, noise_variance, c, grad=True, blas=True):
-        """(terms, L, alpha, NLML, jitter) at these hyperparameters. Without
-        `blas`, numpy only: r^2 from einsum loops, L from
-        `kernels._cholesky_rows`, C-ordered in the factor buffer's
-        transposed view, and alpha by `_substitute`."""
-        terms = self._leaf_terms(spec, grad, blas)
+    def _factorize(self, spec, noise_variance, c):
+        """(terms, L, alpha, NLML, jitter) at these hyperparameters."""
+        terms = self._leaf_terms(spec)
         K = self._K
         K.flat[::self.n + 1] += noise_variance
-        L, jitter = cholesky_jitter(K, out=self._L if blas else self._L.T, blas=blas)
+        L, jitter = cholesky_jitter(K, out=self._L)
         resid = self.y - c
-        alpha = cho_solve((L, True), resid) if blas else _substitute(L, resid)
+        alpha = cho_solve((L, True), resid)
         value = (0.5 * float(resid @ alpha)
                  + float(np.sum(np.log(np.diag(L))))
                  + 0.5 * self.n * LOG2PI)
         return terms, L, alpha, value, jitter
 
     def value(self, spec: KernelSpec, noise_variance: float, c: float) -> float:
-        return self._factorize(spec, noise_variance, c, grad=False)[3]
+        return self._factorize(spec, noise_variance, c)[3]
 
     def value_and_grad(self, spec: KernelSpec, noise_variance: float, c: float
                        ) -> tuple[float, np.ndarray]:
@@ -323,24 +297,22 @@ def _substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _finalize(workspace: _NlmlWorkspace, spec, noise_variance, c, history,
+def _finalize(X: np.ndarray, y: np.ndarray, spec, noise_variance, c, history,
               origin: str) -> GprModel:
-    """The model of these hyperparameters over the workspace's data, which
-    keeps the workspace's factor buffer: the workspace is spent. K, its
-    factor and alpha are numpy only (`_factorize` without `blas`), so a
-    model scores the same under any BLAS library, core type or thread
-    count, and a process that loads a model file to score loads no BLAS
-    binding. `origin` ("fitted" or "loaded") names the model in the warning
-    logged when K factors only with jitter added to its diagonal."""
-    _, L, alpha, _, jitter = workspace._factorize(spec, noise_variance, c, grad=False,
-                                                  blas=False)
+    """The model of these hyperparameters over the training rows (X, y), as
+    `training_matrices` returns them. K is `kernels.gram(X, X, spec)` plus the
+    noise, and its factor and alpha are numpy only, so a model scores the
+    same under any BLAS and a process that loads one loads no BLAS binding.
+    `origin` ("fitted" or "loaded") names the model if K needs jitter."""
+    K = gram(X, X, spec)
+    K.flat[::X.shape[0] + 1] += noise_variance
+    L, jitter = cholesky_jitter(K, blas=False)
     if jitter:
         log.warning("%s GP model (%d training rows, noise variance %g) factors only with "
                     "jitter %g added to the diagonal of its kernel matrix",
-                    origin, workspace.n, noise_variance, jitter)
-    return GprModel(x_train=workspace.X, y_train=workspace.y, spec=spec, mean=c,
-                    noise_variance=noise_variance, chol=L, alpha=alpha,
-                    jitter=jitter, history=history)
+                    origin, X.shape[0], noise_variance, jitter)
+    return GprModel(x_train=X, y_train=y, spec=spec, mean=c, noise_variance=noise_variance,
+                    chol=L, alpha=_substitute(L, y - c), jitter=jitter, history=history)
 
 
 def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
@@ -392,7 +364,9 @@ def fit_gpr(X: np.ndarray, y: np.ndarray, spec: KernelSpec | None = None,
     if failure is not None:
         log.warning("GP training stopped: %s; keeping the state before it (NLML %g)",
                     failure, history[-1])
-    return _finalize(workspace, *unpack(theta), history, "fitted")
+    X, y = workspace.X, workspace.y
+    del workspace  # training's buffers go before the model's K is built
+    return _finalize(X, y, *unpack(theta), history, "fitted")
 
 
 def predict_gpr(model: GprModel, X_star: np.ndarray, variance: bool = True
@@ -496,7 +470,7 @@ def gpr_from_dict(d: dict) -> GprModel:
     d = parse(d, GPR)
     if _data_checksum(d["x_train"], d["y_train"]) != d["checksum"]:
         raise ValidationError("training-data checksum mismatch")
-    return _finalize(_NlmlWorkspace(d["x_train"], d["y_train"]), d["kernel"],
+    return _finalize(*training_matrices(d["x_train"], d["y_train"]), d["kernel"],
                      d["noise_variance"], d["mean"], [], "loaded")
 
 

@@ -5,10 +5,8 @@ gradients from them), and jitter-stabilized Cholesky factorization.
 
 Each leaf kernel evaluates its arithmetic in one method, `value`, which
 writes its values over r^2 and, given an output for it, the gradient
-prefactor from the same intermediates. Training asks for both; the Gram
-matrices that need no gradient (a fitted or loaded model's K and the
-cross-covariance of a prediction) ask for the values only, and get the same
-bytes, so a model's factor is the same whichever built it.
+prefactor from the same intermediates. Training asks for both; `gram` (a
+model's K and a prediction's K_*) asks for the values only: the same bytes.
 
 Every kernel works on a scaled squared distance r^2 = sum_d (x_d - x'_d)^2 / l_d^2
 with one lengthscale per input dimension (ARD) and an output variance per leaf,
@@ -17,10 +15,11 @@ exactly 0 for equal rows. Between query rows and training rows
 loops, which compute each entry from its two rows alone: a BLAS product
 rounds a row's entries differently with the number of rows beside it, so a
 query's prediction would depend on its batch. Over one set of rows
-`sq_dist` takes it exactly symmetric: in training, from a dgemm Gram
-product, and for a fitted or loaded model's K, from those einsum loops, so
-that a model's K, and the numpy-only factor `cholesky_jitter` takes of it,
-depend on no BLAS library, core type or thread count.
+`sq_dist` takes it exactly symmetric from the rows `centred_rows` makes: in
+training, from a dgemm Gram product, and in `gram`, which builds every
+model's K, from those einsum loops, so that a model's K, and the numpy-only
+factor `cholesky_jitter` takes of it, depend on no BLAS library, core type
+or thread count.
 Matern kernels are restricted to the closed-form nu in {1/2, 3/2, 5/2}; the
 general Bessel-function form is deliberately out of scope.
 """
@@ -221,6 +220,16 @@ def same_rows(X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     return np.flatnonzero(labels[:len(X), None] == labels[labels.size - len(Xp):])
 
 
+def centred_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(varying, Xc): the indices of the columns of X that vary over its rows,
+    and those columns centred on their means, Fortran-ordered: every r^2 over
+    one row set, training's and `gram`'s, is taken from them. Centring keeps
+    the terms of r^2's norm expansion small relative to their difference."""
+    varying = np.flatnonzero(np.any(X != X[:1], axis=0))
+    Xv = X[:, varying]
+    return varying, np.asfortranarray(Xv - Xv.mean(axis=0))
+
+
 def _add_outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out[i, j] = a[i] + b[j] into the C-ordered `out`, each the one rounding
     of that sum, with no ufunc buffer: numpy buffers a two-dimensional
@@ -284,8 +293,9 @@ def cross_sq_dist(Zq: np.ndarray, Z: np.ndarray, same: np.ndarray,
 
 
 def gram(X: np.ndarray, Xp: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix K[i, j] = k(X_i, Xp_j): exactly symmetric when Xp is X
-    (`sq_dist`), and otherwise the transpose of `cross_gram(X, Xp, spec)`."""
+    """Gram matrix K[i, j] = k(X_i, Xp_j): when Xp is X, a model's K, exactly
+    symmetric and numpy only (`sq_dist` over `centred_rows(X)`), and
+    otherwise the transpose of `cross_gram(X, Xp, spec)`."""
     return _gram(X, X, spec, True) if Xp is X else cross_gram(X, Xp, spec).T
 
 
@@ -298,32 +308,34 @@ def cross_gram(X: np.ndarray, Xq: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def _gram(X: np.ndarray, Xq: np.ndarray, spec: KernelSpec, one: bool) -> np.ndarray:
-    """The (len(Xq), len(X)) kernel matrix, from rows centred on X's column
-    means, with r^2 from `sq_dist` when `one` (Xq is X) and from
-    `cross_sq_dist` otherwise. Each leaf's values are written over its r^2
-    and added into K before the next leaf is evaluated, so K, one later
-    leaf's values and that leaf's `value` work are all the arrays of K's
-    shape alive at once."""
+    """The (len(Xq), len(X)) kernel matrix, r^2 from `sq_dist` without BLAS
+    over `centred_rows(X)` when `one` (Xq is X), its first work array the
+    scratch, and otherwise from `cross_sq_dist`. Each leaf's values are added
+    into K before the next leaf's are made, so K, one later leaf's values
+    and their `value` work are the only arrays of K's shape alive."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    Xq = X if one else np.atleast_2d(np.asarray(Xq, dtype=float))
     if X.shape[1] != Xq.shape[1]:
         raise ValidationError(f"input dimensions differ: {X.shape[1]} vs {Xq.shape[1]}")
-    mean = X.mean(axis=0)
-    Xc, Xqc = X - mean, Xq - mean
+    if one:
+        cols, Xc = centred_rows(X)
+    else:
+        cols, mean = slice(None), X.mean(axis=0)
+        Xc, Xqc = X - mean, Xq - mean
     same = same_rows(Xq, X)
     K, work = None, []
     for leaf in leaves(spec):
         if leaf.lengthscales.size != X.shape[1]:
             raise ValidationError(f"ARD lengthscale count {leaf.lengthscales.size} != "
                                   f"input dimension {X.shape[1]}")
-        Z = Xc / leaf.lengthscales
+        Z = Xc / leaf.lengthscales[cols]
         # work[:w] is the leaf's `value` work and work[w] a later leaf's r^2
-        w = leaf.work_arrays
+        w = max(leaf.work_arrays, int(one))
         while len(work) < w + (K is not None):
             work.append(np.empty((Xq.shape[0], X.shape[0])))
         r2 = None if K is None else work[w]
         if one:
-            r2 = sq_dist(Z, same, out=r2)
+            r2 = sq_dist(Z, same, out=r2, scratch=work[0], blas=False)
         else:
             r2 = cross_sq_dist(Xqc / leaf.lengthscales, Z, same, out=r2)
         if K is None:

@@ -109,6 +109,12 @@ def feature_fields(feature_set: str) -> tuple[str, ...]:
     return tuple(f for part in feature_set.split("+") for f in _PART_FIELDS[part])
 
 
+def feature_columns(feature_set: str) -> list[dict]:
+    """The name and kind of each column of `feature_set`'s rows."""
+    return [{"name": name, "kind": kind} for part in feature_set.split("+")
+            for name, kind in _COLUMNS[part]]
+
+
 def feature_width(feature_set: str) -> int:
     """The number of columns of `feature_set`'s rows."""
     return sum(len(DEFAULT_ENVIRONMENTS) if part == "env" else len(_PART_FIELDS[part])
@@ -255,8 +261,7 @@ def run_metadata(feature_set: str, scaler: ScalerState | None, cap_mode: str,
     run of forward feature set `feature_set`."""
     return {
         "feature_set": feature_set,
-        "columns": [{"name": name, "kind": kind} for part in feature_set.split("+")
-                    for name, kind in _COLUMNS[part]],
+        "columns": feature_columns(feature_set),
         "cap_mode": cap_mode,
         "cap_threshold": cap_threshold,
         "seed": seed,

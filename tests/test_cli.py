@@ -113,13 +113,16 @@ def test_ingest_bad_row_names_row(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,blocks", [
-    ("ingest", 0), ("predict", 0), ("predict", 2), ("predict-inverse", 2)])
+@pytest.mark.parametrize("command,blocks,out", [
+    ("ingest", 0, "o"), ("predict", 0, "o"), ("predict", 2, "o"), ("predict-inverse", 2, "o"),
+    ("predict", 2, "new/b/c")],
+    ids=["ingest-0", "predict-0", "predict-2", "predict-inverse-2", "predict-2-nested"])
 def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, command,
-                                                    blocks):
+                                                    blocks, out):
     # predict reads and scores its rows a block at a time (forward 64,
     # inverse 2,048): a repeat after `blocks` full blocks, whose rows were
-    # scored and written, still refuses the file whole and leaves no output
+    # scored and written, still refuses the file whole and leaves no output,
+    # nor any folder made for `out` (nested: `new` and `new/b` too)
     size = inverse._QUERY_CHUNK if command == "predict-inverse" else evaluation._ROW_CHUNK
     at = blocks * size + 3  # the line of the repeat; one more row follows it
     path = _dump_csv(generate_synthetic(at + 1, seed=2), tmp_path / "dup.csv")
@@ -128,7 +131,7 @@ def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, c
     sample_id = lines[1].split(",")[0]
     lines[at] = sample_id + lines[at][lines[at].index(","):]
     (tmp_path / "dup.csv").write_text("\n".join(lines) + "\n")
-    out = str(tmp_path / "o")
+    top, out = tmp_path / out.split("/")[0], str(tmp_path / out)
     if command == "ingest":
         argv = ["ingest", "--input", path, "--out", out]
     else:
@@ -142,7 +145,7 @@ def test_repeated_sample_id_names_the_file_and_rows(tmp_path, capsys, request, c
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (f"error: {path}: 1 invalid row(s)\nrow {at + 1}: "
                                        f"duplicate sample id {sample_id!r} (first on row 2)\n")
-    assert not os.path.exists(out)
+    assert not top.exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", "predict", "predict-inverse"])
@@ -846,11 +849,18 @@ def _unit_scaler(payload):
     ("rf", lambda p: _with_model(p, lambda m: {**m, "trees": [
         {**m["trees"][0], "max_depth": "x"}] + m["trees"][1:]}),
      ("'model'", "['trees'][0]['max_depth']: must be an integer >= 0, got 'x'")),
+    # the recorded preprocessing names another feature set than the file's
+    ("loggpr", lambda p: {**p, "preprocess": {**p["preprocess"], "feature_set": "comp"}},
+     ("'preprocess.feature_set'", "'comp+env'")),
+    ("loggpr", lambda p: {**p, "preprocess": {**p["preprocess"],
+                                              "columns": p["preprocess"]["columns"][:3]}},
+     ("'preprocess.columns'", "'comp+env'")),
 ], ids=["scaler-no-means", "forest-no-trees", "tree-bad-threshold", "tree-no-threshold",
         "tree-index-beyond-int64", "tree-index-beyond-int32", "rf-with-scaler",
         "rf-trees-string", "rf-tree-list", "gpr-kernel-string", "gpr-kernel-null",
         "loggpr-inner-list", "inverse-forest-string", "gbm-stages-string",
-        "validation-r2-empty", "max-depth-string"])
+        "validation-r2-empty", "max-depth-string", "preprocess-feature-set-differs",
+        "preprocess-columns-differ"])
 def test_predict_rejects_incomplete_model_state(workspace, trained, inverse_run, tmp_path,
                                                 capsys, source, edit, keys):
     # `source` is the family of the forward model file edited, or "inverse"
@@ -1423,8 +1433,13 @@ def test_reruns_write_byte_identical_json(tmp_path):
      "assert cli.main(['ingest', '--input', {csv!r}, '--out', {out!r}]) == 0", ("numpy",)),
     # scipy's BLAS/LAPACK binding loads where GP training runs, not on import
     ("import corrml.evaluation", ("scipy",)),
+    # a model's K over its training rows is numpy's einsum loops
+    ("import numpy as np; from corrml.kernels import MaternKernel, RbfKernel, SumKernel, gram; "
+     "X = np.random.default_rng(0).normal(size=(30, 4)); "
+     "gram(X, X, SumKernel(RbfKernel(np.ones(4)), MaternKernel(np.ones(4), 1.0, nu=2.5)))",
+     ("scipy", "corrml._linalg")),
 ], ids=["inverse-no-scipy", "evaluation-no-scipy-linalg-package", "evaluation-no-process-pool",
-        "ingest-no-numpy", "evaluation-no-scipy"])
+        "ingest-no-numpy", "evaluation-no-scipy", "gram-no-scipy"])
 def test_import_path_loads_only_what_it_needs(workspace, tmp_path, probe, unwanted):
     code = (f"import sys; {probe.format(csv=workspace['csv'], out=str(tmp_path))}; "
             f"print(sorted(m for m in sys.modules "

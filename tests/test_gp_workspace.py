@@ -188,8 +188,9 @@ def test_an_rbf_leaf_keeps_its_values_as_its_prefactor():
     (lambda d: MaternKernel(np.ones(d), 1.0, nu=2.5), 4.5),  # K, the factor, k and p
 ], ids=["default-log", "matern52"])
 def test_fit_peaks_at_the_buffers_a_gradient_needs(kernel, bound):
-    # the peak of a whole fit, its model's last factorization too, which
-    # borrows the leaves' buffers; n x n arrays of scratch would show here
+    # the peak of a whole fit, its model's K and factor too, which are built
+    # by kernels.gram once the workspace is dropped; n x n arrays of scratch,
+    # or a workspace kept alive beside the model's K, would show here
     n, d = 200, 8
     X, y = _data(n=n, d=d)
     tracemalloc.start()

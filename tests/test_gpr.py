@@ -393,8 +393,8 @@ def test_jittered_factor_is_logged_naming_the_jitter_and_the_model(caplog, origi
         if origin == "loaded":
             model = gpr_from_dict(d)
         else:
-            workspace = _NlmlWorkspace(np.array(d["x_train"]), np.array(d["y_train"]))
-            model = _finalize(workspace, RbfKernel(np.ones(1)), 1e-300, 0.0, [], "fitted")
+            model = _finalize(np.array(d["x_train"]), np.array(d["y_train"]),
+                              RbfKernel(np.ones(1)), 1e-300, 0.0, [], "fitted")
     assert model.jitter > 0.0
     messages = [r.getMessage() for r in caplog.records if r.name == "corrml.gpr"]
     assert messages == [f"{origin} GP model (12 training rows, noise variance 1e-300) factors "
@@ -409,7 +409,7 @@ def test_a_loaded_model_takes_the_jitter_rung_lapack_takes(caplog):
     d = {**_repeated_rows_file(1e-12), "kernel": {"kind": "rbf", "lengthscales": [1.0],
                                                   "variance": 1e5}}
     workspace = _NlmlWorkspace(np.array(d["x_train"]), np.array(d["y_train"]))
-    lapack_jitter = workspace._factorize(RbfKernel(np.ones(1), 1e5), 1e-12, 0.0, grad=False)[4]
+    lapack_jitter = workspace._factorize(RbfKernel(np.ones(1), 1e5), 1e-12, 0.0)[4]
     assert lapack_jitter > 0.0
     with caplog.at_level(logging.WARNING, logger="corrml.gpr"):
         model = gpr_from_dict(d)
@@ -434,9 +434,28 @@ def test_checksum_is_sha256_of_the_data():
     assert _data_checksum(X, y) == expected
 
 
+@pytest.mark.parametrize("kernel", [default_log_kernel, default_plain_kernel],
+                         ids=["default-log", "matern32"])
+def test_fitted_and_loaded_models_factor_the_gram_matrix(kernel):
+    # one K path: a fitted model's factor and a loaded one's are the numpy
+    # factor of kernels.gram's K plus the noise, bit for bit, on rows with a
+    # constant column off zero
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 4))
+    X[:, 2] = 1.5
+    y = np.exp(np.sin(X[:, 0]) + 0.3 * X[:, 1])
+    model = fit_gpr(X, y, spec=kernel(4), epochs=5)
+    loaded = gpr_from_dict(json.loads(json.dumps(gpr_to_dict(model))))
+    K = gram(model.x_train, model.x_train, model.spec) + model.noise_variance * np.eye(40)
+    want = cholesky_jitter(K, blas=False)[0].tobytes()
+    assert model.chol.tobytes() == want
+    assert loaded.chol.tobytes() == want
+
+
 def test_load_holds_under_five_n_by_n_arrays_above_the_model():
-    # a load factors K once, value only: K, the kept factor, the scratch
-    # buffer and one later leaf's values, and none of the gradient's buffers
+    # a load builds K once with kernels.gram, value only: K, one later leaf's
+    # values and that leaf's two work arrays, the first also the distances'
+    # scratch; then K and the kept factor
     rng = np.random.default_rng(6)
     n, d = 200, 8
     X = rng.normal(size=(n, d))
