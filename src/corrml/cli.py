@@ -10,8 +10,8 @@ partial file renamed onto its name once complete, and writes last a
 resolved-config sidecar sufficient to reproduce the run. Exit codes: 0
 success, 1 validation or output error, 2 training failure.
 
-At module level only the standard library, ``errors`` and ``csvrows``,
-neither of which loads numpy, are imported: ``CORRML_THREADS`` (one thread
+At module level only the standard library, ``errors``, ``csvrows`` and
+``schema``, none of which loads numpy, are imported: ``CORRML_THREADS`` (one thread
 when unset) must be applied to the BLAS thread-count environment variables
 before numpy first loads.
 """
@@ -30,6 +30,7 @@ from collections.abc import Iterator
 
 from .csvrows import csv_rows
 from .errors import NoSamplesError, TrainingError, ValidationError
+from .schema import load, shown
 
 log = logging.getLogger(__name__)
 
@@ -137,12 +138,12 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
     where they are used."""
     for key, value in src.items():
         if key not in dst:
-            raise ValidationError(f"unknown config key {trail + key!r}")
+            raise ValidationError(f"unknown config key {shown(trail + key)}")
         default = dst[key]
         if default is not None and type(value) not in (
                 (int, float) if type(default) is float else (type(default),)):
             raise ValidationError(f"config key {trail + key!r} must have the type of its "
-                                  f"default {default!r}, got {value!r}")
+                                  f"default {default!r}, got {shown(value)}")
         # grade_map values are user-defined letters, everything else is a
         # fixed schema checked against the defaults
         if isinstance(default, dict) and key != "grade_map":
@@ -154,9 +155,12 @@ def _merge_config(dst: dict, src: dict, trail: str = "") -> None:
 def _finite(text: str) -> float:
     """The number a report CSV cell or a JSON literal spells; ValueError
     unless it is finite."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {shown(text)}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise ValueError(f"{shown(text)} is not a finite number")
     return value
 
 
@@ -350,7 +354,6 @@ def _csv_records(path: str, header: list[str], convert) -> list:
 
 def _load_dataset(path: str):
     from .dataset import dataset_from_dict
-    from .schema import load
 
     return load(read_json(path), dataset_from_dict, f"{path}: dataset file")
 
@@ -510,10 +513,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_forward(args) -> int:
-    from .dataset import DEFAULT_ENVIRONMENTS
     from .evaluation import (_fit_predict_cell, comparison_metrics_rows, comparison_pairs_rows,
                              forward_family)
-    from .preprocess import run_metadata
 
     cfg = _seeded_config(args)
     if args.model:
@@ -521,26 +522,16 @@ def cmd_train_forward(args) -> int:
     if args.features:
         cfg["features"] = args.features
     family = cfg["model"]
-    to_dict = forward_family(family).to_dict  # an unknown name fails before any work
+    forward_family(family)  # an unknown name fails before any work
 
     dataset = _load_dataset(args.dataset)
     with _samples_of(args.dataset):
-        cell, model, scaler, fm = _fit_predict_cell(
+        cell, model = _fit_predict_cell(
             family, dataset, cfg["features"], cfg["seed"], cfg["model_params"][family],
             cfg["cap_threshold"], cfg["cap_mode"], cfg["test_fraction"])
-    log.info("trained %s on %d rows (test R^2 %.4f)", family,
-             len(fm.sample_ids) - len(cell.sample_ids), cell.metrics.r2)
-    payload = {
-        "kind": "forward-model",
-        "family": family,
-        "feature_set": cfg["features"],
-        "environment_names": list(DEFAULT_ENVIRONMENTS),
-        "preprocess": run_metadata(cfg["features"], scaler, cfg["cap_mode"],
-                                   cfg["cap_threshold"], cfg["seed"]),
-        "model": to_dict(model),
-    }
+    log.info("trained %s (test R^2 %.4f)", family, cell.metrics.r2)
     return _write_outputs(args.out, {
-        "model.json": payload,
+        "model.json": model.to_dict(cfg["cap_mode"], cfg["cap_threshold"], cfg["seed"]),
         "metrics.csv": comparison_metrics_rows([cell]),
         "pairs.csv": comparison_pairs_rows([cell]),
         "scatter.svg": scatter_svg(f"{family} / {cfg['features']}", cell.y_true, cell.y_pred),
@@ -592,7 +583,6 @@ def cmd_compare_forward(args) -> int:
 def cmd_predict(args) -> int:
     from .dataset import DEFAULT_ENVIRONMENTS, csv_records
     from .preprocess import FEATURE_SETS, feature_fields
-    from .schema import load, one_of
     from .trees import node_arrays
 
     if args.direction == "inverse" and args.units == "wt":
@@ -609,50 +599,23 @@ def cmd_predict(args) -> int:
 
         _, records = csv_records(args.input, QUERY_FIELDS)
     payload = read_json(args.model, object_hook=node_arrays)
-    # the envelope of the model files train-forward and train-inverse write;
-    # the states it holds are read by their own tables
-    envelope = {"kind": f"{args.direction}-model", "environment_names": list(DEFAULT_ENVIRONMENTS)}
-    where, state = f"{args.model}: {args.direction} model file", f"{args.model}: model file key"
     # a model whose numbers overflow predicts non-finite values, refused as
     # they are scored
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.direction == "forward":
-            from .evaluation import FAMILIES, forward_prediction_rows
-            from .preprocess import ScalerState, feature_columns, feature_width
+            from .evaluation import forward_model_from_dict, forward_prediction_rows
 
-            head = load(payload, {**envelope, "family": one_of(*FAMILIES),
-                                  "feature_set": one_of(*FEATURE_SETS),
-                                  "preprocess": {"scaler": (None, {})}, "model": {}}, where)
-            name, feature_set = head["family"], head["feature_set"]
-            family, preprocess = FAMILIES[name], payload["preprocess"]
-            scaler, width = preprocess["scaler"], feature_width(feature_set)
-            if scaler is not None:
-                scaler = load(scaler, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
-                if scaler.means.size != width:
-                    raise ValidationError(f"{state} 'preprocess.scaler' has {scaler.means.size} "
-                                          f"columns, feature set {feature_set!r} has {width}")
-            if (scaler is not None) != family.scaled:
-                raise ValidationError(
-                    f"{state} 'preprocess.scaler' must be "
-                    f"{'an object' if family.scaled else 'null'} for family {name!r}")
-            model = load(payload["model"], family.from_dict, f"{state} 'model'")
+            model = forward_model_from_dict(payload, args.model)
             del payload  # the model holds what it needs of the file
-            if family.n_inputs(model) != width:
-                raise ValidationError(f"{state} 'model' takes {family.n_inputs(model)} features, "
-                                      f"feature set {feature_set!r} has {width}")
-            for key, want in {"feature_set": feature_set,
-                              "columns": feature_columns(feature_set)}.items():
-                if preprocess.get(key) != want:
-                    raise ValidationError(f"{state} 'preprocess.{key}' does not match feature "
-                                          f"set {feature_set!r}")
-            rows = forward_prediction_rows(family, model, scaler, records, fields, feature_set,
-                                           args.model)
+            rows = forward_prediction_rows(model, records, fields, args.model)
         else:
             from .inverse import inverse_from_dict, inverse_prediction_rows
 
-            load(payload, {**envelope, "ensemble": {}}, where)
-            ensemble = load(payload["ensemble"], inverse_from_dict, f"{state} 'ensemble'")
+            load(payload, {"kind": "inverse-model", "environment_names": list(DEFAULT_ENVIRONMENTS),
+                           "ensemble": {}}, f"{args.model}: inverse model file")
+            ensemble = load(payload["ensemble"], inverse_from_dict,
+                            f"{args.model}: model file key 'ensemble'")
             del payload
             rows = inverse_prediction_rows(ensemble, records, args.model)
         with _samples_of(args.input):
@@ -670,7 +633,8 @@ def _parse_metric_rows(path: str) -> list[dict]:
     def convert(r, row_no):
         first = first_row.setdefault((r[0], r[1]), row_no)
         if first != row_no:
-            raise ValueError(f"model {r[0]!r} and feature_set {r[1]!r} repeat row {first}")
+            raise ValueError(f"model {shown(r[0])} and feature_set {shown(r[1])} "
+                             f"repeat row {first}")
         return {"model": r[0], "feature_set": r[1], "r2": _finite(r[2]),
                 "mae": _finite(r[3]), "rmse": _finite(r[4])}
     return _csv_records(path, ["model", "feature_set", "r2", "mae", "rmse"], convert)
@@ -687,7 +651,7 @@ def _parse_pair_rows(path: str) -> dict:
     def add(r, _):
         for column, text in (("model", r[0]), ("feature_set", r[1])):
             if any(c in text for c in "/\\\0"):
-                raise ValueError(f"{column} {text!r} holds '/', '\\' or NUL, which a chart "
+                raise ValueError(f"{column} {shown(text)} holds '/', '\\' or NUL, which a chart "
                                  "file name cannot")
         name = _cell_filename(r[0], r[1])
         size = len(name.encode("utf-8"))

@@ -17,7 +17,7 @@ from operator import mul, truediv
 
 from .csvrows import csv_rows
 from .errors import ValidationError
-from .schema import NUMBER, STRING, Fault, finite, integer, parse, rule
+from .schema import NUMBER, STRING, Fault, clipped, finite, integer, parse, rule, shown
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ def _checked_total(entries: dict[str, float]) -> float:
             and entries.keys() <= ATOMIC_MASS.keys()):  # then name the first bad entry
         for symbol, pct in entries.items():
             if symbol not in ATOMIC_MASS:
-                raise ValidationError(f"unsupported element symbol {symbol!r}")
+                raise ValidationError(f"unsupported element symbol {shown(symbol)}")
             if not math.isfinite(pct) or pct < 0:
                 raise ValidationError(
                     f"element {symbol}: percentage {pct!r} must be finite and >= 0")
@@ -91,16 +91,18 @@ def _check_sample(sample_id: str, environment: int, rate: float, temperature: fl
     """Refuse an environment id outside 0-8, a rate not finite and >= 0, or
     a present duration or temperature out of range."""
     if not (0 <= environment <= 8):
-        raise ValidationError(f"sample {sample_id}: environment id {environment} outside 0-8")
+        raise ValidationError(f"sample {clipped(sample_id)}: environment id {environment} "
+                              "outside 0-8")
     if not math.isfinite(rate) or rate < 0:
-        raise ValidationError(f"sample {sample_id}: rate {rate!r} must be finite and >= 0")
+        raise ValidationError(f"sample {clipped(sample_id)}: rate {rate!r} must be finite and >= 0")
     if duration is not None and not (math.isfinite(duration) and duration > 0):
         raise ValidationError(
-            f"sample {sample_id}: duration {duration!r} must be finite and > 0 when present")
+            f"sample {clipped(sample_id)}: duration {duration!r} must be finite and > 0 when "
+            "present")
     if temperature is not None and not (math.isfinite(temperature)
                                         and temperature >= ABSOLUTE_ZERO_C):
         raise ValidationError(
-            f"sample {sample_id}: temperature {temperature!r} must be finite and "
+            f"sample {clipped(sample_id)}: temperature {temperature!r} must be finite and "
             f">= {ABSOLUTE_ZERO_C} C when present")
 
 
@@ -133,7 +135,7 @@ class CorrosionSample:
 
     def __post_init__(self):
         if self.composition.basis != "atomic":
-            raise ValidationError(f"sample {self.id}: composition basis must be 'atomic', "
+            raise ValidationError(f"sample {clipped(self.id)}: composition basis must be 'atomic', "
                                   f"got {self.composition.basis!r}")
         _check_sample(self.id, self.environment, self.rate, self.temperature, self.duration)
 
@@ -147,8 +149,8 @@ class GradeMap:
     def __post_init__(self):
         for grade, rate in self.mapping.items():
             if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise ValidationError(f"grade map rate of {grade!r} must be a number, "
-                                      f"got {rate!r}")
+                raise ValidationError(f"grade map rate of {shown(grade)} must be a number, "
+                                      f"got {shown(rate)}")
         self.mapping = {grade: float(rate) for grade, rate in self.mapping.items()}
         expected = ("A", "B", "C", "D")
         if tuple(sorted(self.mapping)) != expected:
@@ -159,7 +161,7 @@ class GradeMap:
 
     def rate_for(self, grade: str) -> float:
         if grade not in self.mapping:
-            raise ValidationError(f"unknown grade letter {grade!r}")
+            raise ValidationError(f"unknown grade letter {shown(grade)}")
         return self.mapping[grade]
 
 
@@ -175,7 +177,8 @@ class Dataset:
         first: dict[str, int] = {}  # sample id -> the position it first holds
         for i, s in enumerate(self.samples):
             if first.setdefault(s.id, i) != i:
-                raise Fault(f"duplicate sample id {s.id!r} (first at ['samples'][{first[s.id]}])",
+                raise Fault(f"duplicate sample id {shown(s.id)} "
+                            f"(first at ['samples'][{first[s.id]}])",
                             path=("samples", i, "id"))
 
     def __len__(self) -> int:
@@ -186,7 +189,7 @@ def convert_rate(value: float, unit_from: str, unit_to: str) -> float:
     """Convert a corrosion rate between mils/year and mm/year (1 mil = 0.0254 mm)."""
     for unit in (unit_from, unit_to):
         if unit not in ("mpy", "mmpy"):
-            raise ValidationError(f"unknown rate unit {unit!r}")
+            raise ValidationError(f"unknown rate unit {shown(unit)}")
     if unit_from == unit_to:
         return value
     if unit_from == "mpy":
@@ -279,7 +282,7 @@ def csv_records(path, fields=None, units="at", grade_map=None, strict_compositio
     0.0 placeholder), for prediction inputs where the rate is the unknown.
     """
     if units not in ("wt", "at"):
-        raise ValidationError(f"units must be 'wt' or 'at', got {units!r}")
+        raise ValidationError(f"units must be 'wt' or 'at', got {shown(units)}")
     rows = csv_rows(path)
     header = [h.strip() for h in next(rows, [])]  # an empty file lacks every column
     for col in CSV_META_COLUMNS:
@@ -288,10 +291,10 @@ def csv_records(path, fields=None, units="at", grade_map=None, strict_compositio
     elements = [h for h in header if h not in CSV_META_COLUMNS]
     unknown = [h for h in elements if h not in ATOMIC_MASS]
     if unknown:
-        raise ValidationError(f"{path}: unknown element columns {unknown}")
+        raise ValidationError(f"{path}: unknown element columns {shown(unknown)}")
     for i, name in enumerate(header):
         if header.index(name) != i:
-            raise ValidationError(f"{path}: column {name!r} appears more than once")
+            raise ValidationError(f"{path}: column {shown(name)} appears more than once")
     cells = {name: i for i, name in enumerate(header)}
     fields = fields or ("env", "rate", "temp", "dur", *elements)
     # where `_parse_row` reads a row's cells, and the row position of each field
@@ -322,7 +325,7 @@ def csv_records(path, fields=None, units="at", grade_map=None, strict_compositio
                     first = (2 + seen[key] + next(k for k, other in enumerate(seen) if other == key)
                              if len(problems) < _LISTED_PROBLEMS else None)
                     raise ValidationError(
-                        f"duplicate sample id {sample_id!r} (first on row {first})")
+                        f"duplicate sample id {shown(sample_id)} (first on row {first})")
             except ValidationError as exc:
                 problems.append(f"row {row_no}: {exc}")
                 skipped += 1
@@ -341,7 +344,7 @@ def _parse_float(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(f"unparseable numeric cell {text!r} for {what}") from None
+        raise ValidationError(f"unparseable numeric cell {shown(text)} for {what}") from None
 
 
 def _parse_row(row, layout, units, grade_map, strict_composition, composition_floor,
@@ -356,7 +359,7 @@ def _parse_row(row, layout, units, grade_map, strict_composition, composition_fl
 
     environment = _ENV_IDS.get(row[cells["env"]])
     if environment is None:
-        raise ValidationError(f"unknown environment label {row[cells['env']]!r}")
+        raise ValidationError(f"unknown environment label {shown(row[cells['env']])}")
 
     entries = {}
     for sym, at, what in elements:

@@ -1,6 +1,5 @@
-"""The forward-family table and the four-family forward-model comparison
-harness (rate prediction from composition / composition+environment).
-"""
+"""The forward-family table, `ForwardModel`, and the four-family comparison
+harness (rate prediction from composition / composition+environment)."""
 
 from __future__ import annotations
 
@@ -11,15 +10,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DEFAULT_ENVIRONMENTS, Dataset
 from .errors import NoSamplesError, ValidationError
 from .gpr import (fit_gpr, fit_log_gpr, gpr_from_dict, gpr_to_dict, log_gpr_from_dict,
                   log_gpr_to_dict, predict_gpr, predict_log_gpr)
 from .jobs import run_jobs
 from .metrics import Metrics, compute_metrics
 from .neural import TrainConfig, dnn_from_dict, dnn_to_dict, predict_dnn, train_dnn
-from .preprocess import (apply_scaler, build_features, cap_target, fit_scaler, sample_table,
-                         select, split_train_test)
+from .preprocess import (FEATURE_SETS, ScalerState, apply_scaler, build_features, cap_target,
+                         feature_columns, feature_width, fit_scaler, sample_table, select,
+                         split_train_test)
+from .schema import load, one_of
 from .trees import fit_forest, forest_from_dict, forest_to_dict, predict_forest
 
 log = logging.getLogger(__name__)
@@ -73,10 +74,66 @@ def forward_family(name: str) -> Family:
     return family
 
 
-def forward_prediction_rows(family: Family, model, scaler, records, fields,
-                            feature_set: str, model_path: str) -> Iterator[list[str]]:
+class ForwardModel(NamedTuple):
+    """`fit`, a `family` model of `feature_set`'s columns standardized by
+    `scaler` (None for a family fit on raw features): the one forward scorer,
+    and with `forward_model_from_dict` the one writer and reader of its file."""
+    family: str
+    feature_set: str
+    scaler: ScalerState | None
+    fit: object
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The rates of the rows of `X`, the feature set's columns."""
+        if self.scaler is not None:
+            X = apply_scaler(self.scaler, X)
+        return np.asarray(FAMILIES[self.family].predict(self.fit, X), dtype=float)
+
+    def to_dict(self, cap_mode: str, cap_threshold: float, seed: int) -> dict:
+        """The model file; its preprocessing records the run's cap and seed."""
+        return {"kind": "forward-model", "family": self.family, "feature_set": self.feature_set,
+                "environment_names": list(DEFAULT_ENVIRONMENTS),
+                "preprocess": {"feature_set": self.feature_set,
+                               "columns": feature_columns(self.feature_set),
+                               "cap_mode": cap_mode, "cap_threshold": cap_threshold, "seed": seed,
+                               "scaler": None if self.scaler is None else self.scaler.to_dict()},
+                "model": FAMILIES[self.family].to_dict(self.fit)}
+
+
+def forward_model_from_dict(payload: dict, path: str) -> ForwardModel:
+    """The model of the forward model file `payload`, read from `path`: its
+    envelope, scaler, model, model width and recorded preprocessing checked
+    in turn, a refusal a ValidationError naming `path` and the key."""
+    where, state = f"{path}: forward model file", f"{path}: model file key"
+    head = load(payload, {"kind": "forward-model", "environment_names": list(DEFAULT_ENVIRONMENTS),
+                          "family": one_of(*FAMILIES), "feature_set": one_of(*FEATURE_SETS),
+                          "preprocess": {"scaler": (None, {})}, "model": {}}, where)
+    name, feature_set = head["family"], head["feature_set"]
+    family, preprocess = FAMILIES[name], payload["preprocess"]
+    scaler, width = preprocess["scaler"], feature_width(feature_set)
+    if scaler is not None:
+        scaler = load(scaler, ScalerState.from_dict, f"{state} 'preprocess.scaler'")
+        if scaler.means.size != width:
+            raise ValidationError(f"{state} 'preprocess.scaler' has {scaler.means.size} "
+                                  f"columns, feature set {feature_set!r} has {width}")
+    if (scaler is not None) != family.scaled:
+        raise ValidationError(f"{state} 'preprocess.scaler' must be "
+                              f"{'an object' if family.scaled else 'null'} for family {name!r}")
+    fit = load(payload["model"], family.from_dict, f"{state} 'model'")
+    if family.n_inputs(fit) != width:
+        raise ValidationError(f"{state} 'model' takes {family.n_inputs(fit)} features, "
+                              f"feature set {feature_set!r} has {width}")
+    for key, want in {"feature_set": feature_set, "columns": feature_columns(feature_set)}.items():
+        if preprocess.get(key) != want:
+            raise ValidationError(f"{state} 'preprocess.{key}' does not match feature "
+                                  f"set {feature_set!r}")
+    return ForwardModel(name, feature_set, scaler, fit)
+
+
+def forward_prediction_rows(model: ForwardModel, records, fields,
+                            model_path: str) -> Iterator[list[str]]:
     """CSV rows (sample_id, predicted_mpy), the header first, of the
-    `records` (id, row of `fields`) that carry every field of `feature_set`,
+    `records` (id, row of `fields`) that carry every field `model` reads,
     read and scored a table of _ROW_CHUNK at a time as the iteration reaches
     it. A table that predicts a non-finite value is a ValidationError naming
     `model_path`, raised before any of its rows. The rows skipped for a
@@ -84,20 +141,19 @@ def forward_prediction_rows(family: Family, model, scaler, records, fields,
     yield ["sample_id", "predicted_mpy"]
     read = scored = 0
     for table in sample_table(records, fields, _ROW_CHUNK):
-        rows, X = select(table, feature_set)
+        rows, X = select(table, model.feature_set)
         read, scored = read + len(table), scored + rows.size
         if not rows.size:
             continue
-        values = np.asarray(family.predict(model, X if scaler is None
-                                           else apply_scaler(scaler, X)), dtype=float)
+        values = model.predict(X)
         if not np.isfinite(values).all():
             raise ValidationError(f"{model_path}: the model predicts a non-finite value")
         yield from zip(table.ids(rows), map(repr, values.tolist()))
     if not scored:
-        raise NoSamplesError(f"no samples carry the fields required by {feature_set!r}")
+        raise NoSamplesError(f"no samples carry the fields required by {model.feature_set!r}")
     if scored < read:
         log.warning("%d row(s) lack fields required by feature set %r and were skipped",
-                    read - scored, feature_set)
+                    read - scored, model.feature_set)
 
 
 @dataclass
@@ -114,25 +170,21 @@ def _fit_predict_cell(family: str, dataset: Dataset, feature_set: str, seed: int
                       params: dict, cap: float, cap_mode: str, test_fraction: float):
     """One cell of the shared protocol, the one fit path of `compare-forward`
     and `train-forward`: cap extreme rates, build `feature_set`'s features,
-    split by `seed`, standardize for a family that wants z-scores, fit on the
-    training rows and score the test rows. Returns (cell, model, scaler,
-    feature matrix); `scaler` is None for a family fit on raw features."""
+    split by `seed`, fit on the training rows (z-scores for a family that
+    wants them) and score the test rows. Returns (cell, ForwardModel)."""
     entry = forward_family(family)
     fm, y = build_features(Dataset(samples=cap_target(dataset.samples, cap, cap_mode)), feature_set)
     split = split_train_test(y.size, seed=seed, test_fraction=test_fraction)
-    X_train, X_test, y_test = fm.values[split.train], fm.values[split.test], y[split.test]
-    scaler = None
-    if entry.scaled:
-        scaler = fit_scaler(X_train)
-        X_train = apply_scaler(scaler, X_train)
-        X_test = apply_scaler(scaler, X_test)
-    model = entry.fit(X_train, y[split.train], seed, params)
-    pred = np.asarray(entry.predict(model, X_test), dtype=float)
+    X_train, y_test = fm.values[split.train], y[split.test]
+    scaler = fit_scaler(X_train) if entry.scaled else None
+    model = ForwardModel(family, feature_set, scaler, entry.fit(
+        X_train if scaler is None else apply_scaler(scaler, X_train), y[split.train], seed, params))
+    pred = model.predict(fm.values[split.test])
     cell = ComparisonCell(model=family, feature_set=feature_set,
                           metrics=compute_metrics(y_test, pred),
                           sample_ids=[fm.sample_ids[i] for i in split.test],
                           y_true=y_test, y_pred=pred)
-    return cell, model, scaler, fm
+    return cell, model
 
 
 def compare_forward_models(dataset: Dataset, seed: int = 0,

@@ -74,6 +74,15 @@ DEFAULT_GPR_LR = 0.05
 DEFAULT_GPR_EPOCHS = 200
 
 LOG2PI = math.log(2.0 * math.pi)
+# the training rows a GP model may hold: each of its n x n float64 arrays is
+# 128 MiB at this bound
+MAX_TRAIN_ROWS = 4096
+
+
+def _bounded_rows(n: int) -> None:
+    """Refuse `n` training rows over MAX_TRAIN_ROWS, before any n x n array."""
+    if n > MAX_TRAIN_ROWS:
+        raise ValidationError(f"a GP model takes at most {MAX_TRAIN_ROWS} training rows, got {n}")
 
 
 def default_plain_kernel(dim: int) -> KernelSpec:
@@ -130,6 +139,7 @@ class _NlmlWorkspace:
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         X, y = training_matrices(X, np.ravel(y))
+        _bounded_rows(X.shape[0])
         self.X = X
         self.y = y
         self.n = n = X.shape[0]
@@ -468,6 +478,7 @@ GPR = {"kind": "gpr", "kernel": kernel_from_dict, "mean": NUMBER, "noise_varianc
 
 def gpr_from_dict(d: dict) -> GprModel:
     d = parse(d, GPR)
+    _bounded_rows(d["x_train"].shape[0])
     if _data_checksum(d["x_train"], d["y_train"]) != d["checksum"]:
         raise ValidationError("training-data checksum mismatch")
     return _finalize(*training_matrices(d["x_train"], d["y_train"]), d["kernel"],

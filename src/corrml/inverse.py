@@ -29,7 +29,7 @@ from .metrics import Metrics, compute_metrics
 from .preprocess import INVERSE_BASE_ELEMENTS  # noqa: F401  (the base part's; re-exported)
 from .preprocess import (feature_fields, feature_width, sample_records, sample_table, select,
                          split_train_test)
-from .schema import NUMBER, STRING, integer, parse
+from .schema import NUMBER, STRING, integer, parse, shown
 from .trees import (
     MultiOutputModel,
     fit_forests,
@@ -371,6 +371,6 @@ def inverse_from_dict(d: dict) -> InverseEnsemble:
     ensemble = InverseEnsemble(**parse(d, INVERSE))
     unknown = set(d["submodels"]) - set(SUBMODEL_SETS)
     if unknown:
-        raise ValidationError(f"unknown submodel {min(unknown)!r}; expected one of "
+        raise ValidationError(f"unknown submodel {shown(min(unknown))}; expected one of "
                               f"{list(SUBMODEL_SETS)}")
     return ensemble

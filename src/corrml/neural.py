@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TrainingError, ValidationError
 from .preprocess import training_matrices
-from .schema import POSITIVE, STRING, array, parse
+from .schema import POSITIVE, STRING, array, parse, shown
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +46,7 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if not all(type(h) is int and h >= 1 for h in self.hidden_sizes):
             raise ValidationError(f"hidden_sizes must be integers >= 1, got "
-                                  f"{list(self.hidden_sizes)!r}")
+                                  f"{shown(list(self.hidden_sizes))}")
         self.hidden_sizes = tuple(self.hidden_sizes)
 
 

@@ -254,16 +254,3 @@ def split_train_test(n: int, seed: int, test_fraction: float = 0.2) -> SplitIndi
                         test=sorted(perm[:n_test].tolist()),
                         seed=seed)
 
-
-def run_metadata(feature_set: str, scaler: ScalerState | None, cap_mode: str,
-                 cap_threshold: float, seed: int) -> dict:
-    """Sidecar dict recording everything needed to reproduce a preprocessing
-    run of forward feature set `feature_set`."""
-    return {
-        "feature_set": feature_set,
-        "columns": feature_columns(feature_set),
-        "cap_mode": cap_mode,
-        "cap_threshold": cap_threshold,
-        "seed": seed,
-        "scaler": scaler.to_dict() if scaler is not None else None,
-    }

@@ -36,7 +36,7 @@ def parse(value, spec, key=None):
     try:
         if isinstance(spec, dict):
             if not isinstance(value, dict):
-                raise ValidationError(f"must be an object, got {_shown(value)}")
+                raise ValidationError(f"must be an object, got {shown(value)}")
             out = {}
             for name, item in spec.items():
                 optional, name = name.endswith("?"), name.rstrip("?")
@@ -49,14 +49,14 @@ def parse(value, spec, key=None):
         if isinstance(spec, list):
             size = f" of {len(spec)} items" if len(spec) > 1 else ""
             if not isinstance(value, list) or size and len(value) != len(spec):
-                raise ValidationError(f"must be a list{size}, got {_shown(value)}")
+                raise ValidationError(f"must be a list{size}, got {shown(value)}")
             items = [parse(v, spec[i] if size else spec[0], i) for i, v in enumerate(value)]
             return tuple(items) if size else items
         if isinstance(spec, tuple):
             return None if value is None else parse(value, spec[1])
         if isinstance(spec, str):
             if not (isinstance(value, str) and value == spec):
-                raise ValidationError(f"must be {spec!r}, got {_shown(value)}")
+                raise ValidationError(f"must be {spec!r}, got {shown(value)}")
             return value
         return spec(value)
     except ValidationError as exc:
@@ -76,16 +76,28 @@ def load(value, spec, where: str):
         raise ValidationError(f"{where} is {state}: {fault}") from None
 
 
-def _shown(value) -> str:
-    text = repr(value.tolist() if hasattr(value, "tolist") else value)
-    return text if len(text) <= 80 else text[:77] + "..."
+QUOTED_CHARS = 80  # the most of one input value a refusal quotes
+
+
+def clipped(text: str) -> str:
+    """`text` as a refusal quotes it: whole up to QUOTED_CHARS characters,
+    else its first QUOTED_CHARS, "…" and its length, so that a refusal of a
+    long cell, label or id stays short."""
+    if len(text) <= QUOTED_CHARS:
+        return text
+    return f"{text[:QUOTED_CHARS]}… ({len(text)} characters)"
+
+
+def shown(value) -> str:
+    """`repr(value)`, a list for an array, as a refusal quotes it (`clipped`)."""
+    return clipped(repr(value.tolist() if hasattr(value, "tolist") else value))
 
 
 def rule(what: str, ok, make=lambda value: value):
     """A spec: `make(value)` if `ok(value)`; any other value must be `what`."""
     def parse_value(value):
         if not ok(value):
-            raise ValidationError(f"must be {what}, got {_shown(value)}")
+            raise ValidationError(f"must be {what}, got {shown(value)}")
         return make(value)
     return parse_value
 
@@ -141,6 +153,6 @@ def array(dtype, ndim: int | None = None):
             a = None
         if a is None or ndim and a.ndim != ndim or a.size and not (
                 a.dtype.kind in kinds and fits(a)):
-            raise ValidationError(f"must be {what}, got {_shown(value)}")
+            raise ValidationError(f"must be {what}, got {shown(value)}")
         return a.astype(dtype, copy=False)
     return parse_array

@@ -54,7 +54,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .preprocess import training_matrices
-from .schema import BOOL, NUMBER, POSITIVE, STRING, Fault, array, integer, one_of, parse
+from .schema import (BOOL, NUMBER, POSITIVE, STRING, Fault, array, integer, one_of, parse,
+                     shown)
 
 DEFAULT_N_ESTIMATORS = 100
 DEFAULT_GBM_ROUNDS = 100
@@ -143,7 +144,7 @@ def _resolve_max_features(max_features, d: int) -> int:
         return max(1, round(d / 3))
     if not _is_int(max_features):
         raise ValidationError("max_features must be null, 'all', 'sqrt', 'third' or an "
-                              f"integer, got {max_features!r}")
+                              f"integer, got {shown(max_features)}")
     if max_features < 1:
         raise ValidationError("max_features must be >= 1")
     return min(int(max_features), d)
@@ -167,7 +168,7 @@ def _check_training(X: np.ndarray, Y: np.ndarray, max_depth, min_samples_leaf: i
     """Validated (X, Y) as float arrays, Y with one column per target."""
     X, Y = training_matrices(X, Y)
     if max_depth is not None and not _is_int(max_depth):
-        raise ValidationError(f"max_depth must be null or an integer, got {max_depth!r}")
+        raise ValidationError(f"max_depth must be null or an integer, got {shown(max_depth)}")
     if max_depth is not None and max_depth < 0:
         raise ValidationError("max_depth must be >= 0")
     if min_samples_leaf < 1:

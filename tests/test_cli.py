@@ -21,12 +21,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrml import cli, evaluation, inverse, jobs, jsonstream
+from corrml import cli, evaluation, gpr, inverse, jobs, jsonstream
 from corrml.dataset import (DEFAULT_ENVIRONMENTS, ELEMENT_ORDER, Dataset, dataset_to_dict,
                             generate_inverse_synthetic, generate_synthetic, parse_csv)
 from corrml.errors import TrainingError, ValidationError
-from corrml.evaluation import FAMILIES
-from corrml.preprocess import ScalerState, apply_scaler, build_features
+from corrml.evaluation import FAMILIES, forward_model_from_dict
+from corrml.preprocess import (ScalerState, apply_scaler, build_features, cap_target,
+                               feature_columns, fit_scaler)
 from corrml.trees import TreeTable, forest_from_dict, node_arrays
 from conftest import child_env
 from test_jobs import no_children
@@ -242,6 +243,38 @@ def test_ingest_rejects_non_physical_condition_with_row(tmp_path, capsys, column
     err = capsys.readouterr().err
     assert "row 3" in err and "row 2" not in err
     assert not (out / "dataset.json").exists()
+
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("row_3,row_4,message", [
+    ({}, {1: LONG}, "unknown environment label 'xxx"),
+    ({}, {5: LONG}, "unknown rate unit 'xxx"),
+    ({}, {4: "", 6: LONG}, "unknown grade letter 'xxx"),
+    ({}, {7: LONG}, "unparseable numeric cell 'xxx"),
+    ({}, {0: LONG, 2: "-300"}, "sample xxx"),
+    ({0: LONG}, {0: LONG}, "duplicate sample id 'xxx"),
+], ids=["environment-label", "rate-unit", "grade", "element-cell", "sample-id",
+        "sample-id-repeated"])
+def test_a_refusal_quotes_a_bounded_part_of_a_long_cell(tmp_path, capsys, row_3, row_4,
+                                                         message):
+    # a refusal quotes at most schema.QUOTED_CHARS characters of a cell, then
+    # the length of what it quotes, and still names the row
+    rows = [["id", "env", "temp_c", "duration_days", "rate", "rate_unit", "grade", "Al", "Mg"]]
+    for i, cells in enumerate(({}, row_3, row_4), start=2):
+        rows.append([f"s{i}", "brackish-water", "25.0", "30.0", "1.0", "mpy", "", "95.0", "5.0"])
+        for column, text in cells.items():
+            rows[-1][column] = text
+    path = tmp_path / "long.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024, err[:2000]
+    quoted = len(LONG) if message == "sample xxx" else len(repr(LONG))
+    assert f"row 4: {message}" in err and f"… ({quoted} characters)" in err, err
+    assert "row 3:" not in err, err
 
 
 def test_ingest_accepts_absolute_zero(tmp_path):
@@ -707,6 +740,71 @@ def test_train_compare_and_predict_share_one_path(workspace, compared, tmp_path,
 
 def test_family_table_matches_default_config():
     assert set(FAMILIES) == set(cli.default_config()["model_params"])
+
+
+@pytest.mark.parametrize("family,features,back_transform", [
+    ("rf", "comp", None), ("dnn", "comp+env", None), ("gpr", "comp+env", None),
+    ("loggpr", "comp+env", "median"), ("loggpr", "comp+env", "mean")],
+    ids=["rf", "dnn", "gpr", "loggpr", "loggpr-mean"])
+def test_forward_model_file_round_trip(workspace, tmp_path, family, features, back_transform):
+    # a train-forward model file read through forward_model_from_dict
+    # writes its own bytes again and scores pairs.csv's test rows; its
+    # preprocessing records the feature set, the cap, the seed and the
+    # scaler fit on the training rows
+    config = copy.deepcopy(QUICK_CONFIG)
+    config["model_params"]["loggpr"]["back_transform"] = back_transform or "median"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "tf"
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", family,
+                     "--features", features, "--seed", "3", "--config",
+                     str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    path = str(out / "model.json")
+    model = forward_model_from_dict(cli.read_json(path, object_hook=node_arrays), path)
+    cli.write_json(str(tmp_path / "again.json"), model.to_dict("drop", 100.0, 3))
+    assert (tmp_path / "again.json").read_bytes() == (out / "model.json").read_bytes()
+
+    pairs = _read_rows(out / "pairs.csv")[1:]
+    samples = cap_target(cli._load_dataset(workspace["dataset"]).samples, 100.0, "drop")
+    fm, _ = build_features(Dataset(samples=samples), features)
+    test = [fm.sample_ids.index(r[2]) for r in pairs]
+    assert list(map(repr, model.predict(fm.values[test]).tolist())) == [r[4] for r in pairs]
+
+    with open(path) as fh:
+        preprocess = json.load(fh)["preprocess"]
+    train = [i for i in range(len(fm.sample_ids)) if i not in test]
+    assert preprocess == {"feature_set": features, "columns": feature_columns(features),
+                          "cap_mode": "drop", "cap_threshold": 100.0, "seed": 3,
+                          "scaler": None if family == "rf" else
+                          fit_scaler(fm.values[train]).to_dict()}
+    assert len(preprocess["columns"]) == {"comp": 32, "comp+env": 41}[features]
+
+
+@pytest.mark.parametrize("family", ["gpr", "loggpr"])
+def test_a_gp_over_the_training_row_bound_is_refused(workspace, trained, tmp_path, capsys,
+                                                      monkeypatch, family):
+    # a model file over the bound is refused at load, and training rows over
+    # it at fit; a model at the bound loads
+    payload = trained(family)
+    n = len((payload["model"] if family == "gpr" else payload["model"]["inner"])["x_train"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    argv = ["predict", "--model", str(path), "--direction", "forward", "--input",
+            workspace["csv"]]
+    refusal = f"a GP model takes at most {n - 1} training rows, got {n}"
+    monkeypatch.setattr(gpr, "MAX_TRAIN_ROWS", n - 1)
+    assert cli.main([*argv, "--out", str(tmp_path / "over")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: model file key 'model'") and refusal in err, err
+    assert not (tmp_path / "over" / "predictions.csv").exists()
+
+    assert cli.main(["train-forward", "--dataset", workspace["dataset"], "--model", family,
+                     "--config", workspace["config"], "--out", str(tmp_path / "tf")]) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not (tmp_path / "tf" / "model.json").exists()
+
+    monkeypatch.setattr(gpr, "MAX_TRAIN_ROWS", n)
+    assert cli.main([*argv, "--out", str(tmp_path / "at")]) == 0
+    assert (tmp_path / "at" / "predictions.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1573,6 +1671,40 @@ def test_report_rejects_bad_row_naming_it(tmp_path, capsys, option, text, messag
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n", err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source,text,message", [
+    ("--metrics", f"model,feature_set,r2,mae,rmse\nrf,comp,{LONG},1,2\n",
+     "row 2: could not convert string to float: 'xxx"),
+    ("--metrics", f"model,feature_set,r2,mae,rmse\n{LONG},comp,0.5,1,2\n{LONG},comp,0.5,1,2\n",
+     "row 3: model 'xxx"),
+    ("--pairs", f"model,feature_set,sample_id,true,predicted\nrf,/{LONG},s1,1.0,2.0\n",
+     "row 2: feature_set '/xxx"),
+    ("forward", {"family": LONG}, "['family']: must be one of"),
+    ("config", {"model_params": {"rf": {"max_depth": LONG}}},
+     "max_depth must be null or an integer, got 'xxx"),
+], ids=["metrics-number", "metrics-repeated-model", "pairs-feature-set-slash",
+        "model-file-family", "config-max-depth"])
+def test_a_refusal_quotes_a_bounded_part_of_a_long_value(workspace, forward_payload, tmp_path,
+                                                         capsys, source, text, message):
+    # a report cell, a model file value or a config value is quoted as a
+    # CSV cell is
+    path = tmp_path / "input"
+    if source == "config":
+        path.write_text(json.dumps(text))
+        argv = ["train-forward", "--dataset", workspace["dataset"], "--model", "rf",
+                "--config", str(path)]
+    elif source == "forward":
+        path.write_text(json.dumps({**forward_payload, **text}))
+        argv = ["predict", "--model", str(path), "--direction", "forward",
+                "--input", workspace["csv"]]
+    else:
+        path.write_text(text)
+        argv = ["report", source, str(path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and message in err, err[:2000]
+    assert "characters)" in err, err
 
 
 def test_report_bad_pairs_row_writes_no_metric_chart(tmp_path, capsys):

@@ -27,10 +27,10 @@ from corrml.preprocess import (
     apply_scaler,
     build_features,
     cap_target,
+    feature_columns,
     feature_fields,
     feature_width,
     fit_scaler,
-    run_metadata,
     sample_records,
     sample_table,
     select,
@@ -51,7 +51,7 @@ def _sample(i, rate=1.0, env=0, temp=None, dur=None):
 
 def _columns(feature_set):
     """The columns a model file records for `feature_set`."""
-    return run_metadata(feature_set, None, "drop", 100.0, seed=0)["columns"]
+    return feature_columns(feature_set)
 
 
 def test_feature_widths():
@@ -357,19 +357,6 @@ def test_log_transform_values():
     assert z[0] == np.log(DEFAULT_LOG_EPSILON)
     z = fit_log_gpr(X[:2], np.array([1.0, np.e ** 2]), epsilon=0.0, epochs=0).inner.y_train
     assert z[0] == 0.0 and z[1] == pytest.approx(2.0)
-
-
-def test_run_metadata_contents():
-    ds = generate_synthetic(20, seed=1)
-    fm, _ = build_features(ds, "comp+env")
-    scaler = fit_scaler(fm.values)
-    meta = run_metadata("comp+env", scaler, "drop", 100.0, seed=3)
-    assert meta["feature_set"] == "comp+env"
-    assert len(meta["columns"]) == 41
-    assert meta["cap_mode"] == "drop" and meta["cap_threshold"] == 100.0
-    assert meta["seed"] == 3
-    assert meta["scaler"] == scaler.to_dict()
-    assert run_metadata("comp", None, "drop", 100.0, seed=0)["scaler"] is None
 
 
 def test_feature_sets_constant_lists_known_selectors():

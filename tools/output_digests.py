@@ -17,6 +17,8 @@ paths. The chains are
               of the dnn and loggpr models on 1,000 rows, then
               compare-forward -> report, then forward predict of the gpr
               and loggpr-mean models again with CORRML_THREADS=2
+    ingest --units wt, and forward predict --units wt of the rf and loggpr
+              models, each of the walkthrough CSV read as weight percent
     ingest -> train-inverse -> inverse predict on the 1,000 queries, then
               on 5,000
 
@@ -39,8 +41,10 @@ where 1,000 queries are one chunk. The gpr and loggpr-mean models are
 scored again with ``CORRML_THREADS=2`` set in that child's environment
 only, into folders of their own: a loaded GP's factor and scoring run no
 BLAS, so their ``predictions.csv`` lines carry the digests of the
-default-environment ones (their sidecars record another ``--out``). For
-seed N the tool prints 79 lines.
+default-environment ones (their sidecars record another ``--out``). The
+``--units wt`` chains reach the conversion of each row's weight percent to
+atomic percent, which ``ingest`` and ``predict`` share and no other chain
+runs. For seed N the tool prints 86 lines.
 """
 
 import argparse
@@ -73,6 +77,10 @@ COMMANDS = [
     *(["predict", "--model", f"out/fwd/{name}/model.json", "--direction", "forward",
        "--input", FWD_QUERIES_1000, "--out", f"out/fwd/{name}-predict-1000"]
       for name in ("dnn", "loggpr")),
+    ["ingest", "--input", "in/fwd/data.csv", "--units", "wt", "--out", "out/fwd/ds-wt"],
+    *(["predict", "--model", f"out/fwd/{name}/model.json", "--direction", "forward",
+       "--input", "in/fwd/data.csv", "--units", "wt", "--out", f"out/fwd/{name}-predict-wt"]
+      for name in ("rf", "loggpr")),
     ["compare-forward", "--dataset", FWD_DATASET, "--out", "out/fwd/compare"],
     ["report", "--metrics", "out/fwd/compare/compare_metrics.csv",
      "--pairs", "out/fwd/compare/compare_pairs.csv", "--out", "out/fwd/report"],
